@@ -40,7 +40,8 @@ def main(argv=None) -> int:
         export_chrome_trace,
         validate_trace_document,
     )
-    from repro.workloads.acceptance import acceptance_driver, acceptance_system
+    from repro.harness import acceptance_system
+    from repro.workloads.acceptance import acceptance_driver
 
     system = acceptance_system(obs=True)
     summary = acceptance_driver(system)

@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.core.ring import ModuloRing
+
 # ---------------------------------------------------------------------------
 # Table 2: Bridge operations (milliseconds; n = file size in blocks)
 # ---------------------------------------------------------------------------
@@ -312,8 +314,6 @@ def partition_load(names: Sequence[str], servers: int,
     part is using them to predict the fabric's behavior without
     running it.
     """
-    from repro.elastic.ring import ModuloRing
-
     if ring is None:
         ring = ModuloRing(servers)
     elif ring.partitions != servers:
@@ -373,8 +373,6 @@ def metadata_partition_buckets(names: Sequence[str], partitions: int,
     ring, which matches a freshly built fabric of ``partitions``
     servers.  Only touched partitions appear as keys.
     """
-    from repro.elastic.ring import ModuloRing
-
     if partitions < 1:
         raise ValueError("partitions must be >= 1")
     if ring is None:

@@ -4,6 +4,12 @@
 structure of files can use this simple interface" (section 4.1).  All
 methods are generators to be driven with ``yield from`` inside simulated
 processes.
+
+This class is the one hand-written client surface.  Every op leaves
+through :meth:`BridgeClient._call`; a plain client sends everything to
+its one server, and :class:`~repro.core.partitioned.PartitionedClient`
+overrides only that seam, choosing the partition(s) by the op's routing
+rule in :mod:`repro.core.ops`.
 """
 
 from __future__ import annotations
@@ -21,6 +27,11 @@ class BridgeClient:
         self.server_port = server_port
         self._rpc = Client(node, name, traffic_class=traffic_class)
 
+    def _call(self, method: str, size: int = 0, **args):
+        """Issue one op (a generator): the seam every method below
+        leaves through."""
+        return self._rpc.call(self.server_port, method, size=size, **args)
+
     # ------------------------------------------------------------------
     # File management
     # ------------------------------------------------------------------
@@ -32,86 +43,69 @@ class BridgeClient:
         ``disordered=True`` creates a section-3 disordered file whose
         blocks scatter arbitrarily (see :mod:`repro.core.disorder`).
         """
-        return (
-            yield from self._rpc.call(
-                self.server_port,
-                "create",
-                name=name,
-                width=width,
-                node_slots=node_slots,
-                start=start,
-                disordered=disordered,
-            )
-        )
+        return (yield from self._call(
+            "create", name=name, width=width, node_slots=node_slots,
+            start=start, disordered=disordered,
+        ))
 
     def get_block_map(self, name: str):
         """The global->local map of a disordered file."""
-        return (yield from self._rpc.call(self.server_port, "get_block_map",
-                                          name=name))
+        return (yield from self._call("get_block_map", name=name))
 
     def delete(self, name: str):
         """Delete a file; returns the total number of blocks freed."""
-        return (yield from self._rpc.call(self.server_port, "delete", name=name))
+        return (yield from self._call("delete", name=name))
 
     def open(self, name: str):
         """Open (a hint, per section 4.1); returns an OpenResult."""
-        return (yield from self._rpc.call(self.server_port, "open", name=name))
+        return (yield from self._call("open", name=name))
 
     def stat(self, name: str):
         """Directory-only metadata probe; returns a FileStat (no LFS
         round trip — sizes are as of the last open/write)."""
-        return (yield from self._rpc.call(self.server_port, "stat", name=name))
+        return (yield from self._call("stat", name=name))
 
     def find(self, prefix: str = ""):
         """All file names with the given prefix, sorted (the flat
-        namespace's "recursive directory listing")."""
-        return (yield from self._rpc.call(self.server_port, "find",
-                                          prefix=prefix))
+        namespace's "recursive directory listing"; on a fabric, the
+        union over every partition)."""
+        return (yield from self._call("find", prefix=prefix))
 
     def get_info(self):
-        """The Get Info package for tool construction."""
-        return (yield from self._rpc.call(self.server_port, "get_info"))
+        """The Get Info package for tool construction (on a fabric,
+        aggregated across every partition)."""
+        return (yield from self._call("get_info"))
 
     # ------------------------------------------------------------------
     # Batched metadata ops (S23)
     # ------------------------------------------------------------------
     #
-    # Each issues ONE request carrying the whole name list and returns
-    # one NameOutcome per name, in input order; a bad name is that
-    # name's outcome, never an exception.  Against a partitioned fabric
-    # use PartitionedClient, which buckets names by the live ring and
-    # windows the per-partition batches.
+    # Each carries the whole name list and returns one NameOutcome per
+    # name, in input order; a bad name is that name's outcome, never an
+    # exception.  A plain client issues ONE request; on a fabric the
+    # names are bucketed by the live ring into windowed per-partition
+    # sub-batches.
 
     def mopen(self, names):
         """Batched Open; returns ``[NameOutcome(value=OpenResult)]``."""
-        return (yield from self._rpc.call(self.server_port, "mopen",
-                                          names=list(names)))
+        return (yield from self._call("mopen", names=list(names)))
 
     def mstat(self, names):
         """Batched stat; returns ``[NameOutcome(value=FileStat)]``."""
-        return (yield from self._rpc.call(self.server_port, "mstat",
-                                          names=list(names)))
+        return (yield from self._call("mstat", names=list(names)))
 
     def mcreate(self, names, width=None, node_slots=None, start: int = 0,
                 disordered: bool = False):
         """Batched create (shared shape parameters); returns
         ``[NameOutcome(value=file_id)]``."""
-        return (
-            yield from self._rpc.call(
-                self.server_port,
-                "mcreate",
-                names=list(names),
-                width=width,
-                node_slots=node_slots,
-                start=start,
-                disordered=disordered,
-            )
-        )
+        return (yield from self._call(
+            "mcreate", names=list(names), width=width,
+            node_slots=node_slots, start=start, disordered=disordered,
+        ))
 
     def mdelete(self, names):
         """Batched delete; returns ``[NameOutcome(value=blocks_freed)]``."""
-        return (yield from self._rpc.call(self.server_port, "mdelete",
-                                          names=list(names)))
+        return (yield from self._call("mdelete", names=list(names)))
 
     # ------------------------------------------------------------------
     # Block access
@@ -119,34 +113,24 @@ class BridgeClient:
 
     def seq_read(self, name: str):
         """Next block as ``(block_number, data)``; ``(None, None)`` at EOF."""
-        return (yield from self._rpc.call(self.server_port, "seq_read", name=name))
+        return (yield from self._call("seq_read", name=name))
 
     def seq_write(self, name: str, data: bytes):
         """Append one block; returns its global block number."""
-        return (
-            yield from self._rpc.call(
-                self.server_port, "seq_write", size=BLOCK_SIZE, name=name, data=data
-            )
-        )
+        return (yield from self._call(
+            "seq_write", size=BLOCK_SIZE, name=name, data=data
+        ))
 
     def random_read(self, name: str, block_number: int):
-        return (
-            yield from self._rpc.call(
-                self.server_port, "random_read", name=name, block_number=block_number
-            )
-        )
+        return (yield from self._call(
+            "random_read", name=name, block_number=block_number
+        ))
 
     def random_write(self, name: str, block_number: int, data: bytes):
-        return (
-            yield from self._rpc.call(
-                self.server_port,
-                "random_write",
-                size=BLOCK_SIZE,
-                name=name,
-                block_number=block_number,
-                data=data,
-            )
-        )
+        return (yield from self._call(
+            "random_write", size=BLOCK_SIZE, name=name,
+            block_number=block_number, data=data,
+        ))
 
     # ------------------------------------------------------------------
     # List I/O (noncontiguous access)
@@ -161,11 +145,7 @@ class BridgeClient:
         EFS message per constituent LFS.
         """
         blocks = list(pattern.blocks()) if hasattr(pattern, "blocks") else list(pattern)
-        return (
-            yield from self._rpc.call(
-                self.server_port, "list_read", name=name, blocks=blocks
-            )
-        )
+        return (yield from self._call("list_read", name=name, blocks=blocks))
 
     def list_write(self, name: str, pattern, chunks=None):
         """Noncontiguous write; returns the file's new size in blocks.
@@ -188,15 +168,10 @@ class BridgeClient:
                     f"{len(chunks)} chunks were supplied"
                 )
             writes = list(zip(blocks, chunks))
-        return (
-            yield from self._rpc.call(
-                self.server_port,
-                "list_write",
-                size=BLOCK_SIZE * len(writes),
-                name=name,
-                writes=writes,
-            )
-        )
+        return (yield from self._call(
+            "list_write", size=BLOCK_SIZE * len(writes), name=name,
+            writes=writes,
+        ))
 
     # ------------------------------------------------------------------
     # Whole-file conveniences

@@ -51,6 +51,11 @@ class JobInfo:
     total_blocks: int
     worker_count: int
     job_port: Port
+    #: The server that created the job and holds its state: where the
+    #: ``job`` routing rule sends parallel_read/write/close.  Not always
+    #: the port the open was sent to — the S22 forwarding window may
+    #: redirect a ``parallel_open`` to the name's current owner.
+    server_port: Port
 
 
 class JobController:
@@ -59,7 +64,8 @@ class JobController:
     ``server_port`` may be a plain server :class:`Port` or a partitioned
     fabric router (anything with ``port_for(name)``): the owning
     partition is resolved once at :meth:`open`, and the job's subsequent
-    reads/writes/close stay on that partition.
+    reads/writes/close go to the server that answered
+    (``JobInfo.server_port``).
     """
 
     def __init__(self, node, server_port: Port, name: str = "controller",
@@ -68,28 +74,20 @@ class JobController:
         self.server_port = server_port
         self._rpc = Client(node, name, traffic_class=traffic_class)
         self.job: Optional[JobInfo] = None
-        self._job_port: Optional[Port] = None
 
     def open(self, name: str, worker_ports: List[Port]):
         """Group the workers into a job on ``name``; returns JobInfo."""
         port_for = getattr(self.server_port, "port_for", None)
         port = port_for(name) if port_for is not None else self.server_port
-        job = yield from self._rpc.call(
+        self.job = yield from self._rpc.call(
             port, "parallel_open", name=name, worker_ports=worker_ports
         )
-        self.job = job
-        self._job_port = port
-        return job
+        return self.job
 
     def read(self):
         """Move one block to every worker; returns blocks actually read
         (workers past EOF receive an eof delivery)."""
-        self._require_job()
-        return (
-            yield from self._rpc.call(
-                self._job_port, "parallel_read", job_id=self.job.job_id
-            )
-        )
+        return (yield from self._job_call("parallel_read", self.job))
 
     def write(self):
         """Collect one deposited block from every worker and append them.
@@ -98,26 +96,21 @@ class JobController:
         deposits may be in flight; the server waits for all of them).
         Returns the file's new total size in blocks.
         """
-        self._require_job()
-        return (
-            yield from self._rpc.call(
-                self._job_port, "parallel_write", job_id=self.job.job_id
-            )
-        )
+        return (yield from self._job_call("parallel_write", self.job))
 
     def close(self):
         """Discard the job's server-side state."""
-        self._require_job()
-        job_id, self.job = self.job.job_id, None
-        return (
-            yield from self._rpc.call(
-                self._job_port, "parallel_close", job_id=job_id
-            )
-        )
+        job, self.job = self.job, None
+        return (yield from self._job_call("parallel_close", job))
 
-    def _require_job(self) -> None:
-        if self.job is None:
+    def _job_call(self, method: str, job: Optional[JobInfo]):
+        """One ``job``-routed op, on the server holding the job."""
+        if job is None:
             raise RuntimeError("no job open; call open() first")
+        return (
+            yield from self._rpc.call(job.server_port, method,
+                                      job_id=job.job_id)
+        )
 
 
 class ParallelWorker:

@@ -15,9 +15,9 @@ measures.
 
 Since S20 the partitioned namespace is a first-class *fabric*, not a
 naive-view shim: :class:`PartitionedBridge` is the router every surface
-accepts — :class:`PartitionedClient` carries the complete
-:class:`~repro.core.client.BridgeClient` API (naive ops, list I/O,
-block maps, cross-partition ``Get Info``),
+accepts — :class:`PartitionedClient` is the complete
+:class:`~repro.core.client.BridgeClient` API plus one routing override
+(naive ops, list I/O, block maps, cross-partition ``Get Info``),
 :class:`~repro.core.parallel.JobController` and the tool framework
 resolve their owning partition at open/create time, and the S16
 redundancy wrappers plus the S18 cache/prefetcher (one instance per
@@ -32,8 +32,9 @@ from typing import Dict, List, Optional
 
 from repro.core.client import BridgeClient
 from repro.core.info import SystemInfo
+from repro.core.ops import OPS
+from repro.core.ring import ModuloRing, Ring
 from repro.core.server import BridgeServer
-from repro.elastic.ring import ModuloRing
 from repro.errors import BridgeBadRequestError
 from repro.machine import Port, gather
 
@@ -47,7 +48,7 @@ class PartitionedBridge:
     :class:`~repro.core.parallel.JobController` do exactly that).
 
     Since S22 the routing map is a *ring* object (see
-    :mod:`repro.elastic.ring`): ``servers`` is the provisioned set and
+    :mod:`repro.core.ring`): ``servers`` is the provisioned set and
     the ring decides how many of them are active and which names they
     own.  The default ring is the seed's mod-k map over every
     provisioned server — byte-identical to the pre-elastic fabric — and
@@ -55,18 +56,13 @@ class PartitionedBridge:
     flips during a live migration.
     """
 
-    def __init__(self, servers: List[BridgeServer], ring=None) -> None:
+    def __init__(self, servers: List[BridgeServer],
+                 ring: Optional[Ring] = None) -> None:
         if not servers:
             raise ValueError("need at least one Bridge Server")
         self.servers = list(servers)
-        if ring is None:
-            ring = ModuloRing(len(self.servers))
-        if ring.partitions > len(self.servers):
-            raise ValueError(
-                f"ring wants {ring.partitions} partitions but only "
-                f"{len(self.servers)} servers are provisioned"
-            )
-        self.ring = ring
+        self.set_ring(ring if ring is not None
+                      else ModuloRing(len(self.servers)))
 
     @property
     def partitions(self) -> int:
@@ -84,7 +80,7 @@ class PartitionedBridge:
         """Every active partition's request port, in partition order."""
         return [server.port for server in self.active_servers]
 
-    def set_ring(self, ring) -> None:
+    def set_ring(self, ring: Ring) -> None:
         """Swap the routing map (the S22 resize flip).  Synchronous and
         non-yielding by design: the resizer installs its forwarding net
         and flips in one atomic step."""
@@ -128,86 +124,30 @@ class PartitionedBridge:
         return self.partitions
 
 
-class PartitionedClient:
-    """The complete client surface over a partitioned server collection.
+class PartitionedClient(BridgeClient):
+    """The client surface over a partitioned server collection.
 
-    One underlying :class:`BridgeClient` per partition; every per-name
-    operation routes by file name, so callers use it exactly like a
-    plain client — the API-parity test asserts the surfaces match
-    signature-for-signature.  ``Get Info`` is the one cross-partition
-    operation: it fans out to every partition in a single windowed
-    gather and aggregates the package.
+    It *is* :class:`BridgeClient` — same methods, same signatures — with
+    the one ``_call`` seam overridden to pick the serving partition(s)
+    from the op's routing rule (:data:`repro.core.ops.OPS`): per-name
+    ops go to the ring owner of the name, batched metadata ops are
+    bucketed by the live ring, and ``find`` / ``Get Info`` fan out to
+    every active partition in a single windowed gather and merge.
     """
 
     def __init__(self, node, bridge: PartitionedBridge,
                  name: str = "pclient", traffic_class=None) -> None:
-        self.node = node
+        super().__init__(node, bridge, name=name, traffic_class=traffic_class)
         self.bridge = bridge
-        self._clients = [
-            BridgeClient(node, server.port, name=f"{name}.{index}",
-                         traffic_class=traffic_class)
-            for index, server in enumerate(bridge.servers)
-        ]
 
-    def _client(self, name: str) -> BridgeClient:
-        return self._clients[self.bridge.partition_of(name)]
-
-    # ------------------------------------------------------------------
-    # Routed operations (same surface as BridgeClient)
-    # ------------------------------------------------------------------
-
-    def create(self, name, width=None, node_slots=None, start=0,
-               disordered=False):
-        return (
-            yield from self._client(name).create(
-                name, width=width, node_slots=node_slots, start=start,
-                disordered=disordered,
-            )
-        )
-
-    def get_block_map(self, name):
-        return (yield from self._client(name).get_block_map(name))
-
-    def delete(self, name):
-        return (yield from self._client(name).delete(name))
-
-    def open(self, name):
-        return (yield from self._client(name).open(name))
-
-    def stat(self, name):
-        return (yield from self._client(name).stat(name))
-
-    def seq_read(self, name):
-        return (yield from self._client(name).seq_read(name))
-
-    def seq_write(self, name, data):
-        return (yield from self._client(name).seq_write(name, data))
-
-    def random_read(self, name, block_number):
-        return (yield from self._client(name).random_read(name, block_number))
-
-    def random_write(self, name, block_number, data):
-        return (
-            yield from self._client(name).random_write(name, block_number, data)
-        )
-
-    def list_read(self, name, pattern):
-        return (yield from self._client(name).list_read(name, pattern))
-
-    def list_write(self, name, pattern, chunks=None):
-        return (
-            yield from self._client(name).list_write(name, pattern, chunks=chunks)
-        )
-
-    def read_all(self, name):
-        return (yield from self._client(name).read_all(name))
-
-    def write_all(self, name, chunks):
-        return (yield from self._client(name).write_all(name, chunks))
-
-    # ------------------------------------------------------------------
-    # Cross-partition operations
-    # ------------------------------------------------------------------
+    def _call(self, method: str, size: int = 0, **args):
+        route = OPS[method].route
+        if route == "name":
+            return self._rpc.call(self.bridge.port_for(args["name"]), method,
+                                  size=size, **args)
+        if route == "names":
+            return self._mop(method, **args)
+        return self._broadcast(method, args)
 
     def _window(self) -> int:
         """The fabric's fan-out window (``bridge_fanout_limit``; 0 =
@@ -216,9 +156,9 @@ class PartitionedClient:
 
     def _fanout(self, label, calls, **attrs):
         """One windowed cross-partition gather under a single client
-        span — the shared fan-out path behind the batched metadata ops,
-        ``find``, and ``get_info``.  A count-4 trace shows one
-        ``pclient.<label>`` span with legs to four server rows."""
+        span — the shared fan-out path behind the ``names`` and ``all``
+        routing rules.  A count-4 trace shows one ``pclient.<label>``
+        span with legs to four server rows."""
         obs = self.node.machine.sim.obs
         span = None
         prev = None
@@ -237,8 +177,9 @@ class PartitionedClient:
                 obs.set_current(prev)
         return results
 
-    def _mop(self, method, names, args_of):
-        """One batched metadata op across the fabric (S23).
+    def _mop(self, method, names, **shared):
+        """The ``names`` rule: one batched metadata op across the fabric
+        (S23); ``shared`` arguments apply to every name.
 
         Buckets ``names`` by the live ring, splits each partition's
         bucket into window-sized sub-batches, and issues them all as one
@@ -250,7 +191,6 @@ class PartitionedClient:
         issue time and the owning server chases any name caught in a
         migration's forwarding window.
         """
-        names = list(names)
         if not names:
             return []
         buckets: Dict[int, List[int]] = {}
@@ -266,7 +206,8 @@ class PartitionedClient:
             for lo in range(0, len(indexes), step):
                 chunk = indexes[lo:lo + step]
                 calls.append(
-                    (port, method, args_of([names[i] for i in chunk]), 0)
+                    (port, method,
+                     {"names": [names[i] for i in chunk], **shared}, 0)
                 )
                 slices.append(chunk)
         batches = yield from self._fanout(
@@ -278,75 +219,42 @@ class PartitionedClient:
                 outcomes[index] = outcome
         return outcomes
 
-    def mopen(self, names):
-        """Batched Open; one windowed RPC per partition sub-batch."""
-        return (
-            yield from self._mop("mopen", names,
-                                 lambda chunk: {"names": chunk})
-        )
+    def _broadcast(self, method, args):
+        """The ``all`` rule: one fan-out to every active partition
+        through the shared windowed path, replies merged per op."""
+        calls = [(port, method, args, 0) for port in self.bridge.ports]
+        replies = yield from self._fanout(method, calls,
+                                          partitions=len(calls))
+        return _MERGE[method](replies)
 
-    def mstat(self, names):
-        """Batched directory-only stat across the fabric."""
-        return (
-            yield from self._mop("mstat", names,
-                                 lambda chunk: {"names": chunk})
-        )
 
-    def mcreate(self, names, width=None, node_slots=None, start=0,
-                disordered=False):
-        """Batched create; the shape parameters apply to every name."""
-        return (
-            yield from self._mop(
-                "mcreate", names,
-                lambda chunk: {"names": chunk, "width": width,
-                               "node_slots": node_slots, "start": start,
-                               "disordered": disordered},
+def _merge_find(listings):
+    """Union of every partition's prefix listing, sorted."""
+    return sorted(name for listing in listings for name in listing)
+
+
+def _merge_info(infos):
+    """One ``Get Info`` package for the fabric.
+
+    The partitions must agree on the LFS set — they always do in a
+    well-formed fabric, and disagreement is a wiring bug worth failing
+    loudly on.  The merged package carries every partition's request
+    port in ``server_ports``.
+    """
+    first = infos[0]
+    layout = [handle.node_index for handle in first.lfs]
+    for index, info in enumerate(infos[1:], start=1):
+        if [handle.node_index for handle in info.lfs] != layout:
+            raise BridgeBadRequestError(
+                f"partition {index} disagrees on the LFS set "
+                f"(expected nodes {layout})"
             )
-        )
+    return SystemInfo(
+        lfs=list(first.lfs),
+        server_port=first.server_port,
+        server_ports=[info.server_port for info in infos],
+    )
 
-    def mdelete(self, names):
-        """Batched delete across the fabric."""
-        return (
-            yield from self._mop("mdelete", names,
-                                 lambda chunk: {"names": chunk})
-        )
 
-    def find(self, prefix=""):
-        """Union of every partition's prefix listing, sorted — the
-        fabric's "recursive directory listing" under the parallel
-        utilities."""
-        calls = [(port, "find", {"prefix": prefix}, 0)
-                 for port in self.bridge.ports]
-        listings = yield from self._fanout("find", calls,
-                                           partitions=len(calls))
-        merged = []
-        for listing in listings:
-            merged.extend(listing)
-        return sorted(merged)
-
-    def get_info(self):
-        """Aggregate ``Get Info`` across every partition.
-
-        One fan-out through the shared windowed path (so a count-4 trace
-        shows one client span with legs to four server rows); the
-        partitions must agree on the LFS set — they always do in a
-        well-formed fabric, and disagreement is a wiring bug worth
-        failing loudly on.  The merged package carries every partition's
-        request port in ``server_ports``.
-        """
-        calls = [(port, "get_info", {}, 0) for port in self.bridge.ports]
-        infos = yield from self._fanout("get_info", calls,
-                                        partitions=len(calls))
-        first = infos[0]
-        layout = [handle.node_index for handle in first.lfs]
-        for index, info in enumerate(infos[1:], start=1):
-            if [handle.node_index for handle in info.lfs] != layout:
-                raise BridgeBadRequestError(
-                    f"partition {index} disagrees on the LFS set "
-                    f"(expected nodes {layout})"
-                )
-        return SystemInfo(
-            lfs=list(first.lfs),
-            server_port=first.server_port,
-            server_ports=[info.server_port for info in infos],
-        )
+#: How each ``all``-routed op folds its per-partition replies.
+_MERGE = {"find": _merge_find, "get_info": _merge_info}

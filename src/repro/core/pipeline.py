@@ -67,12 +67,22 @@ class RequestPipeline:
     # Stage 1: admission & resolution
     # ------------------------------------------------------------------
 
-    def admit(self, probe: bool = False):
+    def admit(self, probe: bool = False, batch: int = 0):
         """Charge the per-request server CPU; monitor operations (the
         directory mutators and Open) also pay the directory probe.
 
+        ``batch`` is the name count of an S23 multi-name metadata
+        request: the decode (``bridge_request``) and the probe are paid
+        *once* — a single sweep of the server's metadata storage fetches
+        every requested entry — plus a per-name hash/entry charge
+        (``bridge_batch_name``).  That amortization is the whole point
+        of the batched surface: a singleton metadata op is dominated by
+        the fixed 71 ms decode+probe, so n names in one batch cost a
+        fraction of n singleton requests.
+
         When an S21 admission control is installed it is consulted
-        first: a token-bucket refusal or a queue-depth shed charges only
+        first (a batch is one request: it carries one envelope): a
+        token-bucket refusal or a queue-depth shed charges only
         ``bridge_fast_reject`` and raises a typed
         :class:`~repro.errors.BridgeAdmissionError`, which ships back to
         the caller like any application error — the server never does
@@ -84,28 +94,7 @@ class RequestPipeline:
         cpu = server.config.cpu
         yield Timeout(
             cpu.bridge_request + (cpu.bridge_directory_probe if probe else 0)
-        )
-
-    def admit_batch(self, count: int):
-        """Stage-1 admission for an S23 multi-name metadata batch.
-
-        The request decode (``bridge_request``) and the directory probe
-        are paid *once* — a single sweep of the server's metadata
-        storage fetches every requested entry — plus a per-name
-        hash/entry charge (``bridge_batch_name``).  This amortization is
-        the whole point of the batched surface: a singleton metadata op
-        is dominated by the fixed 71 ms decode+probe, so n names in one
-        batch cost a fraction of n singleton requests.  Admission
-        control sees the batch as one request (it carries one envelope).
-        """
-        server = self.server
-        control = server.admission
-        if control is not None:
-            yield from control.admit(server, server._active_request)
-        cpu = server.config.cpu
-        yield Timeout(
-            cpu.bridge_request + cpu.bridge_directory_probe
-            + cpu.bridge_batch_name * count
+            + cpu.bridge_batch_name * batch
         )
 
     def resolve(self, name: str) -> BridgeFileEntry:

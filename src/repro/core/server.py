@@ -37,6 +37,7 @@ from repro.core.batch import BATCH_SIZE_BOUNDS, FileStat, NameOutcome
 from repro.core.cache import BridgeBlockCache
 from repro.core.directory import BridgeDirectory, BridgeFileEntry
 from repro.core.info import ConstituentInfo, LFSHandle, OpenResult, SystemInfo
+from repro.core.ops import CONTROL_OPS
 from repro.core.parallel import JobInfo
 from repro.core.pipeline import RequestPipeline
 from repro.core.prefetch import Prefetcher
@@ -107,13 +108,13 @@ class BridgeServer(Server):
         # with zero extra branches on the hot path.
         self.admission = None
         # S22 live migration: routing cost of a forwarded request, the
-        # methods the base loop must never redirect (the migration RPCs
-        # themselves carry ``name`` but must execute where addressed),
-        # and the names this partition has migrated *out* — consulted by
-        # the prefetcher seam so a still-pinned parallel job cannot
-        # re-install blocks of a departed file into this cache.
+        # ops the base loop must never redirect (control-plane rows of
+        # the op table: they carry ``name`` but must execute where
+        # addressed), and the names this partition has migrated *out* —
+        # consulted by the prefetcher seam so a still-pinned parallel job
+        # cannot re-install blocks of a departed file into this cache.
         self._forward_cost = config.cpu.bridge_forward
-        self._forward_exempt = frozenset({"migrate_in", "migrate_out"})
+        self._forward_exempt = CONTROL_OPS
         self.migrated_out: set = set()
 
     def install_admission(self, control) -> None:
@@ -217,38 +218,48 @@ class BridgeServer(Server):
         every other client behind the central server.
         """
         yield from self.pipeline.admit(probe=True)
-        entry = self.pipeline.resolve(name)
-        self.directory.remove(name)
+        entry, _cursor = self._unlink(name)
         yield from self.pipeline.commit()
-        self._cursors.pop(name, None)
-        for slot in range(entry.width):
-            self._hints.pop((name, slot), None)
-        self.pipeline.evict_file(name)
 
         def reap():
-            freed = yield from self.pipeline.fanout(
-                [
-                    (self._slot_port(entry, slot), "delete",
-                     {"file_number": entry.efs_file_numbers[slot]}, 0)
-                    for slot in range(entry.width)
-                ]
-            )
+            (freed,) = yield from self._per_constituent([entry], "delete")
             return sum(freed)
 
         return self.pipeline.detach(reap())
+
+    def _unlink(self, name):
+        """The synchronous per-name half of every op that takes a name
+        out of this directory (``delete``, ``mdelete``, ``migrate_out``):
+        drop the entry, its cursor and its disk hints, and bump the S18
+        cache generation.  Returns ``(entry, cursor)``."""
+        entry = self.directory.remove(name)
+        cursor = self._cursors.pop(name, None)
+        for slot in range(entry.width):
+            self._hints.pop((name, slot), None)
+        self.pipeline.evict_file(name)
+        return entry, cursor
+
+    def _per_constituent(self, entries, method):
+        """One windowed fan-out of ``method`` to every constituent of
+        every entry; returns the replies grouped per entry, slot order.
+        The LFS half shared by the singleton and batched Open/Delete."""
+        replies = iter((yield from self.pipeline.fanout(
+            [
+                (self._slot_port(entry, slot), method,
+                 {"file_number": entry.efs_file_numbers[slot]}, 0)
+                for entry in entries
+                for slot in range(entry.width)
+            ]
+        )))
+        return [[next(replies) for _slot in range(entry.width)]
+                for entry in entries]
 
     def op_open(self, name):
         """Set up the optimized path: refresh sizes and hints, reset the
         sequential cursor, and return the constituent information."""
         yield from self.pipeline.admit(probe=True)
         entry = self.pipeline.resolve(name)
-        infos = yield from self.pipeline.fanout(
-            [
-                (self._slot_port(entry, slot), "info",
-                 {"file_number": entry.efs_file_numbers[slot]}, 0)
-                for slot in range(entry.width)
-            ]
-        )
+        (infos,) = yield from self._per_constituent([entry], "info")
         return self._open_result(name, entry, infos)
 
     def _open_result(self, name, entry, infos) -> OpenResult:
@@ -337,7 +348,7 @@ class BridgeServer(Server):
     # ==================================================================
     #
     # Each handler serves many names in one request: the decode and
-    # directory probe are paid once (pipeline.admit_batch), per-name
+    # directory probe are paid once (pipeline.admit(batch=n)), per-name
     # results come back as NameOutcome records in request order, and a
     # bad name is *that name's* outcome, never the batch's.  The base
     # loop's forwarding seam keys on the singular ``name`` argument, so
@@ -350,10 +361,9 @@ class BridgeServer(Server):
     def op_mopen(self, names):
         """Batched Open: one windowed info fan-out covers every
         ``(name, slot)`` leg of the whole batch."""
-        names = self._batch_begin("mopen", names)
-        yield from self.pipeline.admit_batch(len(names))
-        local, moved = self._split_batch(names)
-        outcomes: List[Optional[NameOutcome]] = [None] * len(names)
+        names, local, moved, outcomes = yield from self._batch_begin(
+            "mopen", names
+        )
         entries = []
         for index in local:
             name = names[index]
@@ -361,24 +371,13 @@ class BridgeServer(Server):
                 entries.append((index, name, self.pipeline.resolve(name)))
             except BridgeError as exc:
                 outcomes[index] = NameOutcome(name, error=exc)
-        calls = []
-        legs = []
-        for index, name, entry in entries:
-            for slot in range(entry.width):
-                calls.append(
-                    (self._slot_port(entry, slot), "info",
-                     {"file_number": entry.efs_file_numbers[slot]}, 0)
-                )
-                legs.append(index)
-        infos = yield from self.pipeline.fanout(calls)
-        per_index: Dict[int, List] = {}
-        for index, info in zip(legs, infos):
-            per_index.setdefault(index, []).append(info)
-        for index, name, entry in entries:
+        per_entry = yield from self._per_constituent(
+            [entry for _index, _name, entry in entries], "info"
+        )
+        for (index, name, entry), infos in zip(entries, per_entry):
             try:
                 outcomes[index] = NameOutcome(
-                    name,
-                    value=self._open_result(name, entry, per_index.get(index, [])),
+                    name, value=self._open_result(name, entry, infos)
                 )
             except BridgeError as exc:
                 outcomes[index] = NameOutcome(name, error=exc)
@@ -387,11 +386,10 @@ class BridgeServer(Server):
     def op_mstat(self, names):
         """Batched stat: directory-only, no LFS traffic at all — the
         whole batch is served out of the one metadata sweep that
-        ``admit_batch`` charges."""
-        names = self._batch_begin("mstat", names)
-        yield from self.pipeline.admit_batch(len(names))
-        local, moved = self._split_batch(names)
-        outcomes: List[Optional[NameOutcome]] = [None] * len(names)
+        ``admit(batch=n)`` charges."""
+        names, local, moved, outcomes = yield from self._batch_begin(
+            "mstat", names
+        )
         for index in local:
             name = names[index]
             try:
@@ -410,10 +408,9 @@ class BridgeServer(Server):
         commit are paid once for the whole batch.  A duplicate name —
         in the directory or earlier in the same batch — gets the same
         exists error the singleton op raises."""
-        names = self._batch_begin("mcreate", names)
-        yield from self.pipeline.admit_batch(len(names))
-        local, moved = self._split_batch(names)
-        outcomes: List[Optional[NameOutcome]] = [None] * len(names)
+        names, local, moved, outcomes = yield from self._batch_begin(
+            "mcreate", names
+        )
         for index in local:
             name = names[index]
             try:
@@ -437,42 +434,26 @@ class BridgeServer(Server):
         one commit for the batch; every LFS walk then runs in a single
         detached windowed fan-out, so one big batch never serializes
         unrelated clients behind the server."""
-        names = self._batch_begin("mdelete", names)
-        yield from self.pipeline.admit_batch(len(names))
-        local, moved = self._split_batch(names)
-        outcomes: List[Optional[NameOutcome]] = [None] * len(names)
+        names, local, moved, outcomes = yield from self._batch_begin(
+            "mdelete", names
+        )
         victims = []
         for index in local:
             name = names[index]
             try:
-                entry = self.pipeline.resolve(name)
+                entry, _cursor = self._unlink(name)
             except BridgeError as exc:
                 outcomes[index] = NameOutcome(name, error=exc)
-                continue
-            self.directory.remove(name)
-            self._cursors.pop(name, None)
-            for slot in range(entry.width):
-                self._hints.pop((name, slot), None)
-            self.pipeline.evict_file(name)
-            victims.append((index, name, entry))
+            else:
+                victims.append((index, name, entry))
         yield from self.pipeline.commit()
 
         def reap():
-            calls = []
-            legs = []
-            for index, _name, entry in victims:
-                for slot in range(entry.width):
-                    calls.append(
-                        (self._slot_port(entry, slot), "delete",
-                         {"file_number": entry.efs_file_numbers[slot]}, 0)
-                    )
-                    legs.append(index)
-            freed = yield from self.pipeline.fanout(calls)
-            totals: Dict[int, int] = {}
-            for index, count in zip(legs, freed):
-                totals[index] = totals.get(index, 0) + count
-            for index, name, _entry in victims:
-                outcomes[index] = NameOutcome(name, value=totals.get(index, 0))
+            per_entry = yield from self._per_constituent(
+                [entry for _index, _name, entry in victims], "delete"
+            )
+            for (index, name, _entry), freed in zip(victims, per_entry):
+                outcomes[index] = NameOutcome(name, value=sum(freed))
             if moved:
                 yield from self._chase(outcomes, moved, "delete")
             return outcomes
@@ -481,10 +462,17 @@ class BridgeServer(Server):
 
     # -- batch internals ------------------------------------------------
 
-    def _batch_begin(self, op: str, names) -> List[str]:
-        """Validate and count one incoming batch (S19 telemetry: the
-        batch-size histogram plus per-op batched counters, so SLO
-        dashboards can tell batched from singleton metadata traffic)."""
+    def _batch_begin(self, op: str, names):
+        """The shared prologue of every batched handler: validate and
+        count the batch (S19 telemetry: the batch-size histogram plus
+        per-op batched counters, so SLO dashboards can tell batched from
+        singleton metadata traffic), charge the one amortized admission,
+        then partition it against the S22 forwarding table.
+
+        Returns ``(names, local, moved, outcomes)``: indexes served
+        locally, ``(index, name, target)`` entries caught in a
+        migration's double-read window, and the empty per-name outcome
+        list the handler fills."""
         names = list(names)
         if not names:
             raise BridgeBadRequestError(f"{op}: empty name batch")
@@ -495,14 +483,7 @@ class BridgeServer(Server):
             ).observe(len(names))
             obs.metrics.counter(f"{self.name}.batch.{op}.batches").inc()
             obs.metrics.counter(f"{self.name}.batch.{op}.names").inc(len(names))
-        return names
-
-    def _split_batch(self, names: List[str]):
-        """Partition a batch against the S22 forwarding table: indexes
-        served locally vs ``(index, name, target)`` entries caught in a
-        migration's double-read window."""
-        if not self.forward_to:
-            return list(range(len(names))), []
+        yield from self.pipeline.admit(probe=True, batch=len(names))
         local = []
         moved = []
         for index, name in enumerate(names):
@@ -511,7 +492,7 @@ class BridgeServer(Server):
                 local.append(index)
             else:
                 moved.append((index, name, target))
-        return local, moved
+        return names, local, moved, [None] * len(names)
 
     def _settle(self, outcomes, moved, method, extra_args=None):
         """Finish a batch: complete immediately when nothing was caught
@@ -564,11 +545,7 @@ class BridgeServer(Server):
         yield from self.pipeline.admit(probe=True)
         if not self.directory.exists(name):
             return None
-        entry = self.directory.remove(name)
-        cursor = self._cursors.pop(name, None)
-        for slot in range(entry.width):
-            self._hints.pop((name, slot), None)
-        self.pipeline.evict_file(name)
+        entry, cursor = self._unlink(name)
         self.migrated_out.add(name)
         if forward_to is not None:
             self.forward_to[name] = forward_to
@@ -778,6 +755,7 @@ class BridgeServer(Server):
             total_blocks=entry.total_blocks,
             worker_count=len(job.worker_ports),
             job_port=job.port,
+            server_port=self.port,
         )
 
     def op_parallel_read(self, job_id):

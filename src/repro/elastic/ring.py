@@ -5,9 +5,9 @@ changing ``k`` remaps almost every name, so the fabric could never grow
 or shrink without stranding the namespace.  This module makes the
 routing map a first-class object with two registered implementations:
 
-* :class:`ModuloRing` — the seed's ``crc32 mod k`` map, kept verbatim so
-  an elastic-off system routes (and traces) byte-identically to the
-  committed acceptance baseline.
+* :class:`~repro.core.ring.ModuloRing` — the seed's ``crc32 mod k`` map
+  (it lives in ``core``, next to the :class:`~repro.core.ring.Ring`
+  interface, because the fabric's default must not depend on a service).
 * :class:`ConsistentHashRing` — a seeded consistent-hash ring with
   deterministic virtual nodes.  Each partition owns ``vnodes`` points on
   a 64-bit circle; a name belongs to the partition owning the first
@@ -18,7 +18,7 @@ routing map a first-class object with two registered implementations:
   reassigned arcs and nothing else), the property
   :func:`repro.elastic.plan.plan_resize` asserts.
 
-Both rings expose the same duck type — ``partitions``,
+Both rings implement :class:`~repro.core.ring.Ring` — ``partitions``,
 ``partition_of(name)``, ``with_partitions(n)`` — which is all
 :class:`~repro.core.partitioned.PartitionedBridge` needs.  Rings are
 pure routing tables: deterministic, stateless, safe to rebuild from
@@ -28,7 +28,6 @@ pure routing tables: deterministic, stateless, safe to rebuild from
 from __future__ import annotations
 
 import hashlib
-import zlib
 from bisect import bisect_right
 from typing import (
     Callable,
@@ -41,6 +40,8 @@ from typing import (
     Tuple,
 )
 
+from repro.core.ring import ModuloRing
+
 #: Size of the hash circle (64-bit points).
 CIRCLE = 1 << 64
 
@@ -49,37 +50,6 @@ def hash64(key: str) -> int:
     """Stable 64-bit hash of a string (blake2b, seed-independent)."""
     digest = hashlib.blake2b(key.encode(), digest_size=8).digest()
     return int.from_bytes(digest, "big")
-
-
-class ModuloRing:
-    """The legacy mod-k map: ``crc32(name) % partitions``.
-
-    This is the seed's routing function verbatim — the one source of
-    truth since the module-level ``partition_of`` shim in
-    ``repro.core.partitioned`` was removed in S25.  Resizing a
-    modulo ring remaps ~``(k-1)/k`` of all names, which is exactly why
-    the consistent ring exists; it still supports ``with_partitions`` so
-    the planner can quantify that disruption.
-    """
-
-    kind = "modulo"
-
-    __slots__ = ("partitions", "seed")
-
-    def __init__(self, partitions: int, seed: int = 0) -> None:
-        if partitions < 1:
-            raise ValueError("need at least one partition")
-        self.partitions = partitions
-        self.seed = seed  # unused; kept for duck-type parity
-
-    def partition_of(self, name: str) -> int:
-        return zlib.crc32(name.encode()) % self.partitions
-
-    def with_partitions(self, partitions: int) -> "ModuloRing":
-        return ModuloRing(partitions, seed=self.seed)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"ModuloRing(partitions={self.partitions})"
 
 
 class ConsistentHashRing:

@@ -1,4 +1,5 @@
-"""Fault injection, survival analysis, and the mirroring remedy."""
+"""Fault injection and survival analysis (the mirroring remedy lives
+with the other redundancy schemes in :mod:`repro.redundancy.mirror`)."""
 
 from repro.faults.injector import (
     FaultInjector,
@@ -7,15 +8,11 @@ from repro.faults.injector import (
     files_lost_fraction_single_node,
     replication_storage_factor,
 )
-from repro.faults.mirror import MirroredFile, MirroredReadStats, shadow_name
 
 __all__ = [
     "FaultInjector",
-    "MirroredFile",
-    "MirroredReadStats",
     "files_lost_fraction_interleaved",
     "files_lost_fraction_mirrored",
     "files_lost_fraction_single_node",
     "replication_storage_factor",
-    "shadow_name",
 ]

@@ -6,7 +6,7 @@ ruins every file.  Replication helps, but only at very high cost."
 
 :class:`FaultInjector` fails individual node disks in a live system;
 the analytic helpers quantify expected file loss under the alternative
-placement strategies, and :mod:`repro.faults.mirror` implements the
+placement strategies, and :mod:`repro.redundancy.mirror` implements the
 replication remedy the paper prices at 2x storage.
 """
 
@@ -15,11 +15,10 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import List
 
-from repro.harness.builders import BridgeSystem
-
 
 class FaultInjector:
-    """Fail and repair storage devices in a :class:`BridgeSystem`.
+    """Fail and repair storage devices in a
+    :class:`~repro.harness.builders.BridgeSystem`.
 
     Works against the storage-kernel contract
     (:meth:`~repro.storage.base.BlockStoreABC.fail` /
@@ -33,7 +32,7 @@ class FaultInjector:
     registered automatically.
     """
 
-    def __init__(self, system: BridgeSystem) -> None:
+    def __init__(self, system) -> None:
         self.system = system
         self.failed_slots: List[int] = []
         self.listeners: List[object] = []
@@ -120,7 +119,7 @@ def files_lost_fraction_single_node(node_count: int, failed_disks: int = 1) -> f
 def files_lost_fraction_mirrored(width: int, failed_disks: int = 1) -> float:
     """Mirrored interleaved files survive any single failure; a second
     failure is fatal only if it hits the partner copy — with the simple
-    next-neighbor mirroring of :mod:`repro.faults.mirror`, two failures
+    next-neighbor mirroring of :mod:`repro.redundancy.mirror`, two failures
     are fatal iff they are ring-adjacent."""
     if failed_disks <= 1:
         return 0.0

@@ -1,6 +1,11 @@
 """Experiment harness: system builders, runners, and result records."""
 
-from repro.harness.builders import BridgeSystem, build_system, paper_system
+from repro.harness.builders import (
+    BridgeSystem,
+    acceptance_system,
+    build_system,
+    paper_system,
+)
 from repro.harness.results import (
     CollectiveRun,
     ObsRun,
@@ -10,5 +15,5 @@ from repro.harness.results import (
 
 __all__ = [
     "BridgeSystem", "CollectiveRun", "ObsRun", "RebalanceRun", "TrafficRun",
-    "build_system", "paper_system",
+    "acceptance_system", "build_system", "paper_system",
 ]

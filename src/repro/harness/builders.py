@@ -319,7 +319,7 @@ class BridgeSystem:
     def redundant_file(self, name: str):
         """A file wrapper under this system's redundancy scheme: a
         :class:`~repro.redundancy.manager.PlainFile`,
-        :class:`~repro.faults.mirror.MirroredFile`, or
+        :class:`~repro.redundancy.mirror.MirroredFile`, or
         :class:`~repro.redundancy.parity.ParityFile`."""
         return self.redundancy.file(name)
 
@@ -374,3 +374,10 @@ def paper_system(lfs_count: int, seed: int = 0, **kwargs) -> BridgeSystem:
     driver), so this is a named alias for the default build — ``storage=``
     and every other knob pass through."""
     return BridgeSystem(lfs_count, seed=seed, **kwargs)
+
+
+def acceptance_system(obs=True, trace_export=None, **kwargs) -> BridgeSystem:
+    """The span-baseline acceptance configuration (see
+    :mod:`repro.workloads.acceptance`): p = 4 paper system, defaults."""
+    return paper_system(4, seed=0, obs=obs, trace_export=trace_export,
+                        **kwargs)

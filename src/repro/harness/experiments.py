@@ -19,9 +19,10 @@ from repro.analysis.models import (
 from repro.baselines import SequentialSystem, StripedSystem
 from repro.config import DEFAULT_CONFIG
 from repro.core import JobController, ParallelWorker
-from repro.faults import FaultInjector, MirroredFile
+from repro.faults import FaultInjector
 from repro.harness.builders import BridgeSystem, paper_system
 from repro.rebalance.heat import HeatMap
+from repro.redundancy import MirroredFile
 from repro.harness.results import (
     CopyRun,
     CreateTreeRun,

@@ -5,7 +5,7 @@ and renders a self-contained markdown document with paper-vs-measured
 tables — the programmatic counterpart of EXPERIMENTS.md, usable from
 notebooks or CI:
 
-    from repro.analysis.report import build_report
+    from repro.harness.report import build_report
     print(build_report(ps=(2, 4, 8)))
 """
 
@@ -13,22 +13,28 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from repro.analysis.metrics import scaling_table
 from repro.analysis.models import (
     PAPER_TABLE3_COPY_SECONDS,
     PAPER_TABLE4_SORT_MINUTES,
     fit_line,
     speedup_series,
-    table2_create_ms,
     table2_open_ms,
     table2_write_ms,
 )
 from repro.analysis.tables import format_markdown_table
+from repro.harness.experiments import (
+    measure_table2,
+    run_copy_experiment,
+    run_obs_experiment,
+    run_prefetch_experiment,
+    run_rebalance_experiment,
+    run_redundancy_experiment,
+    run_sort_experiment,
+)
+from repro.redundancy import SCHEMES
 
 
 def table2_section(ps: Sequence[int], file_blocks: int = 256) -> str:
-    from repro.harness.experiments import measure_table2
-
     measurements = {p: measure_table2(p, file_blocks=file_blocks) for p in ps}
     rows = [
         [p, m.open_ms, m.read_ms_per_block, m.write_ms_per_block,
@@ -53,8 +59,6 @@ def table2_section(ps: Sequence[int], file_blocks: int = 256) -> str:
 
 
 def table3_section(ps: Sequence[int], blocks: Optional[int] = None) -> str:
-    from repro.harness.experiments import run_copy_experiment
-
     runs = {p: run_copy_experiment(p, blocks=blocks) for p in ps}
     times = {p: r.elapsed for p, r in runs.items()}
     measured = speedup_series(times)
@@ -74,8 +78,6 @@ def table3_section(ps: Sequence[int], blocks: Optional[int] = None) -> str:
 
 
 def table4_section(ps: Sequence[int], records: Optional[int] = None) -> str:
-    from repro.harness.experiments import run_sort_experiment
-
     runs = {p: run_sort_experiment(p, records=records) for p in ps}
     rows = [
         [p, runs[p].local_sort_seconds, runs[p].merge_seconds,
@@ -146,8 +148,6 @@ def prefetch_section(p: int = 8, blocks: Optional[int] = None,
                      windows: Sequence[int] = (1, 2, 4)) -> str:
     """The S18 ablation: cache off / cache only / read-ahead windows,
     streaming the same file twice per arm."""
-    from repro.harness.experiments import run_prefetch_experiment
-
     runs = run_prefetch_experiment(p=p, blocks=blocks, windows=windows)
     rows = [
         [r.arm, r.ms_per_block, r.elapsed, r.repeat_seconds, r.speedup,
@@ -173,9 +173,6 @@ def prefetch_section(p: int = 8, blocks: Optional[int] = None,
 def redundancy_section(p: int = 4, blocks: Optional[int] = None) -> str:
     """None/mirror/parity through the fail -> rebuild lifecycle (S16),
     with the cache traffic each scheme generated."""
-    from repro.harness.experiments import run_redundancy_experiment
-    from repro.redundancy import SCHEMES
-
     # mirroring needs >= 2 slots, rotating parity >= 3
     schemes = [s for s in SCHEMES
                if (s == "none") or (s == "mirror" and p >= 2) or p >= 3]
@@ -200,8 +197,6 @@ def observability_section(p: int = 8, blocks: Optional[int] = None) -> str:
     """S19: where does a naive read's latency go?  Critical-path
     attribution vs. the exact cost model, plus determinism and disk
     utilization from the timelines."""
-    from repro.harness.experiments import run_obs_experiment
-
     run = run_obs_experiment(p=p, blocks=blocks)
     categories = sorted(run.attribution_seconds)
     rows = [
@@ -241,8 +236,6 @@ def rebalance_section(rate: float = 150.0, duration: float = 16.0,
     """S24: the heat-driven rebalancer off (watching) vs on, on the same
     Zipf-skewed mix — utilization spread, goodput, read p99, and the
     popularity-weighted route bound recovered."""
-    from repro.harness.experiments import run_rebalance_experiment
-
     runs = [
         run_rebalance_experiment(rate=rate, duration=duration,
                                  servers=servers, skew=skew, seed=seed,

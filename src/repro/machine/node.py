@@ -9,7 +9,7 @@ that owns a disk exchanges only cheap local messages with that disk's LFS.
 
 from __future__ import annotations
 
-from typing import Any, List, Optional
+from typing import Any, Optional
 
 from repro.sim import Mailbox, Process
 
@@ -47,7 +47,6 @@ class Node:
         self.machine = machine
         self.index = index
         self.name = name or f"node{index}"
-        self.processes: List[Process] = []
         #: Set by the storage layer if a disk is attached to this node.
         self.disk = None
         #: Set by the EFS layer if an LFS instance runs on this node.
@@ -64,11 +63,9 @@ class Node:
 
     def spawn(self, generator, name: str = "proc", daemon: bool = False) -> Process:
         """Run a process on this node (no spawn latency: local fork)."""
-        process = self.machine.sim.spawn(
+        return self.machine.sim.spawn(
             generator, name=f"{self.name}/{name}", daemon=daemon
         )
-        self.processes.append(process)
-        return process
 
     # ------------------------------------------------------------------
 

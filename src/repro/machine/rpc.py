@@ -361,8 +361,9 @@ def gather(node: Node, calls, max_in_flight: Optional[int] = None):
     ``calls`` is a list of ``(port, method, args_dict, size)`` tuples.
     Each call gets its own one-shot reply port, so replies stay associated
     with their requests regardless of arrival order.  The generator
-    completes when the *slowest* reply arrives; any error response is
-    re-raised.  This is the fan-out primitive behind the Bridge Server's
+    completes when the *slowest* reply arrives; the first error reply in
+    call order is re-raised at once, without waiting for later legs.
+    This is the fan-out primitive behind the Bridge Server's
     parallel Create/Delete/Open/Read/Write and the list-I/O batch fan-out.
 
     ``max_in_flight`` bounds the fan-out: at most that many requests are
@@ -377,6 +378,27 @@ def gather(node: Node, calls, max_in_flight: Optional[int] = None):
     calling read on efs3@node3 (call #5 of 8)" instead of a bare error
     with no hint which fan-out leg died.
     """
+    return _fan_out(node, calls, max_in_flight, settle=False)
+
+
+def gather_settled(node: Node, calls, max_in_flight: Optional[int] = None):
+    """Like :func:`gather`, but per-call errors are returned, not raised.
+
+    Returns a list of ``(value, error)`` pairs in call order — exactly
+    one of the two is set per pair.  The S23 batched metadata handlers
+    use this to chase names caught in a migration's forwarding window:
+    each chased name must settle independently (a deleted name's
+    not-found is *that name's* outcome), so the fail-fast semantics of
+    :func:`gather` are exactly wrong here.  Windowing and per-leg span
+    accounting are :func:`gather`'s — it is the same body.
+    """
+    return _fan_out(node, calls, max_in_flight, settle=True)
+
+
+def _fan_out(node: Node, calls, max_in_flight: Optional[int], settle: bool):
+    """The windowed send-and-collect behind :func:`gather` and
+    :func:`gather_settled`; ``settle`` decides only what an error reply
+    becomes (a ``(None, error)`` result, or a raise)."""
     if max_in_flight is not None and max_in_flight < 1:
         raise ValueError(f"max_in_flight must be >= 1, got {max_in_flight}")
     calls = list(calls)
@@ -385,7 +407,7 @@ def gather(node: Node, calls, max_in_flight: Optional[int] = None):
     window = len(calls) if max_in_flight is None else max_in_flight
     obs = node.machine.sim.obs
     prev = obs.current if obs is not None else None
-    values = []
+    results = []
     for window_start in range(0, len(calls), window):
         batch = calls[window_start:window_start + window]
         reply_ports = []
@@ -412,64 +434,17 @@ def gather(node: Node, calls, max_in_flight: Optional[int] = None):
             response = yield reply_port.recv()
             if obs is not None:
                 obs.end(legs[offset])
-            if response.error is not None:
+            if settle:
+                results.append((response.value, response.error))
+            elif response.error is None:
+                results.append(response.value)
+            else:
                 index = window_start + offset
                 port, method, _args, _size = calls[index]
                 raise _annotate_gather_error(
                     response.error, port, method, index, len(calls)
                 )
-            values.append(response.value)
-    return values
-
-
-def gather_settled(node: Node, calls, max_in_flight: Optional[int] = None):
-    """Like :func:`gather`, but per-call errors are returned, not raised.
-
-    Returns a list of ``(value, error)`` pairs in call order — exactly
-    one of the two is set per pair.  The S23 batched metadata handlers
-    use this to chase names caught in a migration's forwarding window:
-    each chased name must settle independently (a deleted name's
-    not-found is *that name's* outcome), so the fail-fast semantics of
-    :func:`gather` are exactly wrong here.  Windowing and per-leg span
-    accounting match :func:`gather`.
-    """
-    if max_in_flight is not None and max_in_flight < 1:
-        raise ValueError(f"max_in_flight must be >= 1, got {max_in_flight}")
-    calls = list(calls)
-    if not calls:
-        return []
-    window = len(calls) if max_in_flight is None else max_in_flight
-    obs = node.machine.sim.obs
-    prev = obs.current if obs is not None else None
-    settled = []
-    for window_start in range(0, len(calls), window):
-        batch = calls[window_start:window_start + window]
-        reply_ports = []
-        legs = []
-        for port, method, args, size in batch:
-            reply_port = node.port()
-            request = Request(method, args, reply_port, size,
-                              sent_at=node.machine.sim.now)
-            leg = None
-            if obs is not None:
-                leg = obs.begin(f"gather.{method}", "client",
-                                parent=prev, inherit=False, node=node.index)
-                request.trace_ctx = SpanContext(leg)
-                obs.current = leg
-            node.send(port, request, size=size)
-            if obs is not None:
-                obs.current = prev
-            reply_ports.append(reply_port)
-            legs.append(leg)
-        for offset, reply_port in enumerate(reply_ports):
-            response = yield reply_port.recv()
-            if obs is not None:
-                obs.end(legs[offset])
-            if response.error is not None:
-                settled.append((None, response.error))
-            else:
-                settled.append((response.value, None))
-    return settled
+    return results
 
 
 def _annotate_gather_error(error: Exception, port: Port, method: str,

@@ -22,11 +22,10 @@ traffic (``run_rebalance_experiment`` does all of this).  With
 stays byte-identical.
 """
 
-from repro.rebalance.heat import CONTROL_METHODS, HeatMap
+from repro.rebalance.heat import HeatMap
 from repro.rebalance.policy import RebalanceConfig, Rebalancer, SweepRecord
 
 __all__ = [
-    "CONTROL_METHODS",
     "HeatMap",
     "RebalanceConfig",
     "Rebalancer",

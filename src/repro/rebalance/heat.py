@@ -15,8 +15,9 @@ Attribution happens at the base :class:`~repro.machine.rpc.Server` loop
 (``server.heat``/``server.heat_partition``): per *partition* always, and
 per *name* when the request names one (``name`` argument, or ``names``
 for the S23 batched ops, whose busy time is split evenly across the
-batch).  Migration control traffic is excluded so the rebalancer never
-chases the load of its own sweeps.
+batch).  The op table's control-plane rows (:mod:`repro.core.ops`: the
+migration RPCs) are excluded so the rebalancer never chases the load of
+its own sweeps.
 
 Everything is exposed two ways: programmatically (``partition_rates`` /
 ``imbalance`` / ``name_heat`` — what the :class:`~repro.rebalance.policy.
@@ -28,10 +29,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-#: Methods whose busy time is control-plane, not workload: attributing a
-#: migration pull to the migrated name would make the rebalancer chase
-#: its own sweeps.
-CONTROL_METHODS = frozenset({"migrate_in", "migrate_out"})
+from repro.core.ops import CONTROL_OPS
 
 
 class _WindowedCell:
@@ -102,8 +100,12 @@ class HeatMap:
 
     def record(self, partition: int, request, busy: float,
                now: float) -> None:
-        """Attribute one served request (the ``Server._loop`` seam)."""
-        if request.method in CONTROL_METHODS:
+        """Attribute one served request (the ``Server._loop`` seam).
+
+        Control-plane ops are skipped: attributing a migration pull to
+        the migrated name would make the rebalancer chase its own
+        sweeps."""
+        if request.method in CONTROL_OPS:
             return
         args = request.args
         name = args.get("name")

@@ -1,8 +1,9 @@
-"""Parity-based redundancy over the interleaved Bridge layout (S16).
+"""Redundancy over the interleaved Bridge layout (S16).
 
-The section 6 remedy beyond mirroring: rotating XOR parity (RAID-5
-style) at ``p/(p-1)`` storage overhead, with transparent degraded reads
-and an online, throttleable rebuild after repair.  See
+The section 6 remedies: block mirroring at 2x storage
+(:mod:`repro.redundancy.mirror`) and, beyond it, rotating XOR parity
+(RAID-5 style) at ``p/(p-1)`` storage overhead, with transparent
+degraded reads and an online, throttleable rebuild after repair.  See
 :mod:`repro.redundancy.parity` for the layout, in particular the
 single-failure semantics shared with every RAID-5-class system.
 """
@@ -16,6 +17,11 @@ from repro.redundancy.manager import (
     SCHEMES,
     PlainFile,
     RedundancyManager,
+)
+from repro.redundancy.mirror import (
+    MirroredFile,
+    MirroredReadStats,
+    shadow_name,
 )
 from repro.redundancy.parity import (
     ParityFile,
@@ -34,6 +40,8 @@ __all__ = [
     "SCHEMES",
     "DegradedReader",
     "DegradedReadStats",
+    "MirroredFile",
+    "MirroredReadStats",
     "OnlineRebuild",
     "ParityFile",
     "ParityGeometry",
@@ -44,5 +52,6 @@ __all__ = [
     "fanout_reads",
     "files_lost_fraction_parity",
     "parity_storage_factor",
+    "shadow_name",
     "xor_blocks",
 ]

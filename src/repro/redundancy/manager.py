@@ -25,9 +25,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Set
 
-# Import the module, not the package: repro.faults.__init__ pulls in the
-# injector, which imports harness.builders, which imports this module.
-from repro.faults.mirror import MirroredFile
+from repro.redundancy.mirror import MirroredFile
 from repro.redundancy.parity import ParityFile
 from repro.redundancy.rebuild import OnlineRebuild
 

@@ -102,7 +102,7 @@ class ParityGeometry:
             raise ValueError(
                 f"rotating parity needs at least 3 LFS nodes, got "
                 f"{self.width} (with 2, parity degenerates to mirroring: "
-                "use repro.faults.mirror)"
+                "use repro.redundancy.mirror)"
             )
 
     @property

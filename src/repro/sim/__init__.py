@@ -25,13 +25,11 @@ from repro.sim.process import Process, join_all
 from repro.sim.rand import RandomStreams
 from repro.sim.resources import Lock, Resource
 from repro.sim.simulator import Simulator
-from repro.sim.stats import Counter, StatsRegistry, Summary, TimeWeighted
-from repro.sim.trace import Tracer, TraceRecord
+from repro.sim.stats import Summary
 
 __all__ = [
     "AllOf",
     "AnyOf",
-    "Counter",
     "Lock",
     "Mailbox",
     "Process",
@@ -39,11 +37,7 @@ __all__ = [
     "Resource",
     "Signal",
     "Simulator",
-    "StatsRegistry",
     "Summary",
-    "TimeWeighted",
     "Timeout",
-    "TraceRecord",
-    "Tracer",
     "join_all",
 ]

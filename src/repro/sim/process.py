@@ -14,7 +14,7 @@ of a simulated actor is never acceptable in an experiment.
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any
 
 from repro.errors import InvalidYieldError, ProcessError
 from repro.sim.events import Signal
@@ -78,8 +78,7 @@ class Process:
     def _finish(self, result: Any) -> None:
         self.done = True
         self.result = result
-        if self.sim.trace is not None:
-            self.sim.trace.record("exit", process=self.name)
+        del self.sim._processes[self]
         self.completion.fire(result)
 
     # ------------------------------------------------------------------

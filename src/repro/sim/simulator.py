@@ -15,12 +15,11 @@ copy/sort experiments in seconds.
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import DeadlockError
 from repro.sim.process import Process
 from repro.sim.rand import RandomStreams
-from repro.sim.trace import Tracer
 
 
 class Simulator:
@@ -31,9 +30,6 @@ class Simulator:
     seed:
         Seed for the simulator's deterministic named random streams
         (see :class:`repro.sim.rand.RandomStreams`).
-    trace:
-        Optional :class:`repro.sim.trace.Tracer`; when ``None`` tracing is
-        disabled and costs nothing.
     obs:
         Optional :class:`repro.obs.Observability` (S19).  When ``None``
         (the default) observability is disabled; instrumented layers
@@ -42,19 +38,17 @@ class Simulator:
         sequence is identical either way.
     """
 
-    def __init__(self, seed: int = 0, trace: Optional[Tracer] = None,
-                 obs=None) -> None:
+    def __init__(self, seed: int = 0, obs=None) -> None:
         self.now: float = 0.0
-        self.trace = trace
-        if trace is not None:
-            trace.attach(self)
         self.obs = obs
         if obs is not None:
             obs.attach(self)
         self.random = RandomStreams(seed)
         self._heap: List[Tuple[float, int, Callable, Any]] = []
         self._seq = 0
-        self._processes: List[Process] = []
+        # Live processes only, in spawn order; a process leaves at exit
+        # (an open-loop run spawns one per arrival, forever).
+        self._processes: Dict[Process, None] = {}
         self._events_executed = 0
 
     # ------------------------------------------------------------------
@@ -95,10 +89,8 @@ class Simulator:
             # current span is the causal parent of the new process's work
             # (covers Detached handlers and prefetch workers).
             process.obs_ctx = self.obs.current
-        self._processes.append(process)
+        self._processes[process] = None
         self._schedule(0.0, process._resume, None)
-        if self.trace is not None:
-            self.trace.record("spawn", process=name, daemon=daemon)
         return process
 
     # ------------------------------------------------------------------
@@ -154,7 +146,7 @@ class Simulator:
             self.now = until
         self._events_executed += executed
         if check_deadlock and not heap:
-            blocked = [p for p in self._processes if not p.done and not p.daemon]
+            blocked = [p for p in self._processes if not p.daemon]
             if blocked:
                 raise DeadlockError(blocked)
         return self.now
@@ -188,7 +180,7 @@ class Simulator:
 
     def live_processes(self) -> List[Process]:
         """All spawned processes that have not yet terminated."""
-        return [p for p in self._processes if not p.done]
+        return list(self._processes)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

@@ -1,30 +1,11 @@
-"""Statistics collectors for simulation experiments.
-
-These are the measurement instruments the harness attaches to disks,
-servers, and tools: plain counters, time-weighted averages (queue lengths,
-utilization), and streaming summaries (operation latencies).
+"""The streaming summary the storage layer attaches to every device
+(operation latencies, queue waits).  Counters, gauges and histograms
+live in :mod:`repro.obs.metrics`.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional
-
-
-class Counter:
-    """A named monotone counter."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str = "counter") -> None:
-        self.name = name
-        self.value = 0
-
-    def add(self, amount: int = 1) -> None:
-        self.value += amount
-
-    def __repr__(self) -> str:
-        return f"Counter({self.name!r}, {self.value})"
 
 
 class Summary:
@@ -74,70 +55,3 @@ class Summary:
             f"Summary({self.name!r}, n={self.count}, mean={self.mean:.6g}, "
             f"min={self.min:.6g}, max={self.max:.6g})"
         )
-
-
-class TimeWeighted:
-    """Time-weighted average of a piecewise-constant signal.
-
-    Feed it level changes with :meth:`set`; query :meth:`average` at the
-    end of the run.  Used for queue lengths and outstanding-request counts.
-    """
-
-    __slots__ = ("sim", "name", "_level", "_last_time", "_area")
-
-    def __init__(self, sim, name: str = "level", initial: float = 0.0) -> None:
-        self.sim = sim
-        self.name = name
-        self._level = initial
-        self._last_time = sim.now
-        self._area = 0.0
-
-    def set(self, level: float) -> None:
-        now = self.sim.now
-        self._area += self._level * (now - self._last_time)
-        self._last_time = now
-        self._level = level
-
-    def adjust(self, delta: float) -> None:
-        self.set(self._level + delta)
-
-    @property
-    def current(self) -> float:
-        return self._level
-
-    def average(self, until: Optional[float] = None) -> float:
-        end = self.sim.now if until is None else until
-        area = self._area + self._level * (end - self._last_time)
-        return area / end if end > 0 else 0.0
-
-
-class StatsRegistry:
-    """A named bag of collectors, for attaching to system components."""
-
-    def __init__(self) -> None:
-        self.counters: Dict[str, Counter] = {}
-        self.summaries: Dict[str, Summary] = {}
-
-    def counter(self, name: str) -> Counter:
-        counter = self.counters.get(name)
-        if counter is None:
-            counter = Counter(name)
-            self.counters[name] = counter
-        return counter
-
-    def summary(self, name: str) -> Summary:
-        summary = self.summaries.get(name)
-        if summary is None:
-            summary = Summary(name)
-            self.summaries[name] = summary
-        return summary
-
-    def snapshot(self) -> Dict[str, float]:
-        """Flat dict of counter values and summary means, for reports."""
-        out: Dict[str, float] = {}
-        for name, counter in self.counters.items():
-            out[name] = counter.value
-        for name, summary in self.summaries.items():
-            out[f"{name}.mean"] = summary.mean
-            out[f"{name}.count"] = summary.count
-        return out

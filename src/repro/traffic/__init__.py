@@ -10,7 +10,6 @@ the seed event sequence byte-for-byte.
 """
 
 from repro.traffic.admission import (
-    CONTINUATION_METHODS,
     DEFAULT_WEIGHTS,
     AdmissionControl,
     AdmissionQueue,
@@ -35,7 +34,6 @@ __all__ = [
     "AdmissionQueue",
     "BurstArrivals",
     "CLASSES",
-    "CONTINUATION_METHODS",
     "ClassStats",
     "DEFAULT_MIX",
     "DEFAULT_WEIGHTS",

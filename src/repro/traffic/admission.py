@@ -25,43 +25,21 @@ counters (offered / admitted / throttled / shed) plus queue-wait
 statistics (the measured side of the M/M/1 cross-check in
 :mod:`repro.analysis.models`).  Everything defaults *off*: a server
 without an installed control runs the seed byte sequence exactly.
+
+Which ops are gated, and the class of an unstamped request, come from
+the op table (:mod:`repro.core.ops`): its ``continuation`` rows are
+never throttled or shed.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from typing import Any, Deque, Dict, Optional, Tuple
 
+from repro.core.ops import CONTINUATION_OPS, OPS
 from repro.errors import BridgeOverloadError, BridgeThrottledError
 from repro.obs.metrics import Histogram
 from repro.sim import Timeout
-
-#: Method-name fallback classification for requests that carry no
-#: explicit ``traffic_class`` stamp (anything outside the S21 generator).
-_METHOD_CLASSES: Dict[str, str] = {
-    "seq_read": "read", "random_read": "read",
-    "seq_write": "write", "random_write": "write",
-    "create": "meta", "delete": "meta", "open": "meta",
-    "get_info": "meta", "get_block_map": "meta",
-    "stat": "meta", "find": "meta",
-    "mopen": "meta", "mstat": "meta", "mcreate": "meta", "mdelete": "meta",
-    "list_read": "tool", "list_write": "tool",
-    "parallel_open": "parallel", "parallel_read": "parallel",
-    "parallel_write": "parallel", "parallel_close": "parallel",
-}
-
-#: Continuations of already-admitted work.  Admission control gates
-#: jobs at the door (``parallel_open``); once a job holds server-side
-#: state, refusing its reads/writes/close would leak that state (the
-#: ``_jobs`` entry survives until ``parallel_close``), so continuation
-#: methods bypass the bucket and can never be shed — the bounded queue
-#: admits them even past its depth threshold.  The S22 migration RPCs
-#: are control-plane for the same reason: refusing a ``migrate_in``
-#: mid-sweep would strand a forwarding entry with no mover behind it.
-CONTINUATION_METHODS = frozenset(
-    {"parallel_read", "parallel_write", "parallel_close",
-     "migrate_in", "migrate_out"}
-)
 
 #: Default fair-queueing weights: naive interactive classes outweigh
 #: heavy batch classes roughly 4:1 — tool jobs still progress, but they
@@ -80,14 +58,13 @@ _WAIT_BOUNDS: Tuple[float, ...] = (
 
 
 def classify(request: Any) -> str:
-    """Traffic class of a request envelope (stamp first, then method)."""
+    """Traffic class of a request envelope: its stamp, else the op
+    table's class for its method (``"other"`` for anything foreign)."""
     cls = getattr(request, "traffic_class", None)
     if cls is not None:
         return cls
-    method = getattr(request, "method", None)
-    if method is None:
-        return "other"
-    return _METHOD_CLASSES.get(method, "other")
+    op = OPS.get(getattr(request, "method", None))
+    return op.traffic_class if op is not None else "other"
 
 
 class TokenBucket:
@@ -162,7 +139,7 @@ class AdmissionQueue:
     def enqueue(self, message: Any, now: float) -> None:
         if (self.depth > 0 and self._waiting >= self.depth
                 and getattr(message, "method", None)
-                not in CONTINUATION_METHODS):
+                not in CONTINUATION_OPS):
             # Past the threshold: mark and fast-lane for rejection.
             try:
                 message.admission_shed = True
@@ -282,7 +259,7 @@ class AdmissionControl:
             )
         if (self.bucket is not None
                 and getattr(request, "method", None)
-                not in CONTINUATION_METHODS):
+                not in CONTINUATION_OPS):
             now = server.node.machine.sim.now
             if not self.bucket.try_take(now):
                 self._bump(self.throttled, cls)

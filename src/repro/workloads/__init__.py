@@ -1,6 +1,6 @@
 """Workload generators and file builders for experiments."""
 
-from repro.workloads.acceptance import acceptance_driver, acceptance_system
+from repro.workloads.acceptance import acceptance_driver
 from repro.workloads.datagen import (
     few_distinct_keys,
     pattern_chunks,
@@ -37,7 +37,6 @@ from repro.workloads.trees import build_tree, tree_block, tree_names
 
 __all__ = [
     "acceptance_driver",
-    "acceptance_system",
     "build_file",
     "build_record_file",
     "build_text_file",

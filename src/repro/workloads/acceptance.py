@@ -5,7 +5,7 @@ handler — the naive view (create / open / sequential + random read and
 write / delete), list I/O, the parallel-open view (open / read / write /
 close with real worker deposits), the tool view's ``Get Info``, and a
 disordered file with its block map — against the default single-server
-configuration.  The exported Chrome trace of this workload is committed
+configuration (:func:`repro.harness.acceptance_system`).  The exported Chrome trace of this workload is committed
 as ``tests/baselines/trace_acceptance.json`` and re-exported by CI
 (``scripts/span_baseline.py --check``): any event-sequence drift in the
 request path fails the build with the offending subtree, which is the
@@ -19,6 +19,7 @@ wall clock.
 from __future__ import annotations
 
 from repro.core import JobController, ParallelWorker
+from repro.sim import join_all
 
 #: Workload shape (small enough that the committed trace stays compact).
 SEQ_BLOCKS = 12
@@ -29,14 +30,6 @@ DISORDERED_BLOCKS = 6
 
 def _payload(tag: str, index: int) -> bytes:
     return f"{tag}-{index:04d}|".encode()
-
-
-def acceptance_system(obs=True, trace_export=None, **kwargs):
-    """The acceptance configuration: p = 4 paper system, defaults."""
-    from repro.harness.builders import paper_system
-
-    return paper_system(4, seed=0, obs=obs, trace_export=trace_export,
-                        **kwargs)
 
 
 def acceptance_driver(system):
@@ -140,8 +133,6 @@ def acceptance_driver(system):
     ]
 
     def parallel_main():
-        from repro.sim import join_all
-
         result = yield from controller_body()
         yield join_all(worker_processes)
         return result

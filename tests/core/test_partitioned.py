@@ -152,3 +152,54 @@ def test_many_clients_scale_with_partitions():
     single = makespan(1)
     quad = makespan(4)
     assert quad < single * 0.7
+
+
+# ---------------------------------------------------------------------------
+# The routing override: RPC counts per op, by routing rule
+# ---------------------------------------------------------------------------
+
+
+def served(system):
+    return [bridge.requests_served for bridge in system.bridges]
+
+
+def delta(system, body):
+    before = served(system)
+    result = system.run(body())
+    return result, [now - then for now, then in zip(served(system), before)]
+
+
+@pytest.mark.parametrize("op", ["open", "stat", "seq_read", "get_block_map",
+                                "delete"])
+def test_name_rule_costs_one_rpc_on_the_owner_only(op):
+    system = make_system(servers=4)
+    client = system.partitioned_client()
+
+    def setup():
+        yield from client.create("routed", disordered=True)
+        yield from client.seq_write("routed", b"x")
+
+    system.run(setup())
+    _result, counts = delta(system, lambda: getattr(client, op)("routed"))
+    expected = [0] * 4
+    expected[system.fabric.partition_of("routed")] = 1
+    assert counts == expected
+
+
+def test_all_rule_costs_one_rpc_per_active_partition():
+    system = make_system(servers=4)
+    client = system.partitioned_client()
+    system.run(client.mcreate([f"f{i}" for i in range(8)]))
+    found, counts = delta(system, lambda: client.find("f"))
+    assert found == sorted(f"f{i}" for i in range(8))
+    assert counts == [1, 1, 1, 1]
+
+
+def test_names_rule_costs_one_rpc_per_touched_partition():
+    system = make_system(servers=4)
+    client = system.partitioned_client()
+    names = [f"n{i}" for i in range(12)]
+    touched = {system.fabric.partition_of(name) for name in names}
+    outcomes, counts = delta(system, lambda: client.mcreate(names, width=1))
+    assert [o.name for o in outcomes] == names and all(o.ok for o in outcomes)
+    assert counts == [1 if p in touched else 0 for p in range(4)]

@@ -12,12 +12,12 @@ touches any of it.
 
 import pytest
 
-from repro.core import BridgeClient
+from repro.core import BridgeClient, JobController, ParallelWorker
 from repro.elastic.plan import plan_resize
 from repro.elastic.ring import ConsistentHashRing, ModuloRing
 from repro.errors import ProcessError
 from repro.harness.builders import BridgeSystem
-from repro.sim import Timeout
+from repro.sim import Timeout, join_all
 from repro.storage import FixedLatency
 
 BLOCKS = 4
@@ -262,3 +262,92 @@ def test_elastic_system_routes_by_consistent_hash():
     assert (ring.partitions, ring.seed) == (2, 23)
     populate(system, NAMES)
     assert_routed_exactly(system, NAMES)
+
+
+def test_parallel_job_follows_a_forwarded_open():
+    """A ``parallel_open`` redirected through the forwarding window
+    creates its job on the forwarded-to server; the controller must
+    address the job's reads and close there (``JobInfo.server_port``),
+    not at the port it first sent to."""
+    system = make_elastic(servers=2)
+    populate(system, NAMES)
+    old_ring = system.fabric.ring
+    report = system.run(system.resize_fabric(4, forward_window=None))
+    move = report.plan.moves[0]
+    stale_port = system.bridges[old_ring.partition_of(move.name)].port
+    controller = JobController(system.client_node, stale_port)
+    workers = [ParallelWorker(system.client_node, index) for index in range(2)]
+    received = []
+
+    def worker_body(worker):
+        while True:
+            delivery = yield from worker.receive()
+            if delivery.eof:
+                return
+            received.append((delivery.block_number, delivery.data))
+
+    def body():
+        # Refresh the new owner's cached size (Open is the hint refresh).
+        yield from system.naive_client().open(move.name)
+        job = yield from controller.open(move.name, [w.port for w in workers])
+        processes = [system.client_node.spawn(worker_body(w)) for w in workers]
+        delivered = 0
+        while True:
+            count = yield from controller.read()
+            delivered += count
+            if count < len(workers):
+                break
+        yield from controller.close()
+        yield join_all(processes)
+        return job, delivered
+
+    job, delivered = system.run(body())
+    assert system.bridges[move.src].forwarded > 0
+    assert job.server_port is system.bridges[move.dst].port
+    assert delivered == BLOCKS
+    assert [(block, chunk[: len(data(move.name, block))])
+            for block, chunk in sorted(received)] == [
+        (block, data(move.name, block)) for block in range(BLOCKS)
+    ]
+    assert system.bridges[move.dst]._jobs == {}
+
+
+def test_parallel_job_opened_before_its_name_lands_stays_with_the_source():
+    """The other direction: after the flip but before a name's entry has
+    moved, the *new* owner forwards its ``parallel_open`` back to the
+    source.  The job lives there, so that is where its reads and close
+    must go — even though the entry migrates away mid-job."""
+    system = make_elastic(servers=2)
+    populate(system, NAMES)
+    ring = system.fabric.ring
+    move = plan_resize(ring, ring.with_partitions(4), set(NAMES)).moves[-1]
+    controller = system.job_controller()
+    worker = ParallelWorker(system.client_node, 0)
+
+    def worker_body():
+        blocks = []
+        while True:
+            delivery = yield from worker.receive()
+            if delivery.eof:
+                return blocks
+            blocks.append(delivery.block_number)
+
+    def body():
+        yield from system.naive_client().open(move.name)
+        system.client_node.spawn(
+            system.resize_fabric(4, moves_per_second=50.0), name="resize"
+        )
+        yield Timeout(0.001)  # ring flipped, sweep not started
+        assert system.fabric.partition_of(move.name) == move.dst
+        job = yield from controller.open(move.name, [worker.port])
+        reader = system.client_node.spawn(worker_body())
+        while (yield from controller.read()):
+            yield Timeout(0.1)  # let the sweep move the entry mid-job
+        yield from controller.close()
+        return job, (yield reader.join())
+
+    job, blocks = system.run(body())
+    assert job.server_port is system.bridges[move.src].port
+    assert blocks == list(range(BLOCKS))
+    assert system.bridges[move.dst].directory.exists(move.name)
+    assert all(bridge._jobs == {} for bridge in system.bridges)

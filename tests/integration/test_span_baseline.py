@@ -12,7 +12,8 @@ import json
 import os
 
 from repro.obs import diff_trace_documents, export_chrome_trace
-from repro.workloads.acceptance import acceptance_driver, acceptance_system
+from repro.harness import acceptance_system
+from repro.workloads.acceptance import acceptance_driver
 
 BASELINE = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))),

@@ -61,10 +61,12 @@ def test_node_spawn_registers_process():
     def body():
         yield Timeout(0.1)
 
-    node.spawn(body(), name="w")
-    assert len(node.processes) == 1
+    process = node.spawn(body(), name="w")
+    assert process.name == "node0/w"
+    assert sim.live_processes() == [process]
     sim.run()
-    assert node.processes[0].done
+    assert process.done
+    assert sim.live_processes() == []  # the registry holds live ones only
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +198,6 @@ def test_spawn_remote_charges_latency_and_places_process():
     spawn_cost = DEFAULT_CONFIG.cpu.spawn
     assert log[0] == pytest.approx(spawn_cost)
     assert end == pytest.approx(spawn_cost)
-    assert len(target.processes) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,15 @@
 import pytest
 
 from repro.config import DEFAULT_CONFIG
-from repro.machine import Client, Machine, Request, Response, Server, gather
+from repro.machine import (
+    Client,
+    Machine,
+    Request,
+    Response,
+    Server,
+    gather,
+    gather_settled,
+)
 from repro.machine.rpc import Detached
 from repro.sim import Simulator, Timeout
 from repro.tools.base import sequential_spawn, tree_spawn
@@ -79,6 +87,39 @@ def test_gather_raises_first_error():
             return str(exc)
 
     assert sim.run_process(body()) == "nope"
+
+
+def test_gather_fails_fast_and_gather_settled_settles_all():
+    """The two share one send-and-collect body and differ only in what
+    an error reply becomes: ``gather`` raises at the *first* error in
+    call order without waiting for later legs, ``gather_settled`` waits
+    for every leg and hands the error back as that call's result."""
+    def run(fan_out):
+        sim, machine = make_machine(3)
+        quick = SlowServer(machine.node(0), "quick")
+        slow = SlowServer(machine.node(1), "slow")
+
+        def body():
+            calls = [
+                (quick.port, "fail", {"message": "early"}, 0),
+                (slow.port, "work", {"delay": 0.5, "tag": "late"}, 0),
+            ]
+            try:
+                return (yield from fan_out(machine.node(2), calls)), sim.now
+            except RuntimeError as exc:
+                return exc, sim.now
+
+        return sim.run_process(body())
+
+    error, raised_at = run(gather)
+    assert str(error) == "early" and error.gather_index == 0
+    assert raised_at < 0.5  # the slow leg was still in flight
+
+    settled, settled_at = run(gather_settled)
+    assert settled_at >= 0.5
+    (value, early), late = settled
+    assert value is None and str(early) == "early"
+    assert late == ("late", None)
 
 
 def test_gather_empty_calls():

@@ -9,7 +9,8 @@ without spinning up a simulator — the map is pure arithmetic over
 
 import pytest
 
-from repro.rebalance import CONTROL_METHODS, HeatMap
+from repro.core.ops import CONTROL_OPS
+from repro.rebalance import HeatMap
 
 
 class FakeRequest:
@@ -28,7 +29,7 @@ def test_record_attributes_partition_and_name():
 
 def test_control_traffic_is_not_charged():
     heat = HeatMap(2)
-    for method in sorted(CONTROL_METHODS):
+    for method in sorted(CONTROL_OPS):
         heat.record(0, FakeRequest(method, name="f"), busy=1.0, now=0.1)
     assert heat.partition_rates(0.1) == [0.0, 0.0]
     assert heat.name_heat(0.1) == []

@@ -3,10 +3,11 @@
 import pytest
 
 from repro.efs.fsck import check_system
-from repro.faults import FaultInjector, MirroredFile
+from repro.faults import FaultInjector
 from repro.harness.builders import BridgeSystem
 from repro.redundancy import (
     SCHEMES,
+    MirroredFile,
     ParityFile,
     PlainFile,
     RedundancyManager,

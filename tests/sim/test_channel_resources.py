@@ -370,40 +370,6 @@ def test_summary_statistics():
     assert summary.stddev == pytest.approx(1.118, rel=1e-3)
 
 
-def test_time_weighted_average():
-    from repro.sim import TimeWeighted
-
-    sim = Simulator()
-    level = TimeWeighted(sim, initial=0.0)
-
-    def body():
-        level.set(2.0)
-        yield Timeout(1.0)
-        level.set(4.0)
-        yield Timeout(1.0)
-        level.set(0.0)
-        yield Timeout(2.0)
-
-    sim.spawn(body())
-    sim.run()
-    # (2*1 + 4*1 + 0*2) / 4 = 1.5
-    assert level.average() == pytest.approx(1.5)
-
-
-def test_stats_registry_snapshot():
-    from repro.sim import StatsRegistry
-
-    reg = StatsRegistry()
-    reg.counter("ops").add(3)
-    reg.summary("lat").observe(2.0)
-    snap = reg.snapshot()
-    assert snap["ops"] == 3
-    assert snap["lat.mean"] == pytest.approx(2.0)
-    assert snap["lat.count"] == 1
-    # idempotent access returns same object
-    assert reg.counter("ops").value == 3
-
-
 def test_random_streams_deterministic_and_independent():
     from repro.sim import RandomStreams
 
@@ -426,41 +392,6 @@ def test_random_streams_order_independent():
     streams_b = RandomStreams(seed=1)
     second = streams_b.stream("y").random()
     assert first == second
-
-
-def test_tracer_records_and_counts():
-    from repro.sim import Timeout, Tracer
-
-    tracer = Tracer(capacity=10)
-    sim = Simulator(trace=tracer)
-    tracer.attach(sim)
-
-    def body():
-        yield Timeout(1.0)
-
-    sim.spawn(body(), name="traced")
-    sim.run()
-    assert tracer.counts["spawn"] == 1
-    assert tracer.counts["exit"] == 1
-    kinds = [r.kind for r in tracer.records()]
-    assert "spawn" in kinds and "exit" in kinds
-    assert "traced" in tracer.format()
-
-
-def test_tracer_kind_filter():
-    from repro.sim import Tracer
-
-    tracer = Tracer(kinds={"spawn"})
-    sim = Simulator(trace=tracer)
-    tracer.attach(sim)
-
-    def body():
-        yield Timeout(0.1)
-
-    sim.spawn(body())
-    sim.run()
-    assert all(r.kind == "spawn" for r in tracer.records())
-    assert tracer.counts["exit"] == 1
 
 
 def test_anyof_detaches_watchers_from_losing_signals():

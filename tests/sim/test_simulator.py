@@ -394,3 +394,30 @@ def test_max_events_break_does_not_jump_to_until():
     sim.run(until=10.0, max_events=1)
     assert sim.now < 10.0
     assert sim.pending_events > 0
+
+
+def test_process_registry_holds_only_live_processes_in_spawn_order():
+    """An open-loop run spawns one process per arrival; the registry
+    must not retain the finished ones, and what it does hold stays in
+    spawn order (``DeadlockError`` and ``live_processes`` report it)."""
+    from repro.sim import Mailbox
+
+    sim = Simulator()
+    box = Mailbox(sim)
+
+    def waiter():
+        yield box.recv()
+
+    def arrival(n):
+        yield Timeout(0.001 * n)
+
+    sim.spawn(waiter(), name="first")
+    for n in range(1000):
+        sim.spawn(arrival(n), name=f"arrival{n}")
+    sim.spawn(waiter(), name="last")
+    assert len(sim.live_processes()) == 1002
+    with pytest.raises(DeadlockError) as info:
+        sim.run(check_deadlock=True)
+    assert [p.name for p in sim.live_processes()] == ["first", "last"]
+    assert "first" in str(info.value) and "last" in str(info.value)
+    assert "arrival" not in str(info.value)

@@ -1,0 +1,58 @@
+"""One-way imports: a package may import its own layer and anything below.
+
+Function-level (lazy) imports count — a deferred upward import is still
+an upward dependency, it only hides the cycle from the interpreter.
+"""
+
+import ast
+import pathlib
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "repro"
+
+#: Bottom to top.  Root modules (config, errors, _version) sit below
+#: everything; ``repro/__init__.py`` is the facade above everything.
+LAYERS = [
+    {"config", "errors", "_version"},
+    {"sim", "obs"},
+    {"machine", "storage"},
+    {"efs"},
+    {"core"},
+    {"collective", "elastic", "faults", "rebalance", "redundancy", "tools",
+     "traffic"},
+    {"workloads", "analysis", "baselines"},
+    {"harness"},
+    {"__init__"},
+]
+RANK = {package: rank for rank, layer in enumerate(LAYERS) for package in layer}
+
+
+def imported_packages(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            continue
+        for module in modules:
+            parts = module.split(".")
+            if parts[0] == "repro" and len(parts) > 1:
+                yield parts[1], node.lineno
+
+
+def test_every_package_has_a_layer():
+    found = {path.name if path.is_dir() else path.stem
+             for path in SRC.iterdir()
+             if path.suffix == ".py" or (path / "__init__.py").exists()}
+    assert found == set(RANK)
+
+
+def test_no_upward_imports():
+    upward = []
+    for path in sorted(SRC.rglob("*.py")):
+        relative = path.relative_to(SRC)
+        owner = relative.parts[0] if len(relative.parts) > 1 else path.stem
+        for package, lineno in imported_packages(ast.parse(path.read_text())):
+            if RANK[package] > RANK[owner]:
+                upward.append(f"{relative}:{lineno} imports repro.{package}")
+    assert not upward, "\n".join(upward)
