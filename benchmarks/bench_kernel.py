@@ -5,13 +5,18 @@ throughput (events/second, RPC round trips/second) so regressions in the
 kernel show up in the benchmark suite.  Uses real multi-round
 pytest-benchmark timing since these are wall-clock measurements.
 
-The events/second floor guards the S21 hot-path work (cached
-``_resume`` dispatch, zero-listener run loop): a ~10^5-event open-loop
-traffic run has to stay interactive, so the bare kernel must clear
-``EVENTS_PER_SECOND_FLOOR`` on any plausible CI host.  The floor is
-set well below typical measured rates (~10x headroom) to stay
-noise-proof while still catching a real regression such as
-reintroducing per-event bound-method allocation.
+Two floors, both about 3x under what the ledger host measures
+(``benchmarks/ledger/README.md``), so a 0.55x host spell still clears
+them while a real regression does not:
+
+* ``EVENTS_PER_SECOND_FLOOR`` guards the S21 hot-path work (cached
+  ``_resume`` dispatch, zero-listener run loop) on the bare kernel —
+  measured 1.6 M timeout events/s; a regression such as reintroducing
+  per-event bound-method allocation falls under it.
+* ``FULL_STACK_EVENTS_PER_SECOND_FLOOR`` guards the layers above it:
+  events per host second of a p = 8 paper-configuration naive read
+  stream (Bridge Server + RPC + EFS + storage per block) — measured
+  265 k events/s.
 
 Also runnable as a script (the CI smoke job)::
 
@@ -21,11 +26,15 @@ Also runnable as a script (the CI smoke job)::
 import sys
 import time
 
+from repro.harness import paper_system
 from repro.machine import Client, Machine, Server
 from repro.sim import Mailbox, Simulator, Timeout
 
-#: Conservative wall-clock floor for the zero-listener fast path.
-EVENTS_PER_SECOND_FLOOR = 100_000
+#: Wall-clock floor for the zero-listener fast path (measured 1.6 M/s).
+EVENTS_PER_SECOND_FLOOR = 500_000
+#: Wall-clock floor for the whole stack under a naive read stream
+#: (measured 265 k/s).
+FULL_STACK_EVENTS_PER_SECOND_FLOOR = 85_000
 
 
 def _timeout_storm(events: int = 100_000):
@@ -41,6 +50,34 @@ def _timeout_storm(events: int = 100_000):
     sim.run()
     elapsed = time.perf_counter() - start
     return sim.events_executed, elapsed
+
+
+def _naive_read_stream(blocks: int = 4_000):
+    """Sequential naive-view reads of a ``blocks``-block file on the
+    paper's system at p = 8: every layer runs once per block."""
+    system = paper_system(8)
+    client = system.naive_client()
+
+    def write():
+        yield from client.create("stream")
+        for index in range(blocks):
+            yield from client.seq_write("stream", bytes([index % 251]) * 960)
+
+    def read():
+        yield from client.open("stream")
+        for _ in range(blocks):
+            yield from client.seq_read("stream")
+
+    system.run(write())
+    before = system.sim.events_executed
+    start = time.perf_counter()
+    system.run(read())
+    elapsed = time.perf_counter() - start
+    return system.sim.events_executed - before, elapsed
+
+
+def _rate(executed: int, elapsed: float) -> float:
+    return executed / elapsed if elapsed > 0 else float("inf")
 
 
 def test_kernel_timeout_events_per_second(benchmark):
@@ -108,30 +145,39 @@ def test_kernel_rpc_roundtrips(benchmark):
 
 
 def test_kernel_events_per_second_floor(benchmark):
-    def run():
-        executed, elapsed = _timeout_storm()
-        return executed / elapsed if elapsed > 0 else float("inf")
-
-    rate = benchmark(run)
+    rate = benchmark(lambda: _rate(*_timeout_storm()))
     assert rate >= EVENTS_PER_SECOND_FLOOR, (
         f"kernel fast path at {rate:,.0f} ev/s, "
         f"floor is {EVENTS_PER_SECOND_FLOOR:,}"
     )
 
 
-def main(argv) -> int:
-    events = 20_000 if "--quick" in argv else 100_000
+def test_full_stack_events_per_second_floor(benchmark):
+    rate = benchmark(lambda: _rate(*_naive_read_stream(1_000)))
+    assert rate >= FULL_STACK_EVENTS_PER_SECOND_FLOOR, (
+        f"naive read stream at {rate:,.0f} ev/s, "
+        f"floor is {FULL_STACK_EVENTS_PER_SECOND_FLOOR:,}"
+    )
+
+
+def _check_floor(label: str, storm, floor: int) -> None:
     best = 0.0
     for _attempt in range(3):  # best-of-3 absorbs host noise
-        executed, elapsed = _timeout_storm(events)
-        best = max(best, executed / elapsed if elapsed > 0 else 0.0)
-    print(f"kernel fast path: {best:,.0f} events/s "
-          f"({executed:,} events, best of 3)")
-    assert best >= EVENTS_PER_SECOND_FLOOR, (
-        f"kernel fast path at {best:,.0f} ev/s, "
-        f"floor is {EVENTS_PER_SECOND_FLOOR:,}"
-    )
-    print("kernel floor: passed")
+        executed, elapsed = storm()
+        best = max(best, _rate(executed, elapsed))
+    print(f"{label}: {best:,.0f} events/s ({executed:,} events, best of 3)")
+    assert best >= floor, f"{label} at {best:,.0f} ev/s, floor is {floor:,}"
+
+
+def main(argv) -> int:
+    quick = "--quick" in argv
+    _check_floor("kernel fast path",
+                 lambda: _timeout_storm(20_000 if quick else 100_000),
+                 EVENTS_PER_SECOND_FLOOR)
+    _check_floor("naive read stream",
+                 lambda: _naive_read_stream(1_000 if quick else 4_000),
+                 FULL_STACK_EVENTS_PER_SECOND_FLOOR)
+    print("kernel and full-stack floors: passed")
     return 0
 
 

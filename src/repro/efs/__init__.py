@@ -17,6 +17,7 @@ from repro.efs.layout import (
     is_efs_block,
     pack_block,
     unpack_block,
+    unpack_header,
 )
 from repro.efs.messages import FileInfo, ReadResult, WriteResult
 from repro.efs.server import EFSServer
@@ -40,4 +41,5 @@ __all__ = [
     "is_efs_block",
     "pack_block",
     "unpack_block",
+    "unpack_header",
 ]

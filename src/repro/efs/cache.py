@@ -5,21 +5,40 @@ more efficient by keeping neighboring blocks (and their pointers) in
 memory", and section 5 attributes the better-than-disk-latency read time
 to "full-track buffering in our version of EFS".
 
-Model: an LRU of raw blocks.  A read miss pays one device access and pulls
+Model: an LRU of blocks.  A read miss pays one device access and pulls
 the *whole physical track* into the cache (a track is ``track_blocks``
 consecutive addresses) — reading the rest of the track costs no extra
 positioning once the head is there.  Metadata updates may be written back
 lazily (``write_back``); dirty blocks are flushed to the device before
 eviction, so the on-disk image is always reconstructible.
+
+An entry keeps the raw block and, beside it, what its reader decoded from
+it ("and their pointers"), so a block is parsed at most once while it
+stays cached.  Only two paths touch the device and are generators: the
+miss (:meth:`BlockCache.fill`) and the write-back of a dirty LRU victim.
+A hit (:meth:`BlockCache.lookup`) and an install over a clean victim are
+plain calls; the public generator methods compose these.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, Optional, Tuple
+from typing import Any, Optional
 
 from repro.obs.metrics import Counter
 from repro.sim import Timeout
+
+
+class CacheEntry:
+    """One cached block.  ``raw`` never changes in place — every install
+    makes a new entry — so ``decoded``, the memo of whoever knows the
+    block's format (filled on first use, or seeded by the writer that
+    just packed ``raw``), needs no invalidation of its own.
+
+    No ``__init__``: ``BlockCache._install`` is the one place entries are
+    made, half a million times a run, and sets the three slots itself."""
+
+    __slots__ = ("raw", "dirty", "decoded")
 
 
 class BlockCache:
@@ -39,64 +58,87 @@ class BlockCache:
         self.disk = disk
         self.capacity = capacity
         self.track_blocks = track_blocks
-        self.hit_cpu = hit_cpu
-        self._entries: "OrderedDict[int, Tuple[bytes, bool]]" = OrderedDict()
+        #: What a process yields after a :meth:`lookup` hit (``None``: free).
+        self.hit_charge = Timeout(hit_cpu) if hit_cpu else None
+        self._entries: "OrderedDict[int, CacheEntry]" = OrderedDict()
         # obs-instrument counters behind int properties: same public API,
-        # adoptable into a MetricsRegistry (see bind_metrics).
+        # adoptable into a MetricsRegistry (see bind_metrics).  The per-block
+        # paths bump ``.value`` directly: ``inc()`` is one more frame a link.
         self._hits = Counter()
         self._misses = Counter()
         self._evictions = Counter()
         self._writebacks = Counter()
 
     # ------------------------------------------------------------------
-    # Generator API (all methods may perform device I/O)
+    # Block access: a plain call on a hit, a generator only for the device
     # ------------------------------------------------------------------
 
-    def read(self, address: int, prefetch: bool = True):
-        """Read one block through the cache.
-
-        A miss reads the block from the device and (with ``prefetch``)
-        installs the rest of its physical track for free — the track
-        buffer.  Returns the raw 1024-byte block.
-        """
+    def lookup(self, address: int) -> Optional[CacheEntry]:
+        """The cached entry, counted as a hit and made most recent — or
+        ``None``, and the caller runs :meth:`fill`.  The caller of a hit
+        owes ``yield cache.hit_charge`` (when it is not ``None``);
+        :meth:`fetch` is the three put together."""
         entry = self._entries.get(address)
         if entry is not None:
-            self._hits.inc()
+            self._hits.value += 1
             self._entries.move_to_end(address)
-            if self.hit_cpu:
-                yield Timeout(self.hit_cpu)
-            return entry[0]
-        self._misses.inc()
-        data = yield from self.disk.read(address)
-        yield from self._install(address, data, dirty=False)
+        return entry
+
+    def fill(self, address: int, prefetch: bool = True):
+        """The miss: read the block from the device and (with ``prefetch``)
+        install the rest of its physical track for free — the track
+        buffer.  Returns the block's new entry."""
+        self._misses.value += 1
+        raw = yield from self.disk.read(address)
+        install = self._install
+        entry = install(address, raw, False) or (
+            yield from self._install_behind_write_back(address, raw, False)
+        )
         if prefetch and self.track_blocks > 1:
+            entries, blocks = self._entries, self.disk.blocks
             track_start = (address // self.track_blocks) * self.track_blocks
             for sibling in range(track_start, track_start + self.track_blocks):
-                if sibling == address or sibling in self._entries:
+                if sibling == address or sibling in entries:
                     continue
-                raw = self.disk.blocks.get(sibling)
-                if raw is not None:
-                    yield from self._install(sibling, raw, dirty=False)
-        return data
+                raw = blocks.get(sibling)
+                if raw is not None and install(sibling, raw, False) is None:
+                    yield from self._install_behind_write_back(sibling, raw, False)
+        return entry
 
-    def write_through(self, address: int, data: bytes):
-        """Write to the device now and cache the result clean."""
+    def fetch(self, address: int, prefetch: bool = True):
+        """One block's entry through the cache, hit charge included:
+        :meth:`lookup`, else :meth:`fill`."""
+        entry = self.lookup(address)
+        if entry is None:
+            entry = yield from self.fill(address, prefetch)
+        elif self.hit_charge is not None:
+            yield self.hit_charge
+        return entry
+
+    def read(self, address: int, prefetch: bool = True):
+        """Read one block through the cache; returns the raw 1024-byte
+        block."""
+        return (yield from self.fetch(address, prefetch)).raw
+
+    def write_through(self, address: int, data: bytes, decoded: Any = None):
+        """Write to the device now and cache the result clean.  ``decoded``
+        seeds the entry's memo with what ``data`` was packed from."""
         yield from self.disk.write(address, data)
-        yield from self._install(address, data, dirty=False)
+        if self._install(address, data, False, decoded) is None:
+            yield from self._install_behind_write_back(address, data, False, decoded)
 
-    def write_back(self, address: int, data: bytes):
+    def write_back(self, address: int, data: bytes, decoded: Any = None):
         """Update the cached copy only; the device is written on eviction
         or :meth:`flush`.  Used for the hot head-block pointer updates
         (the 'EFS peculiarity' that keeps appends at two device writes)."""
-        yield from self._install(address, data, dirty=True)
+        if self._install(address, data, True, decoded) is None:
+            yield from self._install_behind_write_back(address, data, True, decoded)
 
     def flush(self):
         """Write every dirty block to the device (in address order)."""
-        dirty = [(a, d) for a, (d, flag) in self._entries.items() if flag]
-        for address, data in sorted(dirty):
-            yield from self.disk.write(address, data)
-            self._entries[address] = (data, False)
-            self._writebacks.inc()
+        dirty = [(a, entry) for a, entry in self._entries.items() if entry.dirty]
+        for address, entry in sorted(dirty, key=lambda pair: pair[0]):
+            yield from self._write_back(address, entry)
 
     # ------------------------------------------------------------------
     # Synchronous helpers
@@ -105,7 +147,7 @@ class BlockCache:
     def peek(self, address: int) -> Optional[bytes]:
         """Cached contents without I/O, LRU effects, or miss accounting."""
         entry = self._entries.get(address)
-        return entry[0] if entry is not None else None
+        return entry.raw if entry is not None else None
 
     def invalidate(self, address: int) -> None:
         """Drop a cached block (freed blocks must not linger)."""
@@ -147,20 +189,51 @@ class BlockCache:
 
     # ------------------------------------------------------------------
 
-    def _install(self, address: int, data: bytes, dirty: bool):
-        if address in self._entries:
+    def _install(
+        self, address: int, raw: bytes, dirty: bool, decoded: Any = None
+    ) -> Optional[CacheEntry]:
+        """Cache ``raw`` at ``address`` without touching the device;
+        returns the new entry.
+
+        ``None``, with nothing changed, when room must first be made by
+        writing a dirty LRU victim back: that is
+        :meth:`_install_behind_write_back`, which calls this again."""
+        entries = self._entries
+        old = entries.get(address)
+        if old is not None:
             # Dirty is sticky: a block with an unflushed write-back stays
             # dirty even when re-installed "clean" (e.g. by write_through,
             # which has already put *its* data on the device but must not
             # cancel the pending flush of the cached state).
-            was_dirty = self._entries[address][1]
-            self._entries[address] = (data, dirty or was_dirty)
-            self._entries.move_to_end(address)
-            return
-        while len(self._entries) >= self.capacity:
-            victim, (victim_data, victim_dirty) = self._entries.popitem(last=False)
-            self._evictions.inc()
-            if victim_dirty:
-                self._writebacks.inc()
-                yield from self.disk.write(victim, victim_data)
-        self._entries[address] = (data, dirty)
+            dirty = dirty or old.dirty
+            entries.move_to_end(address)
+        else:
+            while len(entries) >= self.capacity:
+                victim = next(iter(entries))
+                if entries[victim].dirty:
+                    return None
+                del entries[victim]
+                self._evictions.value += 1
+        entry = entries[address] = CacheEntry()
+        entry.raw = raw
+        entry.dirty = dirty
+        entry.decoded = decoded
+        return entry
+
+    def _install_behind_write_back(
+        self, address: int, raw: bytes, dirty: bool, decoded: Any = None
+    ):
+        """The install that found a dirty LRU victim.  The victim stays
+        cached until its write has succeeded — a failed device must not
+        cost the only copy — and is then evicted, clean, by ``_install``."""
+        entry = None
+        while entry is None:
+            victim = next(iter(self._entries))
+            yield from self._write_back(victim, self._entries[victim])
+            entry = self._install(address, raw, dirty, decoded)
+        return entry
+
+    def _write_back(self, address: int, entry: CacheEntry):
+        yield from self.disk.write(address, entry.raw)
+        entry.dirty = False
+        self._writebacks.inc()

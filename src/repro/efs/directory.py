@@ -10,14 +10,17 @@ The directory occupies a reserved region of block addresses
 packed fixed-size entries; lookups and updates go through the block cache,
 so directory I/O pays realistic device costs (and benefits from caching —
 the paper notes directory caching is "less effective for writes than it
-is for reads").
+is for reads").  A bucket is decoded once per cached copy: its live slots
+are the memo kept beside the cached block, and every entry handed out is
+a fresh :class:`DirectoryEntry` the caller may change freely.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import List, Optional
+from itertools import starmap
+from typing import Iterable, List, Tuple
 
 from repro.config import BLOCK_SIZE
 from repro.errors import (
@@ -27,12 +30,17 @@ from repro.errors import (
 )
 from repro.efs.layout import NULL_ADDR
 
-_ENTRY_FMT = "<qiiqii"  # file_number, head_addr, flags, gfid, width, column
-_ENTRY_SIZE = struct.calcsize(_ENTRY_FMT)  # 32 bytes
-_ENTRIES_PER_BUCKET = BLOCK_SIZE // _ENTRY_SIZE
+#: file_number, head_addr, flags, gfid, width, column
+_ENTRY = struct.Struct("<qiiqii")
+_ENTRIES_PER_BUCKET = BLOCK_SIZE // _ENTRY.size  # 32 slots of 32 bytes
 
 #: Marker for an unused entry slot (file numbers are non-negative).
 _EMPTY = -1
+_EMPTY_SLOT = _ENTRY.pack(_EMPTY, 0, 0, 0, 0, 0)
+
+#: One decoded slot, in ``_ENTRY`` field order.  A bucket decodes to a
+#: tuple of these — the memo kept beside the cached bucket block.
+_Fields = Tuple[int, int, int, int, int, int]
 
 
 @dataclass
@@ -48,34 +56,45 @@ class DirectoryEntry:
     column: int = 0
 
 
-def _pack_bucket(entries: List[DirectoryEntry]) -> bytes:
-    out = bytearray()
-    for entry in entries:
-        out += struct.pack(
-            _ENTRY_FMT,
-            entry.file_number,
-            entry.head_addr,
-            entry.flags,
-            entry.global_file_id,
-            entry.width,
-            entry.column,
-        )
-    free_slots = _ENTRIES_PER_BUCKET - len(entries)
-    out += struct.pack(_ENTRY_FMT, _EMPTY, 0, 0, 0, 0, 0) * free_slots
-    return bytes(out).ljust(BLOCK_SIZE, b"\x00")
+def _fields_of(entry: DirectoryEntry) -> _Fields:
+    return (
+        entry.file_number,
+        entry.head_addr,
+        entry.flags,
+        entry.global_file_id,
+        entry.width,
+        entry.column,
+    )
 
 
-def _unpack_bucket(raw: bytes) -> List[DirectoryEntry]:
-    entries = []
-    for slot in range(_ENTRIES_PER_BUCKET):
-        fields = struct.unpack_from(_ENTRY_FMT, raw, slot * _ENTRY_SIZE)
-        # Empty slots are marked with file_number = -1; a never-written
-        # bucket reads as zeros, which is recognizable by width == 0
-        # (every real entry has interleave width >= 1).
-        if fields[0] < 0 or fields[4] < 1:
-            continue
-        entries.append(DirectoryEntry(*fields))
-    return entries
+def _live(slots: Iterable[_Fields]) -> Tuple[_Fields, ...]:
+    # Empty slots are marked with file_number = -1; a never-written
+    # bucket reads as zeros, which is recognizable by width == 0
+    # (every real entry has interleave width >= 1).
+    return tuple([fields for fields in slots if fields[0] >= 0 and fields[4] >= 1])
+
+
+def _pack_bucket(slots: Tuple[_Fields, ...]) -> bytes:
+    free_slots = _ENTRIES_PER_BUCKET - len(slots)
+    packed = b"".join(starmap(_ENTRY.pack, slots)) + _EMPTY_SLOT * free_slots
+    return packed.ljust(BLOCK_SIZE, b"\x00")
+
+
+def _unpack_bucket(raw: bytes) -> Tuple[_Fields, ...]:
+    return _live(_ENTRY.iter_unpack(raw[: _ENTRIES_PER_BUCKET * _ENTRY.size]))
+
+
+def _slot_of(slots: Tuple[_Fields, ...], file_number: int) -> int:
+    """Index of the file's slot, or -1."""
+    for index, fields in enumerate(slots):
+        if fields[0] == file_number:
+            return index
+    return -1
+
+
+def bucket_entries(raw: bytes) -> List[DirectoryEntry]:
+    """The live entries of one raw bucket block (for offline checkers)."""
+    return [DirectoryEntry(*fields) for fields in _unpack_bucket(raw)]
 
 
 class Directory:
@@ -103,49 +122,49 @@ class Directory:
     # ------------------------------------------------------------------
 
     def lookup(self, file_number: int):
-        """Find a file's entry or raise :class:`EFSFileNotFoundError`."""
-        entries = yield from self._load(self.bucket_of(file_number))
-        for entry in entries:
-            if entry.file_number == file_number:
-                return entry
-        raise EFSFileNotFoundError(f"EFS file {file_number} not found")
+        """Find a file's entry or raise :class:`EFSFileNotFoundError`.
+        The entry is the caller's own: changing it changes nothing here."""
+        slots = self._slots((yield from self._fetch(self.bucket_of(file_number))))
+        index = _slot_of(slots, file_number)
+        if index < 0:
+            raise EFSFileNotFoundError(f"EFS file {file_number} not found")
+        return DirectoryEntry(*slots[index])
 
     def exists(self, file_number: int):
-        entries = yield from self._load(self.bucket_of(file_number))
-        return any(e.file_number == file_number for e in entries)
+        slots = self._slots((yield from self._fetch(self.bucket_of(file_number))))
+        return _slot_of(slots, file_number) >= 0
 
     def insert(self, entry: DirectoryEntry):
         """Add a new entry; the file number must be free."""
         if entry.file_number < 0:
             raise ValueError("file numbers must be non-negative")
         bucket = self.bucket_of(entry.file_number)
-        entries = yield from self._load(bucket)
-        if any(e.file_number == entry.file_number for e in entries):
+        slots = self._slots((yield from self._fetch(bucket)))
+        if _slot_of(slots, entry.file_number) >= 0:
             raise EFSFileExistsError(f"EFS file {entry.file_number} exists")
-        if len(entries) >= _ENTRIES_PER_BUCKET:
+        if len(slots) >= _ENTRIES_PER_BUCKET:
             raise EFSOutOfSpaceError(
                 f"directory bucket {bucket} full "
                 f"({_ENTRIES_PER_BUCKET} entries); use more buckets"
             )
-        entries.append(entry)
-        yield from self._store(bucket, entries)
+        yield from self._store(bucket, slots + (_fields_of(entry),))
 
     def update(self, entry: DirectoryEntry):
         """Rewrite an existing entry (e.g. head pointer after first append)."""
         bucket = self.bucket_of(entry.file_number)
-        entries = yield from self._load(bucket)
-        for index, existing in enumerate(entries):
-            if existing.file_number == entry.file_number:
-                entries[index] = entry
-                yield from self._store(bucket, entries)
-                return
-        raise EFSFileNotFoundError(f"EFS file {entry.file_number} not found")
+        slots = self._slots((yield from self._fetch(bucket)))
+        index = _slot_of(slots, entry.file_number)
+        if index < 0:
+            raise EFSFileNotFoundError(f"EFS file {entry.file_number} not found")
+        yield from self._store(
+            bucket, slots[:index] + (_fields_of(entry),) + slots[index + 1 :]
+        )
 
     def remove(self, file_number: int):
         bucket = self.bucket_of(file_number)
-        entries = yield from self._load(bucket)
-        remaining = [e for e in entries if e.file_number != file_number]
-        if len(remaining) == len(entries):
+        slots = self._slots((yield from self._fetch(bucket)))
+        remaining = tuple([fields for fields in slots if fields[0] != file_number])
+        if len(remaining) == len(slots):
             raise EFSFileNotFoundError(f"EFS file {file_number} not found")
         yield from self._store(bucket, remaining)
 
@@ -153,15 +172,26 @@ class Directory:
         """All file numbers on this LFS (a full directory scan)."""
         numbers = []
         for bucket in range(self.bucket_count):
-            entries = yield from self._load(bucket)
-            numbers.extend(e.file_number for e in entries)
+            slots = self._slots((yield from self._fetch(bucket)))
+            numbers.extend(fields[0] for fields in slots)
         return sorted(numbers)
 
     # ------------------------------------------------------------------
 
-    def _load(self, bucket: int):
-        raw = yield from self.cache.read(bucket, prefetch=False)
-        return _unpack_bucket(raw)
+    def _fetch(self, bucket: int):
+        """The cache's generator for one bucket block; a bucket miss does
+        not pull in the rest of its track."""
+        return self.cache.fetch(bucket, prefetch=False)
 
-    def _store(self, bucket: int, entries: List[DirectoryEntry]):
-        yield from self.cache.write_through(bucket, _pack_bucket(entries))
+    @staticmethod
+    def _slots(entry) -> Tuple[_Fields, ...]:
+        """A cached bucket's live slots, decoded at most once per copy."""
+        if entry.decoded is None:
+            entry.decoded = _unpack_bucket(entry.raw)
+        return entry.decoded
+
+    def _store(self, bucket: int, slots: Tuple[_Fields, ...]):
+        # Seed the new copy's memo with exactly what it would decode to.
+        yield from self.cache.write_through(
+            bucket, _pack_bucket(slots), _live(slots)
+        )

@@ -1,6 +1,6 @@
 """Free-block management for one EFS instance.
 
-A simple in-memory bitmap (the paper's EFS does not describe its allocator;
+A simple in-memory map (the paper's EFS does not describe its allocator;
 persistence of the free map is not modeled — each operation is charged
 ``cpu.efs_free_op`` instead, which is where a real implementation would pay
 for its allocation bookkeeping I/O).
@@ -8,11 +8,17 @@ for its allocation bookkeeping I/O).
 Allocation is lowest-address-first, which gives sequentially written files
 physically contiguous blocks — that contiguity is what makes the cache's
 full-track buffering effective for sequential reads.
+
+The map is a *frontier* — every address at or above it is free — plus
+the freed holes below it, so an empty 65 536-block device costs two
+integers, not a 65 536-element set.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Set
+import heapq
+from itertools import chain
+from typing import Iterator, List, Set
 
 from repro.errors import EFSOutOfSpaceError
 
@@ -25,56 +31,53 @@ class FreeList:
             raise ValueError(f"bad free region [{start}, {capacity})")
         self.capacity = capacity
         self.start = start
-        self._free: Set[int] = set(range(start, capacity))
-        self._next_probe = start
+        self._frontier = start
+        self._holes: List[int] = []  # min-heap of the free addresses below it
+        self._hole_set: Set[int] = set()
 
     # ------------------------------------------------------------------
 
     def allocate(self) -> int:
         """Claim and return the lowest free address."""
-        if not self._free:
+        if self._holes:
+            address = heapq.heappop(self._holes)
+            self._hole_set.remove(address)
+            return address
+        if self._frontier >= self.capacity:
             raise EFSOutOfSpaceError(
                 f"no free blocks (capacity {self.capacity}, start {self.start})"
             )
-        # Fast path: probe sequentially from the last allocation point so
-        # fresh files get contiguous runs without an O(n) min() per call.
-        probe = self._next_probe
-        while probe < self.capacity:
-            if probe in self._free:
-                self._free.remove(probe)
-                self._next_probe = probe + 1
-                return probe
-            probe += 1
-        address = min(self._free)
-        self._free.remove(address)
-        self._next_probe = address + 1
-        return address
+        self._frontier += 1
+        return self._frontier - 1
 
     def free(self, address: int) -> None:
         """Return a block to the pool; double frees are programming errors."""
         if not self.start <= address < self.capacity:
             raise ValueError(f"address {address} outside free region")
-        if address in self._free:
+        if self.is_free(address):
             raise ValueError(f"double free of block {address}")
-        self._free.add(address)
-        if address < self._next_probe:
-            self._next_probe = address
+        heapq.heappush(self._holes, address)
+        self._hole_set.add(address)
 
     # ------------------------------------------------------------------
 
     @property
     def free_count(self) -> int:
-        return len(self._free)
+        return (self.capacity - self._frontier) + len(self._holes)
 
     @property
     def allocated_count(self) -> int:
-        return (self.capacity - self.start) - len(self._free)
+        return (self._frontier - self.start) - len(self._holes)
 
     def is_free(self, address: int) -> bool:
-        return address in self._free
+        return (
+            self._frontier <= address < self.capacity
+            or address in self._hole_set
+        )
 
     def iter_free(self) -> Iterator[int]:
-        return iter(sorted(self._free))
+        """Free addresses in ascending order."""
+        return chain(sorted(self._holes), range(self._frontier, self.capacity))
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"FreeList({self.allocated_count} used / {self.capacity - self.start})"

@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set
 
+from repro.efs.directory import bucket_entries
 from repro.efs.layout import NULL_ADDR, unpack_block
 from repro.errors import EFSCorruptionError
 
@@ -76,14 +77,12 @@ def check_efs(server) -> FsckReport:
     owned: Dict[int, int] = {}  # block address -> owning file number
 
     # Enumerate directory entries straight from the bucket blocks.
-    from repro.efs.directory import _unpack_bucket
-
     entries = []
     for bucket in range(directory.bucket_count):
         raw = image.get(bucket)
         if raw is None:
             continue
-        entries.extend(_unpack_bucket(raw))
+        entries.extend(bucket_entries(raw))
 
     for entry in entries:
         report.files_checked += 1

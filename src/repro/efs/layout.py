@@ -18,8 +18,7 @@ by the next pointer is p blocks away in the Bridge file."
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 from repro.config import (
     BLOCK_SIZE,
@@ -35,16 +34,22 @@ NULL_ADDR = -1
 #: Magic tag marking a valid EFS block header.
 EFS_MAGIC = 0x45465342  # "EFSB"
 
-_EFS_HEADER_FMT = "<iiqiI"  # next, prev, file_number, block_number, magic
-_BRIDGE_HEADER_FMT = "<qqiiii8x"  # gfid, gblock, width, start, column, flags
+#: next, prev, file_number, block_number, magic — the one compiled reader
+#: of the EFS header, shared by the header-only and the full decoder.
+_EFS_HEADER = struct.Struct("<iiqiI")
+#: gfid, gblock, width, start, column, flags
+_BRIDGE_HEADER = struct.Struct("<qqiiii8x")
 
-assert struct.calcsize(_EFS_HEADER_FMT) == EFS_HEADER_SIZE
-assert struct.calcsize(_BRIDGE_HEADER_FMT) == BRIDGE_HEADER_SIZE
+assert _EFS_HEADER.size == EFS_HEADER_SIZE
+assert _BRIDGE_HEADER.size == BRIDGE_HEADER_SIZE
 
 
-@dataclass
-class EFSHeader:
-    """The Cronus-inherited per-block header (local linked-list identity)."""
+class EFSHeader(NamedTuple):
+    """The Cronus-inherited per-block header (local linked-list identity).
+
+    Immutable: decoded headers are memoised beside the cached block and
+    shared between requests, so a pointer update builds a new header
+    (``header._replace(next_addr=...)``)."""
 
     next_addr: int = NULL_ADDR
     prev_addr: int = NULL_ADDR
@@ -52,19 +57,12 @@ class EFSHeader:
     block_number: int = 0
 
     def pack(self) -> bytes:
-        return struct.pack(
-            _EFS_HEADER_FMT,
-            self.next_addr,
-            self.prev_addr,
-            self.file_number,
-            self.block_number,
-            EFS_MAGIC,
-        )
+        return _EFS_HEADER.pack(*self, EFS_MAGIC)
 
 
-@dataclass
-class BridgeHeader:
-    """The Bridge extension: the block's identity in the interleaved file."""
+class BridgeHeader(NamedTuple):
+    """The Bridge extension: the block's identity in the interleaved file.
+    Immutable for the same reason as :class:`EFSHeader`."""
 
     global_file_id: int = 0
     global_block: int = 0
@@ -74,15 +72,11 @@ class BridgeHeader:
     flags: int = 0
 
     def pack(self) -> bytes:
-        return struct.pack(
-            _BRIDGE_HEADER_FMT,
-            self.global_file_id,
-            self.global_block,
-            self.width,
-            self.start_node,
-            self.column,
-            self.flags,
-        )
+        return _BRIDGE_HEADER.pack(*self)
+
+
+#: :class:`EFSHeader`'s fields in order, as the plain tuple ``struct`` makes.
+HeaderFields = Tuple[int, int, int, int]
 
 
 def pack_block(efs: EFSHeader, bridge: BridgeHeader, data: bytes) -> bytes:
@@ -95,20 +89,25 @@ def pack_block(efs: EFSHeader, bridge: BridgeHeader, data: bytes) -> bytes:
     return efs.pack() + bridge.pack() + payload
 
 
-def unpack_block(raw: bytes) -> Tuple[EFSHeader, BridgeHeader, bytes]:
-    """Parse one on-disk block, validating size and magic."""
+def unpack_header(raw: bytes) -> HeaderFields:
+    """Parse only the 24-byte EFS header, validating size and magic —
+    what a walk along the block list needs from the blocks it passes.
+
+    Returns ``(next_addr, prev_addr, file_number, block_number)`` as a
+    plain tuple, not an :class:`EFSHeader`: building the record costs
+    twice the decode, and the walk discards it a link later."""
     if len(raw) != BLOCK_SIZE:
         raise EFSCorruptionError(f"block is {len(raw)} bytes, expected {BLOCK_SIZE}")
-    next_addr, prev_addr, file_number, block_number, magic = struct.unpack_from(
-        _EFS_HEADER_FMT, raw, 0
-    )
-    if magic != EFS_MAGIC:
-        raise EFSCorruptionError(f"bad block magic {magic:#x}")
-    gfid, gblock, width, start, column, flags = struct.unpack_from(
-        _BRIDGE_HEADER_FMT, raw, EFS_HEADER_SIZE
-    )
-    efs = EFSHeader(next_addr, prev_addr, file_number, block_number)
-    bridge = BridgeHeader(gfid, gblock, width, start, column, flags)
+    fields = _EFS_HEADER.unpack_from(raw)
+    if fields[4] != EFS_MAGIC:
+        raise EFSCorruptionError(f"bad block magic {fields[4]:#x}")
+    return fields[:4]
+
+
+def unpack_block(raw: bytes) -> Tuple[EFSHeader, BridgeHeader, bytes]:
+    """Parse one on-disk block, validating size and magic."""
+    efs = EFSHeader._make(unpack_header(raw))
+    bridge = BridgeHeader._make(_BRIDGE_HEADER.unpack_from(raw, EFS_HEADER_SIZE))
     data = raw[EFS_HEADER_SIZE + BRIDGE_HEADER_SIZE :]
     return efs, bridge, data
 

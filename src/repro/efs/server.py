@@ -22,6 +22,7 @@ per LFS at roughly 20 ms per block.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Optional, Tuple
 
 from repro.config import DATA_BYTES_PER_BLOCK, SystemConfig
@@ -32,8 +33,10 @@ from repro.efs.layout import (
     NULL_ADDR,
     BridgeHeader,
     EFSHeader,
+    HeaderFields,
     pack_block,
     unpack_block,
+    unpack_header,
 )
 from repro.efs.messages import (
     BatchReadResult,
@@ -45,6 +48,9 @@ from repro.efs.messages import (
 from repro.errors import EFSBlockNotFoundError, EFSCorruptionError
 from repro.machine import Response, Server
 from repro.sim import Timeout
+
+
+_DISTANCE = itemgetter(0)
 
 
 class EFSServer(Server):
@@ -71,6 +77,16 @@ class EFSServer(Server):
         self.freelist = FreeList(
             disk.params.capacity_blocks, start=self.directory.first_data_block
         )
+        self._first_data_block = self.directory.first_data_block
+        # ``config`` is frozen, so each constant CPU charge is one Timeout
+        # for the life of the server, and the write policy is one method.
+        self._request_charge = Timeout(config.cpu.efs_request)
+        self._link_step_charge = Timeout(config.cpu.efs_link_step)
+        self._free_op_charge = Timeout(config.cpu.efs_free_op)
+        self._store = (
+            self.cache.write_back if config.efs_write_behind
+            else self.cache.write_through
+        )
         node.lfs_port = self.port
         node.disk = disk
 
@@ -80,7 +96,7 @@ class EFSServer(Server):
 
     def op_create(self, file_number, global_file_id=0, width=1, column=0):
         """Create an empty file; errors if the number already exists."""
-        yield Timeout(self.config.cpu.efs_request)
+        yield self._request_charge
         entry = DirectoryEntry(
             file_number=file_number,
             head_addr=NULL_ADDR,
@@ -93,7 +109,7 @@ class EFSServer(Server):
 
     def op_delete(self, file_number):
         """Free every block sequentially (the slow, resilient Cronus walk)."""
-        yield Timeout(self.config.cpu.efs_request)
+        yield self._request_charge
         entry = yield from self.directory.lookup(file_number)
         freed = 0
         addr = entry.head_addr
@@ -106,13 +122,14 @@ class EFSServer(Server):
                 raw = yield from self.cache.read(addr, prefetch=False)
             else:
                 raw = yield from self.disk.read(addr)
-            header, _bridge, _data = unpack_block(raw)
-            self._check_owner(header, file_number, addr)
-            yield Timeout(self.config.cpu.efs_free_op)
+            next_addr, _prev, owner, _number = unpack_header(raw)
+            if owner != file_number:
+                raise self._foreign_block(addr, owner, file_number)
+            yield self._free_op_charge
             self.freelist.free(addr)
             self.cache.invalidate(addr)
             freed += 1
-            addr = header.next_addr
+            addr = next_addr
             if addr == entry.head_addr:
                 break
         yield from self.directory.remove(file_number)
@@ -120,7 +137,7 @@ class EFSServer(Server):
 
     def op_read(self, file_number, block_number, hint=None):
         """Read one block; the response carries the list pointers as hints."""
-        yield Timeout(self.config.cpu.efs_request)
+        yield self._request_charge
         located = yield from self._try_hint(file_number, block_number, hint)
         if located is None:
             entry = yield from self.directory.lookup(file_number)
@@ -140,7 +157,7 @@ class EFSServer(Server):
     def op_write(self, file_number, block_number, data, hint=None):
         """Write block ``block_number``: in-place if it exists, append if it
         is exactly one past the end (no sparse files)."""
-        yield Timeout(self.config.cpu.efs_request)
+        yield self._request_charge
         if len(data) > DATA_BYTES_PER_BLOCK:
             raise ValueError(
                 f"write of {len(data)} bytes exceeds data area "
@@ -149,7 +166,7 @@ class EFSServer(Server):
         located = yield from self._try_hint(file_number, block_number, hint)
         if located is not None:
             addr, header, bridge, _old = located
-            yield from self._overwrite(addr, header, bridge, data)
+            yield from self._store_block(addr, header, bridge, data)
             return WriteResult(file_number, block_number, addr)
         entry = yield from self.directory.lookup(file_number)
         size = yield from self._file_size(entry)
@@ -164,12 +181,12 @@ class EFSServer(Server):
         addr, header, bridge, _old = yield from self._locate(
             entry, block_number, hint
         )
-        yield from self._overwrite(addr, header, bridge, data)
+        yield from self._store_block(addr, header, bridge, data)
         return WriteResult(file_number, block_number, addr)
 
     def op_append(self, file_number, data):
         """Append one block at the end of the file."""
-        yield Timeout(self.config.cpu.efs_request)
+        yield self._request_charge
         if len(data) > DATA_BYTES_PER_BLOCK:
             raise ValueError(
                 f"append of {len(data)} bytes exceeds data area "
@@ -190,7 +207,7 @@ class EFSServer(Server):
         *requested* order.  Adjacent located addresses coalesce into runs
         that share full-track reads through the cache.
         """
-        yield Timeout(self.config.cpu.efs_request)
+        yield self._request_charge
         if not block_numbers:
             return Response(value=BatchReadResult(file_number), size=0)
         by_number = {}
@@ -237,7 +254,7 @@ class EFSServer(Server):
         numbers keep the *last* value in request order, matching the
         outcome of issuing the writes one by one.
         """
-        yield Timeout(self.config.cpu.efs_request)
+        yield self._request_charge
         if not writes:
             return BatchWriteResult(file_number)
         latest = {}
@@ -272,7 +289,7 @@ class EFSServer(Server):
                 if located is None:
                     located = yield from self._locate(entry, block_number, hint)
                 addr, header, bridge, _old = located
-                yield from self._overwrite(addr, header, bridge, data)
+                yield from self._store_block(addr, header, bridge, data)
                 hint = header.next_addr
             by_number[block_number] = WriteResult(file_number, block_number, addr)
             if last_addr is None or addr != last_addr + 1:
@@ -283,7 +300,7 @@ class EFSServer(Server):
 
     def op_info(self, file_number):
         """Size and placement facts about one file."""
-        yield Timeout(self.config.cpu.efs_request)
+        yield self._request_charge
         entry = yield from self.directory.lookup(file_number)
         size = yield from self._file_size(entry)
         return FileInfo(
@@ -296,11 +313,11 @@ class EFSServer(Server):
         )
 
     def op_exists(self, file_number):
-        yield Timeout(self.config.cpu.efs_request)
+        yield self._request_charge
         return (yield from self.directory.exists(file_number))
 
     def op_list_files(self):
-        yield Timeout(self.config.cpu.efs_request)
+        yield self._request_charge
         return (yield from self.directory.list_files())
 
     def op_flush(self):
@@ -312,27 +329,39 @@ class EFSServer(Server):
     # Internals
     # ==================================================================
 
-    def _check_owner(self, header: EFSHeader, file_number: int, addr: int) -> None:
-        if header.file_number != file_number:
-            raise EFSCorruptionError(
-                f"block {addr} belongs to file {header.file_number}, "
-                f"expected {file_number}"
-            )
+    @staticmethod
+    def _foreign_block(addr: int, owner: int, file_number: int) -> EFSCorruptionError:
+        return EFSCorruptionError(
+            f"block {addr} belongs to file {owner}, expected {file_number}"
+        )
 
-    def _load(self, addr: int, prefetch: bool = True):
-        raw = yield from self.cache.read(addr, prefetch=prefetch)
-        return unpack_block(raw)
+    def _decoded(self, addr: int, entry) -> Tuple[EFSHeader, BridgeHeader, bytes]:
+        """``unpack_block`` of a cached block, run at most once per entry.
+        The memo of a block in the directory region is the directory's,
+        so a stray pointer into it is decoded afresh."""
+        if addr < self._first_data_block:
+            return unpack_block(entry.raw)
+        if entry.decoded is None:
+            entry.decoded = unpack_block(entry.raw)
+        return entry.decoded
+
+    def _header(self, addr: int, entry) -> HeaderFields:
+        """Only the EFS header of a cached block, as ``(next_addr,
+        prev_addr, file_number, block_number)``: from the memo when the
+        block has been decoded, else 24 bytes of it, unmemoised."""
+        if entry.decoded is None or addr < self._first_data_block:
+            return unpack_header(entry.raw)
+        return entry.decoded[0]
 
     def _try_hint(self, file_number: int, block_number: int, hint):
         """Serve directly from a hint when it names exactly the right block."""
         if hint is None or hint == NULL_ADDR:
             return None
-        if not 0 <= hint < self.disk.params.capacity_blocks:
+        if not self._first_data_block <= hint < self.disk.params.capacity_blocks:
             return None
-        if hint < self.directory.first_data_block:
-            return None
+        entry = yield from self.cache.fetch(hint)
         try:
-            header, bridge, data = yield from self._load(hint)
+            header, bridge, data = self._decoded(hint, entry)
         except EFSCorruptionError:
             return None
         if header.file_number != file_number:
@@ -345,14 +374,19 @@ class EFSServer(Server):
         """Size = tail block number + 1; the tail is the head's ``prev``."""
         if entry.head_addr == NULL_ADDR:
             return 0
-        head, _bridge, _data = yield from self._load(entry.head_addr)
-        if head.prev_addr == entry.head_addr:
-            return head.block_number + 1
-        tail, _bridge2, _data2 = yield from self._load(head.prev_addr)
-        return tail.block_number + 1
+        head_addr = entry.head_addr
+        cached = yield from self.cache.fetch(head_addr)
+        _next, tail_addr, _owner, number = self._header(head_addr, cached)
+        if tail_addr != head_addr:
+            cached = yield from self.cache.fetch(tail_addr)
+            _next, _prev, _owner, number = self._header(tail_addr, cached)
+        return number + 1
 
     def _locate(self, entry: DirectoryEntry, block_number: int, hint):
-        """Walk the list from the closest of beginning / end / hint."""
+        """Walk the list from the closest of beginning / end / hint.
+
+        The walk reads only the EFS header of the blocks it passes and
+        decodes in full only the block it returns."""
         if entry.head_addr == NULL_ADDR:
             raise EFSBlockNotFoundError(
                 f"file {entry.file_number} is empty; no block {block_number}"
@@ -363,49 +397,65 @@ class EFSServer(Server):
                 f"file {entry.file_number} has {size} blocks; "
                 f"no block {block_number}"
             )
-        # Candidate starting points: (distance, addr, that block's number)
-        head, _b, _d = yield from self._load(entry.head_addr)
-        candidates = [(block_number, entry.head_addr, 0)]
-        tail_addr = head.prev_addr
-        candidates.append((size - 1 - block_number, tail_addr, size - 1))
+        # Candidate starting points, (distance, addr); the first wins a tie.
+        cached = yield from self.cache.fetch(entry.head_addr)
+        _next, tail_addr, _owner, _number = self._header(entry.head_addr, cached)
+        candidates = [
+            (block_number, entry.head_addr),
+            (size - 1 - block_number, tail_addr),
+        ]
         if hint is not None and hint != NULL_ADDR:
             hinted = yield from self._peek_hint(entry.file_number, hint)
             if hinted is not None:
-                candidates.append((abs(block_number - hinted), hint, hinted))
-        _dist, addr, at = min(candidates, key=lambda c: c[0])
+                candidates.append((abs(block_number - hinted), hint))
+        _dist, addr = min(candidates, key=_DISTANCE)
+        # The hot loop: two events a link.  ``cache.fetch`` and ``_header``
+        # are spelled out so that a step enters no frame but ``lookup``'s.
+        lookup, fill = self.cache.lookup, self.cache.fill
+        hit_charge = self.cache.hit_charge
+        link_step = self._link_step_charge
+        first_data_block = self._first_data_block
+        file_number = entry.file_number
         while True:
-            header, bridge, data = yield from self._load(addr)
-            self._check_owner(header, entry.file_number, addr)
-            if header.block_number == block_number:
-                return addr, header, bridge, data
-            yield Timeout(self.config.cpu.efs_link_step)
-            if header.block_number < block_number:
-                addr = header.next_addr
+            cached = lookup(addr)
+            if cached is None:
+                cached = yield from fill(addr)
+            elif hit_charge is not None:
+                yield hit_charge
+            if cached.decoded is None or addr < first_data_block:
+                next_addr, prev_addr, owner, number = unpack_header(cached.raw)
             else:
-                addr = header.prev_addr
+                next_addr, prev_addr, owner, number = cached.decoded[0]
+            if owner != file_number:
+                raise self._foreign_block(addr, owner, file_number)
+            if number == block_number:
+                header, bridge, data = self._decoded(addr, cached)
+                return addr, header, bridge, data
+            yield link_step
+            addr = next_addr if number < block_number else prev_addr
 
     def _peek_hint(self, file_number: int, hint: int):
         """Block number at ``hint`` if it belongs to the file, else None."""
-        if not self.directory.first_data_block <= hint < self.disk.params.capacity_blocks:
+        if not self._first_data_block <= hint < self.disk.params.capacity_blocks:
             return None
+        entry = yield from self.cache.fetch(hint)
         try:
-            header, _bridge, _data = yield from self._load(hint)
+            _next, _prev, owner, number = self._header(hint, entry)
         except EFSCorruptionError:
             return None
-        if header.file_number != file_number:
-            return None
-        return header.block_number
+        return number if owner == file_number else None
 
-    def _store_block(self, addr: int, raw: bytes):
-        """Write one block, honoring the write-behind configuration."""
-        if self.config.efs_write_behind:
-            yield from self.cache.write_back(addr, raw)
-        else:
-            yield from self.cache.write_through(addr, raw)
-
-    def _overwrite(self, addr: int, header: EFSHeader, bridge: BridgeHeader, data: bytes):
-        """Replace a block's data area in place, keeping all pointers."""
-        yield from self._store_block(addr, pack_block(header, bridge, data))
+    def _store_block(
+        self, addr: int, header: EFSHeader, bridge: BridgeHeader, data: bytes,
+        lazy: bool = False,
+    ):
+        """The generator that writes one block: a write-back when ``lazy``,
+        else as the write-behind configuration says.  The entry it caches
+        is seeded with what the block was packed from, so a block this
+        server wrote is not unpacked while it stays cached."""
+        raw = pack_block(header, bridge, data)
+        store = self.cache.write_back if lazy else self._store
+        return store(addr, raw, (header, bridge, raw[-DATA_BYTES_PER_BLOCK:]))
 
     def _bridge_header(self, entry: DirectoryEntry, block_number: int) -> BridgeHeader:
         return BridgeHeader(
@@ -420,36 +470,36 @@ class EFSServer(Server):
         """Link a new block at the tail: two device writes in steady state
         (the new block and the old tail); the head's back-pointer update is
         a lazy write-back."""
-        yield Timeout(self.config.cpu.efs_free_op)
+        yield self._free_op_charge
         addr = self.freelist.allocate()
         if entry.head_addr == NULL_ADDR:
             header = EFSHeader(addr, addr, entry.file_number, 0)
-            raw = pack_block(header, self._bridge_header(entry, 0), data)
-            yield from self._store_block(addr, raw)
+            yield from self._store_block(addr, header, self._bridge_header(entry, 0), data)
             entry.head_addr = addr
             yield from self.directory.update(entry)
             return 0, addr
-        head, head_bridge, head_data = yield from self._load(entry.head_addr)
+        head_addr = entry.head_addr
+        cached = yield from self.cache.fetch(head_addr)
+        head, head_bridge, head_data = self._decoded(head_addr, cached)
         tail_addr = head.prev_addr
         block_number = size
-        new_header = EFSHeader(entry.head_addr, tail_addr, entry.file_number, block_number)
-        raw = pack_block(new_header, self._bridge_header(entry, block_number), data)
-        yield from self._store_block(addr, raw)
-        if tail_addr == entry.head_addr:
+        new_header = EFSHeader(head_addr, tail_addr, entry.file_number, block_number)
+        yield from self._store_block(
+            addr, new_header, self._bridge_header(entry, block_number), data
+        )
+        # Decoded headers are shared with the cache's memo: a pointer
+        # update is a new header, never an assignment.
+        if tail_addr == head_addr:
             # Second block of the file: head's next and prev both change.
-            head.next_addr = addr
-            head.prev_addr = addr
-            yield from self._store_block(
-                entry.head_addr, pack_block(head, head_bridge, head_data)
-            )
+            head = head._replace(next_addr=addr, prev_addr=addr)
+            yield from self._store_block(head_addr, head, head_bridge, head_data)
         else:
-            tail, tail_bridge, tail_data = yield from self._load(tail_addr)
-            tail.next_addr = addr
+            cached = yield from self.cache.fetch(tail_addr)
+            tail, tail_bridge, tail_data = self._decoded(tail_addr, cached)
+            tail = tail._replace(next_addr=addr)
+            yield from self._store_block(tail_addr, tail, tail_bridge, tail_data)
+            head = head._replace(prev_addr=addr)
             yield from self._store_block(
-                tail_addr, pack_block(tail, tail_bridge, tail_data)
-            )
-            head.prev_addr = addr
-            yield from self.cache.write_back(
-                entry.head_addr, pack_block(head, head_bridge, head_data)
+                head_addr, head, head_bridge, head_data, lazy=True
             )
         return block_number, addr

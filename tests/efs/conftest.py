@@ -44,3 +44,18 @@ def efs():
 def fast_efs():
     """Near-zero disk latency: for pure-semantics tests that do many ops."""
     return EFSHarness(access_time=0.0001)
+
+
+def assert_memos_fresh(server):
+    """Every cached block's memo is absent or equals a fresh decode of
+    the raw bytes beside it (buckets by the directory's decoder, file
+    blocks by ``unpack_block``)."""
+    from repro.efs.directory import _unpack_bucket
+    from repro.efs.layout import unpack_block
+
+    first_data = server.directory.first_data_block
+    for address, entry in server.cache._entries.items():
+        if entry.decoded is None:
+            continue
+        decode = unpack_block if address >= first_data else _unpack_bucket
+        assert entry.decoded == decode(entry.raw), f"stale memo at {address}"

@@ -229,19 +229,20 @@ def test_write_through_does_not_drop_pending_dirty_state():
     # an unflushed write-back that is re-installed "clean" by a
     # write_through must stay dirty — flush must still write the final
     # cached contents so eviction/flush semantics never silently lose a
-    # pending write-back.
+    # pending write-back.  Sticky-dirty shows as one more device write.
     sim, disk, cache = make(track_blocks=1)
 
     def body():
         yield from cache.write_back(5, b"B" * 1024)
         yield from cache.write_through(5, b"C" * 1024)
-        assert cache._entries[5][1] is True  # still dirty
+        assert disk.writes == 1  # the write_through itself
+        yield from cache.flush()
+        assert disk.writes == 2 and cache.writebacks == 1  # still dirty
         yield from cache.flush()
 
     sim.run_process(body())
     assert disk.blocks[5] == b"C" * 1024
-    assert cache._entries[5][1] is False
-    assert cache.writebacks == 1
+    assert disk.writes == 2 and cache.writebacks == 1  # clean after a flush
 
 
 def test_write_back_after_write_through_stays_dirty_until_flush():
@@ -249,15 +250,55 @@ def test_write_back_after_write_through_stays_dirty_until_flush():
 
     def body():
         yield from cache.write_through(7, b"T" * 1024)
-        assert cache._entries[7][1] is False
+        yield from cache.flush()
+        assert disk.writes == 1 and cache.writebacks == 0  # it was clean
         yield from cache.write_back(7, b"U" * 1024)
-        assert cache._entries[7][1] is True
         assert disk.blocks[7] == b"T" * 1024  # device still has the old data
+        yield from cache.flush()
+        assert disk.writes == 2 and cache.writebacks == 1  # it was dirty
         yield from cache.flush()
 
     sim.run_process(body())
     assert disk.blocks[7] == b"U" * 1024
-    assert cache._entries[7][1] is False
+    assert disk.writes == 2 and cache.writebacks == 1  # clean after a flush
+
+
+def test_dirty_victim_survives_a_failed_write_back():
+    """Regression: the LRU victim used to be dropped (and counted) before
+    its write-back ran, so a failed device lost the only copy."""
+    from repro.errors import DeviceFailedError, ProcessError
+
+    sim, disk, cache = make(capacity=1, track_blocks=1)
+
+    def doomed():
+        yield from cache.write_back(5, b"D" * 1024)
+        disk.fail()
+        yield from cache.write_back(6, b"E" * 1024)  # must evict dirty 5
+
+    with pytest.raises(ProcessError) as failure:
+        sim.run_process(doomed())
+    assert isinstance(failure.value.__cause__, DeviceFailedError)
+    assert cache.peek(5) == b"D" * 1024  # still cached, still dirty
+    assert cache.evictions == 0 and cache.writebacks == 0
+
+    disk.repair()
+    sim.run_process(cache.flush())
+    assert disk.blocks[5] == b"D" * 1024
+    assert cache.writebacks == 1
+
+
+def test_dirty_eviction_counts_and_order_when_the_write_succeeds():
+    sim, disk, cache = make(capacity=1, track_blocks=1)
+
+    def body():
+        yield from cache.write_back(5, b"D" * 1024)
+        yield from cache.write_back(6, b"E" * 1024)
+        return sim.now
+
+    assert sim.run_process(body()) == pytest.approx(0.015)  # one device write
+    assert disk.blocks[5] == b"D" * 1024 and disk.writes == 1
+    assert cache.peek(5) is None and cache.peek(6) == b"E" * 1024
+    assert cache.evictions == 1 and cache.writebacks == 1
 
 
 # ---------------------------------------------------------------------------

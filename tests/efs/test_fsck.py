@@ -91,7 +91,7 @@ def test_detects_corrupted_link():
     from repro.efs.layout import unpack_block
 
     header, bridge, data = unpack_block(efs.disk.blocks[head])
-    header.next_addr = head  # short-circuit the list
+    header = header._replace(next_addr=head)  # short-circuit the list
     efs.disk.blocks[head] = pack_block(header, bridge, data[:10])
     efs.server.cache.invalidate_all()
 
@@ -119,7 +119,7 @@ def test_detects_cross_file_claim():
     from repro.efs.layout import unpack_block
 
     header, bridge, data = unpack_block(efs.disk.blocks[head])
-    header.file_number = 2
+    header = header._replace(file_number=2)
     efs.disk.blocks[head] = pack_block(header, bridge, data[:10])
     efs.server.cache.invalidate_all()
 
@@ -251,7 +251,7 @@ def test_detects_corruption_on_every_driver(driver_efs):
     from repro.efs.layout import unpack_block
 
     header, bridge, data = unpack_block(efs.disk.blocks[head])
-    header.next_addr = head  # short-circuit the list
+    header = header._replace(next_addr=head)  # short-circuit the list
     efs.disk.blocks[head] = pack_block(header, bridge, data[:10])
     efs.server.cache.invalidate_all()
 

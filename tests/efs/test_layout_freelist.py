@@ -156,27 +156,35 @@ def test_freelist_iter_free_sorted():
 
 
 @settings(max_examples=50)
-@given(st.lists(st.sampled_from(["alloc", "free"]), max_size=200))
+@given(st.lists(st.one_of(st.just("alloc"), st.integers(0, 31)), max_size=200))
 def test_freelist_invariants_property(ops):
     """Allocated and free sets always partition the region; no address is
-    ever handed out twice without an intervening free."""
-    capacity = 32
-    freelist = FreeList(capacity=capacity)
+    ever handed out twice without an intervening free; and against a
+    plain set as the reference, every allocation is the lowest free
+    address (an integer op frees the allocated address of that rank)."""
+    capacity, start = 32, 3
+    freelist = FreeList(capacity=capacity, start=start)
     allocated = set()
+    free = set(range(start, capacity))
     for op in ops:
         if op == "alloc":
-            if len(allocated) == capacity:
+            if not free:
                 with pytest.raises(EFSOutOfSpaceError):
                     freelist.allocate()
             else:
                 address = freelist.allocate()
                 assert address not in allocated
-                assert 0 <= address < capacity
+                assert address == min(free)
                 allocated.add(address)
-        else:
-            if allocated:
-                victim = min(allocated)
-                allocated.discard(victim)
+                free.discard(address)
+        elif allocated:
+            victim = sorted(allocated)[op % len(allocated)]
+            allocated.discard(victim)
+            free.add(victim)
+            freelist.free(victim)
+            with pytest.raises(ValueError):
                 freelist.free(victim)
         assert freelist.allocated_count == len(allocated)
-        assert freelist.free_count == capacity - len(allocated)
+        assert freelist.free_count == len(free)
+        assert list(freelist.iter_free()) == sorted(free)
+        assert [a for a in range(-1, capacity + 2) if freelist.is_free(a)] == sorted(free)

@@ -17,6 +17,8 @@ from repro.machine import Machine
 from repro.sim import Simulator
 from repro.storage import DiskParameters, FixedLatency, SimulatedDisk
 
+from tests.efs.conftest import assert_memos_fresh
+
 
 # ---------------------------------------------------------------------------
 # EFS vs dict-of-lists model
@@ -123,6 +125,8 @@ def test_efs_agrees_with_reference_model(ops):
                 else:
                     info = yield from client.info(number)
                     assert info.size_blocks == len(model[number])
+            # decode-once: no memo ever outlives or disagrees with its bytes
+            assert_memos_fresh(server)
         # final sweep: every file readable end to end
         for number, blocks in model.items():
             chunks = yield from client.read_file(number)
