@@ -1,9 +1,9 @@
 """Machine-readable bench output: ``BENCH_<name>.json`` at the repo root.
 
-Every ablation bench pairs its human-readable table (saved under
-``benchmarks/results/`` via ``conftest.emit``) with a JSON document the
-next PR's tooling can diff: ``write_bench_json("views", {...})`` writes
-``BENCH_views.json`` with a ``{"bench": "views", ...payload}`` envelope.
+Every bench pairs the table it prints with a JSON document the next
+PR's tooling can diff: ``write_bench_json("views", {...})`` writes
+``BENCH_views.json`` with a ``{"bench": "views", ...payload}`` envelope
+(the :class:`_bench.Bench` scaffold makes the call).
 
 Payloads should contain only deterministic simulation results (simulated
 seconds, message counts, model constants) — never host wall-clock — so
@@ -21,11 +21,6 @@ import pathlib
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
-def bench_json_path(name: str) -> pathlib.Path:
-    """Where ``write_bench_json(name, ...)`` puts its document."""
-    return REPO_ROOT / f"BENCH_{name}.json"
-
-
 def write_bench_json(name: str, payload: dict) -> pathlib.Path:
     """Write ``BENCH_<name>.json`` and return its path.
 
@@ -34,7 +29,7 @@ def write_bench_json(name: str, payload: dict) -> pathlib.Path:
     """
     document = {"bench": name}
     document.update(payload)
-    path = bench_json_path(name)
+    path = REPO_ROOT / f"BENCH_{name}.json"
     path.write_text(
         json.dumps(document, indent=2, allow_nan=False) + "\n"
     )

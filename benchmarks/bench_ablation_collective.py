@@ -10,19 +10,17 @@ the measured counts exactly — the combinatorics are not approximate.
 
 Also runnable as a script (the CI smoke job)::
 
-    PYTHONPATH=src python benchmarks/bench_ablation_collective.py --quick
+    python benchmarks/bench_ablation_collective.py --quick
 """
 
-import sys
-
-from _emit import write_bench_json
+from _bench import Bench, fields
 from repro.analysis import format_table
 from repro.harness.experiments import run_collective_experiment
 
 PATTERNS = ("strided", "scatter", "hotspot")
 
 
-def sweep(quick: bool = False):
+def sweep(quick):
     if quick:
         return {
             "strided": run_collective_experiment(
@@ -76,49 +74,23 @@ def render(runs) -> str:
     )
 
 
-def to_json(runs) -> dict:
-    sample = next(iter(runs.values()))
+def payload(runs) -> dict:
     return {
-        "p": sample.p,
-        "blocks": sample.blocks,
-        "accesses": sample.accesses,
-        "workers": sample.workers,
+        **fields(next(iter(runs.values())),
+                 "p", "blocks", "accesses", "workers"),
         "patterns": {
-            pattern: {
-                "naive_seconds": run.naive_seconds,
-                "listio_seconds": run.listio_seconds,
-                "twophase_seconds": run.twophase_seconds,
-                "naive_efs_requests": run.naive_efs_requests,
-                "listio_efs_requests": run.listio_efs_requests,
-                "twophase_efs_requests": run.twophase_efs_requests,
-                "model_exact": run.model_exact,
-                "content_ok": run.content_ok,
-            }
+            pattern: fields(
+                run, "naive_seconds", "listio_seconds", "twophase_seconds",
+                "naive_efs_requests", "listio_efs_requests",
+                "twophase_efs_requests", "model_exact", "content_ok",
+            )
             for pattern, run in runs.items()
         },
     }
 
 
-def test_collective_ablation(benchmark):
-    from benchmarks.conftest import emit, run_once
-
-    runs = run_once(benchmark, sweep)
-    emit("ablation_collective", render(runs))
-    write_bench_json("collective", to_json(runs))
-    check(runs)
-
-
-def main(argv) -> int:
-    quick = "--quick" in argv
-    runs = sweep(quick=quick)
-    print(render(runs))
-    if not quick:
-        write_bench_json("collective", to_json(runs))
-    check(runs)
-    print("collective ablation: all assertions passed"
-          + (" (quick mode)" if quick else ""))
-    return 0
-
+BENCH = Bench("collective", sweep, check, render, payload)
+test_collective_ablation = BENCH.test()
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    BENCH.main()

@@ -6,8 +6,7 @@ probability; chunking gives no within-window parallelism at all and
 forces a global reorganization when a file grows.
 """
 
-from _emit import write_bench_json
-from benchmarks.conftest import emit, run_once
+from _bench import Bench
 from repro.analysis import format_table
 from repro.baselines import (
     ChunkedPlacement,
@@ -20,11 +19,12 @@ from repro.baselines import (
 )
 
 FILE_BLOCKS = 4096
+PS = (4, 8, 16, 32)
 
 
-def sweep():
+def sweep(quick):
     rows = []
-    for p in (4, 8, 16, 32):
+    for p in PS:
         placements = {
             "round-robin": RoundRobinPlacement(p),
             "hashed": HashedPlacement(p, salt=p),
@@ -42,7 +42,7 @@ def sweep():
                         else prob_all_distinct_hashed(p, p) if name == "hashed"
                         else 0.0
                     ),
-                    "append_moves": placements[name].append_moves(
+                    "append_moves": placement.append_moves(
                         FILE_BLOCKS, FILE_BLOCKS + FILE_BLOCKS // 4
                     ),
                 }
@@ -50,28 +50,9 @@ def sweep():
     return rows
 
 
-def test_distribution_strategies(benchmark):
-    rows = run_once(benchmark, sweep)
-    table_rows = [
-        [r["p"], r["strategy"], r["distinct"], r["rounds"],
-         r["p_all_distinct"], r["append_moves"]]
-        for r in rows
-    ]
-    emit(
-        "ablation_distribution",
-        format_table(
-            ["p", "strategy", "E[distinct nodes]", "lock-step rounds",
-             "P[all distinct]", "blocks moved on +25% append"],
-            table_rows,
-            title=f"Distribution strategies over a {FILE_BLOCKS}-block file",
-        ),
-    )
-    write_bench_json("distribution", {
-        "file_blocks": FILE_BLOCKS,
-        "rows": rows,
-    })
+def check(rows):
     by_key = {(r["p"], r["strategy"]): r for r in rows}
-    for p in (4, 8, 16, 32):
+    for p in PS:
         rr = by_key[(p, "round-robin")]
         hashed = by_key[(p, "hashed")]
         chunked = by_key[(p, "chunked")]
@@ -90,3 +71,25 @@ def test_distribution_strategies(benchmark):
         assert abs(
             hashed["distinct"] - expected_distinct_nodes_hashed(p, p)
         ) < 0.6
+
+
+def render(rows):
+    return format_table(
+        ["p", "strategy", "E[distinct nodes]", "lock-step rounds",
+         "P[all distinct]", "blocks moved on +25% append"],
+        [[r["p"], r["strategy"], r["distinct"], r["rounds"],
+          r["p_all_distinct"], r["append_moves"]]
+         for r in rows],
+        title=f"Distribution strategies over a {FILE_BLOCKS}-block file",
+    )
+
+
+def payload(rows):
+    return {"file_blocks": FILE_BLOCKS, "rows": rows}
+
+
+BENCH = Bench("distribution", sweep, check, render, payload)
+test_distribution_strategies = BENCH.test()
+
+if __name__ == "__main__":
+    BENCH.main()

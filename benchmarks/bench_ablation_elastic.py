@@ -16,12 +16,10 @@ shares the fabric, it does not stall it).
 
 Also runnable as a script (the CI smoke job)::
 
-    PYTHONPATH=src python benchmarks/bench_ablation_elastic.py --quick
+    python benchmarks/bench_ablation_elastic.py --quick
 """
 
-import sys
-
-from _emit import write_bench_json
+from _bench import Bench, fields
 from repro.analysis import format_table
 from repro.harness.experiments import run_elastic_experiment
 
@@ -38,7 +36,7 @@ ARMS = (("grow", 2, 4), ("shrink", 4, 2))
 PHASES = ("before", "during", "after")
 
 
-def sweep(quick: bool = False):
+def sweep(quick):
     duration = QUICK_DURATION if quick else DURATION
     return {
         label: run_elastic_experiment(
@@ -58,11 +56,7 @@ def check(runs) -> None:
         assert run.moved + run.vanished == run.planned, label
         # Zero lost or misrouted files: ownership scan, duplicate scan,
         # routed-vs-direct byte compare, and EFS fsck all clean.
-        assert run.lost == 0, (label, run.lost)
-        assert run.misrouted == 0, (label, run.misrouted)
-        assert run.duplicated == 0, (label, run.duplicated)
-        assert run.content_mismatched == 0, (label, run.content_mismatched)
-        assert run.fsck_clean, label
+        assert run.files_intact and run.fsck_clean, (label, run)
         # No phase saw a hard failure and every phase made progress.
         assert run.failed() == 0, (label, run.phases)
         for phase in PHASES:
@@ -111,31 +105,22 @@ def render(runs) -> str:
     )
 
 
-def to_json(runs) -> dict:
-    arms = {}
-    for label, run in runs.items():
-        arms[label] = {
-            "start_servers": run.start_servers,
-            "end_servers": run.end_servers,
-            "provisioned": run.provisioned,
+def payload(runs) -> dict:
+    arms = {
+        label: {
+            **fields(run, "start_servers", "end_servers", "provisioned"),
             "planned_moves": run.planned,
-            "moved": run.moved,
-            "vanished": run.vanished,
-            "forwarded": run.forwarded,
-            "disruption": run.disruption,
-            "migration_seconds": run.migration_seconds,
-            "lost": run.lost,
-            "misrouted": run.misrouted,
-            "duplicated": run.duplicated,
-            "content_mismatched": run.content_mismatched,
-            "fsck_clean": run.fsck_clean,
+            **fields(run, "moved", "vanished", "forwarded", "disruption",
+                     "migration_seconds", "lost", "misrouted", "duplicated",
+                     "content_mismatched", "fsck_clean"),
             "read_p99_ms": {
                 phase: run.phase_quantile(phase, "read", "p99") * 1e3
                 for phase in PHASES
             },
-            "phases": run.phases,
-            "makespan": run.makespan,
+            **fields(run, "phases", "makespan"),
         }
+        for label, run in runs.items()
+    }
     return {
         "rate": RATE,
         "phase_duration": DURATION,
@@ -145,26 +130,8 @@ def to_json(runs) -> dict:
     }
 
 
-def test_elastic_ablation(benchmark):
-    from benchmarks.conftest import emit, run_once
-
-    runs = run_once(benchmark, sweep)
-    emit("ablation_elastic", render(runs))
-    write_bench_json("elastic", to_json(runs))
-    check(runs)
-
-
-def main(argv) -> int:
-    quick = "--quick" in argv
-    runs = sweep(quick=quick)
-    print(render(runs))
-    if not quick:
-        write_bench_json("elastic", to_json(runs))
-    check(runs)
-    print("elastic ablation: all assertions passed"
-          + (" (quick mode)" if quick else ""))
-    return 0
-
+BENCH = Bench("elastic", sweep, check, render, payload)
+test_elastic_ablation = BENCH.test()
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    BENCH.main()

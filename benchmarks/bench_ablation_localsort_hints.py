@@ -8,8 +8,7 @@ shows how expensive hint-less linked-list access gets — the most likely
 explanation for that constant.
 """
 
-from _emit import write_bench_json
-from benchmarks.conftest import emit, run_once
+from _bench import Bench
 from repro.analysis import format_table
 from repro.config import DEFAULT_CONFIG
 from repro.harness import paper_system
@@ -25,40 +24,39 @@ def run_one(use_hints: bool, records: int = 640, p: int = 2):
         system.client_node, system.bridge.port, system.config,
         use_hints=use_hints,
     )
-
-    def body():
-        return (yield from tool.run("u", "s"))
-
-    return system.run(body(), name="hint-ablation")
+    return system.run(tool.run("u", "s"), name="hint-ablation")
 
 
-def sweep():
-    return {
-        "hints on": run_one(True),
-        "hints off": run_one(False),
-    }
+def sweep(quick):
+    return {"hints on": run_one(True), "hints off": run_one(False)}
 
 
-def test_localsort_hint_ablation(benchmark):
-    results = run_once(benchmark, sweep)
-    rows = [
-        [label, r.local_sort_time, r.merge_time, r.total_time,
-         r.records / r.total_time]
-        for label, r in results.items()
-    ]
-    on, off = results["hints on"], results["hints off"]
-    table = format_table(
+def slowdown(results):
+    return (results["hints off"].local_sort_time
+            / results["hints on"].local_sort_time)
+
+
+def check(results):
+    assert slowdown(results) > 2.0
+    assert results["hints off"].records == results["hints on"].records
+
+
+def render(results):
+    return format_table(
         ["hints", "local sort (s)", "merge (s)", "total (s)", "records/s"],
-        rows,
+        [[label, r.local_sort_time, r.merge_time, r.total_time,
+          r.records / r.total_time]
+         for label, r in results.items()],
         title="Local sort with and without disk-address hints (p = 2, 640 records)",
-    )
-    table += (
-        f"\n\nhint-less slowdown: {off.local_sort_time / on.local_sort_time:.1f}x "
+    ) + (
+        f"\n\nhint-less slowdown: {slowdown(results):.1f}x "
         "on the local phase — hint-less linked-list walks are the likely "
         "source of the paper's very large local-sort constant"
     )
-    emit("ablation_localsort_hints", table)
-    write_bench_json("localsort_hints", {
+
+
+def payload(results):
+    return {
         "arms": {
             label: {
                 "local_sort_seconds": r.local_sort_time,
@@ -68,8 +66,12 @@ def test_localsort_hint_ablation(benchmark):
             }
             for label, r in results.items()
         },
-        "hintless_local_slowdown": off.local_sort_time / on.local_sort_time,
-    })
+        "hintless_local_slowdown": slowdown(results),
+    }
 
-    assert off.local_sort_time > on.local_sort_time * 2.0
-    assert off.records == on.records
+
+BENCH = Bench("localsort_hints", sweep, check, render, payload)
+test_localsort_hint_ablation = BENCH.test()
+
+if __name__ == "__main__":
+    BENCH.main()

@@ -19,12 +19,10 @@ not shape, is the bar.
 
 Also runnable as a script (the CI smoke job)::
 
-    PYTHONPATH=src python benchmarks/bench_ablation_metadata.py --quick
+    python benchmarks/bench_ablation_metadata.py --quick
 """
 
-import sys
-
-from _emit import write_bench_json
+from _bench import Bench, fields
 from repro.analysis import format_table
 from repro.harness.experiments import run_metadata_experiment
 
@@ -43,7 +41,7 @@ ARMS = (
 )
 
 
-def sweep(quick: bool = False):
+def sweep(quick):
     names = QUICK_NAMES if quick else NAMES
     return {
         label: run_metadata_experiment(
@@ -101,47 +99,23 @@ def render(runs) -> str:
     )
 
 
-def to_json(runs) -> dict:
-    arms = {}
-    for label, run in runs.items():
-        arms[label] = {
-            "servers": run.servers,
-            "window": run.window,
-            "names": run.names,
-            "partitions_touched": run.partitions_touched,
-            "model_per_name_rpcs": run.model_per_name_rpcs,
-            "model_batched_rpcs": run.model_batched_rpcs,
-            "per_name_ms": run.per_name_ms,
-            "batched_ms": run.batched_ms,
-            "per_name_rpcs": run.per_name_rpcs,
-            "batched_rpcs": run.batched_rpcs,
+def payload(runs) -> dict:
+    arms = {
+        label: {
+            **fields(run, "servers", "window", "names", "partitions_touched",
+                     "model_per_name_rpcs", "model_batched_rpcs",
+                     "per_name_ms", "batched_ms", "per_name_rpcs",
+                     "batched_rpcs"),
             "speedup": {op: run.speedup(op) for op in OPS},
-            "errors": run.errors,
-            "content_ok": run.content_ok,
+            **fields(run, "errors", "content_ok"),
         }
+        for label, run in runs.items()
+    }
     return {"names": NAMES, "seed": SEED, "arms": arms}
 
 
-def test_metadata_ablation(benchmark):
-    from benchmarks.conftest import emit, run_once
-
-    runs = run_once(benchmark, sweep)
-    emit("ablation_metadata", render(runs))
-    write_bench_json("metadata", to_json(runs))
-    check(runs)
-
-
-def main(argv) -> int:
-    quick = "--quick" in argv
-    runs = sweep(quick=quick)
-    print(render(runs))
-    if not quick:
-        write_bench_json("metadata", to_json(runs))
-    check(runs)
-    print("metadata ablation: all assertions passed"
-          + (" (quick mode)" if quick else ""))
-    return 0
-
+BENCH = Bench("metadata", sweep, check, render, payload)
+test_metadata_ablation = BENCH.test()
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    BENCH.main()

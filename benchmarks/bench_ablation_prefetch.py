@@ -8,29 +8,20 @@ shows the pipeline collapsing the cold pass to the client round trip
 (>= 3x at p = 8) while the cache-only arm only helps the repeat pass.
 Byte identity against the cache-off arm is asserted for every pass.
 
-Besides the human-readable table under ``benchmarks/results/``, the
-sweep writes machine-readable ``BENCH_prefetch.json`` at the repo root
-so future PRs can track the perf trajectory.
-
 Also runnable as a script (the CI smoke job)::
 
-    PYTHONPATH=src python benchmarks/bench_ablation_prefetch.py --quick
+    python benchmarks/bench_ablation_prefetch.py --quick
 """
 
-import pathlib
-import sys
-
-from _emit import bench_json_path, write_bench_json
+from _bench import Bench, fields
 from repro.analysis import format_table
 from repro.analysis.models import pipelined_read_seconds
 from repro.harness.experiments import run_prefetch_experiment
 
-JSON_PATH = bench_json_path("prefetch")
-
 WINDOWS = (1, 2, 4)
 
 
-def sweep(quick: bool = False):
+def sweep(quick):
     if quick:
         return run_prefetch_experiment(p=4, blocks=64, windows=(1,))
     return run_prefetch_experiment(p=8, blocks=256, windows=WINDOWS)
@@ -85,62 +76,26 @@ def render(runs) -> str:
     )
 
 
-def to_json(runs) -> dict:
+def payload(runs) -> dict:
     return {
         "p": runs[0].p,
         "blocks": runs[0].blocks,
         "arms": [
             {
-                "arm": run.arm,
-                "prefetch_window": run.prefetch_window,
-                "cache_blocks": run.cache_blocks,
+                **fields(run, "arm", "prefetch_window", "cache_blocks"),
                 "cold_seconds": run.elapsed,
-                "repeat_seconds": run.repeat_seconds,
-                "speedup": run.speedup,
-                "repeat_speedup": run.repeat_speedup,
-                "model_seconds": run.model_seconds,
-                "hits": run.hits,
-                "misses": run.misses,
-                "prefetch_issued": run.prefetch_issued,
-                "prefetch_used": run.prefetch_used,
-                "prefetch_wasted": run.prefetch_wasted,
-                "invalidations": run.invalidations,
-                "content_ok": run.content_ok,
+                **fields(run, "repeat_seconds", "speedup", "repeat_speedup",
+                         "model_seconds", "hits", "misses", "prefetch_issued",
+                         "prefetch_used", "prefetch_wasted", "invalidations",
+                         "content_ok"),
             }
             for run in runs
         ],
     }
 
 
-def write_json(runs) -> None:
-    write_bench_json("prefetch", to_json(runs))
-
-
-def test_prefetch_ablation(benchmark):
-    from benchmarks.conftest import emit, run_once
-
-    runs = run_once(benchmark, sweep)
-    emit("ablation_prefetch", render(runs))
-    write_json(runs)
-    check(runs)
-
-
-def main(argv) -> int:
-    quick = "--quick" in argv
-    runs = sweep(quick=quick)
-    text = render(runs)
-    print(text)
-    if not quick:
-        results_dir = pathlib.Path(__file__).parent / "results"
-        results_dir.mkdir(exist_ok=True)
-        (results_dir / "ablation_prefetch.txt").write_text(text + "\n")
-        write_json(runs)
-        print(f"wrote {JSON_PATH.name}")
-    check(runs)
-    print("prefetch ablation: all assertions passed"
-          + (" (quick mode)" if quick else ""))
-    return 0
-
+BENCH = Bench("prefetch", sweep, check, render, payload)
+test_prefetch_ablation = BENCH.test()
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    BENCH.main()

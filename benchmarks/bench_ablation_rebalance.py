@@ -15,12 +15,10 @@ byte-identical read-back, and clean fsck across every automatic sweep.
 
 Also runnable as a script (the CI smoke job)::
 
-    PYTHONPATH=src python benchmarks/bench_ablation_rebalance.py --quick
+    python benchmarks/bench_ablation_rebalance.py --quick
 """
 
-import sys
-
-from _emit import write_bench_json
+from _bench import Bench, fields
 from repro.analysis import format_table
 from repro.harness.experiments import run_rebalance_experiment
 
@@ -35,7 +33,7 @@ SEED = 7
 ARMS = (("static", False), ("rebalance", True))
 
 
-def sweep(quick: bool = False):
+def sweep(quick):
     duration = QUICK_DURATION if quick else DURATION
     return {
         label: run_rebalance_experiment(
@@ -46,7 +44,7 @@ def sweep(quick: bool = False):
     }
 
 
-def check(runs, quick: bool = False) -> None:
+def check(runs) -> None:
     static, rebalance = runs["static"], runs["rebalance"]
     # The arms are what they claim: watcher never acts, policy does.
     assert not static.active and static.actions == 0, static.sweeps
@@ -55,11 +53,7 @@ def check(runs, quick: bool = False) -> None:
     # Safety across every automatic sweep: ownership scan, duplicate
     # scan, routed-vs-direct byte compare, and EFS fsck all clean.
     for label, run in runs.items():
-        assert run.lost == 0, (label, run.lost)
-        assert run.misrouted == 0, (label, run.misrouted)
-        assert run.duplicated == 0, (label, run.duplicated)
-        assert run.content_mismatched == 0, (label, run.content_mismatched)
-        assert run.fsck_clean, label
+        assert run.files_intact and run.fsck_clean, (label, run)
         assert int(run.summary["completed"]) > 0, label
         assert int(run.summary["failed"]) == 0, (label, run.summary)
     # The headline: shedding hot arcs narrows the hot/cold busy spread...
@@ -72,7 +66,7 @@ def check(runs, quick: bool = False) -> None:
     assert rebalance.route_bound_final > rebalance.route_bound_static, (
         rebalance.route_bound_static, rebalance.route_bound_final
     )
-    if quick:
+    if rebalance.duration < DURATION:
         # The short smoke run stops before the migration cost amortizes;
         # the latency/goodput headline is a full-duration claim.
         return
@@ -110,33 +104,21 @@ def render(runs) -> str:
     )
 
 
-def to_json(runs) -> dict:
-    arms = {}
-    for label, run in runs.items():
-        arms[label] = {
-            "active": run.active,
-            "sweeps": run.sweeps,
-            "actions": run.actions,
-            "moves": run.moves,
-            "arcs_shed": run.arcs_shed,
-            "busy_fractions": run.busy_fractions,
-            "utilization_spread": run.utilization_spread,
-            "final_imbalance": run.final_imbalance,
-            "route_bound_static": run.route_bound_static,
-            "route_bound_final": run.route_bound_final,
-            "goodput": run.goodput,
+def payload(runs) -> dict:
+    arms = {
+        label: {
+            **fields(run, "active", "sweeps", "actions", "moves", "arcs_shed",
+                     "busy_fractions", "utilization_spread", "final_imbalance",
+                     "route_bound_static", "route_bound_final", "goodput"),
             "read_p99_ms": run.p99("read") * 1e3,
             "read_p99_trajectory_ms": [
                 p99 * 1e3 for p99 in run.p99_trajectory("read")
             ],
-            "summary": run.summary,
-            "lost": run.lost,
-            "misrouted": run.misrouted,
-            "duplicated": run.duplicated,
-            "content_mismatched": run.content_mismatched,
-            "fsck_clean": run.fsck_clean,
-            "makespan": run.makespan,
+            **fields(run, "summary", "lost", "misrouted", "duplicated",
+                     "content_mismatched", "fsck_clean", "makespan"),
         }
+        for label, run in runs.items()
+    }
     return {
         "rate": RATE,
         "duration": DURATION,
@@ -147,26 +129,8 @@ def to_json(runs) -> dict:
     }
 
 
-def test_rebalance_ablation(benchmark):
-    from benchmarks.conftest import emit, run_once
-
-    runs = run_once(benchmark, sweep)
-    emit("ablation_rebalance", render(runs))
-    write_bench_json("rebalance", to_json(runs))
-    check(runs)
-
-
-def main(argv) -> int:
-    quick = "--quick" in argv
-    runs = sweep(quick=quick)
-    print(render(runs))
-    if not quick:
-        write_bench_json("rebalance", to_json(runs))
-    check(runs, quick=quick)
-    print("rebalance ablation: all assertions passed"
-          + (" (quick mode)" if quick else ""))
-    return 0
-
+BENCH = Bench("rebalance", sweep, check, render, payload)
+test_rebalance_ablation = BENCH.test()
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    BENCH.main()

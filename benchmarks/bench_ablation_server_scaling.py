@@ -13,24 +13,16 @@ Each row also carries the S20 routing model's speedup bound
 names hashed over k partitions the best case is sum/max of the
 per-partition loads, so the measured speedup must sit at or below it.
 
-Besides the human-readable table under ``benchmarks/results/``, the
-sweep writes machine-readable ``BENCH_server_scaling.json`` at the repo
-root so future PRs can track the trajectory.
-
 Also runnable as a script (the CI smoke job)::
 
-    PYTHONPATH=src python benchmarks/bench_ablation_server_scaling.py --quick
+    python benchmarks/bench_ablation_server_scaling.py --quick
 """
 
-import pathlib
-import sys
-
-from _emit import bench_json_path, write_bench_json
+from _bench import Bench
 from repro.analysis import format_table
 from repro.analysis.models import fabric_speedup_bound
 from repro.harness.builders import BridgeSystem
-
-JSON_PATH = bench_json_path("server_scaling")
+from repro.workloads import read_to_eof
 
 CLIENTS = 12
 BLOCKS = 12
@@ -48,7 +40,7 @@ def run_mixed(servers: int, clients: int = CLIENTS,
     bound, computed from the actual ring arcs).
     """
     system = BridgeSystem(4, seed=seed, bridge_server_count=servers,
-                          elastic=True if ring else None)
+                          elastic=ring)
     names = [f"c{i}" for i in range(clients)]
     moved = [0]
 
@@ -59,11 +51,8 @@ def run_mixed(servers: int, clients: int = CLIENTS,
             yield from client.seq_write(name, b"w" * 64)
             moved[0] += 1
         yield from client.open(name)
-        while True:
-            block, _data = yield from client.seq_read(name)
-            if block is None:
-                break
-            moved[0] += 1
+        chunks = yield from read_to_eof(client, name)
+        moved[0] += len(chunks)
         # Mixed tail: a strided list read plus a random RMW pair.
         picked = yield from client.list_read(name, list(range(0, blocks, 3)))
         moved[0] += len(picked)
@@ -96,15 +85,13 @@ def run_mixed(servers: int, clients: int = CLIENTS,
     }
 
 
-def sweep(quick: bool = False):
-    if quick:
-        # 8 client names hash 4/4 over two partitions, so even the smoke
-        # arm has real routing parallelism to show.
-        return ([run_mixed(servers, clients=8, blocks=4)
-                 for servers in (1, 2)]
-                + [run_mixed(2, clients=8, blocks=4, ring=True)])
-    return ([run_mixed(servers) for servers in SERVER_COUNTS]
-            + [run_mixed(SERVER_COUNTS[-1], ring=True)])
+def sweep(quick):
+    # 8 client names hash 4/4 over two partitions, so even the smoke
+    # arm has real routing parallelism to show.
+    counts, size = (((1, 2), {"clients": 8, "blocks": 4}) if quick
+                    else (SERVER_COUNTS, {}))
+    return ([run_mixed(servers, **size) for servers in counts]
+            + [run_mixed(counts[-1], ring=True, **size)])
 
 
 def check(rows) -> None:
@@ -157,62 +144,32 @@ def render(rows) -> str:
     )
 
 
-def to_json(rows) -> dict:
+def payload(rows) -> dict:
     base = rows[0]
+
+    def by_servers(routing):
+        return {
+            str(row["servers"]): {
+                **{key: row[key]
+                   for key in ("makespan_seconds", "blocks_moved",
+                               "throughput_blocks_per_second")},
+                "speedup": base["makespan_seconds"] / row["makespan_seconds"],
+                "route_bound": row["route_bound"],
+            }
+            for row in rows if row["routing"] == routing
+        }
+
     return {
         "clients": base["clients"],
         "blocks_per_file": base["blocks"],
         "workload": "create + seq write + seq read-back + list read + random rmw",
-        "by_servers": {
-            str(row["servers"]): {
-                "makespan_seconds": row["makespan_seconds"],
-                "blocks_moved": row["blocks_moved"],
-                "throughput_blocks_per_second":
-                    row["throughput_blocks_per_second"],
-                "speedup": base["makespan_seconds"] / row["makespan_seconds"],
-                "route_bound": row["route_bound"],
-            }
-            for row in rows if row["routing"] == "modulo"
-        },
-        "ring": {
-            str(row["servers"]): {
-                "makespan_seconds": row["makespan_seconds"],
-                "blocks_moved": row["blocks_moved"],
-                "throughput_blocks_per_second":
-                    row["throughput_blocks_per_second"],
-                "speedup": base["makespan_seconds"] / row["makespan_seconds"],
-                "route_bound": row["route_bound"],
-            }
-            for row in rows if row["routing"] == "ring"
-        },
+        "by_servers": by_servers("modulo"),
+        "ring": by_servers("ring"),
     }
 
 
-def test_server_scaling(benchmark):
-    from benchmarks.conftest import emit, run_once
-
-    rows = run_once(benchmark, sweep)
-    emit("ablation_server_scaling", render(rows))
-    write_bench_json("server_scaling", to_json(rows))
-    check(rows)
-
-
-def main(argv) -> int:
-    quick = "--quick" in argv
-    rows = sweep(quick=quick)
-    text = render(rows)
-    print(text)
-    if not quick:
-        results_dir = pathlib.Path(__file__).parent / "results"
-        results_dir.mkdir(exist_ok=True)
-        (results_dir / "ablation_server_scaling.txt").write_text(text + "\n")
-        write_bench_json("server_scaling", to_json(rows))
-        print(f"wrote {JSON_PATH.name}")
-    check(rows)
-    print("server scaling ablation: all assertions passed"
-          + (" (quick mode)" if quick else ""))
-    return 0
-
+BENCH = Bench("server_scaling", sweep, check, render, payload)
+test_server_scaling = BENCH.test()
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    BENCH.main()

@@ -13,10 +13,10 @@
    sequential read (9 ms) beat the 15 ms device latency.
 """
 
-from _emit import write_bench_json
-from benchmarks.conftest import emit, run_once
+from _bench import Bench
 from repro.analysis import format_table
 from repro.config import DEFAULT_CONFIG
+from repro.harness import BridgeSystem
 from repro.sim import Simulator
 from repro.storage import (
     SimulatedDisk,
@@ -24,14 +24,14 @@ from repro.storage import (
     make_scheduler,
     wren_geometric,
 )
-
+from repro.workloads import pattern_chunks, read_to_eof, timed
 
 # ---------------------------------------------------------------------------
 # Storage array rotational latency
 # ---------------------------------------------------------------------------
 
 
-def array_sweep():
+def array_sweep(quick):
     rows = []
     for members in (1, 2, 4, 8, 16, 32):
         sim = Simulator(seed=23)
@@ -54,12 +54,46 @@ def array_sweep():
     return rows
 
 
+def array_check(rows):
+    by_members = {r[0]: r for r in rows}
+    # expected positioning strictly grows toward a full rotation
+    assert by_members[32][2] > by_members[2][2]
+    # measured service tracks seek + E[max] + transfer within 15%
+    for members, measured, positioning, transfer in rows:
+        predicted = 4.0 + positioning + transfer  # 4 ms seek
+        assert abs(measured - predicted) / predicted < 0.15
+    # transfer term scales down perfectly
+    assert by_members[32][3] == by_members[1][3] / 32
+
+
+def array_render(rows):
+    return format_table(
+        ["members", "measured service (ms)", "E[positioning] (ms)",
+         "transfer/block (ms)"],
+        [list(r) for r in rows],
+        title="Synchronized storage array: positioning grows, transfer shrinks",
+    )
+
+
+def array_payload(rows):
+    return {
+        "by_members": {
+            str(members): {
+                "measured_service_ms": measured,
+                "expected_positioning_ms": positioning,
+                "transfer_per_block_ms": transfer,
+            }
+            for members, measured, positioning, transfer in rows
+        },
+    }
+
+
 # ---------------------------------------------------------------------------
 # Schedulers on a geometric disk
 # ---------------------------------------------------------------------------
 
 
-def scheduler_sweep():
+def scheduler_sweep(quick):
     results = {}
     for name in ("fcfs", "sstf", "elevator"):
         sim = Simulator(seed=29)
@@ -78,24 +112,33 @@ def scheduler_sweep():
     return results
 
 
+def scheduler_check(results):
+    assert results["sstf"] < results["fcfs"]
+    assert results["elevator"] < results["fcfs"]
+
+
+def scheduler_render(results):
+    return format_table(
+        ["scheduler", "batch completion (s)"],
+        [[name, elapsed] for name, elapsed in results.items()],
+        title="64 scattered reads on a geometric Wren (seek + rotation)",
+    )
+
+
+def scheduler_payload(results):
+    return {"batch_completion_seconds": dict(results)}
+
+
 # ---------------------------------------------------------------------------
 # Track buffer size
 # ---------------------------------------------------------------------------
 
 
-def track_buffer_sweep():
-    from repro.harness.experiments import measure_table2
-    import repro.config as config_module
-
+def track_buffer_sweep(quick):
     rows = {}
     for track_blocks in (1, 2, 4, 8):
         config = DEFAULT_CONFIG.with_changes(efs_track_buffer_blocks=track_blocks)
-        from repro.harness import BridgeSystem
-        from repro.storage import FixedLatency
-        from repro.workloads import build_file, pattern_chunks
-
-        system = BridgeSystem(2, seed=31, config=config,
-                              disk_latency=FixedLatency(0.015))
+        system = BridgeSystem(2, seed=31, config=config)
         client = system.naive_client()
         chunks = pattern_chunks(128)
 
@@ -103,82 +146,46 @@ def track_buffer_sweep():
             yield from client.create("t")
             yield from client.write_all("t", chunks)
             yield from client.open("t")
-            start = system.sim.now
-            while True:
-                block, _data = yield from client.seq_read("t")
-                if block is None:
-                    break
-            return (system.sim.now - start) / 128 * 1e3
+            _, seconds = yield from timed(system, read_to_eof(client, "t"))
+            return seconds / 128 * 1e3
 
         rows[track_blocks] = system.run(body())
     return rows
 
 
-def test_storage_array_rotational_latency(benchmark):
-    rows = run_once(benchmark, array_sweep)
-    emit(
-        "ablation_storage_array",
-        format_table(
-            ["members", "measured service (ms)", "E[positioning] (ms)",
-             "transfer/block (ms)"],
-            [list(r) for r in rows],
-            title="Synchronized storage array: positioning grows, transfer shrinks",
-        ),
-    )
-    write_bench_json("storage_array", {
-        "by_members": {
-            str(members): {
-                "measured_service_ms": measured,
-                "expected_positioning_ms": positioning,
-                "transfer_per_block_ms": transfer,
-            }
-            for members, measured, positioning, transfer in rows
-        },
-    })
-    by_members = {r[0]: r for r in rows}
-    # expected positioning strictly grows toward a full rotation
-    assert by_members[32][2] > by_members[2][2]
-    # measured service tracks seek + E[max] + transfer within 15%
-    for members, measured, positioning, transfer in rows:
-        predicted = 4.0 + positioning + transfer  # 4 ms seek
-        assert abs(measured - predicted) / predicted < 0.15
-    # transfer term scales down perfectly
-    assert by_members[32][3] == by_members[1][3] / 32
-
-
-def test_disk_schedulers(benchmark):
-    results = run_once(benchmark, scheduler_sweep)
-    emit(
-        "ablation_schedulers",
-        format_table(
-            ["scheduler", "batch completion (s)"],
-            [[name, elapsed] for name, elapsed in results.items()],
-            title="64 scattered reads on a geometric Wren (seek + rotation)",
-        ),
-    )
-    write_bench_json("schedulers", {
-        "batch_completion_seconds": dict(results),
-    })
-    assert results["sstf"] < results["fcfs"]
-    assert results["elevator"] < results["fcfs"]
-
-
-def test_track_buffer_size(benchmark):
-    rows = run_once(benchmark, track_buffer_sweep)
-    emit(
-        "ablation_track_buffer",
-        format_table(
-            ["track blocks", "seq read ms/block"],
-            [[k, v] for k, v in sorted(rows.items())],
-            title="Full-track buffering vs sequential read cost (15 ms disk)",
-        ),
-    )
-    write_bench_json("track_buffer", {
-        "seq_read_ms_per_block": {str(k): v for k, v in sorted(rows.items())},
-    })
+def track_buffer_check(rows):
     # no buffering: every read pays the disk; the paper's 9 ms needs ~4
     assert rows[1] > 15.0
     assert rows[4] < 10.0
     # monotone improvement with track size
     values = [rows[k] for k in sorted(rows)]
     assert values == sorted(values, reverse=True)
+
+
+def track_buffer_render(rows):
+    return format_table(
+        ["track blocks", "seq read ms/block"],
+        [[k, v] for k, v in sorted(rows.items())],
+        title="Full-track buffering vs sequential read cost (15 ms disk)",
+    )
+
+
+def track_buffer_payload(rows):
+    return {
+        "seq_read_ms_per_block": {str(k): v for k, v in sorted(rows.items())},
+    }
+
+
+ARRAY = Bench("storage_array", array_sweep, array_check, array_render,
+              array_payload)
+SCHEDULERS = Bench("schedulers", scheduler_sweep, scheduler_check,
+                   scheduler_render, scheduler_payload)
+TRACK_BUFFER = Bench("track_buffer", track_buffer_sweep, track_buffer_check,
+                     track_buffer_render, track_buffer_payload)
+test_storage_array_rotational_latency = ARRAY.test()
+test_disk_schedulers = SCHEDULERS.test()
+test_track_buffer_size = TRACK_BUFFER.test()
+
+if __name__ == "__main__":
+    for bench in (ARRAY, SCHEDULERS, TRACK_BUFFER):
+        bench.main()

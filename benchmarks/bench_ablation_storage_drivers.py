@@ -20,12 +20,10 @@ hottest with at least 1.5x any fast slot's busy share.
 
 Also runnable as a script (the CI smoke job)::
 
-    PYTHONPATH=src python benchmarks/bench_ablation_storage_drivers.py --quick
+    python benchmarks/bench_ablation_storage_drivers.py --quick
 """
 
-import sys
-
-from _emit import write_bench_json
+from _bench import Bench, fields
 from repro.analysis import format_table
 from repro.harness.experiments import run_storage_driver_experiment
 
@@ -41,11 +39,10 @@ ARMS = (
 )
 
 
-def sweep(quick: bool = False):
+def sweep(quick):
     # The experiment's own floor (file > per-LFS cache) already defines
     # the smallest honest run; quick mode runs the same arms and only
     # skips the JSON artifact.
-    del quick
     return {
         label: run_storage_driver_experiment(
             P, seed=SEED, storage=storage, label=label,
@@ -116,52 +113,22 @@ def render(runs) -> str:
     )
 
 
-def to_json(runs) -> dict:
-    arms = {}
-    for label, run in runs.items():
-        arms[label] = {
-            "p": run.p,
-            "blocks": run.blocks,
-            "storage": run.storage,
-            "driver_kinds": run.driver_kinds,
-            "build_seconds": run.build_seconds,
-            "read_seconds": run.read_seconds,
-            "read_blocks_per_second": run.read_blocks_per_second,
-            "node_read_ops": run.node_read_ops,
-            "node_read_busy": run.node_read_busy,
-            "node_busy_fractions": run.node_busy_fractions,
-            "node_wait_ms_mean": run.node_wait_ms_mean,
-            "node_wait_ms_max": run.node_wait_ms_max,
-            "node_service_ms_mean": run.node_service_ms_mean,
-            "heat_busy_rates": run.heat_busy_rates,
-            "heat_busy_shares": run.heat_busy_shares,
-            "hottest_slot": run.hottest_slot,
-            "makespan": run.makespan,
-            "events": run.events,
-        }
+def payload(runs) -> dict:
+    arms = {
+        label: fields(
+            run, "p", "blocks", "storage", "driver_kinds", "build_seconds",
+            "read_seconds", "read_blocks_per_second", "node_read_ops",
+            "node_read_busy", "node_busy_fractions", "node_wait_ms_mean",
+            "node_wait_ms_max", "node_service_ms_mean", "heat_busy_rates",
+            "heat_busy_shares", "hottest_slot", "makespan", "events",
+        )
+        for label, run in runs.items()
+    }
     return {"p": P, "seed": SEED, "slow_slot": SLOW_SLOT, "arms": arms}
 
 
-def test_storage_driver_ablation(benchmark):
-    from benchmarks.conftest import emit, run_once
-
-    runs = run_once(benchmark, sweep)
-    emit("ablation_storage_drivers", render(runs))
-    write_bench_json("storage_drivers", to_json(runs))
-    check(runs)
-
-
-def main(argv) -> int:
-    quick = "--quick" in argv
-    runs = sweep(quick=quick)
-    print(render(runs))
-    if not quick:
-        write_bench_json("storage_drivers", to_json(runs))
-    check(runs)
-    print("storage-driver ablation: all assertions passed"
-          + (" (quick mode)" if quick else ""))
-    return 0
-
+BENCH = Bench("storage_drivers", sweep, check, render, payload)
+test_storage_driver_ablation = BENCH.test()
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    BENCH.main()

@@ -11,55 +11,22 @@ measured records/second curve against the analytic saturation width
 (write_time / token_hop_time).
 """
 
-from _emit import write_bench_json
-from benchmarks.conftest import emit, run_once
+from _bench import PAPER_PS, Bench
 from repro.analysis import format_table
 from repro.harness.experiments import run_token_saturation
 from repro.tools.sort import SortCostModel
 
-
-def sweep():
-    records = 512
-    return {w: run_token_saturation(w, records=records) for w in (2, 4, 8, 16, 32)}
+MODEL = SortCostModel()
 
 
-def test_token_saturation(benchmark):
-    runs = run_once(benchmark, sweep)
-    model = SortCostModel()
-    rows = [
-        [w, run.elapsed, run.records_per_second,
-         run.records / model.merge_record_rate(w) / run.records
-         / (1 / model.merge_record_rate(w)) * run.records_per_second]
-        for w, run in sorted(runs.items())
-    ]
-    # simpler model column: predicted records/second
-    rows = [
-        [w, run.elapsed, run.records_per_second,
-         1.0 / model.merge_record_rate(w)]
-        for w, run in sorted(runs.items())
-    ]
-    table = format_table(
-        ["merge width", "time (s)", "records/s", "model records/s"],
-        rows,
-        title="Single pair-merge throughput vs width (512 records)",
-    )
-    table += (
-        f"\n\nanalytic saturation width: {model.saturation_width():.0f} "
-        "(write_time / token_hop_time) — gains flatten beyond it"
-    )
-    emit("ablation_token_saturation", table)
-    write_bench_json("token_saturation", {
-        "saturation_width": model.saturation_width(),
-        "by_width": {
-            str(w): {
-                "elapsed_seconds": run.elapsed,
-                "records_per_second": run.records_per_second,
-                "model_records_per_second": 1.0 / model.merge_record_rate(w),
-            }
-            for w, run in sorted(runs.items())
-        },
-    })
+def sweep(quick):
+    # The flattening shows only at the widest merges, so quick keeps the
+    # widths and halves the records.
+    records = 256 if quick else 512
+    return {w: run_token_saturation(w, records=records) for w in PAPER_PS}
 
+
+def check(runs):
     rates = {w: r.records_per_second for w, r in runs.items()}
     # throughput rises with width in the disk-bound regime...
     assert rates[8] > rates[2] * 1.8
@@ -69,3 +36,38 @@ def test_token_saturation(benchmark):
     assert high_gain < low_gain
     # and the last doubling is far from 2x
     assert high_gain < 1.6
+
+
+def render(runs):
+    return format_table(
+        ["merge width", "time (s)", "records/s", "model records/s"],
+        [[w, run.elapsed, run.records_per_second,
+          1.0 / MODEL.merge_record_rate(w)]
+         for w, run in sorted(runs.items())],
+        title=(f"Single pair-merge throughput vs width "
+               f"({runs[2].records} records)"),
+    ) + (
+        f"\n\nanalytic saturation width: {MODEL.saturation_width():.0f} "
+        "(write_time / token_hop_time) — gains flatten beyond it"
+    )
+
+
+def payload(runs):
+    return {
+        "saturation_width": MODEL.saturation_width(),
+        "by_width": {
+            str(w): {
+                "elapsed_seconds": run.elapsed,
+                "records_per_second": run.records_per_second,
+                "model_records_per_second": 1.0 / MODEL.merge_record_rate(w),
+            }
+            for w, run in sorted(runs.items())
+        },
+    }
+
+
+BENCH = Bench("token_saturation", sweep, check, render, payload)
+test_token_saturation = BENCH.test()
+
+if __name__ == "__main__":
+    BENCH.main()

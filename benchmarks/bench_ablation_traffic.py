@@ -32,12 +32,10 @@ above its Poisson twin.
 
 Also runnable as a script (the CI smoke job)::
 
-    PYTHONPATH=src python benchmarks/bench_ablation_traffic.py --quick
+    python benchmarks/bench_ablation_traffic.py --quick
 """
 
-import sys
-
-from _emit import write_bench_json
+from _bench import Bench, fields
 from repro.analysis import format_table
 from repro.harness.experiments import run_traffic_experiment
 
@@ -45,11 +43,11 @@ from repro.harness.experiments import run_traffic_experiment
 LOADS = (40, 80, 160)
 QUICK_LOADS = (40, 160)
 
-#: Policy arms: spec passed to ``build_admission`` per arm.
+#: Policy arms: (policy, its ``build_admission`` parameters).
 ARMS = (
-    ("none", "none"),
-    ("token-bucket", {"policy": "token-bucket", "rate": 75}),
-    ("fair", {"policy": "fair", "depth": 32}),
+    ("fair", {"depth": 32}),
+    ("none", {}),
+    ("token-bucket", {"rate": 75}),
 )
 
 SEED = 7
@@ -60,31 +58,23 @@ DURATION = 2.0
 ARRIVAL_KINDS = ("poisson", "burst")
 
 
-def sweep(quick: bool = False):
-    loads = QUICK_LOADS if quick else LOADS
-    runs = {}
-    for policy, spec in ARMS:
-        for rate in loads:
-            for kind in ARRIVAL_KINDS:
-                kwargs = {}
-                if isinstance(spec, dict):
-                    params = dict(spec)
-                    kwargs["policy"] = params.pop("policy")
-                    kwargs["admission_params"] = params
-                else:
-                    kwargs["policy"] = spec
-                runs[(policy, rate, kind)] = run_traffic_experiment(
-                    rate=rate, duration=DURATION, seed=SEED,
-                    arrival_kind=kind, **kwargs
-                )
-    return runs
+def sweep(quick):
+    # Every cell is a fresh system, so the sweep runs in the order the
+    # table and the JSON trajectory list them: load, arrivals, policy.
+    return {
+        (policy, rate, kind): run_traffic_experiment(
+            rate=rate, duration=DURATION, seed=SEED,
+            arrival_kind=kind, policy=policy, admission_params=params,
+        )
+        for rate in (QUICK_LOADS if quick else LOADS)
+        for kind in sorted(ARRIVAL_KINDS)
+        for policy, params in ARMS
+    }
 
 
 def _by_policy(runs, kind="poisson"):
     table = {}
-    for (policy, rate, run_kind), run in sorted(
-        runs.items(), key=lambda kv: kv[0][1]
-    ):
+    for (policy, _rate, run_kind), run in runs.items():
         if run_kind == kind:
             table.setdefault(policy, []).append(run)
     return table
@@ -153,9 +143,7 @@ def check(runs) -> None:
 
 def render(runs) -> str:
     rows = []
-    for (policy, rate, kind), run in sorted(
-        runs.items(), key=lambda kv: (kv[0][1], kv[0][2], kv[0][0])
-    ):
+    for (policy, rate, kind), run in runs.items():
         summary = run.summary
         rows.append([
             rate, kind, policy, run.offered, summary["completed"],
@@ -174,30 +162,21 @@ def render(runs) -> str:
     )
 
 
-def to_json(runs) -> dict:
+def payload(runs) -> dict:
     trajectory = []
-    for (policy, rate, kind), run in sorted(
-        runs.items(), key=lambda kv: (kv[0][1], kv[0][2], kv[0][0])
-    ):
-        summary = run.summary
+    for (policy, rate, kind), run in runs.items():
         trajectory.append({
             "policy": policy,
             "offered_rate": rate,
             "arrival_kind": kind,
             "arrivals": run.offered,
-            "goodput": summary["goodput"],
-            "completed": summary["completed"],
-            "throttled": summary["throttled"],
-            "shed": summary["shed"],
-            "abandoned": summary["abandoned"],
-            "failed": summary["failed"],
-            "server_utilization": run.server_utilization,
-            "queue_wait_p99": run.queue_wait_p99,
-            "queue_peak_depth": run.queue_peak_depth,
-            "predicted_wait_mm1": run.predicted_wait_mm1,
-            "predicted_wait_md1": run.predicted_wait_md1,
-            "makespan": run.makespan,
-            "classes": summary["classes"],
+            **{key: run.summary[key]
+               for key in ("goodput", "completed", "throttled", "shed",
+                           "abandoned", "failed")},
+            **fields(run, "server_utilization", "queue_wait_p99",
+                     "queue_peak_depth", "predicted_wait_mm1",
+                     "predicted_wait_md1", "makespan"),
+            "classes": run.summary["classes"],
         })
     return {
         "duration": DURATION,
@@ -209,26 +188,8 @@ def to_json(runs) -> dict:
     }
 
 
-def test_traffic_ablation(benchmark):
-    from benchmarks.conftest import emit, run_once
-
-    runs = run_once(benchmark, sweep)
-    emit("ablation_traffic", render(runs))
-    write_bench_json("traffic", to_json(runs))
-    check(runs)
-
-
-def main(argv) -> int:
-    quick = "--quick" in argv
-    runs = sweep(quick=quick)
-    print(render(runs))
-    if not quick:
-        write_bench_json("traffic", to_json(runs))
-    check(runs)
-    print("traffic ablation: all assertions passed"
-          + (" (quick mode)" if quick else ""))
-    return 0
-
+BENCH = Bench("traffic", sweep, check, render, payload)
+test_traffic_ablation = BENCH.test()
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    BENCH.main()

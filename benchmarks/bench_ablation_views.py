@@ -8,49 +8,19 @@ shared Ethernet it is decisive because naive/parallel must move every
 block across the bus.
 """
 
-from _emit import write_bench_json
-from benchmarks.conftest import emit, run_once
+from _bench import Bench, fields
 from repro.analysis import format_table
 from repro.harness.experiments import run_views_experiment
 
 
-def sweep():
+def sweep(quick):
     return {
-        "butterfly": run_views_experiment(8, blocks=256, network="butterfly"),
-        "ethernet": run_views_experiment(8, blocks=256, network="ethernet"),
+        network: run_views_experiment(8, blocks=256, network=network)
+        for network in ("butterfly", "ethernet")
     }
 
 
-def test_views_ablation(benchmark):
-    runs = run_once(benchmark, sweep)
-    rows = []
-    for network, run in runs.items():
-        throughput = run.as_throughput()
-        for view, value in throughput.items():
-            rows.append([network, view, value])
-    emit(
-        "ablation_views",
-        format_table(
-            ["network", "view", "blocks/s"],
-            rows,
-            title=f"Reading a {runs['butterfly'].blocks}-block file, p = 8",
-        ),
-    )
-
-    write_bench_json("views", {
-        "blocks": runs["butterfly"].blocks,
-        "p": 8,
-        "by_network": {
-            network: {
-                "naive_seconds": run.naive_seconds,
-                "parallel_open_seconds": run.parallel_open_seconds,
-                "virtual_parallel_seconds": run.virtual_parallel_seconds,
-                "tool_seconds": run.tool_seconds,
-                "throughput_blocks_per_second": run.as_throughput(),
-            }
-            for network, run in runs.items()
-        },
-    })
+def check(runs):
     butterfly, ethernet = runs["butterfly"], runs["ethernet"]
     # Every parallel view beats naive on both networks.
     for run in runs.values():
@@ -62,3 +32,35 @@ def test_views_ablation(benchmark):
     assert ethernet.tool_seconds < ethernet.parallel_open_seconds * 0.75
     # Virtual parallelism (t = 2p) is no substitute for real width.
     assert ethernet.virtual_parallel_seconds > ethernet.parallel_open_seconds * 0.8
+
+
+def render(runs):
+    return format_table(
+        ["network", "view", "blocks/s"],
+        [[network, view, value]
+         for network, run in runs.items()
+         for view, value in run.as_throughput().items()],
+        title=f"Reading a {runs['butterfly'].blocks}-block file, p = 8",
+    )
+
+
+def payload(runs):
+    return {
+        "blocks": runs["butterfly"].blocks,
+        "p": 8,
+        "by_network": {
+            network: {
+                **fields(run, "naive_seconds", "parallel_open_seconds",
+                         "virtual_parallel_seconds", "tool_seconds"),
+                "throughput_blocks_per_second": run.as_throughput(),
+            }
+            for network, run in runs.items()
+        },
+    }
+
+
+BENCH = Bench("views", sweep, check, render, payload)
+test_views_ablation = BENCH.test()
+
+if __name__ == "__main__":
+    BENCH.main()

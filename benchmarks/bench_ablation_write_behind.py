@@ -8,12 +8,13 @@ naive write path dropping to cache speed — at the usual durability cost
 (a flush materializes the deferred device writes).
 """
 
-from _emit import write_bench_json
-from benchmarks.conftest import emit, run_once
+from _bench import Bench
 from repro.analysis import format_table
 from repro.config import DEFAULT_CONFIG
 from repro.harness import paper_system
-from repro.workloads import pattern_chunks
+from repro.workloads import pattern_chunks, read_to_eof, timed
+
+THROUGH, BEHIND = "write-through (paper)", "write-behind"
 
 
 def measure(write_behind: bool):
@@ -24,55 +25,53 @@ def measure(write_behind: bool):
 
     def body():
         yield from client.create("wb")
-        start = system.sim.now
-        yield from client.write_all("wb", chunks)
-        write_time = system.sim.now - start
+        _, write_time = yield from timed(system, client.write_all("wb", chunks))
         yield from client.open("wb")
-        start = system.sim.now
-        while True:
-            block, _data = yield from client.seq_read("wb")
-            if block is None:
-                break
-        read_time = system.sim.now - start
+        _, read_time = yield from timed(system, read_to_eof(client, "wb"))
         return write_time / 128 * 1e3, read_time / 128 * 1e3
 
     return system.run(body())
 
 
-def sweep():
-    return {
-        "write-through (paper)": measure(False),
-        "write-behind": measure(True),
-    }
+def sweep(quick):
+    return {THROUGH: measure(False), BEHIND: measure(True)}
 
 
-def test_write_behind_ablation(benchmark):
-    results = run_once(benchmark, sweep)
-    rows = [
-        [mode, write_ms, read_ms]
-        for mode, (write_ms, read_ms) in results.items()
-    ]
-    through_write = results["write-through (paper)"][0]
-    behind_write = results["write-behind"][0]
-    table = format_table(
+def speedup(results):
+    return results[THROUGH][0] / results[BEHIND][0]
+
+
+def check(results):
+    assert speedup(results) > 3
+    # reads already benefit from the track buffer in both modes
+    assert results[BEHIND][1] < 15.0
+
+
+def render(results):
+    return format_table(
         ["LFS mode", "write ms/block", "read ms/block"],
-        rows,
+        [[mode, write_ms, read_ms]
+         for mode, (write_ms, read_ms) in results.items()],
         title="Naive sequential write/read, p = 4, 128 blocks",
-    )
-    table += (
+    ) + (
         f"\n\nwrite-behind speedup on the write path: "
-        f"{through_write / behind_write:.1f}x — with it, the naive writer is "
+        f"{speedup(results):.1f}x — with it, the naive writer is "
         "no longer disk-bound, as section 6 assumes"
     )
-    emit("ablation_write_behind", table)
-    write_bench_json("write_behind", {
+
+
+def payload(results):
+    return {
         "arms": {
             mode: {"write_ms_per_block": write_ms, "read_ms_per_block": read_ms}
             for mode, (write_ms, read_ms) in results.items()
         },
-        "write_path_speedup": through_write / behind_write,
-    })
+        "write_path_speedup": speedup(results),
+    }
 
-    assert behind_write < through_write / 3
-    # reads already benefit from the track buffer in both modes
-    assert results["write-behind"][1] < 15.0
+
+BENCH = Bench("write_behind", sweep, check, render, payload)
+test_write_behind_ablation = BENCH.test()
+
+if __name__ == "__main__":
+    BENCH.main()

@@ -6,57 +6,71 @@ plain copy and the three filters over the same file and checks the
 factor.
 """
 
-from benchmarks.conftest import emit, run_once
+from _bench import Bench
 from repro.analysis import format_table
-from repro.harness.experiments import default_blocks
 from repro.harness import paper_system
+from repro.harness.experiments import default_blocks
 from repro.tools import CopyTool, EncryptTool, LineLexTool, TranslateTool, rot13_table
 from repro.workloads import build_file, text_chunks
 
 
-def sweep():
-    blocks = max(128, default_blocks() // 4)
+def file_blocks():
+    return max(128, default_blocks() // 4)
+
+
+def sweep(quick):
     system = paper_system(8, seed=17)
-    build_file(system, "src", text_chunks(blocks, seed=17))
-    results = {}
+    build_file(system, "src", text_chunks(file_blocks(), seed=17))
+    target = (system.client_node, system.bridge.port, system.config)
     tools = {
-        "copy": CopyTool(system.client_node, system.bridge.port, system.config),
-        "translate": TranslateTool(
-            system.client_node, system.bridge.port, system.config,
-            table=rot13_table(),
-        ),
-        "encrypt": EncryptTool(
-            system.client_node, system.bridge.port, system.config, key=b"k3y"
-        ),
-        "lex": LineLexTool(
-            system.client_node, system.bridge.port, system.config, line_length=80
-        ),
+        "copy": CopyTool(*target),
+        "translate": TranslateTool(*target, table=rot13_table()),
+        "encrypt": EncryptTool(*target, key=b"k3y"),
+        "lex": LineLexTool(*target, line_length=80),
     }
-    for name, tool in tools.items():
-        def body(t=tool, dst=f"out-{name}"):
-            return (yield from t.run("src", dst))
-
-        results[name] = system.run(body(), name=f"filter-{name}")
-    return blocks, results
+    return {
+        name: system.run(tool.run("src", f"out-{name}"), name=f"filter-{name}")
+        for name, tool in tools.items()
+    }
 
 
-def test_filters_constant_factor_of_copy(benchmark):
-    blocks, results = run_once(benchmark, sweep)
-    base = results["copy"].elapsed
-    rows = [
-        [name, result.elapsed, result.elapsed / base,
-         result.blocks_per_second]
-        for name, result in results.items()
-    ]
-    emit(
-        "filters",
-        format_table(
-            ["tool", "time (s)", "factor vs copy", "blocks/s"],
-            rows,
-            title=f"Filter tools vs plain copy ({blocks} blocks, p = 8)",
-        ),
-    )
+def check(results):
+    base = results["copy"]
     for name, result in results.items():
-        factor = result.elapsed / base
+        factor = result.elapsed / base.elapsed
         assert factor < 1.5, f"{name} not within a constant factor: {factor:.2f}"
-        assert result.total_blocks == blocks
+        assert result.total_blocks == file_blocks()
+
+
+def render(results):
+    base = results["copy"]
+    return format_table(
+        ["tool", "time (s)", "factor vs copy", "blocks/s"],
+        [[name, result.elapsed, result.elapsed / base.elapsed,
+          result.blocks_per_second]
+         for name, result in results.items()],
+        title=f"Filter tools vs plain copy ({file_blocks()} blocks, p = 8)",
+    )
+
+
+def payload(results):
+    base = results["copy"]
+    return {
+        "p": 8,
+        "blocks": file_blocks(),
+        "tools": {
+            name: {
+                "seconds": result.elapsed,
+                "factor_vs_copy": result.elapsed / base.elapsed,
+                "blocks_per_second": result.blocks_per_second,
+            }
+            for name, result in results.items()
+        },
+    }
+
+
+BENCH = Bench("filters", sweep, check, render, payload)
+test_filters_constant_factor_of_copy = BENCH.test()
+
+if __name__ == "__main__":
+    BENCH.main()

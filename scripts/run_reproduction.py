@@ -1,21 +1,24 @@
 #!/usr/bin/env python
 """Regenerate the full paper reproduction from the command line.
 
-Runs every experiment sweep the benches cover (without pytest) and
-prints the paper-style tables.  Useful for eyeballing the reproduction
-or for REPRO_FULL=1 overnight runs.
+Runs every bench the ``benchmarks/`` directory declares (without
+pytest): each sweeps its experiment, asserts the paper's shape, prints
+its paper-vs-measured table and rewrites its ``BENCH_<name>.json``.
 
 Usage:
     python scripts/run_reproduction.py [--full] [--quick]
 
---quick runs a reduced processor sweep for a fast sanity pass;
+--quick runs each bench's CI-sized sweep and writes no JSON;
 --full sets the paper's 10 MB scale (same as REPRO_FULL=1).
 """
 
 import argparse
 import os
+import pathlib
 import sys
 import time
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "benchmarks"))
 
 
 def main() -> int:
@@ -23,113 +26,16 @@ def main() -> int:
     parser.add_argument("--full", action="store_true",
                         help="paper-scale 10 MB workloads")
     parser.add_argument("--quick", action="store_true",
-                        help="reduced sweep (p up to 8)")
+                        help="each bench's reduced sweep, no JSON written")
     args = parser.parse_args()
     if args.full:
         os.environ["REPRO_FULL"] = "1"
 
-    from repro.analysis import (
-        PAPER_TABLE3_COPY_SECONDS,
-        PAPER_TABLE4_SORT_MINUTES,
-        fit_line,
-        format_table,
-        speedup_series,
-        table2_create_ms,
-        table2_open_ms,
-    )
-    from repro.harness.experiments import (
-        measure_table2,
-        run_copy_experiment,
-        run_create_tree_experiment,
-        run_faults_experiment,
-        run_sort_experiment,
-        run_striping_comparison,
-        run_token_saturation,
-        run_views_experiment,
-    )
+    from _bench import load_benches
 
-    ps = (2, 4, 8) if args.quick else (2, 4, 8, 16, 32)
     started = time.time()
-
-    def banner(title):
-        print(f"\n{'=' * 72}\n{title}\n{'=' * 72}")
-
-    banner("Table 2: basic operations")
-    rows = []
-    for p in ps:
-        m = measure_table2(p, file_blocks=256)
-        rows.append([p, m.open_ms, m.read_ms_per_block, m.write_ms_per_block,
-                     m.create_ms, m.delete_ms_per_block_per_lfs])
-    print(format_table(
-        ["p", "open ms", "read ms/blk", "write ms/blk", "create ms",
-         "delete ms/blk/LFS"], rows))
-    create_fit = fit_line(list(ps), [r[4] for r in rows])
-    print(f"create fit: {create_fit[0]:.0f} + {create_fit[1]:.1f}*p "
-          f"(paper: 145 + 17.5*p); open paper: {table2_open_ms():.0f} ms")
-
-    banner("Table 3: copy tool")
-    copy_times = {}
-    rows = []
-    for p in ps:
-        run = run_copy_experiment(p)
-        copy_times[p] = run.elapsed
-        rows.append([p, run.blocks, run.elapsed, run.records_per_second])
-    print(format_table(["p", "blocks", "time (s)", "records/s"], rows))
-    print("measured speedup:", {p: round(v, 2) for p, v in
-                                speedup_series(copy_times).items()})
-    print("paper speedup:   ", {p: round(v, 2) for p, v in
-                                speedup_series(PAPER_TABLE3_COPY_SECONDS).items()
-                                if p in ps})
-
-    banner("Table 4: merge sort tool")
-    rows = []
-    for p in ps:
-        run = run_sort_experiment(p)
-        rows.append([p, run.local_sort_seconds, run.merge_seconds,
-                     run.total_seconds, run.records_per_second])
-    print(format_table(
-        ["p", "local sort (s)", "merge (s)", "total (s)", "records/s"], rows))
-    print("paper (minutes):", {p: PAPER_TABLE4_SORT_MINUTES[p] for p in ps
-                               if p in PAPER_TABLE4_SORT_MINUTES})
-
-    banner("Views (p = 8): naive vs parallel-open vs tool")
-    for network in ("butterfly", "ethernet"):
-        run = run_views_experiment(8, blocks=256, network=network)
-        print(f"{network:>10}: " + "  ".join(
-            f"{view}={value:.0f} blk/s"
-            for view, value in run.as_throughput().items()
-        ))
-
-    banner("Bridge vs striping vs sequential FS (copy)")
-    rows = []
-    for d in ps:
-        run = run_striping_comparison(d, blocks=512)
-        rows.append([d, run.sequential_seconds, run.striped_seconds,
-                     run.bridge_tool_seconds])
-    print(format_table(
-        ["devices", "sequential (s)", "striped (s)", "Bridge (s)"], rows))
-
-    banner("Token saturation (single pair merge)")
-    rows = []
-    for width in (w for w in ps if w % 2 == 0):
-        run = run_token_saturation(width, records=256)
-        rows.append([width, run.elapsed, run.records_per_second])
-    print(format_table(["width", "time (s)", "records/s"], rows))
-
-    banner("Create dispatch: sequential vs tree")
-    rows = []
-    for p in ps:
-        run = run_create_tree_experiment(p)
-        rows.append([p, run.sequential_ms, run.tree_ms])
-    print(format_table(["p", "sequential (ms)", "tree (ms)"], rows))
-
-    banner("Fault tolerance (one disk failure)")
-    run = run_faults_experiment(p=8, blocks=16)
-    print(f"plain interleaved file lost: {run.plain_lost}")
-    print(f"mirrored file recovered:     {run.mirrored_recovered} "
-          f"({run.mirror_fallbacks} blocks from the shadow, "
-          f"{run.mirror_storage_blocks / run.plain_storage_blocks:.0f}x storage)")
-
+    for bench in load_benches():
+        bench.run(quick=args.quick)
     print(f"\ntotal wall time: {time.time() - started:.1f} s")
     return 0
 

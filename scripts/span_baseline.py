@@ -40,10 +40,10 @@ def main(argv=None) -> int:
         export_chrome_trace,
         validate_trace_document,
     )
-    from repro.harness import acceptance_system
+    from repro.harness import BridgeSystem, SystemSpec
     from repro.workloads.acceptance import acceptance_driver
 
-    system = acceptance_system(obs=True)
+    system = BridgeSystem(SystemSpec.preset("acceptance"))
     summary = acceptance_driver(system)
     print(f"acceptance workload: {len(system.obs.spans)} spans, "
           f"sim time {system.sim.now:.6f}s, summary {summary}")

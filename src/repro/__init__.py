@@ -44,7 +44,7 @@ from repro.core import (
     JobController,
     ParallelWorker,
 )
-from repro.harness import BridgeSystem, build_system, paper_system
+from repro.harness import BridgeSystem, SystemSpec, paper_system
 from repro.tools import (
     CopyTool,
     EncryptTool,
@@ -76,9 +76,9 @@ __all__ = [
     "ParallelWorker",
     "SortTool",
     "SystemConfig",
+    "SystemSpec",
     "TranslateTool",
     "WordCountTool",
     "__version__",
-    "build_system",
     "paper_system",
 ]

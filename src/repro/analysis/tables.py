@@ -1,4 +1,4 @@
-"""Paper-style table formatting for bench output and EXPERIMENTS.md."""
+"""Paper-style table formatting for bench output."""
 
 from __future__ import annotations
 
@@ -32,16 +32,6 @@ def format_table(headers: Sequence[str], rows: Sequence[Sequence[Any]],
     lines.append("  ".join("-" * w for w in widths))
     for row in rendered:
         lines.append("  ".join(c.rjust(w) for c, w in zip(row, widths)))
-    return "\n".join(lines)
-
-
-def format_markdown_table(headers: Sequence[str],
-                          rows: Sequence[Sequence[Any]]) -> str:
-    """GitHub-flavored markdown table (for EXPERIMENTS.md)."""
-    lines = ["| " + " | ".join(headers) + " |"]
-    lines.append("|" + "|".join("---" for _ in headers) + "|")
-    for row in rows:
-        lines.append("| " + " | ".join(_render_cell(c) for c in row) + " |")
     return "\n".join(lines)
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from repro.config import DEFAULT_CONFIG, SystemConfig
 from repro.core import (
     BridgeClient,
     BridgeServer,
@@ -21,134 +20,69 @@ from repro.core import (
     PartitionedClient,
     RelayServer,
 )
+from repro.core.ring import ModuloRing
 from repro.efs import EFSClient, EFSServer
-from repro.machine import Machine
+from repro.elastic.migrate import FabricResizer
+from repro.elastic.ring import make_ring
+from repro.harness.spec import SystemSpec
+from repro.machine import NETWORK_KINDS, Machine
+from repro.obs import Observability, export_chrome_trace
+from repro.rebalance import HeatMap, Rebalancer
+from repro.redundancy import RedundancyManager
 from repro.sim import Simulator
-from repro.storage import BlockStoreABC, make_driver, storage_specs
+from repro.storage import BlockStoreABC, make_driver
+from repro.traffic import build_admission
 
 
 class BridgeSystem:
-    """A fully wired Bridge installation on a simulated machine."""
+    """A fully wired Bridge installation on a simulated machine.
 
-    def __init__(
-        self,
-        lfs_count: int,
-        config: Optional[SystemConfig] = None,
-        seed: int = 0,
-        disk_capacity_blocks: int = 65_536,
-        disk_latency=None,
-        storage=None,
-        network=None,
-        with_relays: bool = True,
-        bridge_server_count: int = 1,
-        redundancy: str = "none",
-        rebuild_rate=None,
-        prefetch_window: Optional[int] = None,
-        bridge_cache_blocks: Optional[int] = None,
-        obs=False,
-        trace_export: Optional[str] = None,
-        admission=None,
-        elastic=None,
-        rebalance=None,
-    ) -> None:
-        if lfs_count < 1:
-            raise ValueError("a Bridge system needs at least one LFS node")
-        if bridge_server_count < 1:
-            raise ValueError("need at least one Bridge Server")
-        # S22: ``elastic`` makes the fabric resizable online.  ``None``
-        # (the default) is the rigid seed fabric — mod-k routing, no
-        # extra nodes, byte-identical event sequence.  ``True`` routes
-        # by consistent hash over ``bridge_server_count`` partitions
-        # (shrinkable/regrowable in place); an int additionally
-        # *provisions* that many server nodes up front so the fabric can
-        # grow past its starting count (idle provisioned servers cost
-        # nothing in the event sequence until the ring routes to them).
-        self.elastic = elastic not in (None, False)
-        # S24: ``rebalance`` installs the heat-driven control plane.
-        # ``None``/``False`` (the default) runs without heat accounting or
-        # a rebalancer — the seed event sequence exactly.  ``True`` uses
-        # the default RebalanceConfig; a RebalanceConfig or a dict of its
-        # fields overrides it.  Rebalancing steers the consistent-hash
-        # ring, so it implies ``elastic`` (a rigid mod-k fabric has no
-        # arcs to shed).
-        self._rebalance_spec = rebalance if rebalance not in (None, False) else None
-        if self._rebalance_spec is not None and not self.elastic:
-            self.elastic = True
-        provisioned = bridge_server_count
-        if self.elastic and elastic not in (None, False, True):
-            provisioned = int(elastic)
-            if provisioned < bridge_server_count:
-                raise ValueError(
-                    f"elastic={provisioned} provisions fewer servers than "
-                    f"bridge_server_count={bridge_server_count}"
-                )
-        self.config = config or DEFAULT_CONFIG
-        # S18 knobs: override the config without forcing callers to build
-        # a SystemConfig by hand.  Defaults (None) leave the config as-is,
-        # which is cache-off / prefetch-off unless the config says else.
-        overrides = {}
-        if prefetch_window is not None:
-            overrides["prefetch_window"] = prefetch_window
-        if bridge_cache_blocks is not None:
-            overrides["bridge_cache_blocks"] = bridge_cache_blocks
-        if overrides:
-            self.config = self.config.with_changes(**overrides)
-        # S19 observability: ``obs=True`` attaches a fresh Observability,
-        # ``obs=<instance>`` attaches a caller-provided one, ``obs=False``
-        # (the default) runs bare — same event sequence either way.
-        # ``trace_export`` names a Chrome-trace JSON file that run()
-        # writes after each driver completes (implies obs).
-        from repro.obs import Observability
+    Built from a :class:`~repro.harness.spec.SystemSpec` (kept as
+    ``self.spec``); ``BridgeSystem(p, **keywords)`` is sugar for
+    ``BridgeSystem(SystemSpec.from_keywords(p, **keywords))``.  Every
+    field at its default builds the seed system — same event sequence,
+    span for span."""
 
-        if obs is True or (obs is False and trace_export is not None):
-            obs = Observability()
-        elif obs is False:
-            obs = None
-        self.obs = obs
-        self.trace_export = trace_export
-        self.sim = Simulator(seed=seed, obs=obs)
-        # ``network`` may be an instance or a factory taking the simulator
-        # (e.g. ``EthernetNetwork`` itself, whose bus process needs the sim).
-        if callable(network):
-            network = network(self.sim)
-        # p LFS nodes + k server nodes (provisioned) + 1 client node
+    def __init__(self, spec, **keywords) -> None:
+        if not isinstance(spec, SystemSpec):
+            spec = SystemSpec.from_keywords(spec, **keywords)
+        elif keywords:
+            raise TypeError("keywords are sugar for a spec: pass one or the other")
+        self.spec = spec
+        self.config = spec.config
+        #: Elastic systems route by the resizable consistent-hash ring.
+        self.elastic = spec.ring != ModuloRing.kind
+        self.obs = Observability() if spec.obs else None
+        self.sim = Simulator(seed=spec.seed, obs=self.obs)
+        # p LFS nodes + the provisioned server nodes + 1 client node
+        servers = spec.bridge_server_count + spec.spare_servers
         self.machine = Machine(
             self.sim,
-            lfs_count + provisioned + 1,
+            spec.lfs_count + servers + 1,
             config=self.config,
-            network=network,
+            network=NETWORK_KINDS[spec.network](self.sim, self.config),
         )
-        self.lfs_nodes = [self.machine.node(i) for i in range(lfs_count)]
+        self.lfs_nodes = [self.machine.node(i) for i in range(spec.lfs_count)]
         self.server_nodes = [
-            self.machine.node(lfs_count + i) for i in range(provisioned)
+            self.machine.node(spec.lfs_count + i) for i in range(servers)
         ]
         self.server_node = self.server_nodes[0]
-        self.client_node = self.machine.node(lfs_count + provisioned)
+        self.client_node = self.machine.node(spec.lfs_count + servers)
 
         # S25: every LFS node's device is built by the driver registry.
-        # ``storage=`` takes one spec or a per-node list (heterogeneous
-        # fabrics); unset, the default ``ram`` driver reproduces the seed
-        # event sequence byte-for-byte.  ``disk_latency`` stays the
-        # caller-level default for latency-model drivers.
-        self.storage_specs = storage_specs(storage, lfs_count)
         self.disks: List[BlockStoreABC] = []
         self.efs_servers: List[EFSServer] = []
         self.relays: List[RelayServer] = []
-        for node, spec in zip(self.lfs_nodes, self.storage_specs):
-            disk = make_driver(
-                spec, self.sim, name=f"disk{node.index}",
-                capacity_blocks=disk_capacity_blocks,
-                default_latency=disk_latency,
-            )
+        for node, driver_spec in zip(self.lfs_nodes, spec.storage):
+            disk = make_driver(driver_spec, self.sim, name=f"disk{node.index}")
             disk.heat_slot = node.index
             self.disks.append(disk)
             efs = EFSServer(node, disk, self.config)
             self.efs_servers.append(efs)
-            if with_relays:
-                self.relays.append(RelayServer(node, efs.port, self.config))
+            self.relays.append(RelayServer(node, efs.port, self.config))
 
         handles = [LFSHandle(n.index, s.port) for n, s in zip(self.lfs_nodes, self.efs_servers)]
-        relay_ports = [r.port for r in self.relays] if with_relays else None
+        relay_ports = [r.port for r in self.relays]
         self.bridges = [
             BridgeServer(
                 node, handles, self.config, relay_ports=relay_ports,
@@ -162,15 +96,11 @@ class BridgeSystem:
         # S20: the partitioned fabric router.  Every surface (naive
         # clients, job controllers, tools, redundancy wrappers) accepts
         # it in place of a single server port; with one server it simply
-        # routes everything to that server.  Elastic systems route by a
-        # seeded consistent-hash ring over the *active* count instead of
-        # the seed's mod-k map, so resizes move only the reassigned arcs.
-        ring = None
-        if self.elastic:
-            from repro.elastic.ring import ConsistentHashRing
-
-            ring = ConsistentHashRing(bridge_server_count, seed=seed)
-        self.fabric = PartitionedBridge(self.bridges, ring=ring)
+        # routes everything to that server.  The ring covers the *active*
+        # partitions; idle provisioned servers cost nothing in the event
+        # sequence until a resize routes to them.
+        self.fabric = PartitionedBridge(self.bridges, ring=make_ring(
+            spec.ring, spec.bridge_server_count, seed=spec.seed))
 
         # S24 load-aware rebalancing: heat accounting on every bridge
         # (a seam in the base server loop — no events scheduled) plus
@@ -178,53 +108,25 @@ class BridgeSystem:
         # ``system.rebalancer.run(duration)`` next to their traffic.
         self.heat = None
         self.rebalancer = None
-        if self._rebalance_spec is not None:
-            from repro.rebalance import HeatMap, RebalanceConfig, Rebalancer
-
-            spec = self._rebalance_spec
-            if spec is True:
-                rb_config = RebalanceConfig()
-            elif isinstance(spec, RebalanceConfig):
-                rb_config = spec
-            elif isinstance(spec, dict):
-                rb_config = RebalanceConfig(**spec)
-            else:
-                raise ValueError(
-                    f"rebalance= takes True, a RebalanceConfig, or a dict "
-                    f"of its fields, not {spec!r}"
-                )
+        if spec.rebalance is not None:
             self.heat = HeatMap(len(self.bridges))
             for index, bridge in enumerate(self.bridges):
                 bridge.heat = self.heat
                 bridge.heat_partition = index
-            self.rebalancer = Rebalancer(self, self.heat, config=rb_config)
+            self.rebalancer = Rebalancer(self, self.heat, config=spec.rebalance)
 
-        # Redundancy scheme knob (S16): every experiment can run the same
-        # workload unprotected, mirrored (2x), or parity-protected
-        # (p/(p-1)x).  The manager also receives the fault injector's
-        # fail/repair notifications and auto-starts online rebuilds.
-        from repro.redundancy.manager import RedundancyManager
-
-        self.redundancy = RedundancyManager(
-            self, redundancy, rebuild_rate=rebuild_rate
-        )
-
-        # S21 admission control: ``None`` (the default) leaves every
-        # server policy-free — the seed event sequence exactly.  A spec
-        # (policy name or dict, see repro.traffic.build_admission) builds
-        # one independent control per partition; experiments that must
-        # not rate-limit their own setup instead call
-        # ``install_admission`` after building their catalog.
-        if admission is not None:
-            self.install_admission(admission)
+        # S16: the manager also receives the fault injector's fail/repair
+        # notifications and auto-starts online rebuilds.
+        self.redundancy = RedundancyManager(self, spec.redundancy)
 
         if self.obs is not None:
             self._bind_observability()
 
     def install_admission(self, spec) -> None:
-        """(Re)install an admission policy on every Bridge partition."""
-        from repro.traffic.admission import build_admission
-
+        """(Re)install an admission policy on every Bridge partition
+        (a spec for :func:`repro.traffic.build_admission`; one
+        independent control each).  Experiments call this after building
+        their catalog, so setup is never rate-limited."""
         for bridge in self.bridges:
             bridge.install_admission(build_admission(spec))
 
@@ -309,8 +211,6 @@ class BridgeSystem:
         the sweep.  Returns a
         :class:`~repro.elastic.migrate.MigrationReport`.
         """
-        from repro.elastic.migrate import FabricResizer
-
         resizer = FabricResizer(self, moves_per_second=moves_per_second,
                                 forward_window=forward_window)
         report = yield from resizer.resize(new_count)
@@ -335,13 +235,19 @@ class BridgeSystem:
         as Chrome trace-event JSON after the driver finishes (each run
         overwrites the file with the trace so far)."""
         result = self.sim.run_process(generator, name=name)
-        if self.trace_export is not None and self.obs is not None:
-            from repro.obs import export_chrome_trace
-
-            export_chrome_trace(self.obs, self.trace_export)
+        if self.spec.trace_export is not None:
+            export_chrome_trace(self.obs, self.spec.trace_export)
         return result
 
     # ------------------------------------------------------------------
+
+    def drop_efs_caches(self) -> None:
+        """Flush and invalidate every LFS block cache, so the next access
+        reaches the device (run before failing a disk or measuring device
+        traffic).  Runs the simulation; call it between drivers."""
+        for efs in self.efs_servers:
+            self.run(efs.cache.flush(), name="flush")
+            efs.cache.invalidate_all()
 
     def attach_storage_heat(self, heat) -> None:
         """Install a :class:`~repro.rebalance.heat.HeatMap` keyed by LFS
@@ -361,23 +267,9 @@ class BridgeSystem:
         return f"BridgeSystem(p={self.width}, now={self.sim.now:.3f}s)"
 
 
-def build_system(lfs_count: int, **kwargs) -> BridgeSystem:
-    """Convenience alias used throughout the examples and benches."""
-    return BridgeSystem(lfs_count, **kwargs)
-
-
-def paper_system(lfs_count: int, seed: int = 0, **kwargs) -> BridgeSystem:
-    """The paper's configuration: 15 ms fixed-latency Wren-class disks.
-
-    Since S25 that *is* the default driver spec
-    (:data:`repro.storage.DEFAULT_ACCESS_TIME` through the ``ram``
-    driver), so this is a named alias for the default build — ``storage=``
-    and every other knob pass through."""
-    return BridgeSystem(lfs_count, seed=seed, **kwargs)
-
-
-def acceptance_system(obs=True, trace_export=None, **kwargs) -> BridgeSystem:
-    """The span-baseline acceptance configuration (see
-    :mod:`repro.workloads.acceptance`): p = 4 paper system, defaults."""
-    return paper_system(4, seed=0, obs=obs, trace_export=trace_export,
-                        **kwargs)
+def paper_system(lfs_count: int, seed: int = 0, **keywords) -> BridgeSystem:
+    """The paper's configuration — 15 ms fixed-latency Wren-class disks,
+    one Bridge Server — which is what every :class:`SystemSpec` default
+    builds (the ``paper`` preset), so this is a named alias for
+    ``BridgeSystem(lfs_count, seed=seed, **keywords)``."""
+    return BridgeSystem(lfs_count, seed=seed, **keywords)

@@ -2,9 +2,11 @@
 
 Each function builds a fresh simulated system, runs the workload, and
 returns a result record (see :mod:`repro.harness.results`).  The bench
-scripts under ``benchmarks/`` are thin wrappers that sweep these runners
-and print paper-vs-measured tables; the examples drive them
-interactively.
+scripts under ``benchmarks/`` sweep these runners, assert the paper's
+shape and print paper-vs-measured tables; the examples drive them
+interactively.  The runners share no control flow — each body *is* its
+experiment — so what they share are the small fixtures at the top of
+this module, not a generic runner class.
 """
 
 from __future__ import annotations
@@ -13,36 +15,73 @@ import os
 from typing import Dict, List, Optional
 
 from repro.analysis.models import (
+    PAPER_FILE_BLOCKS,
     PAPER_TABLE3_COPY_SECONDS,
     PAPER_TABLE4_SORT_MINUTES,
+    batched_rpc_count,
+    fabric_speedup_bound,
+    listio_rpc_count,
+    md1_wait_seconds,
+    metadata_partition_buckets,
+    mm1_wait_seconds,
+    naive_read_components,
+    naive_rpc_count,
+    pipelined_read_seconds,
+    twophase_message_counts,
 )
 from repro.baselines import SequentialSystem, StripedSystem
+from repro.collective import TwoPhaseIO
 from repro.config import DEFAULT_CONFIG
 from repro.core import JobController, ParallelWorker
+from repro.efs.fsck import check_system
+from repro.errors import DeviceFailedError, ProcessError
 from repro.faults import FaultInjector
 from repro.harness.builders import BridgeSystem, paper_system
-from repro.rebalance.heat import HeatMap
-from repro.redundancy import MirroredFile
 from repro.harness.results import (
+    CollectiveRun,
     CopyRun,
     CreateTreeRun,
+    ElasticRun,
     FaultsRun,
+    MetadataRun,
+    ObsRun,
+    PrefetchRun,
+    RebalanceRun,
     RedundancyRun,
     SortRun,
     StorageDriverRun,
     StripingRun,
     Table2Measurement,
     TokenSaturationRun,
+    TrafficRun,
     ViewsRun,
 )
+from repro.harness.spec import SystemSpec
+from repro.obs import attribute_ops
+from repro.rebalance import HeatMap
+from repro.redundancy import MirroredFile
+from repro.sim import join_all
 from repro.tools import CopyTool, SortTool, WordCountTool
 from repro.tools.sort import PairMerge
+from repro.traffic import (
+    RequestMix,
+    SLORecorder,
+    TrafficGenerator,
+    ZipfCatalog,
+)
 from repro.workloads import (
     build_file,
     build_record_file,
     pattern_chunks,
-    record_chunks,
+    read_to_eof,
+    timed,
     uniform_keys,
+    write_then_stream,
+)
+from repro.workloads.traces import (
+    hotspot_pattern,
+    scatter_pattern,
+    strided_pattern,
 )
 
 
@@ -53,8 +92,6 @@ def full_scale() -> bool:
 
 def default_blocks() -> int:
     """Bench workload size: 10 922 blocks (paper) or a CI-sized 1 MB."""
-    from repro.analysis.models import PAPER_FILE_BLOCKS
-
     return PAPER_FILE_BLOCKS if full_scale() else 1092
 
 
@@ -62,6 +99,43 @@ def default_sort_records() -> int:
     # ~0.19x of the paper's file by default: small enough for CI, large
     # enough that per-pass file management doesn't drown the p = 32 rows.
     return default_blocks() if full_scale() else 2048
+
+
+# ---------------------------------------------------------------------------
+# Fixtures the runners share
+# ---------------------------------------------------------------------------
+
+
+def _parallel_read(system, name: str, blocks: int, worker_count: int) -> float:
+    """Read ``name`` through a parallel-open job of ``worker_count``
+    draining workers (virtual parallelism when that exceeds p); returns
+    the simulated seconds of the lock-step read rounds."""
+    workers = [ParallelWorker(system.client_node, i)
+               for i in range(worker_count)]
+
+    def drain(worker):
+        while True:
+            delivery = yield from worker.receive()
+            if delivery.eof:
+                return
+
+    processes = [
+        system.client_node.spawn(drain(w), name=f"drain{w.index}")
+        for w in workers
+    ]
+
+    def read_rounds(controller):
+        for _ in range(-(-blocks // worker_count) + 1):
+            yield from controller.read()
+
+    def controller_body():
+        controller = JobController(system.client_node, system.bridge.port)
+        yield from controller.open(name, [w.port for w in workers])
+        _, elapsed = yield from timed(system, read_rounds(controller))
+        yield join_all(processes)
+        return elapsed
+
+    return system.run(controller_body(), name="parallel-read")
 
 
 # ---------------------------------------------------------------------------
@@ -73,44 +147,30 @@ def measure_table2(p: int, file_blocks: int = 256, seed: int = 0) -> Table2Measu
     """Measure Open/Read/Write/Create/Delete through the naive view."""
     system = paper_system(p, seed=seed)
     client = system.naive_client()
-    sim = system.sim
-    chunks = pattern_chunks(file_blocks)
 
     def body():
-        # Create (timed)
-        start = sim.now
-        yield from client.create("t2")
-        create_ms = (sim.now - start) * 1e3
-        # Write (amortized per block)
-        start = sim.now
-        yield from client.write_all("t2", chunks)
-        write_ms = (sim.now - start) * 1e3 / file_blocks
-        # Open (timed, warm directory)
-        start = sim.now
-        yield from client.open("t2")
-        open_ms = (sim.now - start) * 1e3
-        # Read (amortized per block, includes per-LFS startup)
-        start = sim.now
-        while True:
-            block, _data = yield from client.seq_read("t2")
-            if block is None:
-                break
-        read_ms = (sim.now - start) * 1e3 / file_blocks
-        # Delete (total)
-        start = sim.now
-        yield from client.delete("t2")
-        delete_ms = (sim.now - start) * 1e3
-        return open_ms, read_ms, write_ms, create_ms, delete_ms
+        # Read and Write are amortized per block (the read includes the
+        # per-LFS startup); Open runs against a warm directory.
+        seconds = {}
+        for op, generator in (
+            ("create", client.create("t2")),
+            ("write", client.write_all("t2", pattern_chunks(file_blocks))),
+            ("open", client.open("t2")),
+            ("read", read_to_eof(client, "t2")),
+            ("delete", client.delete("t2")),
+        ):
+            _, seconds[op] = yield from timed(system, generator)
+        return seconds
 
-    open_ms, read_ms, write_ms, create_ms, delete_ms = system.run(body())
+    seconds = system.run(body())
     return Table2Measurement(
         p=p,
         file_blocks=file_blocks,
-        open_ms=open_ms,
-        read_ms_per_block=read_ms,
-        write_ms_per_block=write_ms,
-        create_ms=create_ms,
-        delete_ms_total=delete_ms,
+        open_ms=seconds["open"] * 1e3,
+        read_ms_per_block=seconds["read"] * 1e3 / file_blocks,
+        write_ms_per_block=seconds["write"] * 1e3 / file_blocks,
+        create_ms=seconds["create"] * 1e3,
+        delete_ms_total=seconds["delete"] * 1e3,
     )
 
 
@@ -124,11 +184,7 @@ def run_copy_experiment(p: int, blocks: Optional[int] = None, seed: int = 0) -> 
     system = paper_system(p, seed=seed)
     build_file(system, "big", pattern_chunks(blocks))
     tool = CopyTool(system.client_node, system.bridge.port, system.config)
-
-    def body():
-        return (yield from tool.run("big", "big-copy"))
-
-    result = system.run(body(), name="copy-experiment")
+    result = system.run(tool.run("big", "big-copy"), name="copy-experiment")
     return CopyRun(
         p=p,
         blocks=blocks,
@@ -151,11 +207,7 @@ def run_sort_experiment(p: int, records: Optional[int] = None, seed: int = 0,
     system = paper_system(p, seed=seed, config=config)
     build_record_file(system, "unsorted", uniform_keys(records, seed=seed))
     tool = SortTool(system.client_node, system.bridge.port, system.config)
-
-    def body():
-        return (yield from tool.run("unsorted", "sorted"))
-
-    result = system.run(body(), name="sort-experiment")
+    result = system.run(tool.run("unsorted", "sorted"), name="sort-experiment")
     return SortRun(
         p=p,
         records=records,
@@ -175,80 +227,25 @@ def run_views_experiment(p: int, blocks: Optional[int] = None, seed: int = 0,
                          network: str = "butterfly") -> ViewsRun:
     """Compare the three views on one file.
 
-    ``network`` may be ``"butterfly"`` (shared-memory queues; the paper's
+    ``network`` is ``"butterfly"`` (shared-memory queues; the paper's
     prototype) or ``"ethernet"`` (a shared 10 Mb/s bus — the environment
     where section 1 says moving code to the data matters most).
     """
     blocks = blocks if blocks is not None else max(64, default_blocks() // 4)
-    if network == "butterfly":
-        system = paper_system(p, seed=seed)
-    elif network == "ethernet":
-        from repro.machine import EthernetNetwork
-        from repro.storage import FixedLatency
-
-        system = BridgeSystem(
-            p,
-            seed=seed,
-            disk_latency=FixedLatency(0.015),
-            network=EthernetNetwork,
-        )
-    else:
-        raise ValueError(f"unknown network model {network!r}")
+    system = paper_system(p, seed=seed, network=network)
     build_file(system, "viewed", pattern_chunks(blocks))
-    sim = system.sim
     client = system.naive_client()
 
     def naive():
         yield from client.open("viewed")
-        start = sim.now
-        while True:
-            block, _data = yield from client.seq_read("viewed")
-            if block is None:
-                break
-        return sim.now - start
+        _, elapsed = yield from timed(system, read_to_eof(client, "viewed"))
+        return elapsed
 
     naive_seconds = system.run(naive(), name="naive-view")
-
-    def parallel_open(worker_count):
-        workers = [ParallelWorker(system.client_node, i) for i in range(worker_count)]
-        drained = []
-
-        def drain(worker):
-            while True:
-                delivery = yield from worker.receive()
-                if delivery.eof:
-                    return
-
-        processes = [
-            system.client_node.spawn(drain(w), name=f"drain{w.index}")
-            for w in workers
-        ]
-
-        def controller_body():
-            controller = JobController(system.client_node, system.bridge.port)
-            yield from controller.open("viewed", [w.port for w in workers])
-            start = sim.now
-            rounds = -(-blocks // worker_count) + 1
-            for _ in range(rounds):
-                yield from controller.read()
-            elapsed = sim.now - start
-            from repro.sim import join_all
-
-            yield join_all(processes)
-            return elapsed
-
-        return system.run(controller_body(), name="parallel-view")
-
-    parallel_seconds = parallel_open(p)
-    virtual_seconds = parallel_open(2 * p)
-
+    parallel_seconds = _parallel_read(system, "viewed", blocks, p)
+    virtual_seconds = _parallel_read(system, "viewed", blocks, 2 * p)
     tool = WordCountTool(system.client_node, system.bridge.port, system.config)
-
-    def tool_view():
-        result = yield from tool.run("viewed")
-        return result.elapsed
-
-    tool_seconds = system.run(tool_view(), name="tool-view")
+    tool_seconds = system.run(tool.run("viewed"), name="tool-view").elapsed
     return ViewsRun(
         p=p,
         blocks=blocks,
@@ -272,11 +269,7 @@ def run_striping_comparison(devices: int, blocks: Optional[int] = None,
     bridge = paper_system(devices, seed=seed)
     build_file(bridge, "cmp", chunks)
     tool = CopyTool(bridge.client_node, bridge.bridge.port, bridge.config)
-
-    def bridge_body():
-        return (yield from tool.run("cmp", "cmp-out"))
-
-    bridge_seconds = bridge.run(bridge_body()).elapsed
+    bridge_seconds = bridge.run(tool.run("cmp", "cmp-out")).elapsed
 
     striped = StripedSystem(devices, seed=seed)
     striped.build_file("cmp", chunks)
@@ -309,11 +302,9 @@ def run_token_saturation(width: int, records: Optional[int] = None,
     system = paper_system(width, seed=seed)
     keys = sorted(uniform_keys(records, seed=seed))
     half = width // 2
-    left_keys = keys[0::2]
-    right_keys = keys[1::2]
-    build_record_file(system, "left", left_keys,
+    build_record_file(system, "left", keys[0::2],
                       node_slots=list(range(half)), start=0)
-    build_record_file(system, "right", right_keys,
+    build_record_file(system, "right", keys[1::2],
                       node_slots=list(range(half, width)), start=0)
     client = system.naive_client()
 
@@ -341,39 +332,30 @@ def run_token_saturation(width: int, records: Optional[int] = None,
 
 def run_create_tree_experiment(p: int, seed: int = 0,
                                batch: int = 8) -> CreateTreeRun:
-    def create_ms(use_tree: bool) -> float:
+    def create_ms(use_tree: bool, names: Optional[List[str]] = None) -> float:
+        """One ``create`` — or, given ``names``, one ``mcreate`` of
+        identically-shaped files, per file (the S23 arm: the batch
+        amortizes the fixed per-request charges)."""
         config = DEFAULT_CONFIG.with_changes(create_uses_tree=use_tree)
         system = paper_system(p, seed=seed, config=config)
         client = system.naive_client()
 
         def body():
-            start = system.sim.now
-            yield from client.create("probe")
-            return (system.sim.now - start) * 1e3
+            if names is None:
+                _, elapsed = yield from timed(system, client.create("probe"))
+                return elapsed * 1e3
+            outcomes, elapsed = yield from timed(system, client.mcreate(names))
+            for outcome in outcomes:
+                outcome.unwrap()
+            return elapsed * 1e3 / len(names)
 
         return system.run(body(), name="create-probe")
 
-    def batched_per_file_ms() -> float:
-        # The S23 arm: one mcreate of ``batch`` identically-shaped
-        # files amortizes the fixed per-request charges; the tree
-        # dispatch (the winner above) serves each create inside it.
-        config = DEFAULT_CONFIG.with_changes(create_uses_tree=True)
-        system = paper_system(p, seed=seed, config=config)
-        client = system.naive_client()
-        names = [f"probe{index}" for index in range(batch)]
-
-        def body():
-            start = system.sim.now
-            outcomes = yield from client.mcreate(names)
-            for outcome in outcomes:
-                outcome.unwrap()
-            return (system.sim.now - start) * 1e3 / len(names)
-
-        return system.run(body(), name="create-batch")
-
     return CreateTreeRun(
         p=p, sequential_ms=create_ms(False), tree_ms=create_ms(True),
-        batched_per_file_ms=batched_per_file_ms(),
+        # the tree dispatch (the winner above) serves each batched create
+        batched_per_file_ms=create_ms(
+            True, [f"probe{index}" for index in range(batch)]),
     )
 
 
@@ -383,7 +365,7 @@ def run_create_tree_experiment(p: int, seed: int = 0,
 
 
 def run_metadata_experiment(servers: int = 4, names: int = 256, seed: int = 0,
-                            window: int = 0, lfs_count: int = 4):
+                            window: int = 0, lfs_count: int = 4) -> MetadataRun:
     """One S23 ablation point: the same metadata-pure name family pushed
     through a per-name loop and through the batched surface.
 
@@ -393,15 +375,8 @@ def run_metadata_experiment(servers: int = 4, names: int = 256, seed: int = 0,
     empty width-1 files.  Wall clock and the summed Bridge-Server
     ``requests_served`` delta are recorded per phase; the RPC counts
     must match :func:`repro.analysis.batched_rpc_count` exactly (the
-    bench and tests assert equality, not shape).  Returns a
-    :class:`~repro.harness.results.MetadataRun`.
+    bench and tests assert equality, not shape).
     """
-    from repro.analysis.models import (
-        batched_rpc_count,
-        metadata_partition_buckets,
-    )
-    from repro.harness.results import MetadataRun
-
     name_family = [f"meta/d{i % 16:02d}/f{i:05d}" for i in range(names)]
     config = DEFAULT_CONFIG.with_changes(bridge_fanout_limit=window)
 
@@ -416,69 +391,32 @@ def run_metadata_experiment(servers: int = 4, names: int = 256, seed: int = 0,
         def served() -> int:
             return sum(bridge.requests_served for bridge in system.bridges)
 
-        def phase(op, body):
+        def loop(op, **kwargs):
+            results = []
+            for name in name_family:
+                results.append((yield from getattr(client, op)(name, **kwargs)))
+            return results
+
+        def batch(op, **kwargs):
+            nonlocal errors
+            outcomes = yield from getattr(client, "m" + op)(name_family, **kwargs)
+            errors += sum(not outcome.ok for outcome in outcomes)
+            return [outcome.value for outcome in outcomes if outcome.ok]
+
+        def phase(op, **kwargs):
+            """One op over the whole family; returns the per-name values."""
             before_ms = system.sim.now
             before_rpcs = served()
-            result = system.run(body(), name=f"meta-{op}")
+            values = system.run((batch if batched else loop)(op, **kwargs),
+                                name=f"meta-{op}")
             ms[op] = (system.sim.now - before_ms) * 1e3
             rpcs[op] = served() - before_rpcs
-            return result
+            return values
 
-        if batched:
-            def create():
-                return (yield from client.mcreate(name_family, width=1))
-
-            def open_():
-                return (yield from client.mopen(name_family))
-
-            def stat():
-                return (yield from client.mstat(name_family))
-
-            def delete():
-                return (yield from client.mdelete(name_family))
-
-            for op, body in (("create", create), ("open", open_)):
-                for outcome in phase(op, body):
-                    if not outcome.ok:
-                        errors += 1
-            stats = []
-            for outcome in phase("stat", stat):
-                if outcome.ok:
-                    stats.append(outcome.value)
-                else:
-                    errors += 1
-            freed = 0
-            for outcome in phase("delete", delete):
-                if outcome.ok:
-                    freed += outcome.value
-                else:
-                    errors += 1
-        else:
-            def create():
-                for name in name_family:
-                    yield from client.create(name, width=1)
-
-            def open_():
-                for name in name_family:
-                    yield from client.open(name)
-
-            def stat():
-                results = []
-                for name in name_family:
-                    results.append((yield from client.stat(name)))
-                return results
-
-            def delete():
-                total = 0
-                for name in name_family:
-                    total += yield from client.delete(name)
-                return total
-
-            phase("create", create)
-            phase("open", open_)
-            stats = phase("stat", stat)
-            freed = phase("delete", delete)
-
+        phase("create", width=1)
+        phase("open")
+        stats = phase("stat")
+        freed = sum(phase("delete"))
         return ms, rpcs, stats, freed, errors
 
     loop_ms, loop_rpcs, loop_stats, loop_freed, loop_errors = run_arm(False)
@@ -519,8 +457,7 @@ def run_metadata_experiment(servers: int = 4, names: int = 256, seed: int = 0,
 
 
 def run_redundancy_experiment(scheme: str, p: int = 4, blocks: Optional[int] = None,
-                              seed: int = 0, victim: int = 1,
-                              rebuild_rate: Optional[float] = None) -> RedundancyRun:
+                              seed: int = 0, victim: int = 1) -> RedundancyRun:
     """One redundancy scheme through the full S16 lifecycle.
 
     Write a file under ``scheme`` (``"none"``, ``"mirror"``, or
@@ -529,12 +466,8 @@ def run_redundancy_experiment(scheme: str, p: int = 4, blocks: Optional[int] = N
     the healthy read), then repair and — for parity — run the online
     rebuild sweep and fsck every LFS image.
     """
-    from repro.efs.fsck import check_system
-    from repro.errors import DeviceFailedError, ProcessError
-
     blocks = blocks if blocks is not None else 4 * p
-    system = paper_system(p, seed=seed, redundancy=scheme,
-                          rebuild_rate=rebuild_rate)
+    system = paper_system(p, seed=seed, redundancy=scheme)
     rfile = system.redundant_file("protected")
     chunks = pattern_chunks(blocks)
     writes_before = sum(d.writes for d in system.disks)
@@ -547,18 +480,14 @@ def run_redundancy_experiment(scheme: str, p: int = 4, blocks: Optional[int] = N
     storage = system.run(setup(), name="redundancy-setup")
     write_ops = sum(d.writes for d in system.disks) - writes_before
 
-    def timed_read():
-        start = system.sim.now
-        read_chunks, stats = yield from rfile.read_all()
-        return read_chunks, stats, system.sim.now - start
+    def timed_read(label):
+        (read_chunks, stats), elapsed = system.run(
+            timed(system, rfile.read_all()), name=label)
+        return read_chunks, stats, elapsed
 
-    healthy, _stats, healthy_elapsed = system.run(
-        timed_read(), name="healthy-read"
-    )
+    healthy, _stats, healthy_elapsed = timed_read("healthy-read")
 
-    for efs in system.efs_servers:
-        system.run(efs.cache.flush(), name="flush")
-        efs.cache.invalidate_all()
+    system.drop_efs_caches()
     injector = FaultInjector(system)
     victim = victim % p
     injector.fail_slot(victim)
@@ -571,9 +500,7 @@ def run_redundancy_experiment(scheme: str, p: int = 4, blocks: Optional[int] = N
     degraded_elapsed: Optional[float] = None
     reconstructions = 0
     try:
-        degraded, dstats, degraded_elapsed = system.run(
-            timed_read(), name="degraded-read"
-        )
+        degraded, dstats, degraded_elapsed = timed_read("degraded-read")
     except ProcessError as err:
         if not isinstance(err.__cause__, DeviceFailedError):
             raise
@@ -596,7 +523,7 @@ def run_redundancy_experiment(scheme: str, p: int = 4, blocks: Optional[int] = N
         rebuild_seconds = system.sim.now - repair_at
         rebuild_blocks = rebuild.progress.blocks_written
 
-    final, _stats, _elapsed = system.run(timed_read(), name="final-read")
+    final, _stats, _elapsed = timed_read("final-read")
     content_ok = content_ok and final == healthy if survived else final == healthy
     fsck_clean = all(report.clean for report in check_system(system))
 
@@ -616,10 +543,6 @@ def run_redundancy_experiment(scheme: str, p: int = 4, blocks: Optional[int] = N
         rebuild_seconds=rebuild_seconds,
         rebuild_blocks=rebuild_blocks,
         fsck_clean=fsck_clean,
-        cache_hits=sum(e.cache.hits for e in system.efs_servers),
-        cache_misses=sum(e.cache.misses for e in system.efs_servers),
-        cache_evictions=sum(e.cache.evictions for e in system.efs_servers),
-        cache_writebacks=sum(e.cache.writebacks for e in system.efs_servers),
     )
 
 
@@ -631,7 +554,7 @@ def run_collective_experiment(
     pattern: str = "strided",
     stride: Optional[int] = None,
     seed: int = 0,
-) -> "CollectiveRun":
+) -> CollectiveRun:
     """Noncontiguous-access ablation (S17): naive vs list I/O vs two-phase.
 
     ``t`` workers (default ``p``) share ``accesses`` single-block reads
@@ -651,19 +574,6 @@ def run_collective_experiment(
     equality checks, and ``content_ok`` records that all three arms
     returned byte-identical data.
     """
-    from repro.analysis.models import (
-        listio_rpc_count,
-        naive_rpc_count,
-        twophase_message_counts,
-    )
-    from repro.collective import TwoPhaseIO
-    from repro.harness.results import CollectiveRun
-    from repro.workloads.traces import (
-        hotspot_pattern,
-        scatter_pattern,
-        strided_pattern,
-    )
-
     workers = workers if workers is not None else p
     blocks = blocks if blocks is not None else max(64, 8 * p)
     accesses = accesses if accesses is not None else max(32, 4 * p)
@@ -684,18 +594,8 @@ def run_collective_experiment(
     system = paper_system(p, seed=seed)
     build_file(system, "coll", pattern_chunks(blocks))
     client = system.naive_client()
-    sim = system.sim
-    efs_total = lambda: sum(s.requests_served for s in system.efs_servers)
 
-    def flush_caches():
-        for efs in system.efs_servers:
-            system.run(efs.cache.flush(), name="flush")
-            efs.cache.invalidate_all()
-
-    def naive_arm():
-        yield from client.open("coll")
-        before = efs_total()
-        start = sim.now
+    def naive_reads():
         data = []
         for worker_blocks in per_worker:
             worker_data = []
@@ -704,37 +604,35 @@ def run_collective_experiment(
                     (yield from client.random_read("coll", block))
                 )
             data.append(worker_data)
-        return data, sim.now - start, efs_total() - before
+        return data
 
-    flush_caches()
-    naive_data, naive_s, naive_reqs = system.run(naive_arm(), name="naive-arm")
-
-    def listio_arm():
-        yield from client.open("coll")
-        before = efs_total()
-        start = sim.now
+    def listio_reads():
         data = []
         for worker_blocks in per_worker:
             data.append((yield from client.list_read("coll", worker_blocks)))
-        return data, sim.now - start, efs_total() - before
+        return data
 
-    flush_caches()
-    listio_data, listio_s, listio_reqs = system.run(
-        listio_arm(), name="listio-arm"
-    )
+    def run_arm(label, opener, reads):
+        """Cold caches, a warm open, then the timed reads; returns
+        ``(what the reads returned, seconds, EFS requests served)``."""
+        system.drop_efs_caches()
 
-    def twophase_arm():
-        engine = TwoPhaseIO(system, "coll")
-        yield from engine.open()  # warm, like the other arms' open()
-        before = efs_total()
-        start = sim.now
-        data, stats = yield from engine.read(per_worker)
-        return data, sim.now - start, efs_total() - before, stats
+        def body():
+            yield from opener
+            before = sum(s.requests_served for s in system.efs_servers)
+            result, seconds = yield from timed(system, reads)
+            after = sum(s.requests_served for s in system.efs_servers)
+            return result, seconds, after - before
 
-    flush_caches()
-    twophase_data, twophase_s, twophase_reqs, tp_stats = system.run(
-        twophase_arm(), name="twophase-arm"
-    )
+        return system.run(body(), name=f"{label}-arm")
+
+    naive_data, naive_s, naive_reqs = run_arm(
+        "naive", client.open("coll"), naive_reads())
+    listio_data, listio_s, listio_reqs = run_arm(
+        "listio", client.open("coll"), listio_reads())
+    engine = TwoPhaseIO(system, "coll")
+    (twophase_data, tp_stats), twophase_s, twophase_reqs = run_arm(
+        "twophase", engine.open(), engine.read(per_worker))
 
     model_tp = twophase_message_counts(per_worker, p)
     return CollectiveRun(
@@ -763,8 +661,6 @@ def run_collective_experiment(
 
 
 def run_faults_experiment(p: int = 4, blocks: int = 16, seed: int = 0) -> FaultsRun:
-    from repro.errors import DeviceFailedError
-
     system = paper_system(p, seed=seed)
     build_file(system, "plain", pattern_chunks(blocks))
     mirrored = MirroredFile(system, "guarded")
@@ -775,9 +671,7 @@ def run_faults_experiment(p: int = 4, blocks: int = 16, seed: int = 0) -> Faults
         return (yield from mirrored.storage_blocks())
 
     mirror_storage = system.run(setup(), name="fault-setup")
-    for efs in system.efs_servers:
-        system.run(efs.cache.flush(), name="flush")
-        efs.cache.invalidate_all()
+    system.drop_efs_caches()
     FaultInjector(system).fail_slot(seed % p)
 
     client = system.naive_client()
@@ -791,18 +685,13 @@ def run_faults_experiment(p: int = 4, blocks: int = 16, seed: int = 0) -> Faults
         return False
 
     plain_lost = system.run(read_plain(), name="fault-plain")
-
-    def read_mirrored():
-        chunks, stats = yield from mirrored.read_all()
-        return len(chunks) == blocks, stats.fallbacks
-
-    recovered, fallbacks = system.run(read_mirrored(), name="fault-mirrored")
+    chunks, stats = system.run(mirrored.read_all(), name="fault-mirrored")
     return FaultsRun(
         p=p,
         blocks=blocks,
         plain_lost=plain_lost,
-        mirrored_recovered=recovered,
-        mirror_fallbacks=fallbacks,
+        mirrored_recovered=len(chunks) == blocks,
+        mirror_fallbacks=stats.fallbacks,
         mirror_storage_blocks=mirror_storage,
         plain_storage_blocks=blocks,
     )
@@ -811,35 +700,6 @@ def run_faults_experiment(p: int = 4, blocks: int = 16, seed: int = 0) -> Faults
 # ---------------------------------------------------------------------------
 # S18: Bridge-server caching and striped read-ahead
 # ---------------------------------------------------------------------------
-
-
-def _prefetch_arm(arm: str, p: int, blocks: int, seed: int,
-                  prefetch_window: int, cache_blocks: int):
-    """One configuration reading one file twice through the naive view."""
-    system = paper_system(
-        p, seed=seed,
-        prefetch_window=prefetch_window,
-        bridge_cache_blocks=cache_blocks,
-    )
-    build_file(system, "stream", pattern_chunks(blocks))
-    client = system.naive_client()
-
-    def one_pass():
-        # Time only the streaming loop (Open's ~80 ms is Table 2's
-        # business and identical across arms).
-        yield from client.open("stream")
-        start = system.sim.now
-        chunks = []
-        while True:
-            block_number, data = yield from client.seq_read("stream")
-            if block_number is None:
-                return system.sim.now - start, chunks
-            chunks.append(data)
-
-    cold, cold_data = system.run(one_pass(), name=f"prefetch-{arm}-cold")
-    repeat, repeat_data = system.run(one_pass(), name=f"prefetch-{arm}-repeat")
-    stats = system.bridge.bridge_cache_stats() or {}
-    return cold, repeat, cold_data, repeat_data, stats
 
 
 def run_prefetch_experiment(p: int = 8, blocks: Optional[int] = None,
@@ -853,9 +713,6 @@ def run_prefetch_experiment(p: int = 8, blocks: Optional[int] = None,
     LRU alone buys (the cold pass is identical to "off" — there are no
     repeats to hit); the window arms show the read-ahead pipeline.
     """
-    from repro.analysis.models import pipelined_read_seconds
-    from repro.harness.results import PrefetchRun
-
     blocks = blocks if blocks is not None else 256
     arms = [("off", 0, 0), ("cache", 0, blocks)]
     arms += [(f"window-{w}", w, 0) for w in windows]
@@ -863,9 +720,21 @@ def run_prefetch_experiment(p: int = 8, blocks: Optional[int] = None,
     baseline_data = None
     runs = []
     for arm, window, cache_blocks in arms:
-        cold, repeat, cold_data, repeat_data, stats = _prefetch_arm(
-            arm, p, blocks, seed, window, cache_blocks
-        )
+        system = paper_system(p, seed=seed, prefetch_window=window,
+                              bridge_cache_blocks=cache_blocks)
+        build_file(system, "stream", pattern_chunks(blocks))
+        client = system.naive_client()
+
+        def one_pass():
+            # Time only the streaming loop (Open's ~80 ms is Table 2's
+            # business and identical across arms).
+            yield from client.open("stream")
+            return (yield from timed(system, read_to_eof(client, "stream")))
+
+        cold_data, cold = system.run(one_pass(), name=f"prefetch-{arm}-cold")
+        repeat_data, repeat = system.run(
+            one_pass(), name=f"prefetch-{arm}-repeat")
+        stats = system.bridge.bridge_cache_stats() or {}
         if baseline is None:
             baseline, baseline_data = cold, cold_data
         runs.append(
@@ -897,39 +766,23 @@ def run_prefetch_experiment(p: int = 8, blocks: Optional[int] = None,
     return runs
 
 
-def _obs_stream_workload(system, name: str, blocks: int):
-    """Create + write ``blocks``, then stream them back naively."""
-    client = system.naive_client()
-    yield from client.create(name, width=system.width)
-    for i in range(blocks):
-        yield from client.seq_write(name, bytes([i % 256]) * 960)
-    yield from client.open(name)
-    for _ in range(blocks):
-        yield from client.seq_read(name)
-
-
 def run_obs_experiment(p: int = 8, blocks: Optional[int] = None,
-                       seed: int = 0):
+                       seed: int = 0) -> ObsRun:
     """The S19 headline: run the naive sequential stream bare and
     instrumented, check the event sequences match, and attribute the
     read latency per component against the exact cost model.
 
-    Returns an :class:`~repro.harness.results.ObsRun`.  The file is
-    sized to stay resident in the EFS track caches (the paper's cached
-    9 ms regime), so the model's ``resident=True`` arm applies.
+    The file is sized to stay resident in the EFS track caches (the
+    paper's cached 9 ms regime), so the model's ``resident=True`` arm
+    applies.
     """
-    from repro.analysis.models import naive_read_components
-    from repro.harness.results import ObsRun
-    from repro.obs import attribute_ops
-
     blocks = blocks if blocks is not None else 32 * p
-    name = "obsfile"
 
     bare = paper_system(p, seed=seed)
-    bare.run(_obs_stream_workload(bare, name, blocks))
+    bare.run(write_then_stream(bare, "obsfile", blocks))
 
     instrumented = paper_system(p, seed=seed, obs=True)
-    instrumented.run(_obs_stream_workload(instrumented, name, blocks))
+    instrumented.run(write_then_stream(instrumented, "obsfile", blocks))
     obs = instrumented.obs
 
     agg = attribute_ops(obs, "call.seq_read")
@@ -954,7 +807,7 @@ def run_obs_experiment(p: int = 8, blocks: Optional[int] = None,
 
 
 # ---------------------------------------------------------------------------
-# S21: open-loop production traffic
+# S21/S22/S24: open-loop production traffic
 # ---------------------------------------------------------------------------
 
 
@@ -964,13 +817,52 @@ def build_traffic_catalog(system, files: int, blocks: int, skew: float = 1.1):
     Runs during setup (simulation time advances); returns the
     :class:`~repro.traffic.ZipfCatalog` the generator samples from.
     """
-    from repro.traffic import ZipfCatalog
-
     names = [f"tf{index:03d}" for index in range(files)]
     for name in names:
         chunks = [b"%s-%03d|" % (name.encode(), i) for i in range(blocks)]
         build_file(system, name, chunks)
     return ZipfCatalog(names, blocks, skew=skew)
+
+
+class _OpenLoopFabric:
+    """What the three open-loop runners set up the same way: the
+    ``open-loop`` preset system (``fields`` laid over it), its Zipf
+    catalog, the admission policy installed only once the catalog is
+    built (setup must not be rate-limited), and per-partition busy and
+    served marks taken where the drive starts."""
+
+    def __init__(self, files: int, blocks: int, skew: float, mix,
+                 policy: str = "none", admission_params=None, **fields) -> None:
+        self.system = system = BridgeSystem(
+            SystemSpec.preset("open-loop", **fields))
+        self.catalog = build_traffic_catalog(system, files, blocks, skew=skew)
+        system.install_admission({"policy": policy, **(admission_params or {})})
+        self.mix = RequestMix(mix)
+        self.busy_marks = [b.busy_time for b in system.bridges]
+        self.served_mark = sum(b.requests_served for b in system.bridges)
+        self.start = system.sim.now
+
+    def generator(self, **generator_kwargs):
+        """A fresh ``(recorder, generator)`` pair over the catalog."""
+        obs = self.system.obs
+        recorder = SLORecorder(registry=obs.metrics if obs is not None else None)
+        return recorder, TrafficGenerator(
+            self.system, self.catalog, mix=self.mix, recorder=recorder,
+            **generator_kwargs,
+        )
+
+    def window(self) -> float:
+        """Simulated seconds since the marks: arrivals plus the drain."""
+        return self.system.sim.now - self.start
+
+    def served(self) -> int:
+        bridges = self.system.bridges
+        return sum(b.requests_served for b in bridges) - self.served_mark
+
+    def busy_seconds(self) -> List[float]:
+        """Per-partition busy time since the marks."""
+        return [b.busy_time - mark
+                for b, mark in zip(self.system.bridges, self.busy_marks)]
 
 
 def run_traffic_experiment(
@@ -989,92 +881,54 @@ def run_traffic_experiment(
     skew: float = 1.1,
     admission_params: Optional[Dict[str, object]] = None,
     obs: bool = False,
-):
+) -> TrafficRun:
     """One open-loop traffic run: build, drive, account (S21 headline).
 
-    The system uses fast fixed-latency disks so the Bridge Server's
-    serial per-request CPU is the bottleneck — saturation is a *server*
-    phenomenon, which is what admission control protects.  The policy is
-    installed only after the catalog is built (setup must not be
-    rate-limited).  Returns a :class:`~repro.harness.results.TrafficRun`.
+    The ``open-loop`` fabric's fast disks leave the Bridge Server's
+    serial per-request CPU as the bottleneck — saturation is a *server*
+    phenomenon, which is what admission control protects.
     """
-    from repro.analysis.models import md1_wait_seconds, mm1_wait_seconds
-    from repro.harness.results import TrafficRun
-    from repro.storage import FixedLatency
-    from repro.traffic import RequestMix, SLORecorder, TrafficGenerator
-
-    system = BridgeSystem(
-        p, seed=seed, disk_latency=FixedLatency(0.0005),
-        bridge_server_count=servers, obs=obs,
+    fabric = _OpenLoopFabric(
+        files, blocks, skew, mix, policy, admission_params,
+        lfs_count=p, seed=seed, bridge_server_count=servers, obs=obs,
     )
-    catalog = build_traffic_catalog(system, files, blocks, skew=skew)
-    if policy not in (None, "none"):
-        spec = {"policy": policy, **(admission_params or {})}
-        system.install_admission(spec)
-
-    registry = system.obs.metrics if system.obs is not None else None
-    recorder = SLORecorder(registry=registry)
-    generator = TrafficGenerator(
-        system, catalog,
-        mix=RequestMix(mix) if mix is not None else None,
-        recorder=recorder,
-        patience=patience,
-        slow_fraction=slow_fraction,
-    )
-
-    served_before = sum(b.requests_served for b in system.bridges)
-    busy_marks = [b.busy_time for b in system.bridges]
-    busy_before = sum(busy_marks)
-    start = system.sim.now
+    system = fabric.system
+    recorder, generator = fabric.generator(
+        patience=patience, slow_fraction=slow_fraction)
     system.run(
         generator.open_loop(rate, duration, arrival_kind=arrival_kind),
         name="traffic-source",
     )
-    makespan = system.sim.now
-
-    served_delta = sum(b.requests_served for b in system.bridges) - served_before
-    busy_delta = sum(b.busy_time for b in system.bridges) - busy_before
+    window = fabric.window()
+    served = fabric.served()
+    busy = fabric.busy_seconds()
+    busy_total = (sum(b.busy_time for b in system.bridges)
+                  - sum(fabric.busy_marks))
     # Measured per-server service capacity: requests per busy-second of
     # the fabric (fast rejects included — they are served work too).
-    service_rate = served_delta / busy_delta if busy_delta > 0 else 0.0
-    window = makespan - start
-    served_rate = served_delta / window if window > 0 else 0.0
-    busiest = max(
-        ((b.busy_time - mark) / window if window > 0 else 0.0
-         for b, mark in zip(system.bridges, busy_marks)),
-        default=0.0,
-    )
+    service_rate = served / busy_total if busy_total > 0 else 0.0
+    served_rate = served / window if window > 0 else 0.0
 
     # Queue-wait statistics from installed admission queues (empty when
     # the policy has no queue or no policy is installed).
-    waits = [
-        b.admission.queue.wait for b in system.bridges
+    queues = [
+        b.admission.queue for b in system.bridges
         if b.admission is not None and b.admission.queue is not None
     ]
-    observed = [w for w in waits if w.count]
+    observed = [q.wait for q in queues if q.wait.count]
     if observed:
         wait_mean = sum(w.total for w in observed) / sum(w.count for w in observed)
         wait_p99 = max(w.p99 for w in observed)
     else:
         wait_mean = 0.0
         wait_p99 = 0.0
-    peak_depth = max(
-        (b.admission.queue.peak_depth for b in system.bridges
-         if b.admission is not None and b.admission.queue is not None),
-        default=0,
-    )
 
-    # Per-server offered rate for the queueing predictions: arrivals
-    # that reached a server, spread across partitions.
-    per_server_lambda = (served_delta / window / servers) if window > 0 else 0.0
-    per_server_mu = service_rate  # requests per busy-second of one loop
-    if per_server_mu > 0:
-        predicted_mm1 = mm1_wait_seconds(
-            min(per_server_lambda, per_server_mu * 0.999), per_server_mu
-        )
-        predicted_md1 = md1_wait_seconds(
-            min(per_server_lambda, per_server_mu * 0.999), per_server_mu
-        )
+    # Queueing predictions at the per-server offered rate: arrivals that
+    # reached a server, spread across partitions.
+    if service_rate > 0:
+        offered = min(served_rate / servers, service_rate * 0.999)
+        predicted_mm1 = mm1_wait_seconds(offered, service_rate)
+        predicted_md1 = md1_wait_seconds(offered, service_rate)
     else:
         predicted_mm1 = 0.0
         predicted_md1 = 0.0
@@ -1095,20 +949,18 @@ def run_traffic_experiment(
         admission=system.admission_counters(),
         served_rate=served_rate,
         service_rate=service_rate,
-        server_utilization=busiest,
+        server_utilization=max(
+            (seconds / window if window > 0 else 0.0 for seconds in busy),
+            default=0.0,
+        ),
         queue_wait_mean=wait_mean,
         queue_wait_p99=wait_p99,
-        queue_peak_depth=peak_depth,
+        queue_peak_depth=max((q.peak_depth for q in queues), default=0),
         predicted_wait_mm1=predicted_mm1,
         predicted_wait_md1=predicted_md1,
-        makespan=makespan,
+        makespan=system.sim.now,
         events=system.sim.events_executed,
     )
-
-
-# ---------------------------------------------------------------------------
-# S22: resize-under-load (elastic fabric)
-# ---------------------------------------------------------------------------
 
 
 def run_elastic_experiment(
@@ -1128,46 +980,27 @@ def run_elastic_experiment(
     policy: str = "none",
     admission_params: Optional[Dict[str, object]] = None,
     obs: bool = False,
-):
+) -> ElasticRun:
     """One resize-under-load run: steady / resize-under-traffic / steady.
 
     Three equal arrival windows drive the same catalog with independent
     SLO recorders; the fabric resize (grow or shrink, by consistent-hash
     ring + live migration) is spawned at the start of the middle window,
     so its summary *is* the during-migration latency distribution.
-    After the final window quiesces, the safety oracle runs: directory
-    ownership is scanned against the live ring (lost / misrouted /
-    duplicated counts), EFS fsck checks every LFS, and every catalog
-    file is read back twice — once routed through the fabric, once
-    reconstructed directly from the LFS blocks via each constituent's
-    entry — and byte-compared.  Returns an
-    :class:`~repro.harness.results.ElasticRun`.
+    After the final window quiesces, :func:`fabric_safety_oracle` runs.
     """
-    from repro.efs.fsck import check_system
-    from repro.harness.results import ElasticRun
-    from repro.storage import FixedLatency
-    from repro.traffic import RequestMix, SLORecorder, TrafficGenerator
-
     if provisioned is None:
         provisioned = max(start_servers, end_servers)
-    system = BridgeSystem(
-        p, seed=seed, disk_latency=FixedLatency(0.0005),
-        bridge_server_count=start_servers, elastic=provisioned, obs=obs,
+    fabric = _OpenLoopFabric(
+        files, blocks, skew, mix, policy, admission_params,
+        lfs_count=p, seed=seed, bridge_server_count=start_servers,
+        ring="consistent", spare_servers=provisioned - start_servers, obs=obs,
     )
-    catalog = build_traffic_catalog(system, files, blocks, skew=skew)
-    if policy not in (None, "none"):
-        spec = {"policy": policy, **(admission_params or {})}
-        system.install_admission(spec)
-
-    registry = system.obs.metrics if system.obs is not None else None
-    request_mix = RequestMix(mix) if mix is not None else None
+    system = fabric.system
     report_box: Dict[str, object] = {}
 
     def run_phase(label, with_resize=False):
-        recorder = SLORecorder(registry=registry)
-        generator = TrafficGenerator(
-            system, catalog, mix=request_mix, recorder=recorder,
-        )
+        recorder, generator = fabric.generator()
 
         def driver():
             if with_resize:
@@ -1193,8 +1026,6 @@ def run_elastic_experiment(
     }
     report = report_box["report"]
 
-    oracle = fabric_safety_oracle(system, list(catalog.names))
-
     return ElasticRun(
         direction=report.direction,
         p=p,
@@ -1212,11 +1043,7 @@ def run_elastic_experiment(
         migration_seconds=report.duration,
         moves_per_second=moves_per_second,
         phases=phases,
-        lost=oracle["lost"],
-        misrouted=oracle["misrouted"],
-        duplicated=oracle["duplicated"],
-        content_mismatched=oracle["content_mismatched"],
-        fsck_clean=oracle["fsck_clean"],
+        **fabric_safety_oracle(system, list(fabric.catalog.names)),
         makespan=system.sim.now,
         events=system.sim.events_executed,
     )
@@ -1232,8 +1059,6 @@ def fabric_safety_oracle(system, names: List[str]) -> Dict[str, object]:
     entry — byte-comparing the two.  Run it only after traffic (and any
     migration sweeps) have drained.
     """
-    from repro.efs.fsck import check_system
-
     fabric = system.fabric
     locations: Dict[str, List[int]] = {}
     for index, bridge in enumerate(system.bridges):
@@ -1279,11 +1104,6 @@ def fabric_safety_oracle(system, names: List[str]) -> Dict[str, object]:
     }
 
 
-# ---------------------------------------------------------------------------
-# S24: load-aware rebalancing (heat-driven control plane)
-# ---------------------------------------------------------------------------
-
-
 def run_rebalance_experiment(
     rate: float = 140.0,
     duration: float = 16.0,
@@ -1295,83 +1115,54 @@ def run_rebalance_experiment(
     mix: Optional[Dict[str, float]] = None,
     skew: float = 1.6,
     active: bool = True,
-    rebalance_config=None,
-    moves_per_second: Optional[float] = None,
-    forward_window: Optional[float] = 0.25,
+    rebalance_config: Optional[Dict[str, object]] = None,
     obs: bool = False,
-):
+) -> RebalanceRun:
     """One S24 arm: a Zipf-skewed S21 mix with the rebalancer on or off.
 
     Both arms install the heat map and run the control loop; with
     ``active=False`` the loop runs ``watch_only`` — it records the same
     sweep-by-sweep imbalance trajectory but never acts, so off-vs-on is
-    the policy's effect and nothing else.  ``skew`` is deliberately
-    steep: the point is a fabric whose hash placement is busy-unbalanced
-    so the rebalancer has heat to move.  After traffic and the control
-    loop drain, the S22 safety oracle (directory ownership scan, fsck,
-    routed-vs-direct readback) must come back clean across however many
-    sweeps acted.  Returns a :class:`~repro.harness.results.RebalanceRun`.
+    the policy's effect and nothing else (``rebalance_config`` overrides
+    further :class:`~repro.rebalance.RebalanceConfig` fields).  ``skew``
+    is deliberately steep: the point is a fabric whose hash placement is
+    busy-unbalanced so the rebalancer has heat to move.  After traffic
+    and the control loop drain, :func:`fabric_safety_oracle` must come
+    back clean across however many sweeps acted.
     """
-    from repro.analysis.models import fabric_speedup_bound
-    from repro.harness.results import RebalanceRun
-    from repro.rebalance import RebalanceConfig
-    from repro.storage import FixedLatency
-    from repro.traffic import RequestMix, SLORecorder, TrafficGenerator
-
-    if rebalance_config is None:
-        config = RebalanceConfig(watch_only=not active)
-    elif isinstance(rebalance_config, RebalanceConfig):
-        config = rebalance_config
-    else:
-        config = RebalanceConfig(**{"watch_only": not active,
-                                    **rebalance_config})
-
-    system = BridgeSystem(
-        p, seed=seed, disk_latency=FixedLatency(0.0005),
-        bridge_server_count=servers, rebalance=config, obs=obs,
+    fabric = _OpenLoopFabric(
+        files, blocks, skew, mix,
+        lfs_count=p, seed=seed, bridge_server_count=servers,
+        ring="consistent", obs=obs,
+        rebalance={"watch_only": not active, **(rebalance_config or {})},
     )
-    catalog = build_traffic_catalog(system, files, blocks, skew=skew)
-    names = list(catalog.names)
+    system = fabric.system
+    rebalancer = system.rebalancer
+    names = list(fabric.catalog.names)
     # Zipf popularity weights (rank r -> 1/(r+1)^skew): the route bound
     # that matters is over the *offered* load, not the raw namespace.
     popularity = {
         name: 1.0 / (rank + 1) ** skew for rank, name in enumerate(names)
     }
     initial_ring = system.fabric.ring
-
-    registry = system.obs.metrics if system.obs is not None else None
-    recorder = SLORecorder(registry=registry)
-    system.rebalancer.attach(recorder)
-    generator = TrafficGenerator(
-        system, catalog,
-        mix=RequestMix(mix) if mix is not None else None,
-        recorder=recorder,
-    )
-
-    busy_marks = [b.busy_time for b in system.bridges]
-    request_marks = [b.requests_served for b in system.bridges]
-    start = system.sim.now
+    recorder, generator = fabric.generator()
+    rebalancer.attach(recorder)
 
     def driver():
-        system.client_node.spawn(system.rebalancer.run(duration),
-                                 name="rebalancer")
+        system.client_node.spawn(rebalancer.run(duration), name="rebalancer")
         result = yield from generator.open_loop(rate, duration)
         return result
 
     system.run(driver(), name="rebalance-traffic")
-    window = system.sim.now - start
-
+    window = fabric.window()
     busy_fractions = [
-        (b.busy_time - mark) / window if window > 0 else 0.0
-        for b, mark in zip(system.bridges, busy_marks)
+        seconds / window if window > 0 else 0.0
+        for seconds in fabric.busy_seconds()
     ][:servers]
 
     oracle = fabric_safety_oracle(system, names)
-    final_ring = system.fabric.ring
-    rebalancer = system.rebalancer
-
     return RebalanceRun(
-        active=active and not config.watch_only,
+        active=active and not rebalancer.config.watch_only,
         servers=servers,
         p=p,
         offered_rate=rate,
@@ -1390,15 +1181,11 @@ def run_rebalance_experiment(
             names, servers, requests=popularity, ring=initial_ring
         ),
         route_bound_final=fabric_speedup_bound(
-            names, servers, requests=popularity, ring=final_ring
+            names, servers, requests=popularity, ring=system.fabric.ring
         ),
         summary=recorder.summary(window),
         heat=system.heat.snapshot(system.sim.now),
-        lost=oracle["lost"],
-        misrouted=oracle["misrouted"],
-        duplicated=oracle["duplicated"],
-        content_mismatched=oracle["content_mismatched"],
-        fsck_clean=oracle["fsck_clean"],
+        **oracle,
         makespan=system.sim.now,
         events=system.sim.events_executed,
     )
@@ -1419,7 +1206,7 @@ def run_storage_driver_experiment(
 ) -> StorageDriverRun:
     """E26: one storage fabric under the standard build + contended read.
 
-    ``storage`` is any :func:`repro.storage.storage_specs` spec — one
+    ``storage`` is the ``BridgeSystem(storage=...)`` keyword — one
     driver spec for a homogeneous fabric or a per-slot list for a
     heterogeneous one (``["ram", "ram", "ram", "object"]``).  The
     workload is fixed across arms so only the device layer varies:
@@ -1461,53 +1248,15 @@ def run_storage_driver_experiment(
 
     ops_marks = [disk.total_operations for disk in system.disks]
     busy_marks = [disk.busy_time for disk in system.disks]
+    read_seconds = _parallel_read(system, "driven", blocks, 2 * p)
 
-    worker_count = 2 * p
-    workers = [ParallelWorker(system.client_node, i)
-               for i in range(worker_count)]
-
-    def drain(worker):
-        while True:
-            delivery = yield from worker.receive()
-            if delivery.eof:
-                return
-
-    processes = [
-        system.client_node.spawn(drain(w), name=f"drain{w.index}")
-        for w in workers
-    ]
-
-    def controller_body():
-        controller = JobController(system.client_node, system.bridge.port)
-        yield from controller.open("driven", [w.port for w in workers])
-        start = sim.now
-        rounds = -(-blocks // worker_count) + 1
-        for _ in range(rounds):
-            yield from controller.read()
-        elapsed = sim.now - start
-        from repro.sim import join_all
-
-        yield join_all(processes)
-        return elapsed
-
-    read_seconds = system.run(controller_body(), name="contended-read")
-
-    from repro.storage import normalize_driver_spec
-
-    normalized = [
-        {"kind": f"factory:{getattr(spec, '__name__', 'callable')}"}
-        if callable(spec) else normalize_driver_spec(spec)
-        for spec in system.storage_specs
-    ]
-    if label is None:
-        label = storage if isinstance(storage, str) else (
-            "ram" if storage is None else "custom")
+    driver_kinds = [type(disk).kind for disk in system.disks]
     return StorageDriverRun(
-        label=label,
+        label=label or "+".join(sorted(set(driver_kinds))),
         p=p,
         blocks=blocks,
-        storage=normalized,
-        driver_kinds=[type(disk).kind for disk in system.disks],
+        storage=list(system.spec.storage),
+        driver_kinds=driver_kinds,
         build_seconds=build_seconds,
         read_seconds=read_seconds,
         node_read_ops=[disk.total_operations - mark

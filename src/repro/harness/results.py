@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 
@@ -155,20 +155,6 @@ class CollectiveRun:
     content_ok: bool
 
     @property
-    def listio_speedup(self) -> float:
-        return (
-            self.naive_seconds / self.listio_seconds
-            if self.listio_seconds > 0 else 0.0
-        )
-
-    @property
-    def twophase_speedup(self) -> float:
-        return (
-            self.naive_seconds / self.twophase_seconds
-            if self.twophase_seconds > 0 else 0.0
-        )
-
-    @property
     def model_exact(self) -> bool:
         """Measured message counts equal to the analytic model's."""
         return (
@@ -198,10 +184,6 @@ class RedundancyRun:
     rebuild_seconds: Optional[float]  # None: no rebuild needed/possible
     rebuild_blocks: int
     fsck_clean: bool
-    cache_hits: int = 0
-    cache_misses: int = 0
-    cache_evictions: int = 0
-    cache_writebacks: int = 0
 
     @property
     def storage_factor(self) -> float:
@@ -210,14 +192,6 @@ class RedundancyRun:
     @property
     def write_ops_per_block(self) -> float:
         return self.write_device_ops / self.blocks if self.blocks else 0.0
-
-    @property
-    def degraded_slowdown(self) -> Optional[float]:
-        if self.degraded_read_s_per_block is None:
-            return None
-        if self.healthy_read_s_per_block <= 0:
-            return None
-        return self.degraded_read_s_per_block / self.healthy_read_s_per_block
 
 
 @dataclass
@@ -357,27 +331,40 @@ class TrafficRun:
     def completed(self) -> int:
         return int(self.summary["completed"])
 
-    @property
-    def refusal_rate(self) -> float:
-        return float(self.summary["refusal_rate"])
-
     def class_quantile(self, cls: str, which: str) -> float:
         """Per-class latency quantile ("p50"/"p99"/"p999") from the dump."""
         return float(self.summary["classes"][cls][which])
 
 
 @dataclass
-class ElasticRun:
+class FabricSafety:
+    """What :func:`~repro.harness.experiments.fabric_safety_oracle`
+    returns, as the fields the S22 and S24 records share: directory
+    ownership scanned against the live ring, EFS fsck, and a
+    byte-compare of every file read through the fabric vs reconstructed
+    directly from the LFS blocks."""
+
+    lost: int  # catalog names in no partition directory
+    misrouted: int  # names owned by a partition the ring disagrees with
+    duplicated: int  # names present in more than one directory
+    content_mismatched: int  # routed read-back != direct LFS reconstruction
+    fsck_clean: bool
+
+    @property
+    def files_intact(self) -> bool:
+        return (self.lost == 0 and self.misrouted == 0
+                and self.duplicated == 0 and self.content_mismatched == 0)
+
+
+@dataclass
+class ElasticRun(FabricSafety):
     """One S22 resize-under-load run (grow or shrink, traffic running).
 
     ``phases`` maps ``"before"`` / ``"during"`` / ``"after"`` to the
     per-phase :class:`~repro.traffic.SLORecorder` summary — the
     p99-during-migration vs steady-state comparison reads straight out
-    of it.  The three ``lost`` / ``misrouted`` / ``content_mismatched``
-    counts are the post-resize safety oracle: directory ownership
-    scanned against the live ring, EFS fsck, and a byte-compare of every
-    surviving file read through the fabric vs reconstructed directly
-    from the LFS blocks.
+    of it.  The inherited :class:`FabricSafety` fields are the
+    post-resize oracle's verdict.
     """
 
     direction: str  # "grow" | "shrink"
@@ -396,18 +383,8 @@ class ElasticRun:
     migration_seconds: float  # ring flip -> window retired
     moves_per_second: Optional[float]
     phases: Dict[str, Dict[str, object]]  # phase -> SLO summary
-    lost: int  # catalog names in no partition directory
-    misrouted: int  # names owned by a partition the ring disagrees with
-    duplicated: int  # names present in more than one directory
-    content_mismatched: int  # routed read-back != direct LFS reconstruction
-    fsck_clean: bool
     makespan: float
     events: int
-
-    @property
-    def files_intact(self) -> bool:
-        return (self.lost == 0 and self.misrouted == 0
-                and self.duplicated == 0 and self.content_mismatched == 0)
 
     def phase_quantile(self, phase: str, cls: str, which: str) -> float:
         """Per-phase per-class latency quantile from the SLO dump."""
@@ -448,7 +425,7 @@ class MetadataRun:
 
 
 @dataclass
-class RebalanceRun:
+class RebalanceRun(FabricSafety):
     """One S24 arm: a skewed S21 mix with the rebalancer on or watching.
 
     ``sweeps`` is the control loop's decision log (one dict per
@@ -457,8 +434,9 @@ class RebalanceRun:
     trajectory with ``watch_only`` so on-vs-off isolates the policy's
     effect.  ``busy_fractions`` are the measured per-partition busy
     shares over the service window; their spread (hot minus cold) is the
-    headline the E25 bench compares.  The safety counts are the shared
-    S22 oracle, run after everything drains.
+    headline the E25 bench compares.  The inherited
+    :class:`FabricSafety` fields are the oracle's verdict, run after
+    everything drains.
     """
 
     active: bool  # False = watch_only (heat + sweeps, no action)
@@ -478,18 +456,8 @@ class RebalanceRun:
     route_bound_final: float  # popularity-weighted, final ring
     summary: Dict[str, object]  # SLORecorder summary over the window
     heat: Dict[str, object]  # HeatMap.snapshot at drain time
-    lost: int
-    misrouted: int
-    duplicated: int
-    content_mismatched: int
-    fsck_clean: bool
     makespan: float
     events: int
-
-    @property
-    def files_intact(self) -> bool:
-        return (self.lost == 0 and self.misrouted == 0
-                and self.duplicated == 0 and self.content_mismatched == 0)
 
     @property
     def utilization_spread(self) -> float:
@@ -519,7 +487,8 @@ class StorageDriverRun:
     file through the naive view, then read it back through a
     virtual-parallel job with two workers per constituent so every
     device serves two concurrent streams — and differs only in the
-    ``storage=`` spec handed to :class:`~repro.harness.builders.BridgeSystem`.
+    ``storage=`` keyword handed to
+    :class:`~repro.harness.builders.BridgeSystem`.
     ``node_*`` vectors are indexed by LFS slot.  The read-phase deltas
     (``node_read_ops`` / ``node_read_busy``) isolate the contended read;
     the wait/service summaries and the S24 heat rates cover the whole
@@ -530,7 +499,7 @@ class StorageDriverRun:
     label: str
     p: int
     blocks: int
-    storage: List[Dict[str, object]]  # normalized per-slot driver specs
+    storage: List[Dict[str, object]]  # ``system.spec.storage``, per slot
     driver_kinds: List[str]  # registry kind per LFS slot
     build_seconds: float
     read_seconds: float

@@ -4,7 +4,12 @@ Replaces the BBN Butterfly / Chrysalis substrate of the paper's prototype.
 """
 
 from repro.machine.machine import Machine
-from repro.machine.network import ButterflyNetwork, EthernetNetwork, ZeroLatencyNetwork
+from repro.machine.network import (
+    NETWORK_KINDS,
+    ButterflyNetwork,
+    EthernetNetwork,
+    ZeroLatencyNetwork,
+)
 from repro.machine.node import Node, Port
 from repro.machine.rpc import (
     Client,
@@ -23,6 +28,7 @@ __all__ = [
     "gather",
     "gather_settled",
     "Machine",
+    "NETWORK_KINDS",
     "Node",
     "Port",
     "Request",

@@ -112,3 +112,11 @@ class EthernetNetwork:
     def backlog(self) -> int:
         """Messages waiting for the bus right now."""
         return len(self._queue)
+
+
+#: Registered interconnects, by name: ``factory(sim, config) -> network``
+#: (the data form of a system's ``network`` field).
+NETWORK_KINDS = {
+    "butterfly": lambda sim, config: ButterflyNetwork(config.messages),
+    "ethernet": lambda sim, config: EthernetNetwork(sim),
+}

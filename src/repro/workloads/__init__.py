@@ -26,6 +26,9 @@ from repro.workloads.files import (
     build_record_file,
     build_text_file,
     read_file,
+    read_to_eof,
+    timed,
+    write_then_stream,
 )
 from repro.workloads.scratch import (
     ScratchReport,
@@ -44,6 +47,7 @@ __all__ = [
     "few_distinct_keys",
     "pattern_chunks",
     "read_file",
+    "read_to_eof",
     "record_chunks",
     "reversed_keys",
     "scratch_block",
@@ -51,9 +55,11 @@ __all__ = [
     "scratch_names",
     "sorted_keys",
     "text_chunks",
+    "timed",
     "tree_block",
     "tree_names",
     "uniform_keys",
+    "write_then_stream",
     "ReplayResult",
     "ScratchReport",
     "hotspot_pattern",

@@ -5,8 +5,9 @@ handler — the naive view (create / open / sequential + random read and
 write / delete), list I/O, the parallel-open view (open / read / write /
 close with real worker deposits), the tool view's ``Get Info``, and a
 disordered file with its block map — against the default single-server
-configuration (:func:`repro.harness.acceptance_system`).  The exported Chrome trace of this workload is committed
-as ``tests/baselines/trace_acceptance.json`` and re-exported by CI
+configuration (the ``acceptance`` preset of
+:class:`repro.harness.SystemSpec`).  The exported Chrome trace of this
+workload is committed as ``tests/baselines/trace_acceptance.json`` and re-exported by CI
 (``scripts/span_baseline.py --check``): any event-sequence drift in the
 request path fails the build with the offending subtree, which is the
 repo's record-for-record replay guard for refactors of the request

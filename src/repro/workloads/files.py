@@ -51,3 +51,37 @@ def read_file(system, name: str) -> List[bytes]:
         return (yield from client.read_all(name))
 
     return system.run(body(), name=f"read:{name}")
+
+
+def timed(system, generator):
+    """Generator: run ``generator``; returns ``(its result, the
+    simulated seconds it took)``."""
+    start = system.sim.now
+    result = yield from generator
+    return result, system.sim.now - start
+
+
+def read_to_eof(client, name: str):
+    """Generator: ``seq_read`` the open file ``name`` to EOF; returns
+    the data chunks (``client.read_all`` without the open, so a caller
+    can time the stream alone)."""
+    chunks = []
+    while True:
+        block, data = yield from client.seq_read(name)
+        if block is None:
+            return chunks
+        chunks.append(data)
+
+
+def write_then_stream(system, name: str, blocks: int):
+    """Generator: create ``name`` at full width, append ``blocks``
+    full-size blocks, then open it and read them back through the naive
+    view — the sequential stream the S19 experiments, the obs-overhead
+    bench and the spec-equivalence tests all drive."""
+    client = system.naive_client()
+    yield from client.create(name, width=system.width)
+    for i in range(blocks):
+        yield from client.seq_write(name, bytes([i % 256]) * 960)
+    yield from client.open(name)
+    for _ in range(blocks):
+        yield from client.seq_read(name)

@@ -9,7 +9,6 @@ from repro.analysis import (
     crossover_point,
     efficiency,
     fit_line,
-    format_markdown_table,
     format_series,
     format_table,
     is_superlinear,
@@ -166,14 +165,6 @@ def test_format_table_basic():
 def test_format_table_aligns_columns():
     text = format_table(["a"], [[1000000.0]])
     assert "1,000,000" in text
-
-
-def test_format_markdown_table():
-    text = format_markdown_table(["p", "s"], [[2, 1.5]])
-    lines = text.splitlines()
-    assert lines[0] == "| p | s |"
-    assert lines[1] == "|---|---|"
-    assert "| 2 | 1.5 |" in lines[2]
 
 
 def test_format_series():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.harness.builders import BridgeSystem, build_system, paper_system
+from repro.harness.builders import BridgeSystem, paper_system
 from repro.harness.results import (
     CopyRun,
     SortRun,
@@ -55,7 +55,7 @@ def test_builder_validation():
 
 
 def test_builder_layout():
-    system = build_system(3)
+    system = BridgeSystem(3)
     assert system.width == 3
     assert len(system.machine) == 5  # 3 LFS + 1 server + 1 client
     assert system.server_node.index == 3
@@ -69,16 +69,10 @@ def test_paper_system_uses_15ms_disks():
     assert system.disks[0].latency.access_time == 0.015
 
 
-def test_builder_without_relays():
-    system = BridgeSystem(2, with_relays=False)
-    assert system.relays == []
-    assert system.bridge.relay_ports is None
-
-
 def test_disk_utilization_helpers():
     from repro.workloads import build_file, pattern_chunks
 
-    system = build_system(2)
+    system = BridgeSystem(2)
     build_file(system, "u", pattern_chunks(8))
     assert system.total_disk_ops() > 0
     utils = system.disk_utilizations()

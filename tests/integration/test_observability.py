@@ -20,23 +20,14 @@ import pytest
 from repro.harness import paper_system
 from repro.harness.experiments import run_obs_experiment
 from repro.obs import export_chrome_trace, validate_trace_document
-
-
-def _stream(system, name, blocks):
-    client = system.naive_client()
-    yield from client.create(name, width=system.width)
-    for i in range(blocks):
-        yield from client.seq_write(name, bytes([i % 256]) * 960)
-    yield from client.open(name)
-    for _ in range(blocks):
-        yield from client.seq_read(name)
+from repro.workloads import write_then_stream
 
 
 def _fingerprint(p, blocks, obs):
     """What a run's event sequence leaves behind: events executed, the
     final clock, and the request count of every server process."""
     system = paper_system(p, obs=obs)
-    system.run(_stream(system, "f", blocks))
+    system.run(write_then_stream(system, "f", blocks))
     servers = system.bridges + system.efs_servers + system.relays
     return (system.sim.events_executed, system.sim.now,
             [server.requests_served for server in servers])
@@ -57,7 +48,7 @@ def test_obs_on_runs_are_byte_identical(tmp_path):
     trees = []
     for label in ("a", "b"):
         system = paper_system(4, obs=True, prefetch_window=2)
-        system.run(_stream(system, "f", 128))
+        system.run(write_then_stream(system, "f", 128))
         path = tmp_path / f"{label}.json"
         export_chrome_trace(system.obs, str(path))
         paths.append(path)
@@ -101,7 +92,7 @@ def test_exported_trace_loads_full_span_tree(tmp_path):
     system = paper_system(
         4, obs=True, prefetch_window=2, trace_export=str(path)
     )
-    system.run(_stream(system, "f", 320))
+    system.run(write_then_stream(system, "f", 320))
     document = json.loads(path.read_text())
     assert validate_trace_document(document) == []
 

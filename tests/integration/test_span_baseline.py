@@ -12,7 +12,7 @@ import json
 import os
 
 from repro.obs import diff_trace_documents, export_chrome_trace
-from repro.harness import acceptance_system
+from repro.harness import BridgeSystem, SystemSpec
 from repro.workloads.acceptance import acceptance_driver
 
 BASELINE = os.path.join(
@@ -22,7 +22,7 @@ BASELINE = os.path.join(
 
 
 def test_acceptance_trace_matches_committed_baseline(tmp_path):
-    system = acceptance_system(obs=True)
+    system = BridgeSystem(SystemSpec.preset("acceptance"))
     summary = acceptance_driver(system)
     # Data-level outcome first: every view returned the right bytes.
     assert summary["alpha_blocks"] == 12
