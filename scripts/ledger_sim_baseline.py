@@ -16,6 +16,9 @@ of the seed, so any difference is a behaviour change, not noise.
 Usage:
     python scripts/ledger_sim_baseline.py --check    # exit 1 on drift (CI)
     python scripts/ledger_sim_baseline.py --write    # rewrite the baseline
+    python scripts/ledger_sim_baseline.py --write --workload cached_read
+        # a declared change: rewrite that workload's section only, and
+        # write nothing (exit 1) if any other workload drifted
 """
 
 import argparse
@@ -59,6 +62,40 @@ def seed_determined():
     return values
 
 
+def load_baseline(path):
+    """The committed ``{workload: {name: value}}``, or a message saying
+    why there is none to compare with."""
+    if not os.path.exists(path):
+        return None, f"no baseline at {path}; run with --write first"
+    with open(path, encoding="utf-8") as handle:
+        committed = json.load(handle)
+    if committed["run_args"] != list(RUN_ARGS):
+        return None, (f"baseline was written with {committed['run_args']}, "
+                      f"this script runs {list(RUN_ARGS)}; re-write it")
+    return committed["workloads"], None
+
+
+def write_baseline(path, workloads, count) -> int:
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump({"run_args": list(RUN_ARGS), "workloads": workloads},
+                  handle, indent=1, sort_keys=True)
+        handle.write("\n")
+    print(f"ledger sim baseline written: {count} values, {path}")
+    return 0
+
+
+def drifted(baseline, fresh, skip=None):
+    """One ``sim changed`` line per value that differs, ``skip`` aside."""
+    drift = []
+    for workload in sorted((set(baseline) | set(fresh)) - {skip}):
+        was, now = baseline.get(workload, {}), fresh.get(workload, {})
+        for name in sorted(set(was) | set(now)):
+            if was.get(name) != now.get(name):
+                drift.append(f"  sim changed  {workload:18s} {name:36s} "
+                             f"{was.get(name)!r} -> {now.get(name)!r}")
+    return drift
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     mode = parser.add_mutually_exclusive_group()
@@ -67,43 +104,44 @@ def main(argv=None) -> int:
     mode.add_argument("--check", action="store_true",
                       help="compare a fresh run against the baseline "
                            "(the default)")
+    parser.add_argument("--workload",
+                        help="with --write: the one workload whose values "
+                             "are meant to move; refuse if another drifted")
     parser.add_argument("--baseline", default=BASELINE,
                         help="baseline path (default: %(default)s)")
     args = parser.parse_args(argv)
+    if args.workload and not args.write:
+        parser.error("--workload declares a re-baseline: use it with --write")
 
     fresh = seed_determined()
     count = sum(len(kept) for kept in fresh.values())
-    if args.write:
-        with open(args.baseline, "w", encoding="utf-8") as handle:
-            json.dump({"run_args": list(RUN_ARGS), "workloads": fresh},
-                      handle, indent=1, sort_keys=True)
-            handle.write("\n")
-        print(f"ledger sim baseline written: {count} values, {args.baseline}")
-        return 0
+    if args.write and not args.workload:
+        return write_baseline(args.baseline, fresh, count)
 
-    if not os.path.exists(args.baseline):
-        print(f"no baseline at {args.baseline}; run with --write first")
+    baseline, problem = load_baseline(args.baseline)
+    if problem is None and args.workload and args.workload not in fresh:
+        problem = f"the ledger has no workload {args.workload!r}"
+    if problem is not None:
+        print(problem)
         return 1
-    with open(args.baseline, encoding="utf-8") as handle:
-        committed = json.load(handle)
-    if committed["run_args"] != list(RUN_ARGS):
-        print(f"baseline was written with {committed['run_args']}, "
-              f"this script runs {list(RUN_ARGS)}; re-write it")
-        return 1
-    drift = []
-    baseline = committed["workloads"]
-    for workload in sorted(set(baseline) | set(fresh)):
-        was, now = baseline.get(workload, {}), fresh.get(workload, {})
-        for name in sorted(set(was) | set(now)):
-            if was.get(name) != now.get(name):
-                drift.append(f"  sim changed  {workload:18s} {name:36s} "
-                             f"{was.get(name)!r} -> {now.get(name)!r}")
+    drift = drifted(baseline, fresh, skip=args.workload)
+    if args.write:
+        if drift:
+            print(f"nothing written: the declared change is "
+                  f"{args.workload}, but other workloads drifted")
+            print("\n".join(drift))
+            return 1
+        return write_baseline(
+            args.baseline,
+            {**baseline, args.workload: fresh[args.workload]}, count)
     if not drift:
         print(f"ledger sim baseline check OK: {count} seed-determined "
               f"values identical on {len(fresh)} workloads")
         return 0
     print("ledger sim baseline check FAILED: simulated behaviour drifted")
     print("\n".join(drift))
+    print("if one workload is meant to move, declare it: "
+          "--write --workload NAME")
     return 1
 
 

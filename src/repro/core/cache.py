@@ -29,6 +29,11 @@ Coherence protocol (write-through invalidation):
 Cached payloads are always the 960-byte data areas exactly as an EFS
 read returns them, so a cache hit is byte-identical to the uncached
 system by construction.
+
+Beside the data the cache remembers *where blocks live*: the disk
+address in every EFS result that crosses the server, per file, handed
+back as the hint of the next in-place write to that block (section 4.3:
+a correct hint is served without a search).  See :meth:`remember`.
 """
 
 from __future__ import annotations
@@ -58,6 +63,8 @@ class BridgeBlockCache:
             OrderedDict()
         )
         self._generations: Dict[str, int] = {}
+        #: name -> {global block: disk address on the block's LFS}.
+        self._addresses: Dict[str, Dict[int, int]] = {}
         # Counters are repro.obs instruments behind int-returning
         # properties, so the pre-S19 integer-attribute API is unchanged
         # while a MetricsRegistry can adopt the live objects.
@@ -165,14 +172,36 @@ class BridgeBlockCache:
                 self._prefetch_wasted.inc()
 
     def invalidate_file(self, name: str) -> None:
-        """Drop every cached block of ``name`` and bump its generation."""
+        """Drop every cached block of ``name``, forget where its blocks
+        live, and bump its generation."""
         self.bump_generation(name)
+        self._addresses.pop(name, None)
         victims = [key for key in self._entries if key[0] == name]
         for key in victims:
             _data, prefetched = self._entries.pop(key)
             self._invalidations.inc()
             if prefetched:
                 self._prefetch_wasted.inc()
+
+    # ------------------------------------------------------------------
+    # Block addresses (the write hint)
+    # ------------------------------------------------------------------
+
+    def remember(self, name: str, block: int, addr: int) -> None:
+        """Record where an EFS result said a global block lives.
+
+        Unlike the data, the address outlives :meth:`invalidate_block`:
+        an in-place write never moves a block, and EFS frees blocks only
+        on delete, which reaches :meth:`invalidate_file`.  EFS validates
+        every hint it is given, so an entry that is wrong anyway costs
+        one fetch, never a wrong block.
+        """
+        self._addresses.setdefault(name, {})[block] = addr
+
+    def address_of(self, name: str, block: int) -> Optional[int]:
+        """The remembered disk address of a global block, or ``None``."""
+        table = self._addresses.get(name)
+        return None if table is None else table.get(block)
 
     # ------------------------------------------------------------------
     # Counter facade + metrics registration (S19)

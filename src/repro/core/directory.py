@@ -108,6 +108,11 @@ class BridgeDirectory:
     def exists(self, name: str) -> bool:
         return name in self._entries
 
+    def holds(self, entry: BridgeFileEntry) -> bool:
+        """True while ``entry`` itself — not a later file of the same
+        name — is in this directory."""
+        return self._entries.get(entry.name) is entry
+
     def names(self) -> List[str]:
         return sorted(self._entries)
 

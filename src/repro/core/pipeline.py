@@ -28,9 +28,10 @@ The stages, in request order:
    the paper's section 4.5 create) and :meth:`spawn_tree` (relay-tree
    broadcast) are the two non-gather spawn shapes.
 5. **prefetch feedback** — :meth:`feedback` threads next-block disk
-   addresses from completed transfers into the hint table; the
-   read-ahead top-up and inflight-wait coupling live on the demand and
-   parallel delivery paths.
+   addresses from completed transfers into the hint table and
+   :meth:`learn` remembers each block's own address for the next
+   in-place write; the read-ahead top-up and inflight-wait coupling
+   live on the demand and parallel delivery paths.
 
 Adding an op handler means composing these stages, not re-implementing
 them; adding a redundancy scheme means appending an interposer, not
@@ -45,7 +46,7 @@ from repro.config import BLOCK_SIZE, DATA_BYTES_PER_BLOCK
 from repro.core.directory import BridgeFileEntry
 from repro.core.parallel import BlockDelivery, Deposit
 from repro.errors import BridgeBadRequestError, BridgeJobError
-from repro.machine import gather, gather_settled
+from repro.machine import Response, gather, gather_settled
 from repro.machine.rpc import Detached, Request
 from repro.sim import Timeout
 
@@ -118,8 +119,6 @@ class RequestPipeline:
         ``None`` to fall through to the full pipeline.  Misses also feed
         the S18 stream detector (prefetch feedback starts here).
         """
-        from repro.machine import Response
-
         server = self.server
         if server._cache is None:
             return None
@@ -307,6 +306,7 @@ class RequestPipeline:
             [self.read_call(entry, name, slot, local)]
         )
         self.feedback(name, slot, results[0].next_addr)
+        self.learn(entry, block, results[0].addr)
         return results[0].data
 
     def place(self, entry: BridgeFileEntry, block: int) -> Tuple[int, int]:
@@ -322,14 +322,18 @@ class RequestPipeline:
 
     def commit_write(self, entry: BridgeFileEntry, name: str, block: int,
                      data: bytes):
-        """Interposed or plain single-block write."""
+        """Interposed or plain single-block write; an in-place write
+        carries the block's remembered disk address as its EFS hint."""
         result = yield from self.interpose_write(entry, name, block, data)
         if result is not None:
             return result
         slot, local = self.place(entry, block)
+        cache = self.server._cache
+        hint = cache.address_of(name, block) if cache is not None else None
         results = yield from self.fanout(
-            [self.write_call(entry, slot, local, data)]
+            [self.write_call(entry, slot, local, data, hint)]
         )
+        self.learn(entry, block, results[0].addr)
         return results[0]
 
     # ------------------------------------------------------------------
@@ -337,9 +341,10 @@ class RequestPipeline:
     # ------------------------------------------------------------------
 
     def decompose(self, entry: BridgeFileEntry, name: str,
-                  blocks: List[int]) -> Dict[int, List[int]]:
-        """Split a global block list per constituent, validating range."""
-        per_slot: Dict[int, List[int]] = {}
+                  blocks: List[int]) -> Dict[int, Dict[int, int]]:
+        """Split a global block list per constituent, validating range:
+        ``slot -> {local block: global block}``."""
+        per_slot: Dict[int, Dict[int, int]] = {}
         for block in blocks:
             if not 0 <= block < entry.total_blocks:
                 raise BridgeBadRequestError(
@@ -347,11 +352,11 @@ class RequestPipeline:
                     f"{entry.total_blocks} blocks"
                 )
             slot, local = entry.locate_block(block)
-            per_slot.setdefault(slot, []).append(local)
+            per_slot.setdefault(slot, {})[local] = block
         return per_slot
 
     def gather_batches(self, entry: BridgeFileEntry, name: str,
-                       per_slot: Dict[int, List[int]]):
+                       per_slot: Dict[int, Dict[int, int]]):
         """One batched ``read_blocks`` per touched LFS; returns the
         ``(slot, local) -> data`` map with hints fed back."""
         server = self.server
@@ -359,7 +364,7 @@ class RequestPipeline:
         calls = [
             (server._slot_port(entry, slot), "read_blocks",
              {"file_number": entry.efs_file_numbers[slot],
-              "block_numbers": sorted(set(per_slot[slot])),
+              "block_numbers": sorted(per_slot[slot]),
               "hint": server._hints.get((name, slot))}, 0)
             for slot in slots
         ]
@@ -368,6 +373,8 @@ class RequestPipeline:
         for slot, batch in zip(slots, batches):
             for result in batch.results:
                 by_location[(slot, result.block_number)] = result.data
+                self.learn(entry, per_slot[slot][result.block_number],
+                           result.addr)
             if batch.results:
                 self.feedback(name, slot, batch.results[-1].next_addr)
         return by_location
@@ -410,19 +417,28 @@ class RequestPipeline:
     def scatter_batches(self, entry: BridgeFileEntry, name: str, writes):
         """One batched ``write_blocks`` per touched LFS."""
         server = self.server
+        interleave = entry.interleave
         per_slot: Dict[int, List[Tuple[int, bytes]]] = {}
         for block, data in writes:
-            slot, local = entry.interleave.locate(block)
+            slot, local = interleave.locate(block)
             per_slot.setdefault(slot, []).append((local, data))
+        slots = sorted(per_slot)
         calls = [
             (server._slot_port(entry, slot), "write_blocks",
              {"file_number": entry.efs_file_numbers[slot],
-              "writes": slot_writes,
+              "writes": per_slot[slot],
               "hint": server._hints.get((name, slot))},
-             BLOCK_SIZE * len(slot_writes))
-            for slot, slot_writes in sorted(per_slot.items())
+             BLOCK_SIZE * len(per_slot[slot]))
+            for slot in slots
         ]
-        yield from self.fanout(calls)
+        batches = yield from self.fanout(calls)
+        for slot, batch in zip(slots, batches):
+            for result in batch.results:
+                self.learn(
+                    entry,
+                    interleave.global_block(slot, result.block_number),
+                    result.addr,
+                )
 
     # ------------------------------------------------------------------
     # Composed parallel-view paths (lock-step delivery / collection)
@@ -478,6 +494,7 @@ class RequestPipeline:
         for (index, block), result in zip(pending, results):
             slot, _local = entry.locate_block(block)
             self.feedback(entry.name, slot, result.next_addr)
+            self.learn(entry, block, result.addr)
             server.node.send(
                 job.worker_ports[index],
                 BlockDelivery(job.job_id, index, block, result.data),
@@ -509,14 +526,16 @@ class RequestPipeline:
         """Append t collected blocks in lock-step groups of p."""
         t = len(chunks)
         for group_start in range(0, t, entry.width):
+            group = range(group_start, min(group_start + entry.width, t))
             calls = []
-            for index in range(group_start, min(group_start + entry.width, t)):
-                block = base + index
-                slot, local = entry.interleave.locate(block)
+            for index in group:
+                slot, local = entry.interleave.locate(base + index)
                 calls.append(
                     self.write_call(entry, slot, local, chunks[index])
                 )
-            yield from self.fanout(calls)
+            results = yield from self.fanout(calls)
+            for index, result in zip(group, results):
+                self.learn(entry, base + index, result.addr)
 
     # ------------------------------------------------------------------
     # Stage 5: prefetch feedback / detachment
@@ -526,6 +545,17 @@ class RequestPipeline:
         """Thread a completed transfer's next-block disk address back
         into the hint table (the "optimized path" of section 4.1)."""
         self.server._hints[(name, slot)] = next_addr
+
+    def learn(self, entry: BridgeFileEntry, block: int, addr: int) -> None:
+        """Remember where an EFS result said a global block lives, for
+        :meth:`commit_write`'s hint.  Only while this server's directory
+        holds ``entry`` itself: a job still pinned here after the name
+        migrated out (``server.migrated_out``), or a read that was in
+        flight across a delete, must not re-grow a departed file's
+        table."""
+        server = self.server
+        if server._cache is not None and server.directory.holds(entry):
+            server._cache.remember(entry.name, block, addr)
 
     def top_up(self, entry: BridgeFileEntry, name: str, frontier: int,
                depth: int) -> None:

@@ -32,6 +32,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Dict, Optional, Set, Tuple
 
+from repro.machine import gather
 from repro.sim import Signal
 
 
@@ -161,8 +162,6 @@ class Prefetcher:
 
     def _slot_worker(self, key: Tuple[str, int]):
         """Drain one constituent's fetch queue, one EFS read at a time."""
-        from repro.machine import gather
-
         name, slot = key
         server = self.server
         obs = server.node.machine.sim.obs
@@ -201,6 +200,7 @@ class Prefetcher:
                 signal.fire(None)
                 continue
             server._hints[(name, slot)] = result.next_addr
+            server.pipeline.learn(entry, block, result.addr)
             self.cache.install(name, block, result.data, prefetched=True)
             if obs is not None:
                 obs.end(span, outcome="installed")

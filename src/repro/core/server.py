@@ -41,7 +41,12 @@ from repro.core.ops import CONTROL_OPS
 from repro.core.parallel import JobInfo
 from repro.core.pipeline import RequestPipeline
 from repro.core.prefetch import Prefetcher
-from repro.errors import BridgeBadRequestError, BridgeError, BridgeJobError
+from repro.errors import (
+    BridgeBadRequestError,
+    BridgeError,
+    BridgeFileExistsError,
+    BridgeJobError,
+)
 from repro.machine import Port, Response, Server
 from repro.sim import Timeout
 
@@ -157,8 +162,6 @@ class BridgeServer(Server):
         commit — validation, the staged/tree constituent spawn, and the
         directory insert."""
         if self.directory.exists(name):
-            from repro.errors import BridgeFileExistsError
-
             raise BridgeFileExistsError(f"bridge file {name!r} exists")
         slots = self._resolve_slots(width, node_slots)
         width = len(slots)

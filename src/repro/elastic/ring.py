@@ -27,7 +27,6 @@ pure routing tables: deterministic, stateless, safe to rebuild from
 
 from __future__ import annotations
 
-import hashlib
 from bisect import bisect_right
 from typing import (
     Callable,
@@ -48,6 +47,10 @@ CIRCLE = 1 << 64
 
 def hash64(key: str) -> int:
     """Stable 64-bit hash of a string (blake2b, seed-independent)."""
+    # Imported here: hashlib pulls OpenSSL into every process that
+    # imports ``repro``, and only a consistent-hash ring ever hashes.
+    import hashlib
+
     digest = hashlib.blake2b(key.encode(), digest_size=8).digest()
     return int.from_bytes(digest, "big")
 

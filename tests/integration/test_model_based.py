@@ -149,66 +149,124 @@ def test_efs_agrees_with_reference_model(ops):
 _bridge_ops = st.lists(
     st.one_of(
         st.tuples(st.just("write"), st.integers(0, 255)),
+        st.tuples(st.just("sread")),
         st.tuples(st.just("rread"), st.integers(0, 30)),
         st.tuples(st.just("rwrite"), st.integers(0, 30), st.integers(0, 255)),
         st.tuples(st.just("reopen")),
+        st.tuples(st.just("delete")),
+        st.tuples(st.just("recreate")),
     ),
     max_size=30,
 )
 
+#: The knob lattice's first two points (ROADMAP item 1): every knob off,
+#: and the S18 Bridge cache with read-ahead.  Only timing may differ.
+_BRIDGE_KNOBS = [
+    {},
+    {"prefetch_window": 2, "bridge_cache_blocks": 16},
+]
 
+
+@pytest.mark.parametrize("knobs", _BRIDGE_KNOBS, ids=["paper", "cached"])
 @settings(
     max_examples=30,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
 @given(ops=_bridge_ops, width=st.sampled_from([1, 2, 4]), start=st.integers(0, 3))
-def test_bridge_naive_view_agrees_with_reference_model(ops, width, start):
-    from repro.errors import BridgeBadRequestError
-    from repro.harness.builders import BridgeSystem
+def test_bridge_naive_view_agrees_with_reference_model(knobs, ops, width, start):
+    import dataclasses
+
+    from repro.efs.fsck import check_system
+    from repro.errors import (
+        BridgeBadRequestError,
+        BridgeFileExistsError,
+        BridgeFileNotFoundError,
+    )
+    from repro.harness import BridgeSystem, SystemSpec
 
     start %= width
-    system = BridgeSystem(width, seed=103, disk_latency=FixedLatency(1e-4))
+    spec = SystemSpec.from_keywords(
+        width, seed=103, disk_latency=FixedLatency(1e-4)
+    )
+    system = BridgeSystem(dataclasses.replace(
+        spec, config=spec.config.with_changes(**knobs)
+    ))
     client = system.naive_client()
-    model = []
+    model = []  # the live file's blocks; None while "f" is deleted
+    cursor = 0
 
     def payload(value):
         return bytes([value]) * 8
 
+    def request(op):
+        """The client call an op stands for (run by ``yield from``)."""
+        kind = op[0]
+        if kind == "write":
+            return client.seq_write("f", payload(op[1]))
+        if kind == "sread":
+            return client.seq_read("f")
+        if kind == "rread":
+            return client.random_read("f", op[1])
+        if kind == "rwrite":
+            return client.random_write("f", op[1], payload(op[2]))
+        if kind == "reopen":
+            return client.open("f")
+        if kind == "delete":
+            return client.delete("f")
+        return client.create("f", start=start)
+
     def driver():
+        nonlocal model, cursor
         yield from client.create("f", start=start)
         for op in ops:
-            kind = op[0]
-            if kind == "write":
-                _, value = op
-                block = yield from client.seq_write("f", payload(value))
-                assert block == len(model)
-                model.append(payload(value))
-            elif kind == "rread":
-                _, block = op
-                if block >= len(model):
-                    with pytest.raises(BridgeBadRequestError):
-                        yield from client.random_read("f", block)
+            kind, call = op[0], request(op)
+            if kind == "recreate":
+                if model is None:
+                    yield from call
+                    model, cursor = [], 0
                 else:
-                    data = yield from client.random_read("f", block)
-                    assert data[:8] == model[block]
+                    with pytest.raises(BridgeFileExistsError):
+                        yield from call
+            elif model is None:
+                with pytest.raises(BridgeFileNotFoundError):
+                    yield from call
+            elif kind == "delete":
+                assert (yield from call) == len(model)  # blocks freed
+                model = None
+            elif kind == "write":
+                assert (yield from call) == len(model)
+                model.append(payload(op[1]))
+            elif kind == "sread":
+                number, data = yield from call
+                if cursor >= len(model):
+                    assert (number, data) == (None, None)
+                else:
+                    assert (number, data[:8]) == (cursor, model[cursor])
+                    cursor += 1
+            elif kind == "rread":
+                if op[1] >= len(model):
+                    with pytest.raises(BridgeBadRequestError):
+                        yield from call
+                else:
+                    assert (yield from call)[:8] == model[op[1]]
             elif kind == "rwrite":
-                _, block, value = op
+                block = op[1]
                 if block > len(model):
                     with pytest.raises(BridgeBadRequestError):
-                        yield from client.random_write("f", block, payload(value))
+                        yield from call
                 else:
-                    yield from client.random_write("f", block, payload(value))
-                    if block == len(model):
-                        model.append(payload(value))
-                    else:
-                        model[block] = payload(value)
+                    yield from call
+                    # in place, or an append when block == len(model)
+                    model[block:block + 1] = [payload(op[2])]
             elif kind == "reopen":
-                opened = yield from client.open("f")
-                assert opened.total_blocks == len(model)
-        chunks = yield from client.read_all("f")
-        assert len(chunks) == len(model)
-        for expected, actual in zip(model, chunks):
-            assert actual[:8] == expected
+                assert (yield from call).total_blocks == len(model)
+                cursor = 0
+        if model is not None:
+            chunks = yield from client.read_all("f")
+            assert len(chunks) == len(model)
+            for expected, actual in zip(model, chunks):
+                assert actual[:8] == expected
 
     system.run(driver())
+    assert all(report.clean for report in check_system(system))

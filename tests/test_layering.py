@@ -5,7 +5,10 @@ an upward dependency, it only hides the cycle from the interpreter.
 """
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "repro"
 
@@ -56,3 +59,25 @@ def test_no_upward_imports():
             if RANK[package] > RANK[owner]:
                 upward.append(f"{relative}:{lineno} imports repro.{package}")
     assert not upward, "\n".join(upward)
+
+
+def test_the_paper_system_never_loads_hashlib():
+    """Only the consistent-hash ring hashes; the paper's machine (one
+    server, modulo routing) must not pay OpenSSL's 3.7 MiB for it."""
+    script = (
+        "import sys\n"
+        "from repro.harness import BridgeSystem, SystemSpec\n"
+        "system = BridgeSystem(SystemSpec.preset('paper', lfs_count=4))\n"
+        "client = system.naive_client()\n"
+        "def stream():\n"
+        "    yield from client.create('f')\n"
+        "    yield from client.write_all('f', [b'x' * 64] * 12)\n"
+        "    return (yield from client.read_all('f'))\n"
+        "assert len(system.run(stream())) == 12\n"
+        "assert 'hashlib' not in sys.modules\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC.parent)}, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
