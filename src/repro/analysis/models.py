@@ -217,17 +217,6 @@ def pipelined_supply_seconds_per_block(config=None,
     )
 
 
-def pipelined_client_bound(width: int, config=None,
-                           disk_latency: float = 0.015) -> bool:
-    """True when the pipelined stream is limited by the client round
-    trip: the p constituents together supply blocks at least as fast as
-    the client consumes cache hits."""
-    if width < 1:
-        raise ValueError("width must be >= 1")
-    supply = pipelined_supply_seconds_per_block(config, disk_latency) / width
-    return supply <= pipelined_hit_seconds(config)
-
-
 def pipelined_read_seconds(file_blocks: int, width: int, config=None,
                            disk_latency: float = 0.015) -> float:
     """Closed-form time for an n-block pipelined sequential read: every
@@ -343,16 +332,6 @@ def fabric_speedup_bound(names: Sequence[str], servers: int,
     return (sum(loads) / peak) if peak else float(servers)
 
 
-def fabric_server_seconds(names: Sequence[str], servers: int,
-                          per_request_seconds: float,
-                          requests: Optional[Dict[str, int]] = None,
-                          ring=None) -> float:
-    """Predicted server-stage critical time on a fabric: the hottest
-    partition's request count times the per-request service charge."""
-    loads = partition_load(names, servers, requests, ring=ring)
-    return (max(loads) if loads else 0) * per_request_seconds
-
-
 # ---------------------------------------------------------------------------
 # S23: batched metadata RPC model
 # ---------------------------------------------------------------------------
@@ -398,20 +377,6 @@ def batched_rpc_count(names: Sequence[str], partitions: int,
     if window == 0:
         return len(buckets)
     return sum(math.ceil(count / window) for count in buckets.values())
-
-
-def metadata_rpc_counts(names: Sequence[str], partitions: int,
-                        window: int = 0, ring=None) -> Dict[str, int]:
-    """The per-name-loop vs batched comparison in one package:
-    ``per_name`` (one RPC per name, what a sequential client pays),
-    ``batched`` (the S23 count), and ``partitions_touched``."""
-    buckets = metadata_partition_buckets(names, partitions, ring=ring)
-    return {
-        "per_name": len(list(names)),
-        "batched": batched_rpc_count(names, partitions, window=window,
-                                     ring=ring),
-        "partitions_touched": len(buckets),
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -42,9 +42,6 @@ class RoundRobinPlacement:
     def node_of(self, block: int, file_size: int) -> int:
         return (block + self.start) % self.nodes
 
-    def supports_append(self) -> bool:
-        return True
-
     def append_moves(self, old_size: int, new_size: int) -> int:
         """Blocks that must move when growing from old_size to new_size."""
         return 0
@@ -65,9 +62,6 @@ class ChunkedPlacement:
             return 0
         chunk = math.ceil(file_size / self.nodes)
         return min(block // chunk, self.nodes - 1)
-
-    def supports_append(self) -> bool:
-        return False  # requires a-priori size; growth reorganizes
 
     def append_moves(self, old_size: int, new_size: int) -> int:
         """Blocks whose home changes when the file grows (the "global
@@ -95,9 +89,6 @@ class HashedPlacement:
             (block * 0x9E3779B97F4A7C15 + self.salt).to_bytes(16, "little")
         )
         return digest % self.nodes
-
-    def supports_append(self) -> bool:
-        return True
 
     def append_moves(self, old_size: int, new_size: int) -> int:
         return 0

@@ -24,10 +24,6 @@ class SequentialCopyResult:
     blocks: int
     elapsed: float
 
-    @property
-    def blocks_per_second(self) -> float:
-        return self.blocks / self.elapsed if self.elapsed > 0 else 0.0
-
 
 class SequentialSystem:
     """A single-LFS installation with a remote client node."""

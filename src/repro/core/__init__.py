@@ -19,7 +19,11 @@ from repro.core.parallel import (
     JobInfo,
     ParallelWorker,
 )
-from repro.core.partitioned import PartitionedBridge, PartitionedClient
+from repro.core.partitioned import (
+    PartitionedBridge,
+    PartitionedClient,
+    client_for,
+)
 from repro.core.prefetch import Prefetcher, SequentialDetector
 from repro.core.relay import RelayServer
 from repro.core.server import BridgeServer
@@ -49,6 +53,7 @@ __all__ = [
     "RelayServer",
     "SequentialDetector",
     "SystemInfo",
+    "client_for",
     "reorganize",
     "scatter_quality",
 ]

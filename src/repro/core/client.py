@@ -9,7 +9,9 @@ This class is the one hand-written client surface.  Every op leaves
 through :meth:`BridgeClient._call`; a plain client sends everything to
 its one server, and :class:`~repro.core.partitioned.PartitionedClient`
 overrides only that seam, choosing the partition(s) by the op's routing
-rule in :mod:`repro.core.ops`.
+rule in :mod:`repro.core.ops`.  Build one with
+:func:`repro.core.partitioned.client_for`, which picks the class from
+what it is pointed at.
 """
 
 from __future__ import annotations
@@ -27,9 +29,14 @@ class BridgeClient:
         self.server_port = server_port
         self._rpc = Client(node, name, traffic_class=traffic_class)
 
-    def _call(self, method: str, size: int = 0, **args):
+    def _call(self, method: str, size: int = 0, job=None, **args):
         """Issue one op (a generator): the seam every method below
-        leaves through."""
+        leaves through.  ``job`` is the ``JobInfo`` of a ``job``-routed
+        op, which goes to the server holding the job and carries only
+        its id."""
+        if job is not None:
+            return self._rpc.call(job.server_port, method, size=size,
+                                  job_id=job.job_id)
         return self._rpc.call(self.server_port, method, size=size, **args)
 
     # ------------------------------------------------------------------

@@ -45,10 +45,6 @@ class OpenResult:
     def interleave(self) -> InterleaveMap:
         return InterleaveMap(self.width, self.start)
 
-    def constituent_for_global(self, global_block: int) -> ConstituentInfo:
-        """The constituent holding a given global block."""
-        return self.constituents[self.interleave.slot_of(global_block)]
-
 
 @dataclass
 class LFSHandle:

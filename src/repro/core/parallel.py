@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-from repro.machine import Client, Port
+from repro.machine import Port
 
 
 @dataclass
@@ -61,33 +61,38 @@ class JobInfo:
 class JobController:
     """Controller-side helper: issues parallel opens/reads/writes.
 
-    ``server_port`` may be a plain server :class:`Port` or a partitioned
-    fabric router (anything with ``port_for(name)``): the owning
-    partition is resolved once at :meth:`open`, and the job's subsequent
-    reads/writes/close go to the server that answered
+    ``server_port`` may be a plain server :class:`Port` or a
+    :class:`~repro.core.partitioned.PartitionedBridge`; either way the
+    controller speaks through the client
+    :func:`~repro.core.partitioned.client_for` builds for it, so the
+    op table routes: :meth:`open` goes to the owner of the name, and the
+    job's subsequent reads/writes/close to the server that answered
     (``JobInfo.server_port``).
     """
 
     def __init__(self, node, server_port: Port, name: str = "controller",
                  traffic_class: Optional[str] = None) -> None:
+        # Imported here: partitioned -> server -> this module's records.
+        from repro.core.partitioned import client_for
+
         self.node = node
         self.server_port = server_port
-        self._rpc = Client(node, name, traffic_class=traffic_class)
+        self._client = client_for(node, server_port, name=name,
+                                  traffic_class=traffic_class)
         self.job: Optional[JobInfo] = None
 
     def open(self, name: str, worker_ports: List[Port]):
         """Group the workers into a job on ``name``; returns JobInfo."""
-        port_for = getattr(self.server_port, "port_for", None)
-        port = port_for(name) if port_for is not None else self.server_port
-        self.job = yield from self._rpc.call(
-            port, "parallel_open", name=name, worker_ports=worker_ports
+        self.job = yield from self._client._call(
+            "parallel_open", name=name, worker_ports=worker_ports
         )
         return self.job
 
     def read(self):
         """Move one block to every worker; returns blocks actually read
         (workers past EOF receive an eof delivery)."""
-        return (yield from self._job_call("parallel_read", self.job))
+        return (yield from self._client._call("parallel_read",
+                                              job=self._open_job()))
 
     def write(self):
         """Collect one deposited block from every worker and append them.
@@ -96,21 +101,19 @@ class JobController:
         deposits may be in flight; the server waits for all of them).
         Returns the file's new total size in blocks.
         """
-        return (yield from self._job_call("parallel_write", self.job))
+        return (yield from self._client._call("parallel_write",
+                                              job=self._open_job()))
 
     def close(self):
         """Discard the job's server-side state."""
-        job, self.job = self.job, None
-        return (yield from self._job_call("parallel_close", job))
+        job, self.job = self._open_job(), None
+        return (yield from self._client._call("parallel_close", job=job))
 
-    def _job_call(self, method: str, job: Optional[JobInfo]):
-        """One ``job``-routed op, on the server holding the job."""
-        if job is None:
+    def _open_job(self) -> JobInfo:
+        """The job every ``job``-routed op names (and is routed by)."""
+        if self.job is None:
             raise RuntimeError("no job open; call open() first")
-        return (
-            yield from self._rpc.call(job.server_port, method,
-                                      job_id=job.job_id)
-        )
+        return self.job
 
 
 class ParallelWorker:

@@ -43,8 +43,8 @@ class PartitionedBridge:
     """Routes each file name to its owning Bridge Server.
 
     This is the fabric handle: anything that accepts a server ``Port``
-    for per-name operations can accept one of these instead and resolve
-    the partition with :meth:`port_for` (the tool framework and
+    accepts one of these instead and reaches it through the client
+    :func:`client_for` builds (the tool framework and
     :class:`~repro.core.parallel.JobController` do exactly that).
 
     Since S22 the routing map is a *ring* object (see
@@ -63,11 +63,6 @@ class PartitionedBridge:
         self.servers = list(servers)
         self.set_ring(ring if ring is not None
                       else ModuloRing(len(self.servers)))
-
-    @property
-    def partitions(self) -> int:
-        """Active partition count (the ring's, not the provisioned)."""
-        return self.ring.partitions
 
     @property
     def active_servers(self) -> List[BridgeServer]:
@@ -100,29 +95,6 @@ class PartitionedBridge:
     def port_for(self, name: str) -> Port:
         return self.server_for(name).port
 
-    def cache_stats(self) -> Optional[Dict[str, object]]:
-        """Aggregate S18 cache/prefetch counters across active partitions
-        (``None`` when every partition runs cache-off)."""
-        per_partition = [
-            server.bridge_cache_stats() for server in self.active_servers
-        ]
-        live = [stats for stats in per_partition if stats is not None]
-        if not live:
-            return None
-        totals: Dict[str, object] = {}
-        for stats in live:
-            for key, value in stats.items():
-                if isinstance(value, (int, float)) and key != "hit_rate":
-                    totals[key] = totals.get(key, 0) + value
-        probes = (totals.get("hits", 0) or 0) + (totals.get("misses", 0) or 0)
-        totals["hit_rate"] = (totals.get("hits", 0) / probes) if probes else 0.0
-        totals["partitions"] = self.partitions
-        totals["partitions_with_cache"] = len(live)
-        return totals
-
-    def __len__(self) -> int:
-        return self.partitions
-
 
 class PartitionedClient(BridgeClient):
     """The client surface over a partitioned server collection.
@@ -131,8 +103,9 @@ class PartitionedClient(BridgeClient):
     the one ``_call`` seam overridden to pick the serving partition(s)
     from the op's routing rule (:data:`repro.core.ops.OPS`): per-name
     ops go to the ring owner of the name, batched metadata ops are
-    bucketed by the live ring, and ``find`` / ``Get Info`` fan out to
-    every active partition in a single windowed gather and merge.
+    bucketed by the live ring, ``find`` / ``Get Info`` fan out to
+    every active partition in a single windowed gather and merge, and a
+    job's ops go to the server holding the job.
     """
 
     def __init__(self, node, bridge: PartitionedBridge,
@@ -140,14 +113,16 @@ class PartitionedClient(BridgeClient):
         super().__init__(node, bridge, name=name, traffic_class=traffic_class)
         self.bridge = bridge
 
-    def _call(self, method: str, size: int = 0, **args):
+    def _call(self, method: str, size: int = 0, job=None, **args):
         route = OPS[method].route
         if route == "name":
             return self._rpc.call(self.bridge.port_for(args["name"]), method,
                                   size=size, **args)
         if route == "names":
             return self._mop(method, **args)
-        return self._broadcast(method, args)
+        if route == "all":
+            return self._broadcast(method, args)
+        return super()._call(method, size, job=job)
 
     def _window(self) -> int:
         """The fabric's fan-out window (``bridge_fanout_limit``; 0 =
@@ -258,3 +233,18 @@ def _merge_info(infos):
 
 #: How each ``all``-routed op folds its per-partition replies.
 _MERGE = {"find": _merge_find, "get_info": _merge_info}
+
+
+def client_for(node, target, **keywords) -> BridgeClient:
+    """The client for whatever a consumer was pointed at — the one place
+    that answers "port or fabric?": a :class:`PartitionedClient` over a
+    :class:`PartitionedBridge`, a plain :class:`BridgeClient` on a
+    server :class:`~repro.machine.Port`.  ``keywords`` are the client's
+    (``name``, ``traffic_class``)."""
+    if isinstance(target, PartitionedBridge):
+        return PartitionedClient(node, target, **keywords)
+    if isinstance(target, Port):
+        return BridgeClient(node, target, **keywords)
+    raise TypeError(
+        f"expected a server Port or a PartitionedBridge, got {target!r}"
+    )

@@ -16,26 +16,20 @@ The stages, in request order:
    (with S18 stream observation); :meth:`invalidate` is the
    invalidate-before-issue write guard; :meth:`demand_read` is the
    detached fill path with its generation-guarded install.
-3. **redundancy interposition** — :meth:`interpose_read` /
-   :meth:`interpose_write` walk the :attr:`interposers` chain, letting a
-   redundancy scheme serve a read (degraded XOR reconstruction) or
-   absorb a write (parity read-modify-write) before the plain fan-out.
-   The default chain is empty, which is byte-for-byte the unprotected
-   seed path.
-4. **fan-out/gather** — every EFS message leaves through
+3. **fan-out/gather** — every EFS message leaves through
    :meth:`fanout`, windowed by ``config.bridge_fanout_limit``;
    :meth:`spawn_staged` (sequential initiation, overlapped completion —
    the paper's section 4.5 create) and :meth:`spawn_tree` (relay-tree
    broadcast) are the two non-gather spawn shapes.
-5. **prefetch feedback** — :meth:`feedback` threads next-block disk
+4. **prefetch feedback** — :meth:`feedback` threads next-block disk
    addresses from completed transfers into the hint table and
    :meth:`learn` remembers each block's own address for the next
    in-place write; the read-ahead top-up and inflight-wait coupling
    live on the demand and parallel delivery paths.
 
 Adding an op handler means composing these stages, not re-implementing
-them; adding a redundancy scheme means appending an interposer, not
-editing seven handlers.
+them.  Redundancy (S16) is not a stage: parity and degraded reads are
+client-side wrappers in :mod:`repro.redundancy`.
 """
 
 from __future__ import annotations
@@ -54,15 +48,10 @@ from repro.sim import Timeout
 class RequestPipeline:
     """The staged request engine of one Bridge Server instance."""
 
-    __slots__ = ("server", "interposers")
+    __slots__ = ("server",)
 
     def __init__(self, server) -> None:
         self.server = server
-        #: Redundancy interposition chain (stage 3).  Each entry may
-        #: implement ``read(entry, name, block) -> generator | None``
-        #: and/or ``write(entry, name, block, data) -> generator | None``;
-        #: returning a generator claims the access.
-        self.interposers: List[object] = []
 
     # ------------------------------------------------------------------
     # Stage 1: admission & resolution
@@ -168,34 +157,7 @@ class RequestPipeline:
         return data
 
     # ------------------------------------------------------------------
-    # Stage 3: redundancy interposition
-    # ------------------------------------------------------------------
-
-    def interpose_read(self, entry: BridgeFileEntry, name: str, block: int):
-        """First interposer claiming the read serves it (degraded
-        reconstruction); returns its data, or ``None`` when unclaimed."""
-        for interposer in self.interposers:
-            hook = getattr(interposer, "read", None)
-            handler = hook(entry, name, block) if hook is not None else None
-            if handler is not None:
-                data = yield from handler
-                return data
-        return None
-
-    def interpose_write(self, entry: BridgeFileEntry, name: str, block: int,
-                        data: bytes):
-        """First interposer claiming the write absorbs it (parity RMW);
-        returns its result, or ``None`` when unclaimed."""
-        for interposer in self.interposers:
-            hook = getattr(interposer, "write", None)
-            handler = hook(entry, name, block, data) if hook is not None else None
-            if handler is not None:
-                result = yield from handler
-                return result
-        return None
-
-    # ------------------------------------------------------------------
-    # Stage 4: fan-out / gather
+    # Stage 3: fan-out / gather
     # ------------------------------------------------------------------
 
     def fanout(self, calls):
@@ -264,7 +226,7 @@ class RequestPipeline:
                  "hint": hint}, BLOCK_SIZE)
 
     # ------------------------------------------------------------------
-    # Composed single-block paths (stages 2+3+4+5)
+    # Composed single-block paths (stages 2+3+4)
     # ------------------------------------------------------------------
 
     def demand_read(self, entry: BridgeFileEntry, name: str, block: int):
@@ -296,11 +258,8 @@ class RequestPipeline:
         return data
 
     def _read_source(self, entry: BridgeFileEntry, name: str, block: int):
-        """Stage 3 then stage 4: interposed or plain single-block read,
-        with the hint feedback of stage 5."""
-        data = yield from self.interpose_read(entry, name, block)
-        if data is not None:
-            return data
+        """Stage 3: one single-block read, with the hint feedback of
+        stage 4."""
         slot, local = entry.locate_block(block)
         results = yield from self.fanout(
             [self.read_call(entry, name, slot, local)]
@@ -322,11 +281,8 @@ class RequestPipeline:
 
     def commit_write(self, entry: BridgeFileEntry, name: str, block: int,
                      data: bytes):
-        """Interposed or plain single-block write; an in-place write
-        carries the block's remembered disk address as its EFS hint."""
-        result = yield from self.interpose_write(entry, name, block, data)
-        if result is not None:
-            return result
+        """One single-block write; an in-place write carries the
+        block's remembered disk address as its EFS hint."""
         slot, local = self.place(entry, block)
         cache = self.server._cache
         hint = cache.address_of(name, block) if cache is not None else None
@@ -538,7 +494,7 @@ class RequestPipeline:
                 self.learn(entry, base + index, result.addr)
 
     # ------------------------------------------------------------------
-    # Stage 5: prefetch feedback / detachment
+    # Stage 4: prefetch feedback / detachment
     # ------------------------------------------------------------------
 
     def feedback(self, name: str, slot: int, next_addr) -> None:

@@ -23,14 +23,17 @@ server refreshes its cached cursor/size/hint state at every open.
 
 Since S20 every op handler is a thin composition of the staged request
 pipeline (:mod:`repro.core.pipeline`): admission/resolution, cache,
-redundancy interposition, windowed fan-out/gather, prefetch feedback.
-The handlers below own only per-op argument validation and directory
-state; all forwarding, caching, and gathering goes through the stages.
+windowed fan-out/gather, prefetch feedback.  The handlers below own
+only per-op argument validation and directory state; all forwarding,
+caching, and gathering goes through the stages.  The four metadata
+verbs and their batched forms share one body
+(:meth:`BridgeServer._run_verb`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from itertools import repeat
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.config import SystemConfig
 from repro.core.batch import BATCH_SIZE_BOUNDS, FileStat, NameOutcome
@@ -63,6 +66,35 @@ class _Job:
         self.worker_ports = worker_ports
         self.cursor = 0
         self.port = port
+
+
+class _Verb(NamedTuple):
+    """One metadata verb (Open / Stat / Create / Delete), stated once;
+    :meth:`BridgeServer._run_verb` is the body that runs any of them."""
+
+    #: The singleton's wire name; the batched op is ``"m" + name``.
+    name: str
+    #: ``step(server, name, **shape)``: the verb's work on one name
+    #: inside the monitor.  Raises ``BridgeError`` to refuse the name;
+    #: what it returns is the name's *state* (a directory entry for the
+    #: verbs with an ``efs_method``).
+    step: Callable
+    #: ``step`` is a generator: Create spawns its constituents name by
+    #: name, before the next name is validated.
+    spawns: bool = False
+    #: What every constituent of every surviving name then receives.
+    efs_method: Optional[str] = None
+    #: The verb mutates the directory: one update charge per request.
+    commits: bool = False
+    #: The EFS fan-out runs in a side process.
+    detached: bool = False
+    #: ``value(server, name, state, replies)``: what the name returns
+    #: (``None``: its state).
+    value: Optional[Callable] = None
+
+
+#: The shape arguments of every verb but Create: none.
+_NO_SHAPE: Dict[str, object] = {}
 
 
 class BridgeServer(Server):
@@ -149,18 +181,90 @@ class BridgeServer(Server):
         (the server keeps the global->local map) at the expense of strict
         interleaving's consecutive-block guarantee.
         """
+        return self._run_verb(self._CREATE, name, None, {
+            "width": width, "node_slots": node_slots, "start": start,
+            "disordered": disordered,
+        })
+
+    def op_mcreate(self, names, width=None, node_slots=None, start=0,
+                   disordered=False):
+        """Batched create (shared shape): the spawns run name by name,
+        the probe and the directory-update commit are paid once.  A
+        duplicate name — in the directory or earlier in the same batch —
+        gets the same exists error the singleton op raises."""
+        return self._run_verb(self._CREATE, None, names, {
+            "width": width, "node_slots": node_slots, "start": start,
+            "disordered": disordered,
+        })
+
+    def op_delete(self, name):
+        """Delete on all LFS in parallel; each LFS walk is O(n/p).
+
+        Directory removal happens synchronously (the server is the
+        monitor around file management), but the LFS walks — seconds for
+        big files — run detached so one large delete does not serialize
+        every other client behind the central server.
+        """
+        return self._run_verb(self._DELETE, name)
+
+    def op_mdelete(self, names):
+        """Batched delete: one commit for the batch, every LFS walk in a
+        single detached windowed fan-out."""
+        return self._run_verb(self._DELETE, None, names)
+
+    def op_open(self, name):
+        """Set up the optimized path: refresh sizes and hints, reset the
+        sequential cursor, and return the constituent information."""
+        return self._run_verb(self._OPEN, name)
+
+    def op_mopen(self, names):
+        """Batched Open: one windowed info fan-out covers every
+        ``(name, slot)`` leg of the whole batch."""
+        return self._run_verb(self._OPEN, None, names)
+
+    def op_stat(self, name):
+        """Directory-only metadata probe: what the server knows without
+        an LFS round trip.  ``total_blocks`` is as of the last open or
+        write through this server — Open itself is only "a hint"
+        (section 4.1), so a stat is the cheap hint-refresh parallel
+        utilities want when walking thousands of names."""
+        return self._run_verb(self._STAT, name)
+
+    def op_mstat(self, names):
+        """Batched stat: no LFS traffic at all — the whole batch is
+        served out of the one metadata sweep ``admit(batch=n)`` charges."""
+        return self._run_verb(self._STAT, None, names)
+
+    def op_find(self, prefix=""):
+        """Enumerate directory names with a prefix, sorted.
+
+        The Bridge namespace is flat, so a "deep tree" is a family of
+        ``/``-separated name prefixes; one find per partition is the
+        enumeration primitive under ``pfind``/``pcp -r``/``prm -r``.
+        Names whose migration is in flight at this instant live in
+        exactly one partition's directory or in the mover's hands, so a
+        cross-partition find during a resize sweep can miss an in-flight
+        name — utilities enumerate before or after a sweep, and the
+        batched m-ops (which chase forwards per name) are the
+        migration-safe surface.
+        """
         yield from self.pipeline.admit(probe=True)
-        file_id = yield from self._create_one(
-            name, width, node_slots, start, disordered
-        )
-        yield from self.pipeline.commit()
-        return file_id
+        return [name for name in self.directory.names()
+                if name.startswith(prefix)]
+
+    def op_get_info(self):
+        """The tool bootstrap package (Table 1: Get Info -> LFS handles)."""
+        yield from self.pipeline.admit()
+        return SystemInfo(lfs=list(self.lfs), server_port=self.port)
+
+    # ------------------------------------------------------------------
+    # The four metadata verbs, each stated once, and their one driver
+    # ------------------------------------------------------------------
 
     def _create_one(self, name, width, node_slots, start, disordered):
-        """The create body shared by ``op_create`` and ``op_mcreate``:
-        everything between the admission charge and the directory-update
-        commit — validation, the staged/tree constituent spawn, and the
-        directory insert."""
+        """Create's per-name step: everything between the admission
+        charge and the directory-update commit — validation, the
+        staged/tree constituent spawn, and the directory insert."""
         if self.directory.exists(name):
             raise BridgeFileExistsError(f"bridge file {name!r} exists")
         slots = self._resolve_slots(width, node_slots)
@@ -212,29 +316,11 @@ class BridgeServer(Server):
         self.migrated_out.discard(name)
         return file_id
 
-    def op_delete(self, name):
-        """Delete on all LFS in parallel; each LFS walk is O(n/p).
-
-        Directory removal happens synchronously (the server is the
-        monitor around file management), but the LFS walks — seconds for
-        big files — run detached so one large delete does not serialize
-        every other client behind the central server.
-        """
-        yield from self.pipeline.admit(probe=True)
-        entry, _cursor = self._unlink(name)
-        yield from self.pipeline.commit()
-
-        def reap():
-            (freed,) = yield from self._per_constituent([entry], "delete")
-            return sum(freed)
-
-        return self.pipeline.detach(reap())
-
     def _unlink(self, name):
         """The synchronous per-name half of every op that takes a name
-        out of this directory (``delete``, ``mdelete``, ``migrate_out``):
-        drop the entry, its cursor and its disk hints, and bump the S18
-        cache generation.  Returns ``(entry, cursor)``."""
+        out of this directory (Delete, ``migrate_out``): drop the entry,
+        its cursor and its disk hints, and bump the S18 cache
+        generation.  Returns ``(entry, cursor)``."""
         entry = self.directory.remove(name)
         cursor = self._cursors.pop(name, None)
         for slot in range(entry.width):
@@ -242,34 +328,10 @@ class BridgeServer(Server):
         self.pipeline.evict_file(name)
         return entry, cursor
 
-    def _per_constituent(self, entries, method):
-        """One windowed fan-out of ``method`` to every constituent of
-        every entry; returns the replies grouped per entry, slot order.
-        The LFS half shared by the singleton and batched Open/Delete."""
-        replies = iter((yield from self.pipeline.fanout(
-            [
-                (self._slot_port(entry, slot), method,
-                 {"file_number": entry.efs_file_numbers[slot]}, 0)
-                for entry in entries
-                for slot in range(entry.width)
-            ]
-        )))
-        return [[next(replies) for _slot in range(entry.width)]
-                for entry in entries]
-
-    def op_open(self, name):
-        """Set up the optimized path: refresh sizes and hints, reset the
-        sequential cursor, and return the constituent information."""
-        yield from self.pipeline.admit(probe=True)
-        entry = self.pipeline.resolve(name)
-        (infos,) = yield from self._per_constituent([entry], "info")
-        return self._open_result(name, entry, infos)
-
     def _open_result(self, name, entry, infos) -> OpenResult:
         """Turn one name's per-constituent ``info`` replies into the open
-        package: size reconciliation, hint feedback, cursor reset.
-        Shared by ``op_open`` and ``op_mopen`` (synchronous — the fan-out
-        already happened)."""
+        package: size reconciliation, hint feedback, cursor reset
+        (synchronous — the fan-out already happened)."""
         sizes = [info.size_blocks for info in infos]
         if entry.disordered:
             if sum(sizes) != len(entry.block_map or []):
@@ -305,32 +367,6 @@ class BridgeServer(Server):
             constituents=constituents,
         )
 
-    def op_stat(self, name):
-        """Directory-only metadata probe: what the server knows without
-        an LFS round trip.  ``total_blocks`` is as of the last open or
-        write through this server — Open itself is only "a hint"
-        (section 4.1), so a stat is the cheap hint-refresh parallel
-        utilities want when walking thousands of names."""
-        yield from self.pipeline.admit(probe=True)
-        return self._stat_of(self.pipeline.resolve(name))
-
-    def op_find(self, prefix=""):
-        """Enumerate directory names with a prefix, sorted.
-
-        The Bridge namespace is flat, so a "deep tree" is a family of
-        ``/``-separated name prefixes; one find per partition is the
-        enumeration primitive under ``pfind``/``pcp -r``/``prm -r``.
-        Names whose migration is in flight at this instant live in
-        exactly one partition's directory or in the mover's hands, so a
-        cross-partition find during a resize sweep can miss an in-flight
-        name — utilities enumerate before or after a sweep, and the
-        batched m-ops (which chase forwards per name) are the
-        migration-safe surface.
-        """
-        yield from self.pipeline.admit(probe=True)
-        return [name for name in self.directory.names()
-                if name.startswith(prefix)]
-
     def _stat_of(self, entry: BridgeFileEntry) -> FileStat:
         return FileStat(
             name=entry.name,
@@ -341,141 +377,121 @@ class BridgeServer(Server):
             disordered=entry.disordered,
         )
 
-    def op_get_info(self):
-        """The tool bootstrap package (Table 1: Get Info -> LFS handles)."""
-        yield from self.pipeline.admit()
-        return SystemInfo(lfs=list(self.lfs), server_port=self.port)
+    _OPEN = _Verb(
+        "open", lambda self, name: self.pipeline.resolve(name),
+        efs_method="info", value=_open_result,
+    )
+    _STAT = _Verb(
+        "stat", lambda self, name: self._stat_of(self.pipeline.resolve(name)),
+    )
+    _CREATE = _Verb("create", _create_one, spawns=True, commits=True)
+    _DELETE = _Verb(
+        "delete", lambda self, name: self._unlink(name)[0],
+        efs_method="delete", commits=True, detached=True,
+        value=lambda self, name, entry, freed: sum(freed),
+    )
 
-    # ==================================================================
-    # S23 batched metadata ops
-    # ==================================================================
-    #
-    # Each handler serves many names in one request: the decode and
-    # directory probe are paid once (pipeline.admit(batch=n)), per-name
-    # results come back as NameOutcome records in request order, and a
-    # bad name is *that name's* outcome, never the batch's.  The base
-    # loop's forwarding seam keys on the singular ``name`` argument, so
-    # batched requests are never redirected wholesale — instead each
-    # handler splits its batch against ``forward_to`` and chases the
-    # moved names with singleton ops from a detached side process (the
-    # server keeps serving; two partitions chasing into each other can
-    # never deadlock the fabric).
+    def _run_verb(self, verb: _Verb, name, names=None, shape=_NO_SHAPE):
+        """The one body of Open / Stat / Create / Delete: run ``verb``
+        over the batch ``names`` or — ``names=None`` — over the single
+        ``name`` of a singleton op.
 
-    def op_mopen(self, names):
-        """Batched Open: one windowed info fan-out covers every
-        ``(name, slot)`` leg of the whole batch."""
-        names, local, moved, outcomes = yield from self._batch_begin(
-            "mopen", names
-        )
-        entries = []
-        for index in local:
-            name = names[index]
-            try:
-                entries.append((index, name, self.pipeline.resolve(name)))
-            except BridgeError as exc:
-                outcomes[index] = NameOutcome(name, error=exc)
-        per_entry = yield from self._per_constituent(
-            [entry for _index, _name, entry in entries], "info"
-        )
-        for (index, name, entry), infos in zip(entries, per_entry):
-            try:
-                outcomes[index] = NameOutcome(
-                    name, value=self._open_result(name, entry, infos)
-                )
-            except BridgeError as exc:
-                outcomes[index] = NameOutcome(name, error=exc)
-        return self._settle(outcomes, moved, "open")
-
-    def op_mstat(self, names):
-        """Batched stat: directory-only, no LFS traffic at all — the
-        whole batch is served out of the one metadata sweep that
-        ``admit(batch=n)`` charges."""
-        names, local, moved, outcomes = yield from self._batch_begin(
-            "mstat", names
-        )
-        for index in local:
-            name = names[index]
-            try:
-                outcomes[index] = NameOutcome(
-                    name, value=self._stat_of(self.pipeline.resolve(name))
-                )
-            except BridgeError as exc:
-                outcomes[index] = NameOutcome(name, error=exc)
-        return self._settle(outcomes, moved, "stat")
-
-    def op_mcreate(self, names, width=None, node_slots=None, start=0,
-                   disordered=False):
-        """Batched create: per-name validation and the staged/tree
-        constituent spawns run name by name (the monitor serializes
-        directory mutations), but the probe and the directory-update
-        commit are paid once for the whole batch.  A duplicate name —
-        in the directory or earlier in the same batch — gets the same
-        exists error the singleton op raises."""
-        names, local, moved, outcomes = yield from self._batch_begin(
-            "mcreate", names
-        )
-        for index in local:
-            name = names[index]
-            try:
-                file_id = yield from self._create_one(
-                    name, width, node_slots, start, disordered
-                )
-            except BridgeError as exc:
-                outcomes[index] = NameOutcome(name, error=exc)
-            else:
-                outcomes[index] = NameOutcome(name, value=file_id)
-        yield from self.pipeline.commit()
-        return self._settle(
-            outcomes, moved, "create",
-            {"width": width, "node_slots": node_slots, "start": start,
-             "disordered": disordered},
-        )
-
-    def op_mdelete(self, names):
-        """Batched delete: directory removals and cache-generation bumps
-        happen synchronously per name — exactly like ``op_delete`` — with
-        one commit for the batch; every LFS walk then runs in a single
-        detached windowed fan-out, so one big batch never serializes
-        unrelated clients behind the server."""
-        names, local, moved, outcomes = yield from self._batch_begin(
-            "mdelete", names
-        )
-        victims = []
-        for index in local:
-            name = names[index]
-            try:
-                entry, _cursor = self._unlink(name)
-            except BridgeError as exc:
-                outcomes[index] = NameOutcome(name, error=exc)
-            else:
-                victims.append((index, name, entry))
-        yield from self.pipeline.commit()
-
-        def reap():
-            per_entry = yield from self._per_constituent(
-                [entry for _index, _name, entry in victims], "delete"
+        Stages, in order: admission (one probe; a batch also pays its
+        per-name charge, is counted, and is split against ``forward_to``
+        — the base loop already forwarded a singleton by ``name``); the
+        verb's step inside the monitor, name by name; one commit if the
+        verb mutates the directory; one windowed fan-out of the verb's
+        EFS method to every constituent of every surviving name
+        (detached for Delete, whose walks are O(n/p)); the per-name
+        value.  A ``BridgeError`` is *that name's* outcome in a batch
+        and is raised where it happens for a singleton — so a refused
+        create/delete never pays the commit.  Names caught in a
+        migration's forwarding window are chased from a detached side
+        process: the server keeps serving, and two partitions chasing
+        into each other can never deadlock the fabric."""
+        pipeline = self.pipeline
+        if names is None:
+            yield from pipeline.admit(probe=True)
+            local, moved, outcomes = ((0, name),), (), None
+        else:
+            local, moved, outcomes = yield from self._batch_begin(
+                "m" + verb.name, names
             )
-            for (index, name, _entry), freed in zip(victims, per_entry):
-                outcomes[index] = NameOutcome(name, value=sum(freed))
-            if moved:
-                yield from self._chase(outcomes, moved, "delete")
-            return outcomes
+        live = []
+        for index, name in local:
+            try:
+                state = verb.step(self, name, **shape)
+                if verb.spawns:
+                    state = yield from state
+            except BridgeError as exc:
+                if outcomes is None:
+                    raise
+                outcomes[index] = NameOutcome(name, error=exc)
+            else:
+                live.append((index, name, state))
+        if verb.commits:
+            yield from pipeline.commit()
+        if verb.detached:
+            return pipeline.detach(
+                self._finish_verb(verb, live, outcomes, moved, shape)
+            )
+        result = yield from self._finish_verb(verb, live, outcomes, (), shape)
+        if moved:
+            return pipeline.detach(
+                self._chase(outcomes, moved, verb.name, shape)
+            )
+        return result
 
-        return self.pipeline.detach(reap())
+    def _finish_verb(self, verb: _Verb, live, outcomes, moved, shape):
+        """The half of :meth:`_run_verb` a detached verb runs in its side
+        process: the EFS fan-out over the surviving names, each name's
+        value, then the chase of ``moved``."""
+        replies = repeat(None)
+        if verb.efs_method is not None:
+            replies = yield from self._per_constituent(
+                [state for _index, _name, state in live], verb.efs_method
+            )
+        for (index, name, state), reply in zip(live, replies):
+            try:
+                value = (state if verb.value is None
+                         else verb.value(self, name, state, reply))
+            except BridgeError as exc:
+                if outcomes is None:
+                    raise
+                outcomes[index] = NameOutcome(name, error=exc)
+            else:
+                if outcomes is None:
+                    return value
+                outcomes[index] = NameOutcome(name, value=value)
+        if moved:
+            yield from self._chase(outcomes, moved, verb.name, shape)
+        return outcomes
 
-    # -- batch internals ------------------------------------------------
+    def _per_constituent(self, entries, method):
+        """One windowed fan-out of ``method`` to every constituent of
+        every entry; returns the replies grouped per entry, slot order."""
+        replies = iter((yield from self.pipeline.fanout(
+            [
+                (self._slot_port(entry, slot), method,
+                 {"file_number": entry.efs_file_numbers[slot]}, 0)
+                for entry in entries
+                for slot in range(entry.width)
+            ]
+        )))
+        return [[next(replies) for _slot in range(entry.width)]
+                for entry in entries]
 
     def _batch_begin(self, op: str, names):
-        """The shared prologue of every batched handler: validate and
-        count the batch (S19 telemetry: the batch-size histogram plus
-        per-op batched counters, so SLO dashboards can tell batched from
-        singleton metadata traffic), charge the one amortized admission,
-        then partition it against the S22 forwarding table.
+        """The batched prologue: validate and count the batch (S19
+        telemetry: the batch-size histogram plus per-op batched
+        counters, so SLO dashboards can tell batched from singleton
+        metadata traffic), charge the one amortized admission, then
+        partition it against the S22 forwarding table.
 
-        Returns ``(names, local, moved, outcomes)``: indexes served
-        locally, ``(index, name, target)`` entries caught in a
+        Returns ``(local, moved, outcomes)``: ``(index, name)`` pairs
+        served locally, ``(index, name, target)`` entries caught in a
         migration's double-read window, and the empty per-name outcome
-        list the handler fills."""
+        list the driver fills."""
         names = list(names)
         if not names:
             raise BridgeBadRequestError(f"{op}: empty name batch")
@@ -492,22 +508,12 @@ class BridgeServer(Server):
         for index, name in enumerate(names):
             target = self.forward_to.get(name)
             if target is None:
-                local.append(index)
+                local.append((index, name))
             else:
                 moved.append((index, name, target))
-        return names, local, moved, [None] * len(names)
+        return local, moved, [None] * len(names)
 
-    def _settle(self, outcomes, moved, method, extra_args=None):
-        """Finish a batch: complete immediately when nothing was caught
-        mid-migration, otherwise chase the moved names from a detached
-        side process so this server keeps serving meanwhile."""
-        if not moved:
-            return outcomes
-        return self.pipeline.detach(
-            self._chase(outcomes, moved, method, extra_args)
-        )
-
-    def _chase(self, outcomes, moved, method, extra_args=None):
+    def _chase(self, outcomes, moved, method, shape):
         """Forward batch members through the S22 double-read window as
         singleton ops on the entry's new home, settling each name
         independently (the target's own loop forwards any further hop).
@@ -516,13 +522,10 @@ class BridgeServer(Server):
         if self._forward_cost > 0.0:
             yield Timeout(self._forward_cost * len(moved))
         self.forwarded += len(moved)
-        calls = []
-        for _index, name, target in moved:
-            args = {"name": name}
-            if extra_args:
-                args.update(extra_args)
-            calls.append((target, method, args, 0))
-        settled = yield from self.pipeline.fanout_settled(calls)
+        settled = yield from self.pipeline.fanout_settled(
+            [(target, method, {"name": name, **shape}, 0)
+             for _index, name, target in moved]
+        )
         for (index, name, _target), (value, error) in zip(moved, settled):
             outcomes[index] = NameOutcome(name, value=value, error=error)
         return outcomes

@@ -12,13 +12,13 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.core import (
-    BridgeClient,
     BridgeServer,
     JobController,
     LFSHandle,
     PartitionedBridge,
     PartitionedClient,
     RelayServer,
+    client_for,
 )
 from repro.core.ring import ModuloRing
 from repro.efs import EFSClient, EFSServer
@@ -175,9 +175,7 @@ class BridgeSystem:
         wrappers — works unchanged at ``bridge_server_count > 1``.
         Elastic systems always route through the fabric (the owner of a
         name can change under a live resize)."""
-        if len(self.bridges) > 1 or self.elastic:
-            return self.partitioned_client(node)
-        return BridgeClient(node or self.client_node, self.bridge.port)
+        return client_for(node or self.client_node, self.server_target())
 
     def partitioned_client(self, node=None) -> PartitionedClient:
         """A client routing by name across all Bridge Server partitions."""
@@ -191,7 +189,7 @@ class BridgeSystem:
     def server_target(self):
         """What to hand anything that takes a ``server_port``: the single
         server's port, or the fabric router at bridge_server_count > 1
-        (tools and job controllers resolve partitions per name).
+        (:func:`~repro.core.client_for` builds the matching client).
         Elastic systems always hand out the fabric."""
         if len(self.bridges) > 1 or self.elastic:
             return self.fabric

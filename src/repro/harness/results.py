@@ -237,11 +237,6 @@ class PrefetchRun:
     def ms_per_block(self) -> float:
         return 1000.0 * self.elapsed / self.blocks if self.blocks else 0.0
 
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
 
 @dataclass
 class ObsRun:
@@ -326,10 +321,6 @@ class TrafficRun:
     @property
     def goodput(self) -> float:
         return float(self.summary["goodput"])
-
-    @property
-    def completed(self) -> int:
-        return int(self.summary["completed"])
 
     def class_quantile(self, cls: str, which: str) -> float:
         """Per-class latency quantile ("p50"/"p99"/"p999") from the dump."""

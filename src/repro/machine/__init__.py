@@ -18,7 +18,6 @@ from repro.machine.rpc import (
     Server,
     gather,
     gather_settled,
-    oneway,
 )
 
 __all__ = [
@@ -35,5 +34,4 @@ __all__ = [
     "Response",
     "Server",
     "ZeroLatencyNetwork",
-    "oneway",
 ]

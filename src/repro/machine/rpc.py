@@ -332,28 +332,6 @@ class Client:
             raise response.error
         return response.value
 
-    def send_async(self, port: Port, method: str, size: int = 0, **args) -> None:
-        """Fire a request whose reply will arrive on :attr:`reply_port`.
-
-        Use with a matching number of ``yield client.reply_port.recv()``;
-        replies are not matched to requests, so this is only safe when all
-        outstanding requests are homogeneous (e.g. a barrier of creates).
-        """
-        request = Request(method=method, args=args, reply_to=self.reply_port,
-                          size=size, traffic_class=self.traffic_class,
-                          sent_at=self.node.machine.sim.now)
-        self.node.send(port, request, size=size)
-
-    def collect(self, count: int):
-        """Generator collecting ``count`` async replies, raising any error."""
-        values = []
-        for _ in range(count):
-            response = yield self.reply_port.recv()
-            if response.error is not None:
-                raise response.error
-            values.append(response.value)
-        return values
-
 
 def gather(node: Node, calls, max_in_flight: Optional[int] = None):
     """Issue many requests in parallel and collect replies in call order.
@@ -460,8 +438,3 @@ def _annotate_gather_error(error: Exception, port: Port, method: str,
     if hasattr(error, "add_note"):  # Python >= 3.11
         error.add_note(note)
     return error
-
-
-def oneway(node: Node, port: Port, method: str, size: int = 0, **args) -> None:
-    """Send a request that expects no reply (completion notifications)."""
-    node.send(port, Request(method=method, args=args, reply_to=None, size=size), size=size)

@@ -20,9 +20,7 @@ Quickstart::
 from repro.obs.critical import (
     attribute,
     attribute_ops,
-    compare_to_model,
     critical_path,
-    slowest_ops,
 )
 from repro.obs.export import (
     chrome_trace_document,
@@ -66,10 +64,8 @@ __all__ = [
     "chrome_trace_document",
     "diff_trace_documents",
     "chrome_trace_events",
-    "compare_to_model",
     "critical_path",
     "export_chrome_trace",
-    "slowest_ops",
     "span_tree_lines",
     "validate_trace_document",
 ]

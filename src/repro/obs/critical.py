@@ -20,10 +20,6 @@ Rules:
   (time waiting for the arm) and Ethernet frames (time queued behind the
   shared bus) — has its self time split between its own category (the
   service share) and ``queue`` (the wait share).
-
-The module cross-checks against :mod:`repro.analysis.models`: the exact
-cost model predicts per-category totals for a steady-state naive read,
-and :func:`compare_to_model` reports the relative error per category.
 """
 
 from __future__ import annotations
@@ -106,25 +102,6 @@ def attribute_ops(obs: Observability,
     }
 
 
-def compare_to_model(measured: Dict[str, float],
-                     predicted: Dict[str, float]) -> Dict[str, object]:
-    """Per-category relative error of a measured attribution against an
-    exact-model prediction (categories absent from the model are skipped)."""
-    rows: Dict[str, object] = {}
-    for category in sorted(set(measured) | set(predicted)):
-        want = predicted.get(category)
-        if want is None:
-            continue
-        got = measured.get(category, 0.0)
-        error = (got - want) / want if want else (1.0 if got else 0.0)
-        rows[category] = {
-            "measured": got,
-            "predicted": want,
-            "relative_error": error,
-        }
-    return rows
-
-
 def critical_path(obs: Observability, root: Span) -> List[Span]:
     """The chain of foreground spans covering the largest share of each
     level's window — the op's critical path, root first."""
@@ -140,15 +117,3 @@ def critical_path(obs: Observability, root: Span) -> List[Span]:
             return path
         span = max(candidates, key=lambda child: (child.duration, -child.id))
         path.append(span)
-
-
-def slowest_ops(obs: Observability, name_prefix: str = "",
-                limit: int = 5) -> List[Span]:
-    """The ``limit`` slowest finished root spans matching ``name_prefix``."""
-    roots = [
-        root for root in obs.roots()
-        if root.end is not None and not root.background
-        and (not name_prefix or root.name.startswith(name_prefix))
-    ]
-    roots.sort(key=lambda span: (-span.duration, span.id))
-    return roots[:limit]

@@ -53,10 +53,6 @@ class Span:
     def duration(self) -> float:
         return (self.end - self.start) if self.end is not None else 0.0
 
-    @property
-    def finished(self) -> bool:
-        return self.end is not None
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         end = f"{self.end:.6f}" if self.end is not None else "open"
         return (
@@ -196,10 +192,6 @@ class Observability:
         self.current = span
         if self.current_process is not None:
             self.current_process.obs_ctx = span
-
-    def set_process_ctx(self, process, span: Optional[Span]) -> None:
-        """Bind ``span`` to an explicit process (spawn-time propagation)."""
-        process.obs_ctx = span
 
     # ------------------------------------------------------------------
     # Interconnect hook (called by Machine.send when attached)

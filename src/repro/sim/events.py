@@ -126,10 +126,6 @@ class _AllOfWatcher:
     # resume through their cached ``_resume`` binding.
     _resume = _step
 
-    @property
-    def sim(self):
-        return self.allof._process.sim
-
 
 class AnyOf:
     """Wait until at least one of the given signals has fired.
@@ -186,7 +182,3 @@ class _AnyOfWatcher:
         self.anyof._child_done(self.index, value)
 
     _resume = _step
-
-    @property
-    def sim(self):
-        return self.anyof._process.sim

@@ -34,9 +34,5 @@ class RandomStreams:
             self._streams[name] = stream
         return stream
 
-    def reset(self) -> None:
-        """Forget all streams; next use re-derives them from the seed."""
-        self._streams.clear()
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"RandomStreams(seed={self.seed}, streams={sorted(self._streams)})"

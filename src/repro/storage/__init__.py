@@ -24,8 +24,6 @@ from repro.storage.parameters import (
     DiskParameters,
     FixedLatency,
     GeometricLatency,
-    ramdisk,
-    wren_fixed,
     wren_geometric,
 )
 from repro.storage.scheduler import (
@@ -57,9 +55,7 @@ __all__ = [
     "make_driver",
     "make_scheduler",
     "normalize_driver_spec",
-    "ramdisk",
     "register_driver",
     "storage_specs",
-    "wren_fixed",
     "wren_geometric",
 ]

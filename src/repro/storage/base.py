@@ -72,7 +72,7 @@ class LatencyModel(Protocol):
 
     def access(self, rng, head_position: int, block: int,
                now: float) -> Tuple[float, int]:
-        ...
+        """``(service_seconds, new_head_position)`` of one access."""
 
 
 @runtime_checkable
@@ -86,7 +86,7 @@ class IOScheduler(Protocol):
     """
 
     def select(self, pending: List, head_position: int) -> int:
-        ...
+        """Index into ``pending`` of the request to serve next."""
 
 
 class BlockRequest:
@@ -265,10 +265,6 @@ class BlockStoreABC(abc.ABC):
     @property
     def total_operations(self) -> int:
         return self.reads + self.writes
-
-    @property
-    def queue_length(self) -> int:
-        return len(self._pending)
 
     def utilization(self) -> float:
         """Fraction of simulated time the device was busy.  Drivers that

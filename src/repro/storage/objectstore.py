@@ -56,9 +56,6 @@ class ObjectStoreLatency:
     def transfer_time(self, nbytes: int) -> float:
         return self.first_byte + nbytes / self.bandwidth
 
-    def mean_access_time(self) -> float:
-        return self.first_byte
-
 
 class ObjectStoreDisk(BlockStoreABC):
     """Bounded-concurrency put/get store behind the block interface."""

@@ -46,9 +46,6 @@ class FixedLatency:
             time += rng.uniform(-self.jitter, self.jitter)
         return max(time, 0.0), block
 
-    def mean_access_time(self) -> float:
-        return self.access_time
-
 
 class GeometricLatency:
     """Seek + rotation + transfer against a real geometry.
@@ -92,11 +89,6 @@ class GeometricLatency:
         rotation = wait_fraction * self.rotation_time
         return seek + rotation + sector_time, block
 
-    def mean_access_time(self) -> float:
-        return self.seek_min + self.rotation_time / 2 + self.rotation_time / (
-            self.geometry.blocks_per_track
-        )
-
 
 @dataclass(frozen=True)
 class DiskParameters:
@@ -107,22 +99,12 @@ class DiskParameters:
     block_size: int = BLOCK_SIZE
     geometry: Optional[DiskGeometry] = None
 
-    @property
-    def capacity_bytes(self) -> int:
-        return self.capacity_blocks * self.block_size
-
     def default_latency(self) -> FixedLatency:
         """The default device latency model: the paper's flat 15 ms
         (:data:`DEFAULT_ACCESS_TIME`).  Drivers and builders that take
         an optional latency model fall back to this, so the constant
         lives in exactly one place."""
         return FixedLatency(DEFAULT_ACCESS_TIME)
-
-
-def wren_fixed(capacity_blocks: int = 65_536) -> Tuple[DiskParameters, FixedLatency]:
-    """The paper's configuration: 64 MB RAM-simulated disk, flat 15 ms."""
-    params = DiskParameters(name="cdc-wren-fixed", capacity_blocks=capacity_blocks)
-    return params, params.default_latency()
 
 
 def wren_geometric(capacity_blocks: int = 65_536) -> Tuple[DiskParameters, GeometricLatency]:
@@ -137,9 +119,3 @@ def wren_geometric(capacity_blocks: int = 65_536) -> Tuple[DiskParameters, Geome
         geometry=geometry,
     )
     return params, GeometricLatency(geometry)
-
-
-def ramdisk(capacity_blocks: int = 65_536) -> Tuple[DiskParameters, FixedLatency]:
-    """A Butterfly RAMFile-style memory disk (section 3's caching remark)."""
-    params = DiskParameters(name="ramdisk", capacity_blocks=capacity_blocks)
-    return params, FixedLatency(0.0002)

@@ -10,7 +10,6 @@ from repro.tools.parallel_utils import (
     PCopyTool,
     PFindTool,
     PRemoveTool,
-    ParallelUtility,
     RemoveResult,
 )
 from repro.tools.sort import SortResult, SortTool
@@ -31,7 +30,6 @@ __all__ = [
     "PCopyTool",
     "PFindTool",
     "PRemoveTool",
-    "ParallelUtility",
     "RemoveResult",
     "SortResult",
     "SortTool",

@@ -17,12 +17,13 @@ the ablation bench.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.config import SystemConfig
-from repro.core.info import OpenResult, SystemInfo
-from repro.machine import Client, Port
-from repro.sim import Timeout, join_all
+from repro.core.info import SystemInfo
+from repro.core.partitioned import client_for
+from repro.machine import Port
+from repro.sim import join_all
 
 #: EFS file-number base reserved for tool scratch files, far above the
 #: Bridge Server's allocation range.
@@ -92,65 +93,23 @@ class Tool:
                  use_tree_spawn: bool = True) -> None:
         self.node = node
         self.machine = node.machine
-        # A plain server Port, or a partitioned fabric router (anything
-        # with ``port_for(name)``): per-name operations resolve their
-        # owning partition, Get Info aggregates across all of them.
+        # A plain server Port or the fabric router: the tool's server
+        # phase speaks through the one client built for it (per-name ops
+        # reach the owning partition, Get Info merges across all).
         self.server_port = server_port
+        self.client = client_for(node, server_port, name=self.name)
         self.config = config
         self.use_tree_spawn = use_tree_spawn
-        self._rpc = Client(node, self.name)
         self.system_info: Optional[SystemInfo] = None
 
     # ------------------------------------------------------------------
     # Phase 1 helpers: talk to the Bridge Server
     # ------------------------------------------------------------------
 
-    def _target(self, name: str) -> Port:
-        """The request port owning ``name`` (partition-routed on a
-        fabric, the single server port otherwise)."""
-        port_for = getattr(self.server_port, "port_for", None)
-        return port_for(name) if port_for is not None else self.server_port
-
     def get_info(self):
-        """Fetch (and cache) the middle-layer structure package.
-
-        On a partitioned fabric this fans out to every partition and
-        aggregates (all partitions share the LFS set; the merged package
-        lists every request port in ``server_ports``)."""
-        ports = getattr(self.server_port, "ports", None)
-        if ports is None:
-            info = yield from self._rpc.call(self.server_port, "get_info")
-        else:
-            from repro.machine import gather
-
-            infos = yield from gather(
-                self.node, [(port, "get_info", {}, 0) for port in ports]
-            )
-            info = SystemInfo(
-                lfs=list(infos[0].lfs),
-                server_port=infos[0].server_port,
-                server_ports=[i.server_port for i in infos],
-            )
-        self.system_info = info
-        return info
-
-    def open(self, name: str) -> "OpenResult":
-        return (yield from self._rpc.call(self._target(name), "open", name=name))
-
-    def create(self, name: str, width=None, node_slots=None, start: int = 0):
-        return (
-            yield from self._rpc.call(
-                self._target(name),
-                "create",
-                name=name,
-                width=width,
-                node_slots=node_slots,
-                start=start,
-            )
-        )
-
-    def delete(self, name: str):
-        return (yield from self._rpc.call(self._target(name), "delete", name=name))
+        """Fetch (and keep) the middle-layer structure package."""
+        self.system_info = yield from self.client.get_info()
+        return self.system_info
 
     def lfs_slot_of_node(self, node_index: int) -> int:
         """Index into the system LFS list for a machine node."""
@@ -174,7 +133,3 @@ class Tool:
         if self.use_tree_spawn:
             return (yield from tree_spawn(self.machine, specs))
         return (yield from sequential_spawn(self.machine, specs))
-
-    def charge(self, seconds: float):
-        """Charge tool-level CPU time on the current process."""
-        yield Timeout(seconds)

@@ -90,10 +90,10 @@ class CopyTool(Tool):
         """Copy ``source`` to a freshly created ``dest``; returns CopyResult."""
         started = self.node.machine.sim.now
         yield from self.get_info()
-        src = yield from self.open(source)
+        src = yield from self.client.open(source)
         slots = [self.lfs_slot_of_node(c.node_index) for c in src.constituents]
-        yield from self.create(dest, node_slots=slots, start=src.start)
-        dst = yield from self.open(dest)
+        yield from self.client.create(dest, node_slots=slots, start=src.start)
+        dst = yield from self.client.open(dest)
         specs = []
         for constituent, dst_constituent in zip(src.constituents, dst.constituents):
             node = self.node_of(constituent.node_index)

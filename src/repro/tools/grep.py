@@ -51,7 +51,7 @@ class GrepTool(Tool):
             raise ValueError("empty search pattern")
         started = self.machine.sim.now
         yield from self.get_info()
-        src = yield from self.open(name)
+        src = yield from self.client.open(name)
         specs = []
         for constituent in src.constituents:
             node = self.node_of(constituent.node_index)

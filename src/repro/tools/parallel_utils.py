@@ -22,8 +22,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.batch import FileStat
-from repro.core.client import BridgeClient
-from repro.core.partitioned import PartitionedClient
 from repro.efs import EFSClient
 from repro.tools.base import Tool
 from repro.tools.copy import WorkerReport
@@ -67,24 +65,7 @@ class PCopyResult:
     workers: List[WorkerReport] = field(default_factory=list)
 
 
-class ParallelUtility(Tool):
-    """Base for the scalable-command family: a tool whose server phase
-    speaks the batched metadata surface."""
-
-    name = "putil"
-
-    def meta_client(self):
-        """A full batched-capable client over whatever the tool was
-        pointed at — a :class:`PartitionedClient` on a fabric router, a
-        plain :class:`BridgeClient` on a single server port."""
-        if hasattr(self.server_port, "port_for"):
-            return PartitionedClient(self.node, self.server_port,
-                                     name=f"{self.name}.meta")
-        return BridgeClient(self.node, self.server_port,
-                            name=f"{self.name}.meta")
-
-
-class PFindTool(ParallelUtility):
+class PFindTool(Tool):
     """``pfind``: list a subtree and (optionally) stat every file in
     batched sub-RPCs — the read-only tree walk."""
 
@@ -93,7 +74,7 @@ class PFindTool(ParallelUtility):
     def run(self, prefix: str = "", with_stats: bool = True):
         sim = self.machine.sim
         started = sim.now
-        client = self.meta_client()
+        client = self.client
         names = yield from client.find(prefix)
         stats: List[FileStat] = []
         missing: List[str] = []
@@ -113,7 +94,7 @@ class PFindTool(ParallelUtility):
         )
 
 
-class PRemoveTool(ParallelUtility):
+class PRemoveTool(Tool):
     """``prm -r``: delete a whole subtree in batched sub-RPCs.  A name
     that vanishes mid-sweep is reported per name, never a failed run."""
 
@@ -122,7 +103,7 @@ class PRemoveTool(ParallelUtility):
     def run(self, prefix: str):
         sim = self.machine.sim
         started = sim.now
-        client = self.meta_client()
+        client = self.client
         names = yield from client.find(prefix)
         removed: List[str] = []
         errors: List[Tuple[str, str]] = []
@@ -144,7 +125,7 @@ class PRemoveTool(ParallelUtility):
         )
 
 
-class PCopyTool(ParallelUtility):
+class PCopyTool(Tool):
     """``pcp -r``: copy a whole subtree.
 
     Metadata phase: one ``find``, one batched ``mopen`` of the sources,
@@ -161,7 +142,7 @@ class PCopyTool(ParallelUtility):
         sim = self.machine.sim
         started = sim.now
         yield from self.get_info()
-        client = self.meta_client()
+        client = self.client
         names = yield from client.find(source_prefix)
         if not names:
             return PCopyResult(

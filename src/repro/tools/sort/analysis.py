@@ -70,12 +70,6 @@ class SortCostModel:
             pass_width *= 2
         return time
 
-    def total_time(self, total_records: int, width: int,
-                   buffer_records: int) -> float:
-        return self.local_sort_time(total_records, width, buffer_records) + (
-            self.merge_phase_time(total_records, width)
-        )
-
     # ------------------------------------------------------------------
 
     def saturation_width(self) -> float:

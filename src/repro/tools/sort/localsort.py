@@ -98,9 +98,8 @@ class LocalSorter:
                 yield from self.client.delete(runs[index + 1])
                 merged.append(target)
             runs = merged
-        if runs[0] != dst_file:
-            # single run (total <= c): move it into the destination
-            yield from self._move(runs[0], dst_file)
+        # The last run standing is ``dst_file``: a file that fits one
+        # run is formed there, and the final merge targets it.
         return LocalSortReport(
             slot=slot,
             records=total,
@@ -156,16 +155,6 @@ class LocalSorter:
             cursor = left if take_left else right
             yield from self.client.append(target, cursor.record)
             yield from cursor.advance()
-
-    def _move(self, src: int, dst: int):
-        """Copy a scratch run into the destination file and drop it."""
-        info = yield from self.client.info(src)
-        hint = info.head_addr if self.use_hints else None
-        for block in range(info.size_blocks):
-            result = yield from self.client.read(src, block, hint=hint)
-            hint = result.next_addr if self.use_hints else None
-            yield from self.client.append(dst, result.data)
-        yield from self.client.delete(src)
 
 
 class _RunCursor:

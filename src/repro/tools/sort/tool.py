@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-from repro.machine import Client
+from repro.core.partitioned import client_for
 from repro.sim import join_all
 from repro.tools.base import SCRATCH_FILE_BASE, Tool
 from repro.tools.sort.localsort import LocalSorter, LocalSortReport
@@ -78,7 +78,7 @@ class SortTool(Tool):
         sim = self.machine.sim
         started = sim.now
         yield from self.get_info()
-        src = yield from self.open(source)
+        src = yield from self.client.open(source)
         width = src.width
         records = src.total_blocks
 
@@ -89,7 +89,7 @@ class SortTool(Tool):
         for constituent in src.constituents:
             slot = self.lfs_slot_of_node(constituent.node_index)
             run_name = dest if width == 1 else f"{dest}.run.{constituent.slot}"
-            file_id = yield from self.create(
+            file_id = yield from self.client.create(
                 run_name, node_slots=[slot], start=0
             )
             run_names.append(run_name)
@@ -175,19 +175,17 @@ class SortTool(Tool):
                       b_name: str, out_name: str, out_slots: List[int]):
         """One pair merge: create the output, run the token protocol,
         discard the inputs."""
-        rpc = Client(self.node, f"merge{pass_number}.{pair_index}")
-        yield from rpc.call(
-            self._target(out_name), "create",
-            name=out_name, node_slots=out_slots, start=0,
-        )
-        left = yield from rpc.call(self._target(a_name), "open", name=a_name)
-        right = yield from rpc.call(self._target(b_name), "open", name=b_name)
-        out = yield from rpc.call(self._target(out_name), "open", name=out_name)
+        client = client_for(self.node, self.server_port,
+                            name=f"merge{pass_number}.{pair_index}")
+        yield from client.create(out_name, node_slots=out_slots, start=0)
+        left = yield from client.open(a_name)
+        right = yield from client.open(b_name)
+        out = yield from client.open(out_name)
         total = left.total_blocks + right.total_blocks
         merge = PairMerge(self.node, self.config)
         stats = yield from merge.run(
             left.constituents, right.constituents, out.constituents, total
         )
-        yield from rpc.call(self._target(a_name), "delete", name=a_name)
-        yield from rpc.call(self._target(b_name), "delete", name=b_name)
+        yield from client.delete(a_name)
+        yield from client.delete(b_name)
         return stats

@@ -35,7 +35,7 @@ class WordCountTool(Tool):
     def run(self, name: str):
         started = self.machine.sim.now
         yield from self.get_info()
-        src = yield from self.open(name)
+        src = yield from self.client.open(name)
         specs = []
         for constituent in src.constituents:
             node = self.node_of(constituent.node_index)

@@ -119,12 +119,6 @@ class TrafficGenerator:
     # Executors (one process per arrival)
     # ------------------------------------------------------------------
 
-    def _port_for(self, name: str):
-        fabric = getattr(self.system, "fabric", None)
-        if fabric is not None:
-            return fabric.port_for(name)
-        return self.system.bridge.port
-
     def _execute(self, request: TrafficRequest):
         sim = self.system.sim
         node = self.system.client_node
@@ -158,8 +152,10 @@ class TrafficGenerator:
 
     def _naive_op(self, request: TrafficRequest):
         node = self.system.client_node
+        # Resolved once per arrival: a stalled request's follow-up read
+        # goes to the same partition and rides the forwarding window.
         client = BridgeClient(
-            node, self._port_for(request.name),
+            node, self.system.fabric.port_for(request.name),
             name=f"traffic.{request.seq}", traffic_class=request.cls,
         )
         name = request.name

@@ -246,16 +246,6 @@ def test_batched_rpc_count_windows():
     assert batched_rpc_count(names, 4, window=1) == len(names)
 
 
-def test_metadata_rpc_counts_package():
-    from repro.analysis import metadata_rpc_counts
-
-    names = [f"m-{i}" for i in range(12)]
-    counts = metadata_rpc_counts(names, 2, window=5)
-    assert counts["per_name"] == 12
-    assert counts["partitions_touched"] <= 2
-    assert counts["batched"] <= counts["per_name"]
-
-
 def test_metadata_model_validates_arguments():
     from repro.analysis import batched_rpc_count, metadata_partition_buckets
 

@@ -152,9 +152,7 @@ def test_chunked_append_forces_reorganization():
     placement = ChunkedPlacement(4)
     moves = placement.append_moves(64, 128)
     assert moves > 0
-    assert not placement.supports_append()
     assert RoundRobinPlacement(4).append_moves(64, 128) == 0
-    assert RoundRobinPlacement(4).supports_append()
     assert HashedPlacement(4).append_moves(64, 128) == 0
 
 

@@ -244,3 +244,71 @@ def test_name_outcome_unwrap_round_trip():
     assert not bad.ok
     with pytest.raises(BridgeFileNotFoundError):
         bad.unwrap()
+
+
+# ---------------------------------------------------------------------------
+# One body per verb: the singleton is the batch driver's names=None case
+# ---------------------------------------------------------------------------
+
+
+def _one_server():
+    """One Bridge Server, a plain client, and two 3-block files."""
+    system = make_system(4)
+    client = system.naive_client()
+
+    def body():
+        for name in ("a", "b"):
+            yield from client.create(name)
+            yield from client.write_all(name, [b"x"] * 3)
+
+    system.run(body())
+    return system, client
+
+
+def _single_and_batch_of_one(verb):
+    """``(singleton's value, the batch-of-one's value)`` on equal state."""
+    system, client = _one_server()
+    if verb == "create":  # equal state = the same name on a twin system
+        twin, twin_client = _one_server()
+        return (system.run(client.create("c", width=2)),
+                run_batch(twin, twin_client, "mcreate", ["c"],
+                          width=2)[0].unwrap())
+    second = "b" if verb == "delete" else "a"  # "a" is gone after a delete
+    return (system.run(getattr(client, verb)("a")),
+            run_batch(system, client, "m" + verb, [second])[0].unwrap())
+
+
+@pytest.mark.parametrize("verb", ["open", "stat", "create", "delete"])
+def test_singleton_and_batch_of_one_return_equal_values(verb):
+    single, batched = _single_and_batch_of_one(verb)
+    assert single == batched
+    if verb == "delete":
+        assert single == 3  # blocks freed
+
+
+@pytest.mark.parametrize("verb", ["open", "stat", "create", "delete"])
+def test_a_refused_name_costs_the_probe_and_never_the_commit(verb):
+    """Server busy time of a request whose one name is refused: the
+    singleton pays decode + probe and stops where the error is raised;
+    the batch also pays its per-name charge and — Create and Delete
+    commit once per batch, refused names or not — the update."""
+    system, client = _one_server()
+    cpu = system.config.cpu
+    name = "a" if verb == "create" else "missing"  # exists / not found
+    error = BridgeFileExistsError if verb == "create" else BridgeFileNotFoundError
+    probe = cpu.bridge_request + cpu.bridge_directory_probe
+
+    before = system.bridge.busy_time
+    with pytest.raises(ProcessError) as raised:
+        system.run(getattr(client, verb)(name))
+    assert isinstance(raised.value.__cause__, error)
+    assert system.bridge.busy_time - before == pytest.approx(probe)
+
+    before = system.bridge.busy_time
+    (outcome,) = run_batch(system, client, "m" + verb, [name])
+    assert isinstance(outcome.error, error)
+    commits = verb in ("create", "delete")
+    assert system.bridge.busy_time - before == pytest.approx(
+        probe + cpu.bridge_batch_name
+        + (cpu.bridge_directory_update if commits else 0.0)
+    )

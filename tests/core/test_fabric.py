@@ -6,9 +6,8 @@ cross-partition ``Get Info`` aggregation, cache coherence across
 re-creates at different partition counts), the API-parity contract
 between :class:`BridgeClient` and :class:`PartitionedClient`, all three
 views plus list I/O and parity redundancy at ``bridge_server_count=4``,
-the exported-trace shape (per-partition server rows reached by one
-cross-partition fan-out), and the request pipeline's redundancy
-interposer chain.
+and the exported-trace shape (per-partition server rows reached by one
+cross-partition fan-out).
 """
 
 import inspect
@@ -112,6 +111,21 @@ def test_cross_partition_get_info_aggregates_all_partitions():
     assert info.server_port is system.bridges[0].port
     # Every partition reports the same LFS node layout.
     assert [h.node_index for h in info.lfs] == [n.index for n in system.lfs_nodes]
+
+
+def test_tool_get_info_refuses_partitions_that_disagree_on_the_lfs_set():
+    """A tool bootstraps through the same merged ``Get Info`` as every
+    other fabric client: a mis-wired partition fails loudly."""
+    from repro.errors import BridgeBadRequestError, ProcessError
+    from repro.tools import Tool
+
+    system = make_fabric(servers=2)
+    system.bridges[1].lfs.reverse()
+    tool = Tool(system.client_node, system.server_target(), system.config)
+    with pytest.raises(ProcessError) as raised:
+        system.run(tool.get_info())
+    assert isinstance(raised.value.__cause__, BridgeBadRequestError)
+    assert "disagrees on the LFS set" in str(raised.value.__cause__)
 
 
 @pytest.mark.parametrize("servers", [1, 2, 4])
@@ -318,73 +332,3 @@ def test_fabric_trace_has_partition_rows_and_one_fanout_tree(tmp_path):
         and event["name"].startswith("bridge")
     }
     assert server_nodes <= exported
-
-
-# ---------------------------------------------------------------------------
-# Pipeline interposer chain (stage 3)
-# ---------------------------------------------------------------------------
-
-
-class RecordingInterposer:
-    """Claims reads/writes of block 0 only; logs every consultation."""
-
-    SENTINEL = b"reconstructed|".ljust(DATA_BYTES_PER_BLOCK, b"\x00")
-
-    def __init__(self):
-        self.read_calls = []
-        self.write_calls = []
-        self.absorbed = []
-
-    def read(self, entry, name, block):
-        self.read_calls.append((name, block))
-        if block != 0:
-            return None
-
-        def serve():
-            return self.SENTINEL
-            yield  # pragma: no cover - generator shape
-
-        return serve()
-
-    def write(self, entry, name, block, data):
-        self.write_calls.append((name, block))
-        if block != 0:
-            return None
-
-        def absorb():
-            self.absorbed.append((name, block, data))
-            return object()
-            yield  # pragma: no cover - generator shape
-
-        return absorb()
-
-
-def test_interposer_chain_claims_and_falls_through():
-    system = make_fabric(servers=1, seed=5)
-    interposer = RecordingInterposer()
-    system.bridge.pipeline.interposers.append(interposer)
-    client = system.naive_client()
-
-    def body():
-        yield from client.create("f")
-        for index in range(3):
-            yield from client.seq_write("f", data_for(index))
-        block0 = yield from client.random_read("f", 0)
-        block2 = yield from client.random_read("f", 2)
-        return block0, block2
-
-    block0, block2 = system.run(body())
-    # Block 0 was claimed on both paths: the write never reached EFS (so
-    # the read-back is the interposer's data, not the client's), and the
-    # read was served from the chain.
-    assert block0 == interposer.SENTINEL
-    assert block2[:8] == data_for(2)
-    assert interposer.absorbed and interposer.absorbed[0][:2] == ("f", 0)
-    # Unclaimed accesses consulted the chain, then fell through.
-    assert ("f", 2) in interposer.read_calls
-    assert ("f", 1) in interposer.write_calls
-
-
-def test_default_interposer_chain_is_empty():
-    system = make_fabric(servers=2, seed=3)
-    assert all(b.pipeline.interposers == [] for b in system.bridges)

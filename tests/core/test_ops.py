@@ -5,7 +5,7 @@ import ast
 import inspect
 import textwrap
 
-from repro.core import BridgeClient, BridgeServer
+from repro.core import BridgeClient, BridgeServer, JobController
 from repro.core.ops import CONTINUATION_OPS, CONTROL_OPS, OPS
 from repro.core.partitioned import _MERGE
 
@@ -60,6 +60,28 @@ def test_every_public_client_op_names_a_row():
         else:
             conveniences.add(name)
     assert conveniences == {"read_all", "write_all"}
+
+
+def test_every_client_facing_row_is_issued_through_the_call_seam():
+    """Every op a client may send — all rows but the control plane's —
+    is what some public ``BridgeClient`` / ``JobController`` method
+    passes to ``_call``; nothing reaches a server around the seam."""
+    issued = set()
+    for cls in (BridgeClient, JobController):
+        for name, member in inspect.getmembers(cls, inspect.isfunction):
+            if name.startswith("_"):
+                continue
+            tree = ast.parse(textwrap.dedent(inspect.getsource(member)))
+            issued |= {
+                node.args[0].value
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "_call"
+            }
+    assert issued == set(OPS) - CONTROL_OPS
+    # ... and the controller owns no RPC endpoint of its own to go around it.
+    assert "_rpc" not in inspect.getsource(JobController)
 
 
 def test_control_ops_are_continuations():

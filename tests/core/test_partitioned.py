@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.core.partitioned import PartitionedBridge, PartitionedClient
+from repro.core import BridgeClient
+from repro.core.partitioned import (
+    PartitionedBridge,
+    PartitionedClient,
+    client_for,
+)
 from repro.elastic.ring import ModuloRing
 from repro.errors import BridgeFileNotFoundError
 from repro.harness.builders import BridgeSystem
@@ -203,3 +208,40 @@ def test_names_rule_costs_one_rpc_per_touched_partition():
     outcomes, counts = delta(system, lambda: client.mcreate(names, width=1))
     assert [o.name for o in outcomes] == names and all(o.ok for o in outcomes)
     assert counts == [1 if p in touched else 0 for p in range(4)]
+
+
+def test_job_rule_reaches_exactly_the_server_holding_the_job():
+    """A ``job``-routed op through the fabric client goes to
+    ``JobInfo.server_port`` and nowhere else."""
+    system = make_system(servers=4)
+    client = system.partitioned_client()
+    system.run(client.create("jobfile"))
+    owner = system.fabric.partition_of("jobfile")
+    worker = system.client_node.port("w0")
+
+    job, counts = delta(system, lambda: client._call(
+        "parallel_open", name="jobfile", worker_ports=[worker]))
+    assert job.server_port is system.bridges[owner].port
+    expected = [0] * 4
+    expected[owner] = 1
+    assert counts == expected
+
+    _result, counts = delta(
+        system, lambda: client._call("parallel_close", job=job))
+    assert counts == expected
+    assert not system.bridges[owner]._jobs
+
+
+def test_client_for_picks_the_client_by_what_it_is_pointed_at():
+    system = make_system(servers=2)
+    node = system.client_node
+    assert type(client_for(node, system.fabric)) is PartitionedClient
+    assert type(client_for(node, system.bridge.port)) is BridgeClient
+    with pytest.raises(TypeError):
+        client_for(node, system.bridge)  # a server is neither
+
+
+def test_fabric_refuses_a_ring_wider_than_its_servers():
+    system = make_system(servers=2)
+    with pytest.raises(ValueError, match="only 2 servers are provisioned"):
+        system.fabric.set_ring(ModuloRing(3))

@@ -11,7 +11,6 @@ import collections
 import pytest
 
 from repro.analysis.models import (
-    pipelined_client_bound,
     pipelined_hit_seconds,
     pipelined_read_seconds,
 )
@@ -109,7 +108,6 @@ def test_steady_state_matches_exact_hit_model():
     # Every delta beyond stream recognition and the occasional catch-up
     # must be exactly one hit round trip.
     assert count >= 250
-    assert pipelined_client_bound(8, system.config)
     predicted = pipelined_read_seconds(256, 8, system.config)
     elapsed = times[-1] - times[0]
     # The measured run adds only start-up misses on top of the model.
@@ -117,8 +115,6 @@ def test_steady_state_matches_exact_hit_model():
 
 
 def test_pipelined_model_validates_inputs():
-    with pytest.raises(ValueError):
-        pipelined_client_bound(0)
     with pytest.raises(ValueError):
         pipelined_read_seconds(-1, 4)
 

@@ -239,6 +239,29 @@ def test_open_rejects_inconsistent_tool_writes():
     assert system.run(main()) == "caught"
 
 
+def test_open_and_mopen_refuse_a_disordered_file_written_around_the_server():
+    """The refusal comes after the info fan-out: raised for the
+    singleton, that name's outcome (and only that name's) in a batch."""
+    system = make_system(2)
+    client = system.naive_client()
+
+    def main():
+        file_id = yield from client.create("scattered", disordered=True)
+        yield from client.create("fine")
+        yield from client.seq_write("scattered", b"mapped")
+        yield from system.efs_client(0).append(file_id, b"unmapped")
+        outcomes = yield from client.mopen(["scattered", "fine"])
+        try:
+            yield from client.open("scattered")
+        except BridgeBadRequestError as exc:
+            return outcomes, str(exc)
+
+    outcomes, message = system.run(main())
+    assert isinstance(outcomes[0].error, BridgeBadRequestError)
+    assert outcomes[1].ok
+    assert "map has 1 entries but the LFS hold 2 blocks" in message
+
+
 def test_hints_are_dropped_on_delete():
     system = make_system(2)
     client = system.naive_client()
@@ -266,3 +289,16 @@ def test_create_width_zero_rejected():
             return "caught"
 
     assert system.run(main()) == "caught"
+
+
+def test_create_width_must_match_node_slots():
+    system = make_system(2)
+    client = system.naive_client()
+
+    def main():
+        try:
+            yield from client.create("odd", width=2, node_slots=[0])
+        except BridgeBadRequestError as exc:
+            return str(exc)
+
+    assert system.run(main()) == "width 2 != len(node_slots) 1"

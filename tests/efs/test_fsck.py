@@ -3,8 +3,9 @@ on-disk invariants of every mutating operation."""
 
 import pytest
 
+from repro.config import BLOCK_SIZE
 from repro.efs.fsck import check_efs, check_system
-from repro.efs.layout import BridgeHeader, EFSHeader, pack_block
+from repro.efs.layout import BridgeHeader, EFSHeader, pack_block, unpack_block
 from tests.efs.conftest import EFSHarness
 
 
@@ -88,8 +89,6 @@ def test_detects_corrupted_link():
         return info.head_addr
 
     head = efs.run(corrupt())
-    from repro.efs.layout import unpack_block
-
     header, bridge, data = unpack_block(efs.disk.blocks[head])
     header = header._replace(next_addr=head)  # short-circuit the list
     efs.disk.blocks[head] = pack_block(header, bridge, data[:10])
@@ -116,8 +115,6 @@ def test_detects_cross_file_claim():
 
     head = efs.run(find_head())
     # forge the block to claim it belongs to file 2
-    from repro.efs.layout import unpack_block
-
     header, bridge, data = unpack_block(efs.disk.blocks[head])
     header = header._replace(file_number=2)
     efs.disk.blocks[head] = pack_block(header, bridge, data[:10])
@@ -192,6 +189,92 @@ def test_clean_after_full_sort_workload():
 
 
 # ---------------------------------------------------------------------------
+# One corruption per complaint: a clean image broken one way per row
+# ---------------------------------------------------------------------------
+
+
+def _rewrite(efs, addr, bridge_changes=None, **header_changes):
+    """Repack the block at ``addr`` with some header fields replaced."""
+    header, bridge, data = unpack_block(efs.disk.blocks[addr])
+    efs.disk.blocks[addr] = pack_block(
+        header._replace(**header_changes),
+        bridge._replace(**(bridge_changes or {})), data,
+    )
+
+
+def _move_head_into_directory(efs, addrs):
+    def body():
+        entry = yield from efs.server.directory.lookup(1)
+        entry.head_addr = 0
+        yield from efs.server.directory.update(entry)
+
+    efs.run(body())
+
+
+def _point_past_the_written_blocks(efs, addrs):
+    _rewrite(efs, addrs[1], next_addr=efs.disk.params.capacity_blocks - 1)
+
+
+def _smash_block(efs, addrs):
+    efs.disk.blocks[addrs[2]] = bytes(BLOCK_SIZE)
+
+
+CORRUPTIONS = {
+    "head outside data region": (
+        _move_head_into_directory, "head 0 outside data region"),
+    "block never written": (
+        _point_past_the_written_blocks, "never written"),
+    "undecodable block": (_smash_block, "bad block magic"),
+    "wrong block number": (
+        lambda efs, addrs: _rewrite(efs, addrs[2], block_number=9),
+        "numbered 9, expected 2"),
+    "wrong bridge id": (
+        lambda efs, addrs: _rewrite(efs, addrs[1], {"global_file_id": 77}),
+        "bridge id 77 != "),
+    "wrong global block": (
+        lambda efs, addrs: _rewrite(efs, addrs[1], {"global_block": 55}),
+        "global 55 != 1"),
+    "live block on the free list": (
+        lambda efs, addrs: efs.server.freelist.free(addrs[3]),
+        "is on the free list"),
+}
+
+
+def _assert_complaint(efs, row):
+    """Build file 1 (four blocks) on a flushed, cache-cold image, break
+    it the row's way, and expect the row's complaint."""
+    corrupt, complaint = CORRUPTIONS[row]
+
+    def body():
+        yield from efs.client.create(1)
+        for index in range(4):
+            yield from efs.client.append(1, b"b%d" % index)
+        yield from efs.client.flush()
+        return (yield from efs.client.info(1)).head_addr
+
+    addrs = [efs.run(body())]
+    efs.server.cache.invalidate_all()
+    assert check_efs(efs.server).clean
+    while len(addrs) < 4:
+        addrs.append(unpack_block(efs.disk.blocks[addrs[-1]])[0].next_addr)
+    corrupt(efs, addrs)
+    efs.server.cache.invalidate_all()
+    report = check_efs(efs.server)
+    assert any(complaint in error for error in report.errors), report.errors
+
+
+@pytest.mark.parametrize("row", sorted(CORRUPTIONS))
+def test_each_corruption_draws_its_complaint(row):
+    _assert_complaint(EFSHarness(access_time=0.0001), row)
+
+
+def test_corruption_is_seen_on_hostfs(tmp_path):
+    efs = EFSHarness(access_time=0.0001,
+                     storage={"kind": "hostfs", "root": tmp_path})
+    _assert_complaint(efs, "wrong block number")
+
+
+# ---------------------------------------------------------------------------
 # S25: the same structural invariants against every registered driver
 # ---------------------------------------------------------------------------
 
@@ -248,8 +331,6 @@ def test_detects_corruption_on_every_driver(driver_efs):
         return info.head_addr
 
     head = efs.run(find_head())
-    from repro.efs.layout import unpack_block
-
     header, bridge, data = unpack_block(efs.disk.blocks[head])
     header = header._replace(next_addr=head)  # short-circuit the list
     efs.disk.blocks[head] = pack_block(header, bridge, data[:10])

@@ -97,7 +97,7 @@ def test_disruption_fraction_tracks_the_reassigned_share():
     old_ring = ConsistentHashRing(4, seed=0)
     plan = plan_resize(old_ring, old_ring.with_partitions(5), NAMES)
     assert 0.1 <= plan.disruption <= 0.35  # ideal 0.2
-    modulo = plan_resize(ModuloRing(4), ModuloRing(5), NAMES)
+    modulo = plan_resize(ModuloRing(4), ModuloRing(4).with_partitions(5), NAMES)
     assert modulo.disruption > 2 * plan.disruption
 
 

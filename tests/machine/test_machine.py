@@ -9,10 +9,10 @@ from repro.machine import (
     Client,
     EthernetNetwork,
     Machine,
+    Request,
     Response,
     Server,
     ZeroLatencyNetwork,
-    oneway,
 )
 from repro.sim import Simulator, Timeout
 
@@ -287,20 +287,6 @@ def test_rpc_server_serializes_requests():
     assert server.utilization() > 0.5
 
 
-def test_rpc_async_collect():
-    sim, machine = make_machine(2)
-    server = EchoServer(machine.node(0), "echo")
-    client = Client(machine.node(1))
-
-    def body():
-        for text in ["a", "b", "c"]:
-            client.send_async(server.port, "echo", text=text)
-        values = yield from client.collect(3)
-        return sorted(values)
-
-    assert sim.run_process(body()) == ["A", "B", "C"]
-
-
 def test_rpc_response_size_charged_on_wire():
     costs = MessageCosts(local_latency=0.0, remote_latency=0.0, per_byte=1e-6)
     sim = Simulator()
@@ -320,6 +306,6 @@ def test_rpc_response_size_charged_on_wire():
 def test_oneway_send_has_no_reply():
     sim, machine = make_machine(2)
     server = EchoServer(machine.node(0), "echo")
-    oneway(machine.node(1), server.port, "echo", text="quiet")
+    machine.node(1).send(server.port, Request("echo", {"text": "quiet"}))
     sim.run()
     assert server.requests_served == 1

@@ -129,6 +129,7 @@ def test_registry_get_or_create_and_type_guard():
     with pytest.raises(TypeError):
         registry.histogram("a.b")
     assert registry.get("missing") is None
+    assert len(registry) == 1
 
 
 def test_registry_adopt_facade():

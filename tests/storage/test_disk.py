@@ -11,8 +11,6 @@ from repro.storage import (
     GeometricLatency,
     SimulatedDisk,
     make_scheduler,
-    ramdisk,
-    wren_fixed,
     wren_geometric,
 )
 
@@ -285,16 +283,10 @@ def test_geometry_track_helpers():
 
 
 def test_presets():
-    params, latency = wren_fixed()
-    assert params.capacity_bytes == 64 * 1024 * 1024
-    assert latency.access_time == 0.015
-
     params_geo, latency_geo = wren_geometric()
     assert params_geo.geometry is not None
-    assert latency_geo.mean_access_time() > 0
-
-    params_ram, latency_ram = ramdisk()
-    assert latency_ram.access_time < 0.001
+    assert params_geo.capacity_blocks == params_geo.geometry.capacity_blocks
+    assert latency_geo.geometry is params_geo.geometry
 
 
 # ---------------------------------------------------------------------------

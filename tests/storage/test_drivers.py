@@ -176,6 +176,13 @@ def test_blocks_mapping_supports_corruption_injection(driver):
         return (yield from store.read(3))
 
     assert run_ops(sim, read()).startswith(b"JUNK")
+    # ... and a dropped block (a lost write) reads back as never written.
+    assert len(store.blocks) == 1
+    del store.blocks[3]
+    assert len(store.blocks) == 0 and 3 not in store.blocks
+    assert run_ops(sim, read()) == b"\x00" * store.params.block_size
+    with pytest.raises(KeyError):
+        del store.blocks[3]
 
 
 def test_address_validation(driver):

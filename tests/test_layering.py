@@ -61,6 +61,23 @@ def test_no_upward_imports():
     assert not upward, "\n".join(upward)
 
 
+def test_nothing_probes_for_a_fabric_by_attribute():
+    """"Port or fabric?" is answered once, by type, in
+    ``repro.core.partitioned.client_for`` — never by asking an object
+    whether it happens to have ``port_for`` or ``ports``."""
+    probes = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id in ("getattr", "hasattr")
+                    and len(node.args) >= 2
+                    and isinstance(node.args[1], ast.Constant)
+                    and node.args[1].value in ("port_for", "ports")):
+                probes.append(f"{path.relative_to(SRC)}:{node.lineno}")
+    assert not probes, "\n".join(probes)
+
+
 def test_the_paper_system_never_loads_hashlib():
     """Only the consistent-hash ring hashes; the paper's machine (one
     server, modulo routing) must not pay OpenSSL's 3.7 MiB for it."""

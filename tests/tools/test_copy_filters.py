@@ -339,3 +339,15 @@ def test_wordcount_empty_file(system):
     result = system.run(body())
     assert result.blocks == 0
     assert result.words == 0
+
+
+def test_tool_resolves_lfs_slots_only_after_get_info(system):
+    from repro.tools import Tool
+
+    tool = Tool(system.client_node, system.bridge.port, system.config)
+    with pytest.raises(RuntimeError, match="get_info"):
+        tool.lfs_slot_of_node(0)
+    info = system.run(tool.get_info())
+    assert [tool.lfs_slot_of_node(h.node_index) for h in info.lfs] == [0, 1, 2, 3]
+    with pytest.raises(ValueError, match="no LFS instance on node 99"):
+        tool.lfs_slot_of_node(99)

@@ -242,6 +242,23 @@ def test_sort_with_multiple_local_runs():
         assert report.merge_passes == 3  # ceil(log2(5))
 
 
+def test_sort_file_that_fits_one_run_goes_straight_to_the_destination():
+    """Ten records per node against a 512-record buffer: each local sort
+    forms its one run in the destination itself — no scratch file, no
+    merge pass, nothing to move — and leaves every LFS clean."""
+    from repro.efs.fsck import check_system
+
+    system = make_system(4)
+    keys = uniform_keys(40, seed=17)
+    result, output = run_sort(system, keys)
+    assert_sorted_permutation(keys, output)
+    assert result.records == 40
+    for report in result.local_reports:
+        assert (report.records, report.runs, report.merge_passes) == (10, 1, 0)
+    for report in check_system(system):
+        assert report.clean, report.errors
+
+
 def test_sort_without_hints_still_correct_but_slower():
     system_hints = make_system(2, seed=50)
     keys = uniform_keys(24, seed=14)
