@@ -19,13 +19,11 @@ occurs outside ``tests/`` (its definition and ``__init__`` re-exports
 not counted).  ROADMAP item 5 (c) states the rule applied to the list.
 
 Usage:
-    python scripts/reach.py [--tests] [--fail-on-unreached]
-                            [--report FILE] [--data DIR [--report-only]]
+    python scripts/reach.py [--tests] [--fail-on-unreached] [--report FILE]
 
 ``--fail-on-unreached`` exits 1 when a function other than ``__repr__``
 is entered by neither the product traffic nor tier-1 (it needs
-``--tests``).  ``--data DIR`` keeps the raw traces; ``--report-only``
-re-reads them without running anything.
+``--tests``).
 """
 
 import argparse
@@ -265,21 +263,15 @@ def main() -> int:
                         help="exit 1 when product and tier-1 both miss a "
                              "function other than __repr__")
     parser.add_argument("--report", help="write the report here, not stdout")
-    parser.add_argument("--data", help="keep the raw traces in this directory")
-    parser.add_argument("--report-only", action="store_true",
-                        help="report from --data without running anything")
     args = parser.parse_args()
     if args.fail_on_unreached and not args.tests:
         parser.error("--fail-on-unreached needs --tests")
-    if args.report_only and not args.data:
-        parser.error("--report-only needs --data")
     with tempfile.TemporaryDirectory() as scratch:
-        data = pathlib.Path(args.data or scratch).resolve()
-        if not args.report_only:
-            run_traced(product_commands(), data / "product")
-            if args.tests:
-                run_traced([[sys.executable, "-m", "pytest", "-q",
-                             "-p", "no:cacheprovider"]], data / "tests")
+        data = pathlib.Path(scratch).resolve()
+        run_traced(product_commands(), data / "product")
+        if args.tests:
+            run_traced([[sys.executable, "-m", "pytest", "-q",
+                         "-p", "no:cacheprovider"]], data / "tests")
         product = load(data / "product")
         tests = load(data / "tests") if args.tests else None
     if args.report:

@@ -76,25 +76,21 @@ class _Verb(NamedTuple):
     name: str
     #: ``step(server, name, **shape)``: the verb's work on one name
     #: inside the monitor.  Raises ``BridgeError`` to refuse the name;
-    #: what it returns is the name's *state* (a directory entry for the
-    #: verbs with an ``efs_method``).
+    #: what it returns is the name's *state* — its value, unless an EFS
+    #: fan-out follows.
     step: Callable
     #: ``step`` is a generator: Create spawns its constituents name by
     #: name, before the next name is validated.
     spawns: bool = False
-    #: What every constituent of every surviving name then receives.
-    efs_method: Optional[str] = None
     #: The verb mutates the directory: one update charge per request.
     commits: bool = False
+    #: What every constituent of every surviving name (its state is its
+    #: directory entry) then receives, and ``value(server, name, entry,
+    #: replies)``: what the name returns.
+    efs_method: Optional[str] = None
+    value: Optional[Callable] = None
     #: The EFS fan-out runs in a side process.
     detached: bool = False
-    #: ``value(server, name, state, replies)``: what the name returns
-    #: (``None``: its state).
-    value: Optional[Callable] = None
-
-
-#: The shape arguments of every verb but Create: none.
-_NO_SHAPE: Dict[str, object] = {}
 
 
 class BridgeServer(Server):
@@ -181,10 +177,10 @@ class BridgeServer(Server):
         (the server keeps the global->local map) at the expense of strict
         interleaving's consecutive-block guarantee.
         """
-        return self._run_verb(self._CREATE, name, None, {
-            "width": width, "node_slots": node_slots, "start": start,
-            "disordered": disordered,
-        })
+        return self._run_verb(
+            self._CREATE, name, None, width=width, node_slots=node_slots,
+            start=start, disordered=disordered,
+        )
 
     def op_mcreate(self, names, width=None, node_slots=None, start=0,
                    disordered=False):
@@ -192,10 +188,10 @@ class BridgeServer(Server):
         the probe and the directory-update commit are paid once.  A
         duplicate name — in the directory or earlier in the same batch —
         gets the same exists error the singleton op raises."""
-        return self._run_verb(self._CREATE, None, names, {
-            "width": width, "node_slots": node_slots, "start": start,
-            "disordered": disordered,
-        })
+        return self._run_verb(
+            self._CREATE, None, names, width=width, node_slots=node_slots,
+            start=start, disordered=disordered,
+        )
 
     def op_delete(self, name):
         """Delete on all LFS in parallel; each LFS walk is O(n/p).
@@ -391,10 +387,10 @@ class BridgeServer(Server):
         value=lambda self, name, entry, freed: sum(freed),
     )
 
-    def _run_verb(self, verb: _Verb, name, names=None, shape=_NO_SHAPE):
+    def _run_verb(self, verb: _Verb, name, names=None, **shape):
         """The one body of Open / Stat / Create / Delete: run ``verb``
         over the batch ``names`` or — ``names=None`` — over the single
-        ``name`` of a singleton op.
+        ``name`` of a singleton op (``shape``: Create's arguments).
 
         Stages, in order: admission (one probe; a batch also pays its
         per-name charge, is counted, and is split against ``forward_to``
@@ -403,69 +399,64 @@ class BridgeServer(Server):
         verb mutates the directory; one windowed fan-out of the verb's
         EFS method to every constituent of every surviving name
         (detached for Delete, whose walks are O(n/p)); the per-name
-        value.  A ``BridgeError`` is *that name's* outcome in a batch
-        and is raised where it happens for a singleton — so a refused
-        create/delete never pays the commit.  Names caught in a
-        migration's forwarding window are chased from a detached side
-        process: the server keeps serving, and two partitions chasing
-        into each other can never deadlock the fabric."""
+        value.  A batch catches a ``BridgeError`` as *that name's*
+        outcome; a singleton catches nothing, so the error is raised
+        where it happens and a refused create/delete never pays the
+        commit.  Names caught in a migration's forwarding window are
+        chased from a detached side process: the server keeps serving,
+        and two partitions chasing into each other can never deadlock
+        the fabric."""
         pipeline = self.pipeline
         if names is None:
             yield from pipeline.admit(probe=True)
-            local, moved, outcomes = ((0, name),), (), None
+            local, moved, outcomes, refusal = ((0, name),), (), None, ()
         else:
             local, moved, outcomes = yield from self._batch_begin(
                 "m" + verb.name, names
             )
+            refusal = BridgeError
         live = []
         for index, name in local:
             try:
                 state = verb.step(self, name, **shape)
                 if verb.spawns:
                     state = yield from state
-            except BridgeError as exc:
-                if outcomes is None:
-                    raise
+            except refusal as exc:
                 outcomes[index] = NameOutcome(name, error=exc)
             else:
                 live.append((index, name, state))
         if verb.commits:
             yield from pipeline.commit()
+
+        # Its own generator because Delete runs it in a side process.
+        def finish(moved):
+            replies = repeat(None)
+            if verb.efs_method is not None:
+                replies = yield from self._per_constituent(
+                    [entry for _index, _name, entry in live], verb.efs_method
+                )
+            for (index, name, state), reply in zip(live, replies):
+                try:
+                    value = (state if verb.value is None
+                             else verb.value(self, name, state, reply))
+                except refusal as exc:
+                    outcomes[index] = NameOutcome(name, error=exc)
+                else:
+                    if outcomes is None:
+                        return value
+                    outcomes[index] = NameOutcome(name, value=value)
+            if moved:
+                yield from self._chase(outcomes, moved, verb.name, shape)
+            return outcomes
+
         if verb.detached:
-            return pipeline.detach(
-                self._finish_verb(verb, live, outcomes, moved, shape)
-            )
-        result = yield from self._finish_verb(verb, live, outcomes, (), shape)
+            return pipeline.detach(finish(moved))
+        result = yield from finish(())
         if moved:
             return pipeline.detach(
                 self._chase(outcomes, moved, verb.name, shape)
             )
         return result
-
-    def _finish_verb(self, verb: _Verb, live, outcomes, moved, shape):
-        """The half of :meth:`_run_verb` a detached verb runs in its side
-        process: the EFS fan-out over the surviving names, each name's
-        value, then the chase of ``moved``."""
-        replies = repeat(None)
-        if verb.efs_method is not None:
-            replies = yield from self._per_constituent(
-                [state for _index, _name, state in live], verb.efs_method
-            )
-        for (index, name, state), reply in zip(live, replies):
-            try:
-                value = (state if verb.value is None
-                         else verb.value(self, name, state, reply))
-            except BridgeError as exc:
-                if outcomes is None:
-                    raise
-                outcomes[index] = NameOutcome(name, error=exc)
-            else:
-                if outcomes is None:
-                    return value
-                outcomes[index] = NameOutcome(name, value=value)
-        if moved:
-            yield from self._chase(outcomes, moved, verb.name, shape)
-        return outcomes
 
     def _per_constituent(self, entries, method):
         """One windowed fan-out of ``method`` to every constituent of

@@ -115,8 +115,12 @@ def check_efs(server) -> FsckReport:
                     f"{header.file_number}"
                 )
                 break
-            # A block two files reach fails the ownership check above
-            # for one of them, so ``owned`` never sees a second claim.
+            if addr in owned and owned[addr] != entry.file_number:
+                report.complain(
+                    f"block {addr} claimed by files {owned[addr]} and "
+                    f"{entry.file_number}"
+                )
+                break
             owned[addr] = entry.file_number
             if header.block_number != len(seen):
                 report.complain(
@@ -140,8 +144,11 @@ def check_efs(server) -> FsckReport:
             report.blocks_checked += 1
             if header.next_addr == entry.head_addr:
                 break  # wrapped: circular list complete
-            # The walk ends: a revisited block fails the numbering check
-            # (block numbers must count up), so no cycle is followed twice.
+            if len(seen) > capacity:
+                report.complain(
+                    f"file {entry.file_number}: next chain does not close"
+                )
+                break
             addr = header.next_addr
         # prev pointers must mirror next pointers around the circle
         for index in range(len(seen)):

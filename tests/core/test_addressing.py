@@ -46,6 +46,10 @@ def test_negative_block_rejected():
         imap.slot_of(-1)
     with pytest.raises(ValueError):
         imap.global_block(0, -1)
+    with pytest.raises(ValueError):
+        imap.blocks_on_slot(0, -1)
+    with pytest.raises(ValueError):
+        imap.blocks_on_slot(4, 8)
 
 
 def test_column_of_slot():

@@ -189,7 +189,12 @@ def test_clean_after_full_sort_workload():
 
 
 # ---------------------------------------------------------------------------
-# One corruption per complaint: a clean image broken one way per row
+# One corruption per complaint: a clean image broken one way per row.
+# Two arms have no row because no static image reaches them — they are
+# defence in depth behind a check that fires first: "claimed by files"
+# (a block's header names one file, so the ownership check refuses every
+# other claimant) and "next chain does not close" (a revisited block
+# fails the numbering check).
 # ---------------------------------------------------------------------------
 
 
@@ -228,6 +233,9 @@ CORRUPTIONS = {
     "wrong block number": (
         lambda efs, addrs: _rewrite(efs, addrs[2], block_number=9),
         "numbered 9, expected 2"),
+    "next cycle that misses the head": (
+        lambda efs, addrs: _rewrite(efs, addrs[2], next_addr=addrs[1]),
+        "numbered 1, expected 3"),
     "wrong bridge id": (
         lambda efs, addrs: _rewrite(efs, addrs[1], {"global_file_id": 77}),
         "bridge id 77 != "),

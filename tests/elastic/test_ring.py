@@ -178,6 +178,18 @@ def test_rings_reject_zero_partitions(factory):
         factory(0)
 
 
+@pytest.mark.parametrize("keywords, complaint", [
+    ({"vnodes": 0}, "at least one virtual node"),
+    ({"weights": (4, 4, 4)}, "3 entries for 2 partitions"),
+    ({"weights": (4, 0)}, "weight >= 1"),
+    ({"dropped": [(2, 0)]}, "names partition 2"),
+    ({"weights": (4, 2), "dropped": [(1, 2)]}, "outside partition weight 2"),
+])
+def test_consistent_ring_rejects_bad_weights_and_arcs(keywords, complaint):
+    with pytest.raises(ValueError, match=complaint):
+        ConsistentHashRing(2, **keywords)
+
+
 # ---------------------------------------------------------------------------
 # Weighted arcs and targeted shedding (S24)
 # ---------------------------------------------------------------------------

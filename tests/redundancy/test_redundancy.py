@@ -80,6 +80,18 @@ def test_geometry_requires_width_three():
     ParityGeometry(3)  # minimum viable
 
 
+@pytest.mark.parametrize("call", [
+    lambda geo: geo.parity_slot(-1),
+    lambda geo: geo.data_slot(0, 3),
+    lambda geo: geo.stripes_for(-1),
+    lambda geo: geo.stripe_of(-1),
+    lambda geo: geo.logical_of(0, 4),
+])
+def test_geometry_rejects_out_of_range_arguments(call):
+    with pytest.raises(ValueError):
+        call(ParityGeometry(4))
+
+
 def test_parity_slot_rotates_round_robin():
     geo = ParityGeometry(4)
     assert [geo.parity_slot(s) for s in range(8)] == [0, 1, 2, 3, 0, 1, 2, 3]
