@@ -15,16 +15,17 @@ on every write.  Two tables:
 
 from _bench import Bench, fields
 from repro.analysis import format_table
-from repro.faults import (
-    files_lost_fraction_interleaved,
-    files_lost_fraction_mirrored,
-    files_lost_fraction_single_node,
-)
 from repro.harness.experiments import (
     run_faults_experiment,
     run_redundancy_experiment,
 )
-from repro.redundancy import SCHEMES, files_lost_fraction_parity
+from repro.redundancy import (
+    SCHEMES,
+    files_lost_fraction_interleaved,
+    files_lost_fraction_mirrored,
+    files_lost_fraction_parity,
+    files_lost_fraction_single_node,
+)
 
 
 def sweep(quick):

@@ -12,13 +12,13 @@ Run: python examples/fault_injection.py
 """
 
 from repro.errors import DeviceFailedError
-from repro.faults import (
+from repro.harness import paper_system
+from repro.redundancy import (
     FaultInjector,
+    MirroredFile,
     files_lost_fraction_interleaved,
     files_lost_fraction_single_node,
 )
-from repro.harness import paper_system
-from repro.redundancy import MirroredFile
 from repro.workloads import build_file, pattern_chunks
 
 

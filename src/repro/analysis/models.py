@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.config import DATA_BYTES_PER_BLOCK, DEFAULT_CONFIG
 from repro.core.ring import ModuloRing
 
 # ---------------------------------------------------------------------------
@@ -187,8 +188,6 @@ def pipelined_hit_seconds(config=None) -> float:
     message carrying one block's 960-byte data area.  No directory
     consult, no EFS traffic — that is the whole point of the pipeline.
     """
-    from repro.config import DATA_BYTES_PER_BLOCK, DEFAULT_CONFIG
-
     cfg = config or DEFAULT_CONFIG
     return (
         cfg.messages.remote_latency          # client -> bridge request
@@ -204,8 +203,6 @@ def pipelined_supply_seconds_per_block(config=None,
     to the prefetcher: one track-buffer disk read amortized over
     ``efs_track_buffer_blocks``, per-request EFS CPU, and the
     request/response messages of the (per-slot serial) fetch chain."""
-    from repro.config import DATA_BYTES_PER_BLOCK, DEFAULT_CONFIG
-
     cfg = config or DEFAULT_CONFIG
     track = max(1, cfg.efs_track_buffer_blocks)
     return (
@@ -256,8 +253,6 @@ def naive_read_components(
     naive reads.  ``resident=True`` models a file that fits in the EFS
     caches (every read is a track-buffer hit, no disk time); ``False``
     models a cold stream paying one device access per track."""
-    from repro.config import DATA_BYTES_PER_BLOCK, DEFAULT_CONFIG
-
     cfg = config or DEFAULT_CONFIG
     track = max(1, cfg.efs_track_buffer_blocks)
     per_block_net = (

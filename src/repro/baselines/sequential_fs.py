@@ -32,7 +32,6 @@ class SequentialSystem:
         self,
         config: Optional[SystemConfig] = None,
         seed: int = 0,
-        disk_capacity_blocks: int = 65_536,
         disk_latency=None,
         storage=None,
     ) -> None:
@@ -42,8 +41,7 @@ class SequentialSystem:
         self.fs_node = self.machine.node(0)
         self.client_node = self.machine.node(1)
         self.disk = make_driver(
-            storage, self.sim, name="disk0",
-            capacity_blocks=disk_capacity_blocks, default_latency=disk_latency,
+            storage, self.sim, name="disk0", default_latency=disk_latency,
         )
         self.efs = EFSServer(self.fs_node, self.disk, self.config)
         self._next_file = 1

@@ -122,7 +122,6 @@ class StripedSystem:
         disk_count: int,
         config: Optional[SystemConfig] = None,
         seed: int = 0,
-        disk_capacity_blocks: int = 65_536,
         disk_latency=None,
         storage=None,
     ) -> None:
@@ -134,7 +133,6 @@ class StripedSystem:
         self.disks = [
             make_driver(
                 spec, self.sim, name=f"stripe{i}",
-                capacity_blocks=disk_capacity_blocks,
                 default_latency=disk_latency,
             )
             for i, spec in enumerate(storage_specs(storage, disk_count))
@@ -167,8 +165,6 @@ class StripedSystem:
 
         Returns ``(blocks, elapsed)``.
         """
-        from repro.config import BLOCK_SIZE
-
         rpc = Client(self.client_node, "stripe-copy")
 
         def body():

@@ -17,6 +17,8 @@ from typing import Protocol
 class Ring(Protocol):
     """What the fabric asks of a routing map."""
 
+    #: Registry name of the ring's implementation (``RING_KINDS``).
+    kind: str
     partitions: int
 
     def partition_of(self, name: str) -> int:

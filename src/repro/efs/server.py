@@ -70,7 +70,7 @@ class EFSServer(Server):
         self.cache = BlockCache(
             disk,
             capacity=config.efs_cache_blocks,
-            track_blocks=getattr(config, "efs_track_buffer_blocks", 4),
+            track_blocks=config.efs_track_buffer_blocks,
             hit_cpu=config.cpu.efs_cache_hit,
         )
         self.directory = Directory(self.cache, bucket_count=directory_buckets)

@@ -20,7 +20,7 @@ migration RPCs) are excluded so the rebalancer never chases the load of
 its own sweeps.
 
 Everything is exposed two ways: programmatically (``partition_rates`` /
-``imbalance`` / ``name_heat`` — what the :class:`~repro.rebalance.policy.
+``imbalance`` / ``name_heat`` — what the :class:`~repro.elastic.policy.
 Rebalancer` consumes) and through the ``rebalance.*`` gauge family +
 ``analysis.report`` for humans.
 """

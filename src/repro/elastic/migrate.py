@@ -43,7 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.elastic.plan import MigrationPlan, plan_resize
+from repro.elastic.plan import MigrationPlan, fabric_namespace, plan_resize
 from repro.machine import gather
 from repro.sim import Timeout
 
@@ -103,14 +103,8 @@ class FabricResizer:
         Drive inside the running simulation (spawned next to traffic, or
         via ``system.run``); returns a :class:`MigrationReport`.
         """
-        fabric = self.system.fabric
-        if not 1 <= new_count <= len(fabric.servers):
-            raise ValueError(
-                f"new_count {new_count} outside provisioned fabric "
-                f"[1, {len(fabric.servers)}]"
-            )
-        report = yield from self.apply(fabric.ring.with_partitions(new_count))
-        return report
+        ring = self.system.fabric.ring.with_partitions(new_count)
+        return (yield from self.apply(ring))
 
     def apply(self, new_ring):
         """Generator: migrate the live fabric onto ``new_ring``.
@@ -131,10 +125,7 @@ class FabricResizer:
                 f"provisioned fabric [1, {len(servers)}]"
             )
         old_ring = fabric.ring
-        names = set()
-        for server in servers:
-            names.update(server.directory.names())
-        plan = plan_resize(old_ring, new_ring, names)
+        plan = plan_resize(old_ring, new_ring, fabric_namespace(fabric))
         forwarded_before = sum(server.forwarded for server in servers)
 
         # Atomic plan+flip: no yields between installing the forwarding

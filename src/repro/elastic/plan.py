@@ -14,7 +14,9 @@ the migrator.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, List
+from typing import Dict, Iterable, List
+
+from repro.elastic.ring import hash64
 
 
 @dataclass(frozen=True)
@@ -41,6 +43,19 @@ class MigrationPlan:
         """Fraction of the namespace that moves."""
         total = len(self.moves) + self.unchanged
         return len(self.moves) / total if total else 0.0
+
+
+def fabric_namespace(fabric) -> Dict[str, List[int]]:
+    """Every name any provisioned partition holds, with the indexes of
+    the partitions holding it (exactly one, on a sound fabric).
+
+    The one fabric-wide namespace scan: the resizer and the rebalancer
+    plan over its keys, the safety oracle audits its values."""
+    holders: Dict[str, List[int]] = {}
+    for index, server in enumerate(fabric.servers):
+        for name in server.directory.names():
+            holders.setdefault(name, []).append(index)
+    return holders
 
 
 def plan_resize(old_ring, new_ring, names: Iterable[str]) -> MigrationPlan:
@@ -79,10 +94,8 @@ def _assert_minimal_disruption(old_ring, new_ring,
     files — which covers grows, shrinks, and S24's same-size weight-only
     "resizes" with one rule.
     """
-    from repro.elastic.ring import hash64
-
-    if (getattr(old_ring, "kind", None) != "consistent"
-            or getattr(new_ring, "kind", None) != "consistent"
+    if (old_ring.kind != "consistent"
+            or new_ring.kind != "consistent"
             or old_ring.seed != new_ring.seed
             or old_ring.vnodes != new_ring.vnodes):
         return

@@ -3,7 +3,7 @@
 The S22 resizer is pure mechanism — it migrates the namespace onto
 whatever ring it is handed, but something has to *choose* the ring.
 :class:`Rebalancer` is that something: a sim process that wakes every
-``interval`` simulated seconds, reads the :class:`~repro.rebalance.heat.
+``interval`` simulated seconds, reads the :class:`~repro.elastic.heat.
 HeatMap` (and, when given one, the S21 SLO recorder), and when the
 fabric is measurably skewed picks the hottest names on the hottest
 partition and sheds exactly the arcs they live on
@@ -12,21 +12,22 @@ weight-only "resize" executed by the standard
 :meth:`~repro.elastic.migrate.FabricResizer.apply` sweep, with the full
 plan+flip / forwarding-window safety argument intact.
 
-Stability guards, all configurable (:class:`RebalanceConfig`):
+Stability guards (the first two are :class:`RebalanceConfig` fields, the
+rest the constants below):
 
 * **imbalance threshold** — act only when peak/mean busy rate exceeds
-  it (plus a ``min_busy_rate`` floor so an idle fabric is never
+  it (plus a :data:`MIN_BUSY_RATE` floor so an idle fabric is never
   "rebalanced" on noise);
 * **hysteresis/cooldown** — after acting, hold off for ``cooldown``
   simulated seconds so the previous move's effect shows up in the
   window before the next decision;
 * **move budget** — a candidate ring is planned against the live
   namespace *before* being applied, and arcs whose plans exceed
-  ``move_budget`` entry moves are rejected (shedding should nudge, not
-  reshuffle);
-* **arc floor** — a partition is never shed below ``min_arcs`` points,
-  so the ring can always route to it and repeated sweeps cannot strip
-  a partition bare.
+  :data:`MOVE_BUDGET` entry moves are rejected (shedding should nudge,
+  not reshuffle);
+* **arc floor** — a partition is never shed below :data:`MIN_ARCS`
+  points, so the ring can always route to it and repeated sweeps cannot
+  strip a partition bare.
 
 Every sweep — acting or not — appends a :class:`SweepRecord` (rates,
 imbalance, decision, per-class p99 so far) and refreshes the
@@ -42,8 +43,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.elastic.plan import plan_resize
+from repro.elastic.migrate import FabricResizer
+from repro.elastic.plan import fabric_namespace, plan_resize
 from repro.sim import Timeout
+
+MOVE_BUDGET = 12       # max planned entry moves per sweep
+SHED_LIMIT = 2         # max arcs shed per sweep
+MIN_ARCS = 8           # never shed a partition below this
+MIN_BUSY_RATE = 0.005  # busy-s/s floor: below this, idle
+TOP_NAMES = 8          # hottest names considered per sweep
 
 
 @dataclass(frozen=True)
@@ -53,11 +61,6 @@ class RebalanceConfig:
     interval: float = 2.0        # sweep period
     threshold: float = 1.25      # act when peak/mean busy rate exceeds
     cooldown: float = 4.0        # hysteresis between acting sweeps
-    move_budget: int = 12        # max planned entry moves per sweep
-    shed_limit: int = 2          # max arcs shed per sweep
-    min_arcs: int = 8            # never shed a partition below this
-    min_busy_rate: float = 0.005  # busy-s/s floor: below this, idle
-    top_names: int = 8           # hottest names considered per sweep
     watch_only: bool = False     # observe + record, never apply
 
 
@@ -90,19 +93,17 @@ class SweepRecord:
 class Rebalancer:
     """The S24 control loop over one system's elastic fabric.
 
-    ``heat`` is the installed :class:`HeatMap`; ``slo`` an optional
-    S21 :class:`~repro.traffic.slo.SLORecorder` whose per-class p99s are
-    snapshotted into every sweep record.  The loop is duration-bounded
-    (like the S21 generator) so a drained simulation terminates.
+    ``heat`` is the installed :class:`HeatMap`; sheds are executed by a
+    :class:`~repro.elastic.migrate.FabricResizer` at its defaults.  Once
+    an S21 :class:`~repro.traffic.slo.SLORecorder` is attached
+    (:meth:`attach`) its per-class p99s are snapshotted into every sweep
+    record.  The loop is duration-bounded (like the S21 generator) so a
+    drained simulation terminates.
     """
 
-    def __init__(self, system, heat, config: Optional[RebalanceConfig] = None,
-                 slo=None, moves_per_second: Optional[float] = None,
-                 forward_window: Optional[float] = 0.25) -> None:
-        from repro.elastic.migrate import FabricResizer
-
-        ring = system.fabric.ring
-        if getattr(ring, "kind", None) != "consistent":
+    def __init__(self, system, heat,
+                 config: Optional[RebalanceConfig] = None) -> None:
+        if system.fabric.ring.kind != "consistent":
             raise ValueError(
                 "rebalancing needs a consistent-hash ring "
                 "(build the system with elastic=...)"
@@ -110,9 +111,8 @@ class Rebalancer:
         self.system = system
         self.heat = heat
         self.config = config or RebalanceConfig()
-        self.slo = slo
-        self.resizer = FabricResizer(system, moves_per_second=moves_per_second,
-                                     forward_window=forward_window)
+        self.slo = None
+        self.resizer = FabricResizer(system)
         self.records: List[SweepRecord] = []
         self._last_action: Optional[float] = None
 
@@ -159,7 +159,7 @@ class Rebalancer:
         record = SweepRecord(at=now, busy_rates=rates, imbalance=imbalance,
                              action="balanced", p99=self._p99_snapshot())
         cfg = self.config
-        if mean < cfg.min_busy_rate:
+        if mean < MIN_BUSY_RATE:
             record.action = "idle"
         elif imbalance < cfg.threshold:
             record.action = "balanced"
@@ -187,12 +187,6 @@ class Rebalancer:
 
     # ------------------------------------------------------------------
 
-    def _namespace(self) -> set:
-        names = set()
-        for server in self.system.fabric.servers:
-            names.update(server.directory.names())
-        return names
-
     def _plan_shed(self, ring, rates):
         """Pick the arcs to shed: hottest names on the hottest partition,
         greedily, while the planned move set stays inside the budget, the
@@ -203,26 +197,24 @@ class Rebalancer:
         an arc whose names would just land on the second-hottest
         partition (or whose single dominant name *is* the peak and moves
         it wholesale) is rejected, not applied and regretted."""
-        cfg = self.config
         now = self.system.sim.now
         hot = rates.index(max(rates))
         name_busy = {
             name: busy for name, busy, _count in self.heat.name_heat(now)
         }
         hot_names = [
-            name for name, _busy, _count in self.heat.name_heat(now)
-            if ring.partition_of(name) == hot
-        ][:cfg.top_names]
+            name for name in name_busy if ring.partition_of(name) == hot
+        ][:TOP_NAMES]
         if not hot_names:
             return None, [], []
-        names = self._namespace()
+        names = fabric_namespace(self.system.fabric)
         candidate = ring
         shed: List[Tuple[int, int]] = []
         moves: List = []
         peak = max(rates)
         arcs_left = len(candidate.arc_points()[hot])
         for name in hot_names:
-            if len(shed) >= cfg.shed_limit or arcs_left <= cfg.min_arcs:
+            if len(shed) >= SHED_LIMIT or arcs_left <= MIN_ARCS:
                 break
             if candidate.partition_of(name) != hot:
                 continue  # an earlier shed already moved this name
@@ -231,7 +223,7 @@ class Rebalancer:
                 continue
             trial = candidate.shed_arc(*arc)
             trial_moves = plan_resize(ring, trial, names).moves
-            if len(trial_moves) > cfg.move_budget:
+            if len(trial_moves) > MOVE_BUDGET:
                 continue  # this arc carries too much namespace; next name
             predicted = list(rates)
             for move in trial_moves:

@@ -22,12 +22,10 @@ from repro.core import (
 )
 from repro.core.ring import ModuloRing
 from repro.efs import EFSClient, EFSServer
-from repro.elastic.migrate import FabricResizer
-from repro.elastic.ring import make_ring
+from repro.elastic import FabricResizer, HeatMap, Rebalancer, make_ring
 from repro.harness.spec import SystemSpec
 from repro.machine import NETWORK_KINDS, Machine
 from repro.obs import Observability, export_chrome_trace
-from repro.rebalance import HeatMap, Rebalancer
 from repro.redundancy import RedundancyManager
 from repro.sim import Simulator
 from repro.storage import BlockStoreABC, make_driver
@@ -248,7 +246,7 @@ class BridgeSystem:
             efs.cache.invalidate_all()
 
     def attach_storage_heat(self, heat) -> None:
-        """Install a :class:`~repro.rebalance.heat.HeatMap` keyed by LFS
+        """Install a :class:`~repro.elastic.heat.HeatMap` keyed by LFS
         slot on every storage driver (S24-style busy attribution at the
         device layer; schedules no events)."""
         for slot, disk in enumerate(self.disks):

@@ -34,8 +34,8 @@ from repro.collective import TwoPhaseIO
 from repro.config import DEFAULT_CONFIG
 from repro.core import JobController, ParallelWorker
 from repro.efs.fsck import check_system
+from repro.elastic import HeatMap, fabric_namespace
 from repro.errors import DeviceFailedError, ProcessError
-from repro.faults import FaultInjector
 from repro.harness.builders import BridgeSystem, paper_system
 from repro.harness.results import (
     CollectiveRun,
@@ -58,8 +58,7 @@ from repro.harness.results import (
 )
 from repro.harness.spec import SystemSpec
 from repro.obs import attribute_ops
-from repro.rebalance import HeatMap
-from repro.redundancy import MirroredFile
+from repro.redundancy import FaultInjector, MirroredFile
 from repro.sim import join_all
 from repro.tools import CopyTool, SortTool, WordCountTool
 from repro.tools.sort import PairMerge
@@ -1060,10 +1059,7 @@ def fabric_safety_oracle(system, names: List[str]) -> Dict[str, object]:
     migration sweeps) have drained.
     """
     fabric = system.fabric
-    locations: Dict[str, List[int]] = {}
-    for index, bridge in enumerate(system.bridges):
-        for name in bridge.directory.names():
-            locations.setdefault(name, []).append(index)
+    locations = fabric_namespace(fabric)
     lost = sum(1 for name in names if name not in locations)
     duplicated = sum(1 for spots in locations.values() if len(spots) > 1)
     misrouted = sum(
@@ -1124,7 +1120,7 @@ def run_rebalance_experiment(
     ``active=False`` the loop runs ``watch_only`` — it records the same
     sweep-by-sweep imbalance trajectory but never acts, so off-vs-on is
     the policy's effect and nothing else (``rebalance_config`` overrides
-    further :class:`~repro.rebalance.RebalanceConfig` fields).  ``skew``
+    further :class:`~repro.elastic.RebalanceConfig` fields).  ``skew``
     is deliberately steep: the point is a fabric whose hash placement is
     busy-unbalanced so the rebalancer has heat to move.  After traffic
     and the control loop drain, :func:`fabric_safety_oracle` must come
@@ -1218,7 +1214,7 @@ def run_storage_driver_experiment(
        concurrent streams and queueing (or, for the object store,
        overlapped in-flight transfers) becomes visible.
 
-    An S24 :class:`~repro.rebalance.HeatMap` keyed by LFS slot is
+    An S24 :class:`~repro.elastic.HeatMap` keyed by LFS slot is
     installed at the device layer (``attach_storage_heat``), so the run
     reports where the fabric's busy time actually went — on the
     3-fast/1-slow arm the slow slot's share is the attribution headline.

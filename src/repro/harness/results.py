@@ -420,7 +420,7 @@ class RebalanceRun(FabricSafety):
     """One S24 arm: a skewed S21 mix with the rebalancer on or watching.
 
     ``sweeps`` is the control loop's decision log (one dict per
-    :class:`~repro.rebalance.SweepRecord`: rates, imbalance, action,
+    :class:`~repro.elastic.SweepRecord`: rates, imbalance, action,
     moves, cumulative per-class p99) — the off arm records the same
     trajectory with ``watch_only`` so on-vs-off isolates the policy's
     effect.  ``busy_fractions`` are the measured per-partition busy

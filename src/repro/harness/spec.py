@@ -18,9 +18,8 @@ from typing import Any, Dict, Optional, Tuple
 
 from repro.config import DEFAULT_CONFIG, CpuCosts, MessageCosts, SystemConfig
 from repro.core.ring import ModuloRing
-from repro.elastic.ring import RING_KINDS, ConsistentHashRing
+from repro.elastic import RING_KINDS, ConsistentHashRing, RebalanceConfig
 from repro.machine import NETWORK_KINDS
-from repro.rebalance import RebalanceConfig
 from repro.redundancy import SCHEMES
 from repro.storage import (
     DRIVER_KINDS,

@@ -120,7 +120,7 @@ class Server:
         self._forward_cost = 0.0  # subclasses charge their routing CPU
         self._forward_exempt: frozenset = frozenset()
         # S24 heat accounting: when a HeatMap is installed (see
-        # repro.rebalance.heat) every served request's busy time is
+        # repro.elastic.heat) every served request's busy time is
         # attributed to this server's partition and to the request's
         # ``name``/``names`` argument.  ``None`` (the default) is one
         # falsy check per request — no events scheduled, so the seed

@@ -101,11 +101,10 @@ class QueueSamples:
 class UtilizationTimeline:
     """The S19 timeline store: disks, node traffic, queue depths."""
 
-    def __init__(self, sample_capacity: int = DEFAULT_SAMPLE_CAPACITY) -> None:
+    def __init__(self) -> None:
         self.disks: Dict[str, DiskTimeline] = {}
         self.nodes: Dict[int, NodeTraffic] = {}
         self.queues: Dict[str, QueueSamples] = {}
-        self.sample_capacity = sample_capacity
 
     # -- hooks ---------------------------------------------------------
 
@@ -132,7 +131,7 @@ class UtilizationTimeline:
     def record_queue_depth(self, name: str, time: float, depth: int) -> None:
         samples = self.queues.get(name)
         if samples is None:
-            samples = self.queues[name] = QueueSamples(self.sample_capacity)
+            samples = self.queues[name] = QueueSamples()
         samples.record(time, depth)
 
     # -- summaries -----------------------------------------------------

@@ -1,8 +1,10 @@
-"""Redundancy over the interleaved Bridge layout (S16).
+"""Faults and redundancy over the interleaved Bridge layout (S12, S16).
 
-The section 6 remedies: block mirroring at 2x storage
-(:mod:`repro.redundancy.mirror`) and, beyond it, rotating XOR parity
-(RAID-5 style) at ``p/(p-1)`` storage overhead, with transparent
+Section 6's problem — :class:`FaultInjector` fails devices in a live
+system, and the survival formulas price every placement
+(:mod:`repro.redundancy.faults`) — and its remedies: block mirroring at
+2x storage (:mod:`repro.redundancy.mirror`) and, beyond it, rotating XOR
+parity (RAID-5 style) at ``p/(p-1)`` storage overhead, with transparent
 degraded reads and an online, throttleable rebuild after repair.  See
 :mod:`repro.redundancy.parity` for the layout, in particular the
 single-failure semantics shared with every RAID-5-class system.
@@ -12,6 +14,16 @@ from repro.redundancy.degraded import (
     DegradedReader,
     DegradedReadStats,
     fanout_reads,
+    xor_blocks,
+)
+from repro.redundancy.faults import (
+    FaultInjector,
+    files_lost_fraction_interleaved,
+    files_lost_fraction_mirrored,
+    files_lost_fraction_parity,
+    files_lost_fraction_single_node,
+    parity_storage_factor,
+    replication_storage_factor,
 )
 from repro.redundancy.manager import (
     SCHEMES,
@@ -23,13 +35,7 @@ from repro.redundancy.mirror import (
     MirroredReadStats,
     shadow_name,
 )
-from repro.redundancy.parity import (
-    ParityFile,
-    ParityGeometry,
-    files_lost_fraction_parity,
-    parity_storage_factor,
-    xor_blocks,
-)
+from repro.redundancy.parity import ParityFile, ParityGeometry
 from repro.redundancy.rebuild import (
     OnlineRebuild,
     RebuildProgress,
@@ -40,6 +46,7 @@ __all__ = [
     "SCHEMES",
     "DegradedReader",
     "DegradedReadStats",
+    "FaultInjector",
     "MirroredFile",
     "MirroredReadStats",
     "OnlineRebuild",
@@ -50,8 +57,12 @@ __all__ = [
     "RebuildStats",
     "RedundancyManager",
     "fanout_reads",
+    "files_lost_fraction_interleaved",
+    "files_lost_fraction_mirrored",
     "files_lost_fraction_parity",
+    "files_lost_fraction_single_node",
     "parity_storage_factor",
+    "replication_storage_factor",
     "shadow_name",
     "xor_blocks",
 ]

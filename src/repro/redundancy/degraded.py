@@ -34,6 +34,24 @@ from repro.errors import (
 from repro.machine.rpc import Request
 
 
+def xor_blocks(*blocks: Optional[bytes]) -> bytes:
+    """XOR byte strings of (possibly) unequal length, padding with zeros.
+
+    ``None`` entries count as all-zero blocks, so absent constituents
+    (blocks past a constituent's end, or never-written holes) drop out of
+    the parity sum naturally.
+    """
+    present = [b for b in blocks if b]
+    if not present:
+        return b""
+    length = max(len(b) for b in present)
+    out = bytearray(length)
+    for block in present:
+        for i, byte in enumerate(block):
+            out[i] ^= byte
+    return bytes(out)
+
+
 @dataclass
 class DegradedReadStats:
     """Per-file accounting of the degraded read path."""
@@ -156,8 +174,6 @@ class DegradedReader:
                 else:
                     raise error
             self.stats.degraded += 1
-            from repro.redundancy.parity import xor_blocks
-
             return xor_blocks(*parts)
         finally:
             if obs is not None:

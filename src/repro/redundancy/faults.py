@@ -4,16 +4,20 @@
 intolerant of faults.  A failure anywhere in the system is fatal; it
 ruins every file.  Replication helps, but only at very high cost."
 
-:class:`FaultInjector` fails individual node disks in a live system;
-the analytic helpers quantify expected file loss under the alternative
-placement strategies, and :mod:`repro.redundancy.mirror` implements the
-replication remedy the paper prices at 2x storage.
+:class:`FaultInjector` fails individual node disks in a live system and
+tells the system's :class:`~repro.redundancy.manager.RedundancyManager`;
+the analytic helpers price expected file loss and storage overhead under
+every placement strategy and remedy — unprotected, mirrored
+(:mod:`repro.redundancy.mirror`), rotating parity
+(:mod:`repro.redundancy.parity`).
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 from typing import List
+
+from repro.redundancy.parity import ParityGeometry
 
 
 class FaultInjector:
@@ -27,18 +31,22 @@ class FaultInjector:
     without knowing which one a node runs.
 
     Listeners (objects with ``on_fail(slot)`` / ``on_repair(slot)``) are
-    notified of every transition; the system's redundancy manager — which
-    tracks degraded slots and auto-starts online parity rebuilds — is
-    registered automatically.
+    notified of every *transition* of a device's own ``failed`` flag —
+    failing a failed slot or repairing a healthy one is a no-op, and a
+    slot failed through one injector can be repaired through another;
+    the system's redundancy manager — which tracks degraded slots and
+    auto-starts online parity rebuilds — is registered automatically.
     """
 
     def __init__(self, system) -> None:
         self.system = system
-        self.failed_slots: List[int] = []
-        self.listeners: List[object] = []
-        manager = getattr(system, "redundancy", None)
-        if manager is not None:
-            self.listeners.append(manager)
+        self.listeners: List[object] = [system.redundancy]
+
+    @property
+    def failed_slots(self) -> List[int]:
+        """The slots whose device is down right now, in slot order."""
+        return [slot for slot, disk in enumerate(self.system.disks)
+                if disk.failed]
 
     def add_listener(self, listener: object) -> None:
         """Subscribe to fail/repair notifications."""
@@ -47,22 +55,24 @@ class FaultInjector:
 
     def fail_slot(self, slot: int) -> None:
         """Fail the disk behind LFS ``slot``."""
-        self.system.disks[slot].fail()
-        if slot not in self.failed_slots:
-            self.failed_slots.append(slot)
+        disk = self.system.disks[slot]
+        if disk.failed:
+            return
+        disk.fail()
         for listener in self.listeners:
             listener.on_fail(slot)
 
     def repair_slot(self, slot: int) -> None:
-        self.system.disks[slot].repair()
-        if slot in self.failed_slots:
-            self.failed_slots.remove(slot)
+        disk = self.system.disks[slot]
+        if not disk.failed:
+            return
+        disk.repair()
         for listener in self.listeners:
             listener.on_repair(slot)
 
     def repair_all(self) -> List[int]:
         """Repair every currently failed slot; returns the slots fixed."""
-        repaired = list(self.failed_slots)
+        repaired = self.failed_slots
         for slot in repaired:
             self.repair_slot(slot)
         return repaired
@@ -80,14 +90,11 @@ class FaultInjector:
         finally:
             self.repair_slot(slot)
 
-    def fail_random(self, rng_stream: str = "faults") -> int:
+    def fail_random(self) -> int:
         """Fail one uniformly random healthy slot; returns its index."""
-        rng = self.system.sim.random.stream(rng_stream)
-        healthy = [
-            slot
-            for slot in range(self.system.width)
-            if slot not in self.failed_slots
-        ]
+        rng = self.system.sim.random.stream("faults")
+        healthy = [slot for slot, disk in enumerate(self.system.disks)
+                   if not disk.failed]
         if not healthy:
             raise RuntimeError("every disk has already failed")
         slot = healthy[rng.randrange(len(healthy))]
@@ -135,3 +142,16 @@ def replication_storage_factor() -> float:
     """"Storage capacity must be doubled in order to tolerate
     single-drive failures."""
     return 2.0
+
+
+def files_lost_fraction_parity(width: int, failed_disks: int = 1) -> float:
+    """Fraction of parity-protected files lost: zero for a single failure,
+    everything for two or more (every stripe spans every node)."""
+    if failed_disks <= 1:
+        return 0.0
+    return 1.0 if width > 0 else 0.0
+
+
+def parity_storage_factor(width: int) -> float:
+    """p/(p-1): the storage price of rotating parity at width p."""
+    return ParityGeometry(width).storage_factor()

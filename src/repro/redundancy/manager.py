@@ -6,9 +6,9 @@ example can run the same workload under any redundancy scheme.  The
 manager hands out scheme-appropriate file wrappers with one uniform
 surface (``create`` / ``write_all`` / ``read_all`` / ``storage_blocks``,
 all simulation generators), receives fail/repair notifications from
-:class:`repro.faults.FaultInjector`, and — for the parity scheme —
-automatically spawns the online rebuild sweep when a failed slot is
-repaired.
+:class:`repro.redundancy.faults.FaultInjector`, and — for the parity
+scheme — automatically spawns the online rebuild sweep when a failed
+slot is repaired.
 
 Scheme price list (the section 6 trade, made selectable):
 
@@ -23,7 +23,7 @@ scheme        storage overhead  write cost per logical block  survives
 
 from __future__ import annotations
 
-from typing import List, Optional, Set
+from typing import List, Set
 
 from repro.redundancy.mirror import MirroredFile
 from repro.redundancy.parity import ParityFile
@@ -68,29 +68,19 @@ class PlainFile:
 class RedundancyManager:
     """Per-system redundancy policy, failure bookkeeping, and rebuilds.
 
-    The fault injector calls :meth:`on_fail` / :meth:`on_repair` (it
-    registers itself as a listener automatically when the system carries
-    a manager).  With ``auto_rebuild`` (the default) a repair immediately
-    spawns an :class:`OnlineRebuild` sweep for every registered parity
-    file; set it to ``False`` to drive rebuilds by hand, e.g. to measure
-    degraded-mode behavior between repair and reconstruction.
+    The fault injector calls :meth:`on_fail` / :meth:`on_repair` (every
+    injector registers its system's manager as a listener).  Under the
+    parity scheme a repair immediately spawns an unthrottled
+    :class:`OnlineRebuild` sweep for every registered parity file.
     """
 
-    def __init__(
-        self,
-        system,
-        scheme: str = "none",
-        auto_rebuild: bool = True,
-        rebuild_rate: Optional[float] = None,
-    ) -> None:
+    def __init__(self, system, scheme: str = "none") -> None:
         if scheme not in SCHEMES:
             raise ValueError(
                 f"unknown redundancy scheme {scheme!r}; pick one of {SCHEMES}"
             )
         self.system = system
         self.scheme = scheme
-        self.auto_rebuild = auto_rebuild
-        self.rebuild_rate = rebuild_rate
         self.failed_slots: Set[int] = set()
         self.files: List[ParityFile] = []  # registered parity files
         self.rebuilds: List[OnlineRebuild] = []
@@ -123,29 +113,17 @@ class RedundancyManager:
         self.fail_events += 1
 
     def on_repair(self, slot: int) -> None:
+        """Mark ``slot`` healthy and, under the parity scheme, spawn a
+        rebuild sweep of it for every registered file that holds data."""
         self.failed_slots.discard(slot)
         self.repair_events += 1
-        if self.scheme == "parity" and self.auto_rebuild:
-            self.start_rebuilds(slot)
-
-    # ------------------------------------------------------------------
-    # Rebuild orchestration
-    # ------------------------------------------------------------------
-
-    def start_rebuilds(self, slot: int, rate: Optional[float] = None):
-        """Spawn a rebuild sweep of ``slot`` for every registered parity
-        file; returns the spawned simulation processes."""
-        processes = []
-        for parity_file in self.files:
-            if parity_file.file_id is None or parity_file.logical_blocks == 0:
-                continue
-            rebuild = OnlineRebuild(
-                parity_file, slot,
-                rate=rate if rate is not None else self.rebuild_rate,
-            )
-            self.rebuilds.append(rebuild)
-            processes.append(rebuild.start())
-        return processes
+        if self.scheme == "parity":
+            for parity_file in self.files:
+                if parity_file.file_id is None or parity_file.logical_blocks == 0:
+                    continue
+                rebuild = OnlineRebuild(parity_file, slot)
+                self.rebuilds.append(rebuild)
+                rebuild.start()
 
     def degraded(self) -> bool:
         """True while any slot is failed."""

@@ -33,7 +33,8 @@ process that repopulates a repaired node lives in
 Single-failure semantics: like RAID-5, the scheme guarantees correctness
 with at most one failed (or repaired-but-not-yet-rebuilt) slot at a time.
 A second concurrent failure loses data, which
-:func:`files_lost_fraction_parity` prices analytically.
+:func:`repro.redundancy.faults.files_lost_fraction_parity` prices
+analytically.
 """
 
 from __future__ import annotations
@@ -48,33 +49,12 @@ from repro.errors import (
     EFSError,
 )
 from repro.machine import gather
+from repro.redundancy.degraded import (
+    DegradedReader,
+    DegradedReadStats,
+    xor_blocks,
+)
 from repro.sim import Lock
-
-
-# ---------------------------------------------------------------------------
-# XOR arithmetic
-# ---------------------------------------------------------------------------
-
-
-ZERO_BLOCK = b""
-
-
-def xor_blocks(*blocks: Optional[bytes]) -> bytes:
-    """XOR byte strings of (possibly) unequal length, padding with zeros.
-
-    ``None`` entries count as all-zero blocks, so absent constituents
-    (blocks past a constituent's end, or never-written holes) drop out of
-    the parity sum naturally.
-    """
-    present = [b for b in blocks if b]
-    if not present:
-        return ZERO_BLOCK
-    length = max(len(b) for b in present)
-    out = bytearray(length)
-    for block in present:
-        for i, byte in enumerate(block):
-            out[i] ^= byte
-    return bytes(out)
 
 
 # ---------------------------------------------------------------------------
@@ -196,24 +176,6 @@ class ParityGeometry:
 
 
 # ---------------------------------------------------------------------------
-# Survival analysis (companions to repro.faults.injector's fractions)
-# ---------------------------------------------------------------------------
-
-
-def files_lost_fraction_parity(width: int, failed_disks: int = 1) -> float:
-    """Fraction of parity-protected files lost: zero for a single failure,
-    everything for two or more (every stripe spans every node)."""
-    if failed_disks <= 1:
-        return 0.0
-    return 1.0 if width > 0 else 0.0
-
-
-def parity_storage_factor(width: int) -> float:
-    """p/(p-1): the storage price of rotating parity at width p."""
-    return ParityGeometry(width).storage_factor()
-
-
-# ---------------------------------------------------------------------------
 # The parity-protected file
 # ---------------------------------------------------------------------------
 
@@ -244,13 +206,9 @@ class ParityFile:
         self._lock = Lock(system.sim, name=f"parity:{name}")
         self.degraded_writes = 0  # data writes deferred to rebuild
         self.parity_rmw_reads = 0  # old-parity / old-data reads
-        from repro.redundancy.degraded import DegradedReadStats, DegradedReader
-
         self.read_stats = DegradedReadStats()
         self._reader = DegradedReader(self)
-        manager = getattr(system, "redundancy", None)
-        if manager is not None:
-            manager.register(self)
+        system.redundancy.register(self)
 
     # ------------------------------------------------------------------
 

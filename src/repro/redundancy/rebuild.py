@@ -1,7 +1,7 @@
 """Online reconstruction of a repaired node (S16).
 
-After :meth:`repro.faults.FaultInjector.repair_slot` reconnects a device,
-the node's constituent files are stale: every block written while the
+After :meth:`repro.redundancy.faults.FaultInjector.repair_slot`
+reconnects a device, the node's constituent files are stale: every block written while the
 device was down is missing (a *write hole* — the parity block absorbed
 the new contents, the data block never landed), and pre-failure blocks
 may have been logically overwritten.  :class:`OnlineRebuild` is a
@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+from repro.redundancy.degraded import DegradedReader, DegradedReadStats
 from repro.sim import Timeout
 
 
@@ -106,8 +107,6 @@ class OnlineRebuild:
 
     def run(self):
         """The rebuild process body; returns :class:`RebuildStats`."""
-        from repro.redundancy.degraded import DegradedReader, DegradedReadStats
-
         file = self.file
         sim = file.system.sim
         reader = DegradedReader(file, stats=DegradedReadStats())

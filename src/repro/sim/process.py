@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Any
 
 from repro.errors import InvalidYieldError, ProcessError
-from repro.sim.events import Signal
+from repro.sim.events import AllOf, Signal
 
 
 class Process:
@@ -101,6 +101,4 @@ def join_all(processes) -> "Signal":
     Yields a list of their results, in order.  Implemented with
     :class:`~repro.sim.events.AllOf` over the completion signals.
     """
-    from repro.sim.events import AllOf
-
     return AllOf([p.completion for p in processes])

@@ -7,42 +7,23 @@ positioned disk."  This model makes that trade-off measurable: a logical
 access touches all member drives in lock step; its positioning time is the
 *maximum* of the members' independent rotational phases, while transfer
 time divides by the member count.
+
+To the storage kernel an array is just another device: a
+:class:`~repro.storage.disk.SimulatedDisk` whose latency model is the
+lock-step positioning rule below.  Queueing, wait/service stamping,
+spans, heat, schedulers and ``fail``/``repair`` all come from the
+kernel.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Tuple
 
-from repro.errors import BadBlockAddressError, DeviceFailedError
-from repro.sim import Mailbox, Summary, Timeout
-
-
-class _ArrayRequest:
-    __slots__ = ("op", "block", "data", "waiter", "result", "error")
-
-    def __init__(self, op: str, block: int, data: Optional[bytes]) -> None:
-        self.op = op
-        self.block = block
-        self.data = data
-        self.waiter = None
-        self.result: Optional[bytes] = None
-        self.error: Optional[Exception] = None
+from repro.storage.disk import SimulatedDisk
+from repro.storage.parameters import DiskParameters
 
 
-class _Submit:
-    __slots__ = ("array", "request")
-
-    def __init__(self, array: "StorageArray", request: _ArrayRequest) -> None:
-        self.array = array
-        self.request = request
-
-    def _wait(self, process) -> None:
-        self.request.waiter = process
-        self.array._pending.append(self.request)
-        self.array._wakeup.deliver(None)
-
-
-class StorageArray:
+class StorageArray(SimulatedDisk):
     """``member_count`` spindles behaving as one logical block device.
 
     Positioning model: each member contributes an independent rotational
@@ -50,14 +31,19 @@ class StorageArray:
     maximum plus a fixed seek, then ``transfer_time / member_count``.
     Expected positioning therefore *grows* toward a full rotation as
     members are added: E[max of d uniforms] = d/(d+1) x rotation.
+
+    A single member failure takes down the whole logical device, which
+    is the kernel's :meth:`fail` unchanged.  The array is its own
+    :class:`~repro.storage.base.LatencyModel` (:meth:`access`).
     """
+
+    rng_stream = "array"
 
     def __init__(
         self,
         sim,
         member_count: int,
         capacity_blocks: int,
-        block_size: int = 1024,
         rotation_time: float = 0.0167,
         seek_time: float = 0.004,
         transfer_time: float = 0.001,
@@ -65,46 +51,25 @@ class StorageArray:
     ) -> None:
         if member_count < 1:
             raise ValueError("array needs at least one member drive")
-        self.sim = sim
         self.member_count = member_count
-        self.capacity_blocks = capacity_blocks
-        self.block_size = block_size
         self.rotation_time = rotation_time
         self.seek_time = seek_time
         self.transfer_time = transfer_time
-        self.name = name
-        self.failed = False
-        self.blocks: Dict[int, bytes] = {}
-        self._pending: List[_ArrayRequest] = []
-        self._wakeup = Mailbox(sim, f"{name}.wakeup")
-        self._rng = sim.random.stream(f"array.{name}")
-        self.operations = 0
-        self.busy_time = 0.0
-        self.service_times = Summary(f"{name}.service")
-        sim.spawn(self._loop(), name=f"{name}.driver", daemon=True)
+        super().__init__(
+            sim, DiskParameters(name, capacity_blocks), latency_model=self,
+            name=name,
+        )
 
-    # ------------------------------------------------------------------
-
-    def read(self, block: int):
-        request = _ArrayRequest("read", block, None)
-        result = yield _Submit(self, request)
-        if result.error is not None:
-            raise result.error
-        return result.result
-
-    def write(self, block: int, data: bytes):
-        request = _ArrayRequest("write", block, bytes(data))
-        result = yield _Submit(self, request)
-        if result.error is not None:
-            raise result.error
-        return None
-
-    def fail(self) -> None:
-        """A single member failure takes down the whole logical device."""
-        self.failed = True
-        self._wakeup.deliver(None)
-
-    # ------------------------------------------------------------------
+    def access(self, rng, head_position: int, block: int,
+               now: float) -> Tuple[float, int]:
+        """Seek, then the worst member's rotational wait, then the
+        transfer split ``member_count`` ways."""
+        service = (
+            self.seek_time
+            + self.sample_positioning()
+            + self.transfer_time / self.member_count
+        )
+        return service, block
 
     def sample_positioning(self) -> float:
         """One sample of the lock-step positioning wait (max of members)."""
@@ -119,37 +84,3 @@ class StorageArray:
         """Analytic E[max of d uniform rotational waits]."""
         d = self.member_count
         return self.rotation_time * d / (d + 1)
-
-    def _loop(self):
-        sim = self.sim
-        while True:
-            if not self._pending:
-                yield self._wakeup.recv()
-                continue
-            request = self._pending.pop(0)
-            if self.failed:
-                request.error = DeviceFailedError(f"{self.name} has failed")
-                sim._schedule(0.0, request.waiter._resume, request)
-                continue
-            if not 0 <= request.block < self.capacity_blocks:
-                request.error = BadBlockAddressError(
-                    f"{self.name}: block {request.block} out of range"
-                )
-                sim._schedule(0.0, request.waiter._resume, request)
-                continue
-            service = (
-                self.seek_time
-                + self.sample_positioning()
-                + self.transfer_time / self.member_count
-            )
-            self.service_times.observe(service)
-            yield Timeout(service)
-            self.busy_time += service
-            self.operations += 1
-            if request.op == "read":
-                request.result = self.blocks.get(
-                    request.block, b"\x00" * self.block_size
-                )
-            else:
-                self.blocks[request.block] = request.data
-            sim._schedule(0.0, request.waiter._resume, request)

@@ -35,7 +35,7 @@ The contract a driver must keep:
   the on-device image, and corruption tests poke it directly; drivers
   with external media (the host-fs driver) expose a write-through view.
 * **Heat attribution** — when an experiment installs a
-  :class:`~repro.rebalance.heat.HeatMap` on ``store.heat`` (with
+  :class:`~repro.elastic.heat.HeatMap` on ``store.heat`` (with
   ``store.heat_slot`` naming the owning LFS node), the driver reports
   each request's busy time into it.  Like all S19/S24 instrumentation
   this schedules no events, so installing it cannot perturb the
@@ -142,13 +142,14 @@ class BlockStoreABC(abc.ABC):
 
     #: Registry name of this driver (see ``repro.storage.drivers``).
     kind: str = "abstract"
+    #: The device draws from the simulator's ``<rng_stream>.<name>`` stream.
+    rng_stream: str = "disk"
 
     def __init__(
         self,
         sim,
         params: DiskParameters,
         name: Optional[str] = None,
-        rng_stream: str = "disk",
     ) -> None:
         self.sim = sim
         self.params = params
@@ -156,7 +157,7 @@ class BlockStoreABC(abc.ABC):
         self.failed = False
         self._pending: List[BlockRequest] = []
         self._wakeup = Mailbox(sim, f"{self.name}.wakeup")
-        self._rng = sim.random.stream(f"{rng_stream}.{self.name}")
+        self._rng = sim.random.stream(f"{self.rng_stream}.{self.name}")
         self.reads = 0
         self.writes = 0
         self.busy_time = 0.0
@@ -304,12 +305,11 @@ class SingleArmBlockStore(BlockStoreABC):
         latency_model=None,
         scheduler=None,
         name: Optional[str] = None,
-        rng_stream: str = "disk",
     ) -> None:
         self.latency = latency_model or params.default_latency()
         self.scheduler = scheduler or FCFSScheduler()
         self.head_position = 0
-        super().__init__(sim, params, name=name, rng_stream=rng_stream)
+        super().__init__(sim, params, name=name)
 
     def _loop(self):
         sim = self.sim

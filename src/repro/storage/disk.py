@@ -39,12 +39,10 @@ class SimulatedDisk(SingleArmBlockStore):
         latency_model=None,
         scheduler=None,
         name: Optional[str] = None,
-        rng_stream: str = "disk",
     ) -> None:
         self.blocks: Dict[int, bytes] = {}
         super().__init__(
             sim, params, latency_model, scheduler=scheduler, name=name,
-            rng_stream=rng_stream,
         )
 
     def _read_block(self, block: int) -> bytes:

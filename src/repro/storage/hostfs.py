@@ -103,7 +103,6 @@ class HostFSDisk(SingleArmBlockStore):
         scheduler=None,
         name: Optional[str] = None,
         fsync: str = "never",
-        rng_stream: str = "disk",
     ) -> None:
         if fsync not in FSYNC_POLICIES:
             raise ValueError(
@@ -118,7 +117,6 @@ class HostFSDisk(SingleArmBlockStore):
         self.blocks = HostBlockMap(self)
         super().__init__(
             sim, params, latency_model, scheduler=scheduler, name=name,
-            rng_stream=rng_stream,
         )
         # Adopt any blocks a previous instance left behind (restart
         # survival): record their mtimes so they read as in-sync.

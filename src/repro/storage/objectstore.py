@@ -70,7 +70,6 @@ class ObjectStoreDisk(BlockStoreABC):
         bandwidth: float = DEFAULT_BANDWIDTH,
         max_inflight: int = DEFAULT_MAX_INFLIGHT,
         name: Optional[str] = None,
-        rng_stream: str = "disk",
     ) -> None:
         if max_inflight < 1:
             raise ValueError("max_inflight must be >= 1")
@@ -78,7 +77,7 @@ class ObjectStoreDisk(BlockStoreABC):
         self.max_inflight = max_inflight
         self.inflight = 0
         self.blocks: Dict[int, bytes] = {}
-        super().__init__(sim, params, name=name, rng_stream=rng_stream)
+        super().__init__(sim, params, name=name)
 
     def _read_block(self, block: int) -> bytes:
         return self.blocks.get(block, b"\x00" * self.params.block_size)

@@ -43,6 +43,7 @@ from repro.efs import EFSClient
 from repro.errors import SortProtocolError
 from repro.machine import Port
 from repro.sim import Timeout, join_all
+from repro.tools.base import tree_spawn
 from repro.tools.sort.records import key_of
 
 
@@ -288,8 +289,6 @@ class PairMerge:
             (r.node, r.body(), f"mreader.{r.file_label}{r.constituent.slot}")
             for r in readers_left + readers_right
         ]
-        from repro.tools.base import tree_spawn
-
         worker_tree = self.machine.sim.spawn(
             _collect(tree_spawn(self.machine, specs)), name="merge.workers"
         )

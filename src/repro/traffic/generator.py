@@ -33,7 +33,12 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from repro.core import BridgeClient, JobController, ParallelWorker
+from repro.core import (
+    BlockDelivery,
+    BridgeClient,
+    JobController,
+    ParallelWorker,
+)
 from repro.errors import (
     BridgeError,
     BridgeOverloadError,
@@ -49,6 +54,11 @@ from repro.traffic.workload import (
     sample_request,
 )
 
+#: Worker processes reading each parallel-open job.
+PARALLEL_WORKERS = 2
+#: Arrivals kept in ``TrafficGenerator.arrival_log``.
+ARRIVAL_LOG_LIMIT = 256
+
 
 class TrafficGenerator:
     """Drives one Bridge system with open-loop multi-class traffic."""
@@ -59,9 +69,7 @@ class TrafficGenerator:
                  patience: Optional[float] = None,
                  slow_fraction: float = 0.0,
                  slow_stall: float = 0.05,
-                 tool_span: int = 6,
-                 parallel_workers: int = 2,
-                 arrival_log_limit: int = 256) -> None:
+                 tool_span: int = 6) -> None:
         self.system = system
         self.catalog = catalog
         self.mix = mix if mix is not None else RequestMix()
@@ -70,12 +78,10 @@ class TrafficGenerator:
         self.slow_fraction = slow_fraction
         self.slow_stall = slow_stall
         self.tool_span = tool_span
-        self.parallel_workers = parallel_workers
         self.spawned = 0
-        #: First ``arrival_log_limit`` arrivals as ``(time, class, name)``
-        #: — determinism tests compare these across runs and seeds.
+        #: First :data:`ARRIVAL_LOG_LIMIT` arrivals as ``(time, class,
+        #: name)`` — determinism tests compare these across runs and seeds.
         self.arrival_log: List[Tuple[float, str, str]] = []
-        self._arrival_log_limit = arrival_log_limit
 
     # ------------------------------------------------------------------
     # The source process
@@ -107,7 +113,7 @@ class TrafficGenerator:
                 slow_stall=self.slow_stall,
                 tool_span=self.tool_span,
             )
-            if len(self.arrival_log) < self._arrival_log_limit:
+            if len(self.arrival_log) < ARRIVAL_LOG_LIMIT:
                 self.arrival_log.append((sim.now, request.cls, request.name))
             self.recorder.record_issue(request.cls)
             self.spawned += 1
@@ -190,8 +196,6 @@ class TrafficGenerator:
         a refused job leaves no blocked workers behind; a failure mid-job
         poisons the worker ports with eof deliveries so they always
         terminate."""
-        from repro.core.parallel import BlockDelivery
-
         node = self.system.client_node
         controller = JobController(
             node, self.system.server_target(),
@@ -199,7 +203,7 @@ class TrafficGenerator:
         )
         workers = [
             ParallelWorker(node, index, name=f"traffic.{request.seq}.w")
-            for index in range(self.parallel_workers)
+            for index in range(PARALLEL_WORKERS)
         ]
 
         stall = request.stall

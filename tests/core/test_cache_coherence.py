@@ -15,8 +15,8 @@ import random
 import pytest
 
 from repro.efs.fsck import check_system
-from repro.faults import FaultInjector
 from repro.harness.builders import BridgeSystem, paper_system
+from repro.redundancy import FaultInjector
 from repro.storage import FixedLatency
 from repro.workloads import pattern_chunks
 

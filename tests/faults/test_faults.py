@@ -3,15 +3,16 @@
 import pytest
 
 from repro.errors import DeviceFailedError, ProcessError
-from repro.faults import (
+from repro.harness.builders import BridgeSystem
+from repro.redundancy import (
     FaultInjector,
+    MirroredFile,
     files_lost_fraction_interleaved,
     files_lost_fraction_mirrored,
     files_lost_fraction_single_node,
     replication_storage_factor,
+    shadow_name,
 )
-from repro.harness.builders import BridgeSystem
-from repro.redundancy import MirroredFile, shadow_name
 from repro.storage import FixedLatency
 from repro.workloads import build_file, pattern_chunks
 

@@ -15,8 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import DEFAULT_CONFIG
+from repro.elastic import RebalanceConfig
 from repro.harness import PRESETS, BridgeSystem, SystemSpec, paper_system
-from repro.rebalance import RebalanceConfig
 from repro.storage import FixedLatency, GeometricLatency, wren_geometric
 from repro.workloads import write_then_stream
 
@@ -267,6 +267,13 @@ def test_inconsistent_specs_are_refused():
 def test_removed_keywords_are_gone(removed):
     with pytest.raises(TypeError, match=removed):
         BridgeSystem(2, **{removed: None})
+
+
+def test_from_dict_refuses_a_policy_constant_by_name():
+    """The rebalancer's budgets are constants of the policy, not spec
+    data: loading one is refused like any unknown key."""
+    with pytest.raises(TypeError, match="move_budget"):
+        SystemSpec.from_dict({"rebalance": {"move_budget": 3}})
 
 
 # ---------------------------------------------------------------------------

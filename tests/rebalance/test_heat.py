@@ -10,7 +10,7 @@ without spinning up a simulator — the map is pure arithmetic over
 import pytest
 
 from repro.core.ops import CONTROL_OPS
-from repro.rebalance import HeatMap
+from repro.elastic import HeatMap
 
 
 class FakeRequest:

@@ -10,8 +10,8 @@ re-derived from the live ring to prove nothing was stranded.
 
 import pytest
 
+from repro.elastic import HeatMap, RebalanceConfig, Rebalancer, migrate, policy
 from repro.harness.builders import BridgeSystem
-from repro.rebalance import HeatMap, RebalanceConfig, Rebalancer
 from repro.storage import FixedLatency
 
 
@@ -178,6 +178,32 @@ def test_acting_sweep_sheds_arcs_and_strands_nothing():
     for name, busy, _count in system.heat.name_heat(now):
         loads[ring.partition_of(name)] += busy
     assert max(loads) < max(rates_before)
+
+
+def test_resizer_and_rebalancer_plan_over_the_same_names(monkeypatch):
+    """Both planners read the one fabric-wide scan, taken at plan time:
+    a file created mid-run is in every name set either of them plans."""
+    planned = {migrate: [], policy: []}
+    for module, seen in planned.items():
+        def spy(old, new, names, seen=seen, plan=module.plan_resize):
+            seen.append(set(names))
+            return plan(old, new, names)
+        monkeypatch.setattr(module, "plan_resize", spy)
+    system = make_system(rebalance=RebalanceConfig(watch_only=True),
+                         servers=3)
+    names = populate(system)
+
+    def body():
+        yield from system.partitioned_client().create("late")
+        paint_skew(system, names)
+        record = yield from system.rebalancer.sweep()
+        yield from system.resize_fabric(2)
+        return record
+
+    assert system.run(body()).action == "watch"
+    assert planned[policy] and len(planned[migrate]) == 1
+    for seen in planned[policy] + planned[migrate]:
+        assert seen == set(names) | {"late"}
 
 
 def test_run_is_duration_bounded_and_drains():

@@ -4,8 +4,8 @@ fsck-clean and survive a failure exactly like single-block writes."""
 import pytest
 
 from repro.efs.fsck import check_system
-from repro.faults import FaultInjector
 from repro.harness.builders import BridgeSystem
+from repro.redundancy import FaultInjector
 from repro.storage import FixedLatency
 from repro.config import DATA_BYTES_PER_BLOCK
 from repro.workloads import pattern_chunks

@@ -3,10 +3,10 @@
 import pytest
 
 from repro.efs.fsck import check_system
-from repro.faults import FaultInjector
 from repro.harness.builders import BridgeSystem
 from repro.redundancy import (
     SCHEMES,
+    FaultInjector,
     MirroredFile,
     ParityFile,
     PlainFile,
@@ -94,6 +94,29 @@ def test_manager_tracks_failed_slots():
     assert 3 in system.redundancy.failed_slots
     injector.repair_slot(3)
     assert not system.redundancy.degraded()
+
+
+def test_failing_a_failed_slot_is_one_event():
+    system = make_system(redundancy="parity")
+    injector = FaultInjector(system)
+    injector.fail_slot(3)
+    injector.fail_slot(3)
+    assert injector.failed_slots == [3]
+    assert system.redundancy.fail_events == 1
+    # the transition is the device's, whichever injector causes it
+    FaultInjector(system).repair_slot(3)
+    assert injector.failed_slots == []
+    assert system.redundancy.repair_events == 1
+
+
+def test_repairing_a_healthy_slot_rebuilds_nothing():
+    """Only a repair that ends a failure is a transition: a rebuild of
+    a slot that never failed would rewrite healthy blocks from parity."""
+    system = make_system(redundancy="parity")
+    build(system, system.redundant_file("intact"), pattern_chunks(8))
+    FaultInjector(system).repair_slot(2)
+    assert system.redundancy.repair_events == 0
+    assert system.redundancy.rebuilds == []
 
 
 # ---------------------------------------------------------------------------

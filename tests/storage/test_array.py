@@ -89,5 +89,5 @@ def test_positioning_worse_than_single_drive_but_transfer_scales():
     service = sim.run_process(body())
     # transfer shrank to 1 ms, but positioning pushes toward a full rotation
     assert service > array.seek_time + array.rotation_time / 2
-    assert array.operations == 1
+    assert array.total_operations == 1
     assert array.busy_time == pytest.approx(service)

@@ -4,8 +4,9 @@ Three layers of coverage:
 
 * spec handling — normalization, rejection of malformed specs, the
   ``storage_specs`` fabric expansion, and third-party registration;
-* the cross-driver contract — the same read/write/fail/counter
-  semantics asserted against every registered kind, via the registry;
+* the cross-driver contract — the same read/write/fail/counter/span
+  semantics asserted against every registered kind via the registry,
+  and against the storage array (a latency model on the ``ram`` driver);
 * backend-specific behavior — host-fs persistence across restarts and
   external-modification detection; object-store latency shape and
   bounded in-flight concurrency.
@@ -15,11 +16,13 @@ import os
 
 import pytest
 
+from repro.elastic import HeatMap
 from repro.errors import (
     BadBlockAddressError,
     DeviceFailedError,
     ProcessError,
 )
+from repro.obs import Observability
 from repro.sim import Simulator
 from repro.storage import (
     DEFAULT_ACCESS_TIME,
@@ -30,6 +33,7 @@ from repro.storage import (
     ObjectStoreDisk,
     ObjectStoreLatency,
     SimulatedDisk,
+    StorageArray,
     DRIVER_KINDS,
     make_driver,
     normalize_driver_spec,
@@ -37,20 +41,24 @@ from repro.storage import (
     storage_specs,
 )
 
-ALL_KINDS = ("ram", "hostfs", "object")
+ALL_KINDS = ("ram", "hostfs", "object", "array")
 
 
 def spec_for(kind, tmp_path):
-    """A usable spec for each registered kind (hostfs needs a root)."""
+    """A usable spec for each kind (hostfs needs a root; the array is
+    not a registered kind, so it arrives as a factory)."""
     if kind == "hostfs":
         return {"kind": "hostfs", "root": tmp_path}
+    if kind == "array":
+        return lambda sim, name, capacity_blocks: StorageArray(
+            sim, 4, capacity_blocks, name=name)
     return kind
 
 
 @pytest.fixture(params=ALL_KINDS)
 def driver(request, tmp_path):
-    """(sim, store) for every registered driver kind."""
-    sim = Simulator(seed=3)
+    """(sim, store) for every driver kind."""
+    sim = Simulator(seed=3, obs=Observability())
     store = make_driver(
         spec_for(request.param, tmp_path), sim, name="dut",
         capacity_blocks=64,
@@ -205,6 +213,11 @@ def test_address_validation(driver):
 
 def test_fail_and_repair(driver):
     sim, store = driver
+
+    def before():
+        yield from store.write(2, b"kept")
+
+    run_ops(sim, before())
     store.fail()
 
     def doomed():
@@ -217,9 +230,11 @@ def test_fail_and_repair(driver):
 
     def healthy():
         yield from store.write(1, b"back")
-        return (yield from store.read(1))
+        return (yield from store.read(1)), (yield from store.read(2))
 
-    assert run_ops(sim, healthy()).startswith(b"back")
+    back, kept = run_ops(sim, healthy())
+    assert back.startswith(b"back")
+    assert kept.startswith(b"kept")  # a repair is a reconnect
 
 
 def test_wait_service_counters_stamped(driver):
@@ -239,12 +254,18 @@ def test_wait_service_counters_stamped(driver):
     assert store.service_times.mean > 0.0
     assert store.busy_time == pytest.approx(store.service_times.total)
     assert store.total_operations == 8
+    # ... and each op's span ends with the same stamps.
+    spans = [span for span in sim.obs.spans if span.category == "disk"]
+    assert [span.name for span in spans] == ["dut.write"] * 4 + ["dut.read"] * 4
+    assert [span.args["block"] for span in spans] == list(range(4)) * 2
+    assert sum(s.args["wait"] for s in spans) == pytest.approx(
+        store.wait_times.total)
+    assert sum(s.args["service"] for s in spans) == pytest.approx(
+        store.service_times.total)
 
 
 def test_heat_attribution_hook(driver):
     """Installing a HeatMap attributes each op's busy time to the slot."""
-    from repro.rebalance import HeatMap
-
     sim, store = driver
     heat = HeatMap(3, window=100.0)
     store.heat = heat

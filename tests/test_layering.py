@@ -2,45 +2,76 @@
 
 Function-level (lazy) imports count — a deferred upward import is still
 an upward dependency, it only hides the cycle from the interpreter.
+
+:data:`LAYERS` is also the architecture map: each row names its tier,
+and DESIGN.md's "Architecture" table is checked against it.
 """
 
 import ast
+import importlib
 import os
 import pathlib
 import subprocess
 import sys
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "repro"
+REPO = pathlib.Path(__file__).resolve().parents[1]
+SRC = REPO / "src" / "repro"
 
-#: Bottom to top.  Root modules (config, errors, _version) sit below
-#: everything; ``repro/__init__.py`` is the facade above everything.
+#: Bottom to top, ``(tier, packages)``.  Root modules (config, errors,
+#: _version) sit below everything; the *kernel* is the paper's three
+#: layers (devices, LFS, Bridge Server) on the simulated machine;
+#: *services* use kernel interfaces and nothing above; *studies* are the
+#: comparison systems, workloads and models; ``repro/__init__.py`` is the
+#: facade above everything.
 LAYERS = [
-    {"config", "errors", "_version"},
-    {"sim", "obs"},
-    {"machine", "storage"},
-    {"efs"},
-    {"core"},
-    {"collective", "elastic", "faults", "rebalance", "redundancy", "tools",
-     "traffic"},
-    {"workloads", "analysis", "baselines"},
-    {"harness"},
-    {"__init__"},
+    ("root", {"config", "errors", "_version"}),
+    ("kernel", {"sim", "obs"}),
+    ("kernel", {"machine", "storage"}),
+    ("kernel", {"efs"}),
+    ("kernel", {"core"}),
+    ("services", {"collective", "elastic", "redundancy", "tools", "traffic"}),
+    ("studies", {"workloads", "analysis", "baselines"}),
+    ("harness", {"harness"}),
+    ("facade", {"__init__"}),
 ]
-RANK = {package: rank for rank, layer in enumerate(LAYERS) for package in layer}
+RANK = {package: rank
+        for rank, (_tier, layer) in enumerate(LAYERS) for package in layer}
+
+#: The drivers tier: modules a kernel or service interface selects by
+#: name.  ``registry -> kinds``; a new kind is a new row entry here and
+#: in DESIGN.md, never a new package.
+DRIVERS = {
+    "repro.storage.DRIVER_KINDS": {"ram", "hostfs", "object"},
+    "repro.storage.scheduler.SCHEDULERS": {"fcfs", "sstf", "elevator"},
+    "repro.machine.NETWORK_KINDS": {"butterfly", "ethernet"},
+    "repro.elastic.RING_KINDS": {"modulo", "consistent"},
+    "repro.redundancy.SCHEMES": {"none", "mirror", "parity"},
+}
+
+#: Function-level imports that stay, each with its reason.
+LAZY_IMPORTS = {
+    # hashlib pulls OpenSSL (3.7 MiB) into every process; only a
+    # consistent-hash ring hashes (test_the_paper_system_never_loads_hashlib).
+    ("elastic/ring.py", "hashlib"),
+    # True cycle: core.partitioned -> core.client -> core.parallel.
+    ("core/parallel.py", "repro.core.partitioned"),
+}
+
+
+def imported_modules(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name, node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module, node.lineno
 
 
 def imported_packages(tree):
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            modules = [alias.name for alias in node.names]
-        elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            modules = [node.module]
-        else:
-            continue
-        for module in modules:
-            parts = module.split(".")
-            if parts[0] == "repro" and len(parts) > 1:
-                yield parts[1], node.lineno
+    for module, lineno in imported_modules(tree):
+        parts = module.split(".")
+        if parts[0] == "repro" and len(parts) > 1:
+            yield parts[1], lineno
 
 
 def test_every_package_has_a_layer():
@@ -61,10 +92,41 @@ def test_no_upward_imports():
     assert not upward, "\n".join(upward)
 
 
+def test_every_function_level_import_is_on_the_allow_list():
+    lazy = {(str(path.relative_to(SRC)), module)
+            for path in sorted(SRC.rglob("*.py"))
+            for function in ast.walk(ast.parse(path.read_text()))
+            if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for module, _lineno in imported_modules(function)}
+    assert lazy == LAZY_IMPORTS
+
+
+def test_driver_registries_hold_the_documented_kinds():
+    for registry, kinds in DRIVERS.items():
+        module, name = registry.rsplit(".", 1)
+        assert set(getattr(importlib.import_module(module), name)) == kinds
+
+
+def test_design_architecture_table_quotes_the_layers():
+    design = (REPO / "DESIGN.md").read_text()
+    start = design.index("## 4. Architecture")
+    section = design[start:design.index("\n### ", start)]
+    cells = [[cell.strip() for cell in line.strip("|").split("|")]
+             for line in section.splitlines() if line.startswith("| ")]
+    rows = [(row[0], set(row[1].replace("`", "").split(", ")))
+            for row in cells if row[0] in {tier for tier, _ in LAYERS}]
+    assert rows == LAYERS
+    drivers = {row[1].strip("`"): set(row[2].replace("`", "").split(", "))
+               for row in cells if row[0] == "drivers"}
+    assert drivers == DRIVERS
+
+
 def test_nothing_probes_for_a_fabric_by_attribute():
     """"Port or fabric?" is answered once, by type, in
     ``repro.core.partitioned.client_for`` — never by asking an object
-    whether it happens to have ``port_for`` or ``ports``."""
+    whether it happens to have ``port_for`` or ``ports``.  Likewise a
+    ``BridgeSystem`` always has ``redundancy`` and a ``Ring`` always has
+    ``kind``: read them."""
     probes = []
     for path in sorted(SRC.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -73,7 +135,8 @@ def test_nothing_probes_for_a_fabric_by_attribute():
                     and node.func.id in ("getattr", "hasattr")
                     and len(node.args) >= 2
                     and isinstance(node.args[1], ast.Constant)
-                    and node.args[1].value in ("port_for", "ports")):
+                    and node.args[1].value in ("port_for", "ports",
+                                               "redundancy", "kind")):
                 probes.append(f"{path.relative_to(SRC)}:{node.lineno}")
     assert not probes, "\n".join(probes)
 
