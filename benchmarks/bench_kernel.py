@@ -5,20 +5,28 @@ throughput (events/second, RPC round trips/second) so regressions in the
 kernel show up in the benchmark suite.  Uses real multi-round
 pytest-benchmark timing since these are wall-clock measurements.
 
-Two floors, both about 3x under what the ledger host measures
-(``benchmarks/ledger/README.md``), so a 0.55x host spell still clears
-them while a real regression does not:
+Four floors, each about a third of what a 2-vCPU Python 3.11 host
+measures (best of 3), so a 0.55x host spell still clears them while a
+real regression does not:
 
-* ``EVENTS_PER_SECOND_FLOOR`` guards the S21 hot-path work (cached
-  ``_resume`` dispatch, zero-listener run loop) on the bare kernel —
-  measured 1.6 M timeout events/s; a regression such as reintroducing
-  per-event bound-method allocation falls under it.
+* ``EVENTS_PER_SECOND_FLOOR`` guards the bare kernel on a pure
+  ``Timeout`` stream (``Process._step``'s inline dispatch, cached
+  ``_resume``, zero-listener run loop) — measured 1.8 M timeout
+  events/s; a regression such as reintroducing per-event bound-method
+  allocation or a ``_wait`` frame per yield falls under it.
+* ``MAILBOX_MSGS_PER_SECOND_FLOOR`` guards message passing: two
+  processes ping-ponging through two mailboxes (``deliver`` pushes onto
+  the heap, the receive is dispatched inline) — measured 2.2 M msgs/s.
+* ``RPC_ROUNDTRIPS_PER_SECOND_FLOOR`` guards the RPC path over the
+  Butterfly network: ``Client.call`` to a server whose handler charges
+  one zero ``Timeout`` (slotted envelopes, inline server receive) —
+  measured 235 k round trips/s.
 * ``FULL_STACK_EVENTS_PER_SECOND_FLOOR`` guards the layers above it:
   events per host second of a p = 8 paper-configuration naive read
   stream (Bridge Server + RPC + EFS + storage per block) — measured
-  265 k events/s.
+  360 k events/s.
 
-Also runnable as a script (the CI smoke job)::
+Also runnable as a script (the CI smoke job checks all four floors)::
 
     PYTHONPATH=src python benchmarks/bench_kernel.py --quick
 """
@@ -30,11 +38,14 @@ from repro.harness import paper_system
 from repro.machine import Client, Machine, Server
 from repro.sim import Mailbox, Simulator, Timeout
 
-#: Wall-clock floor for the zero-listener fast path (measured 1.6 M/s).
-EVENTS_PER_SECOND_FLOOR = 500_000
-#: Wall-clock floor for the whole stack under a naive read stream
-#: (measured 265 k/s).
-FULL_STACK_EVENTS_PER_SECOND_FLOOR = 85_000
+#: Floor for the zero-listener Timeout fast path (measured 1.8 M/s).
+EVENTS_PER_SECOND_FLOOR = 600_000
+#: Floor for mailbox ping-pong, in messages (measured 2.2 M/s).
+MAILBOX_MSGS_PER_SECOND_FLOOR = 700_000
+#: Floor for null-handler RPC round trips (measured 235 k/s).
+RPC_ROUNDTRIPS_PER_SECOND_FLOOR = 80_000
+#: Floor for the whole stack under a naive read stream (measured 360 k/s).
+FULL_STACK_EVENTS_PER_SECOND_FLOOR = 120_000
 
 
 def _timeout_storm(events: int = 100_000):
@@ -50,6 +61,53 @@ def _timeout_storm(events: int = 100_000):
     sim.run()
     elapsed = time.perf_counter() - start
     return sim.events_executed, elapsed
+
+
+def _ping_pong(pairs: int = 50_000):
+    """Two processes bouncing ``pairs`` messages each way; returns the
+    messages delivered (``2 * pairs``) and the host seconds."""
+    sim = Simulator()
+    left = Mailbox(sim, "left")
+    right = Mailbox(sim, "right")
+
+    def ping():
+        for index in range(pairs):
+            right.deliver(index)
+            yield left.recv()
+
+    def pong():
+        for _ in range(pairs):
+            left.deliver((yield right.recv()))
+
+    sim.spawn(pong())
+    sim.spawn(ping())
+    start = time.perf_counter()
+    sim.run()
+    return 2 * pairs, time.perf_counter() - start
+
+
+class _NullServer(Server):
+    def op_noop(self):
+        yield Timeout(0.0)
+        return None
+
+
+def _rpc_roundtrips(calls: int = 20_000):
+    """``calls`` sequential null RPCs across two Butterfly nodes."""
+    sim = Simulator()
+    machine = Machine(sim, 2)
+    server = _NullServer(machine.node(0), "null")
+    client = Client(machine.node(1))
+
+    def caller():
+        for _ in range(calls):
+            yield from client.call(server.port, "noop")
+
+    start = time.perf_counter()
+    sim.run_process(caller())
+    elapsed = time.perf_counter() - start
+    assert server.requests_served == calls
+    return calls, elapsed
 
 
 def _naive_read_stream(blocks: int = 4_000):
@@ -97,51 +155,19 @@ def test_kernel_timeout_events_per_second(benchmark):
 
 
 def test_kernel_message_ping_pong(benchmark):
-    def run():
-        sim = Simulator()
-        left = Mailbox(sim, "left")
-        right = Mailbox(sim, "right")
-
-        def ping():
-            for _ in range(5_000):
-                right.deliver("ping")
-                yield left.recv()
-
-        def pong():
-            for _ in range(5_000):
-                yield right.recv()
-                left.deliver("pong")
-
-        sim.spawn(ping())
-        sim.spawn(pong())
-        sim.run()
-        return True
-
-    assert benchmark(run)
-
-
-class _NullServer(Server):
-    def op_noop(self):
-        yield Timeout(0.0)
-        return None
+    rate = benchmark(lambda: _rate(*_ping_pong(5_000)))
+    assert rate >= MAILBOX_MSGS_PER_SECOND_FLOOR, (
+        f"mailbox ping-pong at {rate:,.0f} msgs/s, "
+        f"floor is {MAILBOX_MSGS_PER_SECOND_FLOOR:,}"
+    )
 
 
 def test_kernel_rpc_roundtrips(benchmark):
-    def run():
-        sim = Simulator()
-        machine = Machine(sim, 2)
-        server = _NullServer(machine.node(0), "null")
-        client = Client(machine.node(1))
-
-        def caller():
-            for _ in range(2_000):
-                yield from client.call(server.port, "noop")
-
-        sim.run_process(caller())
-        return server.requests_served
-
-    served = benchmark(run)
-    assert served == 2_000
+    rate = benchmark(lambda: _rate(*_rpc_roundtrips(2_000)))
+    assert rate >= RPC_ROUNDTRIPS_PER_SECOND_FLOOR, (
+        f"RPC at {rate:,.0f} round trips/s, "
+        f"floor is {RPC_ROUNDTRIPS_PER_SECOND_FLOOR:,}"
+    )
 
 
 def test_kernel_events_per_second_floor(benchmark):
@@ -160,24 +186,30 @@ def test_full_stack_events_per_second_floor(benchmark):
     )
 
 
-def _check_floor(label: str, storm, floor: int) -> None:
+def _check_floor(label: str, storm, floor: int, unit: str) -> None:
     best = 0.0
     for _attempt in range(3):  # best-of-3 absorbs host noise
         executed, elapsed = storm()
         best = max(best, _rate(executed, elapsed))
-    print(f"{label}: {best:,.0f} events/s ({executed:,} events, best of 3)")
-    assert best >= floor, f"{label} at {best:,.0f} ev/s, floor is {floor:,}"
+    print(f"{label}: {best:,.0f} {unit} ({executed:,} counted, best of 3)")
+    assert best >= floor, f"{label} at {best:,.0f} {unit}, floor is {floor:,}"
 
 
 def main(argv) -> int:
     quick = "--quick" in argv
     _check_floor("kernel fast path",
                  lambda: _timeout_storm(20_000 if quick else 100_000),
-                 EVENTS_PER_SECOND_FLOOR)
+                 EVENTS_PER_SECOND_FLOOR, "events/s")
+    _check_floor("mailbox ping-pong",
+                 lambda: _ping_pong(10_000 if quick else 50_000),
+                 MAILBOX_MSGS_PER_SECOND_FLOOR, "msgs/s")
+    _check_floor("rpc round trips",
+                 lambda: _rpc_roundtrips(4_000 if quick else 20_000),
+                 RPC_ROUNDTRIPS_PER_SECOND_FLOOR, "round trips/s")
     _check_floor("naive read stream",
                  lambda: _naive_read_stream(1_000 if quick else 4_000),
-                 FULL_STACK_EVENTS_PER_SECOND_FLOOR)
-    print("kernel and full-stack floors: passed")
+                 FULL_STACK_EVENTS_PER_SECOND_FLOOR, "events/s")
+    print("kernel, mailbox, rpc and full-stack floors: passed")
     return 0
 
 

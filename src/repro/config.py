@@ -54,16 +54,14 @@ class MessageCosts:
 
     On the Butterfly, messages are atomic queues in shared memory: cheap,
     and nearly distance-independent.  ``per_byte`` models the copy cost of
-    a block transfer through the switch.
+    a block transfer through the switch.  A message costs the local or
+    remote latency plus ``size * per_byte``
+    (:meth:`repro.machine.network.ButterflyNetwork.send` prices it).
     """
 
     local_latency: float = 0.1 * MS
     remote_latency: float = 0.5 * MS
     per_byte: float = 0.25 * US  # ~4 MB/s block-copy path
-
-    def latency(self, same_node: bool, size: int = 0) -> float:
-        base = self.local_latency if same_node else self.remote_latency
-        return base + size * self.per_byte
 
 
 @dataclass(frozen=True)

@@ -154,9 +154,11 @@ class BridgeServer(Server):
         """Attach an S21 admission control to this server instance.
 
         Installs the policy at the pipeline admission stage and, when the
-        policy carries a queue, fronts the server mailbox with it (the
-        base ``Server._next_request`` seam).  Call at any point — e.g.
-        after experiment setup so catalog builds are not rate-limited."""
+        policy carries a queue, fronts the server mailbox with it (as
+        ``Server.scheduler``: the base loop then takes each request from
+        ``Server._next_request`` instead of receiving inline).  Call at
+        any point — e.g. after experiment setup so catalog builds are not
+        rate-limited."""
         self.admission = control
         self.scheduler = getattr(control, "queue", None) if control is not None else None
         if control is not None:

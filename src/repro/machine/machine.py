@@ -2,20 +2,20 @@
 
 from __future__ import annotations
 
-from typing import Any, List, Optional
+from typing import List
 
 from repro.config import DEFAULT_CONFIG, SystemConfig
 from repro.errors import NoSuchNodeError
 from repro.machine.network import ButterflyNetwork
-from repro.machine.node import Node, Port
-from repro.sim import Process, Signal, Simulator, Timeout
+from repro.machine.node import Node
+from repro.sim import Simulator
 
 
 class Machine:
     """A collection of nodes joined by a network model.
 
     This replaces the BBN Butterfly: processors are :class:`Node` objects,
-    Chrysalis message passing is :meth:`send` through the network model,
+    Chrysalis message passing is :meth:`Node.send` through the network model,
     and creating a process on another node costs ``config.cpu.spawn``.
     """
 
@@ -45,12 +45,6 @@ class Machine:
         return len(self.nodes)
 
     # ------------------------------------------------------------------
-
-    def send(self, src_node: Node, port: Port, message: Any, size: int = 0) -> None:
-        """Send a message between nodes through the network model."""
-        latency = self.network.send(self.sim, src_node, port, message, size=size)
-        if self.sim.obs is not None:
-            self.sim.obs.on_send(src_node, port, message, size, latency)
 
     def spawn_remote(
         self, dst_node: Node, generator, name: str = "worker"

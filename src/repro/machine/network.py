@@ -11,6 +11,7 @@ communication bottlenecks on broadcast networks measurable.
 from __future__ import annotations
 
 from collections import deque
+from heapq import heappush
 from typing import Any, Deque, Tuple
 
 from repro.config import MessageCosts
@@ -34,9 +35,12 @@ class ButterflyNetwork:
         """
         self.messages_sent += 1
         self.bytes_sent += size
-        same_node = src_node is port.node
-        latency = self.costs.latency(same_node, size)
-        sim.call_later(latency, port.mailbox.deliver, message)
+        costs = self.costs  # MessageCosts.latency, inline
+        latency = ((costs.local_latency if src_node is port.node
+                    else costs.remote_latency) + size * costs.per_byte)
+        sim._seq += 1
+        heappush(sim._heap, (sim.now + latency, sim._seq,
+                             port.mailbox.deliver, message))
         return latency
 
 
@@ -50,7 +54,8 @@ class ZeroLatencyNetwork:
     def send(self, sim, src_node, port, message: Any, size: int = 0):
         self.messages_sent += 1
         self.bytes_sent += size
-        sim.call_later(0.0, port.mailbox.deliver, message)
+        sim._seq += 1
+        heappush(sim._heap, (sim.now, sim._seq, port.mailbox.deliver, message))
         return 0.0
 
 
@@ -84,7 +89,9 @@ class EthernetNetwork:
         self.messages_sent += 1
         self.bytes_sent += size
         if src_node is port.node:
-            sim.call_later(self.local_latency, port.mailbox.deliver, message)
+            sim._seq += 1
+            heappush(sim._heap, (sim.now + self.local_latency, sim._seq,
+                                 port.mailbox.deliver, message))
             return self.local_latency
         self._queue.append((port, message, size))
         self._wakeup.deliver(None)

@@ -32,9 +32,9 @@ class Port:
     def name(self) -> str:
         return self.mailbox.name
 
-    def recv(self):
-        """Waitable receive on the underlying mailbox."""
-        return self.mailbox.recv()
+    def recv(self) -> Mailbox:
+        """Waitable receive on the underlying mailbox (the mailbox itself)."""
+        return self.mailbox
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Port({self.mailbox.name!r}@node{self.node.index})"
@@ -70,8 +70,12 @@ class Node:
     # ------------------------------------------------------------------
 
     def send(self, port: Port, message: Any, size: int = 0) -> None:
-        """Send ``message`` from this node to ``port`` (fire and forget)."""
-        self.machine.send(self, port, message, size=size)
+        """Send ``message`` from this node to ``port`` through the
+        machine's network model (fire and forget)."""
+        sim = self.machine.sim
+        latency = self.machine.network.send(sim, self, port, message, size)
+        if sim.obs is not None:
+            sim.obs.on_send(self, port, message, size, latency)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Node({self.index}, {self.name!r})"

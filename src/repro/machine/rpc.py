@@ -13,7 +13,6 @@ are frequent enough to cause a bottleneck...").
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
 from repro.machine.node import Node, Port
@@ -21,45 +20,59 @@ from repro.obs.spans import SpanContext
 from repro.sim import Timeout
 
 
-@dataclass
 class Request:
-    """A method invocation envelope."""
+    """A method invocation envelope.  Slotted: every field is declared,
+    so a mark set on an undeclared name raises instead of vanishing."""
 
-    method: str
-    args: Dict[str, Any] = field(default_factory=dict)
-    reply_to: Optional[Port] = None
-    size: int = 0  # payload bytes carried with the request
-    # S19 trace context (repro.obs.SpanContext).  Stamped by the sender —
-    # explicitly by instrumented call sites, or automatically by the
-    # interconnect hook for raw Request sends — and read by Server._loop
-    # to link the handler span to its caller.  Always None when
-    # observability is disabled.
-    trace_ctx: Optional[Any] = None
-    # S21 traffic class ("naive", "tool", "parallel", "meta", ...).
-    # Stamped by clients created with a ``traffic_class``; ``None`` (the
-    # default, and everything outside the traffic subsystem) classifies
-    # server-side by method name.  Admission policies and per-class SLO
-    # accounting key off this.
-    traffic_class: Optional[str] = None
-    # S21 send timestamp (simulated seconds).  Admission queues measure
-    # a request's wait from here, so time spent in the server mailbox
-    # while the server was busy counts — that sojourn is what the
-    # queueing models in repro.analysis predict.
-    sent_at: Optional[float] = None
+    __slots__ = ("method", "args", "reply_to", "size", "trace_ctx",
+                 "traffic_class", "sent_at", "admission_shed")
+
+    def __init__(self, method: str, args: Optional[Dict[str, Any]] = None,
+                 reply_to: Optional[Port] = None, size: int = 0,
+                 trace_ctx: Optional[Any] = None,
+                 traffic_class: Optional[str] = None,
+                 sent_at: Optional[float] = None) -> None:
+        self.method = method
+        self.args = {} if args is None else args
+        self.reply_to = reply_to
+        self.size = size  # payload bytes carried with the request
+        # S19 trace context (repro.obs.SpanContext).  Stamped by the
+        # sender — explicitly by instrumented call sites, or by the
+        # interconnect hook for raw Request sends — and read by
+        # Server._loop to link the handler span to its caller.  Always
+        # None when observability is disabled.
+        self.trace_ctx = trace_ctx
+        # S21 traffic class ("naive", "tool", "parallel", "meta", ...).
+        # Stamped by clients created with a ``traffic_class``; ``None``
+        # classifies server-side by method name.  Admission policies and
+        # per-class SLO accounting key off this.
+        self.traffic_class = traffic_class
+        # S21 send timestamp (simulated seconds).  Admission queues
+        # measure a request's wait from here, so time spent in the server
+        # mailbox while the server was busy counts — that sojourn is what
+        # the queueing models in repro.analysis predict.
+        self.sent_at = sent_at
+        # S21: set by a depth-bounded AdmissionQueue on a request it
+        # sheds; the pipeline admission stage then fast-rejects it.
+        self.admission_shed = False
 
 
-@dataclass
 class Response:
     """The server's answer: exactly one of ``value`` / ``error`` is set."""
 
-    value: Any = None
-    error: Optional[Exception] = None
-    size: int = 0  # payload bytes carried with the response
-    # S19 trace context, stamped by the interconnect hook at send time
-    # (the server loop has restored the caller's span by then).  Lets
-    # shared-medium networks report the response frame's exact drain
-    # time, so reply transit splits into net vs. queue like requests do.
-    trace_ctx: Optional[Any] = None
+    __slots__ = ("value", "error", "size", "trace_ctx")
+
+    def __init__(self, value: Any = None, error: Optional[Exception] = None,
+                 size: int = 0, trace_ctx: Optional[Any] = None) -> None:
+        self.value = value
+        self.error = error
+        self.size = size  # payload bytes carried with the response
+        # S19 trace context, stamped by the interconnect hook at send
+        # time (the server loop has restored the caller's span by then).
+        # Lets shared-medium networks report the response frame's exact
+        # drain time, so reply transit splits into net vs. queue like
+        # requests do.
+        self.trace_ctx = trace_ctx
 
 
 class Detached:
@@ -131,34 +144,36 @@ class Server:
 
     # ------------------------------------------------------------------
 
-    def _next_request(self):
-        """Yield the next request to serve (generator, kernel-driven).
+    def _next_request(self, scheduler):
+        """Yield the next request an installed scheduler picks (generator,
+        kernel-driven; without one, ``_loop`` receives inline).
 
-        Default: block on the port like any mailbox server.  With a
-        scheduler installed, drain every message that has already arrived
-        into it (a non-blocking sweep — arrivals during service queued in
-        the mailbox), then let the scheduler pick; only when it holds
-        nothing do we fall back to a blocking receive."""
-        scheduler = self.scheduler
-        if scheduler is None:
-            request = yield self.port.recv()
-            return request
+        Drain every message that has already arrived into the scheduler
+        (a non-blocking sweep — arrivals during service queued in the
+        mailbox), then let it pick; only when it holds nothing do we fall
+        back to a blocking receive."""
         mailbox = self.port.mailbox
-        now = self.node.machine.sim.now
+        sim = self.node.machine.sim
         while True:
             message = mailbox.poll()
             if message is None:
                 break
-            scheduler.enqueue(message, now)
+            scheduler.enqueue(message, sim.now)
         if not len(scheduler):
-            message = yield self.port.recv()
-            scheduler.enqueue(message, self.node.machine.sim.now)
-        return scheduler.pick(self.node.machine.sim.now)
+            message = yield mailbox
+            scheduler.enqueue(message, sim.now)
+        return scheduler.pick(sim.now)
 
     def _loop(self):
         sim = self.node.machine.sim
+        mailbox = self.port.mailbox
+        handlers: Dict[str, Any] = {}  # method -> bound op_* handler
         while True:
-            request = yield from self._next_request()
+            scheduler = self.scheduler
+            if scheduler is None:
+                request = yield mailbox
+            else:
+                request = yield from self._next_request(scheduler)
             if self.forward_to and request.method not in self._forward_exempt:
                 target = self.forward_to.get(request.args.get("name"))
                 if target is not None:
@@ -170,7 +185,10 @@ class Server:
             server_span = None
             if obs is not None:
                 server_span = self._begin_request(obs, request)
-            handler = getattr(self, "op_" + request.method, None)
+            handler = handlers.get(request.method)
+            if handler is None:
+                handler = handlers[request.method] = getattr(
+                    self, "op_" + request.method, None)
             if handler is None:
                 response = Response(
                     error=NotImplementedError(
@@ -324,7 +342,7 @@ class Client:
             request.trace_ctx = SpanContext(span)
             obs.set_current(span)
         self.node.send(port, request, size=size)
-        response = yield self.reply_port.recv()
+        response = yield self.reply_port.mailbox
         if obs is not None:
             obs.end(span, target=port.name)
             obs.set_current(prev)
@@ -409,7 +427,7 @@ def _fan_out(node: Node, calls, max_in_flight: Optional[int], settle: bool):
             reply_ports.append(reply_port)
             legs.append(leg)
         for offset, reply_port in enumerate(reply_ports):
-            response = yield reply_port.recv()
+            response = yield reply_port.mailbox
             if obs is not None:
                 obs.end(legs[offset])
             if settle:

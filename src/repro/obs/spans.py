@@ -194,7 +194,7 @@ class Observability:
             self.current_process.obs_ctx = span
 
     # ------------------------------------------------------------------
-    # Interconnect hook (called by Machine.send when attached)
+    # Interconnect hook (called by Node.send when attached)
     # ------------------------------------------------------------------
 
     def on_send(self, src_node, port, message: Any, size: int,

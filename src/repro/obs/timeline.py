@@ -7,7 +7,7 @@ extra events:
   reports each service interval as it completes; ``busy_fraction``
   integrates them over any window;
 * **interconnect traffic** — per-node message/byte counts recorded from
-  the ``Machine.send`` hook;
+  the ``Node.send`` hook;
 * **queue-depth samples** — :class:`repro.sim.resources.Resource` (and
   the disk queue) report depth at every acquire/release transition.
 

@@ -14,20 +14,24 @@ is instantaneous.
 from __future__ import annotations
 
 from collections import deque
+from heapq import heappush
 from typing import Any, Deque, Optional
 
 
 class Mailbox:
-    """An unbounded FIFO message queue with blocking receive."""
+    """An unbounded FIFO message queue with blocking receive.
 
-    __slots__ = ("sim", "name", "_queue", "_waiters", "messages_delivered")
+    A mailbox is its own receive waitable: ``message = yield mailbox``
+    (``recv()`` returns the mailbox itself, for readability at call
+    sites)."""
+
+    __slots__ = ("sim", "name", "_queue", "_waiters")
 
     def __init__(self, sim, name: str = "mailbox") -> None:
         self.sim = sim
         self.name = name
         self._queue: Deque[Any] = deque()
         self._waiters: Deque[Any] = deque()
-        self.messages_delivered = 0
 
     # ------------------------------------------------------------------
 
@@ -37,16 +41,25 @@ class Mailbox:
         If a process is blocked in :meth:`recv`, it is resumed immediately;
         otherwise the message queues until someone asks for it.
         """
-        self.messages_delivered += 1
         if self._waiters:
-            process = self._waiters.popleft()
-            process.sim._schedule(0.0, process._resume, message)
+            sim = self.sim
+            sim._seq += 1
+            heappush(sim._heap, (sim.now, sim._seq,
+                                 self._waiters.popleft()._resume, message))
         else:
             self._queue.append(message)
 
-    def recv(self) -> "_Recv":
+    def recv(self) -> "Mailbox":
         """Waitable receive: ``message = yield mailbox.recv()``."""
-        return _Recv(self)
+        return self
+
+    def _wait(self, process) -> None:
+        # Process._step runs this body inline for exact Mailbox instances.
+        queue = self._queue
+        if queue:
+            process.sim._schedule(0.0, process._resume, queue.popleft())
+        else:
+            self._waiters.append(process)
 
     def poll(self) -> Optional[Any]:
         """Non-blocking receive: pop the next queued message, or ``None``.
@@ -75,19 +88,3 @@ class Mailbox:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Mailbox({self.name!r}, queued={len(self._queue)})"
-
-
-class _Recv:
-    """Waitable produced by :meth:`Mailbox.recv`."""
-
-    __slots__ = ("mailbox",)
-
-    def __init__(self, mailbox: Mailbox) -> None:
-        self.mailbox = mailbox
-
-    def _wait(self, process) -> None:
-        queue = self.mailbox._queue
-        if queue:
-            process.sim._schedule(0.0, process._resume, queue.popleft())
-        else:
-            self.mailbox._waiters.append(process)

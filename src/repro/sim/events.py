@@ -32,6 +32,7 @@ class Timeout:
         self.value = value
 
     def _wait(self, process) -> None:
+        # Process._step runs this body inline for exact Timeout instances.
         process.sim._schedule(self.delay, process._resume, self.value)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

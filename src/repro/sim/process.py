@@ -1,10 +1,14 @@
 """Generator-based simulated processes.
 
 A process body is a plain Python generator function.  Each ``yield`` hands
-the kernel a *waitable* (:class:`~repro.sim.events.Timeout`, a mailbox
-receive, a resource acquire, another process's completion signal, ...);
-the process resumes when the waitable completes, with the waitable's value
-as the result of the ``yield`` expression.
+the kernel a *waitable* (:class:`~repro.sim.events.Timeout`, a
+:class:`~repro.sim.channel.Mailbox` to receive from, a resource acquire,
+another process's completion signal, ...); the process resumes when the
+waitable completes, with the waitable's value as the result of the
+``yield`` expression.  The two waitables behind most yields — exactly
+``Timeout`` and ``Mailbox`` — are dispatched inline by :meth:`Process._step`
+(same heap entry their ``_wait`` would push); everything else, subclasses
+included, goes through its ``_wait``.
 
 Processes that ``return value`` deliver that value to joiners.  A process
 that raises an unhandled exception fails the whole simulation immediately
@@ -14,10 +18,12 @@ of a simulated actor is never acceptable in an experiment.
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import Any
 
 from repro.errors import InvalidYieldError, ProcessError
-from repro.sim.events import AllOf, Signal
+from repro.sim.channel import Mailbox
+from repro.sim.events import AllOf, Signal, Timeout
 
 
 class Process:
@@ -54,7 +60,8 @@ class Process:
 
     def _step(self, value: Any) -> None:
         """Advance the generator by one yield.  Called by the kernel only."""
-        obs = self.sim.obs
+        sim = self.sim
+        obs = sim.obs
         if obs is not None:
             obs.current = self.obs_ctx
             obs.current_process = self
@@ -67,6 +74,23 @@ class Process:
             raise
         except Exception as exc:
             raise ProcessError(self.name, str(exc)) from exc
+        # Inline dispatch by exact class: the heap entry is the one
+        # Timeout._wait / Mailbox._wait would push, minus two frames.
+        kind = target.__class__
+        if kind is Timeout:
+            sim._seq += 1
+            heappush(sim._heap, (sim.now + target.delay, sim._seq,
+                                 self._resume, target.value))
+            return
+        if kind is Mailbox:
+            queue = target._queue
+            if queue:
+                sim._seq += 1
+                heappush(sim._heap, (sim.now, sim._seq, self._resume,
+                                     queue.popleft()))
+            else:
+                target._waiters.append(self)
+            return
         try:
             wait = target._wait
         except AttributeError:

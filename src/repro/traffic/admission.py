@@ -8,8 +8,9 @@ hanging off the two seams S20/S21 provide:
   ``cpu.bridge_fast_reject`` and raise
   :class:`~repro.errors.BridgeThrottledError`.
 * **Bounded queue with load shedding** (:class:`AdmissionQueue` with
-  ``depth > 0``) — fronts the server mailbox (the
-  ``Server._next_request`` seam).  Arrivals beyond the depth threshold
+  ``depth > 0``) — fronts the server mailbox (installed as
+  ``Server.scheduler``, the loop's receive then goes through
+  ``Server._next_request``).  Arrivals beyond the depth threshold
   are marked for shedding and fast-rejected with
   :class:`~repro.errors.BridgeOverloadError` *before* any directory or
   EFS work; under overload the server spends its time serving the
@@ -96,8 +97,10 @@ class TokenBucket:
 class AdmissionQueue:
     """Bounded, optionally class-fair front-end for a server mailbox.
 
-    Implements the scheduler protocol the base ``Server._next_request``
-    seam expects: ``enqueue(message, now)``, ``pick(now)``, ``len()``.
+    Implements the protocol ``Server._next_request`` drives when the
+    queue is installed as ``Server.scheduler``: ``enqueue(message, now)``,
+    ``pick(now)``, ``len()``.  Messages are RPC ``Request`` envelopes
+    (``method``, ``sent_at``, ``admission_shed``).
 
     * ``depth > 0`` bounds the number of *waiting* requests; arrivals
       beyond it are marked ``admission_shed`` and served first through a
@@ -138,20 +141,16 @@ class AdmissionQueue:
 
     def enqueue(self, message: Any, now: float) -> None:
         if (self.depth > 0 and self._waiting >= self.depth
-                and getattr(message, "method", None)
-                not in CONTINUATION_OPS):
+                and message.method not in CONTINUATION_OPS):
             # Past the threshold: mark and fast-lane for rejection.
-            try:
-                message.admission_shed = True
-            except AttributeError:  # pragma: no cover - foreign message
-                pass
+            message.admission_shed = True
             self.shed_count += 1
             self._reject.append(message)
             return
         self._waiting += 1
         if self._waiting > self.peak_depth:
             self.peak_depth = self._waiting
-        waiting_since = getattr(message, "sent_at", None)
+        waiting_since = message.sent_at
         if waiting_since is None:
             waiting_since = now
         if self.weights is None:
@@ -245,7 +244,7 @@ class AdmissionControl:
         self._bump(self.offered, cls)
         cpu = server.config.cpu
         obs = server.node.machine.sim.obs
-        if request is not None and getattr(request, "admission_shed", False):
+        if request.admission_shed:
             self._bump(self.shed, cls)
             if obs is not None:
                 obs.metrics.counter(
@@ -258,8 +257,7 @@ class AdmissionControl:
                 f"(depth {self.queue.depth if self.queue else 0}, class {cls})"
             )
         if (self.bucket is not None
-                and getattr(request, "method", None)
-                not in CONTINUATION_OPS):
+                and request.method not in CONTINUATION_OPS):
             now = server.node.machine.sim.now
             if not self.bucket.try_take(now):
                 self._bump(self.throttled, cls)

@@ -309,3 +309,22 @@ def test_oneway_send_has_no_reply():
     machine.node(1).send(server.port, Request("echo", {"text": "quiet"}))
     sim.run()
     assert server.requests_served == 1
+
+
+def test_rpc_envelopes_are_slotted_with_every_field_declared():
+    """A mark set on an undeclared name must raise, not vanish: the
+    admission queue's shed mark is a declared field for that reason."""
+    port = make_machine(1)[1].node(0).port()
+    positional = Request("echo", {"text": "x"}, port, 5, None, "read", 1.5)
+    keyword = Request(method="echo", args={"text": "x"}, reply_to=port,
+                      size=5, traffic_class="read", sent_at=1.5)
+    fields = ("method", "args", "reply_to", "size", "trace_ctx",
+              "traffic_class", "sent_at", "admission_shed")
+    assert [getattr(positional, f) for f in fields] == [
+        getattr(keyword, f) for f in fields
+    ] == ["echo", {"text": "x"}, port, 5, None, "read", 1.5, False]
+    assert Request("echo").args == {}
+    with pytest.raises(AttributeError):
+        positional.admission_shedd = True
+    with pytest.raises(AttributeError):
+        Response(value=1).retries = 2

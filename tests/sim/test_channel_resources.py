@@ -94,7 +94,7 @@ def test_mailbox_len_and_peek():
     box.deliver("b")
     assert len(box) == 2
     assert box.peek() == "a"
-    assert box.messages_delivered == 2
+    assert (box.poll(), box.poll(), box.poll()) == ("a", "b", None)
 
 
 def test_mailbox_has_waiters():

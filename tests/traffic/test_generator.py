@@ -123,6 +123,36 @@ def test_throttled_refusal_is_a_typed_error():
     assert counters["admitted"]["meta"] == 1
 
 
+def test_shed_request_reaches_its_client_as_overload_error():
+    """End to end through the real envelope: four opens land together
+    on a depth-1 queue; the server is busy with the first, the second
+    waits, and the last two are shed — marked on the ``Request`` itself
+    and answered with :class:`BridgeOverloadError`, never served."""
+    system = make_system()
+    build_traffic_catalog(system, 2, 4)
+    system.install_admission({"policy": "bounded", "depth": 1})
+    outcomes = []
+
+    def opener():
+        client = system.naive_client()
+        try:
+            yield from client.open("tf000")
+        except BridgeOverloadError as error:
+            outcomes.append(error)
+        else:
+            outcomes.append("ok")
+
+    for index in range(4):
+        system.sim.spawn(opener(), name=f"opener{index}")
+    system.sim.run()
+    shed = [o for o in outcomes if isinstance(o, BridgeOverloadError)]
+    assert len(shed) == 2 and outcomes.count("ok") == 2
+    assert all(isinstance(error, BridgeAdmissionError) for error in shed)
+    counters = system.admission_counters()
+    assert counters["shed"] == {"meta": 2}
+    assert counters["admitted"] == {"meta": 2}
+
+
 @pytest.mark.parametrize("servers", [1, 4])
 def test_shed_traffic_leaves_no_leaks(servers):
     """Overdrive a fair-queued fabric so it sheds, then prove the
