@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from repro.core.addressing import InterleaveMap
+from repro.core.directory import check_block_writes
 from repro.efs.client import EFSClient
 from repro.errors import BridgeBadRequestError
 from repro.machine import Client
@@ -114,8 +115,15 @@ class TwoPhaseIO:
         return self._opened
 
     def _ensure_open(self):
+        """The open file, refused when disordered: its blocks follow the
+        server's block map, not the interleave the aggregators align to."""
         if self._opened is None:
             yield from self.open()
+        if self._opened.disordered:
+            raise BridgeBadRequestError(
+                f"{self.name!r}: two-phase I/O is not supported on "
+                "disordered files (use the naive view)"
+            )
         return self._opened
 
     # ------------------------------------------------------------------
@@ -132,7 +140,7 @@ class TwoPhaseIO:
         if not per_worker:
             raise BridgeBadRequestError("collective read needs >= 1 worker")
         opened = yield from self._ensure_open()
-        imap = InterleaveMap(opened.width, opened.start)
+        imap = opened.interleave
         for worker, blocks in enumerate(per_worker):
             for block in blocks:
                 if not 0 <= block < opened.total_blocks:
@@ -251,38 +259,23 @@ class TwoPhaseIO:
     def write(self, worker_writes: Sequence[Sequence[Tuple[int, bytes]]]):
         """Collective write: per worker, a list of (global_block, data).
 
-        In-place updates may scatter anywhere; appended blocks must form
-        a dense run from the current end (the same no-sparse rule as the
-        Bridge list write).  If two workers write the same block the
-        higher-numbered worker wins — deterministic, unlike t racing
-        single-block RPCs.  Returns ``(new_total_blocks,
-        CollectiveStats)``.
+        The writes obey the list write's rule
+        (:func:`~repro.core.directory.check_block_writes`).  If two
+        workers write the same block the higher-numbered worker wins —
+        deterministic, unlike t racing single-block RPCs.  Returns
+        ``(new_total_blocks, CollectiveStats)``.
         """
         per_worker = [list(writes) for writes in worker_writes]
         if not per_worker:
             raise BridgeBadRequestError("collective write needs >= 1 worker")
         opened = yield from self._ensure_open()
-        imap = InterleaveMap(opened.width, opened.start)
-        targets = {block for writes in per_worker for block, _data in writes}
-        if not targets:
+        imap = opened.interleave
+        writes = [pair for pairs in per_worker for pair in pairs]
+        if not writes:
             return opened.total_blocks, CollectiveStats(
                 len(per_worker), 0, 0, 0, 0, 0, 0, 0.0
             )
-        if min(targets) < 0:
-            raise BridgeBadRequestError(
-                f"{self.name!r}: negative block in collective write"
-            )
-        new_total = max(opened.total_blocks, max(targets) + 1)
-        missing = [
-            block for block in range(opened.total_blocks, new_total)
-            if block not in targets
-        ]
-        if missing:
-            raise BridgeBadRequestError(
-                f"{self.name!r}: collective write appends must be dense; "
-                f"{len(missing)} blocks between the current end "
-                f"({opened.total_blocks}) and {new_total - 1} are uncovered"
-            )
+        new_total = check_block_writes(self.name, opened.total_blocks, writes)
         sim = self.system.sim
         start = sim.now
         obs = sim.obs
@@ -355,7 +348,7 @@ class TwoPhaseIO:
         stats = CollectiveStats(
             workers=len(per_worker),
             aggregators=len(assignment),
-            blocks=len(targets),
+            blocks=len({block for block, _data in writes}),
             efs_requests=len(assignment),
             exchange_messages=exchange_messages,
             redistribution_messages=redistribution,

@@ -17,8 +17,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro.config import DATA_BYTES_PER_BLOCK
 from repro.core.addressing import InterleaveMap
-from repro.errors import BridgeFileExistsError, BridgeFileNotFoundError
+from repro.errors import (
+    BridgeBadRequestError,
+    BridgeFileExistsError,
+    BridgeFileNotFoundError,
+)
 
 
 @dataclass
@@ -57,6 +62,39 @@ class BridgeFileEntry:
                 )
             return self.block_map[global_block]
         return self.interleave.locate(global_block)
+
+
+def check_block_writes(name: str, total_blocks: int, writes) -> int:
+    """The one rule for a batch of ``(global_block, data)`` writes to a
+    file of ``total_blocks`` blocks (the list write and the two-phase
+    collective write): no block is negative or larger than the data
+    area, in-place updates may scatter, and appended blocks form a dense
+    run from the current end (the file-level form of the per-constituent
+    EFS no-sparse rule).  Returns the file's new total size in blocks."""
+    for block, data in writes:
+        if block < 0:
+            raise BridgeBadRequestError(
+                f"{name!r}: negative block {block} in batched write"
+            )
+        if len(data) > DATA_BYTES_PER_BLOCK:
+            raise BridgeBadRequestError(
+                f"{name!r}: write of {len(data)} bytes exceeds data "
+                f"area {DATA_BYTES_PER_BLOCK}"
+            )
+    targets = {block for block, _data in writes}
+    new_total = max(total_blocks, max(targets) + 1)
+    missing = [
+        block for block in range(total_blocks, new_total)
+        if block not in targets
+    ]
+    if missing:
+        raise BridgeBadRequestError(
+            f"{name!r}: batched write appends must be dense; blocks "
+            f"{missing[:4]}{'...' if len(missing) > 4 else ''} between "
+            f"the current end ({total_blocks}) and {new_total - 1} are "
+            "not covered"
+        )
+    return new_total
 
 
 class BridgeDirectory:

@@ -40,6 +40,9 @@ class OpenResult:
     start: int
     total_blocks: int
     constituents: List[ConstituentInfo] = field(default_factory=list)
+    #: Section 3's scattered layout: blocks follow the server's block
+    #: map, not :attr:`interleave` (``get_block_map`` returns the map).
+    disordered: bool = False
 
     @property
     def interleave(self) -> InterleaveMap:

@@ -32,7 +32,6 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Dict, Optional, Set, Tuple
 
-from repro.machine import gather
 from repro.sim import Signal
 
 
@@ -173,12 +172,8 @@ class Prefetcher:
                 # server work, disk access) under the fetch span.
                 obs.set_current(span)
             try:
-                results = yield from gather(
-                    server.node,
-                    [(server._slot_port(entry, slot), "read",
-                      {"file_number": entry.efs_file_numbers[slot],
-                       "block_number": local,
-                       "hint": server._hints.get((name, slot))}, 0)],
+                results = yield from server.fanout(
+                    [server.read_call(entry, name, slot, local)]
                 )
                 result = results[0]
             except Exception:
@@ -199,8 +194,7 @@ class Prefetcher:
                     obs.end(span, outcome="stale")
                 signal.fire(None)
                 continue
-            server._hints[(name, slot)] = result.next_addr
-            server.pipeline.learn(entry, block, result.addr)
+            server._landed(entry, name, slot, block, result)
             self.cache.install(name, block, result.data, prefetched=True)
             if obs is not None:
                 obs.end(span, outcome="installed")

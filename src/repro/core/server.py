@@ -21,13 +21,10 @@ Three views are implemented:
 Open is "interpreted as a hint...  There is no close operation" — the
 server refreshes its cached cursor/size/hint state at every open.
 
-Since S20 every op handler is a thin composition of the staged request
-pipeline (:mod:`repro.core.pipeline`): admission/resolution, cache,
-windowed fan-out/gather, prefetch feedback.  The handlers below own
-only per-op argument validation and directory state; all forwarding,
-caching, and gathering goes through the stages.  The four metadata
-verbs and their batched forms share one body
-(:meth:`BridgeServer._run_verb`).
+Every op handler composes the request stages listed on
+:class:`BridgeServer`; the handlers own only per-op argument validation
+and directory state.  The four metadata verbs and their batched forms
+share one body (:meth:`BridgeServer._run_verb`).
 """
 
 from __future__ import annotations
@@ -35,14 +32,17 @@ from __future__ import annotations
 from itertools import repeat
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
-from repro.config import SystemConfig
+from repro.config import BLOCK_SIZE, SystemConfig
 from repro.core.batch import BATCH_SIZE_BOUNDS, FileStat, NameOutcome
 from repro.core.cache import BridgeBlockCache
-from repro.core.directory import BridgeDirectory, BridgeFileEntry
+from repro.core.directory import (
+    BridgeDirectory,
+    BridgeFileEntry,
+    check_block_writes,
+)
 from repro.core.info import ConstituentInfo, LFSHandle, OpenResult, SystemInfo
 from repro.core.ops import CONTROL_OPS
-from repro.core.parallel import JobInfo
-from repro.core.pipeline import RequestPipeline
+from repro.core.parallel import BlockDelivery, Deposit, JobInfo
 from repro.core.prefetch import Prefetcher
 from repro.errors import (
     BridgeBadRequestError,
@@ -50,7 +50,8 @@ from repro.errors import (
     BridgeFileExistsError,
     BridgeJobError,
 )
-from repro.machine import Port, Response, Server
+from repro.machine import Port, Request, Response, Server, gather
+from repro.machine.rpc import Detached, gather_settled
 from repro.sim import Timeout
 
 
@@ -94,7 +95,26 @@ class _Verb(NamedTuple):
 
 
 class BridgeServer(Server):
-    """The centralized Bridge Server process."""
+    """The centralized Bridge Server process.
+
+    Every handler runs the same request stages, in order:
+
+    1. **admission** — :meth:`admit` charges the decode (plus the
+       directory probe for monitor operations) behind any S21 admission
+       control; a directory mutation then pays ``_update_charge``;
+    2. **cache** — :meth:`probe` answers S18 hits ahead of admission,
+       :meth:`invalidate` drops cached copies before a write leaves, and
+       :meth:`demand_read` is the detached fill path;
+    3. **fan-out** — every EFS message leaves through :meth:`fanout`,
+       windowed by ``config.bridge_fanout_limit``; :meth:`spawn_staged`
+       and :meth:`spawn_tree` are Create's two spawn shapes;
+    4. **landing** — :meth:`_landed` threads a read's next-block disk
+       address into the hint table and :meth:`learn` remembers each
+       block's own address for the next in-place write.
+
+    Redundancy (S16) is not a stage: parity and degraded reads are
+    client-side wrappers in :mod:`repro.redundancy`.
+    """
 
     def __init__(
         self,
@@ -134,8 +154,9 @@ class BridgeServer(Server):
             if config.prefetch_window > 0 and self._cache is not None
             else None
         )
-        # S20: the staged request engine every op composes.
-        self.pipeline = RequestPipeline(self)
+        # ``config`` is frozen: the directory-update charge every
+        # mutation pays is one Timeout for the life of the server.
+        self._update_charge = Timeout(config.cpu.bridge_directory_update)
         # S21: admission control (token bucket / bounded queue / weighted
         # fair queueing).  None — the seed default — admits everything
         # with zero extra branches on the hot path.
@@ -153,7 +174,7 @@ class BridgeServer(Server):
     def install_admission(self, control) -> None:
         """Attach an S21 admission control to this server instance.
 
-        Installs the policy at the pipeline admission stage and, when the
+        Installs the policy at the admission stage and, when the
         policy carries a queue, fronts the server mailbox with it (as
         ``Server.scheduler``: the base loop then takes each request from
         ``Server._next_request`` instead of receiving inline).  Call at
@@ -246,13 +267,13 @@ class BridgeServer(Server):
         batched m-ops (which chase forwards per name) are the
         migration-safe surface.
         """
-        yield from self.pipeline.admit(probe=True)
+        yield from self.admit(probe=True)
         return [name for name in self.directory.names()
                 if name.startswith(prefix)]
 
     def op_get_info(self):
         """The tool bootstrap package (Table 1: Get Info -> LFS handles)."""
-        yield from self.pipeline.admit()
+        yield from self.admit()
         return SystemInfo(lfs=list(self.lfs), server_port=self.port)
 
     # ------------------------------------------------------------------
@@ -291,7 +312,7 @@ class BridgeServer(Server):
             for slot in range(width)
         ]
         if self.config.create_uses_tree and self.relay_ports is not None:
-            yield from self.pipeline.spawn_tree(
+            yield from self.spawn_tree(
                 [
                     {
                         "efs_port": self.lfs[slot].port,
@@ -303,14 +324,14 @@ class BridgeServer(Server):
                 relay_method="create",
             )
         else:
-            yield from self.pipeline.spawn_staged(
+            yield from self.spawn_staged(
                 [(self.lfs[slot].port, "create", args)
                  for slot, args in zip(slots, args_per_slot)]
             )
         self.directory.insert(entry)
         self._cursors[name] = 0
         # Name reuse after delete: nothing cached may survive.
-        self.pipeline.evict_file(name)
+        self.evict_file(name)
         self.migrated_out.discard(name)
         return file_id
 
@@ -323,7 +344,7 @@ class BridgeServer(Server):
         cursor = self._cursors.pop(name, None)
         for slot in range(entry.width):
             self._hints.pop((name, slot), None)
-        self.pipeline.evict_file(name)
+        self.evict_file(name)
         return entry, cursor
 
     def _open_result(self, name, entry, infos) -> OpenResult:
@@ -354,7 +375,7 @@ class BridgeServer(Server):
                     head_addr=info.head_addr,
                 )
             )
-            self.pipeline.feedback(name, slot, info.head_addr)
+            self._hints[(name, slot)] = info.head_addr
         self._cursors[name] = 0
         return OpenResult(
             name=name,
@@ -363,6 +384,7 @@ class BridgeServer(Server):
             start=entry.start,
             total_blocks=entry.total_blocks,
             constituents=constituents,
+            disordered=entry.disordered,
         )
 
     def _stat_of(self, entry: BridgeFileEntry) -> FileStat:
@@ -376,11 +398,11 @@ class BridgeServer(Server):
         )
 
     _OPEN = _Verb(
-        "open", lambda self, name: self.pipeline.resolve(name),
+        "open", lambda self, name: self.directory.lookup(name),
         efs_method="info", value=_open_result,
     )
     _STAT = _Verb(
-        "stat", lambda self, name: self._stat_of(self.pipeline.resolve(name)),
+        "stat", lambda self, name: self._stat_of(self.directory.lookup(name)),
     )
     _CREATE = _Verb("create", _create_one, spawns=True, commits=True)
     _DELETE = _Verb(
@@ -408,9 +430,8 @@ class BridgeServer(Server):
         chased from a detached side process: the server keeps serving,
         and two partitions chasing into each other can never deadlock
         the fabric."""
-        pipeline = self.pipeline
         if names is None:
-            yield from pipeline.admit(probe=True)
+            yield from self.admit(probe=True)
             local, moved, outcomes, refusal = ((0, name),), (), None, ()
         else:
             local, moved, outcomes = yield from self._batch_begin(
@@ -428,7 +449,7 @@ class BridgeServer(Server):
             else:
                 live.append((index, name, state))
         if verb.commits:
-            yield from pipeline.commit()
+            yield self._update_charge
 
         # Its own generator because Delete runs it in a side process.
         def finish(moved):
@@ -452,18 +473,16 @@ class BridgeServer(Server):
             return outcomes
 
         if verb.detached:
-            return pipeline.detach(finish(moved))
+            return Detached(finish(moved))
         result = yield from finish(())
         if moved:
-            return pipeline.detach(
-                self._chase(outcomes, moved, verb.name, shape)
-            )
+            return Detached(self._chase(outcomes, moved, verb.name, shape))
         return result
 
     def _per_constituent(self, entries, method):
         """One windowed fan-out of ``method`` to every constituent of
         every entry; returns the replies grouped per entry, slot order."""
-        replies = iter((yield from self.pipeline.fanout(
+        replies = iter((yield from self.fanout(
             [
                 (self._slot_port(entry, slot), method,
                  {"file_number": entry.efs_file_numbers[slot]}, 0)
@@ -495,7 +514,7 @@ class BridgeServer(Server):
             ).observe(len(names))
             obs.metrics.counter(f"{self.name}.batch.{op}.batches").inc()
             obs.metrics.counter(f"{self.name}.batch.{op}.names").inc(len(names))
-        yield from self.pipeline.admit(probe=True, batch=len(names))
+        yield from self.admit(probe=True, batch=len(names))
         local = []
         moved = []
         for index, name in enumerate(names):
@@ -515,9 +534,11 @@ class BridgeServer(Server):
         if self._forward_cost > 0.0:
             yield Timeout(self._forward_cost * len(moved))
         self.forwarded += len(moved)
-        settled = yield from self.pipeline.fanout_settled(
+        settled = yield from gather_settled(
+            self.node,
             [(target, method, {"name": name, **shape}, 0)
-             for _index, name, target in moved]
+             for _index, name, target in moved],
+            max_in_flight=self.config.bridge_fanout_limit or None,
         )
         for (index, name, _target), (value, error) in zip(moved, settled):
             outcomes[index] = NameOutcome(name, value=value, error=error)
@@ -541,14 +562,14 @@ class BridgeServer(Server):
         the entry vanished (deleted mid-sweep): the destination then
         simply retires its redirect.
         """
-        yield from self.pipeline.admit(probe=True)
+        yield from self.admit(probe=True)
         if not self.directory.exists(name):
             return None
         entry, cursor = self._unlink(name)
         self.migrated_out.add(name)
         if forward_to is not None:
             self.forward_to[name] = forward_to
-        yield from self.pipeline.commit()
+        yield self._update_charge
         return {"entry": entry, "cursor": cursor}
 
     def op_migrate_in(self, name, src_port):
@@ -565,15 +586,15 @@ class BridgeServer(Server):
         """
         # Plain admit: the probe happens at the source (which consults
         # its directory); this side's insert is covered by commit().
-        yield from self.pipeline.admit()
-        states = yield from self.pipeline.fanout(
+        yield from self.admit()
+        states = yield from self.fanout(
             [(src_port, "migrate_out",
               {"name": name, "forward_to": self.port}, 0)]
         )
         state = states[0]
         self.forward_to.pop(name, None)
         if state is None:
-            yield from self.pipeline.commit()
+            yield self._update_charge
             return False
         self.directory.insert(state["entry"])
         if state["cursor"] is not None:
@@ -581,9 +602,9 @@ class BridgeServer(Server):
         # Defensive coherence: nothing cached locally may survive an
         # ownership change (a prior residency, or a prior migration of a
         # since-recreated name).
-        self.pipeline.evict_file(name)
+        self.evict_file(name)
         self.migrated_out.discard(name)
-        yield from self.pipeline.commit()
+        yield self._update_charge
         return True
 
     # ==================================================================
@@ -606,29 +627,29 @@ class BridgeServer(Server):
         and LRU touch instead of the full request decode + directory
         consult + EFS round trip).
         """
-        hit = yield from self.pipeline.probe(name)
+        hit = yield from self.probe(name)
         if hit is not None:
             return hit
-        yield from self.pipeline.admit()
-        entry = self.pipeline.resolve(name)
+        yield from self.admit()
+        entry = self.directory.lookup(name)
         cursor = self._cursors.get(name, 0)
         if cursor >= entry.total_blocks:
             return Response(value=(None, None))
         self._cursors[name] = cursor + 1
 
         def forward():
-            data = yield from self.pipeline.demand_read(entry, name, cursor)
+            data = yield from self.demand_read(entry, name, cursor)
             return Response(value=(cursor, data), size=len(data))
 
-        return self.pipeline.detach(forward())
+        return Detached(forward())
 
     def op_seq_write(self, name, data):
         """Append one block at the end of the file."""
-        yield from self.pipeline.admit()
-        entry = self.pipeline.resolve(name)
+        yield from self.admit()
+        entry = self.directory.lookup(name)
         block = entry.total_blocks
-        self.pipeline.invalidate(name, block)
-        yield from self.pipeline.commit_write(entry, name, block, data)
+        self.invalidate(name, block)
+        yield from self.commit_write(entry, name, block, data)
         entry.total_blocks = block + 1
         return block
 
@@ -640,11 +661,11 @@ class BridgeServer(Server):
         the striped read-ahead pipeline once the pattern is sequential;
         hits pay ``bridge_cache_hit`` instead of the full request charge.
         """
-        hit = yield from self.pipeline.probe(name, block_number)
+        hit = yield from self.probe(name, block_number)
         if hit is not None:
             return hit
-        yield from self.pipeline.admit()
-        entry = self.pipeline.resolve(name)
+        yield from self.admit()
+        entry = self.directory.lookup(name)
         if not 0 <= block_number < entry.total_blocks:
             raise BridgeBadRequestError(
                 f"{name!r}: block {block_number} outside file of "
@@ -652,31 +673,31 @@ class BridgeServer(Server):
             )
 
         def forward():
-            data = yield from self.pipeline.demand_read(
+            data = yield from self.demand_read(
                 entry, name, block_number
             )
             return Response(value=data, size=len(data))
 
-        return self.pipeline.detach(forward())
+        return Detached(forward())
 
     def op_get_block_map(self, name):
         """The global->local map of a disordered file (tool view)."""
-        yield from self.pipeline.admit()
-        entry = self.pipeline.resolve(name)
+        yield from self.admit()
+        entry = self.directory.lookup(name)
         if not entry.disordered:
             raise BridgeBadRequestError(f"{name!r} is strictly interleaved")
         return list(entry.block_map or [])
 
     def op_random_write(self, name, block_number, data):
-        yield from self.pipeline.admit()
-        entry = self.pipeline.resolve(name)
+        yield from self.admit()
+        entry = self.directory.lookup(name)
         if not 0 <= block_number <= entry.total_blocks:
             raise BridgeBadRequestError(
                 f"{name!r}: block {block_number} outside writable range "
                 f"[0, {entry.total_blocks}]"
             )
-        self.pipeline.invalidate(name, block_number)
-        yield from self.pipeline.commit_write(entry, name, block_number, data)
+        self.invalidate(name, block_number)
+        yield from self.commit_write(entry, name, block_number, data)
         if block_number == entry.total_blocks:
             entry.total_blocks += 1
         return block_number
@@ -696,41 +717,42 @@ class BridgeServer(Server):
         reassembly run detached so a big list read does not serialize
         unrelated clients behind the central server.
         """
-        yield from self.pipeline.admit()
-        entry = self.pipeline.resolve(name)
+        yield from self.admit()
+        entry = self.directory.lookup(name)
         blocks = list(blocks)
         if not blocks:
             return Response(value=[])
-        per_slot = self.pipeline.decompose(entry, name, blocks)
+        per_slot = self.decompose(entry, name, blocks)
 
         def reassemble():
-            by_location = yield from self.pipeline.gather_batches(
+            by_location = yield from self.gather_batches(
                 entry, name, per_slot
             )
             data = [by_location[entry.locate_block(block)] for block in blocks]
             return Response(value=data, size=sum(len(d) for d in data))
 
-        return self.pipeline.detach(reassemble())
+        return Detached(reassemble())
 
     def op_list_write(self, name, writes):
         """Noncontiguous write: one batched EFS request per touched LFS.
 
-        ``writes`` is a list of ``(global_block, data)`` pairs.  In-place
-        updates may scatter anywhere in the file; appended blocks must
-        form a dense run starting at the current end (the file-level
-        no-sparse rule, matching the per-constituent EFS rule).  Returns
-        the file's new total size in blocks.
+        ``writes`` is a list of ``(global_block, data)`` pairs, checked
+        by :func:`~repro.core.directory.check_block_writes`.  Returns the
+        file's new total size in blocks.
         """
-        yield from self.pipeline.admit()
-        entry = self.pipeline.resolve(name)
+        yield from self.admit()
+        entry = self.directory.lookup(name)
         writes = list(writes)
         if not writes:
             return entry.total_blocks
-        new_total = self.pipeline.validate_list_write(entry, name, writes)
-        self.pipeline.invalidate(
-            name, *(block for block, _data in writes)
-        )
-        yield from self.pipeline.scatter_batches(entry, name, writes)
+        if entry.disordered:
+            raise BridgeBadRequestError(
+                f"{name!r}: list write is not supported on disordered "
+                "files (use the naive view)"
+            )
+        new_total = check_block_writes(name, entry.total_blocks, writes)
+        self.invalidate(name, *(block for block, _data in writes))
+        yield from self.scatter_batches(entry, name, writes)
         entry.total_blocks = new_total
         return new_total
 
@@ -739,10 +761,10 @@ class BridgeServer(Server):
     # ==================================================================
 
     def op_parallel_open(self, name, worker_ports):
-        yield from self.pipeline.admit(probe=True)
+        yield from self.admit(probe=True)
         if not worker_ports:
             raise BridgeJobError("parallel open needs at least one worker")
-        entry = self.pipeline.resolve(name)
+        entry = self.directory.lookup(name)
         job_id = self._next_job_id
         self._next_job_id += 1
         job = _Job(job_id, entry, list(worker_ports), self.node.port(f"job{job_id}"))
@@ -765,22 +787,22 @@ class BridgeServer(Server):
         will simulate any degree of parallelism" — groups of p accesses
         run in parallel; successive groups are sequential (lock step).
         """
-        yield from self.pipeline.admit()
+        yield from self.admit()
         job = self._job(job_id)
         entry = job.entry
         t = len(job.worker_ports)
         # S18 double buffering: start fetching the *next* delivery's
         # stripe while this one is read and shipped to the workers.
-        self.pipeline.top_up(entry, entry.name, job.cursor + t, depth=t)
+        self.top_up(entry, entry.name, job.cursor + t, depth=t)
         delivered = 0
-        for group in self.pipeline.lockstep_groups(job):
-            delivered += yield from self.pipeline.deliver_group(job, group)
+        for group in self.lockstep_groups(job):
+            delivered += yield from self.deliver_group(job, group)
         job.cursor += t
         return delivered
 
     def op_parallel_write(self, job_id):
         """Collect one deposit per worker and append them in order."""
-        yield from self.pipeline.admit()
+        yield from self.admit()
         job = self._job(job_id)
         entry = job.entry
         if entry.disordered:
@@ -788,18 +810,402 @@ class BridgeServer(Server):
                 f"{entry.name!r}: parallel write is not supported on "
                 "disordered files (use the naive view)"
             )
-        deposits = yield from self.pipeline.collect_deposits(job)
+        deposits = yield from self.collect_deposits(job)
         base = entry.total_blocks
-        yield from self.pipeline.append_groups(entry, base, deposits)
+        yield from self.append_groups(entry, base, deposits)
         entry.total_blocks = base + len(deposits)
         job.cursor = entry.total_blocks
         return entry.total_blocks
 
     def op_parallel_close(self, job_id):
-        yield from self.pipeline.admit()
+        yield from self.admit()
         self._job(job_id)
         del self._jobs[job_id]
         return None
+
+    # ==================================================================
+    # Request stages: admission, cache, fan-out, landing
+    # ==================================================================
+
+    def admit(self, probe: bool = False, batch: int = 0):
+        """Charge the per-request server CPU; monitor operations (the
+        directory mutators and Open) also pay the directory probe.
+
+        ``batch`` is the name count of an S23 multi-name metadata
+        request: the decode (``bridge_request``) and the probe are paid
+        *once* — a single sweep of the server's metadata storage fetches
+        every requested entry — plus a per-name hash/entry charge
+        (``bridge_batch_name``).  That amortization is the whole point
+        of the batched surface: a singleton metadata op is dominated by
+        the fixed 71 ms decode+probe, so n names in one batch cost a
+        fraction of n singleton requests.
+
+        When an S21 admission control is installed it is consulted
+        first (a batch is one request: it carries one envelope): a
+        token-bucket refusal or a queue-depth shed charges only
+        ``bridge_fast_reject`` and raises a typed
+        :class:`~repro.errors.BridgeAdmissionError`, which ships back to
+        the caller like any application error — the server never does
+        directory or EFS work for a refused request."""
+        control = self.admission
+        if control is not None:
+            yield from control.admit(self, self._active_request)
+        cpu = self.config.cpu
+        yield Timeout(
+            cpu.bridge_request + (cpu.bridge_directory_probe if probe else 0)
+            + cpu.bridge_batch_name * batch
+        )
+
+    def probe(self, name: str, block: Optional[int] = None):
+        """Synchronous Bridge-cache lookup ahead of request admission.
+
+        ``block=None`` probes at the sequential cursor (advancing it on
+        a hit).  Returns a complete hit :class:`Response` — charged at
+        ``bridge_cache_hit`` instead of the full request decode — or
+        ``None`` to fall through to the full request path.  Misses also
+        feed the S18 stream detector.
+        """
+        if self._cache is None:
+            return None
+        entry = self.directory.lookup(name)
+        sequential = block is None
+        target = self._cursors.get(name, 0) if sequential else block
+        if 0 <= target < entry.total_blocks:
+            if self._prefetcher is not None:
+                self._prefetcher.observe(entry, name, target)
+            data = self._cache.lookup(name, target)
+            if data is not None:
+                if sequential:
+                    self._cursors[name] = target + 1
+                yield Timeout(self.config.cpu.bridge_cache_hit)
+                value = (target, data) if sequential else data
+                return Response(value=value, size=len(data))
+        return None
+
+    def invalidate(self, name: str, *blocks: int) -> None:
+        """Invalidate-before-issue: drop cached copies *before* the EFS
+        write leaves so an in-flight read of the old value can never
+        install stale data later."""
+        if self._cache is not None:
+            for block in blocks:
+                self._cache.invalidate_block(name, block)
+
+    def evict_file(self, name: str) -> None:
+        """Full per-file eviction (create-over-delete, delete)."""
+        if self._cache is not None:
+            self._cache.invalidate_file(name)
+        if self._prefetcher is not None:
+            self._prefetcher.forget(name)
+
+    def cached_or_inflight(self, name: str, block: int):
+        """Cache lookup that also waits on an in-flight prefetch instead
+        of duplicating its EFS request (parallel delivery path)."""
+        if self._cache is None:
+            return None
+        data = self._cache.lookup(name, block)
+        if data is None and self._prefetcher is not None:
+            signal = self._prefetcher.inflight_signal(name, block)
+            if signal is not None:
+                data = yield signal
+                if data is not None:
+                    self._cache.mark_used(name, block)
+        return data
+
+    def fanout(self, calls):
+        """Windowed gather: every EFS message the server sends leaves
+        through here, at most ``bridge_fanout_limit`` in flight (0 =
+        unbounded, the seed default)."""
+        results = yield from gather(
+            self.node, calls,
+            max_in_flight=self.config.bridge_fanout_limit or None,
+        )
+        return results
+
+    def spawn_staged(self, calls):
+        """Paper create behavior (section 4.5): initiation and
+        termination are sequential, the LFS work itself overlaps."""
+        reply_ports = []
+        for port, method, args in calls:
+            yield Timeout(self.config.cpu.bridge_create_dispatch)
+            reply_port = self.node.port()
+            self.node.send(port, Request(method, args, reply_port))
+            reply_ports.append(reply_port)
+        for reply_port in reply_ports:
+            response = yield reply_port.recv()
+            if response.error is not None:
+                raise response.error
+
+    def spawn_tree(self, entries, relay_method: str):
+        """Improved create behavior: one message to the first relay,
+        which fans out through an embedded binary tree (O(log p))."""
+        yield Timeout(self.config.cpu.bridge_create_dispatch)
+        results = yield from self.fanout(
+            [(entries[0]["relay_port"], "relay",
+              {"entries": entries, "relay_method": relay_method}, 0)],
+        )
+        return results[0]
+
+    def read_call(self, entry: BridgeFileEntry, name: str, slot: int,
+                  local: int):
+        """One single-block EFS read leg, hint-threaded."""
+        return (self._slot_port(entry, slot), "read",
+                {"file_number": entry.efs_file_numbers[slot],
+                 "block_number": local,
+                 "hint": self._hints.get((name, slot))}, 0)
+
+    def write_call(self, entry: BridgeFileEntry, slot: int, local: int,
+                   data: bytes, hint=None):
+        """One single-block EFS write leg."""
+        return (self._slot_port(entry, slot), "write",
+                {"file_number": entry.efs_file_numbers[slot],
+                 "block_number": local,
+                 "data": data,
+                 "hint": hint}, BLOCK_SIZE)
+
+    def demand_read(self, entry: BridgeFileEntry, name: str, block: int):
+        """The detached half of a naive-view read whose synchronous
+        probe missed: re-check the cache (a prefetch may have landed
+        meanwhile), wait on an in-flight fetch instead of duplicating
+        its EFS request, otherwise read from the source and install the
+        result under the generation guard."""
+        if self._cache is None:
+            data = yield from self._read_source(entry, name, block)
+            return data
+        data = self._cache.peek(name, block)
+        if data is not None:
+            return data
+        if self._prefetcher is not None:
+            signal = self._prefetcher.inflight_signal(name, block)
+            if signal is not None:
+                data = yield signal
+                if data is not None:
+                    self._cache.mark_used(name, block)
+                    return data
+                # The fetch was dropped (stale or errored): fall through
+                # to a direct read so the demand path sees real state.
+        generation = self._cache.generation(name)
+        data = yield from self._read_source(entry, name, block)
+        if self._cache.generation(name) == generation:
+            self._cache.install(name, block, data)
+        return data
+
+    def _read_source(self, entry: BridgeFileEntry, name: str, block: int):
+        """One single-block read from the block's constituent."""
+        slot, local = entry.locate_block(block)
+        results = yield from self.fanout(
+            [self.read_call(entry, name, slot, local)]
+        )
+        self._landed(entry, name, slot, block, results[0])
+        return results[0].data
+
+    def _landed(self, entry: BridgeFileEntry, name: str, slot: int,
+                block: int, result) -> None:
+        """A single-block read came back: thread its next-block disk
+        address into the hint table (the "optimized path" of section
+        4.1) and remember where the block itself lives."""
+        self._hints[(name, slot)] = result.next_addr
+        self.learn(entry, block, result.addr)
+
+    def learn(self, entry: BridgeFileEntry, block: int, addr: int) -> None:
+        """Remember where an EFS result said a global block lives, for
+        :meth:`commit_write`'s hint.  Only while this server's directory
+        holds ``entry`` itself: a job still pinned here after the name
+        migrated out (``migrated_out``), or a read that was in flight
+        across a delete, must not re-grow a departed file's table."""
+        if self._cache is not None and self.directory.holds(entry):
+            self._cache.remember(entry.name, block, addr)
+
+    def place(self, entry: BridgeFileEntry, block: int) -> Tuple[int, int]:
+        """Block placement: strict interleave, or the section-3
+        disordered scatter (any slot will do) on append."""
+        if entry.disordered and block == len(entry.block_map):
+            rng = self.node.machine.sim.random.stream("bridge.disorder")
+            slot = rng.randrange(entry.width)
+            local = sum(1 for s, _l in entry.block_map if s == slot)
+            entry.block_map.append((slot, local))
+            return slot, local
+        return entry.locate_block(block)
+
+    def commit_write(self, entry: BridgeFileEntry, name: str, block: int,
+                     data: bytes):
+        """One single-block write; an in-place write carries the
+        block's remembered disk address as its EFS hint."""
+        slot, local = self.place(entry, block)
+        cache = self._cache
+        hint = cache.address_of(name, block) if cache is not None else None
+        results = yield from self.fanout(
+            [self.write_call(entry, slot, local, data, hint)]
+        )
+        self.learn(entry, block, results[0].addr)
+        return results[0]
+
+    def decompose(self, entry: BridgeFileEntry, name: str,
+                  blocks: List[int]) -> Dict[int, Dict[int, int]]:
+        """Split a global block list per constituent, validating range:
+        ``slot -> {local block: global block}``."""
+        per_slot: Dict[int, Dict[int, int]] = {}
+        for block in blocks:
+            if not 0 <= block < entry.total_blocks:
+                raise BridgeBadRequestError(
+                    f"{name!r}: block {block} outside file of "
+                    f"{entry.total_blocks} blocks"
+                )
+            slot, local = entry.locate_block(block)
+            per_slot.setdefault(slot, {})[local] = block
+        return per_slot
+
+    def gather_batches(self, entry: BridgeFileEntry, name: str,
+                       per_slot: Dict[int, Dict[int, int]]):
+        """One batched ``read_blocks`` per touched LFS; returns the
+        ``(slot, local) -> data`` map with hints fed back."""
+        slots = sorted(per_slot)
+        calls = [
+            (self._slot_port(entry, slot), "read_blocks",
+             {"file_number": entry.efs_file_numbers[slot],
+              "block_numbers": sorted(per_slot[slot]),
+              "hint": self._hints.get((name, slot))}, 0)
+            for slot in slots
+        ]
+        batches = yield from self.fanout(calls)
+        by_location: Dict[Tuple[int, int], bytes] = {}
+        for slot, batch in zip(slots, batches):
+            for result in batch.results:
+                by_location[(slot, result.block_number)] = result.data
+                self.learn(entry, per_slot[slot][result.block_number],
+                           result.addr)
+            if batch.results:
+                self._hints[(name, slot)] = batch.results[-1].next_addr
+        return by_location
+
+    def scatter_batches(self, entry: BridgeFileEntry, name: str, writes):
+        """One batched ``write_blocks`` per touched LFS."""
+        interleave = entry.interleave
+        per_slot: Dict[int, List[Tuple[int, bytes]]] = {}
+        for block, data in writes:
+            slot, local = interleave.locate(block)
+            per_slot.setdefault(slot, []).append((local, data))
+        slots = sorted(per_slot)
+        calls = [
+            (self._slot_port(entry, slot), "write_blocks",
+             {"file_number": entry.efs_file_numbers[slot],
+              "writes": per_slot[slot],
+              "hint": self._hints.get((name, slot))},
+             BLOCK_SIZE * len(per_slot[slot]))
+            for slot in slots
+        ]
+        batches = yield from self.fanout(calls)
+        for slot, batch in zip(slots, batches):
+            for result in batch.results:
+                self.learn(
+                    entry,
+                    interleave.global_block(slot, result.block_number),
+                    result.addr,
+                )
+
+    def lockstep_groups(self, job):
+        """Yield groups of at most p in-range ``(worker_index, block)``
+        pairs; workers past EOF get their eof delivery as the group
+        forms (lazily, preserving the lock-step interleaving)."""
+        entry = job.entry
+        t = len(job.worker_ports)
+        for group_start in range(0, t, entry.width):
+            group = []
+            for index in range(group_start, min(group_start + entry.width, t)):
+                block = job.cursor + index
+                if block < entry.total_blocks:
+                    group.append((index, block))
+                else:
+                    self.node.send(
+                        job.worker_ports[index],
+                        BlockDelivery(job.job_id, index, block, None, eof=True),
+                    )
+            if group:
+                yield group
+
+    def deliver_group(self, job, group):
+        """Deliver one lock-step group: cache/in-flight hits ship
+        immediately; the misses fan out as one gather."""
+        entry = job.entry
+        delivered = 0
+        pending = []
+        for index, block in group:
+            data = yield from self.cached_or_inflight(entry.name, block)
+            if data is not None:
+                if self.config.cpu.bridge_cache_hit:
+                    yield Timeout(self.config.cpu.bridge_cache_hit)
+                self.node.send(
+                    job.worker_ports[index],
+                    BlockDelivery(job.job_id, index, block, data),
+                    size=len(data),
+                )
+                delivered += 1
+            else:
+                pending.append((index, block))
+        if not pending:
+            return delivered
+        located = [entry.locate_block(block) for _index, block in pending]
+        results = yield from self.fanout(
+            [self.read_call(entry, entry.name, slot, local)
+             for slot, local in located]
+        )
+        for (index, block), (slot, _local), result in zip(
+            pending, located, results
+        ):
+            self._landed(entry, entry.name, slot, block, result)
+            self.node.send(
+                job.worker_ports[index],
+                BlockDelivery(job.job_id, index, block, result.data),
+                size=len(result.data),
+            )
+            delivered += 1
+        return delivered
+
+    def collect_deposits(self, job) -> Dict[int, bytes]:
+        """Wait for one deposit per worker on the job port."""
+        t = len(job.worker_ports)
+        deposits: Dict[int, bytes] = {}
+        while len(deposits) < t:
+            message = yield job.port.recv()
+            if not isinstance(message, Deposit) or message.job_id != job.job_id:
+                raise BridgeJobError(
+                    f"job {job.job_id}: unexpected message {message!r}"
+                )
+            if message.worker_index in deposits:
+                raise BridgeJobError(
+                    f"job {job.job_id}: duplicate deposit from worker "
+                    f"{message.worker_index}"
+                )
+            deposits[message.worker_index] = message.data
+        return deposits
+
+    def append_groups(self, entry: BridgeFileEntry, base: int,
+                      chunks: Dict[int, bytes]):
+        """Append t collected blocks in lock-step groups of p."""
+        t = len(chunks)
+        for group_start in range(0, t, entry.width):
+            group = range(group_start, min(group_start + entry.width, t))
+            calls = []
+            for index in group:
+                slot, local = entry.interleave.locate(base + index)
+                calls.append(
+                    self.write_call(entry, slot, local, chunks[index])
+                )
+            results = yield from self.fanout(calls)
+            for index, result in zip(group, results):
+                self.learn(entry, base + index, result.addr)
+
+    def top_up(self, entry: BridgeFileEntry, name: str, frontier: int,
+               depth: int) -> None:
+        """S18 double buffering: start fetching the next stripe while
+        the current one is read and shipped.
+
+        Skipped for names this partition migrated out (S22): a parallel
+        job still pinned here may keep reading through the shared LFS
+        set, but nothing of the departed file may be re-installed into
+        this cache — the new owner's writes would never invalidate it.
+        """
+        if self._prefetcher is not None and name not in self.migrated_out:
+            self._prefetcher.top_up(entry, name, frontier, depth=depth)
 
     # ==================================================================
     # Internals

@@ -53,7 +53,7 @@ class Request:
         # the queueing models in repro.analysis predict.
         self.sent_at = sent_at
         # S21: set by a depth-bounded AdmissionQueue on a request it
-        # sheds; the pipeline admission stage then fast-rejects it.
+        # sheds; the Bridge Server's admission stage then fast-rejects it.
         self.admission_shed = False
 
 
@@ -117,9 +117,9 @@ class Server:
         # shedding and weighted fair queueing live there.  ``None`` (the
         # default) is the plain FIFO mailbox, byte-identical to the seed.
         self.scheduler = None
-        # The request currently being dispatched; the pipeline admission
-        # stage reads this to classify and count without re-plumbing the
-        # envelope through every handler signature.
+        # The request currently being dispatched; the Bridge Server's
+        # admission stage reads this to classify and count without
+        # re-plumbing the envelope through every handler signature.
         self._active_request: Optional[Request] = None
         # S22 live migration: per-name redirects installed by the elastic
         # resizer.  A request whose ``name`` argument maps here is
@@ -202,21 +202,15 @@ class Server:
                     response = Response(error=exc)
                 else:
                     if isinstance(result, Detached):
+                        # The side process replies and closes the span.
                         self.node.spawn(
                             self._finish_detached(
                                 result.generator, request, server_span, started
                             ),
                             name=f"{self.name}.detached",
                         )
-                        self.requests_served += 1
-                        self.busy_time += sim.now - started
-                        if self.heat is not None:
-                            self.heat.record(self.heat_partition, request,
-                                             sim.now - started, sim.now)
-                        if obs is not None:
-                            obs.set_current(None)
-                        continue
-                    if isinstance(result, Response):
+                        response = None
+                    elif isinstance(result, Response):
                         response = result
                     else:
                         response = Response(value=result)
@@ -225,10 +219,12 @@ class Server:
             if self.heat is not None:
                 self.heat.record(self.heat_partition, request,
                                  sim.now - started, sim.now)
-            if obs is not None:
-                self._end_request(obs, request, server_span, started)
-            if request.reply_to is not None:
-                self.node.send(request.reply_to, response, size=response.size)
+            if response is not None:
+                if obs is not None:
+                    self._end_request(obs, request, server_span, started)
+                if request.reply_to is not None:
+                    self.node.send(request.reply_to, response,
+                                   size=response.size)
             if obs is not None:
                 obs.set_current(None)
 
@@ -382,11 +378,12 @@ def gather_settled(node: Node, calls, max_in_flight: Optional[int] = None):
 
     Returns a list of ``(value, error)`` pairs in call order — exactly
     one of the two is set per pair.  The S23 batched metadata handlers
-    use this to chase names caught in a migration's forwarding window:
-    each chased name must settle independently (a deleted name's
-    not-found is *that name's* outcome), so the fail-fast semantics of
-    :func:`gather` are exactly wrong here.  Windowing and per-leg span
-    accounting are :func:`gather`'s — it is the same body.
+    use this to chase names caught in a migration's forwarding window,
+    and a degraded read to fetch a stripe's surviving peers: each leg
+    must settle independently (a deleted name's not-found is *that
+    name's* outcome; a short peer is a zero block), so the fail-fast
+    semantics of :func:`gather` are exactly wrong here.  Windowing and
+    per-leg span accounting are :func:`gather`'s — it is the same body.
     """
     return _fan_out(node, calls, max_in_flight, settle=True)
 

@@ -13,7 +13,6 @@ single-failure semantics shared with every RAID-5-class system.
 from repro.redundancy.degraded import (
     DegradedReader,
     DegradedReadStats,
-    fanout_reads,
     xor_blocks,
 )
 from repro.redundancy.faults import (
@@ -56,7 +55,6 @@ __all__ = [
     "RebuildProgress",
     "RebuildStats",
     "RedundancyManager",
-    "fanout_reads",
     "files_lost_fraction_interleaved",
     "files_lost_fraction_mirrored",
     "files_lost_fraction_parity",

@@ -3,18 +3,15 @@
 When a :class:`~repro.redundancy.parity.ParityFile` read hits a failed
 device (:class:`~repro.errors.DeviceFailedError`, or the device flag the
 fault injector flips), the reader fans out *parallel* reads of the
-stripe's surviving peers — the same one-shot-reply-port fan-out that
-powers the Bridge Server's parallel-open view (see
-:func:`repro.machine.rpc.gather` and :mod:`repro.core.parallel`) — and
-XOR-reconstructs the missing block:
+stripe's surviving peers and XOR-reconstructs the missing block:
 
     data = parity XOR (every other data block of the stripe)
 
 because the parity block is the XOR of all data blocks.  The fan-out
-here must tolerate *per-peer* misses (a surviving constituent may simply
-be shorter than the stripe index when the tail stripe is partial), so it
-collects raw responses instead of failing on the first error the way
-``gather`` does.
+must tolerate *per-peer* misses (a surviving constituent may simply be
+shorter than the stripe index when the tail stripe is partial), so it is
+:func:`repro.machine.gather_settled`, which hands each leg's error back
+instead of failing on the first one the way ``gather`` does.
 
 Every reconstruction is counted in the file's per-file
 :class:`DegradedReadStats`; a second dead device inside the same stripe
@@ -25,13 +22,13 @@ RAID-5 contract.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional
 
 from repro.errors import (
     DeviceFailedError,
     EFSBlockNotFoundError,
 )
-from repro.machine.rpc import Request
+from repro.machine import gather_settled
 
 
 def xor_blocks(*blocks: Optional[bytes]) -> bytes:
@@ -64,27 +61,6 @@ class DegradedReadStats:
     @property
     def degraded_fraction(self) -> float:
         return self.degraded / self.blocks if self.blocks else 0.0
-
-
-def fanout_reads(node, calls):
-    """Issue reads in parallel, tolerating per-call application errors.
-
-    ``calls`` is the same ``(port, method, args, size)`` shape as
-    :func:`repro.machine.rpc.gather`, but the result is a list of
-    ``(value, error)`` pairs instead of raising on the first error — a
-    reconstruction must distinguish "this peer is short" (treat the block
-    as zeros) from "this peer's device is dead too" (double failure).
-    """
-    reply_ports = []
-    for port, method, args, size in calls:
-        reply_port = node.port()
-        node.send(port, Request(method, args, reply_port, size), size=size)
-        reply_ports.append(reply_port)
-    outcomes: List[Tuple[object, Optional[Exception]]] = []
-    for reply_port in reply_ports:
-        response = yield reply_port.recv()
-        outcomes.append((response.value, response.error))
-    return outcomes
 
 
 class DegradedReader:
@@ -157,7 +133,7 @@ class DegradedReader:
                   "hint": None}, 0)
                 for peer in peers
             ]
-            outcomes = yield from fanout_reads(file.node, calls)
+            outcomes = yield from gather_settled(file.node, calls)
             parts = []
             for peer, (value, error) in zip(peers, outcomes):
                 self.stats.peer_reads += 1

@@ -9,6 +9,7 @@ from repro.analysis.models import twophase_message_counts
 from repro.collective import ListIORequest, TwoPhaseIO, elect_aggregators
 from repro.core.addressing import InterleaveMap
 from repro.errors import BridgeBadRequestError, ProcessError
+from repro.harness import paper_system
 from repro.harness.builders import BridgeSystem
 from repro.storage import FixedLatency
 from repro.config import DATA_BYTES_PER_BLOCK
@@ -145,6 +146,26 @@ def test_read_rejects_out_of_bounds():
     with pytest.raises(ProcessError) as excinfo:
         system.run(body())
     assert isinstance(excinfo.value.__cause__, BridgeBadRequestError)
+
+
+def test_disordered_file_is_refused_not_misread():
+    """A disordered file's blocks follow its block map, not the
+    interleave the aggregators align to: both collective directions
+    refuse it instead of moving the wrong blocks."""
+    system = paper_system(4, seed=0)
+    client = system.naive_client()
+
+    def setup():
+        yield from client.create("d", disordered=True)
+        yield from client.write_all("d", padded_chunks(16))
+
+    system.run(setup())
+    engine = TwoPhaseIO(system, "d")
+    for body in (engine.read([[0, 1, 2, 3]]),
+                 engine.write([[(0, payload(1))]])):
+        with pytest.raises(ProcessError) as excinfo:
+            system.run(body)
+        assert isinstance(excinfo.value.__cause__, BridgeBadRequestError)
 
 
 def test_read_rejects_zero_workers():

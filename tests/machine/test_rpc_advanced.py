@@ -3,6 +3,7 @@
 import pytest
 
 from repro.config import DEFAULT_CONFIG
+from repro.elastic import HeatMap
 from repro.machine import (
     Client,
     Machine,
@@ -27,8 +28,8 @@ class SlowServer(Server):
         yield Timeout(delay)
         return tag
 
-    def op_fail(self, message):
-        yield Timeout(0.0)
+    def op_fail(self, message, delay=0.0):
+        yield Timeout(delay)
         raise RuntimeError(message)
 
     def op_slow_detached(self, delay, tag):
@@ -262,6 +263,38 @@ def test_detached_error_reaches_caller():
             return str(exc)
 
     assert sim.run_process(body()) == "detached boom"
+
+
+def test_every_handler_outcome_is_accounted_once():
+    """Inline, detached and raising handlers share one loop epilogue:
+    each adds one served request, its synchronous handler time (never
+    the detached tail) and one heat record."""
+    sim, machine = make_machine(2)
+    server = SlowServer(machine.node(0), "s")
+    server.heat = HeatMap(1, window=100.0, buckets=1)
+    client = Client(machine.node(1))
+    cases = [
+        ("work", {"delay": 0.02, "tag": "x"}, 0.02),
+        ("slow_detached", {"delay": 0.5, "tag": "d"}, 0.001),
+        ("fail", {"message": "boom", "delay": 0.03}, 0.03),
+    ]
+    for method, args, handler_time in cases:
+        served = server.requests_served
+        busy = server.busy_time
+        records = server.heat.recorded
+
+        def body():
+            try:
+                yield from client.call(server.port, method, **args)
+            except RuntimeError:
+                pass
+
+        sim.run_process(body())
+        assert server.requests_served == served + 1, method
+        assert server.busy_time - busy == pytest.approx(handler_time), method
+        assert server.heat.recorded == records + 1, method
+    heat_busy = server.heat.partition_rates(sim.now)[0] * 100.0
+    assert heat_busy == pytest.approx(0.051)
 
 
 # ---------------------------------------------------------------------------

@@ -225,6 +225,30 @@ def test_degraded_read_reconstructs_exact_content():
     assert 0 < stats.degraded_fraction < 1
 
 
+def test_degraded_reconstruction_is_traced_like_every_fan_out():
+    """Reconstruction fetches a stripe's peers through ``gather_settled``:
+    with obs on, each peer read is a ``gather.*`` leg under its
+    ``degraded_read`` span, and obs off replays the same events."""
+    def run(obs):
+        system = make_system(seed=1, obs=obs)
+        pfile = build_parity_file(system, "traced", pattern_chunks(12))
+        with FaultInjector(system).failed(1):
+            read_all(system, pfile)
+        return system
+
+    bare, traced = run(False), run(True)
+    assert (traced.sim.events_executed, traced.sim.now) == (
+        bare.sim.events_executed, bare.sim.now)
+    spans = traced.obs.spans
+    reconstructions = {s.id for s in spans if s.name == "degraded_read"}
+    legs = [s for s in spans
+            if s.parent_id in reconstructions and s.name.startswith("gather.")]
+    # 12 blocks at p = 4: slot 1 holds data in 3 of the 4 stripes, and
+    # each reconstruction reads the 3 surviving peers.
+    assert len(reconstructions) == 3
+    assert len(legs) == 9
+
+
 def test_degraded_read_detects_midstream_device_errors(monkeypatch):
     """Even if the failure check is stale, the DeviceFailedError raised by
     the read itself routes the block to reconstruction."""
