@@ -9,7 +9,7 @@ read-modify-write — against 1, 2, and 4 hash-partitioned Bridge Servers
 and measures the makespan and the aggregate naive-view throughput.
 
 Each row also carries the S20 routing model's speedup bound
-(:func:`repro.analysis.fabric_speedup_bound`): with a finite set of
+(:func:`repro.analysis.models.fabric_speedup_bound`): with a finite set of
 names hashed over k partitions the best case is sum/max of the
 per-partition loads, so the measured speedup must sit at or below it.
 

@@ -28,7 +28,7 @@ system inventory and experiment index.
 """
 
 from repro._version import __version__
-from repro.collective import Extent, ListIORequest, TwoPhaseIO
+from repro.collective import TwoPhaseIO
 from repro.config import (
     BLOCK_SIZE,
     DATA_BYTES_PER_BLOCK,
@@ -65,10 +65,8 @@ __all__ = [
     "DATA_BYTES_PER_BLOCK",
     "DEFAULT_CONFIG",
     "EncryptTool",
-    "Extent",
     "GrepTool",
     "InterleaveMap",
-    "ListIORequest",
     "TwoPhaseIO",
     "JobController",
     "LineLexTool",

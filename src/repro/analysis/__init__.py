@@ -1,71 +1,50 @@
-"""Analysis: paper models, derived metrics, table formatting."""
+"""Analysis: paper models, derived metrics, table formatting.
+
+The package re-exports what benches, examples and tests import from
+``repro.analysis``; everything else is imported from its module.
+"""
 
 from repro.analysis.metrics import (
-    ScalingPoint,
-    crossover_point,
     efficiency,
     is_superlinear,
     scaling_table,
     speedup,
-    throughput,
 )
 from repro.analysis.models import (
     PAPER_COPY_PEAK_RECORDS_PER_SECOND,
     PAPER_FILE_BLOCKS,
-    PAPER_SORT_BUFFER_RECORDS,
     PAPER_SORT_PEAK_RECORDS_PER_SECOND,
     PAPER_TABLE3_COPY_SECONDS,
     PAPER_TABLE4_SORT_MINUTES,
     batched_rpc_count,
-    fabric_speedup_bound,
     fit_line,
-    listio_rpc_count,
     md1_wait_seconds,
     metadata_partition_buckets,
     mm1_wait_seconds,
-    partition_load,
-    naive_rpc_count,
-    pipelined_hit_seconds,
-    pipelined_read_seconds,
-    pipelined_supply_seconds_per_block,
     shape_ratio,
     speedup_series,
     table2_create_ms,
-    touched_slots,
-    twophase_message_counts,
-    utilization,
     table2_delete_ms,
     table2_open_ms,
     table2_read_ms,
     table2_write_ms,
 )
-from repro.analysis.tables import format_series, format_table
+from repro.analysis.tables import format_table
 
 __all__ = [
     "PAPER_COPY_PEAK_RECORDS_PER_SECOND",
     "PAPER_FILE_BLOCKS",
-    "PAPER_SORT_BUFFER_RECORDS",
     "PAPER_SORT_PEAK_RECORDS_PER_SECOND",
     "PAPER_TABLE3_COPY_SECONDS",
     "PAPER_TABLE4_SORT_MINUTES",
-    "ScalingPoint",
     "batched_rpc_count",
-    "crossover_point",
     "efficiency",
-    "fabric_speedup_bound",
     "fit_line",
-    "format_series",
     "format_table",
     "is_superlinear",
-    "listio_rpc_count",
     "md1_wait_seconds",
     "metadata_partition_buckets",
     "mm1_wait_seconds",
-    "naive_rpc_count",
-    "partition_load",
-    "pipelined_hit_seconds",
-    "pipelined_read_seconds",
-    "pipelined_supply_seconds_per_block",
     "scaling_table",
     "shape_ratio",
     "speedup",
@@ -75,8 +54,4 @@ __all__ = [
     "table2_open_ms",
     "table2_read_ms",
     "table2_write_ms",
-    "throughput",
-    "touched_slots",
-    "twophase_message_counts",
-    "utilization",
 ]

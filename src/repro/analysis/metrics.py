@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List
 
 
 def speedup(base_time: float, time: float) -> float:
@@ -65,11 +65,3 @@ def is_superlinear(times: Dict[int, float], slack: float = 1.0) -> bool:
         if times[smaller] / times[larger] <= factor * slack:
             return False
     return True
-
-
-def crossover_point(series_a: Dict[int, float], series_b: Dict[int, float]) -> Optional[int]:
-    """Smallest shared x where series_a drops below series_b (None if never)."""
-    for x in sorted(set(series_a) & set(series_b)):
-        if series_a[x] < series_b[x]:
-            return x
-    return None

@@ -85,32 +85,6 @@ PAPER_SORT_BUFFER_RECORDS = 512
 
 
 # ---------------------------------------------------------------------------
-# Copy tool cost model (section 5.1: O(n/p + log p))
-# ---------------------------------------------------------------------------
-
-
-def copy_time_model(
-    file_blocks: int,
-    width: int,
-    read_time: float = 0.009,
-    write_time: float = 0.036,
-    startup_per_level: float = 0.012,
-    fixed_overhead: float = 0.35,
-) -> float:
-    """Closed-form copy-tool time: per-node streaming plus log-depth
-    start-up/completion and the fixed Get Info / Open / Create phase."""
-    if width < 1:
-        raise ValueError("width must be >= 1")
-    per_node_blocks = math.ceil(file_blocks / width)
-    levels = math.ceil(math.log2(width)) if width > 1 else 0
-    return (
-        fixed_overhead
-        + levels * startup_per_level
-        + per_node_blocks * (read_time + write_time)
-    )
-
-
-# ---------------------------------------------------------------------------
 # Noncontiguous-access message model (S17)
 # ---------------------------------------------------------------------------
 #

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Sequence
+from typing import Any, Optional, Sequence
 
 
 def _render_cell(value: Any) -> str:
@@ -33,9 +33,3 @@ def format_table(headers: Sequence[str], rows: Sequence[Sequence[Any]],
     for row in rendered:
         lines.append("  ".join(c.rjust(w) for c, w in zip(row, widths)))
     return "\n".join(lines)
-
-
-def format_series(label: str, series: dict, unit: str = "") -> str:
-    """One-line rendering of a p -> value series."""
-    parts = [f"p={p}: {_render_cell(v)}{unit}" for p, v in sorted(series.items())]
-    return f"{label}: " + ", ".join(parts)

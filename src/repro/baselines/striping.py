@@ -189,23 +189,3 @@ class StripedSystem:
             return copied, self.sim.now - start_time
 
         return self.run(body(), name="stripe-copy")
-
-    def read_throughput(self, name: str, batch: int = 64):
-        """Sequentially read the whole file; returns (blocks, elapsed)."""
-        rpc = Client(self.client_node, "stripe-client")
-
-        def body():
-            size = yield from rpc.call(self.server.port, "info", name=name)
-            start_time = self.sim.now
-            position = 0
-            blocks = 0
-            while position < size:
-                data = yield from rpc.call(
-                    self.server.port, "read_batch",
-                    name=name, start=position, count=batch,
-                )
-                position += batch
-                blocks += len(data)
-            return blocks, self.sim.now - start_time
-
-        return self.run(body(), name="stripe-read")

@@ -1,25 +1,15 @@
-"""Noncontiguous & collective I/O (S17): list I/O and two-phase access."""
+"""Collective I/O (S17): two-phase reads over global block lists."""
 
-from repro.collective.listio import (
-    Extent,
-    ListIORequest,
-    coalesce_blocks,
-)
 from repro.collective.twophase import (
     DESCRIPTOR_BYTES_PER_BLOCK,
     CollectiveStats,
     TwoPhaseIO,
-    as_block_lists,
     elect_aggregators,
 )
 
 __all__ = [
-    "Extent",
-    "ListIORequest",
-    "coalesce_blocks",
     "DESCRIPTOR_BYTES_PER_BLOCK",
     "CollectiveStats",
     "TwoPhaseIO",
-    "as_block_lists",
     "elect_aggregators",
 ]

@@ -1,22 +1,21 @@
-"""Two-phase collective I/O (S17).
+"""Two-phase collective reads (S17).
 
-A job of ``t`` workers each holding a *noncontiguous* request pattern is
-the worst case for per-block RPC: poorly aligned per-worker patterns turn
+A job of ``t`` workers each holding a *noncontiguous* block list is
+the worst case for per-block RPC: poorly aligned per-worker lists turn
 into thousands of tiny requests criss-crossing the interconnect.  The
 two-phase scheme (cf. ViPIOS and ROMIO's collective buffering) fixes the
 alignment first and moves data second:
 
-* **Phase 1 — exchange & election.**  Workers exchange their request
-  descriptors; one *aggregator* is elected per touched LFS slot, aligned
+* **Phase 1 — exchange & election.**  Workers exchange their block
+  lists; one *aggregator* is elected per touched LFS slot, aligned
   to the interleave, and spawned *on that LFS node* (the tool-view trick:
-  ship code to data).  Each aggregator receives the merged descriptor for
+  ship code to data).  Each aggregator receives the merged block list for
   its slot.
 * **Phase 2 — aligned access & redistribution.**  Each aggregator issues
-  exactly **one** batched ``read_blocks``/``write_blocks`` request to its
-  *local* EFS — each LFS sees a single sorted run instead of t
-  interleaved dribbles — and the data is redistributed between
-  aggregators and workers over the interconnect, one sized message per
-  (worker, slot) pair.
+  exactly **one** batched ``read_blocks`` request to its *local* EFS —
+  each LFS sees a single sorted run instead of t interleaved dribbles —
+  and the data is redistributed from aggregators to workers over the
+  interconnect, one sized message per (worker, slot) pair.
 
 The result: ``A <= p`` EFS requests total (versus one per block), every
 EFS request local to its disk, and all cross-machine traffic batched into
@@ -26,10 +25,9 @@ at most ``A * t`` sized messages.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 from repro.core.addressing import InterleaveMap
-from repro.core.directory import check_block_writes
 from repro.efs.client import EFSClient
 from repro.errors import BridgeBadRequestError
 from repro.machine import Client
@@ -51,17 +49,6 @@ class CollectiveStats:
     redistribution_messages: int  # phase-2 (worker, slot) data messages
     bytes_redistributed: int
     elapsed: float
-
-
-def as_block_lists(worker_patterns: Sequence) -> List[List[int]]:
-    """Per-worker global block lists from ListIORequests / iterables."""
-    lists = []
-    for pattern in worker_patterns:
-        if hasattr(pattern, "blocks"):
-            lists.append(list(pattern.blocks()))
-        else:
-            lists.append(list(pattern))
-    return lists
 
 
 def elect_aggregators(
@@ -86,14 +73,14 @@ def elect_aggregators(
 
 
 class TwoPhaseIO:
-    """Two-phase collective reads/writes over one Bridge file.
+    """Two-phase collective reads over one Bridge file.
 
     Create with a :class:`~repro.harness.builders.BridgeSystem` and a
-    file name; drive :meth:`read` / :meth:`write` inside a simulated
-    process.  The engine plays the job-controller role: it opens the file
-    through the Bridge Server (structure only — block traffic never
-    touches the central server), spawns aggregators on the LFS nodes, and
-    collects the redistributed data for the workers.
+    file name; drive :meth:`read` inside a simulated process.  The
+    engine plays the job-controller role: it opens the file through the
+    Bridge Server (structure only — block traffic never touches the
+    central server), spawns aggregators on the LFS nodes, and collects
+    the redistributed data for the workers.
     """
 
     def __init__(self, system, name: str, node=None) -> None:
@@ -130,13 +117,12 @@ class TwoPhaseIO:
     # Collective read
     # ------------------------------------------------------------------
 
-    def read(self, worker_patterns: Sequence):
-        """Collective read: one pattern per worker.
+    def read(self, per_worker: Sequence[Sequence[int]]):
+        """Collective read: one global block list per worker.
 
         Returns ``(per_worker_chunks, CollectiveStats)`` where
-        ``per_worker_chunks[w]`` follows worker ``w``'s request order.
+        ``per_worker_chunks[w]`` follows worker ``w``'s block order.
         """
-        per_worker = as_block_lists(worker_patterns)
         if not per_worker:
             raise BridgeBadRequestError("collective read needs >= 1 worker")
         opened = yield from self._ensure_open()
@@ -251,132 +237,3 @@ class TwoPhaseIO:
                 (slot, worker, payload),
                 size=sum(len(data) for _block, data in payload),
             )
-
-    # ------------------------------------------------------------------
-    # Collective write
-    # ------------------------------------------------------------------
-
-    def write(self, worker_writes: Sequence[Sequence[Tuple[int, bytes]]]):
-        """Collective write: per worker, a list of (global_block, data).
-
-        The writes obey the list write's rule
-        (:func:`~repro.core.directory.check_block_writes`).  If two
-        workers write the same block the higher-numbered worker wins —
-        deterministic, unlike t racing single-block RPCs.  Returns
-        ``(new_total_blocks, CollectiveStats)``.
-        """
-        per_worker = [list(writes) for writes in worker_writes]
-        if not per_worker:
-            raise BridgeBadRequestError("collective write needs >= 1 worker")
-        opened = yield from self._ensure_open()
-        imap = opened.interleave
-        writes = [pair for pairs in per_worker for pair in pairs]
-        if not writes:
-            return opened.total_blocks, CollectiveStats(
-                len(per_worker), 0, 0, 0, 0, 0, 0, 0.0
-            )
-        new_total = check_block_writes(self.name, opened.total_blocks, writes)
-        sim = self.system.sim
-        start = sim.now
-        obs = sim.obs
-        op_span = None
-        prev = None
-        if obs is not None:
-            prev = obs.current
-            op_span = obs.begin("collective_write", "client",
-                                node=self.node.index)
-            obs.set_current(op_span)
-            obs.metrics.counter("collective.write").inc()
-        # Election over the write targets: {slot: {worker: [(global, data)]}}
-        assignment: Dict[int, Dict[int, List[Tuple[int, bytes]]]] = {}
-        for worker, writes in enumerate(per_worker):
-            deduped: Dict[int, bytes] = {}
-            for block, data in writes:
-                deduped[block] = data  # last write of one worker wins
-            for block, data in deduped.items():
-                slot = imap.slot_of(block)
-                assignment.setdefault(slot, {}).setdefault(worker, []).append(
-                    (block, data)
-                )
-        done_port = self.node.port("twophase.write.done")
-        exchange_messages = 0
-        redistribution = 0
-        bytes_redistributed = 0
-        phase1 = None
-        if obs is not None:
-            phase1 = obs.begin("exchange", "client", node=self.node.index)
-            obs.set_current(phase1)
-        for slot in sorted(assignment):
-            constituent = opened.constituents[slot]
-            lfs_node = self.machine.node(constituent.node_index)
-            agg_port = lfs_node.port(f"twophase.agg{slot}")
-            senders = sorted(assignment[slot])
-            yield self.machine.spawn_remote(
-                lfs_node,
-                self._write_aggregator(
-                    slot, constituent, imap, len(senders), agg_port, done_port
-                ),
-                name=f"twophase.agg{slot}",
-            )
-            # Phase 1: each worker ships its slot-bound data to the
-            # elected aggregator — one sized message per (worker, slot).
-            for worker in senders:
-                payload = assignment[slot][worker]
-                size = sum(len(data) for _block, data in payload)
-                self.node.send(agg_port, (worker, payload), size=size)
-                redistribution += 1
-                bytes_redistributed += size
-            exchange_messages += 1
-        phase2 = None
-        if obs is not None:
-            obs.end(phase1)
-            phase2 = obs.begin("access", "client", parent=op_span,
-                               inherit=False, node=self.node.index)
-            obs.set_current(phase2)
-        for _ in range(len(assignment)):
-            yield done_port.recv()
-        if obs is not None:
-            obs.end(phase2)
-            obs.end(op_span, workers=len(per_worker),
-                    aggregators=len(assignment))
-            obs.set_current(prev)
-        # Appends happened behind the Bridge Server's back (tool-style
-        # direct EFS access); re-open so the directory entry resyncs its
-        # size from the constituents before anyone trusts it again.
-        if new_total > opened.total_blocks:
-            yield from self.open()
-        stats = CollectiveStats(
-            workers=len(per_worker),
-            aggregators=len(assignment),
-            blocks=len({block for block, _data in writes}),
-            efs_requests=len(assignment),
-            exchange_messages=exchange_messages,
-            redistribution_messages=redistribution,
-            bytes_redistributed=bytes_redistributed,
-            elapsed=sim.now - start,
-        )
-        return new_total, stats
-
-    def _write_aggregator(self, slot, constituent, imap, sender_count,
-                          agg_port, done_port):
-        """Aggregator body: collect worker data, one local batched write."""
-        received: List[Tuple[int, List[Tuple[int, bytes]]]] = []
-        for _ in range(sender_count):
-            worker, payload = yield agg_port.recv()
-            received.append((worker, payload))
-        # Deterministic conflict rule regardless of arrival order: merge
-        # in worker order, so the highest-numbered worker wins a block.
-        merged: Dict[int, bytes] = {}
-        for _worker, payload in sorted(received):
-            for block, data in payload:
-                merged[block] = data
-        lfs_node = self.machine.node(constituent.node_index)
-        efs = EFSClient(lfs_node, constituent.lfs_port, name=f"agg{slot}")
-        writes = [
-            (imap.local_block(block), merged[block])
-            for block in sorted(merged)
-        ]
-        result = yield from efs.write_blocks(
-            constituent.efs_file_number, writes, hint=constituent.head_addr
-        )
-        lfs_node.send(done_port, (slot, result.appended))

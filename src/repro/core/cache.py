@@ -49,9 +49,10 @@ class BridgeBlockCache:
 
     Purely synchronous (the Bridge Server charges its own CPU cost for
     hits); all I/O stays in the server/prefetcher.  Counters distinguish
-    demand-installed from prefetched entries so the ablation bench and
-    :mod:`repro.analysis.report` can price read-ahead waste: a
-    prefetched block that is evicted, invalidated, or dropped stale
+    demand-installed from prefetched entries so
+    :meth:`~repro.core.server.BridgeServer.bridge_cache_stats` and
+    ``benchmarks/bench_ablation_prefetch.py`` can price read-ahead waste:
+    a prefetched block that is evicted, invalidated, or dropped stale
     before any read uses it counts as ``prefetch_wasted``.
     """
 

@@ -143,38 +143,20 @@ class BridgeClient:
     # List I/O (noncontiguous access)
     # ------------------------------------------------------------------
 
-    def list_read(self, name: str, pattern):
+    def list_read(self, name: str, blocks):
         """Noncontiguous read through the Bridge Server's list-I/O path.
 
-        ``pattern`` is a :class:`~repro.collective.ListIORequest` or any
-        iterable of global block numbers.  Returns the data chunks in the
-        pattern's request order; the server issues at most one batched
+        ``blocks`` is an iterable of global block numbers.  Returns the
+        data chunks in that order; the server issues at most one batched
         EFS message per constituent LFS.
         """
-        blocks = list(pattern.blocks()) if hasattr(pattern, "blocks") else list(pattern)
-        return (yield from self._call("list_read", name=name, blocks=blocks))
+        return (yield from self._call("list_read", name=name,
+                                      blocks=list(blocks)))
 
-    def list_write(self, name: str, pattern, chunks=None):
-        """Noncontiguous write; returns the file's new size in blocks.
-
-        Either pass ``pattern`` as a list of ``(global_block, data)``
-        pairs, or as a :class:`~repro.collective.ListIORequest` / block
-        iterable zipped against ``chunks`` in request order.
-        """
-        if chunks is None:
-            writes = list(pattern)
-        else:
-            blocks = (
-                list(pattern.blocks()) if hasattr(pattern, "blocks")
-                else list(pattern)
-            )
-            chunks = list(chunks)
-            if len(blocks) != len(chunks):
-                raise ValueError(
-                    f"pattern covers {len(blocks)} blocks but "
-                    f"{len(chunks)} chunks were supplied"
-                )
-            writes = list(zip(blocks, chunks))
+    def list_write(self, name: str, writes):
+        """Noncontiguous write of ``(global_block, data)`` pairs; returns
+        the file's new size in blocks."""
+        writes = list(writes)
         return (yield from self._call(
             "list_write", size=BLOCK_SIZE * len(writes), name=name,
             writes=writes,

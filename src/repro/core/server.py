@@ -709,9 +709,8 @@ class BridgeServer(Server):
     def op_list_read(self, name, blocks):
         """Noncontiguous read: one batched EFS request per touched LFS.
 
-        ``blocks`` is the global block list of a
-        :class:`~repro.collective.ListIORequest` (request order preserved
-        in the returned data).  The server decomposes it per constituent
+        ``blocks`` is a list of global block numbers; the returned data
+        follows its order.  The server decomposes it per constituent
         and ships each LFS *one* ``read_blocks`` message instead of one
         RPC per block; like the other naive-view reads, the fan-out and
         reassembly run detached so a big list read does not serialize

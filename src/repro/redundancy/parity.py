@@ -378,66 +378,6 @@ class ParityFile:
             count += 1
         return count
 
-    def write_all_batched(self, chunks):
-        """Append chunks as *full stripes* through the batched EFS path.
-
-        The bulk-load fast path: because whole stripes are written at
-        once, parity is computed client-side as the XOR of each stripe's
-        new data — no read-modify-write reads at all — and every
-        constituent receives its entire column as **one** batched
-        ``write_blocks`` request (p EFS requests total, versus roughly
-        ``2 n (1 + 1/(p-1))`` single-block requests via
-        :meth:`write_all`).  Requires a healthy array and a file ending
-        on a stripe boundary (otherwise the tail stripe would need an
-        RMW to fold into its existing parity; use :meth:`write_all` for
-        that).  Returns the number of chunks written.
-        """
-        self._require_created()
-        chunks = list(chunks)
-        for chunk in chunks:
-            if len(chunk) > DATA_BYTES_PER_BLOCK:
-                raise ValueError(
-                    f"write of {len(chunk)} bytes exceeds data area "
-                    f"{DATA_BYTES_PER_BLOCK}"
-                )
-        if not chunks:
-            return 0
-        dps = self.geometry.data_per_stripe
-        if self._logical % dps != 0:
-            raise ValueError(
-                f"{self.name!r}: batched append must start on a stripe "
-                f"boundary (size {self._logical} is mid-stripe; "
-                "use write_all)"
-            )
-        first_stripe = self._logical // dps
-        yield self._lock.acquire()
-        try:
-            per_slot: Dict[int, List[Tuple[int, bytes]]] = {}
-            for offset in range(0, len(chunks), dps):
-                stripe = first_stripe + offset // dps
-                stripe_chunks = chunks[offset:offset + dps]
-                for index, data in enumerate(stripe_chunks):
-                    slot = self.geometry.data_slot(stripe, index)
-                    per_slot.setdefault(slot, []).append((stripe, data))
-                parity_slot = self.geometry.parity_slot(stripe)
-                per_slot.setdefault(parity_slot, []).append(
-                    (stripe, xor_blocks(*stripe_chunks))
-                )
-            calls = [
-                (self._port(slot), "write_blocks",
-                 {"file_number": self.file_id, "writes": writes,
-                  "hint": self._hints.get(slot)},
-                 DATA_BYTES_PER_BLOCK * len(writes))
-                for slot, writes in sorted(per_slot.items())
-            ]
-            results = yield from gather(self.node, calls)
-            for (slot, _writes), batch in zip(sorted(per_slot.items()), results):
-                self._hints[slot] = batch.results[-1].addr
-            self._logical += len(chunks)
-        finally:
-            self._lock.release()
-        return len(chunks)
-
     # ------------------------------------------------------------------
     # Reads (delegated to the degraded-mode reader)
     # ------------------------------------------------------------------

@@ -11,15 +11,9 @@ from repro.workloads.datagen import (
     uniform_keys,
 )
 from repro.workloads.traces import (
-    ReplayResult,
     hotspot_pattern,
-    random_trace,
-    replay_trace,
     scatter_pattern,
-    sequential_trace,
     strided_pattern,
-    strided_trace,
-    zipf_trace,
 )
 from repro.workloads.files import (
     build_file,
@@ -60,14 +54,8 @@ __all__ = [
     "tree_names",
     "uniform_keys",
     "write_then_stream",
-    "ReplayResult",
     "ScratchReport",
     "hotspot_pattern",
-    "random_trace",
-    "replay_trace",
     "scatter_pattern",
-    "sequential_trace",
     "strided_pattern",
-    "strided_trace",
-    "zipf_trace",
 ]

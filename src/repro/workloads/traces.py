@@ -1,84 +1,17 @@
-"""Access-pattern traces: generate and replay block-level access streams.
+"""Noncontiguous access patterns (S17): global block lists.
 
-Section 3 notes that file-usage information from uniprocessor systems
-"does not necessarily apply to the multiprocessor environment" and bets
-on sequential access dominating.  These generators make that bet testable:
-build a trace (sequential / strided / uniform-random / Zipf-hotspot),
-replay it through the naive view, and compare per-pattern costs — random
-access over linked-list files is exactly where the bet pays off or not.
+Bridge's interface is block-addressed (section 4.1), so an access
+pattern is simply a list of global block numbers.  These builders make
+the shapes the list-I/O and two-phase experiments sweep: a strided
+column walk, a random scatter and a hotspot.  Feed the list straight
+into ``BridgeClient.list_read``, ``TwoPhaseIO.read`` or a loop of naive
+``random_read`` calls.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Iterable, List
-
-
-def sequential_trace(file_blocks: int, repeats: int = 1) -> List[int]:
-    """0, 1, 2, ... n-1, repeated — the paper's expected common case."""
-    if file_blocks < 0 or repeats < 0:
-        raise ValueError("sizes must be non-negative")
-    return list(range(file_blocks)) * repeats
-
-def strided_trace(file_blocks: int, stride: int) -> List[int]:
-    """Every ``stride``-th block, wrapping until all blocks are visited.
-
-    With gcd(stride, n) == 1 this is a permutation of the file; matrix
-    column walks and record-skipping readers look like this.
-    """
-    if stride < 1:
-        raise ValueError("stride must be >= 1")
-    if file_blocks <= 0:
-        return []
-    visited = []
-    position = 0
-    for _ in range(file_blocks):
-        visited.append(position)
-        position = (position + stride) % file_blocks
-    return visited
-
-
-def random_trace(file_blocks: int, accesses: int, seed: int = 0) -> List[int]:
-    """Uniform random block accesses."""
-    if file_blocks <= 0:
-        return []
-    rng = random.Random(seed)
-    return [rng.randrange(file_blocks) for _ in range(accesses)]
-
-
-def zipf_trace(file_blocks: int, accesses: int, skew: float = 1.2,
-               seed: int = 0) -> List[int]:
-    """Zipf-distributed hotspot accesses (block 0 hottest)."""
-    if file_blocks <= 0:
-        return []
-    if skew <= 0:
-        raise ValueError("skew must be positive")
-    rng = random.Random(seed)
-    weights = [1.0 / (rank + 1) ** skew for rank in range(file_blocks)]
-    total = sum(weights)
-    cumulative = []
-    acc = 0.0
-    for weight in weights:
-        acc += weight / total
-        cumulative.append(acc)
-    trace = []
-    for _ in range(accesses):
-        point = rng.random()
-        low, high = 0, file_blocks - 1
-        while low < high:
-            mid = (low + high) // 2
-            if cumulative[mid] < point:
-                low = mid + 1
-            else:
-                high = mid
-        trace.append(low)
-    return trace
-
-
-# ---------------------------------------------------------------------------
-# Noncontiguous patterns (S17): block sets for list I/O & collective access
-# ---------------------------------------------------------------------------
+from typing import List
 
 
 def strided_pattern(start: int, stride: int, count: int,
@@ -86,8 +19,7 @@ def strided_pattern(start: int, stride: int, count: int,
     """Regular strided scatter: ``run_length`` blocks every ``stride``.
 
     The canonical noncontiguous shape (a column walk over a row-major
-    matrix); feed it to ``ListIORequest.from_blocks`` or straight into
-    ``BridgeClient.list_read``.
+    matrix).
     """
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
@@ -151,34 +83,3 @@ def hotspot_pattern(file_blocks: int, count: int, hot_fraction: float = 0.1,
         else:
             pattern.append(rng.randrange(file_blocks))
     return pattern
-
-
-@dataclass
-class ReplayResult:
-    """Timing of one trace replay."""
-
-    pattern: str
-    accesses: int
-    elapsed: float
-
-    @property
-    def ms_per_access(self) -> float:
-        return self.elapsed / self.accesses * 1e3 if self.accesses else 0.0
-
-
-def replay_trace(system, name: str, trace: Iterable[int],
-                 pattern: str = "trace"):
-    """Replay a block trace via naive random reads; returns ReplayResult.
-
-    Drive with ``system.run(replay_trace(...))`` — this is a generator.
-    """
-    client = system.naive_client()
-    yield from client.open(name)
-    sim = system.sim
-    start = sim.now
-    count = 0
-    for block in trace:
-        yield from client.random_read(name, block)
-        count += 1
-    return ReplayResult(pattern=pattern, accesses=count,
-                        elapsed=sim.now - start)

@@ -6,10 +6,8 @@ from repro.analysis import (
     PAPER_FILE_BLOCKS,
     PAPER_TABLE3_COPY_SECONDS,
     PAPER_TABLE4_SORT_MINUTES,
-    crossover_point,
     efficiency,
     fit_line,
-    format_series,
     format_table,
     is_superlinear,
     scaling_table,
@@ -78,14 +76,6 @@ def test_scaling_table():
 def test_is_superlinear():
     assert is_superlinear({2: 100.0, 4: 40.0, 8: 15.0})
     assert not is_superlinear({2: 100.0, 4: 60.0})
-
-
-def test_crossover_point():
-    a = {1: 10.0, 2: 6.0, 4: 3.0}
-    b = {1: 5.0, 2: 5.0, 4: 5.0}
-    assert crossover_point(a, b) == 4
-    assert crossover_point(b, a) == 1
-    assert crossover_point({1: 9.0}, {1: 2.0}) is None
 
 
 def test_fit_line():
@@ -165,38 +155,6 @@ def test_format_table_basic():
 def test_format_table_aligns_columns():
     text = format_table(["a"], [[1000000.0]])
     assert "1,000,000" in text
-
-
-def test_format_series():
-    text = format_series("copy", {2: 311.6, 4: 156.0}, unit="s")
-    assert "p=2: 311.6s" in text
-    assert "p=4: 156.0s" in text
-
-
-# ---------------------------------------------------------------------------
-# Copy cost model
-# ---------------------------------------------------------------------------
-
-
-def test_copy_model_shape():
-    from repro.analysis.models import copy_time_model
-
-    times = {p: copy_time_model(10922, p) for p in (2, 4, 8, 16, 32)}
-    # near-linear until startup terms matter
-    assert times[2] / times[4] > 1.9
-    assert times[16] / times[32] > 1.5
-    with pytest.raises(ValueError):
-        copy_time_model(100, 0)
-
-
-def test_copy_model_tracks_measurement():
-    """The closed form must land within 2x of a simulated run."""
-    from repro.analysis.models import copy_time_model
-    from repro.harness.experiments import run_copy_experiment
-
-    run = run_copy_experiment(4, blocks=256)
-    predicted = copy_time_model(256, 4)
-    assert predicted / 2 < run.elapsed < predicted * 2
 
 
 # ---------------------------------------------------------------------------

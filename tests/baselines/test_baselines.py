@@ -56,7 +56,7 @@ def test_striped_roundtrip():
     system = StripedSystem(4, seed=3)
     chunks = pattern_chunks(16)
     system.build_file("s", chunks)
-    blocks, _elapsed = system.read_throughput("s")
+    blocks, _elapsed = system.copy_file("s", "t")
     assert blocks == 16
 
 
@@ -68,27 +68,27 @@ def test_striping_distributes_across_disks():
 
 
 def test_striping_beats_single_disk_sequential_read():
-    def read_time(d):
+    def copy_time(d):
         system = StripedSystem(d, seed=5)
         system.build_file("s", pattern_chunks(64))
-        _blocks, elapsed = system.read_throughput("s")
+        _blocks, elapsed = system.copy_file("s", "t")
         return elapsed
 
-    assert read_time(4) < read_time(1)
+    assert copy_time(4) < copy_time(1)
 
 
 def test_striping_saturates_at_fs_software_throughput():
     """Section 2: striped files are limited by the FS software.  Past the
     point where disks overlap fully, more disks stop helping."""
 
-    def read_time(d):
+    def copy_time(d):
         system = StripedSystem(d, seed=6)
         system.build_file("s", pattern_chunks(128))
-        _blocks, elapsed = system.read_throughput("s")
+        _blocks, elapsed = system.copy_file("s", "t")
         return elapsed
 
-    speedup_low = read_time(1) / read_time(4)    # disks still the bottleneck
-    speedup_high = read_time(16) / read_time(32)  # software now dominates
+    speedup_low = copy_time(1) / copy_time(4)    # disks still the bottleneck
+    speedup_high = copy_time(16) / copy_time(32)  # software now dominates
     assert speedup_low > 3.0
     assert speedup_high < 1.4
 

@@ -1,12 +1,12 @@
-"""Two-phase collective I/O: equivalence with the naive view, exact
-message accounting, and conflict semantics."""
+"""Two-phase collective reads: equivalence with the naive view and
+exact message accounting."""
 
 import random
 
 import pytest
 
 from repro.analysis.models import twophase_message_counts
-from repro.collective import ListIORequest, TwoPhaseIO, elect_aggregators
+from repro.collective import TwoPhaseIO, elect_aggregators
 from repro.core.addressing import InterleaveMap
 from repro.errors import BridgeBadRequestError, ProcessError
 from repro.harness import paper_system
@@ -28,10 +28,6 @@ def padded_chunks(count, stamp=b"BLK"):
 
 def make_system(p=4, seed=7):
     return BridgeSystem(p, seed=seed, disk_latency=FixedLatency(0.0001))
-
-
-def payload(tag: int) -> bytes:
-    return bytes([tag % 251]) * 960
 
 
 # ---------------------------------------------------------------------------
@@ -73,21 +69,6 @@ def test_read_matches_naive_view():
     data, stats = system.run(body())
     assert data == [[chunks[b] for b in wb] for wb in per_worker]
     assert stats.workers == 3
-
-
-def test_read_accepts_listio_patterns():
-    system = make_system()
-    chunks = padded_chunks(16)
-    build_file(system, "f", chunks)
-    engine = TwoPhaseIO(system, "f")
-    patterns = [ListIORequest.strided(0, 4, 4), ListIORequest.contiguous(1, 3)]
-
-    def body():
-        return (yield from engine.read(patterns))
-
-    data, _stats = system.run(body())
-    assert data[0] == [chunks[b] for b in (0, 4, 8, 12)]
-    assert data[1] == [chunks[b] for b in (1, 2, 3)]
 
 
 def test_read_randomized_equivalence():
@@ -150,8 +131,8 @@ def test_read_rejects_out_of_bounds():
 
 def test_disordered_file_is_refused_not_misread():
     """A disordered file's blocks follow its block map, not the
-    interleave the aggregators align to: both collective directions
-    refuse it instead of moving the wrong blocks."""
+    interleave the aggregators align to: the collective read refuses it
+    instead of moving the wrong blocks."""
     system = paper_system(4, seed=0)
     client = system.naive_client()
 
@@ -161,11 +142,9 @@ def test_disordered_file_is_refused_not_misread():
 
     system.run(setup())
     engine = TwoPhaseIO(system, "d")
-    for body in (engine.read([[0, 1, 2, 3]]),
-                 engine.write([[(0, payload(1))]])):
-        with pytest.raises(ProcessError) as excinfo:
-            system.run(body)
-        assert isinstance(excinfo.value.__cause__, BridgeBadRequestError)
+    with pytest.raises(ProcessError) as excinfo:
+        system.run(engine.read([[0, 1, 2, 3]]))
+    assert isinstance(excinfo.value.__cause__, BridgeBadRequestError)
 
 
 def test_read_rejects_zero_workers():
@@ -179,117 +158,3 @@ def test_read_rejects_zero_workers():
     with pytest.raises(ProcessError) as excinfo:
         system.run(body())
     assert isinstance(excinfo.value.__cause__, BridgeBadRequestError)
-
-
-# ---------------------------------------------------------------------------
-# Collective write
-# ---------------------------------------------------------------------------
-
-
-def test_write_in_place_and_append():
-    system = make_system()
-    chunks = padded_chunks(10)
-    build_file(system, "f", chunks)
-    engine = TwoPhaseIO(system, "f")
-    client = system.naive_client()
-    writes = [
-        [(2, payload(1)), (10, payload(2))],
-        [(7, payload(3)), (11, payload(4))],
-    ]
-
-    def body():
-        new_total, stats = yield from engine.write(writes)
-        data = yield from client.list_read("f", [2, 7, 10, 11])
-        return new_total, stats, data
-
-    new_total, stats, data = system.run(body())
-    assert new_total == 12
-    assert data == [payload(1), payload(3), payload(2), payload(4)]
-    assert stats.efs_requests == stats.aggregators
-
-
-def test_write_randomized_equivalence():
-    """Random collective writes produce exactly the file a sequential
-    worker-by-worker replay of the same writes would."""
-    rng = random.Random(99)
-    system = make_system(p=4, seed=3)
-    blocks = 24
-    chunks = padded_chunks(blocks)
-    build_file(system, "f", chunks)
-    engine = TwoPhaseIO(system, "f")
-    client = system.naive_client()
-    worker_writes = []
-    tag = 0
-    for _worker in range(3):
-        writes = []
-        for _ in range(rng.randint(1, 8)):
-            writes.append((rng.randrange(blocks), payload(tag)))
-            tag += 1
-        worker_writes.append(writes)
-    # Reference: replay in worker order (later workers win conflicts).
-    reference = list(chunks)
-    for writes in worker_writes:
-        for block, data in writes:
-            reference[block] = data
-
-    def body():
-        yield from engine.write(worker_writes)
-        return (yield from client.list_read("f", list(range(blocks))))
-
-    assert system.run(body()) == reference
-
-
-def test_write_conflict_higher_worker_wins():
-    system = make_system()
-    build_file(system, "f", padded_chunks(8))
-    engine = TwoPhaseIO(system, "f")
-    client = system.naive_client()
-
-    def body():
-        yield from engine.write(
-            [[(5, payload(10))], [(5, payload(20))], [(5, payload(30))]]
-        )
-        return (yield from client.list_read("f", [5]))
-
-    assert system.run(body()) == [payload(30)]
-
-
-def test_write_rejects_sparse_append():
-    system = make_system()
-    build_file(system, "f", padded_chunks(8))
-    engine = TwoPhaseIO(system, "f")
-
-    def body():
-        yield from engine.write([[(10, payload(1))]])  # hole at 8, 9
-
-    with pytest.raises(ProcessError) as excinfo:
-        system.run(body())
-    assert isinstance(excinfo.value.__cause__, BridgeBadRequestError)
-
-
-def test_write_empty_write_lists_is_noop():
-    system = make_system()
-    build_file(system, "f", padded_chunks(8))
-    engine = TwoPhaseIO(system, "f")
-
-    def body():
-        return (yield from engine.write([[], []]))
-
-    new_total, stats = system.run(body())
-    assert new_total == 8
-    assert stats.aggregators == 0
-
-
-def test_write_resyncs_bridge_directory_after_append():
-    system = make_system()
-    build_file(system, "f", padded_chunks(4))
-    engine = TwoPhaseIO(system, "f")
-    client = system.naive_client()
-
-    def body():
-        yield from engine.write([[(4, payload(1)), (5, payload(2))]])
-        # The naive view must see the appended blocks immediately.
-        opened = yield from client.open("f")
-        return opened.total_blocks
-
-    assert system.run(body()) == 6

@@ -168,7 +168,7 @@ def test_naive_and_list_io_on_fabric():
             yield from client.seq_write("lf", data_for(index))
         picked = yield from client.list_read("lf", [1, 4, 6])
         appended = yield from client.list_write(
-            "lf", [8, 9], chunks=[data_for(8), data_for(9)]
+            "lf", [(8, data_for(8)), (9, data_for(9))]
         )
         everything = yield from client.read_all("lf")
         return picked, appended, everything

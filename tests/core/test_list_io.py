@@ -2,10 +2,9 @@
 
 import pytest
 
-from repro.collective import ListIORequest
 from repro.config import DATA_BYTES_PER_BLOCK
 from repro.errors import BridgeBadRequestError, ProcessError
-from repro.workloads import build_file, pattern_chunks
+from repro.workloads import build_file, pattern_chunks, strided_pattern
 
 from tests.core.conftest import make_system
 
@@ -46,18 +45,6 @@ def test_list_read_returns_request_order(fast_system):
     ]
 
 
-def test_list_read_accepts_descriptor(fast_system):
-    chunks = padded_chunks(32)
-    build_file(fast_system, "f", chunks)
-    client = fast_system.naive_client()
-    pattern = ListIORequest.strided(1, 3, 9)
-
-    def body():
-        return (yield from client.list_read("f", pattern))
-
-    assert fast_system.run(body()) == [chunks[b] for b in pattern.blocks()]
-
-
 def test_strided_256_blocks_at_most_p_batched_requests():
     """The headline claim: 256 single-block strided accesses over p = 8
     LFS cost at most 8 batched EFS requests, versus 256 naive RPCs."""
@@ -67,8 +54,8 @@ def test_strided_256_blocks_at_most_p_batched_requests():
     chunks = padded_chunks(blocks)
     build_file(system, "f", chunks)
     client = system.naive_client()
-    pattern = ListIORequest.strided(start=0, stride=2, count=256)
-    assert pattern.total_blocks == 256
+    pattern = strided_pattern(start=0, stride=2, count=256)
+    assert len(pattern) == 256
 
     def open_file():
         yield from client.open("f")
@@ -79,7 +66,7 @@ def test_strided_256_blocks_at_most_p_batched_requests():
 
     def naive():
         data = []
-        for block in pattern.blocks():
+        for block in pattern:
             data.append((yield from client.random_read("f", block)))
         return data
 
@@ -175,27 +162,15 @@ def test_list_write_dense_append_grows_file(fast_system):
 def test_list_write_pattern_with_chunks(fast_system):
     build_file(fast_system, "f", padded_chunks(12))
     client = fast_system.naive_client()
-    pattern = ListIORequest.strided(0, 4, 3)
+    pattern = strided_pattern(0, 4, 3)
 
     def body():
         yield from client.list_write(
-            "f", pattern, chunks=[payload(20), payload(21), payload(22)]
+            "f", zip(pattern, [payload(20), payload(21), payload(22)])
         )
         return (yield from client.list_read("f", [0, 4, 8]))
 
     assert fast_system.run(body()) == [payload(20), payload(21), payload(22)]
-
-
-def test_list_write_chunk_count_mismatch(fast_system):
-    build_file(fast_system, "f", padded_chunks(8))
-    client = fast_system.naive_client()
-
-    def body():
-        yield from client.list_write("f", [0, 1], chunks=[payload(0)])
-
-    with pytest.raises(ProcessError) as excinfo:
-        fast_system.run(body())
-    assert isinstance(excinfo.value.__cause__, ValueError)
 
 
 def test_list_write_rejects_sparse_append(fast_system):

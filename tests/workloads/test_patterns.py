@@ -1,8 +1,16 @@
-"""Noncontiguous pattern generators (S17): shapes and validation."""
+"""Noncontiguous pattern generators (S17): shapes, validation, and what
+each shape costs through the naive view."""
 
 import pytest
 
-from repro.workloads import hotspot_pattern, scatter_pattern, strided_pattern
+from repro.harness.builders import BridgeSystem
+from repro.workloads import (
+    build_file,
+    hotspot_pattern,
+    pattern_chunks,
+    scatter_pattern,
+    strided_pattern,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -98,3 +106,45 @@ def test_hotspot_pattern_bounds():
 def test_hotspot_pattern_validation(kwargs):
     with pytest.raises(ValueError):
         hotspot_pattern(**kwargs)
+
+
+# ---------------------------------------------------------------------------
+# Naive-view cost of a pattern (section 3's bet)
+# ---------------------------------------------------------------------------
+
+
+def ms_per_access(pattern, blocks):
+    """Mean simulated ms of one naive ``random_read`` per pattern entry,
+    on a freshly built p = 4 file with every EFS cache dropped (real
+    15 ms disks)."""
+    system = BridgeSystem(4, seed=141)
+    build_file(system, "traced", pattern_chunks(blocks))
+    system.drop_efs_caches()
+    client = system.naive_client()
+
+    def body():
+        yield from client.open("traced")
+        start = system.sim.now
+        for block in pattern:
+            yield from client.random_read("traced", block)
+        return system.sim.now - start
+
+    return system.run(body()) / len(pattern) * 1e3
+
+
+def test_sequential_cheaper_than_random():
+    """The paper's bet: linked-list files reward sequential access and
+    punish random access (Table 2's read vs the 'very slow random
+    access' of section 3)."""
+    seq = ms_per_access(strided_pattern(0, 1, 64), 64)
+    rand = ms_per_access(hotspot_pattern(64, 64, hot_fraction=1.0, seed=3), 64)
+    assert rand > seq * 1.5
+
+
+def test_hot_set_cheaper_than_uniform_random_due_to_cache():
+    """Hotspot patterns re-touch cached blocks; uniform random does not."""
+    hot = ms_per_access(hotspot_pattern(96, 128, seed=9), 96)
+    uniform = ms_per_access(
+        hotspot_pattern(96, 128, hot_fraction=1.0, seed=9), 96
+    )
+    assert hot < uniform
