@@ -13,8 +13,8 @@ disabled.  Two properties are asserted:
   the disabled guards (the paired-ratio median cancels the host drift
   and throttling that make raw minima unstable in CI containers).
 
-The obs-on arm reports the real cost of recording spans, metrics, and
-timelines, and exports a validated Chrome trace
+The obs-on arm reports the real cost of recording spans and metrics,
+and exports a validated Chrome trace
 (``benchmarks/results/trace_obs.json``) that the CI job uploads as a
 workflow artifact.
 

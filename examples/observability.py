@@ -8,8 +8,8 @@ three ways:
    Server -> EFS -> back), the thing the Chrome trace renders visually;
 2. attributes the whole read phase across client / net / server / disk /
    queue with the critical-path analyzer, next to the exact cost model;
-3. dumps the op metrics (counters + latency histogram quantiles) and the
-   per-disk busy fractions from the utilization timelines, and exports a
+3. dumps the op metrics (counters + latency histogram quantiles) and
+   each disk's busy fraction (its own ``utilization()``), and exports a
    Chrome trace JSON you can drop into https://ui.perfetto.dev/.
 
 Run: python examples/observability.py
@@ -66,9 +66,8 @@ def main(p: int = 4) -> None:
           f"p50={latency.p50 * 1e3:.2f}ms p99={latency.p99 * 1e3:.2f}ms")
 
     print("\ndisk busy fractions over the run:")
-    for disk, fraction in obs.timeline.disk_busy_fractions(
-            0.0, system.sim.now).items():
-        print(f"  {disk}: {fraction:.1%}")
+    for disk in system.disks:
+        print(f"  {disk.name}: {disk.utilization():.1%}")
 
     # run() already exported the trace (the trace_export knob).
     print(f"\nwrote {TRACE_FILE} — open it in Perfetto or chrome://tracing")

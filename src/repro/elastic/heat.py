@@ -21,8 +21,8 @@ its own sweeps.
 
 Everything is exposed two ways: programmatically (``partition_rates`` /
 ``imbalance`` / ``name_heat`` — what the :class:`~repro.elastic.policy.
-Rebalancer` consumes) and through the ``rebalance.*`` gauge family +
-``analysis.report`` for humans.
+Rebalancer` consumes) and through the ``rebalance.heat.*`` gauge family
+of the metrics registry.
 """
 
 from __future__ import annotations

@@ -144,11 +144,14 @@ class BridgeSystem:
                 for key, table in totals.items()}
 
     def _bind_observability(self) -> None:
-        """Adopt component counters into the registry; tag disks with
-        their owning node for span/export grouping."""
+        """Adopt component counters and each disk's wait/service
+        histograms into the registry; tag disks with their owning node
+        for span/export grouping."""
         registry = self.obs.metrics
         for disk, node in zip(self.disks, self.lfs_nodes):
             disk.obs_node = node.index
+            registry.adopt(f"{disk.name}.wait", disk.wait_times)
+            registry.adopt(f"{disk.name}.service", disk.service_times)
         for node, efs in zip(self.lfs_nodes, self.efs_servers):
             efs.cache.bind_metrics(registry, prefix=f"efs.{node.index}.cache")
         for bridge in self.bridges:

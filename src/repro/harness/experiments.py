@@ -795,9 +795,9 @@ def run_obs_experiment(p: int = 8, blocks: Optional[int] = None,
         model_seconds=naive_read_components(blocks, resident=True),
         span_count=len(obs.spans),
         spans_dropped=obs.spans_dropped,
-        disk_busy_fractions=obs.timeline.disk_busy_fractions(
-            0.0, instrumented.sim.now
-        ),
+        disk_busy_fractions={
+            disk.name: disk.utilization() for disk in instrumented.disks
+        },
         events_obs_off=bare.sim.events_executed,
         events_obs_on=instrumented.sim.events_executed,
         elapsed_obs_off=bare.sim.now,

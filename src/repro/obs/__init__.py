@@ -1,10 +1,12 @@
-"""S19 observability subsystem: causal spans, metrics, timelines, profiling.
+"""S19 observability subsystem: causal spans, metrics, critical paths.
 
 One :class:`Observability` instance attaches to a simulator (``sim.obs``)
 and every instrumented layer records into it — synchronously, scheduling
 zero extra simulation events, so an obs-enabled run executes the exact
 event sequence of a bare run.  ``sim.obs is None`` (the default) skips
-everything.
+everything.  Facts a component already keeps (device wait/service
+histograms, cache counters) are adopted into the registry, not recorded
+twice.
 
 Quickstart::
 
@@ -38,27 +40,17 @@ from repro.obs.metrics import (
     MetricsRegistry,
 )
 from repro.obs.spans import CATEGORIES, Observability, Span, SpanContext
-from repro.obs.timeline import (
-    DiskTimeline,
-    NodeTraffic,
-    QueueSamples,
-    UtilizationTimeline,
-)
 
 __all__ = [
     "CATEGORIES",
     "Counter",
     "DEFAULT_LATENCY_BOUNDS",
-    "DiskTimeline",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "NodeTraffic",
     "Observability",
-    "QueueSamples",
     "Span",
     "SpanContext",
-    "UtilizationTimeline",
     "attribute",
     "attribute_ops",
     "chrome_trace_document",

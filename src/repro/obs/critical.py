@@ -31,8 +31,12 @@ from repro.obs.spans import CATEGORIES, Observability, Span
 
 def attribute(obs: Observability, root: Span) -> Dict[str, float]:
     """Partition ``root``'s latency over categories; sums to its duration."""
+    return _attribute(root, obs.children_index())
+
+
+def _attribute(root: Span,
+               children: Dict[Optional[int], List[Span]]) -> Dict[str, float]:
     totals: Dict[str, float] = {category: 0.0 for category in CATEGORIES}
-    children = obs.children_index()
     _walk(root, root.start, root.end if root.end is not None else root.start,
           children, totals)
     return totals
@@ -78,8 +82,10 @@ def _walk(span: Span, lo: float, hi: float,
 def attribute_ops(obs: Observability,
                   name_prefix: str = "") -> Dict[str, object]:
     """Aggregate attribution over every finished root span matching
-    ``name_prefix`` (empty prefix = all roots)."""
+    ``name_prefix`` (empty prefix = all roots).  The children index is
+    built once and shared by every root's walk."""
     totals: Dict[str, float] = {category: 0.0 for category in CATEGORIES}
+    children = obs.children_index()
     latency = 0.0
     count = 0
     for root in obs.roots():
@@ -87,7 +93,7 @@ def attribute_ops(obs: Observability,
             continue
         if name_prefix and not root.name.startswith(name_prefix):
             continue
-        for category, seconds in attribute(obs, root).items():
+        for category, seconds in _attribute(root, children).items():
             totals[category] = totals.get(category, 0.0) + seconds
         latency += root.duration
         count += 1

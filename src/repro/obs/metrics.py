@@ -12,10 +12,11 @@ sampling randomness):
 Instruments live in a :class:`MetricsRegistry` under dotted component
 namespaces (``bridge.op.seq_read``, ``efs.3.cache.hits``,
 ``disk0.service``).  Components may also *create instruments standalone*
-and adopt them into a registry later — that is how the pre-S19 ad-hoc
-cache counters (:mod:`repro.core.cache`, :mod:`repro.efs.cache`) keep
-their public integer-attribute API while the registry observes the very
-same objects.
+and adopt them into a registry later — that is how the cache counters
+(:mod:`repro.core.cache`, :mod:`repro.efs.cache`) keep their public
+integer-attribute API, and how every device's ``wait_times`` /
+``service_times`` histograms are recorded once, by the driver, while the
+registry observes the very same objects.
 """
 
 from __future__ import annotations

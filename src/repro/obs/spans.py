@@ -22,7 +22,6 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional
 
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.timeline import UtilizationTimeline
 
 #: Attribution categories (others are allowed; these are the canonical set).
 CATEGORIES = ("client", "net", "server", "disk", "queue")
@@ -89,7 +88,7 @@ class SpanContext:
 
 
 class Observability:
-    """The S19 hub: spans + metrics + timelines for one simulation.
+    """The S19 hub: spans + metrics for one simulation.
 
     Attach one instance to a :class:`~repro.sim.Simulator` (``sim.obs``);
     every instrumented layer guards with ``if sim.obs is not None`` so a
@@ -106,7 +105,6 @@ class Observability:
         self.spans_dropped = 0
         self.capacity = capacity
         self.metrics = MetricsRegistry()
-        self.timeline = UtilizationTimeline()
         #: The span context of the currently-stepping process (None when
         #: no span is active).  Maintained by Process._step and by the
         #: instrumented server loops; read at message-send/span-begin time.
@@ -200,11 +198,10 @@ class Observability:
     def on_send(self, src_node, port, message: Any, size: int,
                 latency: Optional[float]) -> None:
         """Record one message: a ``net`` span under the sender's current
-        context, per-node traffic counts, and — when the message is an
-        RPC envelope — trace-context propagation and arrival stamping."""
+        context and — when the message is an RPC envelope — trace-context
+        propagation and arrival stamping."""
         src = src_node.index
         dst = port.node.index
-        self.timeline.record_message(src, dst, size, self.now)
         # Propagate causality on anything that can carry it (Request
         # envelopes have a trace_ctx field; payload messages do not).
         ctx = getattr(message, "trace_ctx", False)

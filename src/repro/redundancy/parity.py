@@ -203,7 +203,7 @@ class ParityFile:
         self.file_id: Optional[int] = None
         self._logical = 0
         self._hints: Dict[int, Optional[int]] = {}
-        self._lock = Lock(system.sim, name=f"parity:{name}")
+        self._lock = Lock(f"parity:{name}")
         self.degraded_writes = 0  # data writes deferred to rebuild
         self.parity_rmw_reads = 0  # old-parity / old-data reads
         self.read_stats = DegradedReadStats()

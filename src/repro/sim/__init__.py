@@ -2,7 +2,7 @@
 
 This package replaces the BBN Butterfly / Chrysalis runtime the paper ran
 on: generator-based processes, simulated time, mailboxes for message
-passing, and counted resources for device contention.
+passing, and a FIFO lock for mutual exclusion.
 
 Public surface::
 
@@ -23,9 +23,8 @@ from repro.sim.channel import Mailbox
 from repro.sim.events import AllOf, AnyOf, Signal, Timeout
 from repro.sim.process import Process, join_all
 from repro.sim.rand import RandomStreams
-from repro.sim.resources import Lock, Resource
+from repro.sim.resources import Lock
 from repro.sim.simulator import Simulator
-from repro.sim.stats import Summary
 
 __all__ = [
     "AllOf",
@@ -34,10 +33,8 @@ __all__ = [
     "Mailbox",
     "Process",
     "RandomStreams",
-    "Resource",
     "Signal",
     "Simulator",
-    "Summary",
     "Timeout",
     "join_all",
 ]

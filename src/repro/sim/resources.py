@@ -1,134 +1,62 @@
-"""Counted resources and locks for simulated contention.
+"""A FIFO lock for simulated mutual exclusion.
 
-Disk arms, server CPUs, and bounded buffer pools are all modeled as
-:class:`Resource` instances: a fixed number of slots with a FIFO queue of
-waiting processes.  Utilization is tracked so experiments can report how
-busy each device was — the paper's scaling argument is exactly "all the
-disks are busy all the time".
+:class:`repro.redundancy.parity.ParityFile` serializes its
+read-modify-write stripe updates on one.  Devices need no lock: each
+driver's serving loop is its own queue.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Optional
+from typing import Deque
 
 
-class Resource:
-    """A counted resource with FIFO granting.
+class Lock:
+    """Mutual exclusion with FIFO granting.
 
     Usage::
 
-        yield disk_arm.acquire()
+        yield lock.acquire()
         try:
             yield Timeout(latency)
         finally:
-            disk_arm.release()
+            lock.release()
     """
 
-    __slots__ = (
-        "sim",
-        "name",
-        "capacity",
-        "in_use",
-        "_waiters",
-        "total_acquires",
-        "total_wait_time",
-        "_busy_since",
-        "busy_time",
-    )
+    __slots__ = ("name", "held", "_waiters")
 
-    def __init__(self, sim, capacity: int = 1, name: str = "resource") -> None:
-        if capacity < 1:
-            raise ValueError(f"resource capacity must be >= 1, got {capacity}")
-        self.sim = sim
+    def __init__(self, name: str = "lock") -> None:
         self.name = name
-        self.capacity = capacity
-        self.in_use = 0
+        self.held = False
         self._waiters: Deque = deque()
-        self.total_acquires = 0
-        self.total_wait_time = 0.0
-        self._busy_since: Optional[float] = None
-        self.busy_time = 0.0
-
-    # ------------------------------------------------------------------
 
     def acquire(self) -> "_Acquire":
-        """Waitable that completes when a slot is granted to the caller."""
+        """Waitable that completes when the lock is granted to the caller."""
         return _Acquire(self)
 
     def release(self) -> None:
-        """Return a slot; the longest-waiting process (if any) gets it."""
-        if self.in_use <= 0:
-            raise RuntimeError(f"release of non-acquired resource {self.name!r}")
+        """Hand the lock to the longest-waiting process, or free it."""
+        if not self.held:
+            raise RuntimeError(f"release of non-acquired lock {self.name!r}")
         if self._waiters:
-            process, enqueued_at = self._waiters.popleft()
-            self.total_wait_time += self.sim.now - enqueued_at
-            self.total_acquires += 1
-            if self.sim.obs is not None:
-                self.sim.obs.timeline.record_queue_depth(
-                    self.name, self.sim.now, len(self._waiters)
-                )
+            process = self._waiters.popleft()
             process.sim._schedule(0.0, process._resume, None)
         else:
-            self.in_use -= 1
-            if self.in_use == 0 and self._busy_since is not None:
-                self.busy_time += self.sim.now - self._busy_since
-                self._busy_since = None
-
-    # ------------------------------------------------------------------
-
-    def _grant_now(self, process) -> None:
-        if self.in_use == 0:
-            self._busy_since = self.sim.now
-        self.in_use += 1
-        self.total_acquires += 1
-        process.sim._schedule(0.0, process._resume, None)
-
-    @property
-    def queue_length(self) -> int:
-        """Number of processes currently waiting for a slot."""
-        return len(self._waiters)
-
-    def utilization(self, elapsed: Optional[float] = None) -> float:
-        """Fraction of time at least one slot was held, over ``elapsed``.
-
-        ``elapsed`` defaults to the current simulation clock.
-        """
-        busy = self.busy_time
-        if self._busy_since is not None:
-            busy += self.sim.now - self._busy_since
-        total = self.sim.now if elapsed is None else elapsed
-        return busy / total if total > 0 else 0.0
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"Resource({self.name!r}, {self.in_use}/{self.capacity} held, "
-            f"{len(self._waiters)} waiting)"
-        )
+            self.held = False
 
 
 class _Acquire:
-    """Waitable produced by :meth:`Resource.acquire`."""
+    """Waitable produced by :meth:`Lock.acquire`."""
 
-    __slots__ = ("resource",)
+    __slots__ = ("lock",)
 
-    def __init__(self, resource: Resource) -> None:
-        self.resource = resource
+    def __init__(self, lock: Lock) -> None:
+        self.lock = lock
 
     def _wait(self, process) -> None:
-        resource = self.resource
-        if resource.in_use < resource.capacity:
-            resource._grant_now(process)
+        lock = self.lock
+        if lock.held:
+            lock._waiters.append(process)
         else:
-            resource._waiters.append((process, resource.sim.now))
-            if resource.sim.obs is not None:
-                resource.sim.obs.timeline.record_queue_depth(
-                    resource.name, resource.sim.now, len(resource._waiters)
-                )
-
-
-class Lock(Resource):
-    """A single-slot resource (mutual exclusion)."""
-
-    def __init__(self, sim, name: str = "lock") -> None:
-        super().__init__(sim, capacity=1, name=name)
+            lock.held = True
+            process.sim._schedule(0.0, process._resume, None)

@@ -4,7 +4,7 @@ ViPIOS structures a parallel-I/O system as a minimal kernel over
 swappable I/O subsystems; this module is that kernel for the Bridge
 reproduction.  Everything above the device — EFS servers, the track
 buffer/cache, parity and degraded paths, the fault injector, the
-observability timelines, every harness builder — talks to a
+observability registry, every harness builder — talks to a
 :class:`BlockStoreABC`, never to a concrete device class, so storage
 backends are interchangeable *drivers* (see
 :mod:`repro.storage.drivers` for the registry).
@@ -24,9 +24,10 @@ The contract a driver must keep:
   from exactly these stamps; a driver that omits them breaks the
   analyzer's exact latency accounting.
 * **Counters** — ``reads``/``writes``/``busy_time`` plus the
-  ``wait_times``/``service_times`` summaries, so
-  ``disk_utilizations()`` and every bench read the same telemetry from
-  any backend.
+  ``wait_times``/``service_times`` histograms, so ``utilization()``
+  and every bench read the same telemetry from any backend.  The
+  histograms are the driver's own record; an observed system adopts
+  them into its metrics registry rather than recording twice.
 * **Fault hooks** — :meth:`fail` errors all queued and future requests
   (what makes an interleaved file system lose *every* file when one
   device dies); :meth:`repair` restores service with contents intact.
@@ -53,7 +54,8 @@ import abc
 from typing import List, Optional, Protocol, Tuple, runtime_checkable
 
 from repro.errors import BadBlockAddressError, DeviceFailedError
-from repro.sim import Mailbox, Summary, Timeout
+from repro.obs.metrics import Histogram
+from repro.sim import Mailbox, Timeout
 from repro.storage.parameters import DiskParameters
 from repro.storage.scheduler import FCFSScheduler
 
@@ -121,12 +123,6 @@ class _Submit:
     def _wait(self, process) -> None:
         self.request.waiter = process
         self.store._pending.append(self.request)
-        obs = self.store.sim.obs
-        if obs is not None:
-            obs.timeline.record_queue_depth(
-                f"{self.store.name}.queue", self.store.sim.now,
-                len(self.store._pending),
-            )
         self.store._wakeup.deliver(None)
 
 
@@ -161,8 +157,8 @@ class BlockStoreABC(abc.ABC):
         self.reads = 0
         self.writes = 0
         self.busy_time = 0.0
-        self.wait_times = Summary(f"{self.name}.wait")
-        self.service_times = Summary(f"{self.name}.service")
+        self.wait_times = Histogram()
+        self.service_times = Histogram()
         # Node index for observability spans (disks have no node of their
         # own; the harness sets this to the owning LFS node).
         self.obs_node: Optional[int] = None
@@ -335,17 +331,8 @@ class SingleArmBlockStore(BlockStoreABC):
             self.service_times.observe(service)
             if self.heat is not None:
                 self.heat.observe(self.heat_slot, None, service, sim.now)
-            obs = sim.obs
-            if obs is not None:
-                obs.timeline.record_queue_depth(
-                    f"{self.name}.queue", sim.now, len(self._pending)
-                )
-                obs.metrics.histogram(f"{self.name}.service").observe(service)
-                obs.metrics.histogram(f"{self.name}.wait").observe(wait)
             yield Timeout(service)
             self.busy_time += service
-            if obs is not None:
-                obs.timeline.record_disk_busy(self.name, sim.now - service, sim.now)
             self.head_position = new_position
             self._perform(request)
             sim._schedule(0.0, request.waiter._resume, request)

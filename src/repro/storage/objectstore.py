@@ -103,12 +103,6 @@ class ObjectStoreDisk(BlockStoreABC):
                 wait = sim.now - request.enqueued_at
                 request.wait = wait
                 self.wait_times.observe(wait)
-                obs = sim.obs
-                if obs is not None:
-                    obs.timeline.record_queue_depth(
-                        f"{self.name}.queue", sim.now, len(self._pending)
-                    )
-                    obs.metrics.histogram(f"{self.name}.wait").observe(wait)
                 self.inflight += 1
                 sim.spawn(
                     self._transfer(request),
@@ -125,13 +119,8 @@ class ObjectStoreDisk(BlockStoreABC):
         self.service_times.observe(service)
         if self.heat is not None:
             self.heat.observe(self.heat_slot, None, service, sim.now)
-        obs = sim.obs
-        if obs is not None:
-            obs.metrics.histogram(f"{self.name}.service").observe(service)
         yield Timeout(service)
         self.busy_time += service
-        if obs is not None:
-            obs.timeline.record_disk_busy(self.name, sim.now - service, sim.now)
         self._perform(request)
         self.inflight -= 1
         sim._schedule(0.0, request.waiter._resume, request)

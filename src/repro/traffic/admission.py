@@ -4,7 +4,7 @@ Three pluggable mechanisms, installable individually or stacked, all
 hanging off the two seams S20/S21 provide:
 
 * **Token bucket** (:class:`TokenBucket`) — rate-limits admitted
-  requests at the pipeline admission stage.  Refusals cost
+  requests in :meth:`~repro.core.server.BridgeServer.admit`.  Refusals cost
   ``cpu.bridge_fast_reject`` and raise
   :class:`~repro.errors.BridgeThrottledError`.
 * **Bounded queue with load shedding** (:class:`AdmissionQueue` with
@@ -232,7 +232,8 @@ class AdmissionControl:
         table[cls] = table.get(cls, 0) + 1
 
     def admit(self, server, request: Any):
-        """The pipeline admission-stage hook (generator).
+        """The hook :meth:`~repro.core.server.BridgeServer.admit` runs
+        first (generator).
 
         Either returns (request admitted; the caller charges the normal
         per-request CPU next) or charges ``bridge_fast_reject`` and

@@ -14,13 +14,14 @@ Three properties the subsystem promises:
 """
 
 import json
+import tracemalloc
 
 import pytest
 
 from repro.harness import paper_system
 from repro.harness.experiments import run_obs_experiment
 from repro.obs import export_chrome_trace, validate_trace_document
-from repro.workloads import write_then_stream
+from repro.workloads import build_file, read_file, write_then_stream
 
 
 def _fingerprint(p, blocks, obs):
@@ -81,7 +82,37 @@ def test_attribution_sums_to_measured_latency_and_matches_model():
     assert run.max_model_error < 0.01
     assert run.event_sequence_identical
     assert run.spans_dropped == 0
-    assert run.disk_busy_fractions  # timelines populated
+    assert run.disk_busy_fractions
+
+
+def test_registry_holds_the_drivers_own_histograms():
+    system = paper_system(4, obs=True)
+    system.run(write_then_stream(system, "f", 128))
+    disk = system.disks[0]
+    service = system.obs.metrics.get("disk0.service")
+    assert service is disk.service_times
+    assert system.obs.metrics.get("disk0.wait") is disk.wait_times
+    assert service.count == disk.reads + disk.writes > 0
+
+
+def test_obs_keeps_nothing_per_event_once_spans_are_capped():
+    system = paper_system(4, obs=True)
+    system.obs.capacity = 0
+    build_file(system, "soak", [bytes([i % 256]) * 960 for i in range(512)])
+    read_file(system, "soak")  # warm: every lazily built instrument exists
+    disk_ops = sum(disk.total_operations for disk in system.disks)
+    only_obs = [tracemalloc.Filter(True, "*/repro/obs/*")]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.take_snapshot().filter_traces(only_obs)
+        for _ in range(4):
+            read_file(system, "soak")
+        after = tracemalloc.take_snapshot().filter_traces(only_obs)
+    finally:
+        tracemalloc.stop()
+    assert sum(disk.total_operations for disk in system.disks) > disk_ops
+    growth = sum(stat.size_diff for stat in after.compare_to(before, "filename"))
+    assert growth <= 4096
 
 
 def test_exported_trace_loads_full_span_tree(tmp_path):

@@ -140,6 +140,34 @@ def test_attribute_ops_aggregates_matching_roots():
     assert agg["attribution_fractions"]["client"] == pytest.approx(1.0)
 
 
+def test_attribute_ops_builds_the_children_index_once(monkeypatch):
+    obs = make_obs()
+    sim = obs._sim
+    roots = []
+    for index in range(5):
+        sim.now = float(index)
+        root = obs.begin("call.read", "client", inherit=False)
+        child = obs.begin("disk0.read", "disk", parent=root)
+        obs.end(child, end=sim.now + 0.25, wait=0.05, service=0.2)
+        obs.end(root, end=sim.now + 0.5)
+        roots.append(root)
+    calls = []
+    build = Observability.children_index
+
+    def counted(self):
+        calls.append(1)
+        return build(self)
+
+    monkeypatch.setattr(Observability, "children_index", counted)
+    agg = attribute_ops(obs, "call.read")
+    assert len(calls) == 1
+    assert agg["ops"] == 5
+    # The shared index attributes exactly as one walk per root does.
+    per_root = [attribute(obs, root) for root in roots]
+    for category, seconds in agg["attribution_seconds"].items():
+        assert seconds == sum(totals[category] for totals in per_root)
+
+
 def test_critical_path_follows_largest_child():
     obs = make_obs()
     sim = obs._sim

@@ -1,4 +1,4 @@
-"""Unit tests for utilization timelines and the Chrome trace exporter."""
+"""Unit tests for the Chrome trace exporter."""
 
 import json
 
@@ -6,8 +6,6 @@ import pytest
 
 from repro.obs import (
     Observability,
-    QueueSamples,
-    UtilizationTimeline,
     chrome_trace_document,
     export_chrome_trace,
     validate_trace_document,
@@ -17,54 +15,6 @@ from repro.obs import (
 class FakeSim:
     def __init__(self):
         self.now = 0.0
-
-
-def test_disk_busy_fraction_clips_to_window():
-    timeline = UtilizationTimeline()
-    timeline.record_disk_busy("disk0", 0.0, 1.0)
-    timeline.record_disk_busy("disk0", 2.0, 4.0)
-    disk = timeline.disks["disk0"]
-    assert disk.ops == 2
-    assert disk.busy_total == pytest.approx(3.0)
-    assert disk.busy_fraction(0.0, 4.0) == pytest.approx(0.75)
-    # window clipping: only [2, 3] of the second segment counts
-    assert disk.busy_fraction(0.5, 3.0) == pytest.approx(1.5 / 2.5)
-    assert disk.busy_fraction(5.0, 5.0) == 0.0
-    assert timeline.disk_busy_fractions(0.0, 4.0) == {"disk0": 0.75}
-
-
-def test_node_traffic_counts_both_directions():
-    timeline = UtilizationTimeline()
-    timeline.record_message(src=1, dst=2, size=100, time=0.0)
-    timeline.record_message(src=1, dst=2, size=50, time=1.0)
-    assert timeline.nodes[1].messages_sent == 2
-    assert timeline.nodes[1].bytes_sent == 150
-    assert timeline.nodes[2].messages_received == 2
-    assert timeline.nodes[2].bytes_received == 150
-
-
-def test_queue_samples_cap_and_mean_depth():
-    samples = QueueSamples(capacity=3)
-    for t, depth in ((0.0, 1), (1.0, 3), (2.0, 1), (3.0, 5)):
-        samples.record(t, depth)
-    assert len(samples.samples) == 3
-    assert samples.dropped == 1
-    assert samples.max_depth == 5  # max tracks even dropped samples
-    # time-weighted over the retained stream: 1*1 + 3*1 over 2 seconds
-    assert samples.mean_depth() == pytest.approx(2.0)
-    assert QueueSamples().mean_depth() == 0.0
-
-
-def test_timeline_snapshot_is_plain_data():
-    timeline = UtilizationTimeline()
-    timeline.record_disk_busy("disk0", 0.0, 1.0)
-    timeline.record_message(0, 1, 64, 0.5)
-    timeline.record_queue_depth("disk0.queue", 0.5, 2)
-    snapshot = timeline.snapshot()
-    json.dumps(snapshot, allow_nan=False)
-    assert snapshot["disks"]["disk0"]["ops"] == 1
-    assert snapshot["nodes"]["0"]["messages_sent"] == 1
-    assert snapshot["queues"]["disk0.queue"]["max_depth"] == 2
 
 
 def _obs_with_tree():

@@ -1,4 +1,4 @@
-"""Tests for mailboxes, resources, signals, AllOf/AnyOf combinators."""
+"""Tests for mailboxes, the lock, signals, AllOf/AnyOf combinators."""
 
 import pytest
 
@@ -7,7 +7,6 @@ from repro.sim import (
     AnyOf,
     Lock,
     Mailbox,
-    Resource,
     Signal,
     Simulator,
     Timeout,
@@ -227,19 +226,19 @@ def test_anyof_prefers_already_fired():
 
 
 # ---------------------------------------------------------------------------
-# Resource / Lock
+# Lock
 # ---------------------------------------------------------------------------
 
 
-def test_resource_serializes_holders():
+def test_lock_serializes_holders():
     sim = Simulator()
-    disk = Resource(sim, capacity=1, name="disk")
+    lock = Lock("disk")
     completions = []
 
     def user(tag):
-        yield disk.acquire()
+        yield lock.acquire()
         yield Timeout(1.0)
-        disk.release()
+        lock.release()
         completions.append((tag, sim.now))
 
     for tag in range(3):
@@ -250,124 +249,17 @@ def test_resource_serializes_holders():
         (1, pytest.approx(2.0)),
         (2, pytest.approx(3.0)),
     ]
+    assert not lock.held
 
 
-def test_resource_capacity_allows_parallelism():
-    sim = Simulator()
-    pool = Resource(sim, capacity=2)
-    completions = []
-
-    def user(tag):
-        yield pool.acquire()
-        yield Timeout(1.0)
-        pool.release()
-        completions.append((tag, sim.now))
-
-    for tag in range(4):
-        sim.spawn(user(tag))
-    sim.run()
-    times = [t for _tag, t in completions]
-    assert times == pytest.approx([1.0, 1.0, 2.0, 2.0])
-
-
-def test_resource_release_without_acquire_is_error():
-    sim = Simulator()
-    res = Resource(sim)
+def test_lock_release_without_acquire_is_error():
     with pytest.raises(RuntimeError):
-        res.release()
-
-
-def test_resource_rejects_zero_capacity():
-    sim = Simulator()
-    with pytest.raises(ValueError):
-        Resource(sim, capacity=0)
-
-
-def test_resource_utilization_tracking():
-    sim = Simulator()
-    res = Resource(sim)
-
-    def user():
-        yield res.acquire()
-        yield Timeout(2.0)
-        res.release()
-        yield Timeout(2.0)
-
-    sim.spawn(user())
-    sim.run()
-    assert res.utilization() == pytest.approx(0.5)
-    assert res.total_acquires == 1
-
-
-def test_resource_wait_time_accounting():
-    sim = Simulator()
-    res = Resource(sim)
-
-    def holder():
-        yield res.acquire()
-        yield Timeout(3.0)
-        res.release()
-
-    def waiter():
-        yield Timeout(1.0)
-        yield res.acquire()
-        res.release()
-
-    sim.spawn(holder())
-    sim.spawn(waiter())
-    sim.run()
-    assert res.total_wait_time == pytest.approx(2.0)
-
-
-def test_resource_queue_length():
-    sim = Simulator()
-    res = Resource(sim)
-    lengths = []
-
-    def holder():
-        yield res.acquire()
-        yield Timeout(5.0)
-        res.release()
-
-    def waiter():
-        yield res.acquire()
-        res.release()
-
-    def probe():
-        yield Timeout(1.0)
-        lengths.append(res.queue_length)
-
-    sim.spawn(holder())
-    sim.spawn(waiter())
-    sim.spawn(waiter())
-    sim.spawn(probe())
-    sim.run()
-    assert lengths == [2]
-
-
-def test_lock_is_single_slot():
-    sim = Simulator()
-    lock = Lock(sim)
-    assert lock.capacity == 1
+        Lock().release()
 
 
 # ---------------------------------------------------------------------------
-# Stats
+# Random streams
 # ---------------------------------------------------------------------------
-
-
-def test_summary_statistics():
-    from repro.sim import Summary
-
-    summary = Summary("lat")
-    for value in [1.0, 2.0, 3.0, 4.0]:
-        summary.observe(value)
-    assert summary.count == 4
-    assert summary.mean == pytest.approx(2.5)
-    assert summary.min == 1.0
-    assert summary.max == 4.0
-    assert summary.total == pytest.approx(10.0)
-    assert summary.stddev == pytest.approx(1.118, rel=1e-3)
 
 
 def test_random_streams_deterministic_and_independent():

@@ -1,26 +1,9 @@
-"""Edge-case tests: summary corner cases, Ethernet backlog, reprs, and
-spawn validation."""
+"""Edge-case tests: Ethernet backlog, reprs, and spawn validation."""
 
 import pytest
 
 from repro.machine import EthernetNetwork, Machine
-from repro.sim import Simulator, Summary, Timeout
-
-
-def test_summary_empty():
-    summary = Summary()
-    assert summary.mean == 0.0
-    assert summary.variance == 0.0
-    assert summary.count == 0
-    assert "empty" in repr(summary)
-
-
-def test_summary_single_observation():
-    summary = Summary()
-    summary.observe(5.0)
-    assert summary.mean == 5.0
-    assert summary.stddev == 0.0
-    assert summary.min == summary.max == 5.0
+from repro.sim import Mailbox, Simulator, Timeout
 
 
 def test_ethernet_backlog_visible():
@@ -49,12 +32,8 @@ def test_process_repr_states():
     assert "done" in repr(process)
 
 
-def test_resource_repr_and_mailbox_repr():
-    from repro.sim import Mailbox, Resource
-
+def test_mailbox_repr():
     sim = Simulator()
-    resource = Resource(sim, capacity=2, name="arms")
-    assert "arms" in repr(resource)
     box = Mailbox(sim, "inbox")
     box.deliver("x")
     assert "inbox" in repr(box)
