@@ -3,22 +3,20 @@
 One disk failure ruins every interleaved file; mirroring (shadow copy
 shifted one node) survives it at exactly 2x storage; rotating parity
 (S16) survives it at p/(p-1)x storage plus a read-modify-write penalty
-on every write.  Two tables:
+on every write.  One sweep — every redundancy scheme through the full
+fail -> degraded read -> repair -> online rebuild lifecycle — and two
+tables:
 
-* the original survival table (observed outcome + analytic loss
-  fractions for the placement alternatives);
-* the redundancy-scheme ablation: none / mirror / parity through the
-  full fail -> degraded read -> repair -> online rebuild lifecycle, with
-  storage overhead, device write traffic, degraded-read latency, and
-  rebuild time — the section 6 cost argument made quantitative.
+* the survival table: the ``none`` and ``mirror`` rows' outcome next to
+  the analytic loss fractions for the placement alternatives;
+* the lifecycle table, with storage overhead, device write traffic,
+  degraded-read latency, and rebuild time — the section 6 cost argument
+  made quantitative.
 """
 
 from _bench import Bench, fields
 from repro.analysis import format_table
-from repro.harness.experiments import (
-    run_faults_experiment,
-    run_redundancy_experiment,
-)
+from repro.harness.experiments import run_redundancy_experiment
 from repro.redundancy import (
     SCHEMES,
     files_lost_fraction_interleaved,
@@ -27,24 +25,39 @@ from repro.redundancy import (
     files_lost_fraction_single_node,
 )
 
+PS = (4, 8, 16)
+
 
 def sweep(quick):
-    survival = {p: run_faults_experiment(p=p, blocks=4 * p) for p in (4, 8, 16)}
-    lifecycle = {
+    return {
         (p, scheme): run_redundancy_experiment(scheme, p=p, blocks=4 * p)
-        for p in (4, 8)
+        for p in PS
         for scheme in SCHEMES
     }
-    return survival, lifecycle
 
 
-def check(results):
-    survival, lifecycle = results
-    for p, run in survival.items():
-        assert run.plain_lost, f"p={p}: interleaved file survived?!"
-        assert run.mirrored_recovered
-        assert run.mirror_storage_blocks == 2 * run.plain_storage_blocks
-        assert run.mirror_fallbacks == run.blocks // p  # the dead column
+def survival(lifecycle):
+    """Per p, the one-failure outcome of the unprotected and the
+    mirrored file, read off the lifecycle rows."""
+    rows = {}
+    for p in PS:
+        none, mirror = lifecycle[(p, "none")], lifecycle[(p, "mirror")]
+        rows[p] = {
+            "plain_lost": not none.survived,
+            "mirrored_recovered": mirror.survived and mirror.content_ok,
+            "mirror_fallbacks": mirror.degraded_reconstructions,
+            "storage_factor": mirror.storage_factor,
+        }
+    return rows
+
+
+def check(lifecycle):
+    for p, row in survival(lifecycle).items():
+        assert row["plain_lost"], f"p={p}: interleaved file survived?!"
+        assert row["mirrored_recovered"]
+        assert row["storage_factor"] == 2.0
+        # the dead column: one block in p of the 4p-block file
+        assert row["mirror_fallbacks"] == lifecycle[(p, "mirror")].blocks // p
     for (p, scheme), run in lifecycle.items():
         assert run.fsck_clean, f"{scheme}@p={p}: fsck found errors"
         if scheme == "none":
@@ -69,9 +82,9 @@ def check(results):
             assert run.storage_blocks < lifecycle[(p, "mirror")].storage_blocks
 
 
-def render(results):
-    survival, lifecycle = results
-    widest = survival[max(survival)]
+def render(lifecycle):
+    rows = survival(lifecycle)
+    widest = max(rows)
     survival_table = format_table(
         ["p", "plain file", "mirrored file", "shadow reads",
          "storage factor", "loss frac interleaved",
@@ -80,16 +93,16 @@ def render(results):
         [
             [
                 p,
-                "LOST" if run.plain_lost else "ok",
-                "recovered" if run.mirrored_recovered else "LOST",
-                run.mirror_fallbacks,
-                run.mirror_storage_blocks / run.plain_storage_blocks,
+                "LOST" if row["plain_lost"] else "ok",
+                "recovered" if row["mirrored_recovered"] else "LOST",
+                row["mirror_fallbacks"],
+                row["storage_factor"],
                 files_lost_fraction_interleaved(p),
                 files_lost_fraction_single_node(p),
                 files_lost_fraction_mirrored(p, 2),
                 files_lost_fraction_parity(p, 2),
             ]
-            for p, run in sorted(survival.items())
+            for p, row in rows.items()
         ],
         title="One disk failure: observed outcome and analytic loss fractions",
     )
@@ -119,27 +132,23 @@ def render(results):
     )
     return (
         f"{survival_table}\n\n"
-        f"plain interleaved file lost: {widest.plain_lost}\n"
-        f"mirrored file recovered:     {widest.mirrored_recovered} "
-        f"({widest.mirror_fallbacks} blocks from the shadow at p = {widest.p})"
+        f"plain interleaved file lost: {rows[widest]['plain_lost']}\n"
+        f"mirrored file recovered:     {rows[widest]['mirrored_recovered']} "
+        f"({rows[widest]['mirror_fallbacks']} blocks from the shadow at "
+        f"p = {widest})"
         f"\n\n{lifecycle_table}"
     )
 
 
-def payload(results):
-    survival, lifecycle = results
+def payload(lifecycle):
     return {
         "survival": {
             str(p): {
-                **fields(run, "plain_lost", "mirrored_recovered",
-                         "mirror_fallbacks"),
-                "storage_factor": (
-                    run.mirror_storage_blocks / run.plain_storage_blocks
-                ),
+                **row,
                 "loss_fraction_interleaved": files_lost_fraction_interleaved(p),
                 "loss_fraction_single_node": files_lost_fraction_single_node(p),
             }
-            for p, run in sorted(survival.items())
+            for p, row in survival(lifecycle).items()
         },
         "lifecycle": {
             f"p{p}.{scheme}": {

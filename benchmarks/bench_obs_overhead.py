@@ -2,16 +2,11 @@
 
 With ``obs=None`` every hook in the hot paths is a single
 ``if sim.obs is not None`` guard, so instrumentation must be free when
-disabled.  Two properties are asserted:
-
-* **exactly zero simulated overhead**: the obs-off and obs-on runs
-  execute the same number of events and end at the same simulated
-  clock (recording is synchronous — no extra events are scheduled);
-* **host wall-clock overhead below the noise floor**: two obs-off runs
-  executed back-to-back in every round must agree within 5% on the
-  median of the per-round ratios, which bounds any measurable cost of
-  the disabled guards (the paired-ratio median cancels the host drift
-  and throttling that make raw minima unstable in CI containers).
+disabled.  It asserts **exactly zero simulated overhead**: the obs-off
+and obs-on runs execute the same number of events and end at the same
+simulated clock (recording is synchronous — no extra events are
+scheduled).  The median ratio of two obs-off runs executed back-to-back
+in every round is printed as the host noise floor.
 
 The obs-on arm reports the real cost of recording spans and metrics,
 and exports a validated Chrome trace
@@ -90,14 +85,6 @@ def check(result) -> None:
     # Disabled observability schedules nothing: same events, same clock.
     assert result["events_off"] == result["events_on"], result
     assert result["clock_off"] == result["clock_on"], result
-    # The disabled guards cost less than the measurement noise floor:
-    # paired back-to-back obs-off runs agree within 5% on the median
-    # per-round ratio.  Only the full-size run can resolve 5% — the
-    # quick run's ~60 ms arms stray past it about one sweep in fifteen
-    # on an idle host — so quick mode prints the ratio unasserted.
-    if result["p"] == FULL_P:
-        spread = abs(result["off_ratio_median"] - 1.0)
-        assert spread < 0.05, f"obs-off noise floor {spread:.1%} >= 5%"
     # The exported trace is well-formed and carries the span tree.
     document = json.loads(TRACE_PATH.read_text())
     problems = validate_trace_document(document)

@@ -113,8 +113,8 @@ class BridgeSystem:
                 bridge.heat_partition = index
             self.rebalancer = Rebalancer(self, self.heat, config=spec.rebalance)
 
-        # S16: the manager also receives the fault injector's fail/repair
-        # notifications and auto-starts online rebuilds.
+        # S16: the fault injector tells the manager of each repair, and
+        # under parity the manager auto-starts the online rebuild.
         self.redundancy = RedundancyManager(self, spec.redundancy)
 
         if self.obs is not None:

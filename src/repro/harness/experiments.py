@@ -42,7 +42,6 @@ from repro.harness.results import (
     CopyRun,
     CreateTreeRun,
     ElasticRun,
-    FaultsRun,
     MetadataRun,
     ObsRun,
     PrefetchRun,
@@ -58,7 +57,7 @@ from repro.harness.results import (
 )
 from repro.harness.spec import SystemSpec
 from repro.obs import attribute_ops
-from repro.redundancy import FaultInjector, MirroredFile
+from repro.redundancy import FaultInjector
 from repro.sim import join_all
 from repro.tools import CopyTool, SortTool, WordCountTool
 from repro.tools.sort import PairMerge
@@ -656,43 +655,6 @@ def run_collective_experiment(
         model_twophase_requests=model_tp["efs_requests"],
         model_redistribution_messages=model_tp["redistribution_messages"],
         content_ok=(listio_data == naive_data and twophase_data == naive_data),
-    )
-
-
-def run_faults_experiment(p: int = 4, blocks: int = 16, seed: int = 0) -> FaultsRun:
-    system = paper_system(p, seed=seed)
-    build_file(system, "plain", pattern_chunks(blocks))
-    mirrored = MirroredFile(system, "guarded")
-
-    def setup():
-        yield from mirrored.create()
-        yield from mirrored.write_all(pattern_chunks(blocks))
-        return (yield from mirrored.storage_blocks())
-
-    mirror_storage = system.run(setup(), name="fault-setup")
-    system.drop_efs_caches()
-    FaultInjector(system).fail_slot(seed % p)
-
-    client = system.naive_client()
-
-    def read_plain():
-        try:
-            for block in range(blocks):
-                yield from client.random_read("plain", block)
-        except DeviceFailedError:
-            return True  # lost
-        return False
-
-    plain_lost = system.run(read_plain(), name="fault-plain")
-    chunks, stats = system.run(mirrored.read_all(), name="fault-mirrored")
-    return FaultsRun(
-        p=p,
-        blocks=blocks,
-        plain_lost=plain_lost,
-        mirrored_recovered=len(chunks) == blocks,
-        mirror_fallbacks=stats.fallbacks,
-        mirror_storage_blocks=mirror_storage,
-        plain_storage_blocks=blocks,
     )
 
 

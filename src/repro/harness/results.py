@@ -111,19 +111,6 @@ class CreateTreeRun:
 
 
 @dataclass
-class FaultsRun:
-    """Fault-tolerance ablation outcome."""
-
-    p: int
-    blocks: int
-    plain_lost: bool
-    mirrored_recovered: bool
-    mirror_fallbacks: int
-    mirror_storage_blocks: int
-    plain_storage_blocks: int
-
-
-@dataclass
 class CollectiveRun:
     """Noncontiguous-access ablation: naive vs list I/O vs two-phase (S17).
 

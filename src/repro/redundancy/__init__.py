@@ -21,8 +21,6 @@ from repro.redundancy.faults import (
     files_lost_fraction_mirrored,
     files_lost_fraction_parity,
     files_lost_fraction_single_node,
-    parity_storage_factor,
-    replication_storage_factor,
 )
 from repro.redundancy.manager import (
     SCHEMES,
@@ -59,8 +57,6 @@ __all__ = [
     "files_lost_fraction_mirrored",
     "files_lost_fraction_parity",
     "files_lost_fraction_single_node",
-    "parity_storage_factor",
-    "replication_storage_factor",
     "shadow_name",
     "xor_blocks",
 ]

@@ -4,10 +4,9 @@
 intolerant of faults.  A failure anywhere in the system is fatal; it
 ruins every file.  Replication helps, but only at very high cost."
 
-:class:`FaultInjector` fails individual node disks in a live system and
-tells the system's :class:`~repro.redundancy.manager.RedundancyManager`;
-the analytic helpers price expected file loss and storage overhead under
-every placement strategy and remedy — unprotected, mirrored
+:class:`FaultInjector` fails individual node disks in a live system;
+the analytic helpers price expected file loss under every placement
+strategy and remedy — unprotected, mirrored
 (:mod:`repro.redundancy.mirror`), rotating parity
 (:mod:`repro.redundancy.parity`).
 """
@@ -16,8 +15,6 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from typing import List
-
-from repro.redundancy.parity import ParityGeometry
 
 
 class FaultInjector:
@@ -30,17 +27,15 @@ class FaultInjector:
     faults into any registered driver — ram, host-fs, object-store —
     without knowing which one a node runs.
 
-    Listeners (objects with ``on_fail(slot)`` / ``on_repair(slot)``) are
-    notified of every *transition* of a device's own ``failed`` flag —
-    failing a failed slot or repairing a healthy one is a no-op, and a
-    slot failed through one injector can be repaired through another;
-    the system's redundancy manager — which tracks degraded slots and
-    auto-starts online parity rebuilds — is registered automatically.
+    The device's own ``failed`` flag is the one record of a failed
+    disk: failing a failed slot or repairing a healthy one is a no-op,
+    and a slot failed through one injector can be repaired through
+    another.  A repair *transition* tells the system's redundancy
+    manager, which under parity starts the online rebuild.
     """
 
     def __init__(self, system) -> None:
         self.system = system
-        self.listeners: List[object] = [system.redundancy]
 
     @property
     def failed_slots(self) -> List[int]:
@@ -48,58 +43,31 @@ class FaultInjector:
         return [slot for slot, disk in enumerate(self.system.disks)
                 if disk.failed]
 
-    def add_listener(self, listener: object) -> None:
-        """Subscribe to fail/repair notifications."""
-        if listener not in self.listeners:
-            self.listeners.append(listener)
-
     def fail_slot(self, slot: int) -> None:
         """Fail the disk behind LFS ``slot``."""
         disk = self.system.disks[slot]
-        if disk.failed:
-            return
-        disk.fail()
-        for listener in self.listeners:
-            listener.on_fail(slot)
+        if not disk.failed:
+            disk.fail()
 
     def repair_slot(self, slot: int) -> None:
         disk = self.system.disks[slot]
         if not disk.failed:
             return
         disk.repair()
-        for listener in self.listeners:
-            listener.on_repair(slot)
-
-    def repair_all(self) -> List[int]:
-        """Repair every currently failed slot; returns the slots fixed."""
-        repaired = self.failed_slots
-        for slot in repaired:
-            self.repair_slot(slot)
-        return repaired
+        self.system.redundancy.on_repair(slot)
 
     @contextmanager
     def failed(self, slot: int):
         """Context manager: fail ``slot`` on entry, repair it on exit.
 
-        The repair fires listener notifications like any other, so under
-        a parity scheme leaving the block auto-starts the rebuild sweep.
+        Under a parity scheme leaving the block auto-starts the rebuild
+        sweep.
         """
         self.fail_slot(slot)
         try:
             yield self
         finally:
             self.repair_slot(slot)
-
-    def fail_random(self) -> int:
-        """Fail one uniformly random healthy slot; returns its index."""
-        rng = self.system.sim.random.stream("faults")
-        healthy = [slot for slot, disk in enumerate(self.system.disks)
-                   if not disk.failed]
-        if not healthy:
-            raise RuntimeError("every disk has already failed")
-        slot = healthy[rng.randrange(len(healthy))]
-        self.fail_slot(slot)
-        return slot
 
 
 # ---------------------------------------------------------------------------
@@ -138,20 +106,9 @@ def files_lost_fraction_mirrored(width: int, failed_disks: int = 1) -> float:
     return 2.0 / (width - 1)
 
 
-def replication_storage_factor() -> float:
-    """"Storage capacity must be doubled in order to tolerate
-    single-drive failures."""
-    return 2.0
-
-
 def files_lost_fraction_parity(width: int, failed_disks: int = 1) -> float:
     """Fraction of parity-protected files lost: zero for a single failure,
     everything for two or more (every stripe spans every node)."""
     if failed_disks <= 1:
         return 0.0
     return 1.0 if width > 0 else 0.0
-
-
-def parity_storage_factor(width: int) -> float:
-    """p/(p-1): the storage price of rotating parity at width p."""
-    return ParityGeometry(width).storage_factor()

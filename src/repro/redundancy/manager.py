@@ -5,10 +5,9 @@
 example can run the same workload under any redundancy scheme.  The
 manager hands out scheme-appropriate file wrappers with one uniform
 surface (``create`` / ``write_all`` / ``read_all`` / ``storage_blocks``,
-all simulation generators), receives fail/repair notifications from
-:class:`repro.redundancy.faults.FaultInjector`, and — for the parity
-scheme — automatically spawns the online rebuild sweep when a failed
-slot is repaired.
+all simulation generators) and — for the parity scheme — automatically
+spawns the online rebuild sweep when
+:class:`repro.redundancy.faults.FaultInjector` repairs a failed slot.
 
 Scheme price list (the section 6 trade, made selectable):
 
@@ -23,7 +22,7 @@ scheme        storage overhead  write cost per logical block  survives
 
 from __future__ import annotations
 
-from typing import List, Set
+from typing import List
 
 from repro.redundancy.mirror import MirroredFile
 from repro.redundancy.parity import ParityFile
@@ -66,11 +65,11 @@ class PlainFile:
 
 
 class RedundancyManager:
-    """Per-system redundancy policy, failure bookkeeping, and rebuilds.
+    """Per-system redundancy policy and rebuilds.
 
-    The fault injector calls :meth:`on_fail` / :meth:`on_repair` (every
-    injector registers its system's manager as a listener).  Under the
-    parity scheme a repair immediately spawns an unthrottled
+    The fault injector calls :meth:`on_repair` when a device comes
+    back (which slots are down is the devices' own ``failed`` flag).
+    Under the parity scheme a repair immediately spawns an unthrottled
     :class:`OnlineRebuild` sweep for every registered parity file.
     """
 
@@ -81,11 +80,8 @@ class RedundancyManager:
             )
         self.system = system
         self.scheme = scheme
-        self.failed_slots: Set[int] = set()
         self.files: List[ParityFile] = []  # registered parity files
         self.rebuilds: List[OnlineRebuild] = []
-        self.fail_events = 0
-        self.repair_events = 0
 
     # ------------------------------------------------------------------
     # File factory
@@ -104,19 +100,9 @@ class RedundancyManager:
         if parity_file not in self.files:
             self.files.append(parity_file)
 
-    # ------------------------------------------------------------------
-    # Fault-injector listener interface
-    # ------------------------------------------------------------------
-
-    def on_fail(self, slot: int) -> None:
-        self.failed_slots.add(slot)
-        self.fail_events += 1
-
     def on_repair(self, slot: int) -> None:
-        """Mark ``slot`` healthy and, under the parity scheme, spawn a
-        rebuild sweep of it for every registered file that holds data."""
-        self.failed_slots.discard(slot)
-        self.repair_events += 1
+        """Under the parity scheme, spawn a rebuild sweep of the
+        repaired ``slot`` for every registered file that holds data."""
         if self.scheme == "parity":
             for parity_file in self.files:
                 if parity_file.file_id is None or parity_file.logical_blocks == 0:
@@ -125,12 +111,8 @@ class RedundancyManager:
                 self.rebuilds.append(rebuild)
                 rebuild.start()
 
-    def degraded(self) -> bool:
-        """True while any slot is failed."""
-        return bool(self.failed_slots)
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"RedundancyManager(scheme={self.scheme!r}, "
-            f"failed={sorted(self.failed_slots)}, files={len(self.files)})"
+            f"files={len(self.files)})"
         )

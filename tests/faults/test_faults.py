@@ -10,7 +10,6 @@ from repro.redundancy import (
     files_lost_fraction_interleaved,
     files_lost_fraction_mirrored,
     files_lost_fraction_single_node,
-    replication_storage_factor,
     shadow_name,
 )
 from repro.storage import FixedLatency
@@ -65,16 +64,6 @@ def test_repair_restores_access():
     assert len(chunks) == 8
 
 
-def test_repair_all_fixes_every_failed_slot():
-    system = make_system()
-    injector = FaultInjector(system)
-    injector.fail_slot(0)
-    injector.fail_slot(2)
-    assert injector.repair_all() == [0, 2]
-    assert injector.failed_slots == []
-    assert not any(disk.failed for disk in system.disks)
-
-
 def test_failed_context_manager_repairs_on_error():
     system = make_system()
     injector = FaultInjector(system)
@@ -86,36 +75,23 @@ def test_failed_context_manager_repairs_on_error():
 
 
 def test_injector_notifies_listeners():
-    class Recorder:
-        def __init__(self):
-            self.events = []
+    """The system's redundancy manager hears the repair transition, not
+    the failure: under parity, only leaving ``failed`` starts a rebuild."""
+    system = BridgeSystem(4, seed=61, disk_latency=FixedLatency(0.0005),
+                          redundancy="parity")
+    rfile = system.redundant_file("watched")
 
-        def on_fail(self, slot):
-            self.events.append(("fail", slot))
+    def setup():
+        yield from rfile.create()
+        yield from rfile.write_all(pattern_chunks(6))
 
-        def on_repair(self, slot):
-            self.events.append(("repair", slot))
-
-    system = make_system()
+    system.run(setup())
     injector = FaultInjector(system)
-    recorder = Recorder()
-    injector.add_listener(recorder)
     with injector.failed(2):
-        pass
-    assert recorder.events == [("fail", 2), ("repair", 2)]
-    # the system's redundancy manager is auto-subscribed
-    assert system.redundancy.fail_events == 1
-    assert system.redundancy.repair_events == 1
-    assert not system.redundancy.degraded()
-
-
-def test_fail_random_eventually_fails_everything():
-    system = make_system(4)
-    injector = FaultInjector(system)
-    slots = {injector.fail_random() for _ in range(4)}
-    assert slots == {0, 1, 2, 3}
-    with pytest.raises(RuntimeError):
-        injector.fail_random()
+        assert injector.failed_slots == [2]
+        assert system.redundancy.rebuilds == []
+    assert injector.failed_slots == []
+    assert [r.progress.slot for r in system.redundancy.rebuilds] == [2]
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +113,6 @@ def test_single_node_files_lose_fractionally():
 def test_mirrored_survives_single_failure():
     assert files_lost_fraction_mirrored(8, 1) == 0.0
     assert files_lost_fraction_mirrored(8, 2) == pytest.approx(2 / 7)
-    assert replication_storage_factor() == 2.0
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from repro.harness.experiments import (
     measure_table2,
     run_copy_experiment,
     run_create_tree_experiment,
-    run_faults_experiment,
+    run_redundancy_experiment,
     run_sort_experiment,
     run_striping_comparison,
     run_token_saturation,
@@ -166,8 +166,15 @@ def test_create_tree_wins_at_scale():
 
 
 def test_faults_experiment_outcomes():
-    run = run_faults_experiment(p=4, blocks=8)
-    assert run.plain_lost is True
-    assert run.mirrored_recovered is True
-    assert run.mirror_fallbacks == 2
-    assert run.mirror_storage_blocks == 2 * run.plain_storage_blocks
+    """Section 6 through the lifecycle runner: one slot failure loses
+    the plain file; the mirror serves the dead column from its shadow
+    at 2x storage; parity survives and rebuilds to a clean image."""
+    runs = {scheme: run_redundancy_experiment(scheme, p=4, blocks=8)
+            for scheme in ("none", "mirror", "parity")}
+    assert not runs["none"].survived
+    mirror = runs["mirror"]
+    assert mirror.survived and mirror.content_ok
+    assert mirror.degraded_reconstructions == 2
+    assert mirror.storage_factor == 2.0
+    assert runs["parity"].rebuild_seconds > 0
+    assert runs["parity"].fsck_clean

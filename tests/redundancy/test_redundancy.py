@@ -11,7 +11,6 @@ from repro.redundancy import (
     ParityFile,
     ParityGeometry,
     files_lost_fraction_parity,
-    parity_storage_factor,
     xor_blocks,
 )
 from repro.sim import Timeout
@@ -127,8 +126,8 @@ def test_physical_blocks_count_full_stripe_capacity():
 
 
 def test_storage_factor_is_p_over_p_minus_one():
-    assert parity_storage_factor(4) == pytest.approx(4 / 3)
-    assert parity_storage_factor(8) == pytest.approx(8 / 7)
+    assert ParityGeometry(4).storage_factor() == pytest.approx(4 / 3)
+    assert ParityGeometry(8).storage_factor() == pytest.approx(8 / 7)
     assert ParityGeometry(3).storage_factor() == pytest.approx(1.5)
 
 
