@@ -3,7 +3,7 @@
 One frozen row per ``BridgeServer.op_*`` handler carrying the per-op
 facts every other module needs, so a new op is one row here plus its
 handler — not an edit to a set in each of ``traffic.admission``,
-``rebalance.heat``, ``core.server`` and ``core.partitioned``:
+``elastic.heat``, ``core.server`` and ``core.partitioned``:
 
 * ``traffic_class`` — the S21 admission/SLO class of a request that
   carries no explicit stamp.

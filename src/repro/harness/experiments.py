@@ -24,7 +24,6 @@ from repro.analysis.models import (
     md1_wait_seconds,
     metadata_partition_buckets,
     mm1_wait_seconds,
-    naive_read_components,
     naive_rpc_count,
     pipelined_read_seconds,
     twophase_message_counts,
@@ -43,7 +42,6 @@ from repro.harness.results import (
     CreateTreeRun,
     ElasticRun,
     MetadataRun,
-    ObsRun,
     PrefetchRun,
     RebalanceRun,
     RedundancyRun,
@@ -56,7 +54,6 @@ from repro.harness.results import (
     ViewsRun,
 )
 from repro.harness.spec import SystemSpec
-from repro.obs import attribute_ops
 from repro.redundancy import FaultInjector
 from repro.sim import join_all
 from repro.tools import CopyTool, SortTool, WordCountTool
@@ -74,7 +71,6 @@ from repro.workloads import (
     read_to_eof,
     timed,
     uniform_keys,
-    write_then_stream,
 )
 from repro.workloads.traces import (
     hotspot_pattern,
@@ -725,46 +721,6 @@ def run_prefetch_experiment(p: int = 8, blocks: Optional[int] = None,
             )
         )
     return runs
-
-
-def run_obs_experiment(p: int = 8, blocks: Optional[int] = None,
-                       seed: int = 0) -> ObsRun:
-    """The S19 headline: run the naive sequential stream bare and
-    instrumented, check the event sequences match, and attribute the
-    read latency per component against the exact cost model.
-
-    The file is sized to stay resident in the EFS track caches (the
-    paper's cached 9 ms regime), so the model's ``resident=True`` arm
-    applies.
-    """
-    blocks = blocks if blocks is not None else 32 * p
-
-    bare = paper_system(p, seed=seed)
-    bare.run(write_then_stream(bare, "obsfile", blocks))
-
-    instrumented = paper_system(p, seed=seed, obs=True)
-    instrumented.run(write_then_stream(instrumented, "obsfile", blocks))
-    obs = instrumented.obs
-
-    agg = attribute_ops(obs, "call.seq_read")
-    return ObsRun(
-        p=p,
-        blocks=blocks,
-        ops=agg["ops"],
-        latency_seconds=agg["latency_seconds"],
-        attribution_seconds=agg["attribution_seconds"],
-        attribution_fractions=agg["attribution_fractions"],
-        model_seconds=naive_read_components(blocks, resident=True),
-        span_count=len(obs.spans),
-        spans_dropped=obs.spans_dropped,
-        disk_busy_fractions={
-            disk.name: disk.utilization() for disk in instrumented.disks
-        },
-        events_obs_off=bare.sim.events_executed,
-        events_obs_on=instrumented.sim.events_executed,
-        elapsed_obs_off=bare.sim.now,
-        elapsed_obs_on=instrumented.sim.now,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -226,55 +226,6 @@ class PrefetchRun:
 
 
 @dataclass
-class ObsRun:
-    """One observability experiment (S19): the naive read path measured
-    by the critical-path analyzer and cross-checked against the exact
-    cost model."""
-
-    p: int
-    blocks: int
-    ops: int  # seq_read root spans analyzed
-    latency_seconds: float  # summed root-span latency
-    attribution_seconds: Dict[str, float]
-    attribution_fractions: Dict[str, float]
-    model_seconds: Dict[str, float]  # naive_read_components prediction
-    span_count: int
-    spans_dropped: int
-    disk_busy_fractions: Dict[str, float]
-    events_obs_off: int
-    events_obs_on: int
-    elapsed_obs_off: float  # final simulated clock, bare run
-    elapsed_obs_on: float
-
-    @property
-    def partition_error(self) -> float:
-        """|sum(attribution) - latency| / latency — zero by construction."""
-        if self.latency_seconds <= 0:
-            return 0.0
-        return abs(
-            sum(self.attribution_seconds.values()) - self.latency_seconds
-        ) / self.latency_seconds
-
-    @property
-    def max_model_error(self) -> float:
-        """Worst per-category relative error against the cost model."""
-        worst = 0.0
-        for category, predicted in self.model_seconds.items():
-            if predicted <= 0:
-                continue
-            got = self.attribution_seconds.get(category, 0.0)
-            worst = max(worst, abs(got - predicted) / predicted)
-        return worst
-
-    @property
-    def event_sequence_identical(self) -> bool:
-        return (
-            self.events_obs_off == self.events_obs_on
-            and self.elapsed_obs_off == self.elapsed_obs_on
-        )
-
-
-@dataclass
 class TrafficRun:
     """One S21 open-loop traffic run against one admission policy arm.
 

@@ -1,7 +1,7 @@
 """The ``hostfs`` driver: blocks persisted to a real host directory.
 
 Where the ``ram`` driver holds block bytes in a Python dict, this driver
-stores each written block as one file (``block_00000042.bin``) under a
+stores each written block as one file (``block_%08d.bin``) under a
 host directory, so:
 
 * runs perform **real I/O** — every simulated device access reads or
