@@ -16,7 +16,10 @@ It prints, per file and per function, the executable lines
 (``code.co_lines()``), how many the product ran, how many only the
 tests ran and how many nothing ran, plus how often the function's name
 occurs outside ``tests/`` (its definition and ``__init__`` re-exports
-not counted).  ROADMAP item 5 (c) states the rule applied to the list.
+not counted).  The rule applied to the list: a function the product
+never enters is deleted, unless it is a test seam, safety code, or a
+reference a test compares against; a later workload that needs it
+re-adds it.
 
 Usage:
     python scripts/reach.py [--tests] [--fail-on-unreached] [--report FILE]

@@ -72,12 +72,6 @@ class BridgeClient:
         round trip — sizes are as of the last open/write)."""
         return (yield from self._call("stat", name=name))
 
-    def find(self, prefix: str = ""):
-        """All file names with the given prefix, sorted (the flat
-        namespace's "recursive directory listing"; on a fabric, the
-        union over every partition)."""
-        return (yield from self._call("find", prefix=prefix))
-
     def get_info(self):
         """The Get Info package for tool construction (on a fabric,
         aggregated across every partition)."""

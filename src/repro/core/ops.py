@@ -49,7 +49,6 @@ OPS: Dict[str, Op] = {
         Op("delete", "meta", "name"),
         Op("open", "meta", "name"),
         Op("stat", "meta", "name"),
-        Op("find", "meta", "all"),
         Op("get_info", "meta", "all"),
         Op("get_block_map", "meta", "name"),
         Op("mcreate", "meta", "names"),

@@ -103,7 +103,7 @@ class PartitionedClient(BridgeClient):
     the one ``_call`` seam overridden to pick the serving partition(s)
     from the op's routing rule (:data:`repro.core.ops.OPS`): per-name
     ops go to the ring owner of the name, batched metadata ops are
-    bucketed by the live ring, ``find`` / ``Get Info`` fan out to
+    bucketed by the live ring, ``Get Info`` fans out to
     every active partition in a single windowed gather and merge, and a
     job's ops go to the server holding the job.
     """
@@ -203,11 +203,6 @@ class PartitionedClient(BridgeClient):
         return _MERGE[method](replies)
 
 
-def _merge_find(listings):
-    """Union of every partition's prefix listing, sorted."""
-    return sorted(name for listing in listings for name in listing)
-
-
 def _merge_info(infos):
     """One ``Get Info`` package for the fabric.
 
@@ -232,7 +227,7 @@ def _merge_info(infos):
 
 
 #: How each ``all``-routed op folds its per-partition replies.
-_MERGE = {"find": _merge_find, "get_info": _merge_info}
+_MERGE = {"get_info": _merge_info}
 
 
 def client_for(node, target, **keywords) -> BridgeClient:

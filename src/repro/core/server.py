@@ -254,23 +254,6 @@ class BridgeServer(Server):
         served out of the one metadata sweep ``admit(batch=n)`` charges."""
         return self._run_verb(self._STAT, None, names)
 
-    def op_find(self, prefix=""):
-        """Enumerate directory names with a prefix, sorted.
-
-        The Bridge namespace is flat, so a "deep tree" is a family of
-        ``/``-separated name prefixes; one find per partition is the
-        enumeration primitive under ``pfind``/``pcp -r``/``prm -r``.
-        Names whose migration is in flight at this instant live in
-        exactly one partition's directory or in the mover's hands, so a
-        cross-partition find during a resize sweep can miss an in-flight
-        name — utilities enumerate before or after a sweep, and the
-        batched m-ops (which chase forwards per name) are the
-        migration-safe surface.
-        """
-        yield from self.admit(probe=True)
-        return [name for name in self.directory.names()
-                if name.startswith(prefix)]
-
     def op_get_info(self):
         """The tool bootstrap package (Table 1: Get Info -> LFS handles)."""
         yield from self.admit()

@@ -7,8 +7,8 @@ Makes the S20 partitioned fabric resizable online, and steers it:
   mod-k map (:class:`ModuloRing`, byte-identical routing with
   elasticity off) and a seeded consistent-hash ring
   (:class:`ConsistentHashRing`) whose resizes touch only the
-  reassigned arcs, with per-partition weights and ``shed_arc`` as the
-  placement surface the policy steers.
+  reassigned arcs, with ``shed_arc`` as the placement surface the
+  policy steers.
 * :mod:`repro.elastic.plan` — :func:`fabric_namespace` scans the live
   namespace once for every consumer; :func:`plan_resize` diffs
   old->new rings over it into a minimal move set and asserts the
@@ -46,7 +46,6 @@ from repro.elastic.plan import (
 )
 from repro.elastic.policy import RebalanceConfig, Rebalancer, SweepRecord
 from repro.elastic.ring import (
-    CIRCLE,
     RING_KINDS,
     ConsistentHashRing,
     ModuloRing,
@@ -55,7 +54,6 @@ from repro.elastic.ring import (
 )
 
 __all__ = [
-    "CIRCLE",
     "ConsistentHashRing",
     "FabricResizer",
     "HeatMap",

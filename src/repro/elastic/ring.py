@@ -28,21 +28,9 @@ pure routing tables: deterministic, stateless, safe to rebuild from
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import (
-    Callable,
-    Dict,
-    FrozenSet,
-    Iterable,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from repro.core.ring import ModuloRing
-
-#: Size of the hash circle (64-bit points).
-CIRCLE = 1 << 64
 
 
 def hash64(key: str) -> int:
@@ -59,71 +47,50 @@ class ConsistentHashRing:
     """Seeded consistent hashing with deterministic virtual nodes.
 
     Partition ``i`` owns the points ``hash64(f"{seed}/vnode/{i}/{v}")``
-    for ``v`` in ``range(weights[i])``; names hash in a separate domain
+    for ``v`` in ``range(vnodes)``; names hash in a separate domain
     (``"name/..."``) so a vnode label can never collide with a file
     name.  Lookup is a binary search over the sorted points with
-    wraparound.  Same ``(partitions, seed, vnodes, weights, dropped)``
-    -> same table, on every client, in every run.
+    wraparound.  Same ``(partitions, seed, vnodes, dropped)`` -> same
+    table, on every client, in every run.
 
-    S24 adds two load-shaping dimensions on top of the base ring, both
-    of which preserve the point formula (so every retained arc sits at
-    exactly the same place it always did — the minimal-disruption
-    invariant the planner asserts):
-
-    * ``weights`` — per-partition vnode *counts*.  Partition ``i`` owns
-      vnodes ``0..weights[i]-1``; growing a cold partition's weight
-      claims new arcs from everyone, shrinking a hot partition's weight
-      releases its highest-numbered arcs to whoever is next on the
-      circle.  ``None`` means ``vnodes`` everywhere — byte-identical to
-      the pre-weight ring.
-    * ``dropped`` — a frozen set of ``(partition, vnode)`` pairs removed
-      from the table: the targeted arc-split.  Dropping exactly the arc
-      a hot name lives on sheds *that name* (plus its arc-mates) to the
-      circle successor and nothing else, which is how the S24 rebalancer
-      moves individual hot names without disturbing the namespace.
+    S24 sheds load by arc: ``dropped`` is a frozen set of
+    ``(partition, vnode)`` pairs removed from the table.  Dropping
+    exactly the arc a hot name lives on sheds *that name* (plus its
+    arc-mates) to the circle successor and nothing else — every
+    retained arc sits at exactly the same point it always did, the
+    minimal-disruption invariant the planner asserts.  This is how the
+    S24 rebalancer moves individual hot names without disturbing the
+    namespace.
     """
 
     kind = "consistent"
 
-    __slots__ = ("partitions", "seed", "vnodes", "weights", "dropped",
+    __slots__ = ("partitions", "seed", "vnodes", "dropped",
                  "_points", "_owners", "_vnode_ids")
 
     def __init__(self, partitions: int, seed: int = 0, vnodes: int = 64,
-                 weights: Optional[Sequence[int]] = None,
                  dropped: Optional[Iterable[Tuple[int, int]]] = None) -> None:
         if partitions < 1:
             raise ValueError("need at least one partition")
         if vnodes < 1:
             raise ValueError("need at least one virtual node per partition")
-        if weights is None:
-            weights = (vnodes,) * partitions
-        else:
-            weights = tuple(int(w) for w in weights)
-            if len(weights) != partitions:
-                raise ValueError(
-                    f"weights has {len(weights)} entries for "
-                    f"{partitions} partitions"
-                )
-            if any(w < 1 for w in weights):
-                raise ValueError("every partition needs weight >= 1")
         dropped = frozenset(dropped) if dropped else frozenset()
         for partition, vnode in dropped:
             if not 0 <= partition < partitions:
                 raise ValueError(f"dropped arc names partition {partition} "
                                  f"outside [0, {partitions})")
-            if not 0 <= vnode < weights[partition]:
+            if not 0 <= vnode < vnodes:
                 raise ValueError(
                     f"dropped arc ({partition}, {vnode}) outside partition "
-                    f"weight {weights[partition]}"
+                    f"{partition}'s {vnodes} vnodes"
                 )
         self.partitions = partitions
         self.seed = seed
         self.vnodes = vnodes
-        self.weights: Tuple[int, ...] = weights
         self.dropped: FrozenSet[Tuple[int, int]] = dropped
         table: List[Tuple[int, int, int]] = []
         for partition in range(partitions):
-            for vnode in range(weights[partition]):
+            for vnode in range(vnodes):
                 if (partition, vnode) in dropped:
                     continue
                 point = hash64(f"{seed}/vnode/{partition}/{vnode}")
@@ -135,7 +102,7 @@ class ConsistentHashRing:
             if count == 0:
                 raise ValueError(
                     f"partition {partition} has no arcs left "
-                    f"(weight {weights[partition]}, all dropped)"
+                    f"(all {vnodes} dropped)"
                 )
         table.sort()
         self._points = [point for point, _owner, _vnode in table]
@@ -172,37 +139,6 @@ class ConsistentHashRing:
             owned[owner].add(point)
         return {p: frozenset(points) for p, points in owned.items()}
 
-    def arc_share(self) -> List[float]:
-        """Fraction of the circle each partition owns (sums to 1.0).
-
-        The arc *ending* at point ``i`` (names in ``(p[i-1], p[i]]``)
-        belongs to that point's owner; the first point also owns the
-        wraparound stretch past the last point.
-        """
-        share = [0] * self.partitions
-        points, owners = self._points, self._owners
-        for index in range(1, len(points)):
-            share[owners[index]] += points[index] - points[index - 1]
-        share[owners[0]] += CIRCLE - points[-1] + points[0]
-        return [s / CIRCLE for s in share]
-
-    def with_weights(self, weights: Sequence[int]) -> "ConsistentHashRing":
-        """The same ring with new per-partition vnode weights (drops on
-        still-present vnodes are preserved)."""
-        weights = tuple(int(w) for w in weights)
-        if len(weights) != self.partitions:
-            raise ValueError(
-                f"weights has {len(weights)} entries for "
-                f"{self.partitions} partitions"
-            )
-        keep = frozenset(
-            (partition, vnode) for partition, vnode in self.dropped
-            if vnode < weights[partition]
-        )
-        return ConsistentHashRing(self.partitions, seed=self.seed,
-                                  vnodes=self.vnodes, weights=weights,
-                                  dropped=keep)
-
     def shed_arc(self, partition: int, vnode: int) -> "ConsistentHashRing":
         """The same ring minus one arc: names on ``(partition, vnode)``
         fall to the next point on the circle (usually a neighbor)."""
@@ -210,32 +146,19 @@ class ConsistentHashRing:
             raise ValueError(f"arc ({partition}, {vnode}) already dropped")
         return ConsistentHashRing(
             self.partitions, seed=self.seed, vnodes=self.vnodes,
-            weights=self.weights, dropped=self.dropped | {(partition, vnode)},
+            dropped=self.dropped | {(partition, vnode)},
         )
 
     def with_partitions(self, partitions: int) -> "ConsistentHashRing":
         """The same ring at a different size (same seed and vnode count,
         so shared partitions keep their exact points — including their
-        weights and dropped arcs; added partitions start at the base
-        weight with nothing dropped)."""
-        if partitions >= self.partitions:
-            weights = self.weights + (self.vnodes,) * (partitions - self.partitions)
-            dropped = self.dropped
-        else:
-            weights = self.weights[:partitions]
-            dropped = frozenset(
-                (p, v) for p, v in self.dropped if p < partitions
-            )
+        dropped arcs; added partitions start with nothing dropped)."""
+        dropped = frozenset((p, v) for p, v in self.dropped if p < partitions)
         return ConsistentHashRing(partitions, seed=self.seed,
-                                  vnodes=self.vnodes, weights=weights,
-                                  dropped=dropped)
+                                  vnodes=self.vnodes, dropped=dropped)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        extra = ""
-        if self.weights != (self.vnodes,) * self.partitions:
-            extra += f", weights={self.weights}"
-        if self.dropped:
-            extra += f", dropped={sorted(self.dropped)}"
+        extra = f", dropped={sorted(self.dropped)}" if self.dropped else ""
         return (f"ConsistentHashRing(partitions={self.partitions}, "
                 f"seed={self.seed}, vnodes={self.vnodes}{extra})")
 

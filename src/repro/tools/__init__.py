@@ -4,14 +4,6 @@ from repro.tools.base import SCRATCH_FILE_BASE, Tool, sequential_spawn, tree_spa
 from repro.tools.copy import CopyResult, CopyTool, WorkerReport
 from repro.tools.filters import EncryptTool, LineLexTool, TranslateTool, rot13_table
 from repro.tools.grep import GrepResult, GrepTool, Match
-from repro.tools.parallel_utils import (
-    FindResult,
-    PCopyResult,
-    PCopyTool,
-    PFindTool,
-    PRemoveTool,
-    RemoveResult,
-)
 from repro.tools.sort import SortResult, SortTool
 from repro.tools.wc import CountResult, WordCountTool
 
@@ -21,16 +13,10 @@ __all__ = [
     "CopyTool",
     "CountResult",
     "EncryptTool",
-    "FindResult",
     "GrepResult",
     "GrepTool",
     "LineLexTool",
     "Match",
-    "PCopyResult",
-    "PCopyTool",
-    "PFindTool",
-    "PRemoveTool",
-    "RemoveResult",
     "SortResult",
     "SortTool",
     "Tool",

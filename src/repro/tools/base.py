@@ -11,8 +11,8 @@ LFS instances.
 
 Worker start-up and completion travel through an embedded binary tree of
 spawns, giving the O(log p) start-up/completion term in the copy tool's
-O(n/p + log p) cost (section 5.1).  A sequential spawner is provided for
-the ablation bench.
+O(n/p + log p) cost (section 5.1).  :func:`sequential_spawn` is the
+naive one-by-one alternative the spawn tree is measured against.
 """
 
 from __future__ import annotations
@@ -89,8 +89,7 @@ class Tool:
 
     name = "tool"
 
-    def __init__(self, node, server_port: Port, config: SystemConfig,
-                 use_tree_spawn: bool = True) -> None:
+    def __init__(self, node, server_port: Port, config: SystemConfig) -> None:
         self.node = node
         self.machine = node.machine
         # A plain server Port or the fabric router: the tool's server
@@ -99,7 +98,6 @@ class Tool:
         self.server_port = server_port
         self.client = client_for(node, server_port, name=self.name)
         self.config = config
-        self.use_tree_spawn = use_tree_spawn
         self.system_info: Optional[SystemInfo] = None
 
     # ------------------------------------------------------------------
@@ -130,6 +128,4 @@ class Tool:
 
     def run_workers(self, specs: Sequence[WorkerSpec]):
         """Start one worker per spec on its node and wait for all results."""
-        if self.use_tree_spawn:
-            return (yield from tree_spawn(self.machine, specs))
-        return (yield from sequential_spawn(self.machine, specs))
+        return (yield from tree_spawn(self.machine, specs))

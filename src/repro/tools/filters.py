@@ -31,9 +31,8 @@ class TranslateTool(CopyTool):
 
     name = "translate"
 
-    def __init__(self, node, server_port, config, table: bytes,
-                 **kwargs) -> None:
-        super().__init__(node, server_port, config, **kwargs)
+    def __init__(self, node, server_port, config, table: bytes) -> None:
+        super().__init__(node, server_port, config)
         if len(table) != 256:
             raise ValueError("translation table must have 256 entries")
         self.table = table
@@ -54,8 +53,8 @@ class EncryptTool(CopyTool):
 
     name = "encrypt"
 
-    def __init__(self, node, server_port, config, key: bytes, **kwargs) -> None:
-        super().__init__(node, server_port, config, **kwargs)
+    def __init__(self, node, server_port, config, key: bytes) -> None:
+        super().__init__(node, server_port, config)
         if not key:
             raise ValueError("encryption key must be non-empty")
         self.key = key
@@ -79,9 +78,9 @@ class LineLexTool(CopyTool):
 
     name = "lex"
 
-    def __init__(self, node, server_port, config, line_length: int = 80,
-                 **kwargs) -> None:
-        super().__init__(node, server_port, config, **kwargs)
+    def __init__(self, node, server_port, config,
+                 line_length: int = 80) -> None:
+        super().__init__(node, server_port, config)
         if line_length < 1:
             raise ValueError("line length must be positive")
         self.line_length = line_length

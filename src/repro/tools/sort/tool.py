@@ -66,9 +66,9 @@ class SortTool(Tool):
 
     name = "sort"
 
-    def __init__(self, node, server_port, config, use_hints: bool = True,
-                 **kwargs) -> None:
-        super().__init__(node, server_port, config, **kwargs)
+    def __init__(self, node, server_port, config,
+                 use_hints: bool = True) -> None:
+        super().__init__(node, server_port, config)
         self.use_hints = use_hints
 
     # ------------------------------------------------------------------

@@ -46,16 +46,17 @@ class PoissonArrivals:
 class BurstArrivals:
     """Two-state Markov-modulated Poisson arrivals.
 
-    The process alternates between a *calm* state (rate ``rate``) and a
-    *burst* state (rate ``rate * burst_factor``); dwell times in each
-    state are exponential with means ``calm_mean`` / ``burst_mean``
-    seconds.  The long-run average rate is reported by :attr:`mean_rate`
-    so sweeps can compare burst arms against Poisson arms at equal
-    offered load.
+    The process alternates between a *calm* state and a *burst* state
+    whose rate is ``burst_factor`` times the calm one; dwell times in
+    each state are exponential with means ``calm_mean`` / ``burst_mean``
+    seconds.  ``rate`` is the long-run mean across both states, so a
+    burst arm offers the same load as a Poisson arm at the same
+    ``rate``: the calm rate is ``rate * (calm_mean + burst_mean) /
+    (calm_mean + burst_factor * burst_mean)``.
     """
 
     __slots__ = ("rate", "burst_factor", "calm_mean", "burst_mean",
-                 "_bursting", "_state_left")
+                 "_calm_rate", "_bursting", "_state_left")
 
     def __init__(self, rate: float, burst_factor: float = 4.0,
                  calm_mean: float = 0.5, burst_mean: float = 0.1) -> None:
@@ -69,23 +70,16 @@ class BurstArrivals:
         self.burst_factor = burst_factor
         self.calm_mean = calm_mean
         self.burst_mean = burst_mean
+        self._calm_rate = (rate * (calm_mean + burst_mean)
+                           / (calm_mean + burst_factor * burst_mean))
         self._bursting = False
         self._state_left = 0.0
-
-    @property
-    def mean_rate(self) -> float:
-        """Long-run average arrival rate across both states."""
-        calm_time = self.calm_mean
-        burst_time = self.burst_mean
-        total = calm_time + burst_time
-        return (self.rate * calm_time
-                + self.rate * self.burst_factor * burst_time) / total
 
     def next_delay(self, rng) -> float:
         delay = 0.0
         while True:
-            current = (self.rate * self.burst_factor if self._bursting
-                       else self.rate)
+            current = (self._calm_rate * self.burst_factor if self._bursting
+                       else self._calm_rate)
             if self._state_left <= 0.0:
                 mean = self.burst_mean if not self._bursting else self.calm_mean
                 # State expired: flip, then draw the new dwell.

@@ -24,37 +24,23 @@ from repro.workloads.files import (
     timed,
     write_then_stream,
 )
-from repro.workloads.scratch import (
-    ScratchReport,
-    scratch_block,
-    scratch_messages,
-    scratch_names,
-)
-from repro.workloads.trees import build_tree, tree_block, tree_names
 
 __all__ = [
     "acceptance_driver",
     "build_file",
     "build_record_file",
     "build_text_file",
-    "build_tree",
     "few_distinct_keys",
     "pattern_chunks",
     "read_file",
     "read_to_eof",
     "record_chunks",
     "reversed_keys",
-    "scratch_block",
-    "scratch_messages",
-    "scratch_names",
     "sorted_keys",
     "text_chunks",
     "timed",
-    "tree_block",
-    "tree_names",
     "uniform_keys",
     "write_then_stream",
-    "ScratchReport",
     "hotspot_pattern",
     "scatter_pattern",
     "strided_pattern",

@@ -123,20 +123,6 @@ def test_copy_faster_than_naive_readwrite():
     assert result.elapsed < naive_time
 
 
-def test_copy_tree_vs_sequential_spawn_same_result(system):
-    chunks, _result = run_copy(system, blocks=8, dest="tree-dst")
-    tool = CopyTool(
-        system.client_node, system.bridge.port, system.config,
-        use_tree_spawn=False,
-    )
-
-    def body():
-        return (yield from tool.run("src", "seq-dst"))
-
-    system.run(body())
-    assert read_file(system, "tree-dst") == read_file(system, "seq-dst")
-
-
 # ---------------------------------------------------------------------------
 # Filters
 # ---------------------------------------------------------------------------
