@@ -18,7 +18,8 @@ Usage:
     python scripts/ledger_sim_baseline.py --write    # rewrite the baseline
     python scripts/ledger_sim_baseline.py --write --workload cached_read
         # a declared change: rewrite that workload's section only, and
-        # write nothing (exit 1) if any other workload drifted
+        # write nothing (exit 1) if any other workload drifted; repeat
+        # --workload to declare several
 """
 
 import argparse
@@ -84,10 +85,11 @@ def write_baseline(path, workloads, count) -> int:
     return 0
 
 
-def drifted(baseline, fresh, skip=None):
-    """One ``sim changed`` line per value that differs, ``skip`` aside."""
+def drifted(baseline, fresh, skip=()):
+    """One ``sim changed`` line per value that differs, the workloads
+    in ``skip`` aside."""
     drift = []
-    for workload in sorted((set(baseline) | set(fresh)) - {skip}):
+    for workload in sorted((set(baseline) | set(fresh)) - set(skip)):
         was, now = baseline.get(workload, {}), fresh.get(workload, {})
         for name in sorted(set(was) | set(now)):
             if was.get(name) != now.get(name):
@@ -104,9 +106,10 @@ def main(argv=None) -> int:
     mode.add_argument("--check", action="store_true",
                       help="compare a fresh run against the baseline "
                            "(the default)")
-    parser.add_argument("--workload",
-                        help="with --write: the one workload whose values "
-                             "are meant to move; refuse if another drifted")
+    parser.add_argument("--workload", action="append", default=[],
+                        help="with --write: a workload whose values are "
+                             "meant to move (repeatable); refuse if another "
+                             "drifted")
     parser.add_argument("--baseline", default=BASELINE,
                         help="baseline path (default: %(default)s)")
     args = parser.parse_args(argv)
@@ -119,8 +122,9 @@ def main(argv=None) -> int:
         return write_baseline(args.baseline, fresh, count)
 
     baseline, problem = load_baseline(args.baseline)
-    if problem is None and args.workload and args.workload not in fresh:
-        problem = f"the ledger has no workload {args.workload!r}"
+    unknown = [name for name in args.workload if name not in fresh]
+    if problem is None and unknown:
+        problem = f"the ledger has no workload {unknown[0]!r}"
     if problem is not None:
         print(problem)
         return 1
@@ -128,20 +132,19 @@ def main(argv=None) -> int:
     if args.write:
         if drift:
             print(f"nothing written: the declared change is "
-                  f"{args.workload}, but other workloads drifted")
+                  f"{', '.join(args.workload)}, but other workloads drifted")
             print("\n".join(drift))
             return 1
-        return write_baseline(
-            args.baseline,
-            {**baseline, args.workload: fresh[args.workload]}, count)
+        declared = {name: fresh[name] for name in args.workload}
+        return write_baseline(args.baseline, {**baseline, **declared}, count)
     if not drift:
         print(f"ledger sim baseline check OK: {count} seed-determined "
               f"values identical on {len(fresh)} workloads")
         return 0
     print("ledger sim baseline check FAILED: simulated behaviour drifted")
     print("\n".join(drift))
-    print("if one workload is meant to move, declare it: "
-          "--write --workload NAME")
+    print("if workloads are meant to move, declare each: "
+          "--write --workload NAME [--workload NAME ...]")
     return 1
 
 

@@ -12,7 +12,7 @@ name granularity.
 and ``mstat``: everything the Bridge Server knows about a file without
 touching the LFS level.  Sizes are as of the last open/write through
 the server — Open is "interpreted as a hint" (section 4.1), so a stat
-is the cheap hint-refresh a parallel utility wants when walking
+is the cheap hint-refresh a metadata sweep wants when probing
 thousands of names.
 """
 

@@ -164,10 +164,11 @@ class PartitionedClient(BridgeClient):
         Outcomes are re-assembled in input order; duplicates keep
         per-occurrence outcomes.  Elastic-safe: the ring is consulted at
         issue time and the owning server chases any name caught in a
-        migration's forwarding window.
+        migration's forwarding window.  An empty batch is refused with
+        the server's own error, whatever the ring.
         """
         if not names:
-            return []
+            raise BridgeBadRequestError(f"{method}: empty name batch")
         buckets: Dict[int, List[int]] = {}
         for index, name in enumerate(names):
             buckets.setdefault(self.bridge.partition_of(name), []).append(index)

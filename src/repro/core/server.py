@@ -245,8 +245,8 @@ class BridgeServer(Server):
         """Directory-only metadata probe: what the server knows without
         an LFS round trip.  ``total_blocks`` is as of the last open or
         write through this server — Open itself is only "a hint"
-        (section 4.1), so a stat is the cheap hint-refresh parallel
-        utilities want when walking thousands of names."""
+        (section 4.1), so a stat is the cheap hint-refresh a metadata
+        sweep wants when probing thousands of names."""
         return self._run_verb(self._STAT, name)
 
     def op_mstat(self, names):

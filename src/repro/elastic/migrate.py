@@ -73,7 +73,7 @@ class MigrationReport:
             return "grow"
         if self.new_partitions < self.old_partitions:
             return "shrink"
-        # S24 weight-only resizes keep the partition count fixed but
+        # S24 arc-shedding resizes keep the partition count fixed but
         # still relocate entries; a same-size sweep with no moves is a
         # true no-op.
         return "rebalance" if self.planned else "noop"
@@ -111,7 +111,7 @@ class FabricResizer:
 
         The general entry point :meth:`resize` delegates to — any ring
         compatible with the planner works, including the S24 same-size
-        weighted/arc-shed rings, so the rebalancer reuses the exact
+        arc-shed rings, so the rebalancer reuses the exact
         plan+flip/sweep/retire machinery (and its safety argument) that
         grows and shrinks do.
         """

@@ -83,15 +83,15 @@ def _assert_minimal_disruption(old_ring, new_ring,
     reassigned arcs; violations are wiring bugs, not workloads.
 
     The check is arc-precise: a name may move only if the arc it lived
-    on disappeared from the source's point set (a shrink, a weight cut,
-    or an S24 ``shed_arc``) or the arc it lands on is a *genuine* new
-    arc of the destination (a grow or a weight raise) — genuine meaning
-    the owning point actually equals ``hash64(seed/vnode/dst/v)``, so a
-    corrupted table that hands another partition's arcs to the
-    destination cannot masquerade as growth.  Because the point formula
+    on disappeared from the source's point set (a shrink or an S24
+    ``shed_arc``) or the arc it lands on is a *genuine* new arc of the
+    destination (a grow) — genuine meaning the owning point actually
+    equals ``hash64(seed/vnode/dst/v)``, so a corrupted table that hands
+    another partition's arcs to the destination cannot masquerade as
+    growth.  Because the point formula
     depends only on ``(seed, partition, vnode)``, any other move means a
     *retained* arc shifted — a routing bug that would silently strand
-    files — which covers grows, shrinks, and S24's same-size weight-only
+    files — which covers grows, shrinks, and S24's same-size arc-shedding
     "resizes" with one rule.
     """
     if (old_ring.kind != "consistent"

@@ -8,7 +8,7 @@ HeatMap` (and, when given one, the S21 SLO recorder), and when the
 fabric is measurably skewed picks the hottest names on the hottest
 partition and sheds exactly the arcs they live on
 (:meth:`~repro.elastic.ring.ConsistentHashRing.shed_arc`) — a same-size,
-weight-only "resize" executed by the standard
+arc-shedding "resize" executed by the standard
 :meth:`~repro.elastic.migrate.FabricResizer.apply` sweep, with the full
 plan+flip / forwarding-window safety argument intact.
 

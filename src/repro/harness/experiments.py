@@ -759,13 +759,12 @@ class _OpenLoopFabric:
         self.served_mark = sum(b.requests_served for b in system.bridges)
         self.start = system.sim.now
 
-    def generator(self, **generator_kwargs):
+    def generator(self):
         """A fresh ``(recorder, generator)`` pair over the catalog."""
         obs = self.system.obs
         recorder = SLORecorder(registry=obs.metrics if obs is not None else None)
         return recorder, TrafficGenerator(
             self.system, self.catalog, mix=self.mix, recorder=recorder,
-            **generator_kwargs,
         )
 
     def window(self) -> float:
@@ -793,8 +792,6 @@ def run_traffic_experiment(
     blocks: int = 12,
     mix: Optional[Dict[str, float]] = None,
     arrival_kind: str = "poisson",
-    patience: Optional[float] = None,
-    slow_fraction: float = 0.0,
     skew: float = 1.1,
     admission_params: Optional[Dict[str, object]] = None,
     obs: bool = False,
@@ -810,8 +807,7 @@ def run_traffic_experiment(
         lfs_count=p, seed=seed, bridge_server_count=servers, obs=obs,
     )
     system = fabric.system
-    recorder, generator = fabric.generator(
-        patience=patience, slow_fraction=slow_fraction)
+    recorder, generator = fabric.generator()
     system.run(
         generator.open_loop(rate, duration, arrival_kind=arrival_kind),
         name="traffic-source",

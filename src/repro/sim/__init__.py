@@ -20,7 +20,7 @@ Public surface::
 """
 
 from repro.sim.channel import Mailbox
-from repro.sim.events import AllOf, AnyOf, Signal, Timeout
+from repro.sim.events import AllOf, Signal, Timeout
 from repro.sim.process import Process, join_all
 from repro.sim.rand import RandomStreams
 from repro.sim.resources import Lock
@@ -28,7 +28,6 @@ from repro.sim.simulator import Simulator
 
 __all__ = [
     "AllOf",
-    "AnyOf",
     "Lock",
     "Mailbox",
     "Process",

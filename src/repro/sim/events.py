@@ -12,7 +12,7 @@ because a large simulation allocates millions of them.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, List, Optional
+from typing import Any, Iterable, List
 
 
 class Timeout:
@@ -125,61 +125,4 @@ class _AllOfWatcher:
 
     # Watchers sit in signal waiter lists next to real processes, which
     # resume through their cached ``_resume`` binding.
-    _resume = _step
-
-
-class AnyOf:
-    """Wait until at least one of the given signals has fired.
-
-    The yielded value is ``(index, value)`` of the first signal to fire
-    (ties broken by list order).
-    """
-
-    __slots__ = ("signals", "_process", "_done", "_watchers")
-
-    def __init__(self, signals: Iterable[Signal]) -> None:
-        self.signals = list(signals)
-        self._process = None
-        self._done = False
-        self._watchers: List[Any] = []
-
-    def _wait(self, process) -> None:
-        self._process = process
-        for index, signal in enumerate(self.signals):
-            if signal.fired:
-                process.sim._schedule(0.0, process._resume, (index, signal.value))
-                return
-        for index, signal in enumerate(self.signals):
-            watcher = _AnyOfWatcher(self, index)
-            self._watchers.append((signal, watcher))
-            signal._waiters.append(watcher)
-
-    def _child_done(self, index: int, value: Any) -> None:
-        if self._done:
-            return
-        self._done = True
-        # Detach from the signals that did not win, so long-lived signals
-        # don't accumulate dead watchers (the winner's waiter list was
-        # already swapped out by Signal.fire).
-        watchers, self._watchers = self._watchers, []
-        for signal, watcher in watchers:
-            try:
-                signal._waiters.remove(watcher)
-            except ValueError:
-                pass
-        self._process.sim._schedule(0.0, self._process._resume, (index, value))
-
-
-class _AnyOfWatcher:
-    """Adapter so an :class:`AnyOf` can sit in a signal's waiter list."""
-
-    __slots__ = ("anyof", "index")
-
-    def __init__(self, anyof: AnyOf, index: int) -> None:
-        self.anyof = anyof
-        self.index = index
-
-    def _step(self, value: Any) -> None:
-        self.anyof._child_done(self.index, value)
-
     _resume = _step

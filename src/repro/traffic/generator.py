@@ -3,12 +3,12 @@
 :class:`TrafficGenerator` turns arrival processes + workload samplers
 into *hundreds to thousands of concurrent in-sim clients*: the source
 process draws the next interarrival gap, samples the arrival's complete
-descriptor (class, file, blocks, slow-client stall), and spawns an
-independent executor process — then immediately waits for the next
-arrival.  Executors never feed back into the source, so offered load is
-whatever the arrival process says it is, no matter how slowly the
-server answers.  That is the defining property closed-loop drivers
-lack, and it is what makes the saturation knee observable.
+descriptor (class, file, blocks), and spawns one independent executor
+process — then immediately waits for the next arrival.  Executors never
+feed back into the source, so offered load is whatever the arrival
+process says it is, no matter how slowly the server answers.  That is
+the defining property closed-loop drivers lack, and it is what makes
+the saturation knee observable.
 
 Determinism: the source draws *all* randomness from two named simulator
 streams (``traffic.arrivals``, ``traffic.workload``) at arrival time.
@@ -17,13 +17,8 @@ which depends on server scheduling — cannot perturb the request
 sequence.  Same seed, same arrivals, same descriptors, byte-identical
 run.
 
-Abandonment: an executor with finite ``patience`` races its operation
-against a timer (:class:`~repro.sim.AnyOf` over the inner process's
-completion signal and a deadline signal).  When the timer wins, the
-client walks away and the outcome is ``abandoned`` — but the inner
-operation keeps running, because a real server cannot reclaim work a
-departed client already queued.  Admission refusals
-(:class:`~repro.errors.BridgeThrottledError` /
+The executor runs its operation inline and records one outcome.
+Admission refusals (:class:`~repro.errors.BridgeThrottledError` /
 :class:`~repro.errors.BridgeOverloadError`) are caught *inside* the
 executor and recorded as first-class outcomes, never raised into the
 simulation.
@@ -44,7 +39,7 @@ from repro.errors import (
     BridgeOverloadError,
     BridgeThrottledError,
 )
-from repro.sim import AnyOf, Signal, Timeout, join_all
+from repro.sim import Timeout, join_all
 from repro.traffic.arrivals import make_arrivals
 from repro.traffic.slo import SLORecorder
 from repro.traffic.workload import (
@@ -65,19 +60,11 @@ class TrafficGenerator:
 
     def __init__(self, system, catalog: ZipfCatalog, *,
                  mix: Optional[RequestMix] = None,
-                 recorder: Optional[SLORecorder] = None,
-                 patience: Optional[float] = None,
-                 slow_fraction: float = 0.0,
-                 slow_stall: float = 0.05,
-                 tool_span: int = 6) -> None:
+                 recorder: Optional[SLORecorder] = None) -> None:
         self.system = system
         self.catalog = catalog
         self.mix = mix if mix is not None else RequestMix()
         self.recorder = recorder if recorder is not None else SLORecorder()
-        self.patience = patience
-        self.slow_fraction = slow_fraction
-        self.slow_stall = slow_stall
-        self.tool_span = tool_span
         self.spawned = 0
         #: First :data:`ARRIVAL_LOG_LIMIT` arrivals as ``(time, class,
         #: name)`` — determinism tests compare these across runs and seeds.
@@ -88,7 +75,7 @@ class TrafficGenerator:
     # ------------------------------------------------------------------
 
     def open_loop(self, rate: float, duration: float,
-                  arrival_kind: str = "poisson", arrivals=None):
+                  arrival_kind: str = "poisson"):
         """Generator: emit arrivals for ``duration`` simulated seconds.
 
         Drive with ``system.run(gen.open_loop(...))``; the run then
@@ -97,8 +84,7 @@ class TrafficGenerator:
         """
         sim = self.system.sim
         node = self.system.client_node
-        if arrivals is None:
-            arrivals = make_arrivals(arrival_kind, rate)
+        arrivals = make_arrivals(arrival_kind, rate)
         arrival_rng = sim.random.stream("traffic.arrivals")
         workload_rng = sim.random.stream("traffic.workload")
         deadline = sim.now + duration
@@ -108,10 +94,7 @@ class TrafficGenerator:
                 return self.spawned
             yield Timeout(gap)
             request = sample_request(
-                self.spawned, self.catalog, self.mix, workload_rng,
-                slow_fraction=self.slow_fraction,
-                slow_stall=self.slow_stall,
-                tool_span=self.tool_span,
+                self.spawned, self.catalog, self.mix, workload_rng
             )
             if len(self.arrival_log) < ARRIVAL_LOG_LIMIT:
                 self.arrival_log.append((sim.now, request.cls, request.name))
@@ -126,40 +109,25 @@ class TrafficGenerator:
     # ------------------------------------------------------------------
 
     def _execute(self, request: TrafficRequest):
+        """The operation body, then its one outcome; never raises."""
         sim = self.system.sim
-        node = self.system.client_node
         start = sim.now
-        inner = node.spawn(
-            self._attempt(request), name=f"traffic.{request.seq}.op"
-        )
-        if self.patience is None:
-            outcome = yield inner.join()
-        else:
-            deadline = Signal(sim)
-            sim.call_later(self.patience, deadline.fire, "abandoned")
-            index, value = yield AnyOf([inner.completion, deadline])
-            outcome = value if index == 0 else "abandoned"
-        self.recorder.record_outcome(request.cls, outcome, sim.now - start)
-
-    def _attempt(self, request: TrafficRequest):
-        """The operation body; returns an outcome string, never raises."""
         try:
             if request.cls == "parallel":
                 yield from self._parallel_job(request)
             else:
                 yield from self._naive_op(request)
+            outcome = "ok"
         except BridgeThrottledError:
-            return "throttled"
+            outcome = "throttled"
         except BridgeOverloadError:
-            return "shed"
+            outcome = "shed"
         except BridgeError:
-            return "failed"
-        return "ok"
+            outcome = "failed"
+        self.recorder.record_outcome(request.cls, outcome, sim.now - start)
 
     def _naive_op(self, request: TrafficRequest):
         node = self.system.client_node
-        # Resolved once per arrival: a stalled request's follow-up read
-        # goes to the same partition and rides the forwarding window.
         client = BridgeClient(
             node, self.system.fabric.port_for(request.name),
             name=f"traffic.{request.seq}", traffic_class=request.cls,
@@ -167,25 +135,13 @@ class TrafficGenerator:
         name = request.name
         if request.cls == "read":
             yield from client.random_read(name, request.block)
-            if request.stall > 0.0:
-                # Slow client: a paced second read holds the session open.
-                yield Timeout(request.stall)
-                follow = (request.block + 1) % self.catalog.blocks_per_file
-                yield from client.random_read(name, follow)
         elif request.cls == "write":
             payload = b"traffic-%08d|" % request.seq
             yield from client.random_write(name, request.block, payload)
         elif request.cls == "meta":
             yield from client.open(name)
         elif request.cls == "tool":
-            blocks = request.blocks or [request.block]
-            if request.stall > 0.0 and len(blocks) > 1:
-                half = len(blocks) // 2
-                yield from client.list_read(name, blocks[:half])
-                yield Timeout(request.stall)
-                yield from client.list_read(name, blocks[half:])
-            else:
-                yield from client.list_read(name, blocks)
+            yield from client.list_read(name, request.blocks)
         else:
             raise ValueError(f"unknown traffic class {request.cls!r}")
 
@@ -206,15 +162,11 @@ class TrafficGenerator:
             for index in range(PARALLEL_WORKERS)
         ]
 
-        stall = request.stall
-
         def worker_body(worker):
             while True:
                 delivery = yield from worker.receive()
                 if delivery.eof:
                     return
-                if stall > 0.0:
-                    yield Timeout(stall)  # slow consumer
 
         job = yield from controller.open(
             request.name, [w.port for w in workers]

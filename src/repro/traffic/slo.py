@@ -7,8 +7,9 @@ five outcomes:
 * ``ok`` — served; latency lands in the per-class histogram.
 * ``throttled`` — refused by a token bucket (typed error at the client).
 * ``shed`` — refused by a bounded admission queue.
-* ``abandoned`` — the client gave up after its patience expired (the
-  server may still be working; open-loop clients do not wait forever).
+* ``abandoned`` — always 0: every client waits for its answer.  The
+  outcome stays because the ledger and the committed traffic, elastic
+  and rebalance bench rows report its count.
 * ``failed`` — any other Bridge error (should be zero in healthy runs).
 
 Per-class latency distributions use S19 :class:`~repro.obs.Histogram`
@@ -66,12 +67,11 @@ class ClassStats:
 class SLORecorder:
     """Aggregates per-class outcomes for one traffic run."""
 
-    def __init__(self, registry=None, prefix: str = "traffic") -> None:
+    def __init__(self, registry=None) -> None:
         self._classes: Dict[str, ClassStats] = {}
         #: Optional S19 registry adoption: per-class latency histograms
         #: appear as ``traffic.<class>.latency`` in snapshots.
         self._registry = registry
-        self._prefix = prefix
 
     def _stats(self, cls: str) -> ClassStats:
         stats = self._classes.get(cls)
@@ -79,7 +79,7 @@ class SLORecorder:
             stats = self._classes[cls] = ClassStats()
             if self._registry is not None:
                 self._registry.adopt(
-                    f"{self._prefix}.{cls}.latency", stats.latency
+                    f"traffic.{cls}.latency", stats.latency
                 )
         return stats
 

@@ -32,6 +32,9 @@ DEFAULT_MIX: Dict[str, float] = {
     "read": 0.58, "write": 0.22, "meta": 0.10, "tool": 0.06, "parallel": 0.04,
 }
 
+#: Contiguous blocks one ``tool`` arrival list-reads.
+TOOL_SPAN = 6
+
 
 class ZipfCatalog:
     """Zipf-popularity sampling over a fixed list of file names.
@@ -110,16 +113,13 @@ class TrafficRequest:
     cls: str
     name: str
     block: int = 0
-    #: Extra blocks touched by heavy classes (tool list-I/O pattern,
-    #: parallel read rounds).
+    #: The :data:`TOOL_SPAN` blocks a ``tool`` arrival list-reads
+    #: (``None`` for the other classes).
     blocks: Optional[List[int]] = None
-    #: Slow-client stall inserted mid-operation, seconds (0 = normal).
-    stall: float = 0.0
 
 
-def sample_request(seq: int, catalog: ZipfCatalog, mix: RequestMix, rng, *,
-                   slow_fraction: float = 0.0, slow_stall: float = 0.05,
-                   tool_span: int = 6) -> TrafficRequest:
+def sample_request(seq: int, catalog: ZipfCatalog, mix: RequestMix,
+                   rng) -> TrafficRequest:
     """Draw one arrival's complete descriptor from ``rng``."""
     cls = mix.sample(rng)
     name = catalog.sample(rng)
@@ -127,11 +127,8 @@ def sample_request(seq: int, catalog: ZipfCatalog, mix: RequestMix, rng, *,
     block = rng.randrange(blocks_per_file)
     blocks: Optional[List[int]] = None
     if cls == "tool":
-        span = min(tool_span, blocks_per_file)
+        span = min(TOOL_SPAN, blocks_per_file)
         start = rng.randrange(blocks_per_file - span + 1)
         blocks = list(range(start, start + span))
-    stall = 0.0
-    if slow_fraction > 0.0 and rng.random() < slow_fraction:
-        stall = slow_stall
     return TrafficRequest(seq=seq, cls=cls, name=name, block=block,
-                          blocks=blocks, stall=stall)
+                          blocks=blocks)

@@ -99,24 +99,22 @@ def test_mcreate_reports_exists_per_name():
 
 
 def test_empty_batch_is_rejected():
-    system = make_system(4, bridge_server_count=2)
-    client = system.partitioned_client()
-    single = system.bridges[0]
-
-    def body():
-        return (yield from client.mstat([]))
-
-    assert system.run(body()) == []  # client-side: nothing to route
-
+    """Only an empty batch fails, and it fails the same way on every
+    fabric: the partition-routed client refuses it exactly as a single
+    server does, so the answer does not depend on the ring."""
     from repro.core import BridgeClient
 
-    direct = BridgeClient(system.client_node, single.port)
+    system = make_system(4, bridge_server_count=2)
+    direct = BridgeClient(system.client_node, system.bridges[0].port)
+    elastic = BridgeSystem(4, elastic=True)
+    for owner, client in ((system, system.partitioned_client()),
+                          (system, direct),
+                          (elastic, elastic.naive_client())):
+        def body(client=client):
+            return (yield from client.mopen([]))
 
-    def direct_body():
-        return (yield from direct.mopen([]))
-
-    with pytest.raises(ProcessError, match="empty name batch"):
-        system.run(direct_body())
+        with pytest.raises(ProcessError, match="mopen: empty name batch"):
+            owner.run(body())
 
 
 def test_mstat_matches_singleton_stat():

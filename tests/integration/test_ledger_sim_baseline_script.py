@@ -1,6 +1,7 @@
 """``scripts/ledger_sim_baseline.py --write --workload NAME``: a declared
-re-baseline rewrites one workload's section, and only if nothing else
-moved.  The ledger run itself is stubbed; CI runs the real one."""
+re-baseline rewrites the declared workloads' sections (``--workload``
+repeats), and only if nothing else moved.  The ledger run itself is
+stubbed; CI runs the real one."""
 
 import importlib.util
 import json
@@ -56,9 +57,25 @@ def test_drift_elsewhere_refuses_and_writes_nothing(run, capsys):
     assert code == 0 and written == fresh
 
 
+def test_two_declared_workloads_rewrite_together(run, capsys):
+    fresh = {"cached_read": {"sim_s": 6.0, "failed": 0},
+             "naive_stream": {"sim_s": 3.1, "failed": 0}}
+    code, written = run(fresh, "--write", "--workload", "cached_read",
+                        "--workload", "naive_stream")
+    assert code == 0 and written == fresh
+    moved = {**fresh, "traffic_mix": {"sim_s": 1.0, "failed": 0}}
+    code, written = run(moved, "--write", "--workload", "cached_read",
+                        "--workload", "naive_stream")
+    assert code == 1 and written == fresh
+    assert "traffic_mix" in capsys.readouterr().out
+
+
 def test_workload_must_exist_and_needs_write(run):
     fresh = dict(COMMITTED)
     code, written = run(fresh, "--write", "--workload", "nope")
+    assert code == 1 and written == COMMITTED
+    code, written = run(fresh, "--write", "--workload", "cached_read",
+                        "--workload", "nope")
     assert code == 1 and written == COMMITTED
     with pytest.raises(SystemExit):
         run(fresh, "--check", "--workload", "cached_read")

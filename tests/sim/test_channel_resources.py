@@ -1,10 +1,9 @@
-"""Tests for mailboxes, the lock, signals, AllOf/AnyOf combinators."""
+"""Tests for mailboxes, the lock, signals and the AllOf combinator."""
 
 import pytest
 
 from repro.sim import (
     AllOf,
-    AnyOf,
     Lock,
     Mailbox,
     Signal,
@@ -157,7 +156,7 @@ def test_signal_after_fire_returns_immediately():
 
 
 # ---------------------------------------------------------------------------
-# AllOf / AnyOf
+# AllOf
 # ---------------------------------------------------------------------------
 
 
@@ -197,32 +196,6 @@ def test_allof_empty_list():
         return values
 
     assert sim.run_process(waiter()) == []
-
-
-def test_anyof_returns_first():
-    sim = Simulator()
-    sigs = [Signal(sim) for _ in range(3)]
-    sim.call_later(0.5, sigs[0].fire, "slow")
-    sim.call_later(0.1, sigs[2].fire, "fast")
-
-    def waiter():
-        index, value = yield AnyOf(sigs)
-        return (index, value, sim.now)
-
-    index, value, when = sim.run_process(waiter())
-    assert (index, value) == (2, "fast")
-    assert when == pytest.approx(0.1)
-
-
-def test_anyof_prefers_already_fired():
-    sim = Simulator()
-    sigs = [Signal(sim), Signal(sim)]
-    sigs[1].fire("done")
-
-    def waiter():
-        return (yield AnyOf(sigs))
-
-    assert sim.run_process(waiter()) == (1, "done")
 
 
 # ---------------------------------------------------------------------------
@@ -284,34 +257,3 @@ def test_random_streams_order_independent():
     streams_b = RandomStreams(seed=1)
     second = streams_b.stream("y").random()
     assert first == second
-
-
-def test_anyof_detaches_watchers_from_losing_signals():
-    # A long-lived signal repeatedly raced against short-lived ones must
-    # not accumulate one dead watcher per race.
-    sim = Simulator()
-    long_lived = Signal(sim)
-    for round_number in range(5):
-        quick = Signal(sim)
-        sim.call_later(0.1, quick.fire, round_number)
-
-        def waiter(q=quick):
-            return (yield AnyOf([long_lived, q]))
-
-        assert sim.run_process(waiter()) == (1, round_number)
-    assert long_lived._waiters == []
-
-
-def test_anyof_loser_firing_later_wakes_no_one():
-    sim = Simulator()
-    fast, slow = Signal(sim), Signal(sim)
-    sim.call_later(0.1, fast.fire, "fast")
-
-    def waiter():
-        result = yield AnyOf([fast, slow])
-        return result
-
-    assert sim.run_process(waiter()) == (0, "fast")
-    assert slow._waiters == []
-    slow.fire("late")  # nothing to wake; must not blow up
-    assert sim.run() >= 0.1

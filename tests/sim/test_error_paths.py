@@ -4,7 +4,7 @@ loops, and spawned subprocesses must surface loudly, never silently."""
 import pytest
 
 from repro.errors import ProcessError
-from repro.sim import AllOf, AnyOf, Signal, Simulator, Timeout, join_all
+from repro.sim import AllOf, Signal, Simulator, Timeout, join_all
 
 
 def test_error_in_joined_child_fails_simulation():
@@ -68,24 +68,6 @@ def test_generator_exhaustion_without_return():
     sim.run()
     assert process.done
     assert process.result is None
-
-
-def test_anyof_loser_firing_later_is_harmless():
-    sim = Simulator()
-    first = Signal(sim)
-    second = Signal(sim)
-    sim.call_later(0.1, first.fire, "early")
-    sim.call_later(0.5, second.fire, "late")
-
-    def waiter():
-        index, value = yield AnyOf([first, second])
-        return index, value, sim.now
-
-    index, value, when = sim.run_process(waiter())
-    assert (index, value) == (0, "early")
-    assert when == pytest.approx(0.1)
-    sim.run()  # second fires with no one listening: must not error
-    assert second.fired
 
 
 def test_allof_mixed_fired_and_pending():

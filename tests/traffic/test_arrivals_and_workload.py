@@ -18,6 +18,7 @@ from repro.traffic import (
     make_arrivals,
     sample_request,
 )
+from repro.traffic.workload import TOOL_SPAN
 
 # ---------------------------------------------------------------------------
 # Arrivals
@@ -151,19 +152,8 @@ def test_sample_request_tool_gets_contiguous_span():
     catalog = ZipfCatalog(["a", "b"], 10)
     mix = RequestMix({"tool": 1.0})
     rng = random.Random(1)
-    request = sample_request(0, catalog, mix, rng, tool_span=4)
+    request = sample_request(0, catalog, mix, rng)
     assert request.cls == "tool"
     assert request.blocks == list(range(request.blocks[0],
-                                        request.blocks[0] + 4))
+                                        request.blocks[0] + TOOL_SPAN))
     assert all(0 <= b < 10 for b in request.blocks)
-
-
-def test_sample_request_slow_fraction_sets_stall():
-    catalog = ZipfCatalog(["a"], 4)
-    mix = RequestMix({"read": 1.0})
-    rng = random.Random(1)
-    always = sample_request(0, catalog, mix, rng,
-                            slow_fraction=1.0, slow_stall=0.25)
-    assert always.stall == 0.25
-    never = sample_request(1, catalog, mix, rng, slow_fraction=0.0)
-    assert never.stall == 0.0

@@ -16,6 +16,7 @@ Covers the subsystem's three load-bearing guarantees:
 """
 
 import dataclasses
+import re
 
 import pytest
 
@@ -30,6 +31,7 @@ from repro.harness.experiments import (
     build_traffic_catalog,
     run_traffic_experiment,
 )
+from repro.sim import Simulator
 from repro.storage import FixedLatency
 from repro.traffic import SLORecorder, TrafficGenerator
 
@@ -41,11 +43,10 @@ def make_system(servers=1, seed=11, **kwargs):
     )
 
 
-def drive(system, rate=120.0, duration=1.0, files=8, blocks=8, **gen_kwargs):
+def drive(system, rate=120.0, duration=1.0, files=8, blocks=8):
     catalog = build_traffic_catalog(system, files, blocks)
     recorder = SLORecorder()
-    generator = TrafficGenerator(system, catalog, recorder=recorder,
-                                 **gen_kwargs)
+    generator = TrafficGenerator(system, catalog, recorder=recorder)
     system.run(generator.open_loop(rate, duration), name="traffic")
     return generator, recorder
 
@@ -93,6 +94,25 @@ def test_executors_draw_no_randomness():
     assert [entry[1:] for entry in fast_gen.arrival_log] == [
         entry[1:] for entry in slow_gen.arrival_log
     ]
+
+
+def test_each_arrival_is_one_process(monkeypatch):
+    """An arrival runs its operation inline in the process the source
+    spawns for it: no per-arrival inner process to spawn and join."""
+    names = []
+    spawn = Simulator.spawn
+
+    def recording_spawn(self, generator, name="process", daemon=False):
+        names.append(name)
+        return spawn(self, generator, name=name, daemon=daemon)
+
+    system = make_system(seed=11)
+    monkeypatch.setattr(Simulator, "spawn", recording_spawn)
+    generator, _ = drive(system)
+    arrivals = [name for name in names
+                if re.search(r"(^|/)traffic\.\d+$", name)]
+    assert len(arrivals) == generator.spawned > 50
+    assert not [name for name in names if name.endswith(".op")]
 
 
 # ---------------------------------------------------------------------------
@@ -163,10 +183,7 @@ def test_shed_traffic_leaves_no_leaks(servers):
 
     system = make_system(servers=servers, seed=9,
                          bridge_cache_blocks=64, prefetch_window=2)
-    generator, recorder = drive(
-        system, rate=300.0, duration=1.0,
-        slow_fraction=0.1, patience=5.0,
-    )
+    generator, recorder = drive(system, rate=300.0, duration=1.0)
     # Install-after-build means setup was not rate-limited; re-drive
     # with the policy installed.
     system.install_admission({"policy": "fair", "depth": 4})
@@ -225,22 +242,6 @@ def test_shed_refusals_skip_expensive_server_work():
     shed_events = run.summary["shed"]
     assert run.admission is not None
     assert sum(run.admission["shed"].values()) == shed_events
-
-
-def test_abandonment_is_recorded_and_server_survives():
-    system = make_system(seed=17)
-    _generator, recorder = drive(
-        system, rate=250.0, duration=1.0, patience=0.05,
-    )
-    summary = recorder.summary(1.0)
-    # At ~3x overload with 50 ms patience most clients walk away...
-    assert summary["abandoned"] > 0
-    # ...but the server finishes every queued request anyway (open loop:
-    # abandoning the wait does not retract the work).
-    assert summary["failed"] == 0
-    resolved = sum(summary[key] for key in
-                   ("completed", "throttled", "shed", "abandoned", "failed"))
-    assert resolved == summary["offered"]
 
 
 # ---------------------------------------------------------------------------

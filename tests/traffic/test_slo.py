@@ -58,7 +58,7 @@ def test_summary_reports_per_class_quantiles_and_rates():
 
 def test_registry_adoption_exposes_latency_histograms():
     registry = MetricsRegistry()
-    recorder = SLORecorder(registry=registry, prefix="traffic")
+    recorder = SLORecorder(registry=registry)
     recorder.record_issue("read")
     recorder.record_outcome("read", "ok", 0.002)
     snapshot = registry.snapshot()
