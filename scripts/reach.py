@@ -22,11 +22,15 @@ reference a test compares against; a later workload that needs it
 re-adds it.
 
 Usage:
-    python scripts/reach.py [--tests] [--fail-on-unreached] [--report FILE]
+    python scripts/reach.py [--tests] [--fail-on-unreached] [--max-cold N]
+                            [--report FILE]
 
 ``--fail-on-unreached`` exits 1 when a function other than ``__repr__``
 is entered by neither the product traffic nor tier-1 (it needs
-``--tests``).
+``--tests``).  ``--max-cold N`` exits 1 when more than N functions
+(``__repr__`` included) are never entered by the product traffic — the
+"never entered by product" count of the report's second line — so the
+count cannot grow back without someone raising N.
 """
 
 import argparse
@@ -205,7 +209,9 @@ def reference_counts(names):
 
 
 def report(product, tests, out):
-    """Write the report; returns the functions nothing entered."""
+    """Write the report; returns ``(cold, unreached)``: the functions the
+    product never enters, and those nothing enters other than
+    ``__repr__``."""
     product_lines, product_entered = product
     test_lines, test_entered = tests if tests is not None else ({}, set())
     files = []
@@ -255,7 +261,7 @@ def report(product, tests, out):
         print(f"  {row['file']}:{row['line']} {row['qualname']:<44}"
               f"{row['body']:>4}{row['body_tests_only']:>4}  {who:<8}"
               f"{references[row['name']]:>3}", file=out)
-    return [row for row in dead if row["name"] != "__repr__"]
+    return cold, [row for row in dead if row["name"] != "__repr__"]
 
 
 def main() -> int:
@@ -265,6 +271,9 @@ def main() -> int:
     parser.add_argument("--fail-on-unreached", action="store_true",
                         help="exit 1 when product and tier-1 both miss a "
                              "function other than __repr__")
+    parser.add_argument("--max-cold", type=int, metavar="N",
+                        help="exit 1 when more than N functions are never "
+                             "entered by the product")
     parser.add_argument("--report", help="write the report here, not stdout")
     args = parser.parse_args()
     if args.fail_on_unreached and not args.tests:
@@ -279,15 +288,20 @@ def main() -> int:
         tests = load(data / "tests") if args.tests else None
     if args.report:
         with open(args.report, "w", encoding="utf-8") as out:
-            unreached = report(product, tests, out)
+            cold, unreached = report(product, tests, out)
     else:
-        unreached = report(product, tests, sys.stdout)
+        cold, unreached = report(product, tests, sys.stdout)
+    status = 0
     if args.fail_on_unreached and unreached:
         for row in unreached:
             print(f"reach: nothing enters {row['file']}:{row['line']} "
                   f"{row['qualname']}", file=sys.stderr)
-        return 1
-    return 0
+        status = 1
+    if args.max_cold is not None and len(cold) > args.max_cold:
+        print(f"reach: the product never enters {len(cold)} functions, "
+              f"more than --max-cold {args.max_cold}", file=sys.stderr)
+        status = 1
+    return status
 
 
 if __name__ == "__main__":

@@ -6,7 +6,7 @@ into a directory.  ...  A pointer to the first block of a file can be
 found in the file's EFS directory entry."
 
 The directory occupies a reserved region of block addresses
-``[0, bucket_count)`` at the front of the device.  Each bucket block holds
+``[0, BUCKET_COUNT)`` at the front of the device.  Each bucket block holds
 packed fixed-size entries; lookups and updates go through the block cache,
 so directory I/O pays realistic device costs (and benefits from caching —
 the paper notes directory caching is "less effective for writes than it
@@ -33,6 +33,9 @@ from repro.efs.layout import NULL_ADDR
 #: file_number, head_addr, flags, gfid, width, column
 _ENTRY = struct.Struct("<qiiqii")
 _ENTRIES_PER_BUCKET = BLOCK_SIZE // _ENTRY.size  # 32 slots of 32 bytes
+
+#: Directory buckets per device: the reserved region ``[0, 64)``.
+BUCKET_COUNT = 64
 
 #: Marker for an unused entry slot (file numbers are non-negative).
 _EMPTY = -1
@@ -100,22 +103,19 @@ def bucket_entries(raw: bytes) -> List[DirectoryEntry]:
 class Directory:
     """Hashed directory over a reserved on-disk bucket region."""
 
-    def __init__(self, cache, bucket_count: int = 64) -> None:
-        if bucket_count < 1:
-            raise ValueError("directory needs at least one bucket")
+    def __init__(self, cache) -> None:
         self.cache = cache
-        self.bucket_count = bucket_count
 
     # ------------------------------------------------------------------
 
     def bucket_of(self, file_number: int) -> int:
         """The bucket block address for a file number."""
-        return (file_number * 0x9E3779B1) % self.bucket_count
+        return (file_number * 0x9E3779B1) % BUCKET_COUNT
 
     @property
     def first_data_block(self) -> int:
         """First address past the directory region (free-list start)."""
-        return self.bucket_count
+        return BUCKET_COUNT
 
     # ------------------------------------------------------------------
     # Generator API (all operations do cached device I/O)
@@ -171,7 +171,7 @@ class Directory:
     def list_files(self):
         """All file numbers on this LFS (a full directory scan)."""
         numbers = []
-        for bucket in range(self.bucket_count):
+        for bucket in range(BUCKET_COUNT):
             slots = self._slots((yield from self._fetch(bucket)))
             numbers.extend(fields[0] for fields in slots)
         return sorted(numbers)

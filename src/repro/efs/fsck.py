@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set
 
-from repro.efs.directory import bucket_entries
+from repro.efs.directory import BUCKET_COUNT, bucket_entries
 from repro.efs.layout import NULL_ADDR, unpack_block
 from repro.errors import EFSCorruptionError
 
@@ -78,7 +78,7 @@ def check_efs(server) -> FsckReport:
 
     # Enumerate directory entries straight from the bucket blocks.
     entries = []
-    for bucket in range(directory.bucket_count):
+    for bucket in range(BUCKET_COUNT):
         raw = image.get(bucket)
         if raw is None:
             continue

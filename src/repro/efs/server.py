@@ -62,7 +62,6 @@ class EFSServer(Server):
         disk,
         config: SystemConfig,
         name: Optional[str] = None,
-        directory_buckets: int = 64,
     ) -> None:
         super().__init__(node, name or f"efs{node.index}")
         self.disk = disk
@@ -73,7 +72,7 @@ class EFSServer(Server):
             track_blocks=config.efs_track_buffer_blocks,
             hit_cpu=config.cpu.efs_cache_hit,
         )
-        self.directory = Directory(self.cache, bucket_count=directory_buckets)
+        self.directory = Directory(self.cache)
         self.freelist = FreeList(
             disk.params.capacity_blocks, start=self.directory.first_data_block
         )

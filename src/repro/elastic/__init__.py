@@ -30,7 +30,7 @@ Makes the S20 partitioned fabric resizable online, and steers it:
 
 Entry points for experiments: ``BridgeSystem(..., elastic=N)`` then
 ``system.resize_fabric(new_count)``; ``BridgeSystem(..., elastic=...,
-rebalance=True)`` then spawn ``system.rebalancer.run(duration)`` next to
+rebalance={})`` then spawn ``system.rebalancer.run(duration)`` next to
 traffic (see :mod:`repro.harness.builders`).  With both off only the
 ring registry is consulted — the committed acceptance trace stays
 byte-identical.

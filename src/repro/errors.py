@@ -52,6 +52,22 @@ class InvalidYieldError(SimulationError):
     """A simulated process yielded an object the kernel cannot wait on."""
 
 
+class SecondReceiverError(SimulationError):
+    """A process waited on a mailbox another process is already parked on.
+
+    A :class:`~repro.sim.Mailbox` has one receiver slot; two readers of
+    one mailbox would need an order between them that no part of the
+    machine model defines."""
+
+    def __init__(self, mailbox, process) -> None:
+        self.mailbox = mailbox
+        self.process = process
+        super().__init__(
+            f"mailbox {mailbox.name!r} already has a parked receiver "
+            f"({mailbox._waiter.name!r}); {process.name!r} cannot wait on it too"
+        )
+
+
 # ---------------------------------------------------------------------------
 # Machine model
 # ---------------------------------------------------------------------------

@@ -5,8 +5,8 @@ validated ``SystemSpec`` and nothing else.  The keyword constructor is
 sugar — ``BridgeSystem(4, seed=1, elastic=4)`` is
 ``BridgeSystem(SystemSpec.from_keywords(4, seed=1, elastic=4))`` — and
 :meth:`SystemSpec.from_keywords` is the only place a polymorphic keyword
-form (bool-or-int ``elastic``, ``True``/dict/config ``rebalance``,
-string/dict/list ``storage``, a ``disk_latency`` model) turns into data.
+form (bool-or-int ``elastic``, a dict ``rebalance``, string/dict/list
+``storage``, a ``disk_latency`` model) turns into data.
 DESIGN.md's "Configuration" table lists every field with its sugar.
 """
 
@@ -50,14 +50,11 @@ def _fold_latency(spec: dict, disk_latency) -> dict:
     (a plain :class:`FixedLatency` as data, any other model live)."""
     takes_latency = "latency" in DRIVER_KINDS[spec["kind"]][1]
     if (disk_latency is None or not takes_latency
-            or spec.keys() & {"latency", "access_time", "jitter"}):
+            or spec.keys() & {"latency", "access_time"}):
         return spec
     if type(disk_latency) is not FixedLatency:
         return {**spec, "latency": disk_latency}
-    spec = {**spec, "access_time": disk_latency.access_time}
-    if disk_latency.jitter:
-        spec["jitter"] = disk_latency.jitter
-    return spec
+    return {**spec, "access_time": disk_latency.access_time}
 
 
 def _plain(value, where: str):
@@ -180,9 +177,8 @@ class SystemSpec:
         * ``elastic=True`` routes by consistent hash over
           ``bridge_server_count`` partitions; an int additionally
           provisions that many server nodes so the fabric can grow;
-        * ``rebalance`` takes ``True`` (default settings), a
-          :class:`RebalanceConfig` or a dict of its fields, and implies
-          ``elastic=True``;
+        * ``rebalance`` takes a dict of :class:`RebalanceConfig` fields
+          (``{}`` for the defaults) and implies ``elastic=True``;
         * ``trace_export`` implies ``obs``.
         """
         overrides = {
@@ -213,18 +209,13 @@ class SystemSpec:
                 f"not {elastic!r}"
             )
 
-        if rebalance is None or rebalance is False:
-            rebalance = None
-        elif rebalance is True:
-            rebalance = RebalanceConfig()
-        elif isinstance(rebalance, dict):
-            rebalance = RebalanceConfig(**rebalance)
-        elif not isinstance(rebalance, RebalanceConfig):
-            raise ValueError(
-                f"rebalance= takes True, a RebalanceConfig, or a dict "
-                f"of its fields, not {rebalance!r}"
-            )
         if rebalance is not None:
+            if not isinstance(rebalance, dict):
+                raise ValueError(
+                    f"rebalance= takes a dict of RebalanceConfig fields, "
+                    f"not {rebalance!r}"
+                )
+            rebalance = RebalanceConfig(**rebalance)
             ring = ConsistentHashRing.kind
 
         return cls(

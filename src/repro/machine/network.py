@@ -59,6 +59,13 @@ class ZeroLatencyNetwork:
         return 0.0
 
 
+#: The Ethernet's medium: 10 Mb/s, a per-frame overhead, and the
+#: latency of a same-node message, which bypasses the bus.
+ETHERNET_BANDWIDTH = 1_250_000.0
+ETHERNET_FRAME_OVERHEAD = 0.2e-3
+ETHERNET_LOCAL_LATENCY = 0.1e-3
+
+
 class EthernetNetwork:
     """A shared broadcast bus: one transmission at a time, per-byte cost.
 
@@ -68,17 +75,8 @@ class EthernetNetwork:
     aggregate I/O bandwidth exceeds network bandwidth.
     """
 
-    def __init__(
-        self,
-        sim,
-        bandwidth_bytes_per_s: float = 1_250_000.0,  # 10 Mb/s Ethernet
-        frame_overhead: float = 0.2e-3,
-        local_latency: float = 0.1e-3,
-    ) -> None:
+    def __init__(self, sim) -> None:
         self.sim = sim
-        self.bandwidth = bandwidth_bytes_per_s
-        self.frame_overhead = frame_overhead
-        self.local_latency = local_latency
         self.messages_sent = 0
         self.bytes_sent = 0
         self._queue: Deque[Tuple[Any, Any, int]] = deque()
@@ -90,9 +88,9 @@ class EthernetNetwork:
         self.bytes_sent += size
         if src_node is port.node:
             sim._seq += 1
-            heappush(sim._heap, (sim.now + self.local_latency, sim._seq,
+            heappush(sim._heap, (sim.now + ETHERNET_LOCAL_LATENCY, sim._seq,
                                  port.mailbox.deliver, message))
-            return self.local_latency
+            return ETHERNET_LOCAL_LATENCY
         self._queue.append((port, message, size))
         self._wakeup.deliver(None)
         # Remote messages queue behind the shared bus; the arrival time is
@@ -105,7 +103,8 @@ class EthernetNetwork:
             while self._queue:
                 port, message, size = self._queue.popleft()
                 started = self.sim.now
-                yield Timeout(self.frame_overhead + size / self.bandwidth)
+                yield Timeout(ETHERNET_FRAME_OVERHEAD
+                              + size / ETHERNET_BANDWIDTH)
                 port.mailbox.deliver(message)
                 # Transit is priced only now that the frame has cleared
                 # the shared medium; tell the observability layer so the

@@ -3,7 +3,7 @@
 The Butterfly implementation of Bridge passes messages through atomic
 queues in shared memory; on an Ethernet it would use datagrams.  Either
 way the abstraction is the same: a :class:`Mailbox` is an unbounded FIFO
-of messages that processes can block on.
+of messages that one process at a time can block on.
 
 Delivery latency is *not* a mailbox concern — the network model
 (:mod:`repro.machine.network`) computes a latency and calls
@@ -17,21 +17,25 @@ from collections import deque
 from heapq import heappush
 from typing import Any, Deque, Optional
 
+from repro.errors import SecondReceiverError
+
 
 class Mailbox:
-    """An unbounded FIFO message queue with blocking receive.
+    """An unbounded FIFO message queue with one blocking receiver.
 
     A mailbox is its own receive waitable: ``message = yield mailbox``
     (``recv()`` returns the mailbox itself, for readability at call
-    sites)."""
+    sites).  Every mailbox has one reader — a server loop, a client's
+    reply port, a device's wake-up — so at most one process is parked
+    on it; a second raises :class:`~repro.errors.SecondReceiverError`."""
 
-    __slots__ = ("sim", "name", "_queue", "_waiters")
+    __slots__ = ("sim", "name", "_queue", "_waiter")
 
     def __init__(self, sim, name: str = "mailbox") -> None:
         self.sim = sim
         self.name = name
         self._queue: Deque[Any] = deque()
-        self._waiters: Deque[Any] = deque()
+        self._waiter = None
 
     # ------------------------------------------------------------------
 
@@ -41,11 +45,12 @@ class Mailbox:
         If a process is blocked in :meth:`recv`, it is resumed immediately;
         otherwise the message queues until someone asks for it.
         """
-        if self._waiters:
+        waiter = self._waiter
+        if waiter is not None:
+            self._waiter = None
             sim = self.sim
             sim._seq += 1
-            heappush(sim._heap, (sim.now, sim._seq,
-                                 self._waiters.popleft()._resume, message))
+            heappush(sim._heap, (sim.now, sim._seq, waiter._resume, message))
         else:
             self._queue.append(message)
 
@@ -58,8 +63,10 @@ class Mailbox:
         queue = self._queue
         if queue:
             process.sim._schedule(0.0, process._resume, queue.popleft())
+        elif self._waiter is None:
+            self._waiter = process
         else:
-            self._waiters.append(process)
+            raise SecondReceiverError(self, process)
 
     def poll(self) -> Optional[Any]:
         """Non-blocking receive: pop the next queued message, or ``None``.
@@ -70,21 +77,6 @@ class Mailbox:
         nothing is pending."""
         queue = self._queue
         return queue.popleft() if queue else None
-
-    # ------------------------------------------------------------------
-
-    def __len__(self) -> int:
-        """Number of queued (undelivered-to-receiver) messages."""
-        return len(self._queue)
-
-    @property
-    def has_waiters(self) -> bool:
-        """True if at least one process is blocked waiting to receive."""
-        return bool(self._waiters)
-
-    def peek(self) -> Optional[Any]:
-        """The next queued message without consuming it, or ``None``."""
-        return self._queue[0] if self._queue else None
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Mailbox({self.name!r}, queued={len(self._queue)})"

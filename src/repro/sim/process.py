@@ -21,7 +21,7 @@ from __future__ import annotations
 from heapq import heappush
 from typing import Any
 
-from repro.errors import InvalidYieldError, ProcessError
+from repro.errors import InvalidYieldError, ProcessError, SecondReceiverError
 from repro.sim.channel import Mailbox
 from repro.sim.events import AllOf, Signal, Timeout
 
@@ -88,8 +88,10 @@ class Process:
                 sim._seq += 1
                 heappush(sim._heap, (sim.now, sim._seq, self._resume,
                                      queue.popleft()))
+            elif target._waiter is None:
+                target._waiter = self
             else:
-                target._waiters.append(self)
+                raise SecondReceiverError(target, self)
             return
         try:
             wait = target._wait

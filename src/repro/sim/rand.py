@@ -1,9 +1,9 @@
 """Deterministic named random streams.
 
-Every stochastic component of the simulation (disk latency jitter, workload
-key generation, fault injection) draws from its own named stream so that
-adding randomness to one component never perturbs another — a standard
-requirement for reproducible discrete-event experiments.
+Every stochastic component of the simulation (a storage array's rotational
+phases, workload key generation, fault injection) draws from its own named
+stream so that adding randomness to one component never perturbs another —
+a standard requirement for reproducible discrete-event experiments.
 """
 
 from __future__ import annotations

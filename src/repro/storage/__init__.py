@@ -13,12 +13,11 @@ from repro.storage.drivers import (
     DRIVER_KINDS,
     make_driver,
     normalize_driver_spec,
-    register_driver,
     storage_specs,
 )
 from repro.storage.geometry import DiskGeometry
 from repro.storage.hostfs import HostFSDisk
-from repro.storage.objectstore import ObjectStoreDisk, ObjectStoreLatency
+from repro.storage.objectstore import ObjectStoreDisk
 from repro.storage.parameters import (
     DEFAULT_ACCESS_TIME,
     DiskParameters,
@@ -47,7 +46,6 @@ __all__ = [
     "GeometricLatency",
     "HostFSDisk",
     "ObjectStoreDisk",
-    "ObjectStoreLatency",
     "SSTFScheduler",
     "SimulatedDisk",
     "SingleArmBlockStore",
@@ -55,7 +53,6 @@ __all__ = [
     "make_driver",
     "make_scheduler",
     "normalize_driver_spec",
-    "register_driver",
     "storage_specs",
     "wren_geometric",
 ]

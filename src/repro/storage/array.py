@@ -20,15 +20,17 @@ from __future__ import annotations
 from typing import Tuple
 
 from repro.storage.disk import SimulatedDisk
-from repro.storage.parameters import DiskParameters
+from repro.storage.parameters import ROTATION_TIME, SEEK_MIN, DiskParameters
 
 
 class StorageArray(SimulatedDisk):
     """``member_count`` spindles behaving as one logical block device.
 
     Positioning model: each member contributes an independent rotational
-    wait uniform in ``[0, rotation_time)``; the logical operation pays the
-    maximum plus a fixed seek, then ``transfer_time / member_count``.
+    wait uniform in ``[0, ROTATION_TIME)``; the logical operation pays the
+    maximum plus a fixed ``SEEK_MIN`` seek (the geometric drive's
+    constants, :mod:`repro.storage.parameters`), then
+    ``transfer_time / member_count``.
     Expected positioning therefore *grows* toward a full rotation as
     members are added: E[max of d uniforms] = d/(d+1) x rotation.
 
@@ -44,16 +46,12 @@ class StorageArray(SimulatedDisk):
         sim,
         member_count: int,
         capacity_blocks: int,
-        rotation_time: float = 0.0167,
-        seek_time: float = 0.004,
         transfer_time: float = 0.001,
         name: str = "array",
     ) -> None:
         if member_count < 1:
             raise ValueError("array needs at least one member drive")
         self.member_count = member_count
-        self.rotation_time = rotation_time
-        self.seek_time = seek_time
         self.transfer_time = transfer_time
         super().__init__(
             sim, DiskParameters(name, capacity_blocks), latency_model=self,
@@ -65,7 +63,7 @@ class StorageArray(SimulatedDisk):
         """Seek, then the worst member's rotational wait, then the
         transfer split ``member_count`` ways."""
         service = (
-            self.seek_time
+            SEEK_MIN
             + self.sample_positioning()
             + self.transfer_time / self.member_count
         )
@@ -75,7 +73,7 @@ class StorageArray(SimulatedDisk):
         """One sample of the lock-step positioning wait (max of members)."""
         worst = 0.0
         for _ in range(self.member_count):
-            wait = self._rng.uniform(0.0, self.rotation_time)
+            wait = self._rng.uniform(0.0, ROTATION_TIME)
             if wait > worst:
                 worst = wait
         return worst
@@ -83,4 +81,4 @@ class StorageArray(SimulatedDisk):
     def expected_positioning(self) -> float:
         """Analytic E[max of d uniform rotational waits]."""
         d = self.member_count
-        return self.rotation_time * d / (d + 1)
+        return ROTATION_TIME * d / (d + 1)

@@ -92,12 +92,17 @@ class IOScheduler(Protocol):
 
 
 class BlockRequest:
-    """One queued block operation, stamped as the driver serves it."""
+    """One queued block operation, stamped as the driver serves it.
 
-    __slots__ = ("op", "block", "data", "waiter", "enqueued_at", "result",
-                 "error", "wait", "service")
+    A request is its own waitable: ``yield request`` queues it on its
+    store and parks the caller until the driver resumes it."""
 
-    def __init__(self, op: str, block: int, data: Optional[bytes], now: float) -> None:
+    __slots__ = ("store", "op", "block", "data", "waiter", "enqueued_at",
+                 "result", "error", "wait", "service")
+
+    def __init__(self, store: "BlockStoreABC", op: str, block: int,
+                 data: Optional[bytes], now: float) -> None:
+        self.store = store
         self.op = op
         self.block = block
         self.data = data
@@ -110,20 +115,11 @@ class BlockRequest:
         self.wait: Optional[float] = None
         self.service: Optional[float] = None
 
-
-class _Submit:
-    """Waitable that parks the calling process until its request is served."""
-
-    __slots__ = ("store", "request")
-
-    def __init__(self, store: "BlockStoreABC", request: BlockRequest) -> None:
-        self.store = store
-        self.request = request
-
     def _wait(self, process) -> None:
-        self.request.waiter = process
-        self.store._pending.append(self.request)
-        self.store._wakeup.deliver(None)
+        self.waiter = process
+        store = self.store
+        store._pending.append(self)
+        store._wakeup.deliver(None)
 
 
 class BlockStoreABC(abc.ABC):
@@ -154,6 +150,9 @@ class BlockStoreABC(abc.ABC):
         self._pending: List[BlockRequest] = []
         self._wakeup = Mailbox(sim, f"{self.name}.wakeup")
         self._rng = sim.random.stream(f"{self.rng_stream}.{self.name}")
+        # What an unwritten block reads as; bytes are immutable, so one
+        # per driver serves every such read.
+        self._zeros = bytes(params.block_size)
         self.reads = 0
         self.writes = 0
         self.busy_time = 0.0
@@ -175,12 +174,12 @@ class BlockStoreABC(abc.ABC):
 
     def read(self, block: int):
         """Read one block; returns its bytes (zeros if never written)."""
-        request = BlockRequest("read", block, None, self.sim.now)
+        request = BlockRequest(self, "read", block, None, self.sim.now)
         obs = self.sim.obs
         span = None
         if obs is not None:
             span = obs.begin(f"{self.name}.read", "disk", node=self.obs_node)
-        result = yield _Submit(self, request)
+        result = yield request
         if obs is not None:
             obs.end(span, block=block, wait=result.wait, service=result.service)
         if result.error is not None:
@@ -189,12 +188,12 @@ class BlockStoreABC(abc.ABC):
 
     def write(self, block: int, data: bytes):
         """Write one block (data must not exceed the block size)."""
-        request = BlockRequest("write", block, bytes(data), self.sim.now)
+        request = BlockRequest(self, "write", block, bytes(data), self.sim.now)
         obs = self.sim.obs
         span = None
         if obs is not None:
             span = obs.begin(f"{self.name}.write", "disk", node=self.obs_node)
-        result = yield _Submit(self, request)
+        result = yield request
         if obs is not None:
             obs.end(span, block=block, wait=result.wait, service=result.service)
         if result.error is not None:

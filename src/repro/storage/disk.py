@@ -46,7 +46,8 @@ class SimulatedDisk(SingleArmBlockStore):
         )
 
     def _read_block(self, block: int) -> bytes:
-        return self.blocks.get(block, b"\x00" * self.params.block_size)
+        data = self.blocks.get(block)
+        return self._zeros if data is None else data
 
     def _write_block(self, block: int, data: bytes) -> None:
         self.blocks[block] = data

@@ -12,12 +12,10 @@ A **spec** is any of:
   ``"hostfs"``, ``"object"``;
 * a dict — a kind plus per-driver fields, e.g.
   ``{"kind": "ram", "access_time": 0.001}``,
-  ``{"kind": "hostfs", "root": "/tmp/blocks", "fsync": "always"}``,
-  ``{"kind": "object", "first_byte": 0.05, "max_inflight": 8}``
+  ``{"kind": "hostfs", "root": "/tmp/blocks", "fsync": "always"}``
   (``kind`` defaults to ``"ram"`` when omitted);
 * a callable ``factory(sim, name, capacity_blocks) -> BlockStoreABC``
-  — full custom construction (what third-party drivers use before
-  registering a kind).
+  — full custom construction (how a storage array joins a fabric).
 
 Unknown kinds and unknown fields raise :class:`ValueError` at
 construction time — a misspelled spec never silently falls back to the
@@ -26,16 +24,17 @@ default device.
 Per-driver fields
 -----------------
 
-``ram``     — ``access_time``, ``jitter``, ``latency`` (a model
-              instance, overrides the former two), ``scheduler``
+``ram``     — ``access_time``, ``latency`` (a model instance, overrides
+              ``access_time``), ``scheduler``
               (``"fcfs"``/``"sstf"``/``"elevator"``),
               ``capacity_blocks``.
 ``hostfs``  — ``root`` (required; blocks live in ``root/<name>/`` so
               one spec serves a whole fabric of named disks), ``fsync``
               (``"never"``/``"always"``), plus the ``ram`` latency and
               scheduler fields.
-``object``  — ``first_byte``, ``bandwidth`` (bytes/s),
-              ``max_inflight``, ``capacity_blocks``.
+``object``  — ``capacity_blocks``; its first-byte latency, bandwidth
+              and in-flight cap are the constants of
+              :mod:`repro.storage.objectstore`.
 """
 
 from __future__ import annotations
@@ -46,12 +45,7 @@ from typing import Callable, Dict, Union
 from repro.storage.base import BlockStoreABC
 from repro.storage.disk import SimulatedDisk
 from repro.storage.hostfs import FSYNC_POLICIES, HostFSDisk
-from repro.storage.objectstore import (
-    DEFAULT_BANDWIDTH,
-    DEFAULT_FIRST_BYTE,
-    DEFAULT_MAX_INFLIGHT,
-    ObjectStoreDisk,
-)
+from repro.storage.objectstore import ObjectStoreDisk
 from repro.storage.parameters import DiskParameters, FixedLatency
 from repro.storage.scheduler import make_scheduler
 
@@ -62,23 +56,18 @@ DriverSpec = Union[None, str, dict, Callable]
 DEFAULT_CAPACITY_BLOCKS = 65_536
 
 _COMMON_FIELDS = frozenset({"kind", "capacity_blocks"})
-_LATENCY_FIELDS = frozenset({"access_time", "jitter", "latency", "scheduler"})
+_LATENCY_FIELDS = frozenset({"access_time", "latency", "scheduler"})
 
 
 def _resolve_latency(spec: dict, default_latency):
     """The latency model for a single-arm driver: an explicit model
-    beats access_time/jitter fields, which beat the caller's default
+    beats an ``access_time`` field, which beats the caller's default
     (``None`` falls through to ``DiskParameters.default_latency``)."""
     model = spec.get("latency")
     if model is not None:
         return model
-    if "access_time" in spec or "jitter" in spec:
-        kwargs = {}
-        if "access_time" in spec:
-            kwargs["access_time"] = spec["access_time"]
-        if "jitter" in spec:
-            kwargs["jitter"] = spec["jitter"]
-        return FixedLatency(**kwargs)
+    if "access_time" in spec:
+        return FixedLatency(spec["access_time"])
     return default_latency
 
 
@@ -124,33 +113,16 @@ def _build_object(sim, spec, name, capacity_blocks, default_latency):
     params = DiskParameters(
         name=name, capacity_blocks=spec.get("capacity_blocks", capacity_blocks)
     )
-    return ObjectStoreDisk(
-        sim, params,
-        first_byte=spec.get("first_byte", DEFAULT_FIRST_BYTE),
-        bandwidth=spec.get("bandwidth", DEFAULT_BANDWIDTH),
-        max_inflight=spec.get("max_inflight", DEFAULT_MAX_INFLIGHT),
-        name=name,
-    )
+    return ObjectStoreDisk(sim, params, name=name)
 
 
-#: kind -> (factory, allowed spec fields).  ``register_driver`` extends it.
+#: kind -> (factory, allowed spec fields).
 DRIVER_KINDS: Dict[str, tuple] = {
     "ram": (_build_ram, _COMMON_FIELDS | _LATENCY_FIELDS),
     "hostfs": (_build_hostfs, _COMMON_FIELDS | _LATENCY_FIELDS
                | frozenset({"root", "fsync"})),
-    "object": (_build_object, _COMMON_FIELDS
-               | frozenset({"first_byte", "bandwidth", "max_inflight"})),
+    "object": (_build_object, _COMMON_FIELDS),
 }
-
-
-def register_driver(kind: str, factory, fields=frozenset()) -> None:
-    """Register (or replace) a driver kind.
-
-    ``factory(sim, spec, name, capacity_blocks, default_latency)`` must
-    return a :class:`BlockStoreABC`; ``fields`` names the spec keys the
-    factory understands beyond ``kind``/``capacity_blocks``.
-    """
-    DRIVER_KINDS[kind] = (factory, _COMMON_FIELDS | frozenset(fields))
 
 
 def normalize_driver_spec(spec: DriverSpec) -> dict:

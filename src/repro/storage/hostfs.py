@@ -135,7 +135,7 @@ class HostFSDisk(SingleArmBlockStore):
             with open(self._block_path(block), "rb") as handle:
                 data = handle.read()
         except FileNotFoundError:
-            return b"\x00" * self.params.block_size
+            return self._zeros
         self._record_mtime(block)
         return data
 

@@ -3,8 +3,8 @@
 A block device in interface, an object store in behaviour: each block is
 one object, every access pays a high **first-byte latency** (request
 routing, authentication, metadata lookup — tens of milliseconds) and
-then a **bandwidth-dominated transfer** (``block_size / bandwidth``),
-and the store serves up to ``max_inflight`` requests *concurrently*
+then a **bandwidth-dominated transfer** (``block_size / BANDWIDTH``),
+and the store serves up to ``MAX_INFLIGHT`` requests *concurrently*
 instead of serializing them on one arm.  That combination — terrible
 per-op latency, fine aggregate throughput under parallelism — is the
 characteristic shape of S3-class backends, and it is exactly the regime
@@ -29,32 +29,18 @@ from repro.sim import Timeout
 from repro.storage.base import BlockStoreABC
 from repro.storage.parameters import DiskParameters
 
-#: Default first-byte latency: ~30 ms, twice the paper's disk access.
-DEFAULT_FIRST_BYTE = 0.030
-#: Default bandwidth: 4 MiB/s — a 1 KiB block transfers in ~0.24 ms,
-#: so latency, not bandwidth, dominates single-block traffic.
-DEFAULT_BANDWIDTH = 4 * 1024 * 1024
-#: Default concurrent in-flight cap per store.
-DEFAULT_MAX_INFLIGHT = 4
+#: First-byte latency: ~30 ms, twice the paper's disk access.
+FIRST_BYTE = 0.030
+#: Bandwidth: 4 MiB/s — a 1 KiB block transfers in ~0.24 ms, so
+#: latency, not bandwidth, dominates single-block traffic.
+BANDWIDTH = 4 * 1024 * 1024
+#: Concurrent in-flight cap per store.
+MAX_INFLIGHT = 4
 
 
-class ObjectStoreLatency:
-    """First-byte + size/bandwidth transfer model."""
-
-    def __init__(
-        self,
-        first_byte: float = DEFAULT_FIRST_BYTE,
-        bandwidth: float = DEFAULT_BANDWIDTH,
-    ) -> None:
-        if first_byte < 0:
-            raise ValueError("first-byte latency must be non-negative")
-        if bandwidth <= 0:
-            raise ValueError("bandwidth must be positive")
-        self.first_byte = first_byte
-        self.bandwidth = bandwidth
-
-    def transfer_time(self, nbytes: int) -> float:
-        return self.first_byte + nbytes / self.bandwidth
+def transfer_time(nbytes: int) -> float:
+    """One object access: first byte, then ``nbytes`` at the bandwidth."""
+    return FIRST_BYTE + nbytes / BANDWIDTH
 
 
 class ObjectStoreDisk(BlockStoreABC):
@@ -66,27 +52,21 @@ class ObjectStoreDisk(BlockStoreABC):
         self,
         sim,
         params: DiskParameters,
-        first_byte: float = DEFAULT_FIRST_BYTE,
-        bandwidth: float = DEFAULT_BANDWIDTH,
-        max_inflight: int = DEFAULT_MAX_INFLIGHT,
         name: Optional[str] = None,
     ) -> None:
-        if max_inflight < 1:
-            raise ValueError("max_inflight must be >= 1")
-        self.model = ObjectStoreLatency(first_byte, bandwidth)
-        self.max_inflight = max_inflight
         self.inflight = 0
         self.blocks: Dict[int, bytes] = {}
         super().__init__(sim, params, name=name)
 
     def _read_block(self, block: int) -> bytes:
-        return self.blocks.get(block, b"\x00" * self.params.block_size)
+        data = self.blocks.get(block)
+        return self._zeros if data is None else data
 
     def _write_block(self, block: int, data: bytes) -> None:
         self.blocks[block] = data
 
     # ------------------------------------------------------------------
-    # Serving: a dispatcher that keeps up to ``max_inflight`` transfers
+    # Serving: a dispatcher that keeps up to ``MAX_INFLIGHT`` transfers
     # running; each transfer is its own process, so requests overlap.
     # ------------------------------------------------------------------
 
@@ -98,7 +78,7 @@ class ObjectStoreDisk(BlockStoreABC):
                     request.error = DeviceFailedError(f"{self.name} has failed")
                     sim._schedule(0.0, request.waiter._resume, request)
                 self._pending.clear()
-            while self._pending and self.inflight < self.max_inflight:
+            while self._pending and self.inflight < MAX_INFLIGHT:
                 request = self._pending.pop(0)
                 wait = sim.now - request.enqueued_at
                 request.wait = wait
@@ -113,8 +93,7 @@ class ObjectStoreDisk(BlockStoreABC):
 
     def _transfer(self, request):
         sim = self.sim
-        size = self.params.block_size
-        service = self.model.transfer_time(size)
+        service = transfer_time(self.params.block_size)
         request.service = service
         self.service_times.observe(service)
         if self.heat is not None:

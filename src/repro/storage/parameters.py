@@ -11,7 +11,7 @@ in ablations and available to downstream users.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from repro.config import BLOCK_SIZE
@@ -27,47 +27,38 @@ DEFAULT_ACCESS_TIME = 0.015
 
 
 class FixedLatency:
-    """Every access costs the same: the paper's 15 ms sleep.
+    """Every access costs the same: the paper's 15 ms sleep."""
 
-    Optional uniform jitter (``+/- jitter`` seconds) can model variance
-    without changing the mean; the paper used none.
-    """
-
-    def __init__(self, access_time: float = DEFAULT_ACCESS_TIME, jitter: float = 0.0) -> None:
-        if access_time < 0 or jitter < 0:
+    def __init__(self, access_time: float = DEFAULT_ACCESS_TIME) -> None:
+        if access_time < 0:
             raise ValueError("latencies must be non-negative")
         self.access_time = access_time
-        self.jitter = jitter
 
     def access(self, rng, head_position: int, block: int, now: float) -> Tuple[float, int]:
         """Return ``(service_time, new_head_position)`` for one block access."""
-        time = self.access_time
-        if self.jitter:
-            time += rng.uniform(-self.jitter, self.jitter)
-        return max(time, 0.0), block
+        return self.access_time, block
+
+
+#: :class:`GeometricLatency`'s platter: one rotation at 3600 RPM.
+ROTATION_TIME = 0.0167
+#: Its arm: ``SEEK_MIN + SEEK_FACTOR * sqrt(cylinder distance)``.
+SEEK_MIN = 0.004
+SEEK_FACTOR = 0.0006
 
 
 class GeometricLatency:
     """Seek + rotation + transfer against a real geometry.
 
-    * seek: ``seek_min + seek_factor * sqrt(cylinder distance)`` (classic
+    * seek: ``SEEK_MIN + SEEK_FACTOR * sqrt(cylinder distance)`` (classic
       acceleration-limited arm model), zero if already on-cylinder;
-    * rotation: the platter spins continuously; the wait is the angle to
-      the target sector at the moment the seek completes;
+    * rotation: the platter spins continuously (:data:`ROTATION_TIME`);
+      the wait is the angle to the target sector at the moment the seek
+      completes;
     * transfer: one sector time per block.
     """
 
-    def __init__(
-        self,
-        geometry: DiskGeometry,
-        rotation_time: float = 0.0167,  # 3600 RPM
-        seek_min: float = 0.004,
-        seek_factor: float = 0.0006,
-    ) -> None:
+    def __init__(self, geometry: DiskGeometry) -> None:
         self.geometry = geometry
-        self.rotation_time = rotation_time
-        self.seek_min = seek_min
-        self.seek_factor = seek_factor
 
     def seek_time(self, from_block: int, to_block: int) -> float:
         from_cyl = self.geometry.cylinder_of(from_block)
@@ -75,18 +66,18 @@ class GeometricLatency:
         distance = abs(to_cyl - from_cyl)
         if distance == 0:
             return 0.0
-        return self.seek_min + self.seek_factor * math.sqrt(distance)
+        return SEEK_MIN + SEEK_FACTOR * math.sqrt(distance)
 
     def access(self, rng, head_position: int, block: int, now: float) -> Tuple[float, int]:
         seek = self.seek_time(head_position, block)
         sectors = self.geometry.blocks_per_track
-        sector_time = self.rotation_time / sectors
+        sector_time = ROTATION_TIME / sectors
         _cyl, _track, sector = self.geometry.locate(block)
         arrive = now + seek
-        angle_now = (arrive % self.rotation_time) / self.rotation_time
+        angle_now = (arrive % ROTATION_TIME) / ROTATION_TIME
         target_angle = sector / sectors
         wait_fraction = (target_angle - angle_now) % 1.0
-        rotation = wait_fraction * self.rotation_time
+        rotation = wait_fraction * ROTATION_TIME
         return seek + rotation + sector_time, block
 
 

@@ -69,17 +69,16 @@ def classify(request: Any) -> str:
 
 
 class TokenBucket:
-    """A deterministic token bucket: ``rate`` tokens/second, ``burst`` cap."""
+    """A deterministic token bucket: ``rate`` tokens/second, capped at
+    ``burst`` — a twentieth of a second's tokens, never less than one."""
 
     __slots__ = ("rate", "burst", "tokens", "last_refill")
 
-    def __init__(self, rate: float, burst: Optional[float] = None) -> None:
+    def __init__(self, rate: float) -> None:
         if rate <= 0:
             raise ValueError(f"token rate must be positive, got {rate}")
         self.rate = rate
-        self.burst = float(burst) if burst is not None else max(1.0, rate * 0.05)
-        if self.burst < 1.0:
-            raise ValueError(f"burst must allow at least one token")
+        self.burst = max(1.0, rate * 0.05)
         self.tokens = self.burst
         self.last_refill = 0.0
 
@@ -294,16 +293,18 @@ class AdmissionControl:
                 f"shed={sum(self.shed.values())})")
 
 
-def build_admission(spec, **overrides) -> Optional[AdmissionControl]:
+def build_admission(spec: Optional[dict]) -> Optional[AdmissionControl]:
     """Build one server's :class:`AdmissionControl` from a spec.
 
-    ``spec`` is ``None``/"none" (no control), a policy name, or a dict
-    ``{"policy": name, ...params}``.  Policies:
+    ``spec`` is ``None`` (no control) or a dict ``{"policy": name,
+    ...params}``.  Policies:
 
-    * ``"token-bucket"`` — rate limit only (params ``rate``, ``burst``).
+    * ``"none"`` — no control.
+    * ``"token-bucket"`` — rate limit only (param ``rate``; the bucket
+      holds ``max(1, rate / 20)`` tokens).
     * ``"bounded"`` — FIFO queue with load shedding (param ``depth``).
-    * ``"fair"`` — weighted fair queueing + shedding (params ``depth``,
-      ``weights``).
+    * ``"fair"`` — weighted fair queueing over :data:`DEFAULT_WEIGHTS`
+      plus shedding (param ``depth``).
     * ``"fifo"`` — unbounded measuring FIFO front-end (no refusals;
       exists to observe queue waits for the analysis cross-check).
 
@@ -312,33 +313,25 @@ def build_admission(spec, **overrides) -> Optional[AdmissionControl]:
     """
     if spec is None:
         return None
-    if isinstance(spec, AdmissionControl):
-        return spec
-    if isinstance(spec, str):
-        params: Dict[str, Any] = {"policy": spec}
-    elif isinstance(spec, dict):
-        params = dict(spec)
-    else:
-        raise TypeError(f"admission spec must be None/str/dict, got {spec!r}")
-    params.update(overrides)
+    if not isinstance(spec, dict):
+        raise TypeError(f"admission spec must be None or a dict, got {spec!r}")
+    params = dict(spec)
     policy = params.pop("policy", "none")
     if policy in (None, "none"):
         return None
     if policy == "token-bucket":
         rate = params.pop("rate", 500.0)
-        burst = params.pop("burst", None)
         _reject_extras(policy, params)
-        return AdmissionControl(policy, bucket=TokenBucket(rate, burst))
+        return AdmissionControl(policy, bucket=TokenBucket(rate))
     if policy == "bounded":
         depth = params.pop("depth", 32)
         _reject_extras(policy, params)
         return AdmissionControl(policy, queue=AdmissionQueue(depth=depth))
     if policy == "fair":
         depth = params.pop("depth", 32)
-        weights = params.pop("weights", None) or dict(DEFAULT_WEIGHTS)
         _reject_extras(policy, params)
         return AdmissionControl(
-            policy, queue=AdmissionQueue(depth=depth, weights=weights)
+            policy, queue=AdmissionQueue(depth=depth, weights=DEFAULT_WEIGHTS)
         )
     if policy == "fifo":
         _reject_extras(policy, params)

@@ -22,10 +22,14 @@ _WORDS = (
 ).split()
 
 
-def uniform_keys(count: int, seed: int = 0, key_space: int = 2**48) -> List[int]:
+#: Keys are drawn from ``[0, KEY_SPACE)``.
+KEY_SPACE = 2**48
+
+
+def uniform_keys(count: int, seed: int = 0) -> List[int]:
     """Independent uniform keys (the sort benches' default workload)."""
     rng = random.Random(seed)
-    return [rng.randrange(key_space) for _ in range(count)]
+    return [rng.randrange(KEY_SPACE) for _ in range(count)]
 
 
 def sorted_keys(count: int, seed: int = 0) -> List[int]:

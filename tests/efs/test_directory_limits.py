@@ -12,7 +12,7 @@ from repro.sim import Simulator
 from repro.storage import DiskParameters, FixedLatency, SimulatedDisk
 
 
-def make_efs(capacity_blocks=2048, buckets=64):
+def make_efs(capacity_blocks=2048):
     sim = Simulator(seed=121)
     machine = Machine(sim, 1, config=DEFAULT_CONFIG)
     node = machine.node(0)
@@ -21,7 +21,7 @@ def make_efs(capacity_blocks=2048, buckets=64):
         DiskParameters(name="d", capacity_blocks=capacity_blocks),
         FixedLatency(1e-4),
     )
-    server = EFSServer(node, disk, DEFAULT_CONFIG, directory_buckets=buckets)
+    server = EFSServer(node, disk, DEFAULT_CONFIG)
     client = EFSClient(node, server.port)
     return sim, server, client
 
@@ -115,7 +115,7 @@ def test_directory_survives_cache_wipe():
 
 
 def test_many_files_across_buckets():
-    sim, server, client = make_efs(capacity_blocks=4096, buckets=16)
+    sim, server, client = make_efs(capacity_blocks=4096)
 
     def body():
         for number in range(200):
@@ -125,9 +125,3 @@ def test_many_files_across_buckets():
 
     listing = sim.run_process(body())
     assert listing == list(range(200))
-
-
-def test_custom_bucket_count_shifts_data_region():
-    _sim, server, _client = make_efs(buckets=8)
-    assert server.directory.first_data_block == 8
-    assert server.freelist.start == 8

@@ -31,8 +31,8 @@ KEYWORD_FORMS = [
     ({"config": DEFAULT_CONFIG.with_changes(create_uses_tree=True)},
      {"config": DEFAULT_CONFIG.with_changes(create_uses_tree=True)}),
     ({"disk_latency": FixedLatency(0.0005)}, {"storage": (FAST,)}),
-    ({"disk_latency": FixedLatency(0.002, jitter=0.001)},
-     {"storage": ({"kind": "ram", "access_time": 0.002, "jitter": 0.001},)}),
+    ({"disk_latency": FixedLatency(0.002), "storage": {"access_time": 0.001}},
+     {"storage": ({"kind": "ram", "access_time": 0.001},)}),
     ({"storage": None}, {}),
     ({"storage": "object"}, {"storage": ({"kind": "object"},)}),
     ({"storage": {"access_time": 0.002}},
@@ -57,13 +57,13 @@ KEYWORD_FORMS = [
      {"bridge_server_count": 2, "ring": "consistent"}),
     ({"elastic": 4, "bridge_server_count": 2},
      {"bridge_server_count": 2, "ring": "consistent", "spare_servers": 2}),
-    ({"rebalance": True, "bridge_server_count": 4},
+    ({"rebalance": {}, "bridge_server_count": 4},
      {"bridge_server_count": 4, "ring": "consistent",
       "rebalance": RebalanceConfig()}),
     ({"rebalance": {"cooldown": 1.0}, "elastic": 4, "bridge_server_count": 4},
      {"bridge_server_count": 4, "ring": "consistent",
       "rebalance": RebalanceConfig(cooldown=1.0)}),
-    ({"rebalance": RebalanceConfig(watch_only=True), "bridge_server_count": 2},
+    ({"rebalance": {"watch_only": True}, "bridge_server_count": 2},
      {"bridge_server_count": 2, "ring": "consistent",
       "rebalance": RebalanceConfig(watch_only=True)}),
     ({"seed": 7, "bridge_server_count": 4, "obs": True,
@@ -136,8 +136,7 @@ _driver_specs = st.one_of(
     st.fixed_dictionaries({"kind": st.just("hostfs"),
                            "root": st.just("/tmp/blocks"),
                            "fsync": st.sampled_from(["never", "always"])}),
-    st.fixed_dictionaries({"kind": st.just("object"),
-                           "max_inflight": st.integers(1, 8)}),
+    st.just({"kind": "object"}),
 )
 
 

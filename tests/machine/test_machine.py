@@ -14,6 +14,11 @@ from repro.machine import (
     Server,
     ZeroLatencyNetwork,
 )
+from repro.machine.network import (
+    ETHERNET_BANDWIDTH,
+    ETHERNET_FRAME_OVERHEAD,
+    ETHERNET_LOCAL_LATENCY,
+)
 from repro.sim import Simulator, Timeout
 
 
@@ -135,9 +140,7 @@ def test_zero_latency_network_delivers_instantly():
 
 def test_ethernet_serializes_transmissions():
     sim = Simulator()
-    network = EthernetNetwork(
-        sim, bandwidth_bytes_per_s=1000.0, frame_overhead=0.0, local_latency=0.0
-    )
+    network = EthernetNetwork(sim)
     machine = Machine(sim, 3, network=network)
     port = machine.node(2).port("in")
     arrivals = []
@@ -152,14 +155,13 @@ def test_ethernet_serializes_transmissions():
     machine.node(0).send(port, "a", size=1000)
     machine.node(1).send(port, "b", size=1000)
     sim.run()
-    assert arrivals == [pytest.approx(1.0), pytest.approx(2.0)]
+    frame = ETHERNET_FRAME_OVERHEAD + 1000 / ETHERNET_BANDWIDTH
+    assert arrivals == [pytest.approx(frame), pytest.approx(2 * frame)]
 
 
 def test_ethernet_local_messages_bypass_bus():
     sim = Simulator()
-    network = EthernetNetwork(
-        sim, bandwidth_bytes_per_s=10.0, frame_overhead=0.0, local_latency=0.001
-    )
+    network = EthernetNetwork(sim)
     machine = Machine(sim, 2, network=network)
     port = machine.node(0).port("in")
     arrivals = []
@@ -171,7 +173,7 @@ def test_ethernet_local_messages_bypass_bus():
     machine.node(0).spawn(receiver())
     machine.node(0).send(port, "m", size=10_000)
     sim.run()
-    assert arrivals == [pytest.approx(0.001)]
+    assert arrivals == [pytest.approx(ETHERNET_LOCAL_LATENCY)]
 
 
 # ---------------------------------------------------------------------------

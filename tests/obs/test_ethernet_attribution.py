@@ -7,15 +7,23 @@ breakdown and the critical-path partitioner splits bus contention into
 The scenario is the classic two-sender contention case: both clients
 transmit at t=0, so the second sender's frame waits exactly one
 frame-time behind the first.  Every number below is derived by hand from
-the bus parameters (1000 B/s, 0.1 s frame overhead, no local latency).
+the bus constants: a request frame costs ``O + size / B`` and an empty
+response frame ``O``.
 """
 
 import pytest
 
 from repro.machine import Client, EthernetNetwork, Machine
+from repro.machine.network import ETHERNET_BANDWIDTH as B
+from repro.machine.network import ETHERNET_FRAME_OVERHEAD as O
 from repro.machine.rpc import Server
 from repro.obs import Observability, attribute
 from repro.sim import Simulator, Timeout
+
+
+#: The two request sizes and their frame times on the wire.
+SIZES = (1250, 625)
+F0, F1 = (O + size / B for size in SIZES)
 
 
 class EchoServer(Server):
@@ -27,10 +35,7 @@ class EchoServer(Server):
 def run_two_sender_contention():
     obs = Observability()
     sim = Simulator(obs=obs)
-    network = EthernetNetwork(
-        sim, bandwidth_bytes_per_s=1000.0, frame_overhead=0.1,
-        local_latency=0.0,
-    )
+    network = EthernetNetwork(sim)
     machine = Machine(sim, 3, network=network)
     server = EchoServer(machine.node(2), "echo")
     results = {}
@@ -41,10 +46,10 @@ def run_two_sender_contention():
                                        tag=index)
         results[index] = (value, sim.now)
 
-    # Sender 0 transmits a 1000-byte request (1.1 s frame), sender 1 a
-    # 500-byte request (0.6 s frame); both enter the bus queue at t=0.
-    machine.node(0).spawn(sender(0, 1000))
-    machine.node(1).spawn(sender(1, 500))
+    # Sender 0 transmits the larger request (frame F0), sender 1 the
+    # smaller (frame F1); both enter the bus queue at t=0.
+    machine.node(0).spawn(sender(0, SIZES[0]))
+    machine.node(1).spawn(sender(1, SIZES[1]))
     sim.run()
     return obs, results
 
@@ -57,22 +62,25 @@ def test_bus_drain_stamps_exact_wait_and_service():
     assert len(frames) == 4  # two requests + two responses
     by_interval = {(round(s.start, 6), round(s.end, 6)): s for s in frames}
 
+    def at(start, end):
+        return by_interval[(round(start, 6), round(end, 6))]
+
     # Request 0: head of the queue — all wire, no wait.
-    req0 = by_interval[(0.0, 1.1)]
+    req0 = at(0.0, F0)
     assert req0.args["wait"] == pytest.approx(0.0)
-    assert req0.args["service"] == pytest.approx(1.1)
+    assert req0.args["service"] == pytest.approx(F0)
     # Request 1: queued behind request 0's full frame.
-    req1 = by_interval[(0.0, 1.7)]
-    assert req1.args["wait"] == pytest.approx(1.1)
-    assert req1.args["service"] == pytest.approx(0.6)
-    # Response 0 (sent at 1.1): waits for request 1's frame to clear.
-    rsp0 = by_interval[(1.1, 1.8)]
-    assert rsp0.args["wait"] == pytest.approx(0.6)
-    assert rsp0.args["service"] == pytest.approx(0.1)
-    # Response 1 (sent at 1.7): waits for response 0's frame.
-    rsp1 = by_interval[(1.7, 1.9)]
-    assert rsp1.args["wait"] == pytest.approx(0.1)
-    assert rsp1.args["service"] == pytest.approx(0.1)
+    req1 = at(0.0, F0 + F1)
+    assert req1.args["wait"] == pytest.approx(F0)
+    assert req1.args["service"] == pytest.approx(F1)
+    # Response 0 (sent at F0): waits for request 1's frame to clear.
+    rsp0 = at(F0, F0 + F1 + O)
+    assert rsp0.args["wait"] == pytest.approx(F1)
+    assert rsp0.args["service"] == pytest.approx(O)
+    # Response 1 (sent at F0 + F1): waits for response 0's frame.
+    rsp1 = at(F0 + F1, F0 + F1 + 2 * O)
+    assert rsp1.args["wait"] == pytest.approx(O)
+    assert rsp1.args["service"] == pytest.approx(O)
 
     # The drain hook removed the zero-width marker from every frame.
     assert not any("queued" in s.args for s in frames)
@@ -85,21 +93,21 @@ def test_contention_attribution_is_exact_net_vs_queue():
     first = next(s for s in roots if s.node == 0)
     second = next(s for s in roots if s.node == 1)
 
-    # Sender 0: request rides the wire immediately (1.1 s net); its
-    # response spends 0.6 s queued behind sender 1's frame + 0.1 s wire.
+    # Sender 0: request rides the wire immediately (F0 net); its
+    # response spends F1 queued behind sender 1's frame + O on the wire.
     totals = attribute(obs, first)
-    assert first.duration == pytest.approx(1.8)
-    assert totals["net"] == pytest.approx(1.2)
-    assert totals["queue"] == pytest.approx(0.6)
+    assert first.duration == pytest.approx(F0 + F1 + O)
+    assert totals["net"] == pytest.approx(F0 + O)
+    assert totals["queue"] == pytest.approx(F1)
     assert totals["client"] == pytest.approx(0.0)
     assert sum(totals.values()) == pytest.approx(first.duration)
 
-    # Sender 1: request waits 1.1 s for the bus then 0.6 s on the wire;
-    # the response waits 0.1 s behind response 0 then 0.1 s on the wire.
+    # Sender 1: request waits F0 for the bus then F1 on the wire; the
+    # response waits O behind response 0 then O on the wire.
     totals = attribute(obs, second)
-    assert second.duration == pytest.approx(1.9)
-    assert totals["net"] == pytest.approx(0.7)
-    assert totals["queue"] == pytest.approx(1.2)
+    assert second.duration == pytest.approx(F0 + F1 + 2 * O)
+    assert totals["net"] == pytest.approx(F1 + O)
+    assert totals["queue"] == pytest.approx(F0 + O)
     assert totals["client"] == pytest.approx(0.0)
     assert sum(totals.values()) == pytest.approx(second.duration)
 

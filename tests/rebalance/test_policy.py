@@ -15,7 +15,8 @@ from repro.harness.builders import BridgeSystem
 from repro.storage import FixedLatency
 
 
-def make_system(rebalance=True, servers=4, seed=11, **kwargs):
+def make_system(rebalance=None, servers=4, seed=11, **kwargs):
+    rebalance = {} if rebalance is None else rebalance
     return BridgeSystem(
         4, seed=seed, disk_latency=FixedLatency(0.0005),
         bridge_server_count=servers, rebalance=rebalance, **kwargs,
@@ -36,7 +37,7 @@ def test_rebalance_off_by_default():
 
 
 def test_rebalance_knob_implies_elastic_and_installs_heat():
-    system = make_system(rebalance=True)
+    system = make_system(rebalance={})
     assert system.fabric.ring.kind == "consistent"
     assert isinstance(system.heat, HeatMap)
     assert all(bridge.heat is system.heat for bridge in system.bridges)
@@ -45,13 +46,17 @@ def test_rebalance_knob_implies_elastic_and_installs_heat():
 
 
 def test_rebalance_knob_accepts_config_and_dict_and_rejects_junk():
-    config = RebalanceConfig(threshold=9.0)
-    assert make_system(rebalance=config).rebalancer.config.threshold == 9.0
+    """The settings arrive as a dict of ``RebalanceConfig`` fields;
+    ``True``, a config instance and junk are refused."""
+    assert make_system(
+        rebalance={"threshold": 9.0}
+    ).rebalancer.config.threshold == 9.0
     assert make_system(
         rebalance={"cooldown": 1.0}
     ).rebalancer.config.cooldown == 1.0
-    with pytest.raises(ValueError, match="rebalance="):
-        make_system(rebalance="aggressive")
+    for junk in (True, RebalanceConfig(threshold=9.0), "aggressive"):
+        with pytest.raises(ValueError, match="rebalance="):
+            make_system(rebalance=junk)
 
 
 def test_rebalancer_refuses_a_modulo_fabric():
@@ -145,7 +150,7 @@ def assert_ownership_consistent(system, names):
 
 
 def test_watch_only_records_but_never_acts():
-    system = make_system(rebalance=RebalanceConfig(watch_only=True))
+    system = make_system(rebalance={"watch_only": True})
     names = populate(system)
     paint_skew(system, names)
     before = system.fabric.ring
@@ -189,7 +194,7 @@ def test_resizer_and_rebalancer_plan_over_the_same_names(monkeypatch):
             seen.append(set(names))
             return plan(old, new, names)
         monkeypatch.setattr(module, "plan_resize", spy)
-    system = make_system(rebalance=RebalanceConfig(watch_only=True),
+    system = make_system(rebalance={"watch_only": True},
                          servers=3)
     names = populate(system)
 
@@ -207,7 +212,7 @@ def test_resizer_and_rebalancer_plan_over_the_same_names(monkeypatch):
 
 
 def test_run_is_duration_bounded_and_drains():
-    system = make_system(rebalance=RebalanceConfig(interval=1.0))
+    system = make_system(rebalance={"interval": 1.0})
     records = system.run(system.rebalancer.run(3.5), name="loop")
     assert len(records) == 3  # sweeps at t=1, 2, 3; then the loop exits
     assert system.sim.now <= 3.5

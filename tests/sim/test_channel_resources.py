@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.errors import SecondReceiverError
 from repro.sim import (
     AllOf,
     Lock,
@@ -10,6 +11,7 @@ from repro.sim import (
     Simulator,
     Timeout,
 )
+from tests.sim.test_fast_path import _GenericMailbox
 
 
 # ---------------------------------------------------------------------------
@@ -62,49 +64,31 @@ def test_mailbox_fifo_ordering():
     assert sim.run_process(receiver()) == [0, 1, 2, 3, 4]
 
 
-def test_mailbox_multiple_waiters_fifo():
+@pytest.mark.parametrize("mailbox", [Mailbox, _GenericMailbox],
+                         ids=["inline", "generic"])
+def test_mailbox_refuses_a_second_receiver(mailbox):
+    """One receiver slot: a second process parking on a mailbox that
+    already holds one is refused, whether ``Process._step`` dispatches
+    the wait inline or through ``_wait``."""
     sim = Simulator()
-    box = Mailbox(sim)
-    order = []
-
-    def waiter(tag):
-        msg = yield box.recv()
-        order.append((tag, msg))
-
-    def feeder():
-        yield Timeout(1.0)
-        box.deliver("x")
-        box.deliver("y")
-
-    sim.spawn(waiter("first"))
-    sim.spawn(waiter("second"))
-    sim.spawn(feeder())
-    sim.run()
-    assert order == [("first", "x"), ("second", "y")]
-
-
-def test_mailbox_len_and_peek():
-    sim = Simulator()
-    box = Mailbox(sim)
-    assert len(box) == 0
-    assert box.peek() is None
-    box.deliver("a")
-    box.deliver("b")
-    assert len(box) == 2
-    assert box.peek() == "a"
-    assert (box.poll(), box.poll(), box.poll()) == ("a", "b", None)
-
-
-def test_mailbox_has_waiters():
-    sim = Simulator()
-    box = Mailbox(sim)
+    box = mailbox(sim, "inbox")
 
     def waiter():
         yield box.recv()
 
-    sim.spawn(waiter(), daemon=True)
-    sim.run()
-    assert box.has_waiters
+    sim.spawn(waiter(), name="first")
+    sim.spawn(waiter(), name="second")
+    with pytest.raises(SecondReceiverError, match="'first'.*'second'"):
+        sim.run()
+
+
+def test_mailbox_poll_drains_in_order():
+    sim = Simulator()
+    box = Mailbox(sim)
+    assert box.poll() is None
+    box.deliver("a")
+    box.deliver("b")
+    assert (box.poll(), box.poll(), box.poll()) == ("a", "b", None)
 
 
 # ---------------------------------------------------------------------------

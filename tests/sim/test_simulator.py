@@ -403,10 +403,9 @@ def test_process_registry_holds_only_live_processes_in_spawn_order():
     from repro.sim import Mailbox
 
     sim = Simulator()
-    box = Mailbox(sim)
 
     def waiter():
-        yield box.recv()
+        yield Mailbox(sim).recv()
 
     def arrival(n):
         yield Timeout(0.001 * n)

@@ -5,6 +5,7 @@ import pytest
 from repro.errors import BadBlockAddressError, DeviceFailedError
 from repro.sim import Simulator
 from repro.storage import StorageArray
+from repro.storage.parameters import ROTATION_TIME, SEEK_MIN
 
 
 def make_array(members=4, **kwargs):
@@ -88,6 +89,6 @@ def test_positioning_worse_than_single_drive_but_transfer_scales():
 
     service = sim.run_process(body())
     # transfer shrank to 1 ms, but positioning pushes toward a full rotation
-    assert service > array.seek_time + array.rotation_time / 2
+    assert service > SEEK_MIN + ROTATION_TIME / 2
     assert array.total_operations == 1
     assert array.busy_time == pytest.approx(service)

@@ -13,6 +13,7 @@ from repro.storage import (
     make_scheduler,
     wren_geometric,
 )
+from repro.storage.parameters import ROTATION_TIME
 
 
 def make_disk(sim=None, capacity=1024, access_time=0.015, scheduler=None):
@@ -226,16 +227,6 @@ def test_fixed_latency_rejects_negative():
         FixedLatency(-1.0)
 
 
-def test_fixed_latency_jitter_bounded():
-    import random
-
-    model = FixedLatency(0.015, jitter=0.005)
-    rng = random.Random(1)
-    for _ in range(100):
-        time, _pos = model.access(rng, 0, 5, 0.0)
-        assert 0.010 <= time <= 0.020
-
-
 def test_geometric_latency_zero_seek_same_cylinder():
     geometry = DiskGeometry(cylinders=10, tracks_per_cylinder=2, blocks_per_track=4)
     model = GeometricLatency(geometry)
@@ -256,13 +247,13 @@ def test_geometric_access_includes_rotation_and_transfer():
     import random
 
     geometry = DiskGeometry(cylinders=10, tracks_per_cylinder=1, blocks_per_track=4)
-    model = GeometricLatency(geometry, rotation_time=0.016)
+    model = GeometricLatency(geometry)
     rng = random.Random(0)
     time, pos = model.access(rng, 0, 1, now=0.0)
     assert pos == 1
-    sector_time = 0.016 / 4
+    sector_time = ROTATION_TIME / 4
     # sector 1 at angle 0: wait 1/4 rotation, then one sector transfer
-    assert time == pytest.approx(0.016 / 4 + sector_time)
+    assert time == pytest.approx(ROTATION_TIME / 4 + sector_time)
 
 
 def test_geometry_locate_roundtrip_and_bounds():

@@ -2,8 +2,8 @@
 
 Three layers of coverage:
 
-* spec handling — normalization, rejection of malformed specs, the
-  ``storage_specs`` fabric expansion, and third-party registration;
+* spec handling — normalization, rejection of malformed specs, and the
+  ``storage_specs`` fabric expansion;
 * the cross-driver contract — the same read/write/fail/counter/span
   semantics asserted against every registered kind via the registry,
   and against the storage array (a latency model on the ``ram`` driver);
@@ -27,18 +27,20 @@ from repro.sim import Simulator
 from repro.storage import (
     DEFAULT_ACCESS_TIME,
     BlockStoreABC,
-    DiskParameters,
-    FixedLatency,
     HostFSDisk,
     ObjectStoreDisk,
-    ObjectStoreLatency,
     SimulatedDisk,
     StorageArray,
     DRIVER_KINDS,
     make_driver,
     normalize_driver_spec,
-    register_driver,
     storage_specs,
+)
+from repro.storage.objectstore import (
+    BANDWIDTH,
+    FIRST_BYTE,
+    MAX_INFLIGHT,
+    transfer_time,
 )
 
 ALL_KINDS = ("ram", "hostfs", "object", "array")
@@ -94,8 +96,13 @@ def test_unknown_kind_rejected():
 
 
 def test_unknown_field_rejected():
-    with pytest.raises(ValueError, match="unknown field"):
-        normalize_driver_spec({"kind": "ram", "first_byte": 0.1})
+    for spec in ({"kind": "ram", "first_byte": 0.1},
+                 {"kind": "ram", "jitter": 0.001},
+                 {"kind": "object", "first_byte": 0.05},
+                 {"kind": "object", "bandwidth": 10**6},
+                 {"kind": "object", "max_inflight": 8}):
+        with pytest.raises(ValueError, match="unknown field"):
+            normalize_driver_spec(spec)
 
 
 def test_non_spec_value_rejected():
@@ -130,25 +137,6 @@ def test_factory_callable_must_return_block_store():
 
     with pytest.raises(ValueError, match="BlockStoreABC"):
         make_driver(bogus, Simulator(seed=1), name="d0")
-
-
-def test_register_driver_extends_registry(tmp_path):
-    class TaggedDisk(SimulatedDisk):
-        kind = "tagged"
-
-    def build(sim, spec, name, capacity_blocks, default_latency):
-        params = DiskParameters(name=name, capacity_blocks=capacity_blocks)
-        return TaggedDisk(sim, params, FixedLatency(0.001), name=name)
-
-    register_driver("tagged", build, frozenset({"kind"}))
-    try:
-        store = make_driver("tagged", Simulator(seed=1), name="d0")
-        assert isinstance(store, TaggedDisk)
-        # Re-registration replaces the factory (third-party override).
-        register_driver("tagged", build, frozenset({"kind"}))
-        assert "tagged" in DRIVER_KINDS
-    finally:
-        del DRIVER_KINDS["tagged"]
 
 
 # ---------------------------------------------------------------------------
@@ -363,38 +351,29 @@ def test_hostfs_fsync_always_policy(tmp_path):
 
 
 def test_object_latency_is_first_byte_plus_bandwidth():
-    model = ObjectStoreLatency(first_byte=0.030, bandwidth=1024 * 1024)
-    assert model.transfer_time(0) == pytest.approx(0.030)
-    assert model.transfer_time(1024 * 1024) == pytest.approx(1.030)
+    assert transfer_time(0) == pytest.approx(FIRST_BYTE)
+    assert transfer_time(BANDWIDTH) == pytest.approx(FIRST_BYTE + 1.0)
 
 
 def test_object_store_single_op_cost():
     sim = Simulator(seed=3)
-    store = make_driver(
-        {"kind": "object", "first_byte": 0.030, "bandwidth": 1024 * 1024},
-        sim, name="obj", capacity_blocks=16,
-    )
+    store = make_driver("object", sim, name="obj", capacity_blocks=16)
 
     def body():
         yield from store.write(0, b"x")
         return sim.now
 
     elapsed = sim.run_process(body())
-    expected = 0.030 + store.params.block_size / (1024 * 1024)
+    expected = FIRST_BYTE + store.params.block_size / BANDWIDTH
     assert elapsed == pytest.approx(expected)
 
 
 def test_object_store_bounds_inflight_ops():
-    """8 concurrent ops with max_inflight=4 complete in exactly two
+    """Twice MAX_INFLIGHT concurrent ops complete in exactly two
     waves, and wave two's requests record the wait."""
     sim = Simulator(seed=3)
-    store = make_driver(
-        {"kind": "object", "first_byte": 0.010, "bandwidth": 10**9,
-         "max_inflight": 4},
-        sim, name="obj", capacity_blocks=16,
-    )
-    per_op = ObjectStoreLatency(0.010, 10**9).transfer_time(
-        store.params.block_size)
+    store = make_driver("object", sim, name="obj", capacity_blocks=16)
+    per_op = transfer_time(store.params.block_size)
 
     def one(block):
         yield from store.write(block, bytes([block]))
@@ -402,7 +381,8 @@ def test_object_store_bounds_inflight_ops():
     def body():
         from repro.sim import join_all
 
-        procs = [sim.spawn(one(b), name=f"w{b}") for b in range(8)]
+        procs = [sim.spawn(one(b), name=f"w{b}")
+                 for b in range(2 * MAX_INFLIGHT)]
         yield join_all(procs)
         return sim.now
 
@@ -410,7 +390,7 @@ def test_object_store_bounds_inflight_ops():
     assert elapsed == pytest.approx(2 * per_op)
     assert store.wait_times.max == pytest.approx(per_op)
     # Overlapped service: total busy exceeds the elapsed window.
-    assert store.busy_time == pytest.approx(8 * per_op)
+    assert store.busy_time == pytest.approx(2 * MAX_INFLIGHT * per_op)
     assert store.utilization() > 1.0
 
 
@@ -418,8 +398,7 @@ def test_object_store_concurrency_beats_serial_hostfs_contract():
     """The dispatcher drains the queue FIFO: op order is preserved in
     wait stamping (first four wait 0, last four wait one slot)."""
     sim = Simulator(seed=3)
-    store = make_driver({"kind": "object", "max_inflight": 2}, sim,
-                        name="obj", capacity_blocks=16)
+    store = make_driver("object", sim, name="obj", capacity_blocks=16)
 
     waits = []
 
@@ -430,11 +409,12 @@ def test_object_store_concurrency_beats_serial_hostfs_contract():
     def body():
         from repro.sim import join_all
 
-        procs = [sim.spawn(one(b), name=f"w{b}") for b in range(4)]
+        procs = [sim.spawn(one(b), name=f"w{b}")
+                 for b in range(2 * MAX_INFLIGHT)]
         yield join_all(procs)
 
     sim.run_process(body())
-    assert store.wait_times.count == 4
+    assert store.wait_times.count == 2 * MAX_INFLIGHT
     assert store.wait_times.min == 0.0
     assert store.wait_times.max > 0.0
 

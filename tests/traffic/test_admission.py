@@ -49,13 +49,13 @@ def test_classify_falls_back_to_method_map():
 
 
 def test_token_bucket_burst_then_refusal():
-    bucket = TokenBucket(rate=10.0, burst=3.0)
+    bucket = TokenBucket(rate=60.0)  # banks three tokens
     now = 0.0
     assert [bucket.try_take(now) for _ in range(4)] == [True, True, True, False]
 
 
 def test_token_bucket_refills_over_time():
-    bucket = TokenBucket(rate=10.0, burst=1.0)
+    bucket = TokenBucket(rate=10.0)  # banks one token
     assert bucket.try_take(0.0)
     assert not bucket.try_take(0.0)
     # 0.1 s at 10 tokens/s refills exactly one token.
@@ -64,7 +64,7 @@ def test_token_bucket_refills_over_time():
 
 
 def test_token_bucket_caps_at_burst():
-    bucket = TokenBucket(rate=100.0, burst=2.0)
+    bucket = TokenBucket(rate=40.0)  # banks two tokens
     assert bucket.try_take(0.0)
     assert bucket.try_take(0.0)
     # A long idle period cannot bank more than ``burst`` tokens.
@@ -75,8 +75,6 @@ def test_token_bucket_caps_at_burst():
 def test_token_bucket_validates():
     with pytest.raises(ValueError):
         TokenBucket(0.0)
-    with pytest.raises(ValueError):
-        TokenBucket(10.0, burst=0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -177,37 +175,40 @@ def test_wfq_pick_empty_raises():
 
 def test_build_admission_none_specs():
     assert build_admission(None) is None
-    assert build_admission("none") is None
     assert build_admission({"policy": "none"}) is None
 
 
 def test_build_admission_policies():
-    bucket = build_admission({"policy": "token-bucket", "rate": 25, "burst": 5})
-    assert bucket.bucket.rate == 25
-    assert bucket.bucket.burst == 5
+    bucket = build_admission({"policy": "token-bucket", "rate": 100})
+    assert bucket.bucket.rate == 100
+    assert bucket.bucket.burst == 5  # a twentieth of a second's tokens
     assert bucket.queue is None
 
     bounded = build_admission({"policy": "bounded", "depth": 7})
     assert bounded.queue.depth == 7
     assert bounded.queue.weights is None
 
-    fair = build_admission("fair")
+    fair = build_admission({"policy": "fair"})
     assert fair.queue.weights == DEFAULT_WEIGHTS
 
-    fifo = build_admission("fifo")
+    fifo = build_admission({"policy": "fifo"})
     assert fifo.queue.depth == 0
     assert fifo.bucket is None
 
 
 def test_build_admission_passthrough_and_errors():
+    """Only a dict is a spec: a shared control instance would share one
+    bucket or queue across partitions, and a bare name is refused."""
     control = AdmissionControl("fifo", queue=AdmissionQueue())
-    assert build_admission(control) is control
-    with pytest.raises(ValueError):
-        build_admission("predictive")
-    with pytest.raises(ValueError):
-        build_admission({"policy": "fifo", "depth": 3})
-    with pytest.raises(TypeError):
-        build_admission(42)
+    for spec in (control, "fair", "none", 42):
+        with pytest.raises(TypeError):
+            build_admission(spec)
+    for spec in ({"policy": "predictive"},
+                 {"policy": "fifo", "depth": 3},
+                 {"policy": "token-bucket", "rate": 25, "burst": 5},
+                 {"policy": "fair", "weights": {"read": 1.0}}):
+        with pytest.raises(ValueError):
+            build_admission(spec)
 
 
 def test_build_admission_returns_fresh_instances():

@@ -123,8 +123,7 @@ def test_each_arrival_is_one_process(monkeypatch):
 def test_throttled_refusal_is_a_typed_error():
     system = make_system()
     build_traffic_catalog(system, 2, 4)
-    system.install_admission({"policy": "token-bucket", "rate": 1,
-                              "burst": 1})
+    system.install_admission({"policy": "token-bucket", "rate": 1})
     client = system.naive_client()
 
     def body():
