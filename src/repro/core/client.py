@@ -1,9 +1,10 @@
 """The naive client view of Bridge.
 
 "Users who want to access data without bothering with the interleaved
-structure of files can use this simple interface" (section 4.1).  All
-methods are generators to be driven with ``yield from`` inside simulated
-processes.
+structure of files can use this simple interface" (section 4.1).  Every
+method returns a generator to be driven with ``yield from`` inside a
+simulated process; a one-request op returns :meth:`BridgeClient._call`'s
+own, so a block op is one frame between the caller and the RPC.
 
 This class is the one hand-written client surface.  Every op leaves
 through :meth:`BridgeClient._call`; a plain client sends everything to
@@ -50,32 +51,32 @@ class BridgeClient:
         ``disordered=True`` creates a section-3 disordered file whose
         blocks scatter arbitrarily (see :mod:`repro.core.disorder`).
         """
-        return (yield from self._call(
+        return self._call(
             "create", name=name, width=width, node_slots=node_slots,
             start=start, disordered=disordered,
-        ))
+        )
 
     def get_block_map(self, name: str):
         """The global->local map of a disordered file."""
-        return (yield from self._call("get_block_map", name=name))
+        return self._call("get_block_map", name=name)
 
     def delete(self, name: str):
         """Delete a file; returns the total number of blocks freed."""
-        return (yield from self._call("delete", name=name))
+        return self._call("delete", name=name)
 
     def open(self, name: str):
         """Open (a hint, per section 4.1); returns an OpenResult."""
-        return (yield from self._call("open", name=name))
+        return self._call("open", name=name)
 
     def stat(self, name: str):
         """Directory-only metadata probe; returns a FileStat (no LFS
         round trip — sizes are as of the last open/write)."""
-        return (yield from self._call("stat", name=name))
+        return self._call("stat", name=name)
 
     def get_info(self):
         """The Get Info package for tool construction (on a fabric,
         aggregated across every partition)."""
-        return (yield from self._call("get_info"))
+        return self._call("get_info")
 
     # ------------------------------------------------------------------
     # Batched metadata ops (S23)
@@ -89,24 +90,24 @@ class BridgeClient:
 
     def mopen(self, names):
         """Batched Open; returns ``[NameOutcome(value=OpenResult)]``."""
-        return (yield from self._call("mopen", names=list(names)))
+        return self._call("mopen", names=list(names))
 
     def mstat(self, names):
         """Batched stat; returns ``[NameOutcome(value=FileStat)]``."""
-        return (yield from self._call("mstat", names=list(names)))
+        return self._call("mstat", names=list(names))
 
     def mcreate(self, names, width=None, node_slots=None, start: int = 0,
                 disordered: bool = False):
         """Batched create (shared shape parameters); returns
         ``[NameOutcome(value=file_id)]``."""
-        return (yield from self._call(
+        return self._call(
             "mcreate", names=list(names), width=width,
             node_slots=node_slots, start=start, disordered=disordered,
-        ))
+        )
 
     def mdelete(self, names):
         """Batched delete; returns ``[NameOutcome(value=blocks_freed)]``."""
-        return (yield from self._call("mdelete", names=list(names)))
+        return self._call("mdelete", names=list(names))
 
     # ------------------------------------------------------------------
     # Block access
@@ -114,24 +115,24 @@ class BridgeClient:
 
     def seq_read(self, name: str):
         """Next block as ``(block_number, data)``; ``(None, None)`` at EOF."""
-        return (yield from self._call("seq_read", name=name))
+        return self._call("seq_read", name=name)
 
     def seq_write(self, name: str, data: bytes):
         """Append one block; returns its global block number."""
-        return (yield from self._call(
+        return self._call(
             "seq_write", size=BLOCK_SIZE, name=name, data=data
-        ))
+        )
 
     def random_read(self, name: str, block_number: int):
-        return (yield from self._call(
+        return self._call(
             "random_read", name=name, block_number=block_number
-        ))
+        )
 
     def random_write(self, name: str, block_number: int, data: bytes):
-        return (yield from self._call(
+        return self._call(
             "random_write", size=BLOCK_SIZE, name=name,
             block_number=block_number, data=data,
-        ))
+        )
 
     # ------------------------------------------------------------------
     # List I/O (noncontiguous access)
@@ -144,17 +145,16 @@ class BridgeClient:
         data chunks in that order; the server issues at most one batched
         EFS message per constituent LFS.
         """
-        return (yield from self._call("list_read", name=name,
-                                      blocks=list(blocks)))
+        return self._call("list_read", name=name, blocks=list(blocks))
 
     def list_write(self, name: str, writes):
         """Noncontiguous write of ``(global_block, data)`` pairs; returns
         the file's new size in blocks."""
         writes = list(writes)
-        return (yield from self._call(
+        return self._call(
             "list_write", size=BLOCK_SIZE * len(writes), name=name,
             writes=writes,
-        ))
+        )
 
     # ------------------------------------------------------------------
     # Whole-file conveniences

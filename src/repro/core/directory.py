@@ -61,7 +61,11 @@ class BridgeFileEntry:
                     f"{self.name!r}: no map entry for block {global_block}"
                 )
             return self.block_map[global_block]
-        return self.interleave.locate(global_block)
+        # InterleaveMap.locate, spelled out: ((n + k) mod p, n div p)
+        if global_block < 0:
+            raise ValueError(f"negative global block {global_block}")
+        return ((global_block + self.start) % self.width,
+                global_block // self.width)
 
 
 def check_block_writes(name: str, total_blocks: int, writes) -> int:

@@ -50,7 +50,7 @@ from repro.errors import (
     BridgeFileExistsError,
     BridgeJobError,
 )
-from repro.machine import Port, Request, Response, Server, gather
+from repro.machine import Port, ReplyCell, Request, Response, Server, gather
 from repro.machine.rpc import Detached, gather_settled
 from repro.sim import Timeout
 
@@ -154,9 +154,15 @@ class BridgeServer(Server):
             if config.prefetch_window > 0 and self._cache is not None
             else None
         )
-        # ``config`` is frozen: the directory-update charge every
-        # mutation pays is one Timeout for the life of the server.
+        # ``config`` is frozen: the decode charge a plain request pays
+        # at admission and the directory-update charge every mutation
+        # pays are one Timeout each for the life of the server.
+        self._plain_admission = (Timeout(config.cpu.bridge_request),)
         self._update_charge = Timeout(config.cpu.bridge_directory_update)
+        # slot routing: the LFS port on each node (the first handle wins)
+        self._port_on_node: Dict[int, Port] = {}
+        for handle in reversed(self.lfs):
+            self._port_on_node[handle.node_index] = handle.port
         # S21: admission control (token bucket / bounded queue / weighted
         # fair queueing).  None — the seed default — admits everything
         # with zero extra branches on the hot path.
@@ -610,21 +616,17 @@ class BridgeServer(Server):
         and LRU touch instead of the full request decode + directory
         consult + EFS round trip).
         """
-        hit = yield from self.probe(name)
-        if hit is not None:
-            return hit
+        if self._cache is not None:
+            hit = yield from self.probe(name)
+            if hit is not None:
+                return hit
         yield from self.admit()
         entry = self.directory.lookup(name)
         cursor = self._cursors.get(name, 0)
         if cursor >= entry.total_blocks:
             return Response(value=(None, None))
         self._cursors[name] = cursor + 1
-
-        def forward():
-            data = yield from self.demand_read(entry, name, cursor)
-            return Response(value=(cursor, data), size=len(data))
-
-        return Detached(forward())
+        return Detached(self._forward_read(entry, name, cursor, True))
 
     def op_seq_write(self, name, data):
         """Append one block at the end of the file."""
@@ -644,9 +646,10 @@ class BridgeServer(Server):
         the striped read-ahead pipeline once the pattern is sequential;
         hits pay ``bridge_cache_hit`` instead of the full request charge.
         """
-        hit = yield from self.probe(name, block_number)
-        if hit is not None:
-            return hit
+        if self._cache is not None:
+            hit = yield from self.probe(name, block_number)
+            if hit is not None:
+                return hit
         yield from self.admit()
         entry = self.directory.lookup(name)
         if not 0 <= block_number < entry.total_blocks:
@@ -654,14 +657,15 @@ class BridgeServer(Server):
                 f"{name!r}: block {block_number} outside file of "
                 f"{entry.total_blocks} blocks"
             )
+        return Detached(self._forward_read(entry, name, block_number, False))
 
-        def forward():
-            data = yield from self.demand_read(
-                entry, name, block_number
-            )
-            return Response(value=data, size=len(data))
-
-        return Detached(forward())
+    def _forward_read(self, entry: BridgeFileEntry, name: str, block: int,
+                      numbered: bool):
+        """The detached half of a naive-view read: the block's data,
+        as ``(block, data)`` when ``numbered`` (Sequential Read)."""
+        data = yield from self.demand_read(entry, name, block)
+        return Response(value=(block, data) if numbered else data,
+                        size=len(data))
 
     def op_get_block_map(self, name):
         """The global->local map of a disordered file (tool view)."""
@@ -828,7 +832,16 @@ class BridgeServer(Server):
         ``bridge_fast_reject`` and raises a typed
         :class:`~repro.errors.BridgeAdmissionError`, which ships back to
         the caller like any application error — the server never does
-        directory or EFS work for a refused request."""
+        directory or EFS work for a refused request.
+
+        Returns what the handler yields from: with no control, probe or
+        batch, the one constant decode charge (a 1-tuple, so a naive
+        block op builds no generator here), else :meth:`_admitted`."""
+        if self.admission is None and not probe and not batch:
+            return self._plain_admission
+        return self._admitted(probe, batch)
+
+    def _admitted(self, probe: bool, batch: int):
         control = self.admission
         if control is not None:
             yield from control.admit(self, self._active_request)
@@ -839,7 +852,8 @@ class BridgeServer(Server):
         )
 
     def probe(self, name: str, block: Optional[int] = None):
-        """Synchronous Bridge-cache lookup ahead of request admission.
+        """Synchronous Bridge-cache lookup ahead of request admission
+        (run only when the cache is on).
 
         ``block=None`` probes at the sequential cursor (advancing it on
         a hit).  Returns a complete hit :class:`Response` — charged at
@@ -847,8 +861,6 @@ class BridgeServer(Server):
         ``None`` to fall through to the full request path.  Misses also
         feed the S18 stream detector.
         """
-        if self._cache is None:
-            return None
         entry = self.directory.lookup(name)
         sequential = block is None
         target = self._cursors.get(name, 0) if sequential else block
@@ -896,24 +908,21 @@ class BridgeServer(Server):
     def fanout(self, calls):
         """Windowed gather: every EFS message the server sends leaves
         through here, at most ``bridge_fanout_limit`` in flight (0 =
-        unbounded, the seed default)."""
-        results = yield from gather(
-            self.node, calls,
-            max_in_flight=self.config.bridge_fanout_limit or None,
-        )
-        return results
+        unbounded, the seed default).  Returns :func:`gather`'s generator."""
+        return gather(self.node, calls,
+                      self.config.bridge_fanout_limit or None)
 
     def spawn_staged(self, calls):
         """Paper create behavior (section 4.5): initiation and
         termination are sequential, the LFS work itself overlaps."""
-        reply_ports = []
+        cells = []
         for port, method, args in calls:
             yield Timeout(self.config.cpu.bridge_create_dispatch)
-            reply_port = self.node.port()
-            self.node.send(port, Request(method, args, reply_port))
-            reply_ports.append(reply_port)
-        for reply_port in reply_ports:
-            response = yield reply_port.recv()
+            cell = ReplyCell(self.node)
+            self.node.send(port, Request(method, args, cell))
+            cells.append(cell)
+        for cell in cells:
+            response = yield cell
             if response.error is not None:
                 raise response.error
 
@@ -946,13 +955,17 @@ class BridgeServer(Server):
 
     def demand_read(self, entry: BridgeFileEntry, name: str, block: int):
         """The detached half of a naive-view read whose synchronous
-        probe missed: re-check the cache (a prefetch may have landed
-        meanwhile), wait on an in-flight fetch instead of duplicating
-        its EFS request, otherwise read from the source and install the
-        result under the generation guard."""
+        probe missed, as a generator: with the cache off, the read from
+        the source itself, else :meth:`_demand_fill`."""
         if self._cache is None:
-            data = yield from self._read_source(entry, name, block)
-            return data
+            return self._read_source(entry, name, block)
+        return self._demand_fill(entry, name, block)
+
+    def _demand_fill(self, entry: BridgeFileEntry, name: str, block: int):
+        """Re-check the cache (a prefetch may have landed meanwhile),
+        wait on an in-flight fetch instead of duplicating its EFS
+        request, otherwise read from the source and install the result
+        under the generation guard."""
         data = self._cache.peek(name, block)
         if data is not None:
             return data
@@ -1213,10 +1226,10 @@ class BridgeServer(Server):
 
     def _slot_port(self, entry: BridgeFileEntry, slot: int) -> Port:
         node_index = entry.node_indexes[slot]
-        for handle in self.lfs:
-            if handle.node_index == node_index:
-                return handle.port
-        raise BridgeBadRequestError(f"no LFS on node {node_index}")
+        port = self._port_on_node.get(node_index)
+        if port is None:
+            raise BridgeBadRequestError(f"no LFS on node {node_index}")
+        return port
 
     def _job(self, job_id: int) -> _Job:
         job = self._jobs.get(job_id)

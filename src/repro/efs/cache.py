@@ -17,7 +17,10 @@ it ("and their pointers"), so a block is parsed at most once while it
 stays cached.  Only two paths touch the device and are generators: the
 miss (:meth:`BlockCache.fill`) and the write-back of a dirty LRU victim.
 A hit (:meth:`BlockCache.lookup`) and an install over a clean victim are
-plain calls; the public generator methods compose these.
+plain calls; the public generator methods compose these.  The miss and
+:meth:`BlockCache.write_through` yield their
+:class:`~repro.storage.base.BlockRequest` themselves, one frame nearer
+the device than ``disk.read`` / ``disk.write`` would put them.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from typing import Any, Optional
 
 from repro.obs.metrics import Counter
 from repro.sim import Timeout
+from repro.storage.base import BlockRequest
 
 
 class CacheEntry:
@@ -89,7 +93,9 @@ class BlockCache:
         install the rest of its physical track for free — the track
         buffer.  Returns the block's new entry."""
         self._misses.value += 1
-        raw = yield from self.disk.read(address)
+        request = BlockRequest(self.disk, "read", address, None)
+        yield request
+        raw = request.outcome()
         install = self._install
         entry = install(address, raw, False) or (
             yield from self._install_behind_write_back(address, raw, False)
@@ -123,16 +129,23 @@ class BlockCache:
     def write_through(self, address: int, data: bytes, decoded: Any = None):
         """Write to the device now and cache the result clean.  ``decoded``
         seeds the entry's memo with what ``data`` was packed from."""
-        yield from self.disk.write(address, data)
+        request = BlockRequest(self.disk, "write", address, data)
+        yield request
+        request.outcome()
         if self._install(address, data, False, decoded) is None:
             yield from self._install_behind_write_back(address, data, False, decoded)
 
     def write_back(self, address: int, data: bytes, decoded: Any = None):
         """Update the cached copy only; the device is written on eviction
         or :meth:`flush`.  Used for the hot head-block pointer updates
-        (the 'EFS peculiarity' that keeps appends at two device writes)."""
-        if self._install(address, data, True, decoded) is None:
-            yield from self._install_behind_write_back(address, data, True, decoded)
+        (the 'EFS peculiarity' that keeps appends at two device writes).
+
+        Installs at once and returns what the caller yields from:
+        nothing (an empty tuple), or the write of the dirty LRU victim
+        that must make room first."""
+        if self._install(address, data, True, decoded) is not None:
+            return ()
+        return self._install_behind_write_back(address, data, True, decoded)
 
     def flush(self):
         """Write every dirty block to the device (in address order)."""

@@ -36,6 +36,8 @@ _ENTRIES_PER_BUCKET = BLOCK_SIZE // _ENTRY.size  # 32 slots of 32 bytes
 
 #: Directory buckets per device: the reserved region ``[0, 64)``.
 BUCKET_COUNT = 64
+#: A file number's bucket is ``file_number * _HASH % BUCKET_COUNT``.
+_HASH = 0x9E3779B1
 
 #: Marker for an unused entry slot (file numbers are non-negative).
 _EMPTY = -1
@@ -110,7 +112,7 @@ class Directory:
 
     def bucket_of(self, file_number: int) -> int:
         """The bucket block address for a file number."""
-        return (file_number * 0x9E3779B1) % BUCKET_COUNT
+        return (file_number * _HASH) % BUCKET_COUNT
 
     @property
     def first_data_block(self) -> int:
@@ -123,12 +125,25 @@ class Directory:
 
     def lookup(self, file_number: int):
         """Find a file's entry or raise :class:`EFSFileNotFoundError`.
-        The entry is the caller's own: changing it changes nothing here."""
-        slots = self._slots((yield from self._fetch(self.bucket_of(file_number))))
-        index = _slot_of(slots, file_number)
-        if index < 0:
-            raise EFSFileNotFoundError(f"EFS file {file_number} not found")
-        return DirectoryEntry(*slots[index])
+        The entry is the caller's own: changing it changes nothing here.
+
+        Every block request runs this, so :meth:`_fetch` and
+        :meth:`_slots` are spelled out: a hit enters no frame but the
+        cache's ``lookup``."""
+        cache = self.cache
+        bucket = (file_number * _HASH) % BUCKET_COUNT
+        cached = cache.lookup(bucket)
+        if cached is None:
+            cached = yield from cache.fill(bucket, False)
+        elif cache.hit_charge is not None:
+            yield cache.hit_charge
+        slots = cached.decoded
+        if slots is None:
+            slots = cached.decoded = _unpack_bucket(cached.raw)
+        for fields in slots:
+            if fields[0] == file_number:
+                return DirectoryEntry(*fields)
+        raise EFSFileNotFoundError(f"EFS file {file_number} not found")
 
     def exists(self, file_number: int):
         slots = self._slots((yield from self._fetch(self.bucket_of(file_number))))

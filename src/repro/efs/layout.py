@@ -34,30 +34,30 @@ NULL_ADDR = -1
 #: Magic tag marking a valid EFS block header.
 EFS_MAGIC = 0x45465342  # "EFSB"
 
-#: next, prev, file_number, block_number, magic — the one compiled reader
-#: of the EFS header, shared by the header-only and the full decoder.
+#: next, prev, file_number, block_number, magic — the header-only reader.
 _EFS_HEADER = struct.Struct("<iiqiI")
-#: gfid, gblock, width, start, column, flags
-_BRIDGE_HEADER = struct.Struct("<qqiiii8x")
+#: ...then gfid, gblock, width, start, column, flags — both headers, the
+#: full decoder's reader.
+_HEADERS = struct.Struct("<iiqiIqqiiii8x")
+#: ...then the data area: the whole block in one call (``960s`` pads
+#: short data with NULs).
+_BLOCK = struct.Struct("<iiqiIqqiiii8x960s")
 
 assert _EFS_HEADER.size == EFS_HEADER_SIZE
-assert _BRIDGE_HEADER.size == BRIDGE_HEADER_SIZE
+assert _HEADERS.size == EFS_HEADER_SIZE + BRIDGE_HEADER_SIZE
+assert _BLOCK.size == BLOCK_SIZE
 
 
 class EFSHeader(NamedTuple):
     """The Cronus-inherited per-block header (local linked-list identity).
 
     Immutable: decoded headers are memoised beside the cached block and
-    shared between requests, so a pointer update builds a new header
-    (``header._replace(next_addr=...)``)."""
+    shared between requests, so a pointer update builds a new header."""
 
     next_addr: int = NULL_ADDR
     prev_addr: int = NULL_ADDR
     file_number: int = 0
     block_number: int = 0
-
-    def pack(self) -> bytes:
-        return _EFS_HEADER.pack(*self, EFS_MAGIC)
 
 
 class BridgeHeader(NamedTuple):
@@ -71,9 +71,9 @@ class BridgeHeader(NamedTuple):
     column: int = 0
     flags: int = 0
 
-    def pack(self) -> bytes:
-        return _BRIDGE_HEADER.pack(*self)
 
+#: Where a block's data area starts.
+DATA_OFFSET = EFS_HEADER_SIZE + BRIDGE_HEADER_SIZE
 
 #: :class:`EFSHeader`'s fields in order, as the plain tuple ``struct`` makes.
 HeaderFields = Tuple[int, int, int, int]
@@ -85,8 +85,11 @@ def pack_block(efs: EFSHeader, bridge: BridgeHeader, data: bytes) -> bytes:
         raise ValueError(
             f"block data {len(data)} exceeds {DATA_BYTES_PER_BLOCK} bytes"
         )
-    payload = data.ljust(DATA_BYTES_PER_BLOCK, b"\x00")
-    return efs.pack() + bridge.pack() + payload
+    next_addr, prev_addr, file_number, block_number = efs
+    gfid, gblock, width, start_node, column, flags = bridge
+    return _BLOCK.pack(next_addr, prev_addr, file_number, block_number,
+                       EFS_MAGIC, gfid, gblock, width, start_node, column,
+                       flags, data)
 
 
 def unpack_header(raw: bytes) -> HeaderFields:
@@ -105,11 +108,16 @@ def unpack_header(raw: bytes) -> HeaderFields:
 
 
 def unpack_block(raw: bytes) -> Tuple[EFSHeader, BridgeHeader, bytes]:
-    """Parse one on-disk block, validating size and magic."""
-    efs = EFSHeader._make(unpack_header(raw))
-    bridge = BridgeHeader._make(_BRIDGE_HEADER.unpack_from(raw, EFS_HEADER_SIZE))
-    data = raw[EFS_HEADER_SIZE + BRIDGE_HEADER_SIZE :]
-    return efs, bridge, data
+    """Parse one on-disk block, validating size and magic as
+    :func:`unpack_header` does."""
+    if len(raw) != BLOCK_SIZE:
+        raise EFSCorruptionError(f"block is {len(raw)} bytes, expected {BLOCK_SIZE}")
+    fields = _HEADERS.unpack_from(raw)
+    if fields[4] != EFS_MAGIC:
+        raise EFSCorruptionError(f"bad block magic {fields[4]:#x}")
+    # tuple.__new__ is what ``_make`` runs, minus its Python frame
+    return (tuple.__new__(EFSHeader, fields[:4]),
+            tuple.__new__(BridgeHeader, fields[5:]), raw[DATA_OFFSET:])
 
 
 def is_efs_block(raw: bytes) -> bool:

@@ -30,6 +30,7 @@ from repro.efs.cache import BlockCache
 from repro.efs.directory import Directory, DirectoryEntry
 from repro.efs.freelist import FreeList
 from repro.efs.layout import (
+    DATA_OFFSET,
     NULL_ADDR,
     BridgeHeader,
     EFSHeader,
@@ -77,6 +78,7 @@ class EFSServer(Server):
             disk.params.capacity_blocks, start=self.directory.first_data_block
         )
         self._first_data_block = self.directory.first_data_block
+        self._capacity_blocks = disk.params.capacity_blocks
         # ``config`` is frozen, so each constant CPU charge is one Timeout
         # for the life of the server, and the write policy is one method.
         self._request_charge = Timeout(config.cpu.efs_request)
@@ -137,21 +139,25 @@ class EFSServer(Server):
     def op_read(self, file_number, block_number, hint=None):
         """Read one block; the response carries the list pointers as hints."""
         yield self._request_charge
-        located = yield from self._try_hint(file_number, block_number, hint)
+        located = None
+        if (hint is not None
+                and self._first_data_block <= hint < self._capacity_blocks):
+            # _try_hint, with cache.fetch spelled out as in _locate
+            cache = self.cache
+            cached = cache.lookup(hint)
+            if cached is None:
+                cached = yield from cache.fill(hint)
+            elif cache.hit_charge is not None:
+                yield cache.hit_charge
+            located = self._hinted(file_number, block_number, hint, cached)
         if located is None:
             entry = yield from self.directory.lookup(file_number)
             located = yield from self._locate(entry, block_number, hint)
         addr, header, bridge, data = located
-        result = ReadResult(
-            file_number=file_number,
-            block_number=block_number,
-            data=data,
-            addr=addr,
-            next_addr=header.next_addr,
-            prev_addr=header.prev_addr,
-            global_block=bridge.global_block,
-        )
-        return Response(value=result, size=len(data))
+        result = ReadResult(file_number, block_number, data, addr,
+                            header.next_addr, header.prev_addr,
+                            bridge.global_block)
+        return Response(result, None, len(data))
 
     def op_write(self, file_number, block_number, data, hint=None):
         """Write block ``block_number``: in-place if it exists, append if it
@@ -162,11 +168,12 @@ class EFSServer(Server):
                 f"write of {len(data)} bytes exceeds data area "
                 f"{DATA_BYTES_PER_BLOCK}"
             )
-        located = yield from self._try_hint(file_number, block_number, hint)
-        if located is not None:
-            addr, header, bridge, _old = located
-            yield from self._store_block(addr, header, bridge, data)
-            return WriteResult(file_number, block_number, addr)
+        if hint is not None:
+            located = yield from self._try_hint(file_number, block_number, hint)
+            if located is not None:
+                addr, header, bridge, _old = located
+                yield from self._store_block(addr, header, bridge, data)
+                return WriteResult(file_number, block_number, addr)
         entry = yield from self.directory.lookup(file_number)
         size = yield from self._file_size(entry)
         if block_number == size:
@@ -354,13 +361,17 @@ class EFSServer(Server):
 
     def _try_hint(self, file_number: int, block_number: int, hint):
         """Serve directly from a hint when it names exactly the right block."""
-        if hint is None or hint == NULL_ADDR:
-            return None
-        if not self._first_data_block <= hint < self.disk.params.capacity_blocks:
-            return None
-        entry = yield from self.cache.fetch(hint)
+        if hint is None or not (
+                self._first_data_block <= hint < self._capacity_blocks):
+            return None  # no hint, NULL_ADDR, or off the data region
+        cached = yield from self.cache.fetch(hint)
+        return self._hinted(file_number, block_number, hint, cached)
+
+    def _hinted(self, file_number: int, block_number: int, hint: int, cached):
+        """What :meth:`_try_hint` makes of the cached block at an in-range
+        ``hint``: the located block, or ``None``."""
         try:
-            header, bridge, data = self._decoded(hint, entry)
+            header, bridge, data = self._decoded(hint, cached)
         except EFSCorruptionError:
             return None
         if header.file_number != file_number:
@@ -370,14 +381,24 @@ class EFSServer(Server):
         return hint, header, bridge, data
 
     def _file_size(self, entry: DirectoryEntry):
-        """Size = tail block number + 1; the tail is the head's ``prev``."""
-        if entry.head_addr == NULL_ADDR:
-            return 0
+        """Size = tail block number + 1; the tail is the head's ``prev``.
+        ``cache.fetch`` is spelled out as in :meth:`_locate`."""
         head_addr = entry.head_addr
-        cached = yield from self.cache.fetch(head_addr)
+        if head_addr == NULL_ADDR:
+            return 0
+        cache = self.cache
+        cached = cache.lookup(head_addr)
+        if cached is None:
+            cached = yield from cache.fill(head_addr)
+        elif cache.hit_charge is not None:
+            yield cache.hit_charge
         _next, tail_addr, _owner, number = self._header(head_addr, cached)
         if tail_addr != head_addr:
-            cached = yield from self.cache.fetch(tail_addr)
+            cached = cache.lookup(tail_addr)
+            if cached is None:
+                cached = yield from cache.fill(tail_addr)
+            elif cache.hit_charge is not None:
+                yield cache.hit_charge
             _next, _prev, _owner, number = self._header(tail_addr, cached)
         return number + 1
 
@@ -435,7 +456,7 @@ class EFSServer(Server):
 
     def _peek_hint(self, file_number: int, hint: int):
         """Block number at ``hint`` if it belongs to the file, else None."""
-        if not self._first_data_block <= hint < self.disk.params.capacity_blocks:
+        if not self._first_data_block <= hint < self._capacity_blocks:
             return None
         entry = yield from self.cache.fetch(hint)
         try:
@@ -451,38 +472,50 @@ class EFSServer(Server):
         """The generator that writes one block: a write-back when ``lazy``,
         else as the write-behind configuration says.  The entry it caches
         is seeded with what the block was packed from, so a block this
-        server wrote is not unpacked while it stays cached."""
+        server wrote is not unpacked while it stays cached: ``data``
+        itself when it is already the padded data area."""
         raw = pack_block(header, bridge, data)
+        if len(data) != DATA_BYTES_PER_BLOCK or type(data) is not bytes:
+            data = raw[DATA_OFFSET:]
         store = self.cache.write_back if lazy else self._store
-        return store(addr, raw, (header, bridge, raw[-DATA_BYTES_PER_BLOCK:]))
+        return store(addr, raw, (header, bridge, data))
 
     def _bridge_header(self, entry: DirectoryEntry, block_number: int) -> BridgeHeader:
-        return BridgeHeader(
-            global_file_id=entry.global_file_id,
-            global_block=block_number * entry.width + entry.column,
-            width=entry.width,
-            start_node=0,
-            column=entry.column,
-        )
+        # (global_file_id, global_block, width, start_node, column, flags),
+        # built as _append builds its EFS headers
+        width, column = entry.width, entry.column
+        return tuple.__new__(BridgeHeader, (
+            entry.global_file_id, block_number * width + column, width, 0,
+            column, 0))
 
     def _append(self, entry: DirectoryEntry, size: int, data: bytes):
         """Link a new block at the tail: two device writes in steady state
         (the new block and the old tail); the head's back-pointer update is
-        a lazy write-back."""
+        a lazy write-back.  ``cache.fetch`` is spelled out as in
+        :meth:`_locate`, and each header is ``tuple.__new__(EFSHeader,
+        (next_addr, prev_addr, file_number, block_number))``: what the
+        NamedTuple constructor runs, minus its Python frame."""
         yield self._free_op_charge
         addr = self.freelist.allocate()
+        file_number = entry.file_number
         if entry.head_addr == NULL_ADDR:
-            header = EFSHeader(addr, addr, entry.file_number, 0)
+            header = tuple.__new__(EFSHeader, (addr, addr, file_number, 0))
             yield from self._store_block(addr, header, self._bridge_header(entry, 0), data)
             entry.head_addr = addr
             yield from self.directory.update(entry)
             return 0, addr
         head_addr = entry.head_addr
-        cached = yield from self.cache.fetch(head_addr)
+        cache = self.cache
+        cached = cache.lookup(head_addr)
+        if cached is None:
+            cached = yield from cache.fill(head_addr)
+        elif cache.hit_charge is not None:
+            yield cache.hit_charge
         head, head_bridge, head_data = self._decoded(head_addr, cached)
         tail_addr = head.prev_addr
         block_number = size
-        new_header = EFSHeader(head_addr, tail_addr, entry.file_number, block_number)
+        new_header = tuple.__new__(
+            EFSHeader, (head_addr, tail_addr, file_number, block_number))
         yield from self._store_block(
             addr, new_header, self._bridge_header(entry, block_number), data
         )
@@ -490,14 +523,21 @@ class EFSServer(Server):
         # update is a new header, never an assignment.
         if tail_addr == head_addr:
             # Second block of the file: head's next and prev both change.
-            head = head._replace(next_addr=addr, prev_addr=addr)
+            head = tuple.__new__(EFSHeader, (
+                addr, addr, head.file_number, head.block_number))
             yield from self._store_block(head_addr, head, head_bridge, head_data)
         else:
-            cached = yield from self.cache.fetch(tail_addr)
+            cached = cache.lookup(tail_addr)
+            if cached is None:
+                cached = yield from cache.fill(tail_addr)
+            elif cache.hit_charge is not None:
+                yield cache.hit_charge
             tail, tail_bridge, tail_data = self._decoded(tail_addr, cached)
-            tail = tail._replace(next_addr=addr)
+            tail = tuple.__new__(EFSHeader, (
+                addr, tail.prev_addr, tail.file_number, tail.block_number))
             yield from self._store_block(tail_addr, tail, tail_bridge, tail_data)
-            head = head._replace(prev_addr=addr)
+            head = tuple.__new__(EFSHeader, (
+                head.next_addr, addr, head.file_number, head.block_number))
             yield from self._store_block(
                 head_addr, head, head_bridge, head_data, lazy=True
             )

@@ -13,6 +13,7 @@ from repro.machine.network import (
 from repro.machine.node import Node, Port
 from repro.machine.rpc import (
     Client,
+    ReplyCell,
     Request,
     Response,
     Server,
@@ -30,6 +31,7 @@ __all__ = [
     "NETWORK_KINDS",
     "Node",
     "Port",
+    "ReplyCell",
     "Request",
     "Response",
     "Server",

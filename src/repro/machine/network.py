@@ -40,7 +40,7 @@ class ButterflyNetwork:
                     else costs.remote_latency) + size * costs.per_byte)
         sim._seq += 1
         heappush(sim._heap, (sim.now + latency, sim._seq,
-                             port.mailbox.deliver, message))
+                             port.deliver, message))
         return latency
 
 
@@ -55,7 +55,7 @@ class ZeroLatencyNetwork:
         self.messages_sent += 1
         self.bytes_sent += size
         sim._seq += 1
-        heappush(sim._heap, (sim.now, sim._seq, port.mailbox.deliver, message))
+        heappush(sim._heap, (sim.now, sim._seq, port.deliver, message))
         return 0.0
 
 
@@ -89,7 +89,7 @@ class EthernetNetwork:
         if src_node is port.node:
             sim._seq += 1
             heappush(sim._heap, (sim.now + ETHERNET_LOCAL_LATENCY, sim._seq,
-                                 port.mailbox.deliver, message))
+                                 port.deliver, message))
             return ETHERNET_LOCAL_LATENCY
         self._queue.append((port, message, size))
         self._wakeup.deliver(None)
@@ -105,7 +105,7 @@ class EthernetNetwork:
                 started = self.sim.now
                 yield Timeout(ETHERNET_FRAME_OVERHEAD
                               + size / ETHERNET_BANDWIDTH)
-                port.mailbox.deliver(message)
+                port.deliver(message)
                 # Transit is priced only now that the frame has cleared
                 # the shared medium; tell the observability layer so the
                 # net vs. queue split is exact (no scheduling happens

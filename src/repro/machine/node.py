@@ -17,16 +17,25 @@ from repro.sim import Mailbox, Process
 class Port:
     """A mailbox bound to its owning node — the unit of addressability.
 
-    Ports are what get passed around in messages (reply ports, server
-    addresses, worker lists).  Sending to a port goes through the machine's
-    network model, which uses ``port.node`` for latency.
+    Ports are what get passed around in messages (server addresses,
+    worker lists, a client's reply mailbox).  Sending to a port goes
+    through the machine's network model, which uses ``port.node`` for
+    latency and calls ``port.deliver`` on arrival — the two names a
+    one-shot :class:`~repro.sim.channel.ReplyCell` answers to as well.
     """
 
-    __slots__ = ("node", "mailbox")
+    __slots__ = ("node", "mailbox", "deliver")
 
     def __init__(self, node: "Node", mailbox: Mailbox) -> None:
         self.node = node
         self.mailbox = mailbox
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        # ``deliver`` is the mailbox's, bound once — also for a mailbox
+        # re-seated after construction (tests swap in instrumented ones).
+        object.__setattr__(self, name, value)
+        if name == "mailbox":
+            object.__setattr__(self, "deliver", value.deliver)
 
     @property
     def name(self) -> str:
@@ -72,8 +81,9 @@ class Node:
     def send(self, port: Port, message: Any, size: int = 0) -> None:
         """Send ``message`` from this node to ``port`` through the
         machine's network model (fire and forget)."""
-        sim = self.machine.sim
-        latency = self.machine.network.send(sim, self, port, message, size)
+        machine = self.machine
+        sim = machine.sim
+        latency = machine.network.send(sim, self, port, message, size)
         if sim.obs is not None:
             sim.obs.on_send(self, port, message, size, latency)
 

@@ -2,8 +2,10 @@
 
 All Bridge components (EFS servers, the Bridge Server, tool workers) speak
 the same envelope protocol: a :class:`Request` names a method, carries
-arguments and a reply port; the server answers with a :class:`Response`
-that either holds a value or an error to be re-raised at the caller.
+arguments and where to reply — a client's reply port, or the
+:class:`ReplyCell` of one fan-out leg; the server answers with a
+:class:`Response` that either holds a value or an error to be re-raised
+at the caller.
 
 Servers are *single simulated processes* handling one request at a time —
 deliberately, because the serialization of a centralized server is one of
@@ -13,11 +15,11 @@ are frequent enough to cause a bottleneck...").
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Union
 
 from repro.machine.node import Node, Port
 from repro.obs.spans import SpanContext
-from repro.sim import Timeout
+from repro.sim import ReplyCell, Timeout
 
 
 class Request:
@@ -28,7 +30,7 @@ class Request:
                  "traffic_class", "sent_at", "admission_shed")
 
     def __init__(self, method: str, args: Optional[Dict[str, Any]] = None,
-                 reply_to: Optional[Port] = None, size: int = 0,
+                 reply_to: Union[Port, ReplyCell, None] = None, size: int = 0,
                  trace_ctx: Optional[Any] = None,
                  traffic_class: Optional[str] = None,
                  sent_at: Optional[float] = None) -> None:
@@ -140,6 +142,7 @@ class Server:
         # event sequence is untouched.
         self.heat = None
         self.heat_partition = 0
+        self._detached_name = f"{node.name}/{name}.detached"
         self.process = node.spawn(self._loop(), name=name, daemon=True)
 
     # ------------------------------------------------------------------
@@ -202,18 +205,19 @@ class Server:
                     response = Response(error=exc)
                 else:
                     if isinstance(result, Detached):
-                        # The side process replies and closes the span.
-                        self.node.spawn(
+                        # The side process replies and closes the span;
+                        # named as node.spawn would name it.
+                        sim.spawn(
                             self._finish_detached(
                                 result.generator, request, server_span, started
                             ),
-                            name=f"{self.name}.detached",
+                            name=self._detached_name,
                         )
                         response = None
                     elif isinstance(result, Response):
                         response = result
                     else:
-                        response = Response(value=result)
+                        response = Response(result)
             self.requests_served += 1
             self.busy_time += sim.now - started
             if self.heat is not None:
@@ -223,8 +227,7 @@ class Server:
                 if obs is not None:
                     self._end_request(obs, request, server_span, started)
                 if request.reply_to is not None:
-                    self.node.send(request.reply_to, response,
-                                   size=response.size)
+                    self.node.send(request.reply_to, response, response.size)
             if obs is not None:
                 obs.set_current(None)
 
@@ -311,9 +314,9 @@ class Client:
     """Client-side helper for sequential RPC.
 
     One :class:`Client` supports one outstanding call at a time (it owns a
-    single reply port).  Components that need parallel outstanding requests
-    create one client per in-flight call or collect replies on a shared
-    port manually (see the Bridge Server's parallel read).
+    single reply port).  Parallel outstanding requests go through
+    :func:`gather` / :func:`gather_settled`, which give each leg its own
+    :class:`ReplyCell`.
     """
 
     def __init__(self, node: Node, name: str = "client",
@@ -326,18 +329,19 @@ class Client:
 
     def call(self, port: Port, method: str, size: int = 0, **args):
         """Generator performing one call: ``value = yield from client.call(...)``."""
-        request = Request(method=method, args=args, reply_to=self.reply_port,
-                          size=size, traffic_class=self.traffic_class,
-                          sent_at=self.node.machine.sim.now)
-        obs = self.node.machine.sim.obs
+        node = self.node
+        sim = node.machine.sim
+        request = Request(method, args, self.reply_port, size, None,
+                          self.traffic_class, sim.now)
+        obs = sim.obs
         span = None
         prev = None
         if obs is not None:
             prev = obs.current
-            span = obs.begin(f"call.{method}", "client", node=self.node.index)
+            span = obs.begin(f"call.{method}", "client", node=node.index)
             request.trace_ctx = SpanContext(span)
             obs.set_current(span)
-        self.node.send(port, request, size=size)
+        node.send(port, request, size)
         response = yield self.reply_port.mailbox
         if obs is not None:
             obs.end(span, target=port.name)
@@ -351,7 +355,7 @@ def gather(node: Node, calls, max_in_flight: Optional[int] = None):
     """Issue many requests in parallel and collect replies in call order.
 
     ``calls`` is a list of ``(port, method, args_dict, size)`` tuples.
-    Each call gets its own one-shot reply port, so replies stay associated
+    Each call gets its own :class:`ReplyCell`, so replies stay associated
     with their requests regardless of arrival order.  The generator
     completes when the *slowest* reply arrives; the first error reply in
     call order is re-raised at once, without waiting for later legs.
@@ -397,19 +401,19 @@ def _fan_out(node: Node, calls, max_in_flight: Optional[int], settle: bool):
     calls = list(calls)
     if not calls:
         return []
-    window = len(calls) if max_in_flight is None else max_in_flight
-    obs = node.machine.sim.obs
+    total = len(calls)
+    window = total if max_in_flight is None else max_in_flight
+    sim = node.machine.sim
+    obs = sim.obs
     prev = obs.current if obs is not None else None
     results = []
-    for window_start in range(0, len(calls), window):
-        batch = calls[window_start:window_start + window]
-        reply_ports = []
-        legs = []
-        for port, method, args, size in batch:
-            reply_port = node.port()
-            request = Request(method, args, reply_port, size,
-                              sent_at=node.machine.sim.now)
-            leg = None
+    cells = []  # this window's, in call order
+    legs = []  # their client spans, with obs on
+    for window_start in range(0, total, window):
+        for index in range(window_start, min(window_start + window, total)):
+            port, method, args, size = calls[index]
+            cell = ReplyCell(node)
+            request = Request(method, args, cell, size, None, None, sim.now)
             if obs is not None:
                 # One client-side span per fan-out leg; sends don't yield,
                 # so flipping obs.current around the send needs no sticky
@@ -418,13 +422,13 @@ def _fan_out(node: Node, calls, max_in_flight: Optional[int], settle: bool):
                                 parent=prev, inherit=False, node=node.index)
                 request.trace_ctx = SpanContext(leg)
                 obs.current = leg
-            node.send(port, request, size=size)
+                legs.append(leg)
+            node.send(port, request, size)
             if obs is not None:
                 obs.current = prev
-            reply_ports.append(reply_port)
-            legs.append(leg)
-        for offset, reply_port in enumerate(reply_ports):
-            response = yield reply_port.mailbox
+            cells.append(cell)
+        for offset, cell in enumerate(cells):
+            response = yield cell
             if obs is not None:
                 obs.end(legs[offset])
             if settle:
@@ -435,8 +439,10 @@ def _fan_out(node: Node, calls, max_in_flight: Optional[int], settle: bool):
                 index = window_start + offset
                 port, method, _args, _size = calls[index]
                 raise _annotate_gather_error(
-                    response.error, port, method, index, len(calls)
+                    response.error, port, method, index, total
                 )
+        cells.clear()
+        legs.clear()
     return results
 
 

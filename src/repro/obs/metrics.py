@@ -90,15 +90,19 @@ class Histogram:
     def observe(self, value: float) -> None:
         self.count += 1
         self.total += value
-        if self.min is None or value < self.min:
+        low = self.min
+        if low is None:
+            self.min = self.max = value
+        elif value < low:
             self.min = value
-        if self.max is None or value > self.max:
+        elif value > self.max:
             self.max = value
-        index = bisect_left(self.bounds, value)
-        if index >= len(self.bounds):
-            self.overflow += 1
-        else:
+        bounds = self.bounds
+        index = bisect_left(bounds, value)
+        if index < len(bounds):
             self.counts[index] += 1
+        else:
+            self.overflow += 1
 
     # ------------------------------------------------------------------
 

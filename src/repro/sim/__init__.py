@@ -1,8 +1,8 @@
 """Discrete-event simulation kernel.
 
 This package replaces the BBN Butterfly / Chrysalis runtime the paper ran
-on: generator-based processes, simulated time, mailboxes for message
-passing, and a FIFO lock for mutual exclusion.
+on: generator-based processes, simulated time, mailboxes (and one-shot
+reply cells) for message passing, and a FIFO lock for mutual exclusion.
 
 Public surface::
 
@@ -19,7 +19,7 @@ Public surface::
     sim.run()
 """
 
-from repro.sim.channel import Mailbox
+from repro.sim.channel import Mailbox, ReplyCell
 from repro.sim.events import AllOf, Signal, Timeout
 from repro.sim.process import Process, join_all
 from repro.sim.rand import RandomStreams
@@ -32,6 +32,7 @@ __all__ = [
     "Mailbox",
     "Process",
     "RandomStreams",
+    "ReplyCell",
     "Signal",
     "Simulator",
     "Timeout",

@@ -8,7 +8,8 @@ of messages that one process at a time can block on.
 Delivery latency is *not* a mailbox concern — the network model
 (:mod:`repro.machine.network`) computes a latency and calls
 :meth:`Mailbox.deliver` at the right simulated time.  ``deliver`` itself
-is instantaneous.
+is instantaneous.  A :class:`ReplyCell` is the one-message form: what a
+single request's reply lands in.
 """
 
 from __future__ import annotations
@@ -80,3 +81,34 @@ class Mailbox:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Mailbox({self.name!r}, queued={len(self._queue)})"
+
+
+class ReplyCell:
+    """A one-shot mailbox: where the one reply to one request lands.
+
+    It answers to the two names a network uses to deliver — ``node``,
+    where its receiver runs (the kernel never reads it), and
+    :meth:`deliver` — and is received from by yielding the cell itself,
+    which :meth:`Process._step <repro.sim.process.Process._step>` does
+    inline for this exact class (it has no generic ``_wait``).  A reply
+    that finds its receiver parked pushes the ``(time, seq)`` heap entry
+    :meth:`Mailbox.deliver` pushes; one that lands first is held until
+    the receiver yields the cell.  It names no server, so a request a
+    server forwards still replies straight to the caller, and it dies
+    with its request."""
+
+    __slots__ = ("node", "waiter", "value")
+
+    def __init__(self, node: Any) -> None:
+        self.node = node
+        self.waiter = None
+        self.value = None
+
+    def deliver(self, message: Any) -> None:
+        waiter = self.waiter
+        if waiter is None:
+            self.value = message
+        else:
+            sim = waiter.sim
+            sim._seq += 1
+            heappush(sim._heap, (sim.now, sim._seq, waiter._resume, message))

@@ -26,7 +26,7 @@ class Timeout:
     __slots__ = ("delay", "value")
 
     def __init__(self, delay: float, value: Any = None) -> None:
-        if delay < 0:
+        if not delay >= 0:  # also refuses NaN
             raise ValueError(f"negative timeout: {delay!r}")
         self.delay = delay
         self.value = value

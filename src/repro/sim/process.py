@@ -5,10 +5,11 @@ the kernel a *waitable* (:class:`~repro.sim.events.Timeout`, a
 :class:`~repro.sim.channel.Mailbox` to receive from, a resource acquire,
 another process's completion signal, ...); the process resumes when the
 waitable completes, with the waitable's value as the result of the
-``yield`` expression.  The two waitables behind most yields — exactly
+``yield`` expression.  The waitables behind most yields — exactly
 ``Timeout`` and ``Mailbox`` — are dispatched inline by :meth:`Process._step`
-(same heap entry their ``_wait`` would push); everything else, subclasses
-included, goes through its ``_wait``.
+(same heap entry their ``_wait`` would push), and so is a ``ReplyCell``,
+which has no ``_wait``; everything else, subclasses included, goes through
+its ``_wait``.
 
 Processes that ``return value`` deliver that value to joiners.  A process
 that raises an unhandled exception fails the whole simulation immediately
@@ -22,7 +23,7 @@ from heapq import heappush
 from typing import Any
 
 from repro.errors import InvalidYieldError, ProcessError, SecondReceiverError
-from repro.sim.channel import Mailbox
+from repro.sim.channel import Mailbox, ReplyCell
 from repro.sim.events import AllOf, Signal, Timeout
 
 
@@ -30,23 +31,27 @@ class Process:
     """A running simulated process.  Created via :meth:`Simulator.spawn`."""
 
     __slots__ = (
-        "sim", "gen", "name", "daemon", "done", "result", "completion",
-        "obs_ctx", "_resume",
+        "sim", "gen", "name", "daemon", "done", "result", "_completion",
+        "obs_ctx", "_resume", "_send",
     )
 
     def __init__(self, sim, gen, name: str = "process", daemon: bool = False) -> None:
-        if not hasattr(gen, "send"):
+        try:
+            self._send = gen.send  # bound once, not once per step
+        except AttributeError:
             raise TypeError(
                 f"process body must be a generator, got {type(gen).__name__}; "
                 "did you forget to call the generator function?"
-            )
+            ) from None
         self.sim = sim
         self.gen = gen
         self.name = name
         self.daemon = daemon
         self.done = False
         self.result: Any = None
-        self.completion = Signal(sim)
+        # Made by the first join(): most processes (a detached handler,
+        # an open-loop arrival) are never joined.
+        self._completion = None
         # Observability span context (S19): the span this process's work
         # belongs to.  Restored into sim.obs.current at every step so the
         # "current span" survives interleaved process execution.
@@ -66,7 +71,7 @@ class Process:
             obs.current = self.obs_ctx
             obs.current_process = self
         try:
-            target = self.gen.send(value)
+            target = self._send(value)
         except StopIteration as stop:
             self._finish(getattr(stop, "value", None))
             return
@@ -93,6 +98,14 @@ class Process:
             else:
                 raise SecondReceiverError(target, self)
             return
+        if kind is ReplyCell:
+            reply = target.value
+            if reply is None:
+                target.waiter = self
+            else:
+                sim._seq += 1
+                heappush(sim._heap, (sim.now, sim._seq, self._resume, reply))
+            return
         try:
             wait = target._wait
         except AttributeError:
@@ -104,8 +117,14 @@ class Process:
     def _finish(self, result: Any) -> None:
         self.done = True
         self.result = result
+        # Nothing resumes a finished process; dropping the bound method
+        # breaks the process -> _resume -> process cycle, so refcounting
+        # frees it (one per detached request or open-loop arrival)
+        # without waiting for the cyclic collector.
+        self._resume = None
         del self.sim._processes[self]
-        self.completion.fire(result)
+        if self._completion is not None:
+            self._completion.fire(result)
 
     # ------------------------------------------------------------------
 
@@ -114,7 +133,15 @@ class Process:
 
         Usage inside another process: ``result = yield worker.join()``.
         """
-        return self.completion
+        completion = self._completion
+        if completion is None:
+            completion = self._completion = Signal(self.sim)
+            if self.done:
+                completion.fire(self.result)
+        return completion
+
+    #: The same signal as :meth:`join`, as an attribute.
+    completion = property(join)
 
     def __repr__(self) -> str:
         state = "done" if self.done else "running"
@@ -127,4 +154,4 @@ def join_all(processes) -> "Signal":
     Yields a list of their results, in order.  Implemented with
     :class:`~repro.sim.events.AllOf` over the completion signals.
     """
-    return AllOf([p.completion for p in processes])
+    return AllOf([p.join() for p in processes])

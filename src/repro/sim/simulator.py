@@ -62,13 +62,13 @@ class Simulator:
 
     def call_at(self, time: float, fn: Callable, arg: Any = None) -> None:
         """Schedule ``fn(arg)`` at an absolute simulated time."""
-        if time < self.now:
+        if not time >= self.now:  # also refuses NaN
             raise ValueError(f"cannot schedule in the past: {time} < {self.now}")
         self._schedule(time - self.now, fn, arg)
 
     def call_later(self, delay: float, fn: Callable, arg: Any = None) -> None:
         """Schedule ``fn(arg)`` after ``delay`` seconds of simulated time."""
-        if delay < 0:
+        if not delay >= 0:  # also refuses NaN
             raise ValueError(f"negative delay: {delay}")
         self._schedule(delay, fn, arg)
 
@@ -90,7 +90,8 @@ class Simulator:
             # (covers Detached handlers and prefetch workers).
             process.obs_ctx = self.obs.current
         self._processes[process] = None
-        self._schedule(0.0, process._resume, None)
+        self._seq += 1  # _schedule(0.0, ...), inline: one per arrival
+        heapq.heappush(self._heap, (self.now, self._seq, process._resume, None))
         return process
 
     # ------------------------------------------------------------------

@@ -51,6 +51,7 @@ driver replaces the loop with a bounded-concurrency transfer pool.
 from __future__ import annotations
 
 import abc
+from heapq import heappush
 from typing import List, Optional, Protocol, Tuple, runtime_checkable
 
 from repro.errors import BadBlockAddressError, DeviceFailedError
@@ -95,31 +96,48 @@ class BlockRequest:
     """One queued block operation, stamped as the driver serves it.
 
     A request is its own waitable: ``yield request`` queues it on its
-    store and parks the caller until the driver resumes it."""
+    store and parks the caller until the driver resumes it; then
+    :meth:`outcome` is what the operation returns.  That is the whole
+    client API — :meth:`BlockStoreABC.read` / :meth:`~BlockStoreABC.write`
+    are those three steps, and the block cache takes them inline."""
 
     __slots__ = ("store", "op", "block", "data", "waiter", "enqueued_at",
-                 "result", "error", "wait", "service")
+                 "result", "error", "wait", "service", "span")
 
     def __init__(self, store: "BlockStoreABC", op: str, block: int,
-                 data: Optional[bytes], now: float) -> None:
+                 data: Optional[bytes]) -> None:
         self.store = store
         self.op = op
         self.block = block
         self.data = data
         self.waiter = None
-        self.enqueued_at = now
+        sim = store.sim
+        self.enqueued_at = sim.now
         self.result: Optional[bytes] = None
         self.error: Optional[Exception] = None
         # Stamped by the driver loop so the caller's observability span
         # can split its interval into queueing vs. arm service.
         self.wait: Optional[float] = None
         self.service: Optional[float] = None
+        obs = sim.obs
+        self.span = None if obs is None else obs.begin(
+            f"{store.name}.{op}", "disk", node=store.obs_node)
 
     def _wait(self, process) -> None:
         self.waiter = process
         store = self.store
         store._pending.append(self)
         store._wakeup.deliver(None)
+
+    def outcome(self) -> Optional[bytes]:
+        """Once served: close the disk span, raise the device's error, or
+        return the block's bytes (``None`` for a write)."""
+        if self.span is not None:
+            self.store.sim.obs.end(self.span, block=self.block,
+                                   wait=self.wait, service=self.service)
+        if self.error is not None:
+            raise self.error
+        return self.result
 
 
 class BlockStoreABC(abc.ABC):
@@ -174,31 +192,15 @@ class BlockStoreABC(abc.ABC):
 
     def read(self, block: int):
         """Read one block; returns its bytes (zeros if never written)."""
-        request = BlockRequest(self, "read", block, None, self.sim.now)
-        obs = self.sim.obs
-        span = None
-        if obs is not None:
-            span = obs.begin(f"{self.name}.read", "disk", node=self.obs_node)
-        result = yield request
-        if obs is not None:
-            obs.end(span, block=block, wait=result.wait, service=result.service)
-        if result.error is not None:
-            raise result.error
-        return result.result
+        request = BlockRequest(self, "read", block, None)
+        yield request
+        return request.outcome()
 
     def write(self, block: int, data: bytes):
         """Write one block (data must not exceed the block size)."""
-        request = BlockRequest(self, "write", block, bytes(data), self.sim.now)
-        obs = self.sim.obs
-        span = None
-        if obs is not None:
-            span = obs.begin(f"{self.name}.write", "disk", node=self.obs_node)
-        result = yield request
-        if obs is not None:
-            obs.end(span, block=block, wait=result.wait, service=result.service)
-        if result.error is not None:
-            raise result.error
-        return None
+        request = BlockRequest(self, "write", block, bytes(data))
+        yield request
+        request.outcome()
 
     # ------------------------------------------------------------------
     # Fault injection
@@ -288,9 +290,9 @@ class SingleArmBlockStore(BlockStoreABC):
 
     Service time comes from a pluggable latency model; the order served
     from a pluggable scheduler (FCFS unless told otherwise).  This is
-    the seed's device loop, hoisted verbatim so the ``ram`` and
-    ``hostfs`` drivers replay the exact same event sequence the
-    committed acceptance trace pins.
+    the seed's device loop, hoisted so the ``ram`` and ``hostfs``
+    drivers replay the exact same event sequence the committed
+    acceptance trace pins.
     """
 
     def __init__(
@@ -308,18 +310,22 @@ class SingleArmBlockStore(BlockStoreABC):
 
     def _loop(self):
         sim = self.sim
+        pending = self._pending
+        # The arm's one sleep, re-aimed at each service time: the loop
+        # yields it at once, so nothing reads a stale delay.
+        arm = Timeout(0.0)
         while True:
-            if not self._pending:
-                yield self._wakeup.recv()
+            if not pending:
+                yield self._wakeup
                 continue
             if self.failed:
-                for request in self._pending:
+                for request in pending:
                     request.error = DeviceFailedError(f"{self.name} has failed")
                     sim._schedule(0.0, request.waiter._resume, request)
-                self._pending.clear()
+                pending.clear()
                 continue
-            index = self.scheduler.select(self._pending, self.head_position)
-            request = self._pending.pop(index)
+            index = self.scheduler.select(pending, self.head_position)
+            request = pending.pop(index)
             service, new_position = self.latency.access(
                 self._rng, self.head_position, request.block, sim.now
             )
@@ -330,8 +336,12 @@ class SingleArmBlockStore(BlockStoreABC):
             self.service_times.observe(service)
             if self.heat is not None:
                 self.heat.observe(self.heat_slot, None, service, sim.now)
-            yield Timeout(service)
+            arm.delay = service
+            yield arm
             self.busy_time += service
             self.head_position = new_position
             self._perform(request)
-            sim._schedule(0.0, request.waiter._resume, request)
+            # Resume the caller: the heap entry Mailbox.deliver pushes.
+            sim._seq += 1
+            heappush(sim._heap, (sim.now, sim._seq, request.waiter._resume,
+                                 request))

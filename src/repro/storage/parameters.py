@@ -30,7 +30,7 @@ class FixedLatency:
     """Every access costs the same: the paper's 15 ms sleep."""
 
     def __init__(self, access_time: float = DEFAULT_ACCESS_TIME) -> None:
-        if access_time < 0:
+        if not access_time >= 0:  # also refuses NaN
             raise ValueError("latencies must be non-negative")
         self.access_time = access_time
 

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import DeadlockError, InvalidYieldError, ProcessError
 from repro.sim import Simulator, Timeout
+from repro.storage import FixedLatency
 
 
 def test_clock_starts_at_zero():
@@ -242,6 +243,21 @@ def test_call_later_negative_rejected():
     sim = Simulator()
     with pytest.raises(ValueError):
         sim.call_later(-0.5, lambda _x: None)
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: Timeout(float("nan")), id="Timeout"),
+    pytest.param(lambda: Simulator().call_later(float("nan"), print),
+                 id="call_later"),
+    pytest.param(lambda: Simulator().call_at(float("nan"), print),
+                 id="call_at"),
+    pytest.param(lambda: FixedLatency(float("nan")), id="FixedLatency"),
+])
+def test_nan_delays_and_latencies_are_rejected(make):
+    # ``nan < 0`` is False: a NaN delay would run before every finite
+    # one and leave the clock at NaN for the rest of the run.
+    with pytest.raises(ValueError):
+        make()
 
 
 def test_deadlock_detection_flags_blocked_process():
