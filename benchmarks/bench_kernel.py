@@ -5,20 +5,26 @@ throughput (events/second, RPC round trips/second) so regressions in the
 kernel show up in the benchmark suite.  Uses real multi-round
 pytest-benchmark timing since these are wall-clock measurements.
 
-Five floors, each about a third of what a 2-vCPU Python 3.11 host
+Six floors, each about a third of what a 2-vCPU Python 3.11 host
 measures (best of 3), so a 0.55x host spell still clears them while a
 real regression does not.  Where a noisy re-measurement came in lower
-than the last quiet one, the floor stayed where it was:
+than the last quiet one, the floor stayed where it was (the last
+re-measurement, beside the same-instant ready queue, ran in a spell
+that halved every rate, parent and change alike):
 
 * ``EVENTS_PER_SECOND_FLOOR`` guards the bare kernel on a pure
   ``Timeout`` stream (``Process._step``'s inline dispatch, cached
   ``_resume``, zero-listener run loop) — measured 1.3–1.8 M timeout
   events/s; a regression such as reintroducing per-event bound-method
-  allocation or a ``_wait`` frame per yield falls under it.
+  allocation or a ``_wait`` frame per yield falls under it.  Every
+  event of this stream is on the heap, so it pays the ready queue's
+  checks and gains nothing from it (0.65–1.19 M before it, 0.75–0.88 M
+  after, in the slow spell).
 * ``MAILBOX_MSGS_PER_SECOND_FLOOR`` guards message passing: two
-  processes ping-ponging through two mailboxes (``deliver`` pushes onto
-  the heap, the receive is dispatched inline) — measured 1.9–2.2 M
-  msgs/s.
+  processes ping-ponging through two mailboxes (``deliver`` puts the
+  resume on the ready queue, the receive is dispatched inline) —
+  measured 1.9–2.2 M msgs/s (0.81–1.08 M before the ready queue and
+  1.27–1.66 M after, in the slow spell).
 * ``RPC_ROUNDTRIPS_PER_SECOND_FLOOR`` guards the RPC path over the
   Butterfly network: ``Client.call`` to a server whose handler charges
   one zero ``Timeout`` (slotted envelopes, inline server receive) —
@@ -29,8 +35,13 @@ than the last quiet one, the floor stayed where it was:
   stream (an EFS append and two device writes per block) and read
   stream (a hinted EFS read per block), Bridge Server + RPC + EFS +
   storage per block — measured 444 k and 417 k events/s.
+* ``SORT_P32_EVENTS_PER_SECOND_FLOOR`` guards the tool view on the
+  widest fabric: events per host second of a small Table 4 sort at
+  p = 32, where half the events are due at the instant already
+  running — measured 218–345 k events/s before the ready queue and
+  257–396 k after, in the slow spell.
 
-Also runnable as a script (the CI smoke job checks all five floors)::
+Also runnable as a script (the CI smoke job checks all six floors)::
 
     PYTHONPATH=src python benchmarks/bench_kernel.py --quick
 """
@@ -41,6 +52,8 @@ import time
 from repro.harness import paper_system
 from repro.machine import Client, Machine, Server
 from repro.sim import Mailbox, Simulator, Timeout
+from repro.tools import SortTool
+from repro.workloads import build_file, record_chunks, uniform_keys
 
 #: Floor for the zero-listener Timeout fast path (measured 1.3–1.8 M/s).
 EVENTS_PER_SECOND_FLOOR = 600_000
@@ -52,6 +65,9 @@ RPC_ROUNDTRIPS_PER_SECOND_FLOOR = 85_000
 FULL_STACK_EVENTS_PER_SECOND_FLOOR = 140_000
 #: Floor for the whole stack under a naive write stream (measured 444 k/s).
 FULL_STACK_WRITE_EVENTS_PER_SECOND_FLOOR = 145_000
+#: Floor for a p = 32 sort, the tool view on the widest fabric (measured
+#: 257–396 k/s in a slow spell).
+SORT_P32_EVENTS_PER_SECOND_FLOOR = 100_000
 
 
 def _timeout_storm(events: int = 100_000):
@@ -154,6 +170,23 @@ def _naive_read_stream(blocks: int = 4_000):
     return _naive_stream(blocks)[1]
 
 
+def _sort_p32(records: int = 1_024):
+    """A small Table 4 sort on the widest fabric, p = 32: local sorts,
+    then log2(32) token merges, every worker on its LFS node.  Half its
+    events are due at the instant already running and the heap holds
+    ~30 entries, the shape the same-instant ready queue is for.
+    Returns ``(events, host seconds)`` of the sort."""
+    system = paper_system(32, seed=7)
+    keys = uniform_keys(records, seed=7)
+    build_file(system, "unsorted", record_chunks(keys, seed=7))
+    tool = SortTool(system.client_node, system.bridge.port, system.config)
+    before = system.sim.events_executed
+    start = time.perf_counter()
+    system.run(tool.run("unsorted", "sorted"))
+    elapsed = time.perf_counter() - start
+    return system.sim.events_executed - before, elapsed
+
+
 def _rate(executed: int, elapsed: float) -> float:
     return executed / elapsed if elapsed > 0 else float("inf")
 
@@ -214,6 +247,14 @@ def test_full_stack_write_events_per_second_floor(benchmark):
     )
 
 
+def test_wide_fabric_sort_events_per_second_floor(benchmark):
+    rate = benchmark(lambda: _rate(*_sort_p32(256)))
+    assert rate >= SORT_P32_EVENTS_PER_SECOND_FLOOR, (
+        f"p = 32 sort at {rate:,.0f} ev/s, "
+        f"floor is {SORT_P32_EVENTS_PER_SECOND_FLOOR:,}"
+    )
+
+
 def _check_floor(label: str, storm, floor: int, unit: str) -> None:
     best = 0.0
     for _attempt in range(3):  # best-of-3 absorbs host noise
@@ -240,7 +281,11 @@ def main(argv) -> int:
     _check_floor("naive read stream",
                  lambda: _naive_read_stream(1_000 if quick else 4_000),
                  FULL_STACK_EVENTS_PER_SECOND_FLOOR, "events/s")
-    print("kernel, mailbox, rpc and both full-stack floors: passed")
+    _check_floor("p = 32 sort",
+                 lambda: _sort_p32(256 if quick else 1_024),
+                 SORT_P32_EVENTS_PER_SECOND_FLOOR, "events/s")
+    print("kernel, mailbox, rpc, both full-stack and the p = 32 sort "
+          "floors: passed")
     return 0
 
 

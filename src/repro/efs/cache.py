@@ -222,10 +222,12 @@ class BlockCache:
             entries.move_to_end(address)
         else:
             while len(entries) >= self.capacity:
-                victim = next(iter(entries))
-                if entries[victim].dirty:
+                victim, evicted = entries.popitem(False)
+                if evicted.dirty:
+                    # Put it back in place: the write-back comes first.
+                    entries[victim] = evicted
+                    entries.move_to_end(victim, False)
                     return None
-                del entries[victim]
                 self._evictions.value += 1
         entry = entries[address] = CacheEntry()
         entry.raw = raw

@@ -1,8 +1,10 @@
 """Client-side helper for talking to one EFS server.
 
-Both the Bridge Server and tool workers use this wrapper.  All methods are
-generators (``yield from`` them inside a simulated process); wire sizes are
-charged for block payloads in both directions.
+Both the Bridge Server and tool workers use this wrapper.  Every method
+returns a generator (``yield from`` it inside a simulated process); a
+one-request op returns :meth:`Client.call <repro.machine.rpc.Client.call>`'s
+own, so a block op is one frame between the caller and the RPC.  Wire
+sizes are charged for block payloads in both directions.
 """
 
 from __future__ import annotations
@@ -28,45 +30,39 @@ class EFSClient:
 
     def create(self, file_number: int, global_file_id: int = 0, width: int = 1,
                column: int = 0):
-        return (
-            yield from self._rpc.call(
-                self.port,
-                "create",
-                file_number=file_number,
-                global_file_id=global_file_id,
-                width=width,
-                column=column,
-            )
+        return self._rpc.call(
+            self.port,
+            "create",
+            file_number=file_number,
+            global_file_id=global_file_id,
+            width=width,
+            column=column,
         )
 
     def delete(self, file_number: int):
         """Returns the number of blocks freed."""
-        return (yield from self._rpc.call(self.port, "delete", file_number=file_number))
+        return self._rpc.call(self.port, "delete", file_number=file_number)
 
     def read(self, file_number: int, block_number: int, hint=None):
         """Returns a :class:`~repro.efs.messages.ReadResult`."""
-        return (
-            yield from self._rpc.call(
-                self.port,
-                "read",
-                file_number=file_number,
-                block_number=block_number,
-                hint=hint,
-            )
+        return self._rpc.call(
+            self.port,
+            "read",
+            file_number=file_number,
+            block_number=block_number,
+            hint=hint,
         )
 
     def write(self, file_number: int, block_number: int, data: bytes, hint=None):
         """Returns a :class:`~repro.efs.messages.WriteResult`."""
-        return (
-            yield from self._rpc.call(
-                self.port,
-                "write",
-                size=BLOCK_SIZE,
-                file_number=file_number,
-                block_number=block_number,
-                data=data,
-                hint=hint,
-            )
+        return self._rpc.call(
+            self.port,
+            "write",
+            size=BLOCK_SIZE,
+            file_number=file_number,
+            block_number=block_number,
+            data=data,
+            hint=hint,
         )
 
     def read_blocks(self, file_number: int, block_numbers, hint=None):
@@ -75,14 +71,12 @@ class EFSClient:
         Returns a :class:`~repro.efs.messages.BatchReadResult` whose
         ``results`` follow the request order of ``block_numbers``.
         """
-        return (
-            yield from self._rpc.call(
-                self.port,
-                "read_blocks",
-                file_number=file_number,
-                block_numbers=list(block_numbers),
-                hint=hint,
-            )
+        return self._rpc.call(
+            self.port,
+            "read_blocks",
+            file_number=file_number,
+            block_numbers=list(block_numbers),
+            hint=hint,
         )
 
     def write_blocks(self, file_number: int, writes, hint=None):
@@ -92,41 +86,37 @@ class EFSClient:
         request is charged the full payload size on the wire.
         """
         writes = list(writes)
-        return (
-            yield from self._rpc.call(
-                self.port,
-                "write_blocks",
-                size=BLOCK_SIZE * len(writes),
-                file_number=file_number,
-                writes=writes,
-                hint=hint,
-            )
+        return self._rpc.call(
+            self.port,
+            "write_blocks",
+            size=BLOCK_SIZE * len(writes),
+            file_number=file_number,
+            writes=writes,
+            hint=hint,
         )
 
     def append(self, file_number: int, data: bytes):
         """Returns a :class:`~repro.efs.messages.WriteResult`."""
-        return (
-            yield from self._rpc.call(
-                self.port,
-                "append",
-                size=BLOCK_SIZE,
-                file_number=file_number,
-                data=data,
-            )
+        return self._rpc.call(
+            self.port,
+            "append",
+            size=BLOCK_SIZE,
+            file_number=file_number,
+            data=data,
         )
 
     def info(self, file_number: int):
         """Returns a :class:`~repro.efs.messages.FileInfo`."""
-        return (yield from self._rpc.call(self.port, "info", file_number=file_number))
+        return self._rpc.call(self.port, "info", file_number=file_number)
 
     def exists(self, file_number: int):
-        return (yield from self._rpc.call(self.port, "exists", file_number=file_number))
+        return self._rpc.call(self.port, "exists", file_number=file_number)
 
     def list_files(self):
-        return (yield from self._rpc.call(self.port, "list_files"))
+        return self._rpc.call(self.port, "list_files")
 
     def flush(self):
-        return (yield from self._rpc.call(self.port, "flush"))
+        return self._rpc.call(self.port, "flush")
 
     # ------------------------------------------------------------------
 

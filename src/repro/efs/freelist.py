@@ -54,7 +54,7 @@ class FreeList:
         """Return a block to the pool; double frees are programming errors."""
         if not self.start <= address < self.capacity:
             raise ValueError(f"address {address} outside free region")
-        if self.is_free(address):
+        if address >= self._frontier or address in self._hole_set:  # is_free
             raise ValueError(f"double free of block {address}")
         heapq.heappush(self._holes, address)
         self._hole_set.add(address)

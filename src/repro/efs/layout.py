@@ -92,6 +92,13 @@ def pack_block(efs: EFSHeader, bridge: BridgeHeader, data: bytes) -> bytes:
                        flags, data)
 
 
+#: :func:`pack_block` minus its frame, for the append path: the twelve
+#: fields in ``_BLOCK`` order (``EFS_MAGIC`` fifth), then the data area.
+#: Unlike :func:`pack_block` it truncates over-long data, so its callers
+#: check the length first.
+pack_fields = _BLOCK.pack
+
+
 def unpack_header(raw: bytes) -> HeaderFields:
     """Parse only the 24-byte EFS header, validating size and magic —
     what a walk along the block list needs from the blocks it passes.

@@ -31,11 +31,13 @@ from repro.efs.directory import Directory, DirectoryEntry
 from repro.efs.freelist import FreeList
 from repro.efs.layout import (
     DATA_OFFSET,
+    EFS_MAGIC,
     NULL_ADDR,
     BridgeHeader,
     EFSHeader,
     HeaderFields,
     pack_block,
+    pack_fields,
     unpack_block,
     unpack_header,
 )
@@ -49,6 +51,7 @@ from repro.efs.messages import (
 from repro.errors import EFSBlockNotFoundError, EFSCorruptionError
 from repro.machine import Response, Server
 from repro.sim import Timeout
+from repro.storage.base import BlockRequest
 
 
 _DISTANCE = itemgetter(0)
@@ -114,21 +117,26 @@ class EFSServer(Server):
         entry = yield from self.directory.lookup(file_number)
         freed = 0
         addr = entry.head_addr
+        write_behind = self.config.efs_write_behind
+        cache, disk, freelist = self.cache, self.disk, self.freelist
         while addr != NULL_ADDR:
             # Resilient deletion verifies each block on the device itself
             # rather than trusting cached copies.  (Under write-behind the
             # authoritative copy may still be in the cache, so the walk
-            # goes through it there.)
-            if self.config.efs_write_behind:
-                raw = yield from self.cache.read(addr, prefetch=False)
+            # goes through it there.)  The device read is ``disk.read``,
+            # its request yielded here as the cache's miss does.
+            if write_behind:
+                raw = yield from cache.read(addr, prefetch=False)
             else:
-                raw = yield from self.disk.read(addr)
+                request = BlockRequest(disk, "read", addr, None)
+                yield request
+                raw = request.outcome()
             next_addr, _prev, owner, _number = unpack_header(raw)
             if owner != file_number:
                 raise self._foreign_block(addr, owner, file_number)
             yield self._free_op_charge
-            self.freelist.free(addr)
-            self.cache.invalidate(addr)
+            freelist.free(addr)
+            cache.invalidate(addr)
             freed += 1
             addr = next_addr
             if addr == entry.head_addr:
@@ -142,14 +150,24 @@ class EFSServer(Server):
         located = None
         if (hint is not None
                 and self._first_data_block <= hint < self._capacity_blocks):
-            # _try_hint, with cache.fetch spelled out as in _locate
+            # _try_hint spelled out as in _locate: a hint into the data
+            # region is fetched, decoded and memoised in line
             cache = self.cache
             cached = cache.lookup(hint)
             if cached is None:
                 cached = yield from cache.fill(hint)
             elif cache.hit_charge is not None:
                 yield cache.hit_charge
-            located = self._hinted(file_number, block_number, hint, cached)
+            decoded = cached.decoded
+            if decoded is None:
+                try:
+                    decoded = cached.decoded = unpack_block(cached.raw)
+                except EFSCorruptionError:
+                    pass
+            if decoded is not None:
+                header = decoded[0]
+                if header[2] == file_number and header[3] == block_number:
+                    located = (hint, header, decoded[1], decoded[2])
         if located is None:
             entry = yield from self.directory.lookup(file_number)
             located = yield from self._locate(entry, block_number, hint)
@@ -365,11 +383,6 @@ class EFSServer(Server):
                 self._first_data_block <= hint < self._capacity_blocks):
             return None  # no hint, NULL_ADDR, or off the data region
         cached = yield from self.cache.fetch(hint)
-        return self._hinted(file_number, block_number, hint, cached)
-
-    def _hinted(self, file_number: int, block_number: int, hint: int, cached):
-        """What :meth:`_try_hint` makes of the cached block at an in-range
-        ``hint``: the located block, or ``None``."""
         try:
             header, bridge, data = self._decoded(hint, cached)
         except EFSCorruptionError:
@@ -382,24 +395,32 @@ class EFSServer(Server):
 
     def _file_size(self, entry: DirectoryEntry):
         """Size = tail block number + 1; the tail is the head's ``prev``.
-        ``cache.fetch`` is spelled out as in :meth:`_locate`."""
+        ``cache.fetch`` and :meth:`_header` are spelled out as in
+        :meth:`_locate`."""
         head_addr = entry.head_addr
         if head_addr == NULL_ADDR:
             return 0
         cache = self.cache
+        first_data_block = self._first_data_block
         cached = cache.lookup(head_addr)
         if cached is None:
             cached = yield from cache.fill(head_addr)
         elif cache.hit_charge is not None:
             yield cache.hit_charge
-        _next, tail_addr, _owner, number = self._header(head_addr, cached)
+        if cached.decoded is None or head_addr < first_data_block:
+            _next, tail_addr, _owner, number = unpack_header(cached.raw)
+        else:
+            _next, tail_addr, _owner, number = cached.decoded[0]
         if tail_addr != head_addr:
             cached = cache.lookup(tail_addr)
             if cached is None:
                 cached = yield from cache.fill(tail_addr)
             elif cache.hit_charge is not None:
                 yield cache.hit_charge
-            _next, _prev, _owner, number = self._header(tail_addr, cached)
+            if cached.decoded is None or tail_addr < first_data_block:
+                _next, _prev, _owner, number = unpack_header(cached.raw)
+            else:
+                _next, _prev, _owner, number = cached.decoded[0]
         return number + 1
 
     def _locate(self, entry: DirectoryEntry, block_number: int, hint):
@@ -480,65 +501,72 @@ class EFSServer(Server):
         store = self.cache.write_back if lazy else self._store
         return store(addr, raw, (header, bridge, data))
 
-    def _bridge_header(self, entry: DirectoryEntry, block_number: int) -> BridgeHeader:
-        # (global_file_id, global_block, width, start_node, column, flags),
-        # built as _append builds its EFS headers
-        width, column = entry.width, entry.column
-        return tuple.__new__(BridgeHeader, (
-            entry.global_file_id, block_number * width + column, width, 0,
-            column, 0))
-
     def _append(self, entry: DirectoryEntry, size: int, data: bytes):
         """Link a new block at the tail: two device writes in steady state
         (the new block and the old tail); the head's back-pointer update is
-        a lazy write-back.  ``cache.fetch`` is spelled out as in
-        :meth:`_locate`, and each header is ``tuple.__new__(EFSHeader,
-        (next_addr, prev_addr, file_number, block_number))``: what the
-        NamedTuple constructor runs, minus its Python frame."""
+        a lazy write-back.  ``cache.fetch``, ``_decoded`` and
+        ``_store_block`` are spelled out as in :meth:`_locate`, each block
+        is packed with one :data:`pack_fields` call, and each header is
+        ``tuple.__new__(EFSHeader, (next_addr, prev_addr, file_number,
+        block_number))``: what the NamedTuple constructor runs, minus its
+        Python frame.  Callers have checked the data's length."""
         yield self._free_op_charge
         addr = self.freelist.allocate()
         file_number = entry.file_number
-        if entry.head_addr == NULL_ADDR:
+        block_number = size
+        width, column = entry.width, entry.column
+        global_file_id, global_block = entry.global_file_id, block_number * width + column
+        # (global_file_id, global_block, width, start_node, column, flags)
+        new_bridge = tuple.__new__(BridgeHeader, (
+            global_file_id, global_block, width, 0, column, 0))
+        head_addr = entry.head_addr
+        if head_addr == NULL_ADDR:  # an empty file: size is 0
             header = tuple.__new__(EFSHeader, (addr, addr, file_number, 0))
-            yield from self._store_block(addr, header, self._bridge_header(entry, 0), data)
+            yield from self._store_block(addr, header, new_bridge, data)
             entry.head_addr = addr
             yield from self.directory.update(entry)
             return 0, addr
-        head_addr = entry.head_addr
         cache = self.cache
+        first_data_block = self._first_data_block
         cached = cache.lookup(head_addr)
         if cached is None:
             cached = yield from cache.fill(head_addr)
         elif cache.hit_charge is not None:
             yield cache.hit_charge
-        head, head_bridge, head_data = self._decoded(head_addr, cached)
-        tail_addr = head.prev_addr
-        block_number = size
+        decoded = cached.decoded
+        if decoded is None or head_addr < first_data_block:
+            decoded = self._decoded(head_addr, cached)
+        head, head_bridge, head_data = decoded
+        tail_addr = head[1]
         new_header = tuple.__new__(
             EFSHeader, (head_addr, tail_addr, file_number, block_number))
-        yield from self._store_block(
-            addr, new_header, self._bridge_header(entry, block_number), data
-        )
+        raw = pack_fields(head_addr, tail_addr, file_number, block_number,
+                          EFS_MAGIC, global_file_id, global_block, width, 0,
+                          column, 0, data)
+        if len(data) != DATA_BYTES_PER_BLOCK or type(data) is not bytes:
+            data = raw[DATA_OFFSET:]
+        store = self._store
+        yield from store(addr, raw, (new_header, new_bridge, data))
         # Decoded headers are shared with the cache's memo: a pointer
         # update is a new header, never an assignment.
         if tail_addr == head_addr:
             # Second block of the file: head's next and prev both change.
-            head = tuple.__new__(EFSHeader, (
-                addr, addr, head.file_number, head.block_number))
+            head = tuple.__new__(EFSHeader, (addr, addr, head[2], head[3]))
             yield from self._store_block(head_addr, head, head_bridge, head_data)
-        else:
-            cached = cache.lookup(tail_addr)
-            if cached is None:
-                cached = yield from cache.fill(tail_addr)
-            elif cache.hit_charge is not None:
-                yield cache.hit_charge
-            tail, tail_bridge, tail_data = self._decoded(tail_addr, cached)
-            tail = tuple.__new__(EFSHeader, (
-                addr, tail.prev_addr, tail.file_number, tail.block_number))
-            yield from self._store_block(tail_addr, tail, tail_bridge, tail_data)
-            head = tuple.__new__(EFSHeader, (
-                head.next_addr, addr, head.file_number, head.block_number))
-            yield from self._store_block(
-                head_addr, head, head_bridge, head_data, lazy=True
-            )
+            return block_number, addr
+        cached = cache.lookup(tail_addr)
+        if cached is None:
+            cached = yield from cache.fill(tail_addr)
+        elif cache.hit_charge is not None:
+            yield cache.hit_charge
+        decoded = cached.decoded
+        if decoded is None or tail_addr < first_data_block:
+            decoded = self._decoded(tail_addr, cached)
+        tail, tail_bridge, tail_data = decoded
+        tail = tuple.__new__(EFSHeader, (addr, tail[1], tail[2], tail[3]))
+        raw = pack_fields(*tail, EFS_MAGIC, *tail_bridge, tail_data)
+        yield from store(tail_addr, raw, (tail, tail_bridge, tail_data))
+        head = tuple.__new__(EFSHeader, (head[0], addr, head[2], head[3]))
+        raw = pack_fields(*head, EFS_MAGIC, *head_bridge, head_data)
+        yield from cache.write_back(head_addr, raw, (head, head_bridge, head_data))
         return block_number, addr

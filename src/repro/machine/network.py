@@ -38,9 +38,13 @@ class ButterflyNetwork:
         costs = self.costs  # MessageCosts.latency, inline
         latency = ((costs.local_latency if src_node is port.node
                     else costs.remote_latency) + size * costs.per_byte)
-        sim._seq += 1
-        heappush(sim._heap, (sim.now + latency, sim._seq,
-                             port.deliver, message))
+        now = sim.now
+        time = now + latency
+        if time == now:
+            sim._ready.append((port.deliver, message))
+        else:
+            sim._seq += 1
+            heappush(sim._heap, (time, sim._seq, port.deliver, message))
         return latency
 
 
@@ -54,8 +58,7 @@ class ZeroLatencyNetwork:
     def send(self, sim, src_node, port, message: Any, size: int = 0):
         self.messages_sent += 1
         self.bytes_sent += size
-        sim._seq += 1
-        heappush(sim._heap, (sim.now, sim._seq, port.deliver, message))
+        sim._ready.append((port.deliver, message))
         return 0.0
 
 
@@ -87,9 +90,7 @@ class EthernetNetwork:
         self.messages_sent += 1
         self.bytes_sent += size
         if src_node is port.node:
-            sim._seq += 1
-            heappush(sim._heap, (sim.now + ETHERNET_LOCAL_LATENCY, sim._seq,
-                                 port.deliver, message))
+            sim._schedule(ETHERNET_LOCAL_LATENCY, port.deliver, message)
             return ETHERNET_LOCAL_LATENCY
         self._queue.append((port, message, size))
         self._wakeup.deliver(None)

@@ -15,7 +15,6 @@ single request's reply lands in.
 from __future__ import annotations
 
 from collections import deque
-from heapq import heappush
 from typing import Any, Deque, Optional
 
 from repro.errors import SecondReceiverError
@@ -49,9 +48,7 @@ class Mailbox:
         waiter = self._waiter
         if waiter is not None:
             self._waiter = None
-            sim = self.sim
-            sim._seq += 1
-            heappush(sim._heap, (sim.now, sim._seq, waiter._resume, message))
+            self.sim._ready.append((waiter._resume, message))
         else:
             self._queue.append(message)
 
@@ -91,11 +88,11 @@ class ReplyCell:
     :meth:`deliver` — and is received from by yielding the cell itself,
     which :meth:`Process._step <repro.sim.process.Process._step>` does
     inline for this exact class (it has no generic ``_wait``).  A reply
-    that finds its receiver parked pushes the ``(time, seq)`` heap entry
-    :meth:`Mailbox.deliver` pushes; one that lands first is held until
-    the receiver yields the cell.  It names no server, so a request a
-    server forwards still replies straight to the caller, and it dies
-    with its request."""
+    that finds its receiver parked puts the resume on the simulator's
+    ready queue, as :meth:`Mailbox.deliver` does; one that lands first
+    is held until the receiver yields the cell.  It names no server, so
+    a request a server forwards still replies straight to the caller,
+    and it dies with its request."""
 
     __slots__ = ("node", "waiter", "value")
 
@@ -109,6 +106,4 @@ class ReplyCell:
         if waiter is None:
             self.value = message
         else:
-            sim = waiter.sim
-            sim._seq += 1
-            heappush(sim._heap, (sim.now, sim._seq, waiter._resume, message))
+            waiter.sim._ready.append((waiter._resume, message))

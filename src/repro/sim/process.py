@@ -7,7 +7,7 @@ another process's completion signal, ...); the process resumes when the
 waitable completes, with the waitable's value as the result of the
 ``yield`` expression.  The waitables behind most yields — exactly
 ``Timeout`` and ``Mailbox`` — are dispatched inline by :meth:`Process._step`
-(same heap entry their ``_wait`` would push), and so is a ``ReplyCell``,
+(the same event their ``_wait`` would schedule), and so is a ``ReplyCell``,
 which has no ``_wait``; everything else, subclasses included, goes through
 its ``_wait``.
 
@@ -79,20 +79,23 @@ class Process:
             raise
         except Exception as exc:
             raise ProcessError(self.name, str(exc)) from exc
-        # Inline dispatch by exact class: the heap entry is the one
-        # Timeout._wait / Mailbox._wait would push, minus two frames.
+        # Inline dispatch by exact class: the event is the one
+        # Timeout._wait / Mailbox._wait would schedule, minus two frames.
         kind = target.__class__
         if kind is Timeout:
-            sim._seq += 1
-            heappush(sim._heap, (sim.now + target.delay, sim._seq,
-                                 self._resume, target.value))
+            now = sim.now
+            time = now + target.delay
+            if time == now:
+                sim._ready.append((self._resume, target.value))
+            else:
+                sim._seq += 1
+                heappush(sim._heap, (time, sim._seq, self._resume,
+                                     target.value))
             return
         if kind is Mailbox:
             queue = target._queue
             if queue:
-                sim._seq += 1
-                heappush(sim._heap, (sim.now, sim._seq, self._resume,
-                                     queue.popleft()))
+                sim._ready.append((self._resume, queue.popleft()))
             elif target._waiter is None:
                 target._waiter = self
             else:
@@ -103,8 +106,7 @@ class Process:
             if reply is None:
                 target.waiter = self
             else:
-                sim._seq += 1
-                heappush(sim._heap, (sim.now, sim._seq, self._resume, reply))
+                sim._ready.append((self._resume, reply))
             return
         try:
             wait = target._wait

@@ -51,7 +51,6 @@ driver replaces the loop with a bounded-concurrency transfer pool.
 from __future__ import annotations
 
 import abc
-from heapq import heappush
 from typing import List, Optional, Protocol, Tuple, runtime_checkable
 
 from repro.errors import BadBlockAddressError, DeviceFailedError
@@ -341,7 +340,5 @@ class SingleArmBlockStore(BlockStoreABC):
             self.busy_time += service
             self.head_position = new_position
             self._perform(request)
-            # Resume the caller: the heap entry Mailbox.deliver pushes.
-            sim._seq += 1
-            heappush(sim._heap, (sim.now, sim._seq, request.waiter._resume,
-                                 request))
+            # Resume the caller, due now, as Mailbox.deliver does.
+            sim._ready.append((request.waiter._resume, request))

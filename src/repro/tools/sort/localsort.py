@@ -120,15 +120,17 @@ class LocalSorter:
 
     def _form_runs(self, src_file, info, total, buffer_records, dst_file):
         """Run formation: sorted bursts of up to ``buffer_records``."""
+        read, append = self.client.read, self.client.append
+        use_hints = self.use_hints
         runs: List[int] = []
-        hint = info.head_addr if self.use_hints else None
+        hint = info.head_addr if use_hints else None
         position = 0
         single = total <= buffer_records
         while position < total:
             burst: List[bytes] = []
             while position < total and len(burst) < buffer_records:
-                result = yield from self.client.read(src_file, position, hint=hint)
-                hint = result.next_addr if self.use_hints else None
+                result = yield from read(src_file, position, hint)
+                hint = result.next_addr if use_hints else None
                 burst.append(result.data)
                 position += 1
             compares = len(burst) * max(1, math.ceil(math.log2(max(2, len(burst)))))
@@ -137,31 +139,47 @@ class LocalSorter:
             target = dst_file if single else self._scratch()
             yield from self._create_scratch(target, dst_file)
             for record in burst:
-                yield from self.client.append(target, record)
+                yield from append(target, record)
             runs.append(target)
         return runs
 
     def _merge_pair(self, left_file: int, right_file: int, target: int):
-        """2-way merge of two sorted scratch runs into ``target``."""
-        left = _RunCursor(self.client, left_file, self.use_hints)
-        right = _RunCursor(self.client, right_file, self.use_hints)
+        """2-way merge of two sorted scratch runs into ``target``: per
+        record one compare charge (the same ``Timeout`` every time), one
+        append and, in line, the read of its run's next record."""
+        client = self.client
+        read, append = client.read, client.append
+        use_hints = self.use_hints
+        left = _RunCursor(client, left_file, use_hints)
+        right = _RunCursor(client, right_file, use_hints)
         yield from left.start()
         yield from right.start()
+        charge = Timeout(self.config.cpu.compare)
         while left.record is not None or right.record is not None:
-            yield Timeout(self.config.cpu.compare)
+            yield charge
             take_left = right.record is None or (
-                left.record is not None and key_of(left.record) <= key_of(right.record)
+                left.record is not None and left.key <= right.key
             )
             cursor = left if take_left else right
-            yield from self.client.append(target, cursor.record)
-            yield from cursor.advance()
+            yield from append(target, cursor.record)
+            if cursor.position < cursor.size:
+                result = yield from read(cursor.file_number, cursor.position,
+                                         cursor.hint)
+                cursor.hint = result.next_addr if use_hints else None
+                cursor.record = record = result.data
+                cursor.key = key_of(record)
+                cursor.position += 1
+            else:
+                cursor.record = None
 
 
 class _RunCursor:
-    """Sequential reader over one scratch run with hint threading."""
+    """Sequential reader over one scratch run with hint threading; the
+    merge loop advances it in line, :meth:`start` reads its first
+    record."""
 
     __slots__ = ("client", "file_number", "use_hints", "size", "position",
-                 "hint", "record")
+                 "hint", "record", "key")
 
     def __init__(self, client: EFSClient, file_number: int, use_hints: bool) -> None:
         self.client = client
@@ -171,20 +189,15 @@ class _RunCursor:
         self.position = 0
         self.hint: Optional[int] = None
         self.record: Optional[bytes] = None
+        self.key = 0
 
     def start(self):
         info = yield from self.client.info(self.file_number)
         self.size = info.size_blocks
         self.hint = info.head_addr if self.use_hints else None
-        yield from self.advance()
-
-    def advance(self):
-        if self.position >= self.size:
-            self.record = None
-            return
-        result = yield from self.client.read(
-            self.file_number, self.position, hint=self.hint
-        )
-        self.hint = result.next_addr if self.use_hints else None
-        self.record = result.data
-        self.position += 1
+        if self.size:
+            result = yield from self.client.read(self.file_number, 0, self.hint)
+            self.hint = result.next_addr if self.use_hints else None
+            self.record = result.data
+            self.key = key_of(self.record)
+            self.position = 1

@@ -113,82 +113,80 @@ class MergeReader:
     # ------------------------------------------------------------------
 
     def body(self):
-        """The reader process (the Figure 4 loop)."""
-        client = EFSClient(self.node, self.constituent.lfs_port, name="merge-read")
-        size = self.constituent.size_blocks
-        hint = self.constituent.head_addr
+        """The reader process (the Figure 4 loop).
+
+        Spelled out for the hot path: each hop is one receive, one CPU
+        charge (the same ``Timeout`` every hop), direct sends and, after
+        an emit, the next record's read in line."""
+        constituent = self.constituent
+        read = EFSClient(self.node, constituent.lfs_port, name="merge-read").read
+        file_number = constituent.efs_file_number
+        size = constituent.size_blocks
+        hint = constituent.head_addr
         position = 0
         record: Optional[bytes] = None
         if position < size:
-            result = yield from client.read(
-                self.constituent.efs_file_number, position, hint=hint
-            )
+            result = yield from read(file_number, position, hint)
             record, hint, position = result.data, result.next_addr, position + 1
-
-        def read_next():
-            nonlocal record, hint, position
-            if position < size:
-                result = yield from client.read(
-                    self.constituent.efs_file_number, position, hint=hint
+        send = self.node.send
+        mailbox = self.port.mailbox
+        own_port = self.port
+        writers = self.writer_ports
+        width = len(writers)
+        charge = Timeout(self.config.cpu.tool_record)
+        while True:
+            token = yield mailbox
+            if not isinstance(token, Token):
+                if isinstance(token, Shutdown):
+                    return self.token_hops
+                raise SortProtocolError(
+                    f"reader {self.file_label}/{constituent.slot}: "
+                    f"unexpected message {token!r}"
                 )
+            self.token_hops += 1
+            yield charge
+            # One token circulates: each hop rewrites the fields Figure 4
+            # changes and passes the same object on.
+            if token.start_flag:
+                token.start_flag = False
+                token.originator = own_port
+                if record is None:  # empty input file: hand off immediately
+                    token.end_flag = True
+                else:
+                    token.key = key_of(record)
+                send(self.other_first, token)
+                continue
+            if token.end_flag:
+                if record is None:
+                    send(self.coordinator, Done(constituent.slot, self.file_label))
+                    return self.token_hops  # DONE
+                seq = token.seq
+                token.seq = seq + 1
+                send(self.ring_next, token)
+            elif record is None:
+                token.end_flag = True
+                token.key = 0
+                originator, token.originator = token.originator, own_port
+                send(originator, token)
+                continue
+            else:
+                key = key_of(record)
+                if key <= token.key:
+                    seq = token.seq
+                    token.seq = seq + 1
+                    send(self.ring_next, token)
+                else:
+                    token.key = key
+                    originator, token.originator = token.originator, own_port
+                    send(originator, token)
+                    continue
+            # Emit the record to its writer, then read the next one.
+            send(writers[seq % width], RecordMessage(seq, record), BLOCK_SIZE)
+            if position < size:
+                result = yield from read(file_number, position, hint)
                 record, hint, position = result.data, result.next_addr, position + 1
             else:
                 record = None
-
-        while True:
-            message = yield self.port.recv()
-            if isinstance(message, Shutdown):
-                return self.token_hops
-            if not isinstance(message, Token):
-                raise SortProtocolError(
-                    f"reader {self.file_label}/{self.constituent.slot}: "
-                    f"unexpected message {message!r}"
-                )
-            token = message
-            self.token_hops += 1
-            yield Timeout(self.config.cpu.tool_record)
-            if token.start_flag:
-                if record is None:  # empty input file: hand off immediately
-                    self._send(self.other_first,
-                               Token(False, True, 0, self.port, token.seq))
-                else:
-                    self._send(self.other_first,
-                               Token(False, False, key_of(record), self.port,
-                                     token.seq))
-            elif token.end_flag:
-                if record is None:
-                    self._send(self.coordinator,
-                               Done(self.constituent.slot, self.file_label))
-                    return self.token_hops  # DONE
-                seq = token.seq
-                self._send(self.ring_next,
-                           Token(False, True, token.key, token.originator, seq + 1))
-                self._emit(seq, record)
-                yield from read_next()
-            else:
-                if record is None:
-                    self._send(token.originator,
-                               Token(False, True, 0, self.port, token.seq))
-                elif key_of(record) <= token.key:
-                    seq = token.seq
-                    self._send(self.ring_next,
-                               Token(False, False, token.key, token.originator,
-                                     seq + 1))
-                    self._emit(seq, record)
-                    yield from read_next()
-                else:
-                    self._send(token.originator,
-                               Token(False, False, key_of(record), self.port,
-                                     token.seq))
-
-    # ------------------------------------------------------------------
-
-    def _emit(self, seq: int, record: bytes) -> None:
-        writer = self.writer_ports[seq % len(self.writer_ports)]
-        self.node.send(writer, RecordMessage(seq, record), size=BLOCK_SIZE)
-
-    def _send(self, port: Port, message) -> None:
-        self.node.send(port, message)
 
 
 class MergeWriter:
@@ -209,20 +207,23 @@ class MergeWriter:
         Records for this writer carry seq = slot, slot+t, slot+2t, ...;
         late/early arrivals are buffered so appends happen in order.
         """
-        client = EFSClient(self.node, self.constituent.lfs_port, name="merge-write")
+        constituent = self.constituent
+        append = EFSClient(self.node, constituent.lfs_port,
+                           name="merge-write").append
+        file_number = constituent.efs_file_number
+        mailbox = self.port.mailbox
         pending = {}
-        next_seq = self.constituent.column  # first global block on this slot
+        next_seq = constituent.column  # first global block on this slot
         written = 0
         while written < self.expected:
-            message = yield self.port.recv()
+            message = yield mailbox
             if not isinstance(message, RecordMessage):
                 raise SortProtocolError(
-                    f"writer {self.constituent.slot}: unexpected {message!r}"
+                    f"writer {constituent.slot}: unexpected {message!r}"
                 )
             pending[message.seq] = message.data
             while next_seq in pending:
-                data = pending.pop(next_seq)
-                yield from client.append(self.constituent.efs_file_number, data)
+                yield from append(file_number, pending.pop(next_seq))
                 next_seq += self.width
                 written += 1
         return written

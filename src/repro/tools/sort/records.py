@@ -16,6 +16,7 @@ from repro.config import DATA_BYTES_PER_BLOCK
 
 KEY_BYTES = 8
 _KEY_FMT = ">Q"
+_KEY = struct.Struct(_KEY_FMT)
 
 
 def make_record(key: int, payload: bytes = b"") -> bytes:
@@ -32,7 +33,7 @@ def make_record(key: int, payload: bytes = b"") -> bytes:
 
 def key_of(record: bytes) -> int:
     """Extract the sort key of a record."""
-    return struct.unpack_from(_KEY_FMT, record, 0)[0]
+    return _KEY.unpack_from(record)[0]
 
 
 def payload_of(record: bytes) -> bytes:

@@ -1,13 +1,15 @@
-"""The host work of one naive block operation, counted, not timed.
+"""The host work of one block operation, counted, not timed.
 
 Wall-clock time on a shared host moves by tens of percent from run to
 run; the number of Python frames ``repro`` enters per operation does
 not.  ``sys.setprofile`` reports one ``call`` event per frame entered —
 a function call, or a generator started or resumed — so the count below
-is exact and repeats on any host.  It pins the naive-view hot path at
-p = 8 (Bridge Server → RPC → EFS → device, every knob off): a frame that
-comes back, a helper generator, an extra layer of delegation, shows up
-here as a count above the budget.
+is exact and repeats on any host.  It pins two hot paths: the naive view
+at p = 8 (Bridge Server → RPC → EFS → device, every knob off), and the
+tool view at p = 32 (a worker on an LFS node → RPC → its local EFS →
+device: the sort's appends and its merge readers' hinted reads).  A
+frame that comes back, a helper generator, an extra layer of delegation,
+shows up here as a count above the budget.
 
 The budgets are the counts this tree reaches plus 1 %; lower them when a
 change cuts the path, never raise them to make room.
@@ -21,15 +23,23 @@ import repro
 from repro.harness import paper_system
 
 #: Frames entered per naive op (steady state, p = 8, Python 3.11), plus
-#: 1 % (181.04 and 94.04 before reply cells and frame-free EFS hits).
-WRITE_BUDGET = 139.03 * 1.01
-READ_BUDGET = 70.03 * 1.01
+#: 1 % (181.04 and 94.04 before reply cells and frame-free EFS hits,
+#: 139.03 and 70.03 before the append and hinted read spelled out).
+WRITE_BUDGET = 128.03 * 1.01
+READ_BUDGET = 68.03 * 1.01
+#: Frames entered per tool-view op (steady state, p = 32, Python 3.11),
+#: plus 1 % (107.03 and 31.13 before the append and hinted read were
+#: spelled out and ``EFSClient`` returned the RPC's own generator).
+APPEND_BUDGET = 95.03 * 1.01
+HINTED_READ_BUDGET = 28.13 * 1.01
 
 _PACKAGE = os.path.dirname(repro.__file__)
 #: 128 blocks per LFS, twice its EFS cache: the counted reads are the
 #: cold ones (a device read per track, a decode per block), as in the
 #: ledger's ``naive_stream``.
 _BLOCKS, _WARM, _COUNTED = 1024, 64, 256
+#: The EFS file number the tool-view count appends to and reads back.
+_TOOL_FILE = 77
 
 
 def _frames_per_op(system, body):
@@ -79,6 +89,40 @@ def _naive_counts():
     return write, read
 
 
+def _tool_view_counts():
+    """One LFS of a p = 32 system, driven as a sort worker drives it: an
+    ``EFSClient`` on the LFS's own node, appends, then reads that thread
+    the hint as ``MergeReader`` does."""
+    system = paper_system(32, seed=7)
+    client = system.efs_client(5)
+    append, read = client.append, client.read
+    chunks = [bytes([index % 251]) * 960 for index in range(_BLOCKS)]
+    state = {"position": 0, "hint": None}
+
+    def appends(batch):
+        def body():
+            for chunk in batch:
+                yield from append(_TOOL_FILE, chunk)
+        return body
+
+    def reads(count):
+        def body():
+            for _ in range(count):
+                result = yield from read(_TOOL_FILE, state["position"],
+                                         state["hint"])
+                state["position"] += 1
+                state["hint"] = result.next_addr
+        return body
+
+    system.run(client.create(_TOOL_FILE))
+    system.run(appends(chunks[:-_COUNTED])())
+    write = _frames_per_op(system, appends(chunks[-_COUNTED:]))
+    state["hint"] = system.run(client.info(_TOOL_FILE)).head_addr
+    system.run(reads(_WARM)())
+    read_frames = _frames_per_op(system, reads(_COUNTED))
+    return write, read_frames
+
+
 def test_naive_block_ops_stay_within_their_frame_budget():
     write, read = _naive_counts()
     assert write <= WRITE_BUDGET, f"{write:.2f} frames per naive write"
@@ -87,3 +131,13 @@ def test_naive_block_ops_stay_within_their_frame_budget():
 
 def test_the_count_is_exact():
     assert _naive_counts() == _naive_counts()
+
+
+def test_tool_view_block_ops_stay_within_their_frame_budget():
+    append, read = _tool_view_counts()
+    assert append <= APPEND_BUDGET, f"{append:.2f} frames per EFS append"
+    assert read <= HINTED_READ_BUDGET, f"{read:.2f} frames per hinted read"
+
+
+def test_the_tool_view_count_is_exact():
+    assert _tool_view_counts() == _tool_view_counts()

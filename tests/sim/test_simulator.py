@@ -397,6 +397,19 @@ def test_run_until_in_past_of_drained_clock_is_noop():
     assert sim.run(until=1.0) == pytest.approx(3.0)
 
 
+def test_run_until_in_past_with_events_pending_is_noop():
+    """A horizon behind the clock must not rewind it, pending work or not:
+    a rewound clock would accept ``call_at`` for a time already past."""
+    sim = Simulator()
+    sim.call_at(10.0, lambda _: None)
+    assert sim.run(until=7.0) == 7.0
+    assert sim.run(until=3.0) == 7.0
+    assert sim.now == 7.0
+    assert sim.pending_events == 1
+    with pytest.raises(ValueError):
+        sim.call_at(5.0, lambda _: None)
+
+
 def test_max_events_break_does_not_jump_to_until():
     sim = Simulator()
 
