@@ -1,9 +1,10 @@
 """Machine-readable bench output: ``BENCH_<name>.json`` at the repo root.
 
-Every bench pairs the table it prints with a JSON document the next
-PR's tooling can diff: ``write_bench_json("views", {...})`` writes
+Every bench prints and writes one document, a JSON file later tooling
+can diff: ``write_bench_json("views", {...})`` writes
 ``BENCH_views.json`` with a ``{"bench": "views", ...payload}`` envelope
-(the :class:`_bench.Bench` scaffold makes the call).
+(the :class:`_bench.Bench` scaffold prints the payload and makes the
+call).
 
 Payloads should contain only deterministic simulation results (simulated
 seconds, message counts, model constants) — never host wall-clock — so

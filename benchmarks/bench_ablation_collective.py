@@ -14,7 +14,6 @@ Also runnable as a script (the CI smoke job)::
 """
 
 from _bench import Bench, fields
-from repro.analysis import format_table
 from repro.harness.experiments import run_collective_experiment
 
 PATTERNS = ("strided", "scatter", "hotspot")
@@ -51,29 +50,6 @@ def check(runs) -> None:
         assert run.twophase_seconds < run.naive_seconds, pattern
 
 
-def render(runs) -> str:
-    rows = []
-    for pattern, run in runs.items():
-        for arm, seconds, requests in (
-            ("naive", run.naive_seconds, run.naive_efs_requests),
-            ("list-io", run.listio_seconds, run.listio_efs_requests),
-            ("two-phase", run.twophase_seconds, run.twophase_efs_requests),
-        ):
-            rows.append([
-                pattern, arm, requests, seconds,
-                run.accesses / seconds if seconds > 0 else 0.0,
-            ])
-    sample = next(iter(runs.values()))
-    return format_table(
-        ["pattern", "arm", "EFS reqs", "seconds", "blocks/s"],
-        rows,
-        title=(
-            f"{sample.accesses} noncontiguous accesses, "
-            f"{sample.workers} workers, p = {sample.p}"
-        ),
-    )
-
-
 def payload(runs) -> dict:
     return {
         **fields(next(iter(runs.values())),
@@ -89,7 +65,7 @@ def payload(runs) -> dict:
     }
 
 
-BENCH = Bench("collective", sweep, check, render, payload)
+BENCH = Bench("collective", sweep, check, payload)
 test_collective_ablation = BENCH.test()
 
 if __name__ == "__main__":

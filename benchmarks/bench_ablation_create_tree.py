@@ -8,7 +8,7 @@ modes and fits their growth.
 """
 
 from _bench import Bench, fields, paper_ps
-from repro.analysis import fit_line, format_table
+from repro.analysis import fit_line
 from repro.harness.experiments import run_create_tree_experiment
 
 
@@ -39,21 +39,6 @@ def check(runs):
         assert runs[p].batched_per_file_ms < runs[p].tree_ms, p
 
 
-def render(runs):
-    intercept, slope = sequential_fit(runs)
-    return format_table(
-        ["p", "sequential (ms)", "tree (ms)", "tree advantage",
-         "batched (ms/file)"],
-        [[p, run.sequential_ms, run.tree_ms,
-          run.sequential_ms / run.tree_ms, run.batched_per_file_ms]
-         for p, run in sorted(runs.items())],
-        title="Create: sequential vs embedded-binary-tree dispatch",
-    ) + (
-        f"\n\nsequential fit: {intercept:.0f} + {slope:.1f}*p ms "
-        f"(paper Table 2: 145 + 17.5*p)"
-    )
-
-
 def payload(runs):
     intercept, slope = sequential_fit(runs)
     return {
@@ -67,7 +52,7 @@ def payload(runs):
     }
 
 
-BENCH = Bench("create_tree", sweep, check, render, payload)
+BENCH = Bench("create_tree", sweep, check, payload)
 test_create_tree_dispatch = BENCH.test()
 
 if __name__ == "__main__":

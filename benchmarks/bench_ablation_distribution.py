@@ -7,7 +7,6 @@ forces a global reorganization when a file grows.
 """
 
 from _bench import Bench
-from repro.analysis import format_table
 from repro.baselines import (
     ChunkedPlacement,
     HashedPlacement,
@@ -73,22 +72,11 @@ def check(rows):
         ) < 0.6
 
 
-def render(rows):
-    return format_table(
-        ["p", "strategy", "E[distinct nodes]", "lock-step rounds",
-         "P[all distinct]", "blocks moved on +25% append"],
-        [[r["p"], r["strategy"], r["distinct"], r["rounds"],
-          r["p_all_distinct"], r["append_moves"]]
-         for r in rows],
-        title=f"Distribution strategies over a {FILE_BLOCKS}-block file",
-    )
-
-
 def payload(rows):
     return {"file_blocks": FILE_BLOCKS, "rows": rows}
 
 
-BENCH = Bench("distribution", sweep, check, render, payload)
+BENCH = Bench("distribution", sweep, check, payload)
 test_distribution_strategies = BENCH.test()
 
 if __name__ == "__main__":

@@ -20,7 +20,6 @@ Also runnable as a script (the CI smoke job)::
 """
 
 from _bench import Bench, fields
-from repro.analysis import format_table
 from repro.harness.experiments import run_elastic_experiment
 
 RATE = 60.0
@@ -77,34 +76,6 @@ def check(runs) -> None:
             > shrink.phase_quantile("before", "read", "p99")), shrink.phases
 
 
-def render(runs) -> str:
-    rows = []
-    for label, run in runs.items():
-        for phase in PHASES:
-            summary = run.phases[phase]
-            rows.append([
-                f"{label} {run.start_servers}->{run.end_servers}",
-                phase,
-                int(summary["offered"]),
-                int(summary["completed"]),
-                int(summary["failed"]),
-                round(run.phase_quantile(phase, "read", "p50") * 1e3, 2),
-                round(run.phase_quantile(phase, "read", "p99") * 1e3, 1),
-            ])
-        rows.append([
-            f"{label} moves", f"{run.moved}/{run.planned}",
-            run.forwarded, "-", "-", "-",
-            round(run.migration_seconds, 2),
-        ])
-    return format_table(
-        ["resize", "phase", "offered", "ok", "failed",
-         "read p50 ms", "p99 ms / mig s"],
-        rows,
-        title=(f"resize under load, {RATE:g} req/s, "
-               f"{MOVES_PER_SECOND:g} moves/s, seed {SEED}"),
-    )
-
-
 def payload(runs) -> dict:
     arms = {
         label: {
@@ -130,7 +101,7 @@ def payload(runs) -> dict:
     }
 
 
-BENCH = Bench("elastic", sweep, check, render, payload)
+BENCH = Bench("elastic", sweep, check, payload)
 test_elastic_ablation = BENCH.test()
 
 if __name__ == "__main__":

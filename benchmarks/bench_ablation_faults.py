@@ -15,7 +15,6 @@ tables:
 """
 
 from _bench import Bench, fields
-from repro.analysis import format_table
 from repro.harness.experiments import run_redundancy_experiment
 from repro.redundancy import (
     SCHEMES,
@@ -82,64 +81,6 @@ def check(lifecycle):
             assert run.storage_blocks < lifecycle[(p, "mirror")].storage_blocks
 
 
-def render(lifecycle):
-    rows = survival(lifecycle)
-    widest = max(rows)
-    survival_table = format_table(
-        ["p", "plain file", "mirrored file", "shadow reads",
-         "storage factor", "loss frac interleaved",
-         "loss frac single-node", "loss frac mirrored (2 fails)",
-         "loss frac parity (2 fails)"],
-        [
-            [
-                p,
-                "LOST" if row["plain_lost"] else "ok",
-                "recovered" if row["mirrored_recovered"] else "LOST",
-                row["mirror_fallbacks"],
-                row["storage_factor"],
-                files_lost_fraction_interleaved(p),
-                files_lost_fraction_single_node(p),
-                files_lost_fraction_mirrored(p, 2),
-                files_lost_fraction_parity(p, 2),
-            ]
-            for p, row in rows.items()
-        ],
-        title="One disk failure: observed outcome and analytic loss fractions",
-    )
-    lifecycle_table = format_table(
-        ["p", "scheme", "storage factor", "dev writes/blk",
-         "healthy read ms/blk", "degraded read ms/blk", "reconstructions",
-         "rebuild s", "content", "fsck"],
-        [
-            [
-                p,
-                scheme,
-                run.storage_factor,
-                run.write_ops_per_block,
-                run.healthy_read_s_per_block * 1e3,
-                ("LOST" if run.degraded_read_s_per_block is None
-                 else run.degraded_read_s_per_block * 1e3),
-                run.degraded_reconstructions,
-                ("-" if run.rebuild_seconds is None
-                 else run.rebuild_seconds),
-                "ok" if run.content_ok else "CORRUPT",
-                "clean" if run.fsck_clean else "DIRTY",
-            ]
-            for (p, scheme), run in sorted(lifecycle.items())
-        ],
-        title=("Redundancy schemes through fail -> degraded -> repair -> "
-               "rebuild (storage p/(p-1) for parity vs 2x for mirror)"),
-    )
-    return (
-        f"{survival_table}\n\n"
-        f"plain interleaved file lost: {rows[widest]['plain_lost']}\n"
-        f"mirrored file recovered:     {rows[widest]['mirrored_recovered']} "
-        f"({rows[widest]['mirror_fallbacks']} blocks from the shadow at "
-        f"p = {widest})"
-        f"\n\n{lifecycle_table}"
-    )
-
-
 def payload(lifecycle):
     return {
         "survival": {
@@ -147,6 +88,10 @@ def payload(lifecycle):
                 **row,
                 "loss_fraction_interleaved": files_lost_fraction_interleaved(p),
                 "loss_fraction_single_node": files_lost_fraction_single_node(p),
+                "loss_fraction_mirrored_two_failures":
+                    files_lost_fraction_mirrored(p, 2),
+                "loss_fraction_parity_two_failures":
+                    files_lost_fraction_parity(p, 2),
             }
             for p, row in survival(lifecycle).items()
         },
@@ -166,7 +111,7 @@ def payload(lifecycle):
     }
 
 
-BENCH = Bench("faults", sweep, check, render, payload)
+BENCH = Bench("faults", sweep, check, payload)
 test_fault_tolerance = BENCH.test()
 
 if __name__ == "__main__":

@@ -9,7 +9,6 @@ explanation for that constant.
 """
 
 from _bench import Bench
-from repro.analysis import format_table
 from repro.config import DEFAULT_CONFIG
 from repro.harness import paper_system
 from repro.tools import SortTool
@@ -41,20 +40,6 @@ def check(results):
     assert results["hints off"].records == results["hints on"].records
 
 
-def render(results):
-    return format_table(
-        ["hints", "local sort (s)", "merge (s)", "total (s)", "records/s"],
-        [[label, r.local_sort_time, r.merge_time, r.total_time,
-          r.records / r.total_time]
-         for label, r in results.items()],
-        title="Local sort with and without disk-address hints (p = 2, 640 records)",
-    ) + (
-        f"\n\nhint-less slowdown: {slowdown(results):.1f}x "
-        "on the local phase — hint-less linked-list walks are the likely "
-        "source of the paper's very large local-sort constant"
-    )
-
-
 def payload(results):
     return {
         "arms": {
@@ -70,7 +55,7 @@ def payload(results):
     }
 
 
-BENCH = Bench("localsort_hints", sweep, check, render, payload)
+BENCH = Bench("localsort_hints", sweep, check, payload)
 test_localsort_hint_ablation = BENCH.test()
 
 if __name__ == "__main__":

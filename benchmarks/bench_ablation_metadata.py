@@ -23,7 +23,6 @@ Also runnable as a script (the CI smoke job)::
 """
 
 from _bench import Bench, fields
-from repro.analysis import format_table
 from repro.harness.experiments import run_metadata_experiment
 
 SEED = 0
@@ -75,30 +74,6 @@ def check(runs) -> None:
             >= runs["p4"].model_batched_rpcs)
 
 
-def render(runs) -> str:
-    rows = []
-    for label, _, window in ARMS:
-        run = runs[label]
-        for op in OPS:
-            rows.append([
-                f"{label} ({run.servers}p"
-                + (f", w={window}" if window else "") + ")",
-                op,
-                round(run.per_name_ms[op], 1),
-                round(run.batched_ms[op], 1),
-                round(run.speedup(op), 2),
-                run.per_name_rpcs[op],
-                f"{run.batched_rpcs[op]}={run.model_batched_rpcs}",
-            ])
-    return format_table(
-        ["arm", "op", "per-name ms", "batched ms", "speedup",
-         "rpcs loop", "rpcs batch=model"],
-        rows,
-        title=(f"batched metadata ops, {runs['p1'].names} names, "
-               f"seed {SEED}"),
-    )
-
-
 def payload(runs) -> dict:
     arms = {
         label: {
@@ -114,7 +89,7 @@ def payload(runs) -> dict:
     return {"names": NAMES, "seed": SEED, "arms": arms}
 
 
-BENCH = Bench("metadata", sweep, check, render, payload)
+BENCH = Bench("metadata", sweep, check, payload)
 test_metadata_ablation = BENCH.test()
 
 if __name__ == "__main__":

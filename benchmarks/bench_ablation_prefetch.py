@@ -14,8 +14,6 @@ Also runnable as a script (the CI smoke job)::
 """
 
 from _bench import Bench, fields
-from repro.analysis import format_table
-from repro.analysis.models import pipelined_read_seconds
 from repro.harness.experiments import run_prefetch_experiment
 
 WINDOWS = (1, 2, 4)
@@ -53,29 +51,6 @@ def check(runs) -> None:
         assert run.prefetch_wasted <= run.prefetch_issued // 10
 
 
-def render(runs) -> str:
-    rows = [
-        [
-            run.arm, run.ms_per_block, run.elapsed, run.repeat_seconds,
-            run.speedup, run.repeat_speedup, run.hits, run.misses,
-            run.prefetch_wasted,
-            "ok" if run.content_ok else "MISMATCH",
-        ]
-        for run in runs
-    ]
-    sample = runs[0]
-    return format_table(
-        ["arm", "ms/blk", "cold s", "repeat s", "speedup",
-         "rpt speedup", "hits", "misses", "wasted", "bytes"],
-        rows,
-        title=(
-            f"sequential stream of {sample.blocks} blocks, p = {sample.p}, "
-            f"two passes per arm; model cold pass "
-            f"{pipelined_read_seconds(sample.blocks, sample.p):.4f} s"
-        ),
-    )
-
-
 def payload(runs) -> dict:
     return {
         "p": runs[0].p,
@@ -94,7 +69,7 @@ def payload(runs) -> dict:
     }
 
 
-BENCH = Bench("prefetch", sweep, check, render, payload)
+BENCH = Bench("prefetch", sweep, check, payload)
 test_prefetch_ablation = BENCH.test()
 
 if __name__ == "__main__":

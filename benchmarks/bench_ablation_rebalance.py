@@ -19,7 +19,6 @@ Also runnable as a script (the CI smoke job)::
 """
 
 from _bench import Bench, fields
-from repro.analysis import format_table
 from repro.harness.experiments import run_rebalance_experiment
 
 RATE = 150.0
@@ -80,30 +79,6 @@ def check(runs) -> None:
     )
 
 
-def render(runs) -> str:
-    rows = []
-    for label, run in runs.items():
-        rows.append([
-            label,
-            run.actions,
-            run.moves,
-            run.arcs_shed,
-            round(run.utilization_spread, 3),
-            round(run.final_imbalance, 2),
-            round(run.goodput, 1),
-            round(run.p99("read") * 1e3, 1),
-            round(run.route_bound_final, 2),
-            "intact" if run.files_intact and run.fsck_clean else "DAMAGED",
-        ])
-    return format_table(
-        ["arm", "actions", "moves", "arcs", "busy spread", "imbalance",
-         "goodput", "read p99 ms", "route bound", "files"],
-        rows,
-        title=(f"load-aware rebalancing, {RATE:g} req/s, zipf {SKEW:g}, "
-               f"{SERVERS} partitions, seed {SEED}"),
-    )
-
-
 def payload(runs) -> dict:
     arms = {
         label: {
@@ -129,7 +104,7 @@ def payload(runs) -> dict:
     }
 
 
-BENCH = Bench("rebalance", sweep, check, render, payload)
+BENCH = Bench("rebalance", sweep, check, payload)
 test_rebalance_ablation = BENCH.test()
 
 if __name__ == "__main__":

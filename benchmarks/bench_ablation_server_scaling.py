@@ -19,7 +19,6 @@ Also runnable as a script (the CI smoke job)::
 """
 
 from _bench import Bench
-from repro.analysis import format_table
 from repro.analysis.models import fabric_speedup_bound
 from repro.harness.builders import BridgeSystem
 from repro.workloads import read_to_eof
@@ -119,31 +118,6 @@ def check(rows) -> None:
         assert base["makespan_seconds"] / row["makespan_seconds"] > 1.0, row
 
 
-def render(rows) -> str:
-    base = rows[0]
-    table_rows = [
-        [
-            row["servers"],
-            row["routing"],
-            row["makespan_seconds"],
-            row["throughput_blocks_per_second"],
-            base["makespan_seconds"] / row["makespan_seconds"],
-            row["route_bound"],
-        ]
-        for row in rows
-    ]
-    return format_table(
-        ["bridge servers", "routing", "makespan (s)", "blocks/s", "speedup",
-         "route bound"],
-        table_rows,
-        title=(
-            f"{base['clients']} concurrent naive clients, mixed workload "
-            f"per file ({base['blocks']} seq writes + full read-back + "
-            "strided list read + random RMW)"
-        ),
-    )
-
-
 def payload(rows) -> dict:
     base = rows[0]
 
@@ -168,7 +142,7 @@ def payload(rows) -> dict:
     }
 
 
-BENCH = Bench("server_scaling", sweep, check, render, payload)
+BENCH = Bench("server_scaling", sweep, check, payload)
 test_server_scaling = BENCH.test()
 
 if __name__ == "__main__":

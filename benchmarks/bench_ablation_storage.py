@@ -14,7 +14,6 @@
 """
 
 from _bench import Bench
-from repro.analysis import format_table
 from repro.config import DEFAULT_CONFIG
 from repro.harness import BridgeSystem
 from repro.sim import Simulator
@@ -66,15 +65,6 @@ def array_check(rows):
     assert by_members[32][3] == by_members[1][3] / 32
 
 
-def array_render(rows):
-    return format_table(
-        ["members", "measured service (ms)", "E[positioning] (ms)",
-         "transfer/block (ms)"],
-        [list(r) for r in rows],
-        title="Synchronized storage array: positioning grows, transfer shrinks",
-    )
-
-
 def array_payload(rows):
     return {
         "by_members": {
@@ -117,14 +107,6 @@ def scheduler_check(results):
     assert results["elevator"] < results["fcfs"]
 
 
-def scheduler_render(results):
-    return format_table(
-        ["scheduler", "batch completion (s)"],
-        [[name, elapsed] for name, elapsed in results.items()],
-        title="64 scattered reads on a geometric Wren (seek + rotation)",
-    )
-
-
 def scheduler_payload(results):
     return {"batch_completion_seconds": dict(results)}
 
@@ -162,26 +144,17 @@ def track_buffer_check(rows):
     assert values == sorted(values, reverse=True)
 
 
-def track_buffer_render(rows):
-    return format_table(
-        ["track blocks", "seq read ms/block"],
-        [[k, v] for k, v in sorted(rows.items())],
-        title="Full-track buffering vs sequential read cost (15 ms disk)",
-    )
-
-
 def track_buffer_payload(rows):
     return {
         "seq_read_ms_per_block": {str(k): v for k, v in sorted(rows.items())},
     }
 
 
-ARRAY = Bench("storage_array", array_sweep, array_check, array_render,
-              array_payload)
+ARRAY = Bench("storage_array", array_sweep, array_check, array_payload)
 SCHEDULERS = Bench("schedulers", scheduler_sweep, scheduler_check,
-                   scheduler_render, scheduler_payload)
+                   scheduler_payload)
 TRACK_BUFFER = Bench("track_buffer", track_buffer_sweep, track_buffer_check,
-                     track_buffer_render, track_buffer_payload)
+                     track_buffer_payload)
 test_storage_array_rotational_latency = ARRAY.test()
 test_disk_schedulers = SCHEDULERS.test()
 test_track_buffer_size = TRACK_BUFFER.test()

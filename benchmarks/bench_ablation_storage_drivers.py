@@ -24,7 +24,6 @@ Also runnable as a script (the CI smoke job)::
 """
 
 from _bench import Bench, fields
-from repro.analysis import format_table
 from repro.harness.experiments import run_storage_driver_experiment
 
 SEED = 0
@@ -89,30 +88,6 @@ def check(runs) -> None:
     assert fractions[SLOW_SLOT] == max(fractions), fractions
 
 
-def render(runs) -> str:
-    rows = []
-    for label, _storage in ARMS:
-        run = runs[label]
-        rows.append([
-            label,
-            "+".join(run.driver_kinds),
-            round(run.build_seconds, 3),
-            round(run.read_seconds, 3),
-            round(run.read_blocks_per_second, 1),
-            " ".join(f"{f:.2f}" for f in run.node_busy_fractions),
-            " ".join(f"{s:.2f}" for s in run.heat_busy_shares),
-            run.hottest_slot,
-        ])
-    first = runs[ARMS[0][0]]
-    return format_table(
-        ["arm", "drivers", "build s", "read s", "blk/s",
-         "busy frac/slot", "heat share/slot", "hottest"],
-        rows,
-        title=(f"storage drivers, p={P}, {first.blocks} blocks, "
-               f"seed {SEED}"),
-    )
-
-
 def payload(runs) -> dict:
     arms = {
         label: fields(
@@ -127,7 +102,7 @@ def payload(runs) -> dict:
     return {"p": P, "seed": SEED, "slow_slot": SLOW_SLOT, "arms": arms}
 
 
-BENCH = Bench("storage_drivers", sweep, check, render, payload)
+BENCH = Bench("storage_drivers", sweep, check, payload)
 test_storage_driver_ablation = BENCH.test()
 
 if __name__ == "__main__":

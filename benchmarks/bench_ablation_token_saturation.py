@@ -12,7 +12,6 @@ measured records/second curve against the analytic saturation width
 """
 
 from _bench import PAPER_PS, Bench
-from repro.analysis import format_table
 from repro.harness.experiments import run_token_saturation
 from repro.tools.sort import SortCostModel
 
@@ -38,20 +37,6 @@ def check(runs):
     assert high_gain < 1.6
 
 
-def render(runs):
-    return format_table(
-        ["merge width", "time (s)", "records/s", "model records/s"],
-        [[w, run.elapsed, run.records_per_second,
-          1.0 / MODEL.merge_record_rate(w)]
-         for w, run in sorted(runs.items())],
-        title=(f"Single pair-merge throughput vs width "
-               f"({runs[2].records} records)"),
-    ) + (
-        f"\n\nanalytic saturation width: {MODEL.saturation_width():.0f} "
-        "(write_time / token_hop_time) — gains flatten beyond it"
-    )
-
-
 def payload(runs):
     return {
         "saturation_width": MODEL.saturation_width(),
@@ -66,7 +51,7 @@ def payload(runs):
     }
 
 
-BENCH = Bench("token_saturation", sweep, check, render, payload)
+BENCH = Bench("token_saturation", sweep, check, payload)
 test_token_saturation = BENCH.test()
 
 if __name__ == "__main__":

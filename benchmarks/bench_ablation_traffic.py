@@ -36,7 +36,6 @@ Also runnable as a script (the CI smoke job)::
 """
 
 from _bench import Bench, fields
-from repro.analysis import format_table
 from repro.harness.experiments import run_traffic_experiment
 
 #: Offered loads (req/s) spanning the knee of a ~80 req/s server.
@@ -141,27 +140,6 @@ def check(runs) -> None:
     assert burst_low > 1.5 * poisson_low, (poisson_low, burst_low)
 
 
-def render(runs) -> str:
-    rows = []
-    for (policy, rate, kind), run in runs.items():
-        summary = run.summary
-        rows.append([
-            rate, kind, policy, run.offered, summary["completed"],
-            summary["shed"] + summary["throttled"],
-            round(run.goodput, 1),
-            round(run.server_utilization, 3),
-            round(run.class_quantile("read", "p50") * 1e3, 2),
-            round(run.class_quantile("read", "p99") * 1e3, 1),
-            round(run.class_quantile("read", "p999") * 1e3, 1),
-        ])
-    return format_table(
-        ["offered r/s", "arrivals", "policy", "n", "ok", "refused",
-         "goodput r/s", "util", "read p50 ms", "p99 ms", "p999 ms"],
-        rows,
-        title=f"open-loop traffic, {DURATION}s of arrivals, seed {SEED}",
-    )
-
-
 def payload(runs) -> dict:
     trajectory = []
     for (policy, rate, kind), run in runs.items():
@@ -188,7 +166,7 @@ def payload(runs) -> dict:
     }
 
 
-BENCH = Bench("traffic", sweep, check, render, payload)
+BENCH = Bench("traffic", sweep, check, payload)
 test_traffic_ablation = BENCH.test()
 
 if __name__ == "__main__":

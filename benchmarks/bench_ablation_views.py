@@ -9,7 +9,6 @@ block across the bus.
 """
 
 from _bench import Bench, fields
-from repro.analysis import format_table
 from repro.harness.experiments import run_views_experiment
 
 
@@ -34,16 +33,6 @@ def check(runs):
     assert ethernet.virtual_parallel_seconds > ethernet.parallel_open_seconds * 0.8
 
 
-def render(runs):
-    return format_table(
-        ["network", "view", "blocks/s"],
-        [[network, view, value]
-         for network, run in runs.items()
-         for view, value in run.as_throughput().items()],
-        title=f"Reading a {runs['butterfly'].blocks}-block file, p = 8",
-    )
-
-
 def payload(runs):
     return {
         "blocks": runs["butterfly"].blocks,
@@ -59,7 +48,7 @@ def payload(runs):
     }
 
 
-BENCH = Bench("views", sweep, check, render, payload)
+BENCH = Bench("views", sweep, check, payload)
 test_views_ablation = BENCH.test()
 
 if __name__ == "__main__":

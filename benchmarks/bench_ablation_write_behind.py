@@ -9,7 +9,6 @@ naive write path dropping to cache speed — at the usual durability cost
 """
 
 from _bench import Bench
-from repro.analysis import format_table
 from repro.config import DEFAULT_CONFIG
 from repro.harness import paper_system
 from repro.workloads import pattern_chunks, read_to_eof, timed
@@ -47,19 +46,6 @@ def check(results):
     assert results[BEHIND][1] < 15.0
 
 
-def render(results):
-    return format_table(
-        ["LFS mode", "write ms/block", "read ms/block"],
-        [[mode, write_ms, read_ms]
-         for mode, (write_ms, read_ms) in results.items()],
-        title="Naive sequential write/read, p = 4, 128 blocks",
-    ) + (
-        f"\n\nwrite-behind speedup on the write path: "
-        f"{speedup(results):.1f}x — with it, the naive writer is "
-        "no longer disk-bound, as section 6 assumes"
-    )
-
-
 def payload(results):
     return {
         "arms": {
@@ -70,7 +56,7 @@ def payload(results):
     }
 
 
-BENCH = Bench("write_behind", sweep, check, render, payload)
+BENCH = Bench("write_behind", sweep, check, payload)
 test_write_behind_ablation = BENCH.test()
 
 if __name__ == "__main__":

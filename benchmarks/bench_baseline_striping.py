@@ -7,7 +7,6 @@ the same data volume through all three systems across device counts.
 """
 
 from _bench import PAPER_PS, Bench, fields
-from repro.analysis import format_table
 from repro.harness.experiments import run_striping_comparison
 
 
@@ -32,16 +31,6 @@ def check(runs):
     assert runs[32].bridge_tool_seconds < runs[32].striped_seconds
 
 
-def render(runs):
-    return format_table(
-        ["devices", "sequential FS (s)", "striped FS (s)", "Bridge tool (s)"],
-        [[d, run.sequential_seconds, run.striped_seconds,
-          run.bridge_tool_seconds]
-         for d, run in sorted(runs.items())],
-        title=f"Moving a {runs[2].blocks}-block file through each system",
-    )
-
-
 def payload(runs):
     return {
         "blocks": runs[2].blocks,
@@ -53,7 +42,7 @@ def payload(runs):
     }
 
 
-BENCH = Bench("striping", sweep, check, render, payload)
+BENCH = Bench("striping", sweep, check, payload)
 test_bridge_vs_striping_vs_sequential = BENCH.test()
 
 if __name__ == "__main__":

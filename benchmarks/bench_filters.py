@@ -7,7 +7,6 @@ factor.
 """
 
 from _bench import Bench
-from repro.analysis import format_table
 from repro.harness import paper_system
 from repro.harness.experiments import default_blocks
 from repro.tools import CopyTool, EncryptTool, LineLexTool, TranslateTool, rot13_table
@@ -42,17 +41,6 @@ def check(results):
         assert result.total_blocks == file_blocks()
 
 
-def render(results):
-    base = results["copy"]
-    return format_table(
-        ["tool", "time (s)", "factor vs copy", "blocks/s"],
-        [[name, result.elapsed, result.elapsed / base.elapsed,
-          result.blocks_per_second]
-         for name, result in results.items()],
-        title=f"Filter tools vs plain copy ({file_blocks()} blocks, p = 8)",
-    )
-
-
 def payload(results):
     base = results["copy"]
     return {
@@ -69,7 +57,7 @@ def payload(results):
     }
 
 
-BENCH = Bench("filters", sweep, check, render, payload)
+BENCH = Bench("filters", sweep, check, payload)
 test_filters_constant_factor_of_copy = BENCH.test()
 
 if __name__ == "__main__":

@@ -24,7 +24,6 @@ import pathlib
 import time
 
 from _bench import Bench
-from repro.analysis import format_table
 from repro.harness import paper_system
 from repro.obs import validate_trace_document
 from repro.workloads import write_then_stream
@@ -96,32 +95,9 @@ def check(result) -> None:
     )
 
 
-def render(result) -> str:
-    overhead = result["host_on"] / result["host_off_a"] - 1.0
-    rows = [
-        ["obs off (batch A)", result["host_off_a"], result["events_off"], "-"],
-        ["obs off (batch B)", result["host_off_b"], result["events_off"], "-"],
-        ["obs on", result["host_on"], result["events_on"], result["spans"]],
-    ]
-    table = format_table(
-        ["arm", "host s (min of k)", "sim events", "spans"],
-        rows,
-        title=(
-            f"naive stream of {result['blocks']} blocks, p = "
-            f"{result['p']}, min of {result['rounds']} interleaved rounds"
-        ),
-    )
-    table += (
-        f"\n\nobs-on host overhead: {overhead:+.1%}; obs-off paired-"
-        f"ratio median: {result['off_ratio_median']:.3f}; simulated "
-        "overhead when disabled: zero events, identical clock (asserted)"
-    )
-    return table
-
-
 # No payload: every number here but the asserted-equal event counts is
 # host wall-clock, which _emit.py's rule keeps out of BENCH_*.json.
-BENCH = Bench("obs_overhead", sweep, check, render)
+BENCH = Bench("obs_overhead", sweep, check)
 test_obs_overhead = BENCH.test()
 
 if __name__ == "__main__":

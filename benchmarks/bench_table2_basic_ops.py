@@ -11,8 +11,8 @@ Paper (Table 2):  Delete 20*n/p ms | Create 145 + 17.5p ms | Open 80 ms
 from _bench import Bench, fields, paper_ps
 from repro.analysis import (
     fit_line,
-    format_table,
     table2_create_ms,
+    table2_delete_ms,
     table2_open_ms,
     table2_read_ms,
     table2_write_ms,
@@ -46,36 +46,6 @@ def check(measurements):
     assert wide.delete_ms_total < narrow.delete_ms_total
 
 
-def render(measurements):
-    rows = [
-        [
-            p,
-            m.open_ms, table2_open_ms(),
-            m.read_ms_per_block, table2_read_ms(m.file_blocks, p),
-            m.write_ms_per_block, table2_write_ms(),
-            m.create_ms, table2_create_ms(p),
-            m.delete_ms_per_block_per_lfs, 20.0,
-        ]
-        for p, m in sorted(measurements.items())
-    ]
-    intercept, slope = create_fit(measurements)
-    return format_table(
-        [
-            "p",
-            "open ms", "paper",
-            "read ms/blk", "paper",
-            "write ms/blk", "paper",
-            "create ms", "paper",
-            "delete ms/blk/LFS", "paper",
-        ],
-        rows,
-        title="Table 2: basic Bridge operations (measured vs paper formulas)",
-    ) + (
-        f"\n\ncreate fit: {intercept:.1f} + {slope:.2f}*p ms"
-        f"   (paper: 145 + 17.5*p ms)"
-    )
-
-
 def payload(measurements):
     intercept, slope = create_fit(measurements)
     return {
@@ -83,16 +53,24 @@ def payload(measurements):
         "create_fit_ms": {"intercept": intercept, "slope": slope},
         "paper_create_fit_ms": {"intercept": 145.0, "slope": 17.5},
         "by_p": {
-            str(p): fields(
-                m, "open_ms", "read_ms_per_block", "write_ms_per_block",
-                "create_ms", "delete_ms_total", "delete_ms_per_block_per_lfs",
-            )
+            str(p): {
+                **fields(
+                    m, "open_ms", "read_ms_per_block", "write_ms_per_block",
+                    "create_ms", "delete_ms_total",
+                    "delete_ms_per_block_per_lfs",
+                ),
+                "paper_open_ms": table2_open_ms(),
+                "paper_read_ms_per_block": table2_read_ms(m.file_blocks, p),
+                "paper_write_ms_per_block": table2_write_ms(),
+                "paper_create_ms": table2_create_ms(p),
+                "paper_delete_ms_total": table2_delete_ms(m.file_blocks, p),
+            }
             for p, m in sorted(measurements.items())
         },
     }
 
 
-BENCH = Bench("table2", sweep, check, render, payload)
+BENCH = Bench("table2", sweep, check, payload)
 test_table2_basic_ops = BENCH.test()
 
 if __name__ == "__main__":

@@ -9,13 +9,7 @@ figure peaks at 475 records/second.
 """
 
 from _bench import Bench, paper_ps
-from repro.analysis import (
-    PAPER_COPY_PEAK_RECORDS_PER_SECOND,
-    PAPER_TABLE3_COPY_SECONDS,
-    format_table,
-    shape_ratio,
-    speedup_series,
-)
+from repro.analysis import PAPER_COPY_PEAK_RECORDS_PER_SECOND, speedup_series
 from repro.harness.experiments import run_copy_experiment
 
 
@@ -36,45 +30,10 @@ def check(runs):
     assert rates == sorted(rates)
 
 
-def render(runs):
-    blocks = runs[2].blocks
-    scale = blocks / 10922
-    times = {p: r.elapsed for p, r in runs.items()}
-    measured_speedup = speedup_series(times)
-    paper_speedup = speedup_series(PAPER_TABLE3_COPY_SECONDS)
-    rows = [
-        [
-            p,
-            run.elapsed,
-            PAPER_TABLE3_COPY_SECONDS[p] * scale,
-            run.records_per_second,
-            measured_speedup[p],
-            paper_speedup[p],
-        ]
-        for p, run in sorted(runs.items())
-    ]
-    table = format_table(
-        ["p", "copy time (s)", "paper (scaled)", "records/s",
-         "speedup", "paper speedup"],
-        rows,
-        title=(
-            f"Table 3: copy tool, {blocks}-block file "
-            f"({scale:.2f}x of the paper's 10 MB)"
-        ),
-    )
-    peak = max(run.records_per_second for run in runs.values())
-    ratios = shape_ratio(times, PAPER_TABLE3_COPY_SECONDS)
-    spread = max(ratios.values()) / min(ratios.values())
-    return table + (
-        f"\n\nfigure series (records/second): peak {peak:.0f} measured vs "
-        f"{PAPER_COPY_PEAK_RECORDS_PER_SECOND:.0f} in the paper (p = 32)"
-        f"\nshape check: measured/paper ratio spread {spread:.2f}x across p"
-    )
-
-
 def payload(runs):
     return {
         "blocks": runs[2].blocks,
+        "paper_peak_records_per_second": PAPER_COPY_PEAK_RECORDS_PER_SECOND,
         "by_p": {
             str(p): {
                 "copy_seconds": run.elapsed,
@@ -86,7 +45,7 @@ def payload(runs):
     }
 
 
-BENCH = Bench("table3", sweep, check, render, payload)
+BENCH = Bench("table3", sweep, check, payload)
 test_table3_copy_tool = BENCH.test()
 
 if __name__ == "__main__":

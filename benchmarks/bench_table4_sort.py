@@ -13,12 +13,7 @@ Local sort is superlinear; the merge phase improves only modestly
 """
 
 from _bench import Bench, fields, paper_ps
-from repro.analysis import (
-    PAPER_SORT_PEAK_RECORDS_PER_SECOND,
-    PAPER_TABLE4_SORT_MINUTES,
-    format_table,
-    speedup_series,
-)
+from repro.analysis import PAPER_SORT_PEAK_RECORDS_PER_SECOND, is_superlinear
 from repro.harness.experiments import default_sort_records, run_sort_experiment
 
 
@@ -38,14 +33,10 @@ def sweep(quick):
 
 def check(runs):
     ps = sorted(runs)
-    local = {p: runs[p].local_sort_seconds for p in ps}
+    local = {p: runs[p].local_sort_seconds for p in ps[:4]}
     merge = {p: runs[p].merge_seconds for p in ps}
     # local phase: superlinear over the range where merge passes disappear
-    for smaller, larger in zip(ps[:3], ps[1:4]):
-        gain = local[smaller] / local[larger]
-        assert gain > larger / smaller, (
-            f"local sort {smaller}->{larger} not superlinear: {gain:.2f}"
-        )
+    assert is_superlinear(local), local
     # merge phase: improves overall, but sublinearly (paper: 3.8x over 16x)
     assert merge[ps[0]] > merge[ps[-1]]
     assert merge[ps[0]] / merge[ps[-1]] < (ps[-1] / ps[0]) * 0.8
@@ -57,51 +48,12 @@ def check(runs):
     assert rates == sorted(rates)
 
 
-def render(runs):
-    records = runs[2].records
-    scale = records / 10922
-    rows = []
-    for p, run in sorted(runs.items()):
-        paper = PAPER_TABLE4_SORT_MINUTES[p]
-        rows.append(
-            [
-                p,
-                run.local_sort_seconds,
-                paper[0] * 60 * scale,
-                run.merge_seconds,
-                paper[1] * 60 * scale,
-                run.total_seconds,
-                run.records_per_second,
-            ]
-        )
-    table = format_table(
-        ["p", "local sort (s)", "paper (scaled)", "merge (s)",
-         "paper (scaled)", "total (s)", "records/s"],
-        rows,
-        title=(
-            f"Table 4: merge sort, {records} records "
-            f"({scale:.2f}x of the paper's file), "
-            f"c = {buffer_records(records)}"
-        ),
-    )
-    peak = max(run.records_per_second for run in runs.values())
-    local = speedup_series({p: r.local_sort_seconds for p, r in runs.items()})
-    merge = speedup_series({p: r.merge_seconds for p, r in runs.items()})
-    return table + (
-        f"\n\nfigure series: peak {peak:.1f} records/s measured vs "
-        f"{PAPER_SORT_PEAK_RECORDS_PER_SECOND:.0f} in the paper (p = 32)"
-        f"\nlocal-sort speedup series: "
-        f"{ {p: round(v, 1) for p, v in local.items()} }"
-        f"\nmerge speedup series:      "
-        f"{ {p: round(v, 1) for p, v in merge.items()} }"
-    )
-
-
 def payload(runs):
     records = runs[2].records
     return {
         "records": records,
         "buffer_records": buffer_records(records),
+        "paper_peak_records_per_second": PAPER_SORT_PEAK_RECORDS_PER_SECOND,
         "by_p": {
             str(p): fields(
                 run, "local_sort_seconds", "merge_seconds", "total_seconds",
@@ -112,7 +64,7 @@ def payload(runs):
     }
 
 
-BENCH = Bench("table4", sweep, check, render, payload)
+BENCH = Bench("table4", sweep, check, payload)
 test_table4_sort_tool = BENCH.test()
 
 if __name__ == "__main__":

@@ -2,13 +2,14 @@
 """Regenerate the full paper reproduction from the command line.
 
 Runs every bench the ``benchmarks/`` directory declares (without
-pytest): each sweeps its experiment, asserts the paper's shape, prints
-its paper-vs-measured table and rewrites its ``BENCH_<name>.json``.
+pytest): each sweeps its experiment, asserts the paper's shape, and
+prints and writes one document, its ``BENCH_<name>.json``.
 
 Usage:
     python scripts/run_reproduction.py [--full] [--quick]
 
---quick runs each bench's CI-sized sweep and writes no JSON;
+--quick runs each bench's CI-sized sweep and prints its document but
+writes no JSON;
 --full sets the paper's 10 MB scale (same as REPRO_FULL=1).
 """
 

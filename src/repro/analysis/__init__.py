@@ -21,7 +21,6 @@ from repro.analysis.models import (
     md1_wait_seconds,
     metadata_partition_buckets,
     mm1_wait_seconds,
-    shape_ratio,
     speedup_series,
     table2_create_ms,
     table2_delete_ms,
@@ -29,7 +28,7 @@ from repro.analysis.models import (
     table2_read_ms,
     table2_write_ms,
 )
-from repro.analysis.tables import format_table
+from repro.analysis.tables import format_cell, format_table
 
 __all__ = [
     "PAPER_COPY_PEAK_RECORDS_PER_SECOND",
@@ -40,13 +39,13 @@ __all__ = [
     "batched_rpc_count",
     "efficiency",
     "fit_line",
+    "format_cell",
     "format_table",
     "is_superlinear",
     "md1_wait_seconds",
     "metadata_partition_buckets",
     "mm1_wait_seconds",
     "scaling_table",
-    "shape_ratio",
     "speedup",
     "speedup_series",
     "table2_create_ms",

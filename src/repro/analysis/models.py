@@ -2,9 +2,9 @@
 
 Table 2 gives closed-form costs for the basic operations; Tables 3 and 4
 give the copy and sort tool measurements (10 MB file, p in {2..32}).
-These constants are the reference series every bench prints next to its
-measurements, and the fitting helpers extract comparable coefficients
-from simulated data.
+The Table 2-4 benches write these values beside their measurements,
+in the one document each bench prints and writes, and the fitting
+helpers extract comparable coefficients from simulated data.
 """
 
 from __future__ import annotations
@@ -417,12 +417,3 @@ def speedup_series(times: Dict[int, float]) -> Dict[int, float]:
     base = times[base_p]
     return {p: base / t if t > 0 else math.inf for p, t in sorted(times.items())}
 
-
-def shape_ratio(measured: Dict[int, float], paper: Dict[int, float]) -> Dict[int, float]:
-    """measured/paper per configuration — a flat series means the shape
-    matches even when absolute constants differ."""
-    return {
-        p: measured[p] / paper[p]
-        for p in sorted(measured)
-        if p in paper and paper[p] > 0
-    }

@@ -5,7 +5,11 @@ from __future__ import annotations
 from typing import Any, Optional, Sequence
 
 
-def _render_cell(value: Any) -> str:
+def format_cell(value: Any) -> str:
+    """One table cell: floats to about three significant digits, a
+    list as its bracketed cells, anything else as ``str``."""
+    if isinstance(value, list):
+        return f"[{', '.join(format_cell(item) for item in value)}]"
     if isinstance(value, float):
         if value == 0:
             return "0"
@@ -20,7 +24,7 @@ def _render_cell(value: Any) -> str:
 def format_table(headers: Sequence[str], rows: Sequence[Sequence[Any]],
                  title: Optional[str] = None) -> str:
     """Fixed-width ASCII table, right-aligned numbers."""
-    rendered = [[_render_cell(cell) for cell in row] for row in rows]
+    rendered = [[format_cell(cell) for cell in row] for row in rows]
     widths = [len(h) for h in headers]
     for row in rendered:
         for index, cell in enumerate(row):

@@ -220,10 +220,6 @@ class PrefetchRun:
             if self.repeat_seconds > 0 else 0.0
         )
 
-    @property
-    def ms_per_block(self) -> float:
-        return 1000.0 * self.elapsed / self.blocks if self.blocks else 0.0
-
 
 @dataclass
 class TrafficRun:

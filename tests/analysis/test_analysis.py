@@ -11,7 +11,6 @@ from repro.analysis import (
     format_table,
     is_superlinear,
     scaling_table,
-    shape_ratio,
     speedup,
     speedup_series,
 )
@@ -89,13 +88,6 @@ def test_fit_line_validations():
         fit_line([1], [2])
     with pytest.raises(ValueError):
         fit_line([3, 3], [1, 2])
-
-
-def test_shape_ratio_flat_for_scaled_series():
-    paper = {2: 100.0, 4: 50.0, 8: 25.0}
-    measured = {p: v * 0.3 for p, v in paper.items()}
-    ratios = shape_ratio(measured, paper)
-    assert all(r == pytest.approx(0.3) for r in ratios.values())
 
 
 # ---------------------------------------------------------------------------

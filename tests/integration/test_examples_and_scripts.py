@@ -7,6 +7,8 @@ import sys
 
 import pytest
 
+from tests.harness.test_bench_scaffold import printed
+
 REPO = pathlib.Path(__file__).resolve().parents[2]
 EXAMPLES = REPO / "examples"
 
@@ -82,7 +84,10 @@ def test_traffic_example():
 def test_reproduction_script_quick():
     out = run_script(REPO / "scripts" / "run_reproduction.py", "--quick",
                      timeout=400)
-    assert "Table 2" in out
-    assert "Table 3" in out
-    assert "Table 4" in out
-    assert "mirrored file recovered:     True" in out
+    for name in ("table2", "table3", "table4"):
+        assert f"{'=' * 72}\n{name}\n{'=' * 72}\n" in out
+    _lines, tables = printed(out)
+    survival = tables["survival"]
+    assert list(survival) == ["4", "8", "16"]
+    assert all(row["mirrored_recovered"] == "True"
+               for row in survival.values()), survival

@@ -25,7 +25,10 @@ this module checks the homes:
   namespace, with the working directory set to a temporary directory
   and no absolute path in it;
 * **examples** — README's examples table lists exactly ``examples/*.py``;
-* **budgets** — DESIGN.md and README.md stay within their line budgets.
+* **budgets** — DESIGN.md and README.md stay within their line budgets;
+* **drift** — each measured cell of the EXPERIMENTS.md Table 3 and
+  Table 4 tables is the committed ``BENCH_table3.json`` /
+  ``BENCH_table4.json`` value as the benches print it.
 
 Other documents record history and are not checked.
 """
@@ -41,6 +44,8 @@ import re
 import sys
 
 import pytest
+
+from repro.analysis import format_cell
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
 SRC = REPO / "src" / "repro"
@@ -319,3 +324,28 @@ def test_readme_examples_table_lists_every_example():
 def test_doc_stays_within_its_line_budget(doc):
     lines = len((REPO / doc).read_text().splitlines())
     assert lines <= BUDGETS[doc], f"{doc}: {lines} > {BUDGETS[doc]} lines"
+
+
+def experiments_rows(heading):
+    """The ``| p | ... |`` rows of the table under an EXPERIMENTS.md
+    heading, by p."""
+    text = (REPO / "EXPERIMENTS.md").read_text()
+    section = text.split(f"\n## {heading}", 1)[1].split("\n## ", 1)[0]
+    rows = [[cell.strip() for cell in line.strip("|").split("|")]
+            for line in section.splitlines() if re.match(r"\| \d+ \|", line)]
+    return {p: cells for p, *cells in rows}
+
+
+@pytest.mark.parametrize("heading,bench,keys", [
+    ("Table 3", "table3", ("copy_seconds",)),
+    ("Table 4", "table4", ("local_sort_seconds", "merge_seconds",
+                           "total_seconds", "records_per_second")),
+])
+def test_experiments_table_cells_equal_the_committed_json(heading, bench,
+                                                          keys):
+    by_p = json.loads((REPO / f"BENCH_{bench}.json").read_text())["by_p"]
+    rows = experiments_rows(heading)
+    assert list(rows) == list(by_p)
+    for p, cells in rows.items():
+        assert cells[:len(keys)] == [format_cell(by_p[p][key])
+                                     for key in keys], (heading, p)
