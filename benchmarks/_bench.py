@@ -1,24 +1,25 @@
-"""The bench scaffold: every ``bench_*.py`` is its sweep, its assertions
-and its payload, declared as one :class:`Bench` record, and every bench
+"""The bench scaffold: every ``bench_*.py`` is its sweep and its
+assertions, declared as one :class:`Bench` record, and every bench
 prints and writes one document.
 
 The record supplies what the scripts used to repeat — the pytest entry
 point, the script entry point with ``--quick``, the printed document
 and its ``BENCH_<name>.json`` write::
 
-    BENCH = Bench("views", sweep, check, payload)
+    BENCH = Bench("views", sweep, check)
     test_views_ablation = BENCH.test()
 
     if __name__ == "__main__":
         BENCH.main()
 
 ``sweep(quick)`` runs the experiment (``quick`` picks the CI-sized
-configuration), ``check(results)`` asserts the paper's qualitative shape
-and ``payload(results)`` returns the document — deterministic simulated
-values only, per ``_emit.py``'s rule.  :func:`format_document` prints
-it; a bench that measures the host clock passes no ``payload`` and its
-sweep's own flat dict is printed instead.  Both entry points run them
-in that order, so a sweep that fails its assertions never overwrites a
+configuration) and returns the document: the runners' rows under the
+values the sweep used, deterministic simulated values only, per
+``_emit.py``'s rule.  ``check(document)`` asserts the paper's
+qualitative shape on it and :func:`format_document` prints it.  A bench
+that measures the host clock passes ``writes=False``: its document is
+printed, never written.  Both entry points run the stages in that
+order, so a sweep that fails its assertions never overwrites a
 committed JSON; ``--quick`` prints the document and writes nothing.
 
 Importing this module puts ``src/`` on ``sys.path`` (as
@@ -30,7 +31,7 @@ benchmarks`` all work from a bare checkout.
 import dataclasses
 import importlib
 import sys
-from typing import Any, Callable, List, Optional
+from typing import Callable, List
 
 from _emit import REPO_ROOT, write_bench_json
 
@@ -46,12 +47,6 @@ PAPER_PS = (2, 4, 8, 16, 32)
 def paper_ps(quick: bool) -> tuple:
     """The processor sweep: the paper's range, or p <= 8 in quick mode."""
     return PAPER_PS[:3] if quick else PAPER_PS
-
-
-def fields(record, *names) -> dict:
-    """``{name: record.name}`` in the order given: the part of a payload
-    that copies a result record's fields and properties unrenamed."""
-    return {name: getattr(record, name) for name in names}
 
 
 def _is_rows(value) -> bool:
@@ -86,6 +81,8 @@ def _table(rows, path: str) -> List[str]:
         columns.update(dict.fromkeys(cells))
         if cells:
             body.append((key, cells))
+        elif not row:  # an empty row has no cell: print it as a line
+            nested.append(f"{path}.{key}: {format_cell(row)}")
         if inner:
             nested += _blocks(inner, f"{path}.{key}")
     if not body:
@@ -112,22 +109,22 @@ def format_document(document: dict) -> str:
 
 @dataclasses.dataclass(frozen=True)
 class Bench:
-    """One reproduction bench: ``sweep -> check -> payload``."""
+    """One reproduction bench: ``sweep -> check``, then print and write
+    the document."""
 
     name: str
-    sweep: Callable[[bool], Any]
-    check: Callable[[Any], None]
-    payload: Optional[Callable[[Any], dict]] = None
+    sweep: Callable[[bool], dict]
+    check: Callable[[dict], None]
+    writes: bool = True
 
     def run(self, quick: bool = False) -> None:
-        """Sweep, assert, print the document and — unless ``quick`` —
-        write it."""
-        results = self.sweep(quick)
-        self.check(results)
-        document = results if self.payload is None else self.payload(results)
+        """Sweep, assert, print the document and — unless ``quick`` or
+        a host-clock bench — write it."""
+        document = self.sweep(quick)
+        self.check(document)
         print(f"\n{'=' * 72}\n{self.name}\n{'=' * 72}\n"
               f"{format_document(document)}")
-        if self.payload is not None and not quick:
+        if self.writes and not quick:
             write_bench_json(self.name, document)
 
     def test(self):

@@ -2,13 +2,14 @@
 
 Every bench prints and writes one document, a JSON file later tooling
 can diff: ``write_bench_json("views", {...})`` writes
-``BENCH_views.json`` with a ``{"bench": "views", ...payload}`` envelope
-(the :class:`_bench.Bench` scaffold prints the payload and makes the
+``BENCH_views.json`` with a ``{"bench": "views", ...document}`` envelope
+(the :class:`_bench.Bench` scaffold prints the document and makes the
 call).
 
-Payloads should contain only deterministic simulation results (simulated
-seconds, message counts, model constants) — never host wall-clock — so
-the committed files are stable across machines and reruns.
+Documents should contain only deterministic simulation results
+(simulated seconds, message counts, model constants) — never host
+wall-clock — so the committed files are stable across machines and
+reruns.
 
 Importable both ways the benches are run: ``pytest benchmarks/`` inserts
 this directory on ``sys.path`` (no ``__init__.py`` here, by design) and
@@ -22,16 +23,15 @@ import pathlib
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
-def write_bench_json(name: str, payload: dict) -> pathlib.Path:
+def write_bench_json(name: str, document: dict) -> pathlib.Path:
     """Write ``BENCH_<name>.json`` and return its path.
 
     ``allow_nan=False`` keeps the files strict JSON; non-string dict
     keys (processor counts, widths) must be stringified by the caller.
     """
-    document = {"bench": name}
-    document.update(payload)
     path = REPO_ROOT / f"BENCH_{name}.json"
     path.write_text(
-        json.dumps(document, indent=2, allow_nan=False) + "\n"
+        json.dumps({"bench": name, **document}, indent=2, allow_nan=False)
+        + "\n"
     )
     return path

@@ -13,59 +13,49 @@ Also runnable as a script (the CI smoke job)::
     python benchmarks/bench_ablation_collective.py --quick
 """
 
-from _bench import Bench, fields
+from _bench import Bench
 from repro.harness.experiments import run_collective_experiment
 
 PATTERNS = ("strided", "scatter", "hotspot")
 
 
 def sweep(quick):
-    if quick:
-        return {
-            "strided": run_collective_experiment(
-                p=4, blocks=64, accesses=16, pattern="strided"
-            )
-        }
+    # One worker per LFS (the runner's default), each with its share of
+    # the accesses.
+    p, blocks, accesses, patterns = (
+        (4, 64, 16, PATTERNS[:1]) if quick else (8, 256, 64, PATTERNS))
     return {
-        pattern: run_collective_experiment(
-            p=8, blocks=256, accesses=64, pattern=pattern
-        )
-        for pattern in PATTERNS
-    }
-
-
-def check(runs) -> None:
-    for pattern, run in runs.items():
-        # All three arms moved identical bytes.
-        assert run.content_ok, pattern
-        # The analytic message model is exact, not approximate.
-        assert run.model_exact, (pattern, run)
-        # List I/O caps each worker at p batched requests.
-        assert run.listio_efs_requests <= run.workers * run.p
-        assert run.listio_efs_requests < run.naive_efs_requests
-        # Two-phase: one batched request per touched LFS, at most p.
-        assert run.twophase_efs_requests <= run.p
-        # Both optimizations strictly beat naive on every pattern.
-        assert run.listio_seconds < run.naive_seconds, pattern
-        assert run.twophase_seconds < run.naive_seconds, pattern
-
-
-def payload(runs) -> dict:
-    return {
-        **fields(next(iter(runs.values())),
-                 "p", "blocks", "accesses", "workers"),
+        "p": p,
+        "blocks": blocks,
+        "accesses": accesses,
+        "workers": p,
         "patterns": {
-            pattern: fields(
-                run, "naive_seconds", "listio_seconds", "twophase_seconds",
-                "naive_efs_requests", "listio_efs_requests",
-                "twophase_efs_requests", "model_exact", "content_ok",
+            pattern: run_collective_experiment(
+                p=p, blocks=blocks, accesses=accesses, pattern=pattern
             )
-            for pattern, run in runs.items()
+            for pattern in patterns
         },
     }
 
 
-BENCH = Bench("collective", sweep, check, payload)
+def check(document) -> None:
+    p = document["p"]
+    for pattern, run in document["patterns"].items():
+        # All three arms moved identical bytes.
+        assert run["content_ok"], pattern
+        # The analytic message model is exact, not approximate.
+        assert run["model_exact"], (pattern, run)
+        # List I/O caps each worker at p batched requests.
+        assert run["listio_efs_requests"] <= document["workers"] * p
+        assert run["listio_efs_requests"] < run["naive_efs_requests"]
+        # Two-phase: one batched request per touched LFS, at most p.
+        assert run["twophase_efs_requests"] <= p
+        # Both optimizations strictly beat naive on every pattern.
+        assert run["listio_seconds"] < run["naive_seconds"], pattern
+        assert run["twophase_seconds"] < run["naive_seconds"], pattern
+
+
+BENCH = Bench("collective", sweep, check)
 test_collective_ablation = BENCH.test()
 
 if __name__ == "__main__":

@@ -46,10 +46,11 @@ def sweep(quick):
                     ),
                 }
             )
-    return rows
+    return {"file_blocks": FILE_BLOCKS, "rows": rows}
 
 
-def check(rows):
+def check(document):
+    rows = document["rows"]
     by_key = {(r["p"], r["strategy"]): r for r in rows}
     for p in PS:
         rr = by_key[(p, "round-robin")]
@@ -72,11 +73,7 @@ def check(rows):
         ) < 0.6
 
 
-def payload(rows):
-    return {"file_blocks": FILE_BLOCKS, "rows": rows}
-
-
-BENCH = Bench("distribution", sweep, check, payload)
+BENCH = Bench("distribution", sweep, check)
 test_distribution_strategies = BENCH.test()
 
 if __name__ == "__main__":

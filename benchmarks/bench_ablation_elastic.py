@@ -19,7 +19,7 @@ Also runnable as a script (the CI smoke job)::
     python benchmarks/bench_ablation_elastic.py --quick
 """
 
-from _bench import Bench, fields
+from _bench import Bench
 from repro.harness.experiments import run_elastic_experiment
 
 RATE = 60.0
@@ -38,70 +38,60 @@ PHASES = ("before", "during", "after")
 def sweep(quick):
     duration = QUICK_DURATION if quick else DURATION
     return {
-        label: run_elastic_experiment(
-            rate=RATE, duration=duration, start_servers=start,
-            end_servers=end, provisioned=PROVISIONED, seed=SEED,
-            moves_per_second=MOVES_PER_SECOND,
-        )
-        for label, start, end in ARMS
+        "rate": RATE,
+        "phase_duration": duration,
+        "seed": SEED,
+        "moves_per_second": MOVES_PER_SECOND,
+        "arms": {
+            label: run_elastic_experiment(
+                rate=RATE, duration=duration, start_servers=start,
+                end_servers=end, provisioned=PROVISIONED, seed=SEED,
+                moves_per_second=MOVES_PER_SECOND,
+            )
+            for label, start, end in ARMS
+        },
     }
 
 
-def check(runs) -> None:
+def read_p99(run, phase):
+    """One phase's read p99 (seconds) from its SLO summary."""
+    return float(run["phases"][phase]["classes"]["read"]["p99"])
+
+
+def check(document) -> None:
+    runs = document["arms"]
     for label, run in runs.items():
         # The resize actually happened, in the advertised direction.
-        assert run.direction == label, (label, run.direction)
-        assert run.planned > 0, label
-        assert run.moved + run.vanished == run.planned, label
+        assert run["direction"] == label, (label, run["direction"])
+        assert run["planned_moves"] > 0, label
+        assert run["moved"] + run["vanished"] == run["planned_moves"], label
         # Zero lost or misrouted files: ownership scan, duplicate scan,
         # routed-vs-direct byte compare, and EFS fsck all clean.
-        assert run.files_intact and run.fsck_clean, (label, run)
+        assert (run["lost"] == run["misrouted"] == run["duplicated"]
+                == run["content_mismatched"] == 0 and run["fsck_clean"]), (
+            label, run)
         # No phase saw a hard failure and every phase made progress.
-        assert run.failed() == 0, (label, run.phases)
+        phases = run["phases"]
+        assert sum(int(summary["failed"])
+                   for summary in phases.values()) == 0, (label, phases)
         for phase in PHASES:
-            assert int(run.phases[phase]["completed"]) > 0, (label, phase)
+            assert int(phases[phase]["completed"]) > 0, (label, phase)
         # Migration never stalls traffic: during-migration read p99 stays
         # within 10x of the better surrounding steady state.
-        during = run.phase_quantile("during", "read", "p99")
-        steady = min(run.phase_quantile("before", "read", "p99"),
-                     run.phase_quantile("after", "read", "p99"))
+        during = read_p99(run, "during")
+        steady = min(read_p99(run, "before"), read_p99(run, "after"))
         assert during < 10 * max(steady, 1e-4), (label, during, steady)
 
     # Capacity follows the ring: growing 2->4 improves steady-state read
     # p99, shrinking 4->2 degrades it.
     grow, shrink = runs["grow"], runs["shrink"]
-    assert (grow.phase_quantile("after", "read", "p99")
-            < grow.phase_quantile("before", "read", "p99")), grow.phases
-    assert (shrink.phase_quantile("after", "read", "p99")
-            > shrink.phase_quantile("before", "read", "p99")), shrink.phases
+    assert (read_p99(grow, "after")
+            < read_p99(grow, "before")), grow["phases"]
+    assert (read_p99(shrink, "after")
+            > read_p99(shrink, "before")), shrink["phases"]
 
 
-def payload(runs) -> dict:
-    arms = {
-        label: {
-            **fields(run, "start_servers", "end_servers", "provisioned"),
-            "planned_moves": run.planned,
-            **fields(run, "moved", "vanished", "forwarded", "disruption",
-                     "migration_seconds", "lost", "misrouted", "duplicated",
-                     "content_mismatched", "fsck_clean"),
-            "read_p99_ms": {
-                phase: run.phase_quantile(phase, "read", "p99") * 1e3
-                for phase in PHASES
-            },
-            **fields(run, "phases", "makespan"),
-        }
-        for label, run in runs.items()
-    }
-    return {
-        "rate": RATE,
-        "phase_duration": DURATION,
-        "seed": SEED,
-        "moves_per_second": MOVES_PER_SECOND,
-        "arms": arms,
-    }
-
-
-BENCH = Bench("elastic", sweep, check, payload)
+BENCH = Bench("elastic", sweep, check)
 test_elastic_ablation = BENCH.test()
 
 if __name__ == "__main__":

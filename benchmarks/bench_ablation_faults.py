@@ -14,7 +14,7 @@ tables:
   made quantitative.
 """
 
-from _bench import Bench, fields
+from _bench import Bench
 from repro.harness.experiments import run_redundancy_experiment
 from repro.redundancy import (
     SCHEMES,
@@ -25,67 +25,28 @@ from repro.redundancy import (
 )
 
 PS = (4, 8, 16)
+#: File size per LFS slot: the dead column holds this many blocks.
+BLOCKS_PER_SLOT = 4
 
 
 def sweep(quick):
-    return {
-        (p, scheme): run_redundancy_experiment(scheme, p=p, blocks=4 * p)
+    runs = {
+        (p, scheme): run_redundancy_experiment(
+            scheme, p=p, blocks=BLOCKS_PER_SLOT * p)
         for p in PS
         for scheme in SCHEMES
     }
-
-
-def survival(lifecycle):
-    """Per p, the one-failure outcome of the unprotected and the
-    mirrored file, read off the lifecycle rows."""
-    rows = {}
-    for p in PS:
-        none, mirror = lifecycle[(p, "none")], lifecycle[(p, "mirror")]
-        rows[p] = {
-            "plain_lost": not none.survived,
-            "mirrored_recovered": mirror.survived and mirror.content_ok,
-            "mirror_fallbacks": mirror.degraded_reconstructions,
-            "storage_factor": mirror.storage_factor,
-        }
-    return rows
-
-
-def check(lifecycle):
-    for p, row in survival(lifecycle).items():
-        assert row["plain_lost"], f"p={p}: interleaved file survived?!"
-        assert row["mirrored_recovered"]
-        assert row["storage_factor"] == 2.0
-        # the dead column: one block in p of the 4p-block file
-        assert row["mirror_fallbacks"] == lifecycle[(p, "mirror")].blocks // p
-    for (p, scheme), run in lifecycle.items():
-        assert run.fsck_clean, f"{scheme}@p={p}: fsck found errors"
-        if scheme == "none":
-            assert not run.survived
-            assert run.storage_factor == 1.0
-        else:
-            assert run.survived and run.content_ok, f"{scheme}@p={p}"
-            assert run.degraded_reconstructions > 0
-        if scheme == "mirror":
-            assert run.storage_factor == 2.0
-        if scheme == "parity":
-            # p/(p-1), up to the final partial stripe's rounding
-            expected = p / (p - 1)
-            assert abs(run.storage_factor - expected) < 0.1, (
-                f"parity storage {run.storage_factor} != ~{expected}"
-            )
-            assert run.rebuild_seconds is not None and run.rebuild_seconds > 0
-            assert run.rebuild_blocks > 0
-            # parity writes cost more device traffic than none, and less
-            # storage than the mirror's 2x
-            assert run.write_device_ops > lifecycle[(p, "none")].write_device_ops
-            assert run.storage_blocks < lifecycle[(p, "mirror")].storage_blocks
-
-
-def payload(lifecycle):
     return {
+        # Per p, the one-failure outcome of the unprotected and the
+        # mirrored file beside the analytic loss fractions.
         "survival": {
             str(p): {
-                **row,
+                "plain_lost": not runs[(p, "none")]["survived"],
+                "mirrored_recovered": (runs[(p, "mirror")]["survived"]
+                                       and runs[(p, "mirror")]["content_ok"]),
+                "mirror_fallbacks":
+                    runs[(p, "mirror")]["degraded_reconstructions"],
+                "storage_factor": runs[(p, "mirror")]["storage_factor"],
                 "loss_fraction_interleaved": files_lost_fraction_interleaved(p),
                 "loss_fraction_single_node": files_lost_fraction_single_node(p),
                 "loss_fraction_mirrored_two_failures":
@@ -93,25 +54,50 @@ def payload(lifecycle):
                 "loss_fraction_parity_two_failures":
                     files_lost_fraction_parity(p, 2),
             }
-            for p, row in survival(lifecycle).items()
+            for p in PS
         },
-        "lifecycle": {
-            f"p{p}.{scheme}": {
-                **fields(run, "storage_factor", "write_ops_per_block"),
-                "healthy_read_ms_per_block": run.healthy_read_s_per_block * 1e3,
-                "degraded_read_ms_per_block": (
-                    None if run.degraded_read_s_per_block is None
-                    else run.degraded_read_s_per_block * 1e3
-                ),
-                **fields(run, "degraded_reconstructions", "rebuild_seconds",
-                         "survived", "content_ok", "fsck_clean"),
-            }
-            for (p, scheme), run in sorted(lifecycle.items())
-        },
+        "lifecycle": {f"p{p}.{scheme}": row
+                      for (p, scheme), row in sorted(runs.items())},
     }
 
 
-BENCH = Bench("faults", sweep, check, payload)
+def check(document):
+    lifecycle = document["lifecycle"]
+    for p, row in document["survival"].items():
+        assert row["plain_lost"], f"p={p}: interleaved file survived?!"
+        assert row["mirrored_recovered"]
+        assert row["storage_factor"] == 2.0
+        # the dead column: one block in p of the 4p-block file
+        assert row["mirror_fallbacks"] == BLOCKS_PER_SLOT
+    for label, run in lifecycle.items():
+        p, scheme = label[1:].split(".")
+        assert run["fsck_clean"], f"{scheme}@p={p}: fsck found errors"
+        if scheme == "none":
+            assert not run["survived"]
+            assert run["storage_factor"] == 1.0
+        else:
+            assert run["survived"] and run["content_ok"], f"{scheme}@p={p}"
+            assert run["degraded_reconstructions"] > 0
+        if scheme == "mirror":
+            assert run["storage_factor"] == 2.0
+        if scheme == "parity":
+            # p/(p-1), up to the final partial stripe's rounding
+            expected = int(p) / (int(p) - 1)
+            assert abs(run["storage_factor"] - expected) < 0.1, (
+                f"parity storage {run['storage_factor']} != ~{expected}"
+            )
+            assert (run["rebuild_seconds"] is not None
+                    and run["rebuild_seconds"] > 0)
+            assert run["rebuild_blocks"] > 0
+            # parity writes cost more device traffic than none, and less
+            # storage than the mirror's 2x (one file size per p)
+            assert (run["write_ops_per_block"]
+                    > lifecycle[f"p{p}.none"]["write_ops_per_block"])
+            assert (run["storage_factor"]
+                    < lifecycle[f"p{p}.mirror"]["storage_factor"])
+
+
+BENCH = Bench("faults", sweep, check)
 test_fault_tolerance = BENCH.test()
 
 if __name__ == "__main__":

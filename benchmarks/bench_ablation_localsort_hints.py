@@ -23,39 +23,31 @@ def run_one(use_hints: bool, records: int = 640, p: int = 2):
         system.client_node, system.bridge.port, system.config,
         use_hints=use_hints,
     )
-    return system.run(tool.run("u", "s"), name="hint-ablation")
-
-
-def sweep(quick):
-    return {"hints on": run_one(True), "hints off": run_one(False)}
-
-
-def slowdown(results):
-    return (results["hints off"].local_sort_time
-            / results["hints on"].local_sort_time)
-
-
-def check(results):
-    assert slowdown(results) > 2.0
-    assert results["hints off"].records == results["hints on"].records
-
-
-def payload(results):
+    result = system.run(tool.run("u", "s"), name="hint-ablation")
     return {
-        "arms": {
-            label: {
-                "local_sort_seconds": r.local_sort_time,
-                "merge_seconds": r.merge_time,
-                "total_seconds": r.total_time,
-                "records": r.records,
-            }
-            for label, r in results.items()
-        },
-        "hintless_local_slowdown": slowdown(results),
+        "local_sort_seconds": result.local_sort_time,
+        "merge_seconds": result.merge_time,
+        "total_seconds": result.total_time,
+        "records": result.records,
     }
 
 
-BENCH = Bench("localsort_hints", sweep, check, payload)
+def sweep(quick):
+    arms = {"hints on": run_one(True), "hints off": run_one(False)}
+    return {
+        "arms": arms,
+        "hintless_local_slowdown": (arms["hints off"]["local_sort_seconds"]
+                                    / arms["hints on"]["local_sort_seconds"]),
+    }
+
+
+def check(document):
+    arms = document["arms"]
+    assert document["hintless_local_slowdown"] > 2.0
+    assert arms["hints off"]["records"] == arms["hints on"]["records"]
+
+
+BENCH = Bench("localsort_hints", sweep, check)
 test_localsort_hint_ablation = BENCH.test()
 
 if __name__ == "__main__":

@@ -22,7 +22,7 @@ Also runnable as a script (the CI smoke job)::
     python benchmarks/bench_ablation_metadata.py --quick
 """
 
-from _bench import Bench, fields
+from _bench import Bench
 from repro.harness.experiments import run_metadata_experiment
 
 SEED = 0
@@ -43,53 +43,43 @@ ARMS = (
 def sweep(quick):
     names = QUICK_NAMES if quick else NAMES
     return {
-        label: run_metadata_experiment(
-            servers=servers, names=names, seed=SEED, window=window,
-        )
-        for label, servers, window in ARMS
+        "names": names,
+        "seed": SEED,
+        "arms": {
+            label: run_metadata_experiment(
+                servers=servers, names=names, seed=SEED, window=window,
+            )
+            for label, servers, window in ARMS
+        },
     }
 
 
-def check(runs) -> None:
+def check(document) -> None:
+    runs = document["arms"]
     for label, run in runs.items():
         # The combinatorial model is exact: observed server request
         # deltas equal the predicted counts for every op.
         for op in OPS:
-            assert run.per_name_rpcs[op] == run.model_per_name_rpcs, (
-                label, op, run.per_name_rpcs)
-            assert run.batched_rpcs[op] == run.model_batched_rpcs, (
-                label, op, run.batched_rpcs, run.model_batched_rpcs)
+            assert run["per_name_rpcs"][op] == run["model_per_name_rpcs"], (
+                label, op, run["per_name_rpcs"])
+            assert run["batched_rpcs"][op] == run["model_batched_rpcs"], (
+                label, op, run["batched_rpcs"], run["model_batched_rpcs"])
         # Every name settled cleanly and both arms agree on what the
         # namespace looked like (stat shapes) and freed (delete totals).
-        assert run.errors == 0, (label, run.errors)
-        assert run.content_ok, label
+        assert run["errors"] == 0, (label, run["errors"])
+        assert run["content_ok"], label
     # The headline: at the widest fabric the batched ops beat the
     # per-name loop by at least 2x wall-clock.
-    widest = runs["p4"]
+    speedup = runs["p4"]["speedup"]
     for op in ("open", "stat", "delete"):
-        assert widest.speedup(op) >= 2.0, (op, widest.speedup(op))
+        assert speedup[op] >= 2.0, (op, speedup[op])
     # Windowing trades RPC count for fan-out bound, never correctness:
     # the windowed arm issues at least as many RPCs, same outcomes.
-    assert (runs["p4w16"].model_batched_rpcs
-            >= runs["p4"].model_batched_rpcs)
+    assert (runs["p4w16"]["model_batched_rpcs"]
+            >= runs["p4"]["model_batched_rpcs"])
 
 
-def payload(runs) -> dict:
-    arms = {
-        label: {
-            **fields(run, "servers", "window", "names", "partitions_touched",
-                     "model_per_name_rpcs", "model_batched_rpcs",
-                     "per_name_ms", "batched_ms", "per_name_rpcs",
-                     "batched_rpcs"),
-            "speedup": {op: run.speedup(op) for op in OPS},
-            **fields(run, "errors", "content_ok"),
-        }
-        for label, run in runs.items()
-    }
-    return {"names": NAMES, "seed": SEED, "arms": arms}
-
-
-BENCH = Bench("metadata", sweep, check, payload)
+BENCH = Bench("metadata", sweep, check)
 test_metadata_ablation = BENCH.test()
 
 if __name__ == "__main__":

@@ -13,63 +13,50 @@ Also runnable as a script (the CI smoke job)::
     python benchmarks/bench_ablation_prefetch.py --quick
 """
 
-from _bench import Bench, fields
+from _bench import Bench
 from repro.harness.experiments import run_prefetch_experiment
 
 WINDOWS = (1, 2, 4)
 
 
 def sweep(quick):
-    if quick:
-        return run_prefetch_experiment(p=4, blocks=64, windows=(1,))
-    return run_prefetch_experiment(p=8, blocks=256, windows=WINDOWS)
+    p, blocks, windows = (4, 64, (1,)) if quick else (8, 256, WINDOWS)
+    return {
+        "p": p,
+        "blocks": blocks,
+        "arms": run_prefetch_experiment(p=p, blocks=blocks, windows=windows),
+    }
 
 
-def check(runs) -> None:
-    by_arm = {run.arm: run for run in runs}
+def check(document) -> None:
+    runs = document["arms"]
+    by_arm = {run["arm"]: run for run in runs}
     off = by_arm["off"]
     cache = by_arm["cache"]
     # Every arm returns byte-identical data on both passes.
-    assert all(run.content_ok for run in runs), [r.arm for r in runs]
+    assert all(run["content_ok"] for run in runs), [r["arm"] for r in runs]
     # The cache alone cannot speed up a cold single pass...
-    assert cache.elapsed == off.elapsed
+    assert cache["cold_seconds"] == off["cold_seconds"]
     # ...but serves the repeat pass without EFS traffic.
-    assert cache.repeat_seconds < off.repeat_seconds
+    assert cache["repeat_seconds"] < off["repeat_seconds"]
     for run in runs:
-        if not run.prefetch_window:
+        if not run["prefetch_window"]:
             continue
         # Read-ahead pipelines the cold pass; at p = 8 the acceptance
         # bar is 3x (quick mode runs p = 4, where the bar is parity
         # with the supply rate, i.e. clearly faster than the serial
         # baseline).
-        assert run.elapsed < off.elapsed, run.arm
-        if run.p >= 8:
-            assert run.speedup >= 3.0, (run.arm, run.speedup)
+        assert run["cold_seconds"] < off["cold_seconds"], run["arm"]
+        if document["p"] >= 8:
+            assert run["speedup"] >= 3.0, (run["arm"], run["speedup"])
         # The closed-form model bounds the measured cold pass from
         # below and is within startup distance of it.
-        assert run.model_seconds <= run.elapsed <= run.model_seconds * 1.25
-        assert run.prefetch_wasted <= run.prefetch_issued // 10
+        assert (run["model_seconds"] <= run["cold_seconds"]
+                <= run["model_seconds"] * 1.25)
+        assert run["prefetch_wasted"] <= run["prefetch_issued"] // 10
 
 
-def payload(runs) -> dict:
-    return {
-        "p": runs[0].p,
-        "blocks": runs[0].blocks,
-        "arms": [
-            {
-                **fields(run, "arm", "prefetch_window", "cache_blocks"),
-                "cold_seconds": run.elapsed,
-                **fields(run, "repeat_seconds", "speedup", "repeat_speedup",
-                         "model_seconds", "hits", "misses", "prefetch_issued",
-                         "prefetch_used", "prefetch_wasted", "invalidations",
-                         "content_ok"),
-            }
-            for run in runs
-        ],
-    }
-
-
-BENCH = Bench("prefetch", sweep, check, payload)
+BENCH = Bench("prefetch", sweep, check)
 test_prefetch_ablation = BENCH.test()
 
 if __name__ == "__main__":

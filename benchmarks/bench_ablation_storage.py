@@ -31,7 +31,7 @@ from repro.workloads import pattern_chunks, read_to_eof, timed
 
 
 def array_sweep(quick):
-    rows = []
+    rows = {}
     for members in (1, 2, 4, 8, 16, 32):
         sim = Simulator(seed=23)
         array = StorageArray(sim, members, capacity_blocks=4096,
@@ -42,40 +42,27 @@ def array_sweep(quick):
                 yield from array.read(block)
 
         sim.run_process(reader())
-        rows.append(
-            (
-                members,
-                array.service_times.mean * 1e3,
-                array.expected_positioning() * 1e3,
-                array.transfer_time / members * 1e3,
-            )
-        )
-    return rows
+        rows[str(members)] = {
+            "measured_service_ms": array.service_times.mean * 1e3,
+            "expected_positioning_ms": array.expected_positioning() * 1e3,
+            "transfer_per_block_ms": array.transfer_time / members * 1e3,
+        }
+    return {"by_members": rows}
 
 
-def array_check(rows):
-    by_members = {r[0]: r for r in rows}
+def array_check(document):
+    rows = document["by_members"]
     # expected positioning strictly grows toward a full rotation
-    assert by_members[32][2] > by_members[2][2]
+    assert (rows["32"]["expected_positioning_ms"]
+            > rows["2"]["expected_positioning_ms"])
     # measured service tracks seek + E[max] + transfer within 15%
-    for members, measured, positioning, transfer in rows:
-        predicted = 4.0 + positioning + transfer  # 4 ms seek
-        assert abs(measured - predicted) / predicted < 0.15
+    for row in rows.values():
+        predicted = (4.0 + row["expected_positioning_ms"]
+                     + row["transfer_per_block_ms"])  # 4 ms seek
+        assert abs(row["measured_service_ms"] - predicted) / predicted < 0.15
     # transfer term scales down perfectly
-    assert by_members[32][3] == by_members[1][3] / 32
-
-
-def array_payload(rows):
-    return {
-        "by_members": {
-            str(members): {
-                "measured_service_ms": measured,
-                "expected_positioning_ms": positioning,
-                "transfer_per_block_ms": transfer,
-            }
-            for members, measured, positioning, transfer in rows
-        },
-    }
+    assert (rows["32"]["transfer_per_block_ms"]
+            == rows["1"]["transfer_per_block_ms"] / 32)
 
 
 # ---------------------------------------------------------------------------
@@ -99,16 +86,13 @@ def scheduler_sweep(quick):
             sim.spawn(reader(block))
         sim.run()
         results[name] = sim.now
-    return results
+    return {"batch_completion_seconds": results}
 
 
-def scheduler_check(results):
+def scheduler_check(document):
+    results = document["batch_completion_seconds"]
     assert results["sstf"] < results["fcfs"]
     assert results["elevator"] < results["fcfs"]
-
-
-def scheduler_payload(results):
-    return {"batch_completion_seconds": dict(results)}
 
 
 # ---------------------------------------------------------------------------
@@ -131,30 +115,23 @@ def track_buffer_sweep(quick):
             _, seconds = yield from timed(system, read_to_eof(client, "t"))
             return seconds / 128 * 1e3
 
-        rows[track_blocks] = system.run(body())
-    return rows
+        rows[str(track_blocks)] = system.run(body())
+    return {"seq_read_ms_per_block": rows}
 
 
-def track_buffer_check(rows):
+def track_buffer_check(document):
+    rows = document["seq_read_ms_per_block"]
     # no buffering: every read pays the disk; the paper's 9 ms needs ~4
-    assert rows[1] > 15.0
-    assert rows[4] < 10.0
+    assert rows["1"] > 15.0
+    assert rows["4"] < 10.0
     # monotone improvement with track size
-    values = [rows[k] for k in sorted(rows)]
+    values = list(rows.values())
     assert values == sorted(values, reverse=True)
 
 
-def track_buffer_payload(rows):
-    return {
-        "seq_read_ms_per_block": {str(k): v for k, v in sorted(rows.items())},
-    }
-
-
-ARRAY = Bench("storage_array", array_sweep, array_check, array_payload)
-SCHEDULERS = Bench("schedulers", scheduler_sweep, scheduler_check,
-                   scheduler_payload)
-TRACK_BUFFER = Bench("track_buffer", track_buffer_sweep, track_buffer_check,
-                     track_buffer_payload)
+ARRAY = Bench("storage_array", array_sweep, array_check)
+SCHEDULERS = Bench("schedulers", scheduler_sweep, scheduler_check)
+TRACK_BUFFER = Bench("track_buffer", track_buffer_sweep, track_buffer_check)
 test_storage_array_rotational_latency = ARRAY.test()
 test_disk_schedulers = SCHEDULERS.test()
 test_track_buffer_size = TRACK_BUFFER.test()

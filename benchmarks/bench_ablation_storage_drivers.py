@@ -23,7 +23,7 @@ Also runnable as a script (the CI smoke job)::
     python benchmarks/bench_ablation_storage_drivers.py --quick
 """
 
-from _bench import Bench, fields
+from _bench import Bench
 from repro.harness.experiments import run_storage_driver_experiment
 
 SEED = 0
@@ -43,66 +43,55 @@ def sweep(quick):
     # the smallest honest run; quick mode runs the same arms and only
     # skips the JSON artifact.
     return {
-        label: run_storage_driver_experiment(
-            P, seed=SEED, storage=storage, label=label,
-        )
-        for label, storage in ARMS
+        "p": P,
+        "seed": SEED,
+        "slow_slot": SLOW_SLOT,
+        "arms": {
+            label: run_storage_driver_experiment(P, seed=SEED, storage=storage)
+            for label, storage in ARMS
+        },
     }
 
 
-def check(runs) -> None:
+def check(document) -> None:
+    runs = document["arms"]
     for label, run in runs.items():
         # The contended read actually reached every device.
-        assert all(ops > 0 for ops in run.node_read_ops), (
-            label, run.node_read_ops)
+        assert all(ops > 0 for ops in run["node_read_ops"]), (
+            label, run["node_read_ops"])
         # Interleaved placement spreads the same op count to every slot.
-        assert max(run.node_read_ops) == min(run.node_read_ops), (
-            label, run.node_read_ops)
+        assert max(run["node_read_ops"]) == min(run["node_read_ops"]), (
+            label, run["node_read_ops"])
     ram, obj, het = runs["ram"], runs["object"], runs["hetero"]
     # Driver registry wired what each arm asked for.
-    assert ram.driver_kinds == ["ram"] * P
-    assert obj.driver_kinds == ["object"] * P
-    assert het.driver_kinds == ["ram"] * SLOW_SLOT + ["object"]
+    assert ram["driver_kinds"] == ["ram"] * P
+    assert obj["driver_kinds"] == ["object"] * P
+    assert het["driver_kinds"] == ["ram"] * SLOW_SLOT + ["object"]
     # Homogeneous fabrics stay balanced: heat shares within 5% of even.
-    for run in (ram, obj):
-        shares = run.heat_busy_shares
-        assert max(shares) <= (1.0 / P) * 1.05, (run.label, shares)
+    for label in ("ram", "object"):
+        shares = runs[label]["heat_busy_shares"]
+        assert max(shares) <= (1.0 / P) * 1.05, (label, shares)
     # The object store's first-byte latency dominates the ram disk.
-    assert obj.read_seconds > ram.read_seconds, (
-        obj.read_seconds, ram.read_seconds)
-    assert obj.build_seconds > ram.build_seconds, (
-        obj.build_seconds, ram.build_seconds)
+    assert obj["read_seconds"] > ram["read_seconds"], (
+        obj["read_seconds"], ram["read_seconds"])
+    assert obj["build_seconds"] > ram["build_seconds"], (
+        obj["build_seconds"], ram["build_seconds"])
     # One slow slot gates the whole interleaved read: the hetero arm is
     # no faster than the all-object arm on the same workload shape.
-    assert het.read_seconds >= 0.95 * obj.read_seconds, (
-        het.read_seconds, obj.read_seconds)
+    assert het["read_seconds"] >= 0.95 * obj["read_seconds"], (
+        het["read_seconds"], obj["read_seconds"])
     # The attribution headline: the S24 heat map names the slow slot,
     # with at least 1.5x any fast slot's busy share, and the read-phase
     # busy fractions agree.
-    assert het.hottest_slot == SLOW_SLOT, het.heat_busy_shares
-    slow_share = het.heat_busy_shares[SLOW_SLOT]
-    fast_shares = [s for i, s in enumerate(het.heat_busy_shares)
-                   if i != SLOW_SLOT]
-    assert slow_share >= 1.5 * max(fast_shares), het.heat_busy_shares
-    fractions = het.node_busy_fractions
+    shares = het["heat_busy_shares"]
+    assert het["hottest_slot"] == SLOW_SLOT, shares
+    fast_shares = [s for i, s in enumerate(shares) if i != SLOW_SLOT]
+    assert shares[SLOW_SLOT] >= 1.5 * max(fast_shares), shares
+    fractions = het["node_busy_fractions"]
     assert fractions[SLOW_SLOT] == max(fractions), fractions
 
 
-def payload(runs) -> dict:
-    arms = {
-        label: fields(
-            run, "p", "blocks", "storage", "driver_kinds", "build_seconds",
-            "read_seconds", "read_blocks_per_second", "node_read_ops",
-            "node_read_busy", "node_busy_fractions", "node_wait_ms_mean",
-            "node_wait_ms_max", "node_service_ms_mean", "heat_busy_rates",
-            "heat_busy_shares", "hottest_slot", "makespan", "events",
-        )
-        for label, run in runs.items()
-    }
-    return {"p": P, "seed": SEED, "slow_slot": SLOW_SLOT, "arms": arms}
-
-
-BENCH = Bench("storage_drivers", sweep, check, payload)
+BENCH = Bench("storage_drivers", sweep, check)
 test_storage_driver_ablation = BENCH.test()
 
 if __name__ == "__main__":

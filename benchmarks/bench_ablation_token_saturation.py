@@ -15,18 +15,21 @@ from _bench import PAPER_PS, Bench
 from repro.harness.experiments import run_token_saturation
 from repro.tools.sort import SortCostModel
 
-MODEL = SortCostModel()
-
 
 def sweep(quick):
     # The flattening shows only at the widest merges, so quick keeps the
     # widths and halves the records.
     records = 256 if quick else 512
-    return {w: run_token_saturation(w, records=records) for w in PAPER_PS}
+    return {
+        "saturation_width": SortCostModel().saturation_width(),
+        "by_width": {str(w): run_token_saturation(w, records=records)
+                     for w in PAPER_PS},
+    }
 
 
-def check(runs):
-    rates = {w: r.records_per_second for w, r in runs.items()}
+def check(document):
+    rates = {int(w): row["records_per_second"]
+             for w, row in document["by_width"].items()}
     # throughput rises with width in the disk-bound regime...
     assert rates[8] > rates[2] * 1.8
     # ...but the relative gain per doubling shrinks as the token binds
@@ -37,21 +40,7 @@ def check(runs):
     assert high_gain < 1.6
 
 
-def payload(runs):
-    return {
-        "saturation_width": MODEL.saturation_width(),
-        "by_width": {
-            str(w): {
-                "elapsed_seconds": run.elapsed,
-                "records_per_second": run.records_per_second,
-                "model_records_per_second": 1.0 / MODEL.merge_record_rate(w),
-            }
-            for w, run in sorted(runs.items())
-        },
-    }
-
-
-BENCH = Bench("token_saturation", sweep, check, payload)
+BENCH = Bench("token_saturation", sweep, check)
 test_token_saturation = BENCH.test()
 
 if __name__ == "__main__":

@@ -35,7 +35,7 @@ Also runnable as a script (the CI smoke job)::
     python benchmarks/bench_ablation_traffic.py --quick
 """
 
-from _bench import Bench, fields
+from _bench import Bench
 from repro.harness.experiments import run_traffic_experiment
 
 #: Offered loads (req/s) spanning the knee of a ~80 req/s server.
@@ -60,52 +60,64 @@ ARRIVAL_KINDS = ("poisson", "burst")
 def sweep(quick):
     # Every cell is a fresh system, so the sweep runs in the order the
     # table and the JSON trajectory list them: load, arrivals, policy.
+    loads = QUICK_LOADS if quick else LOADS
     return {
-        (policy, rate, kind): run_traffic_experiment(
-            rate=rate, duration=DURATION, seed=SEED,
-            arrival_kind=kind, policy=policy, admission_params=params,
-        )
-        for rate in (QUICK_LOADS if quick else LOADS)
-        for kind in sorted(ARRIVAL_KINDS)
-        for policy, params in ARMS
+        "duration": DURATION,
+        "seed": SEED,
+        "loads": list(loads),
+        "policies": sorted(policy for policy, _params in ARMS),
+        "arrival_kinds": list(ARRIVAL_KINDS),
+        "trajectory": [
+            run_traffic_experiment(
+                rate=rate, duration=DURATION, seed=SEED,
+                arrival_kind=kind, policy=policy, admission_params=params,
+            )
+            for rate in loads
+            for kind in sorted(ARRIVAL_KINDS)
+            for policy, params in ARMS
+        ],
     }
 
 
-def _by_policy(runs, kind="poisson"):
+def _by_policy(rows, kind="poisson"):
     table = {}
-    for (policy, _rate, run_kind), run in runs.items():
-        if run_kind == kind:
-            table.setdefault(policy, []).append(run)
+    for row in rows:
+        if row["arrival_kind"] == kind:
+            table.setdefault(row["policy"], []).append(row)
     return table
 
 
-def check(runs) -> None:
-    by_policy = _by_policy(runs, kind="poisson")
-    loads = sorted({rate for _policy, rate, _kind in runs})
+def read_p99(row):
+    return float(row["classes"]["read"]["p99"])
+
+
+def check(document) -> None:
+    rows = document["trajectory"]
+    by_policy = _by_policy(rows, kind="poisson")
+    loads = document["loads"]
     top = loads[-1]
 
-    for run in runs.values():
+    for row in rows:
         # Open-loop: the source issued what the arrival process said,
         # and every arrival resolved to exactly one outcome.
-        summary = run.summary
         resolved = sum(
-            summary[outcome]
+            row[outcome]
             for outcome in ("completed", "throttled", "shed",
                             "abandoned", "failed")
         )
-        assert resolved == run.offered, (run.policy, run.offered_rate)
-        assert summary["failed"] == 0, (run.policy, run.offered_rate)
+        assert resolved == row["arrivals"], (row["policy"], row["offered_rate"])
+        assert row["failed"] == 0, (row["policy"], row["offered_rate"])
 
     # The sweep spans the knee: the lowest load leaves the server
     # unsaturated, the highest drives the unprotected arm to ~100% busy.
-    none_runs = {r.offered_rate: r for r in by_policy["none"]}
-    assert none_runs[loads[0]].server_utilization < 0.9
-    assert none_runs[top].server_utilization > 0.95
+    none_runs = {r["offered_rate"]: r for r in by_policy["none"]}
+    assert none_runs[loads[0]]["server_utilization"] < 0.9
+    assert none_runs[top]["server_utilization"] > 0.95
 
     # Past the knee the unprotected arm collapses: p99 grows by an
     # order of magnitude over the uncongested point.
-    base_p99 = max(none_runs[loads[0]].class_quantile("read", "p99"), 1e-4)
-    collapsed_p99 = none_runs[top].class_quantile("read", "p99")
+    base_p99 = max(read_p99(none_runs[loads[0]]), 1e-4)
+    collapsed_p99 = read_p99(none_runs[top])
     assert collapsed_p99 > 10 * base_p99, (base_p99, collapsed_p99)
 
     # At least one admission arm keeps p99 bounded at the top load
@@ -114,16 +126,15 @@ def check(runs) -> None:
     for policy, arm_runs in by_policy.items():
         if policy == "none":
             continue
-        at_top = next(r for r in arm_runs if r.offered_rate == top)
-        refusals = at_top.summary["shed"] + at_top.summary["throttled"]
+        at_top = next(r for r in arm_runs if r["offered_rate"] == top)
+        refusals = at_top["shed"] + at_top["throttled"]
         assert refusals > 0, policy  # the policy actually engaged
-        peak_goodput = max(r.goodput for r in arm_runs)
-        p99 = at_top.class_quantile("read", "p99")
-        if (p99 < collapsed_p99 / 2.0
-                and at_top.goodput >= 0.9 * peak_goodput):
+        peak_goodput = max(r["goodput"] for r in arm_runs)
+        if (read_p99(at_top) < collapsed_p99 / 2.0
+                and at_top["goodput"] >= 0.9 * peak_goodput):
             protected.append(policy)
     assert protected, {
-        policy: next(r for r in arm_runs if r.offered_rate == top).goodput
+        policy: next(r for r in arm_runs if r["offered_rate"] == top)["goodput"]
         for policy, arm_runs in by_policy.items()
     }
 
@@ -131,42 +142,15 @@ def check(runs) -> None:
     # unprotected arm's p99 well above its Poisson twin at the same mean
     # rate (transient queueing during burst periods).
     burst_none = {
-        r.offered_rate: r
-        for r in _by_policy(runs, kind="burst")["none"]
+        r["offered_rate"]: r for r in _by_policy(rows, kind="burst")["none"]
     }
     low = loads[0]
-    poisson_low = max(none_runs[low].class_quantile("read", "p99"), 1e-4)
-    burst_low = burst_none[low].class_quantile("read", "p99")
+    poisson_low = max(read_p99(none_runs[low]), 1e-4)
+    burst_low = read_p99(burst_none[low])
     assert burst_low > 1.5 * poisson_low, (poisson_low, burst_low)
 
 
-def payload(runs) -> dict:
-    trajectory = []
-    for (policy, rate, kind), run in runs.items():
-        trajectory.append({
-            "policy": policy,
-            "offered_rate": rate,
-            "arrival_kind": kind,
-            "arrivals": run.offered,
-            **{key: run.summary[key]
-               for key in ("goodput", "completed", "throttled", "shed",
-                           "abandoned", "failed")},
-            **fields(run, "server_utilization", "queue_wait_p99",
-                     "queue_peak_depth", "predicted_wait_mm1",
-                     "predicted_wait_md1", "makespan"),
-            "classes": run.summary["classes"],
-        })
-    return {
-        "duration": DURATION,
-        "seed": SEED,
-        "loads": list(sorted({rate for _p, rate, _k in runs})),
-        "policies": sorted({policy for policy, _r, _k in runs}),
-        "arrival_kinds": list(ARRIVAL_KINDS),
-        "trajectory": trajectory,
-    }
-
-
-BENCH = Bench("traffic", sweep, check, payload)
+BENCH = Bench("traffic", sweep, check)
 test_traffic_ablation = BENCH.test()
 
 if __name__ == "__main__":

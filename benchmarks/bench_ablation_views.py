@@ -8,47 +8,42 @@ shared Ethernet it is decisive because naive/parallel must move every
 block across the bus.
 """
 
-from _bench import Bench, fields
+from _bench import Bench
 from repro.harness.experiments import run_views_experiment
+
+P = 8
+BLOCKS = 256
 
 
 def sweep(quick):
     return {
-        network: run_views_experiment(8, blocks=256, network=network)
-        for network in ("butterfly", "ethernet")
-    }
-
-
-def check(runs):
-    butterfly, ethernet = runs["butterfly"], runs["ethernet"]
-    # Every parallel view beats naive on both networks.
-    for run in runs.values():
-        assert run.tool_seconds < run.naive_seconds
-        assert run.parallel_open_seconds < run.naive_seconds
-    # Butterfly: tool and parallel-open comparable (modest edge at most).
-    assert butterfly.tool_seconds < butterfly.parallel_open_seconds * 2.0
-    # Ethernet: the tool wins decisively — blocks never cross the bus.
-    assert ethernet.tool_seconds < ethernet.parallel_open_seconds * 0.75
-    # Virtual parallelism (t = 2p) is no substitute for real width.
-    assert ethernet.virtual_parallel_seconds > ethernet.parallel_open_seconds * 0.8
-
-
-def payload(runs):
-    return {
-        "blocks": runs["butterfly"].blocks,
-        "p": 8,
+        "blocks": BLOCKS,
+        "p": P,
         "by_network": {
-            network: {
-                **fields(run, "naive_seconds", "parallel_open_seconds",
-                         "virtual_parallel_seconds", "tool_seconds"),
-                "throughput_blocks_per_second": run.as_throughput(),
-            }
-            for network, run in runs.items()
+            network: run_views_experiment(P, blocks=BLOCKS, network=network)
+            for network in ("butterfly", "ethernet")
         },
     }
 
 
-BENCH = Bench("views", sweep, check, payload)
+def check(document):
+    runs = document["by_network"]
+    butterfly, ethernet = runs["butterfly"], runs["ethernet"]
+    # Every parallel view beats naive on both networks.
+    for run in runs.values():
+        assert run["tool_seconds"] < run["naive_seconds"]
+        assert run["parallel_open_seconds"] < run["naive_seconds"]
+    # Butterfly: tool and parallel-open comparable (modest edge at most).
+    assert (butterfly["tool_seconds"]
+            < butterfly["parallel_open_seconds"] * 2.0)
+    # Ethernet: the tool wins decisively — blocks never cross the bus.
+    assert ethernet["tool_seconds"] < ethernet["parallel_open_seconds"] * 0.75
+    # Virtual parallelism (t = 2p) is no substitute for real width.
+    assert (ethernet["virtual_parallel_seconds"]
+            > ethernet["parallel_open_seconds"] * 0.8)
+
+
+BENCH = Bench("views", sweep, check)
 test_views_ablation = BENCH.test()
 
 if __name__ == "__main__":

@@ -95,9 +95,10 @@ def check(result) -> None:
     )
 
 
-# No payload: every number here but the asserted-equal event counts is
-# host wall-clock, which _emit.py's rule keeps out of BENCH_*.json.
-BENCH = Bench("obs_overhead", sweep, check)
+# Printed, never written: every number here but the asserted-equal event
+# counts is host wall-clock, which _emit.py's rule keeps out of
+# BENCH_*.json.
+BENCH = Bench("obs_overhead", sweep, check, writes=False)
 test_obs_overhead = BENCH.test()
 
 if __name__ == "__main__":

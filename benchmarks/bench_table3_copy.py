@@ -10,42 +10,34 @@ figure peaks at 475 records/second.
 
 from _bench import Bench, paper_ps
 from repro.analysis import PAPER_COPY_PEAK_RECORDS_PER_SECOND, speedup_series
-from repro.harness.experiments import run_copy_experiment
+from repro.harness.experiments import default_blocks, run_copy_experiment
 
 
 def sweep(quick):
-    return {p: run_copy_experiment(p) for p in paper_ps(quick)}
+    blocks = default_blocks()
+    return {
+        "blocks": blocks,
+        "paper_peak_records_per_second": PAPER_COPY_PEAK_RECORDS_PER_SECOND,
+        "by_p": {str(p): run_copy_experiment(p, blocks=blocks)
+                 for p in paper_ps(quick)},
+    }
 
 
-def check(runs):
+def check(document):
     # nearly linear speedup
-    ps = sorted(runs)
-    times = {p: runs[p].elapsed for p in ps}
+    times = {int(p): row["copy_seconds"]
+             for p, row in document["by_p"].items()}
+    ps = sorted(times)
     for smaller, larger in zip(ps, ps[1:]):
         gain = times[smaller] / times[larger]
         assert gain > 1.5, f"speedup {smaller}->{larger} too weak: {gain:.2f}"
     assert speedup_series(times)[max(ps)] > 0.55 * (max(ps) / min(ps))
     # throughput (the figure) rises monotonically with p
-    rates = [runs[p].records_per_second for p in ps]
+    rates = [row["records_per_second"] for row in document["by_p"].values()]
     assert rates == sorted(rates)
 
 
-def payload(runs):
-    return {
-        "blocks": runs[2].blocks,
-        "paper_peak_records_per_second": PAPER_COPY_PEAK_RECORDS_PER_SECOND,
-        "by_p": {
-            str(p): {
-                "copy_seconds": run.elapsed,
-                "records_per_second": run.records_per_second,
-                "paper_seconds": run.paper_seconds,
-            }
-            for p, run in sorted(runs.items())
-        },
-    }
-
-
-BENCH = Bench("table3", sweep, check, payload)
+BENCH = Bench("table3", sweep, check)
 test_table3_copy_tool = BENCH.test()
 
 if __name__ == "__main__":

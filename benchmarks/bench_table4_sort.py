@@ -12,7 +12,7 @@ Local sort is superlinear; the merge phase improves only modestly
 (17 -> 4.45 min over 2 -> 32 processors); figure peaks at 35 records/s.
 """
 
-from _bench import Bench, fields, paper_ps
+from _bench import Bench, paper_ps
 from repro.analysis import PAPER_SORT_PEAK_RECORDS_PER_SECOND, is_superlinear
 from repro.harness.experiments import default_sort_records, run_sort_experiment
 
@@ -25,46 +25,36 @@ def buffer_records(records):
 def sweep(quick):
     records = default_sort_records() // (2 if quick else 1)
     return {
-        p: run_sort_experiment(p, records=records,
-                               buffer_records=buffer_records(records))
-        for p in paper_ps(quick)
+        "records": records,
+        "buffer_records": buffer_records(records),
+        "paper_peak_records_per_second": PAPER_SORT_PEAK_RECORDS_PER_SECOND,
+        "by_p": {
+            str(p): run_sort_experiment(
+                p, records=records, buffer_records=buffer_records(records))
+            for p in paper_ps(quick)
+        },
     }
 
 
-def check(runs):
+def check(document):
+    runs = {int(p): row for p, row in document["by_p"].items()}
     ps = sorted(runs)
-    local = {p: runs[p].local_sort_seconds for p in ps[:4]}
-    merge = {p: runs[p].merge_seconds for p in ps}
+    local = {p: runs[p]["local_sort_seconds"] for p in ps[:4]}
+    merge = {p: runs[p]["merge_seconds"] for p in ps}
     # local phase: superlinear over the range where merge passes disappear
     assert is_superlinear(local), local
     # merge phase: improves overall, but sublinearly (paper: 3.8x over 16x)
     assert merge[ps[0]] > merge[ps[-1]]
     assert merge[ps[0]] / merge[ps[-1]] < (ps[-1] / ps[0]) * 0.8
     # totals: monotone decreasing in p
-    totals = [runs[p].total_seconds for p in ps]
+    totals = [runs[p]["total_seconds"] for p in ps]
     assert totals == sorted(totals, reverse=True)
     # throughput figure: monotone increasing
-    rates = [runs[p].records_per_second for p in ps]
+    rates = [runs[p]["records_per_second"] for p in ps]
     assert rates == sorted(rates)
 
 
-def payload(runs):
-    records = runs[2].records
-    return {
-        "records": records,
-        "buffer_records": buffer_records(records),
-        "paper_peak_records_per_second": PAPER_SORT_PEAK_RECORDS_PER_SECOND,
-        "by_p": {
-            str(p): fields(
-                run, "local_sort_seconds", "merge_seconds", "total_seconds",
-                "records_per_second", "paper_minutes",
-            )
-            for p, run in sorted(runs.items())
-        },
-    }
-
-
-BENCH = Bench("table4", sweep, check, payload)
+BENCH = Bench("table4", sweep, check)
 test_table4_sort_tool = BENCH.test()
 
 if __name__ == "__main__":

@@ -22,8 +22,7 @@ def main(blocks: int = 768) -> None:
     print(f"copy tool sweep: {blocks}-block file ({blocks * 960 // 1024} KiB of data)\n")
     times = {}
     for p in (2, 4, 8, 16):
-        run = run_copy_experiment(p, blocks=blocks)
-        times[p] = run.elapsed
+        times[p] = run_copy_experiment(p, blocks=blocks)["copy_seconds"]
 
     rows = []
     for point in scaling_table(times, units=blocks):

@@ -25,19 +25,19 @@ def main(p: int = 8, blocks: int = 24, victim: int = 3) -> None:
     for scheme in SCHEMES:
         run = run_redundancy_experiment(scheme, p=p, blocks=blocks, seed=13,
                                         victim=victim)
-        if run.survived:
+        if run["survived"]:
             outcome = (f"recovered {blocks}/{blocks} blocks "
-                       f"({run.degraded_reconstructions} rebuilt from "
+                       f"({run['degraded_reconstructions']} rebuilt from "
                        f"redundancy, content "
-                       f"{'ok' if run.content_ok else 'CORRUPT'})")
+                       f"{'ok' if run['content_ok'] else 'CORRUPT'})")
         else:
             outcome = "LOST"
-        print(f"{scheme:<7} {run.storage_factor:.2f}x storage -> {outcome}")
-        if run.rebuild_seconds is not None:
+        print(f"{scheme:<7} {run['storage_factor']:.2f}x storage -> {outcome}")
+        if run["rebuild_seconds"] is not None:
             print(f"        disk repaired; online rebuild rewrote "
-                  f"{run.rebuild_blocks} blocks in "
-                  f"{run.rebuild_seconds:.3f} simulated seconds, fsck "
-                  f"{'clean' if run.fsck_clean else 'ERRORS'}")
+                  f"{run['rebuild_blocks']} blocks in "
+                  f"{run['rebuild_seconds']:.3f} simulated seconds, fsck "
+                  f"{'clean' if run['fsck_clean'] else 'ERRORS'}")
 
     print("\nexpected loss under one disk failure:")
     print(f"  interleaved, unreplicated: "

@@ -27,14 +27,14 @@ def main(duration: float = 1.5) -> None:
                 rate=rate, duration=duration, policy=policy,
                 admission_params=params, seed=7,
             )
-            summary = run.summary
+            read = run["classes"]["read"]
             rows.append([
-                rate, policy, run.offered, summary["completed"],
-                summary["shed"] + summary["throttled"],
-                f"{run.goodput:.1f}",
-                f"{run.server_utilization:.0%}",
-                f"{run.class_quantile('read', 'p50') * 1e3:.1f}",
-                f"{run.class_quantile('read', 'p99') * 1e3:.0f}",
+                rate, policy, run["arrivals"], run["completed"],
+                run["shed"] + run["throttled"],
+                f"{run['goodput']:.1f}",
+                f"{run['server_utilization']:.0%}",
+                f"{read['p50'] * 1e3:.1f}",
+                f"{read['p99'] * 1e3:.0f}",
             ])
     print(format_table(
         ["offered r/s", "policy", "arrivals", "ok", "refused",

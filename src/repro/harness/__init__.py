@@ -1,15 +1,7 @@
-"""Experiment harness: the system spec and builder, runners, and result
-records."""
+"""Experiment harness: the system spec and builder, and the experiment
+runners, each returning its BENCH row as a plain dict."""
 
 from repro.harness.builders import BridgeSystem, paper_system
-from repro.harness.results import (
-    CollectiveRun,
-    RebalanceRun,
-    TrafficRun,
-)
 from repro.harness.spec import PRESETS, SystemSpec
 
-__all__ = [
-    "BridgeSystem", "CollectiveRun", "PRESETS", "RebalanceRun",
-    "SystemSpec", "TrafficRun", "paper_system",
-]
+__all__ = ["BridgeSystem", "PRESETS", "SystemSpec", "paper_system"]

@@ -259,9 +259,6 @@ class BridgeSystem:
     def total_disk_ops(self) -> int:
         return sum(d.total_operations for d in self.disks)
 
-    def disk_utilizations(self) -> List[float]:
-        return [d.utilization() for d in self.disks]
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"BridgeSystem(p={self.width}, now={self.sim.now:.3f}s)"
 

@@ -1,12 +1,14 @@
 """Experiment runners: one function per paper artifact.
 
 Each function builds a fresh simulated system, runs the workload, and
-returns a result record (see :mod:`repro.harness.results`).  The bench
-scripts under ``benchmarks/`` sweep these runners, assert the paper's
-shape and print paper-vs-measured tables; the examples drive them
-interactively.  The runners share no control flow — each body *is* its
-experiment — so what they share are the small fixtures at the top of
-this module, not a generic runner class.
+returns its BENCH row: a plain dict whose keys, order and units are the
+ones the bench's committed ``BENCH_<name>.json`` carries, every derived
+value computed once, here.  The bench scripts under ``benchmarks/``
+sweep these runners into the document they print, write and assert on;
+the examples and tests read the same rows.  The runners share no
+control flow — each body *is* its experiment — so what they share are
+the small fixtures at the top of this module, not a generic runner
+class.
 """
 
 from __future__ import annotations
@@ -26,6 +28,11 @@ from repro.analysis.models import (
     mm1_wait_seconds,
     naive_rpc_count,
     pipelined_read_seconds,
+    table2_create_ms,
+    table2_delete_ms,
+    table2_open_ms,
+    table2_read_ms,
+    table2_write_ms,
     twophase_message_counts,
 )
 from repro.baselines import SequentialSystem, StripedSystem
@@ -36,28 +43,11 @@ from repro.efs.fsck import check_system
 from repro.elastic import HeatMap, fabric_namespace
 from repro.errors import DeviceFailedError, ProcessError
 from repro.harness.builders import BridgeSystem, paper_system
-from repro.harness.results import (
-    CollectiveRun,
-    CopyRun,
-    CreateTreeRun,
-    ElasticRun,
-    MetadataRun,
-    PrefetchRun,
-    RebalanceRun,
-    RedundancyRun,
-    SortRun,
-    StorageDriverRun,
-    StripingRun,
-    Table2Measurement,
-    TokenSaturationRun,
-    TrafficRun,
-    ViewsRun,
-)
 from repro.harness.spec import SystemSpec
 from repro.redundancy import FaultInjector
 from repro.sim import join_all
 from repro.tools import CopyTool, SortTool, WordCountTool
-from repro.tools.sort import PairMerge
+from repro.tools.sort import PairMerge, SortCostModel
 from repro.traffic import (
     RequestMix,
     SLORecorder,
@@ -137,8 +127,9 @@ def _parallel_read(system, name: str, blocks: int, worker_count: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def measure_table2(p: int, file_blocks: int = 256, seed: int = 0) -> Table2Measurement:
-    """Measure Open/Read/Write/Create/Delete through the naive view."""
+def measure_table2(p: int, file_blocks: int = 256, seed: int = 0) -> dict:
+    """Measure Open/Read/Write/Create/Delete through the naive view,
+    beside the paper's Table 2 formula for each (ms)."""
     system = paper_system(p, seed=seed)
     client = system.naive_client()
 
@@ -157,15 +148,21 @@ def measure_table2(p: int, file_blocks: int = 256, seed: int = 0) -> Table2Measu
         return seconds
 
     seconds = system.run(body())
-    return Table2Measurement(
-        p=p,
-        file_blocks=file_blocks,
-        open_ms=seconds["open"] * 1e3,
-        read_ms_per_block=seconds["read"] * 1e3 / file_blocks,
-        write_ms_per_block=seconds["write"] * 1e3 / file_blocks,
-        create_ms=seconds["create"] * 1e3,
-        delete_ms_total=seconds["delete"] * 1e3,
-    )
+    delete_ms_total = seconds["delete"] * 1e3
+    return {
+        "open_ms": seconds["open"] * 1e3,
+        "read_ms_per_block": seconds["read"] * 1e3 / file_blocks,
+        "write_ms_per_block": seconds["write"] * 1e3 / file_blocks,
+        "create_ms": seconds["create"] * 1e3,
+        "delete_ms_total": delete_ms_total,
+        "delete_ms_per_block_per_lfs":
+            delete_ms_total / max(1, file_blocks // p),
+        "paper_open_ms": table2_open_ms(),
+        "paper_read_ms_per_block": table2_read_ms(file_blocks, p),
+        "paper_write_ms_per_block": table2_write_ms(),
+        "paper_create_ms": table2_create_ms(p),
+        "paper_delete_ms_total": table2_delete_ms(file_blocks, p),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -173,18 +170,19 @@ def measure_table2(p: int, file_blocks: int = 256, seed: int = 0) -> Table2Measu
 # ---------------------------------------------------------------------------
 
 
-def run_copy_experiment(p: int, blocks: Optional[int] = None, seed: int = 0) -> CopyRun:
+def run_copy_experiment(p: int, blocks: Optional[int] = None,
+                        seed: int = 0) -> dict:
     blocks = blocks if blocks is not None else default_blocks()
     system = paper_system(p, seed=seed)
     build_file(system, "big", pattern_chunks(blocks))
     tool = CopyTool(system.client_node, system.bridge.port, system.config)
-    result = system.run(tool.run("big", "big-copy"), name="copy-experiment")
-    return CopyRun(
-        p=p,
-        blocks=blocks,
-        elapsed=result.elapsed,
-        paper_seconds=PAPER_TABLE3_COPY_SECONDS.get(p),
-    )
+    elapsed = system.run(tool.run("big", "big-copy"),
+                         name="copy-experiment").elapsed
+    return {
+        "copy_seconds": elapsed,
+        "records_per_second": blocks / elapsed if elapsed > 0 else 0.0,
+        "paper_seconds": PAPER_TABLE3_COPY_SECONDS.get(p),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +191,7 @@ def run_copy_experiment(p: int, blocks: Optional[int] = None, seed: int = 0) -> 
 
 
 def run_sort_experiment(p: int, records: Optional[int] = None, seed: int = 0,
-                        buffer_records: Optional[int] = None) -> SortRun:
+                        buffer_records: Optional[int] = None) -> dict:
     records = records if records is not None else default_sort_records()
     config = DEFAULT_CONFIG
     if buffer_records is not None:
@@ -202,14 +200,14 @@ def run_sort_experiment(p: int, records: Optional[int] = None, seed: int = 0,
     build_record_file(system, "unsorted", uniform_keys(records, seed=seed))
     tool = SortTool(system.client_node, system.bridge.port, system.config)
     result = system.run(tool.run("unsorted", "sorted"), name="sort-experiment")
-    return SortRun(
-        p=p,
-        records=records,
-        local_sort_seconds=result.local_sort_time,
-        merge_seconds=result.merge_time,
-        total_seconds=result.total_time,
-        paper_minutes=PAPER_TABLE4_SORT_MINUTES.get(p),
-    )
+    total = result.total_time
+    return {
+        "local_sort_seconds": result.local_sort_time,
+        "merge_seconds": result.merge_time,
+        "total_seconds": total,
+        "records_per_second": records / total if total > 0 else 0.0,
+        "paper_minutes": PAPER_TABLE4_SORT_MINUTES.get(p),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +216,7 @@ def run_sort_experiment(p: int, records: Optional[int] = None, seed: int = 0,
 
 
 def run_views_experiment(p: int, blocks: Optional[int] = None, seed: int = 0,
-                         network: str = "butterfly") -> ViewsRun:
+                         network: str = "butterfly") -> dict:
     """Compare the three views on one file.
 
     ``network`` is ``"butterfly"`` (shared-memory queues; the paper's
@@ -240,14 +238,18 @@ def run_views_experiment(p: int, blocks: Optional[int] = None, seed: int = 0,
     virtual_seconds = _parallel_read(system, "viewed", blocks, 2 * p)
     tool = WordCountTool(system.client_node, system.bridge.port, system.config)
     tool_seconds = system.run(tool.run("viewed"), name="tool-view").elapsed
-    return ViewsRun(
-        p=p,
-        blocks=blocks,
-        naive_seconds=naive_seconds,
-        parallel_open_seconds=parallel_seconds,
-        tool_seconds=tool_seconds,
-        virtual_parallel_seconds=virtual_seconds,
-    )
+    return {
+        "naive_seconds": naive_seconds,
+        "parallel_open_seconds": parallel_seconds,
+        "virtual_parallel_seconds": virtual_seconds,  # t = 2p: lock-step
+        "tool_seconds": tool_seconds,
+        "throughput_blocks_per_second": {
+            "naive": blocks / naive_seconds,
+            "parallel-open": blocks / parallel_seconds,
+            "tool": blocks / tool_seconds,
+            "virtual(t=2p)": blocks / virtual_seconds,
+        },
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +258,7 @@ def run_views_experiment(p: int, blocks: Optional[int] = None, seed: int = 0,
 
 
 def run_striping_comparison(devices: int, blocks: Optional[int] = None,
-                            seed: int = 0) -> StripingRun:
+                            seed: int = 0) -> dict:
     blocks = blocks if blocks is not None else max(128, default_blocks() // 4)
     chunks = pattern_chunks(blocks)
 
@@ -273,13 +275,11 @@ def run_striping_comparison(devices: int, blocks: Optional[int] = None,
     src = sequential.build_file(chunks)
     sequential_seconds = sequential.copy_file(src).elapsed
 
-    return StripingRun(
-        devices=devices,
-        blocks=blocks,
-        bridge_tool_seconds=bridge_seconds,
-        striped_seconds=striped_seconds,
-        sequential_seconds=sequential_seconds,
-    )
+    return {
+        "sequential_seconds": sequential_seconds,
+        "striped_seconds": striped_seconds,
+        "bridge_tool_seconds": bridge_seconds,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -288,8 +288,9 @@ def run_striping_comparison(devices: int, blocks: Optional[int] = None,
 
 
 def run_token_saturation(width: int, records: Optional[int] = None,
-                         seed: int = 0) -> TokenSaturationRun:
-    """Merge two pre-sorted width/2 files into one width-wide file."""
+                         seed: int = 0) -> dict:
+    """Merge two pre-sorted width/2 files into one width-wide file,
+    beside the token-circuit model's merge rate at that width."""
     if width < 2 or width % 2:
         raise ValueError("merge width must be even and >= 2")
     records = records if records is not None else max(128, default_blocks() // 8)
@@ -315,8 +316,13 @@ def run_token_saturation(width: int, records: Optional[int] = None,
         return stats
 
     stats = system.run(body(), name="token-saturation")
-    return TokenSaturationRun(width=width, records=stats.records,
-                              elapsed=stats.elapsed)
+    elapsed = stats.elapsed
+    return {
+        "elapsed_seconds": elapsed,
+        "records_per_second": stats.records / elapsed if elapsed > 0 else 0.0,
+        "model_records_per_second":
+            1.0 / SortCostModel().merge_record_rate(width),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +331,7 @@ def run_token_saturation(width: int, records: Optional[int] = None,
 
 
 def run_create_tree_experiment(p: int, seed: int = 0,
-                               batch: int = 8) -> CreateTreeRun:
+                               batch: int = 8) -> dict:
     def create_ms(use_tree: bool, names: Optional[List[str]] = None) -> float:
         """One ``create`` — or, given ``names``, one ``mcreate`` of
         identically-shaped files, per file (the S23 arm: the batch
@@ -345,12 +351,13 @@ def run_create_tree_experiment(p: int, seed: int = 0,
 
         return system.run(body(), name="create-probe")
 
-    return CreateTreeRun(
-        p=p, sequential_ms=create_ms(False), tree_ms=create_ms(True),
+    return {
+        "sequential_ms": create_ms(False),
+        "tree_ms": create_ms(True),
         # the tree dispatch (the winner above) serves each batched create
-        batched_per_file_ms=create_ms(
+        "batched_per_file_ms": create_ms(
             True, [f"probe{index}" for index in range(batch)]),
-    )
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +366,7 @@ def run_create_tree_experiment(p: int, seed: int = 0,
 
 
 def run_metadata_experiment(servers: int = 4, names: int = 256, seed: int = 0,
-                            window: int = 0, lfs_count: int = 4) -> MetadataRun:
+                            window: int = 0, lfs_count: int = 4) -> dict:
     """One S23 ablation point: the same metadata-pure name family pushed
     through a per-name loop and through the batched surface.
 
@@ -428,21 +435,26 @@ def run_metadata_experiment(servers: int = 4, names: int = 256, seed: int = 0,
         and loop_freed == batch_freed
     )
     buckets = metadata_partition_buckets(name_family, servers)
-    return MetadataRun(
-        servers=servers,
-        names=names,
-        window=window,
-        partitions_touched=len(buckets),
-        model_per_name_rpcs=names,
-        model_batched_rpcs=batched_rpc_count(name_family, servers,
-                                             window=window),
-        per_name_ms=loop_ms,
-        batched_ms=batch_ms,
-        per_name_rpcs=loop_rpcs,
-        batched_rpcs=batch_rpcs,
-        errors=loop_errors + batch_errors,
-        content_ok=content_ok,
-    )
+    return {
+        "servers": servers,
+        "window": window,
+        "names": names,
+        "partitions_touched": len(buckets),
+        "model_per_name_rpcs": names,
+        "model_batched_rpcs": batched_rpc_count(name_family, servers,
+                                                window=window),
+        "per_name_ms": loop_ms,
+        "batched_ms": batch_ms,
+        "per_name_rpcs": loop_rpcs,
+        "batched_rpcs": batch_rpcs,
+        "speedup": {
+            op: loop_ms[op] / batch_ms[op] if batch_ms[op] > 0
+            else float("inf")
+            for op in loop_ms
+        },
+        "errors": loop_errors + batch_errors,
+        "content_ok": content_ok,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +463,7 @@ def run_metadata_experiment(servers: int = 4, names: int = 256, seed: int = 0,
 
 
 def run_redundancy_experiment(scheme: str, p: int = 4, blocks: Optional[int] = None,
-                              seed: int = 0, victim: int = 1) -> RedundancyRun:
+                              seed: int = 0, victim: int = 1) -> dict:
     """One redundancy scheme through the full S16 lifecycle.
 
     Write a file under ``scheme`` (``"none"``, ``"mirror"``, or
@@ -521,23 +533,20 @@ def run_redundancy_experiment(scheme: str, p: int = 4, blocks: Optional[int] = N
     content_ok = content_ok and final == healthy if survived else final == healthy
     fsck_clean = all(report.clean for report in check_system(system))
 
-    return RedundancyRun(
-        scheme=scheme,
-        p=p,
-        blocks=blocks,
-        storage_blocks=storage,
-        write_device_ops=write_ops,
-        healthy_read_s_per_block=healthy_elapsed / blocks,
-        degraded_read_s_per_block=(
-            degraded_elapsed / blocks if survived else None
+    return {
+        "storage_factor": storage / blocks if blocks else 0.0,
+        "write_ops_per_block": write_ops / blocks if blocks else 0.0,
+        "healthy_read_ms_per_block": healthy_elapsed / blocks * 1e3,
+        "degraded_read_ms_per_block": (
+            degraded_elapsed / blocks * 1e3 if survived else None  # lost
         ),
-        degraded_reconstructions=reconstructions,
-        survived=survived,
-        content_ok=content_ok,
-        rebuild_seconds=rebuild_seconds,
-        rebuild_blocks=rebuild_blocks,
-        fsck_clean=fsck_clean,
-    )
+        "degraded_reconstructions": reconstructions,
+        "rebuild_seconds": rebuild_seconds,  # None: no rebuild needed
+        "rebuild_blocks": rebuild_blocks,
+        "survived": survived,  # single failure survived
+        "content_ok": content_ok,  # degraded reads == healthy ones
+        "fsck_clean": fsck_clean,
+    }
 
 
 def run_collective_experiment(
@@ -548,7 +557,7 @@ def run_collective_experiment(
     pattern: str = "strided",
     stride: Optional[int] = None,
     seed: int = 0,
-) -> CollectiveRun:
+) -> dict:
     """Noncontiguous-access ablation (S17): naive vs list I/O vs two-phase.
 
     ``t`` workers (default ``p``) share ``accesses`` single-block reads
@@ -565,8 +574,8 @@ def run_collective_experiment(
     EFS caches are flushed and invalidated between arms so each pays its
     own disk traffic.  The measured request/message counts are paired
     with the analytic model (:mod:`repro.analysis.models`) for
-    equality checks, and ``content_ok`` records that all three arms
-    returned byte-identical data.
+    equality (``model_exact``), and ``content_ok`` records that all
+    three arms returned byte-identical data.
     """
     workers = workers if workers is not None else p
     blocks = blocks if blocks is not None else max(64, 8 * p)
@@ -629,29 +638,23 @@ def run_collective_experiment(
         "twophase", engine.open(), engine.read(per_worker))
 
     model_tp = twophase_message_counts(per_worker, p)
-    return CollectiveRun(
-        p=p,
-        workers=len(per_worker),
-        blocks=blocks,
-        accesses=sum(len(b) for b in per_worker),
-        distinct_blocks=len({b for wb in per_worker for b in wb}),
-        pattern=pattern,
-        naive_seconds=naive_s,
-        naive_efs_requests=naive_reqs,
-        listio_seconds=listio_s,
-        listio_efs_requests=listio_reqs,
-        twophase_seconds=twophase_s,
-        twophase_efs_requests=twophase_reqs,
-        exchange_messages=tp_stats.exchange_messages,
-        redistribution_messages=tp_stats.redistribution_messages,
-        model_naive_requests=sum(naive_rpc_count(b) for b in per_worker),
-        model_listio_requests=sum(
-            listio_rpc_count(b, p) for b in per_worker
+    return {
+        "naive_seconds": naive_s,
+        "listio_seconds": listio_s,
+        "twophase_seconds": twophase_s,
+        "naive_efs_requests": naive_reqs,
+        "listio_efs_requests": listio_reqs,
+        "twophase_efs_requests": twophase_reqs,
+        # measured message counts equal to the analytic model's
+        "model_exact": (
+            naive_reqs == sum(naive_rpc_count(b) for b in per_worker)
+            and listio_reqs == sum(listio_rpc_count(b, p) for b in per_worker)
+            and twophase_reqs == model_tp["efs_requests"]
+            and tp_stats.redistribution_messages
+            == model_tp["redistribution_messages"]
         ),
-        model_twophase_requests=model_tp["efs_requests"],
-        model_redistribution_messages=model_tp["redistribution_messages"],
-        content_ok=(listio_data == naive_data and twophase_data == naive_data),
-    )
+        "content_ok": listio_data == naive_data and twophase_data == naive_data,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -664,8 +667,8 @@ def run_prefetch_experiment(p: int = 8, blocks: Optional[int] = None,
     """The S18 ablation: cache off / cache only / read-ahead windows.
 
     Every arm streams the same ``blocks``-block file through the naive
-    view twice; returns one :class:`PrefetchRun` per arm with the
-    cache-off cold pass as the common baseline.  The "cache" arm sizes
+    view twice; returns one row per arm with the cache-off cold pass as
+    the common baseline of ``speedup`` and ``repeat_speedup``.  The "cache" arm sizes
     the cache to hold the whole file, so its *repeat* pass shows what an
     LRU alone buys (the cold pass is identical to "off" — there are no
     repeats to hit); the window arms show the read-ahead pipeline.
@@ -694,32 +697,27 @@ def run_prefetch_experiment(p: int = 8, blocks: Optional[int] = None,
         stats = system.bridge.bridge_cache_stats() or {}
         if baseline is None:
             baseline, baseline_data = cold, cold_data
-        runs.append(
-            PrefetchRun(
-                arm=arm,
-                p=p,
-                blocks=blocks,
-                prefetch_window=window,
-                cache_blocks=stats.get("capacity", cache_blocks),
-                elapsed=cold,
-                repeat_seconds=repeat,
-                baseline_seconds=baseline,
-                content_ok=(
-                    cold_data == baseline_data
-                    and repeat_data == baseline_data
-                ),
-                model_seconds=(
-                    pipelined_read_seconds(blocks, p, DEFAULT_CONFIG)
-                    if window > 0 else None
-                ),
-                hits=stats.get("hits", 0),
-                misses=stats.get("misses", 0),
-                prefetch_issued=stats.get("prefetch_issued", 0),
-                prefetch_used=stats.get("prefetch_used", 0),
-                prefetch_wasted=stats.get("prefetch_wasted", 0),
-                invalidations=stats.get("invalidations", 0),
-            )
-        )
+        runs.append({
+            "arm": arm,
+            "prefetch_window": window,
+            "cache_blocks": stats.get("capacity", cache_blocks),
+            "cold_seconds": cold,
+            "repeat_seconds": repeat,
+            "speedup": baseline / cold if cold > 0 else 0.0,
+            "repeat_speedup": baseline / repeat if repeat > 0 else 0.0,
+            # the closed-form pipelined prediction of the cold pass
+            "model_seconds": (
+                pipelined_read_seconds(blocks, p, DEFAULT_CONFIG)
+                if window > 0 else None
+            ),
+            **{counter: stats.get(counter, 0)
+               for counter in ("hits", "misses", "prefetch_issued",
+                               "prefetch_used", "prefetch_wasted",
+                               "invalidations")},
+            # both passes byte-identical to the off arm
+            "content_ok": (cold_data == baseline_data
+                           and repeat_data == baseline_data),
+        })
     return runs
 
 
@@ -795,12 +793,16 @@ def run_traffic_experiment(
     skew: float = 1.1,
     admission_params: Optional[Dict[str, object]] = None,
     obs: bool = False,
-) -> TrafficRun:
+) -> dict:
     """One open-loop traffic run: build, drive, account (S21 headline).
 
     The ``open-loop`` fabric's fast disks leave the Bridge Server's
     serial per-request CPU as the bottleneck — saturation is a *server*
-    phenomenon, which is what admission control protects.
+    phenomenon, which is what admission control protects.  The row
+    carries the :class:`~repro.traffic.SLORecorder` outcome counts and
+    per-class latencies, ``admission`` (the per-class server-side
+    outcome counters, ``None`` for the no-policy arm), and the measured
+    queue wait beside its M/M/1 and M/D/1 predictions.
     """
     fabric = _OpenLoopFabric(
         files, blocks, skew, mix, policy, admission_params,
@@ -846,34 +848,35 @@ def run_traffic_experiment(
         predicted_mm1 = 0.0
         predicted_md1 = 0.0
 
-    return TrafficRun(
-        policy=policy or "none",
-        p=p,
-        servers=servers,
-        offered_rate=rate,
-        duration=duration,
-        arrival_kind=arrival_kind,
-        offered=generator.spawned,
-        # Goodput and rates are measured over the *service window* —
-        # arrivals plus the post-source drain — so an unprotected run
-        # that queues half its work past the driving window cannot
-        # report goodput above the server's physical capacity.
-        summary=recorder.summary(window),
-        admission=system.admission_counters(),
-        served_rate=served_rate,
-        service_rate=service_rate,
-        server_utilization=max(
+    # Goodput and rates are measured over the *service window* —
+    # arrivals plus the post-source drain — so an unprotected run that
+    # queues half its work past the driving window cannot report goodput
+    # above the server's physical capacity.
+    summary = recorder.summary(window)
+    return {
+        "policy": policy or "none",
+        "offered_rate": rate,
+        "arrival_kind": arrival_kind,
+        "arrivals": generator.spawned,
+        **{key: summary[key]
+           for key in ("goodput", "completed", "throttled", "shed",
+                       "abandoned", "failed")},
+        # the busiest partition's busy fraction
+        "server_utilization": max(
             (seconds / window if window > 0 else 0.0 for seconds in busy),
             default=0.0,
         ),
-        queue_wait_mean=wait_mean,
-        queue_wait_p99=wait_p99,
-        queue_peak_depth=max((q.peak_depth for q in queues), default=0),
-        predicted_wait_mm1=predicted_mm1,
-        predicted_wait_md1=predicted_md1,
-        makespan=system.sim.now,
-        events=system.sim.events_executed,
-    )
+        "service_rate": service_rate,
+        "queue_wait_mean": wait_mean,
+        "queue_wait_p99": wait_p99,
+        "queue_peak_depth": max((q.peak_depth for q in queues), default=0),
+        "predicted_wait_mm1": predicted_mm1,
+        "predicted_wait_md1": predicted_md1,
+        "makespan": system.sim.now,  # source window + drain
+        "events": system.sim.events_executed,
+        "classes": summary["classes"],
+        "admission": system.admission_counters(),
+    }
 
 
 def run_elastic_experiment(
@@ -893,14 +896,16 @@ def run_elastic_experiment(
     policy: str = "none",
     admission_params: Optional[Dict[str, object]] = None,
     obs: bool = False,
-) -> ElasticRun:
+) -> dict:
     """One resize-under-load run: steady / resize-under-traffic / steady.
 
     Three equal arrival windows drive the same catalog with independent
     SLO recorders; the fabric resize (grow or shrink, by consistent-hash
     ring + live migration) is spawned at the start of the middle window,
-    so its summary *is* the during-migration latency distribution.
-    After the final window quiesces, :func:`fabric_safety_oracle` runs.
+    so its summary *is* the during-migration latency distribution
+    (``phases`` maps each window to its summary).  After the final
+    window quiesces, :func:`fabric_safety_oracle` runs and its verdict
+    joins the row.
     """
     if provisioned is None:
         provisioned = max(start_servers, end_servers)
@@ -939,27 +944,25 @@ def run_elastic_experiment(
     }
     report = report_box["report"]
 
-    return ElasticRun(
-        direction=report.direction,
-        p=p,
-        start_servers=start_servers,
-        end_servers=end_servers,
-        provisioned=provisioned,
-        offered_rate=rate,
-        phase_duration=duration,
-        files=files,
-        planned=report.planned,
-        moved=report.moved,
-        vanished=report.vanished,
-        forwarded=report.forwarded,
-        disruption=report.plan.disruption,
-        migration_seconds=report.duration,
-        moves_per_second=moves_per_second,
-        phases=phases,
+    return {
+        "direction": report.direction,
+        "start_servers": start_servers,
+        "end_servers": end_servers,
+        "provisioned": provisioned,
+        "planned_moves": report.planned,
+        "moved": report.moved,
+        "vanished": report.vanished,
+        "forwarded": report.forwarded,  # redirected by the double read
+        "disruption": report.plan.disruption,  # planned moves / namespace
+        "migration_seconds": report.duration,  # ring flip -> window retired
         **fabric_safety_oracle(system, list(fabric.catalog.names)),
-        makespan=system.sim.now,
-        events=system.sim.events_executed,
-    )
+        "read_p99_ms": {
+            phase: float(summary["classes"]["read"]["p99"]) * 1e3
+            for phase, summary in phases.items()
+        },
+        "phases": phases,
+        "makespan": system.sim.now,
+    }
 
 
 def fabric_safety_oracle(system, names: List[str]) -> Dict[str, object]:
@@ -1027,7 +1030,7 @@ def run_rebalance_experiment(
     active: bool = True,
     rebalance_config: Optional[Dict[str, object]] = None,
     obs: bool = False,
-) -> RebalanceRun:
+) -> dict:
     """One S24 arm: a Zipf-skewed S21 mix with the rebalancer on or off.
 
     Both arms install the heat map and run the control loop; with
@@ -1038,7 +1041,12 @@ def run_rebalance_experiment(
     is deliberately steep: the point is a fabric whose hash placement is
     busy-unbalanced so the rebalancer has heat to move.  After traffic
     and the control loop drain, :func:`fabric_safety_oracle` must come
-    back clean across however many sweeps acted.
+    back clean across however many sweeps acted; its verdict joins the
+    row.  ``sweeps`` is the control loop's decision log (one
+    :class:`~repro.elastic.SweepRecord` dict per sweep) and
+    ``busy_fractions`` the per-partition busy shares of the service
+    window, whose hot-minus-cold ``utilization_spread`` is the E25
+    headline.
     """
     fabric = _OpenLoopFabric(
         files, blocks, skew, mix,
@@ -1071,34 +1079,38 @@ def run_rebalance_experiment(
     ][:servers]
 
     oracle = fabric_safety_oracle(system, names)
-    return RebalanceRun(
-        active=active and not rebalancer.config.watch_only,
-        servers=servers,
-        p=p,
-        offered_rate=rate,
-        duration=duration,
-        files=files,
-        skew=skew,
-        sweeps=[record.to_dict() for record in rebalancer.records],
-        actions=rebalancer.actions,
-        moves=rebalancer.moves_applied,
-        arcs_shed=sum(len(r.shed) for r in rebalancer.records
-                      if r.action == "rebalance"),
-        busy_fractions=busy_fractions,
-        final_imbalance=system.heat.imbalance(system.sim.now,
-                                              active=servers),
-        route_bound_static=fabric_speedup_bound(
+    sweeps = [record.to_dict() for record in rebalancer.records]
+    summary = recorder.summary(window)
+    return {
+        "active": active and not rebalancer.config.watch_only,
+        "sweeps": sweeps,
+        "actions": rebalancer.actions,  # sweeps that applied a new ring
+        "moves": rebalancer.moves_applied,
+        "arcs_shed": sum(len(r.shed) for r in rebalancer.records
+                         if r.action == "rebalance"),
+        "busy_fractions": busy_fractions,
+        "utilization_spread": max(busy_fractions) - min(busy_fractions),
+        # heat-map peak/mean at drain time
+        "final_imbalance": system.heat.imbalance(system.sim.now,
+                                                 active=servers),
+        # popularity-weighted, initial and final ring
+        "route_bound_static": fabric_speedup_bound(
             names, servers, requests=popularity, ring=initial_ring
         ),
-        route_bound_final=fabric_speedup_bound(
+        "route_bound_final": fabric_speedup_bound(
             names, servers, requests=popularity, ring=system.fabric.ring
         ),
-        summary=recorder.summary(window),
-        heat=system.heat.snapshot(system.sim.now),
+        "goodput": float(summary["goodput"]),
+        "read_p99_ms": float(summary["classes"]["read"]["p99"]) * 1e3,
+        # cumulative read p99 sweep by sweep (0.0 before any completion)
+        "read_p99_trajectory_ms": [
+            float(sweep["p99"].get("read", 0.0)) * 1e3 for sweep in sweeps
+        ],
+        "summary": summary,
         **oracle,
-        makespan=system.sim.now,
-        events=system.sim.events_executed,
-    )
+        "makespan": system.sim.now,
+        "heat": system.heat.snapshot(system.sim.now),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -1111,9 +1123,8 @@ def run_storage_driver_experiment(
     blocks: Optional[int] = None,
     seed: int = 0,
     storage=None,
-    label: Optional[str] = None,
     heat_window: float = 240.0,
-) -> StorageDriverRun:
+) -> dict:
     """E26: one storage fabric under the standard build + contended read.
 
     ``storage`` is the ``BridgeSystem(storage=...)`` keyword — one
@@ -1160,28 +1171,45 @@ def run_storage_driver_experiment(
     busy_marks = [disk.busy_time for disk in system.disks]
     read_seconds = _parallel_read(system, "driven", blocks, 2 * p)
 
-    driver_kinds = [type(disk).kind for disk in system.disks]
-    return StorageDriverRun(
-        label=label or "+".join(sorted(set(driver_kinds))),
-        p=p,
-        blocks=blocks,
-        storage=list(system.spec.storage),
-        driver_kinds=driver_kinds,
-        build_seconds=build_seconds,
-        read_seconds=read_seconds,
-        node_read_ops=[disk.total_operations - mark
-                       for disk, mark in zip(system.disks, ops_marks)],
-        node_read_busy=[disk.busy_time - mark
-                        for disk, mark in zip(system.disks, busy_marks)],
-        node_wait_ms_mean=[disk.wait_times.mean * 1000.0
-                           for disk in system.disks],
-        node_wait_ms_max=[
+    node_read_busy = [disk.busy_time - mark
+                      for disk, mark in zip(system.disks, busy_marks)]
+    heat_busy_rates = heat.partition_rates(sim.now)
+    heat_total = sum(heat_busy_rates)
+    heat_busy_shares = [
+        rate / heat_total if heat_total > 0 else 0.0
+        for rate in heat_busy_rates
+    ]
+    return {
+        "p": p,
+        "blocks": blocks,
+        "storage": list(system.spec.storage),
+        "driver_kinds": [type(disk).kind for disk in system.disks],
+        "build_seconds": build_seconds,
+        "read_seconds": read_seconds,
+        "read_blocks_per_second":
+            blocks / read_seconds if read_seconds > 0 else 0.0,
+        "node_read_ops": [disk.total_operations - mark
+                          for disk, mark in zip(system.disks, ops_marks)],
+        "node_read_busy": node_read_busy,
+        # busy fraction of the read window per slot (an object-store
+        # slot can exceed 1.0: overlapping in-flight transfers)
+        "node_busy_fractions": [
+            busy / read_seconds if read_seconds > 0 else 0.0
+            for busy in node_read_busy
+        ],
+        "node_wait_ms_mean": [disk.wait_times.mean * 1000.0
+                              for disk in system.disks],
+        "node_wait_ms_max": [
             (disk.wait_times.max if disk.wait_times.count else 0.0) * 1000.0
             for disk in system.disks
         ],
-        node_service_ms_mean=[disk.service_times.mean * 1000.0
-                              for disk in system.disks],
-        heat_busy_rates=heat.partition_rates(sim.now),
-        makespan=sim.now,
-        events=sim.events_executed,
-    )
+        "node_service_ms_mean": [disk.service_times.mean * 1000.0
+                                 for disk in system.disks],
+        # each slot's share of the fabric's attributed busy time: the
+        # window-independent headline of the heterogeneous arm
+        "heat_busy_rates": heat_busy_rates,
+        "heat_busy_shares": heat_busy_shares,
+        "hottest_slot": heat_busy_shares.index(max(heat_busy_shares)),
+        "makespan": sim.now,
+        "events": sim.events_executed,
+    }

@@ -35,20 +35,16 @@ class OneRound:
 def toy_bench(scaffold, calls):
     def sweep(quick):
         calls.append(("sweep", quick))
-        return 3
+        return {"value": 3}
 
-    def check(results):
-        calls.append(("check", results))
-        assert results == 3
+    def check(document):
+        calls.append(("check", document))
+        assert document["value"] == 3
 
-    def payload(results):
-        calls.append(("payload", results))
-        return {"value": results}
-
-    return scaffold.Bench("toy", sweep, check, payload)
+    return scaffold.Bench("toy", sweep, check)
 
 
-FULL_ORDER = [("sweep", False), ("check", 3), ("payload", 3)]
+FULL_ORDER = [("sweep", False), ("check", {"value": 3})]
 
 
 def test_pytest_entry_runs_the_stages_in_order_and_writes(scaffold, tmp_path,
@@ -74,7 +70,7 @@ def test_script_entry_runs_the_stages_in_order_and_writes(scaffold, tmp_path,
 def test_quick_mode_writes_nothing(scaffold, tmp_path, capsys):
     calls = []
     toy_bench(scaffold, calls).main(["--quick"])
-    assert calls == [("sweep", True), ("check", 3), ("payload", 3)]
+    assert calls == [("sweep", True), ("check", {"value": 3})]
     out = capsys.readouterr().out
     assert "value: 3" in out and "(quick mode)" in out
     assert list(tmp_path.iterdir()) == []
@@ -82,8 +78,7 @@ def test_quick_mode_writes_nothing(scaffold, tmp_path, capsys):
 
 def test_failed_check_writes_nothing(scaffold, tmp_path):
     bench = toy_bench(scaffold, [])
-    failing = scaffold.Bench("toy", lambda quick: 4, bench.check,
-                             bench.payload)
+    failing = scaffold.Bench("toy", lambda quick: {"value": 4}, bench.check)
     with pytest.raises(AssertionError):
         failing.main([])
     assert list(tmp_path.iterdir()) == []
@@ -92,7 +87,7 @@ def test_failed_check_writes_nothing(scaffold, tmp_path):
 def test_bench_without_payload_prints_its_sweep_and_writes_nothing(
         scaffold, tmp_path, capsys):
     bench = scaffold.Bench("host", lambda quick: {"host_s": 0.25},
-                           lambda results: None)
+                           lambda document: None, writes=False)
     bench.main([])
     assert "host_s: 0.25" in capsys.readouterr().out
     assert list(tmp_path.iterdir()) == []
@@ -102,7 +97,7 @@ def test_registry_matches_the_committed_json_files(scaffold):
     benches = scaffold.load_benches()
     names = [bench.name for bench in benches]
     assert len(names) == len(set(names))
-    with_json = {bench.name for bench in benches if bench.payload is not None}
+    with_json = {bench.name for bench in benches if bench.writes}
     committed = {path.stem[len("BENCH_"):] for path in REPO.glob("BENCH_*.json")}
     assert with_json == committed
     # bench_kernel.py's host-clock floors keep their own main; every
@@ -110,6 +105,46 @@ def test_registry_matches_the_committed_json_files(scaffold):
     declaring = {bench.sweep.__module__ for bench in benches}
     scripts = {path.stem for path in (REPO / "benchmarks").glob("bench_*.py")}
     assert scripts - declaring == {"bench_kernel"}
+
+
+def recording(runner, seen, key):
+    """``runner``, noting the ``key`` argument of every call in ``seen``."""
+    def run(*args, **kwargs):
+        seen.append(kwargs[key])
+        return runner(*args, **kwargs)
+
+    return run
+
+
+def test_quick_documents_state_what_the_arms_ran(scaffold, monkeypatch):
+    """``--quick`` documents carry the name count and durations their
+    arms ran, not the full sweep's; and the rebalance check's short-run
+    guard reads the document's ``duration``."""
+    ran = {}
+    for bench, runner, key, top in (
+            ("bench_ablation_metadata", "run_metadata_experiment", "names",
+             "names"),
+            ("bench_ablation_elastic", "run_elastic_experiment", "duration",
+             "phase_duration"),
+            ("bench_ablation_rebalance", "run_rebalance_experiment",
+             "duration", "duration")):
+        module = importlib.import_module(bench)
+        seen = []
+        monkeypatch.setattr(module, runner,
+                            recording(getattr(module, runner), seen, key))
+        document = module.sweep(True)
+        assert seen and set(seen) == {document[top]}, (bench, seen,
+                                                        document[top])
+        ran[bench] = module, document
+    rebalance, document = ran["bench_ablation_rebalance"]
+    assert document["duration"] < rebalance.DURATION
+    # A rebalance arm that lost goodput passes the short run's check and
+    # fails the full-duration headline the guard skips.
+    document["arms"]["rebalance"]["goodput"] = 0.0
+    rebalance.check(document)
+    document["duration"] = rebalance.DURATION
+    with pytest.raises(AssertionError):
+        rebalance.check(document)
 
 
 # ---------------------------------------------------------------------------

@@ -34,18 +34,18 @@ def test_table2_shapes():
     m2 = measure_table2(2, file_blocks=128)
     m8 = measure_table2(8, file_blocks=128)
     # Open roughly constant in p (within 2x of the paper's 80 ms)
-    assert 0.5 * table2_open_ms() < m2.open_ms < 2.0 * table2_open_ms()
-    assert abs(m8.open_ms - m2.open_ms) < 30.0
+    assert 0.5 * table2_open_ms() < m2["open_ms"] < 2.0 * table2_open_ms()
+    assert abs(m8["open_ms"] - m2["open_ms"]) < 30.0
     # Read beats raw disk latency and sits near 9 ms
-    assert 4.0 < m2.read_ms_per_block < 15.0
+    assert 4.0 < m2["read_ms_per_block"] < 15.0
     # Write near 31 ms, independent of p
-    assert 25.0 < m2.write_ms_per_block < 45.0
-    assert abs(m8.write_ms_per_block - m2.write_ms_per_block) < 5.0
+    assert 25.0 < m2["write_ms_per_block"] < 45.0
+    assert abs(m8["write_ms_per_block"] - m2["write_ms_per_block"]) < 5.0
     # Create grows with p
-    assert m8.create_ms > m2.create_ms + 6 * 10.0
+    assert m8["create_ms"] > m2["create_ms"] + 6 * 10.0
     # Delete ~20 ms per block per LFS, parallel across LFS
-    assert 14.0 < m2.delete_ms_per_block_per_lfs < 28.0
-    assert m8.delete_ms_total < m2.delete_ms_total
+    assert 14.0 < m2["delete_ms_per_block_per_lfs"] < 28.0
+    assert m8["delete_ms_total"] < m2["delete_ms_total"]
 
 
 def test_table2_paper_formulas_sanity():
@@ -62,10 +62,10 @@ def test_table2_paper_formulas_sanity():
 
 def test_copy_experiment_speedup_shape():
     runs = {p: run_copy_experiment(p, blocks=256) for p in (2, 4, 8)}
-    assert runs[2].elapsed / runs[4].elapsed > 1.7
-    assert runs[4].elapsed / runs[8].elapsed > 1.6
-    assert runs[8].records_per_second > runs[2].records_per_second * 3
-    assert runs[2].paper_seconds == 311.6
+    assert runs[2]["copy_seconds"] / runs[4]["copy_seconds"] > 1.7
+    assert runs[4]["copy_seconds"] / runs[8]["copy_seconds"] > 1.6
+    assert runs[8]["records_per_second"] > runs[2]["records_per_second"] * 3
+    assert runs[2]["paper_seconds"] == 311.6
 
 
 # ---------------------------------------------------------------------------
@@ -82,14 +82,15 @@ def test_sort_experiment_phases_and_shape():
         for p in (2, 4, 8)
     }
     for run in runs.values():
-        assert run.total_seconds >= run.local_sort_seconds + run.merge_seconds - 1e-6
+        assert (run["total_seconds"]
+                >= run["local_sort_seconds"] + run["merge_seconds"] - 1e-6)
     # local phase superlinear: each doubling of p gains more than 2x
-    assert runs[2].local_sort_seconds / runs[4].local_sort_seconds > 2.0
-    assert runs[4].local_sort_seconds / runs[8].local_sort_seconds > 2.0
+    assert runs[2]["local_sort_seconds"] / runs[4]["local_sort_seconds"] > 2.0
+    assert runs[4]["local_sort_seconds"] / runs[8]["local_sort_seconds"] > 2.0
     # merge phase improves, but far less than linearly
-    assert runs[2].merge_seconds > runs[8].merge_seconds
-    assert runs[2].merge_seconds / runs[8].merge_seconds < 4.0
-    assert runs[2].paper_minutes == (350.0, 17.0, 367.0)
+    assert runs[2]["merge_seconds"] > runs[8]["merge_seconds"]
+    assert runs[2]["merge_seconds"] / runs[8]["merge_seconds"] < 4.0
+    assert runs[2]["paper_minutes"] == (350.0, 17.0, 367.0)
 
 
 # ---------------------------------------------------------------------------
@@ -102,12 +103,12 @@ def test_views_ordering_butterfly():
     tool and parallel-open are comparable — the tool's edge is avoiding
     server indirection, 'a modest performance benefit' (section 6)."""
     run = run_views_experiment(4, blocks=64)
-    assert run.tool_seconds < run.naive_seconds
-    assert run.parallel_open_seconds < run.naive_seconds
-    assert run.tool_seconds < run.parallel_open_seconds * 2.0
+    assert run["tool_seconds"] < run["naive_seconds"]
+    assert run["parallel_open_seconds"] < run["naive_seconds"]
+    assert run["tool_seconds"] < run["parallel_open_seconds"] * 2.0
     # virtual parallelism (t=2p) moves twice the blocks per round but the
     # extra width is simulated: nowhere near a 2x speedup
-    assert run.virtual_parallel_seconds > run.parallel_open_seconds * 0.6
+    assert run["virtual_parallel_seconds"] > run["parallel_open_seconds"] * 0.6
 
 
 def test_views_tool_wins_big_on_ethernet():
@@ -115,8 +116,8 @@ def test_views_tool_wins_big_on_ethernet():
     aggregate I/O bandwidth (a broadcast network), exporting code to the
     data is the only view that keeps scaling — blocks never cross the bus."""
     run = run_views_experiment(16, blocks=256, network="ethernet")
-    assert run.tool_seconds < run.parallel_open_seconds * 0.7
-    assert run.tool_seconds < run.naive_seconds * 0.7
+    assert run["tool_seconds"] < run["parallel_open_seconds"] * 0.7
+    assert run["tool_seconds"] < run["naive_seconds"] * 0.7
 
 
 # ---------------------------------------------------------------------------
@@ -128,8 +129,8 @@ def test_striping_comparison_ordering():
     run = run_striping_comparison(4, blocks=128)
     # Striping beats one disk; the Bridge tool beats both on a copy-scale
     # workload (reads AND writes stay local).
-    assert run.striped_seconds < run.sequential_seconds
-    assert run.bridge_tool_seconds < run.sequential_seconds
+    assert run["striped_seconds"] < run["sequential_seconds"]
+    assert run["bridge_tool_seconds"] < run["sequential_seconds"]
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +141,7 @@ def test_striping_comparison_ordering():
 def test_token_saturation_rate_improves_then_flattens():
     slow = run_token_saturation(2, records=96)
     fast = run_token_saturation(8, records=96)
-    assert fast.records_per_second > slow.records_per_second * 1.5
+    assert fast["records_per_second"] > slow["records_per_second"] * 1.5
 
 
 def test_token_saturation_validates_width():
@@ -157,7 +158,7 @@ def test_token_saturation_validates_width():
 
 def test_create_tree_wins_at_scale():
     run = run_create_tree_experiment(16)
-    assert run.tree_ms < run.sequential_ms
+    assert run["tree_ms"] < run["sequential_ms"]
 
 
 # ---------------------------------------------------------------------------
@@ -171,10 +172,10 @@ def test_faults_experiment_outcomes():
     at 2x storage; parity survives and rebuilds to a clean image."""
     runs = {scheme: run_redundancy_experiment(scheme, p=4, blocks=8)
             for scheme in ("none", "mirror", "parity")}
-    assert not runs["none"].survived
+    assert not runs["none"]["survived"]
     mirror = runs["mirror"]
-    assert mirror.survived and mirror.content_ok
-    assert mirror.degraded_reconstructions == 2
-    assert mirror.storage_factor == 2.0
-    assert runs["parity"].rebuild_seconds > 0
-    assert runs["parity"].fsck_clean
+    assert mirror["survived"] and mirror["content_ok"]
+    assert mirror["degraded_reconstructions"] == 2
+    assert mirror["storage_factor"] == 2.0
+    assert runs["parity"]["rebuild_seconds"] > 0
+    assert runs["parity"]["fsck_clean"]

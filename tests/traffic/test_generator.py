@@ -15,7 +15,6 @@ Covers the subsystem's three load-bearing guarantees:
   at the Bridge, so M/D/1 is the exact model and M/M/1 the upper bound).
 """
 
-import dataclasses
 import re
 
 import pytest
@@ -71,17 +70,17 @@ def test_distinct_seeds_distinct_arrival_orders():
 
 
 def test_same_seed_identical_experiment_rows():
-    """The whole TrafficRun — the bench's JSON row source — replays
-    byte-identically, including the simulated event count."""
+    """The whole BENCH row replays byte-identically, including the
+    simulated event count."""
     first = run_traffic_experiment(rate=80, duration=1.0, policy="fair",
                                    seed=21)
     second = run_traffic_experiment(rate=80, duration=1.0, policy="fair",
                                     seed=21)
-    assert dataclasses.asdict(first) == dataclasses.asdict(second)
-    assert first.events == second.events
+    assert first == second
+    assert first["events"] == second["events"]
     third = run_traffic_experiment(rate=80, duration=1.0, policy="fair",
                                    seed=22)
-    assert dataclasses.asdict(third) != dataclasses.asdict(first)
+    assert third != first
 
 
 def test_executors_draw_no_randomness():
@@ -234,13 +233,13 @@ def test_shed_refusals_skip_expensive_server_work():
     server."""
     run = run_traffic_experiment(rate=240, duration=1.0, policy="bounded",
                                  admission_params={"depth": 4}, seed=13)
-    assert run.summary["shed"] > 0
+    assert run["shed"] > 0
     # Shed latency is dominated by queue residence, never by service:
     # with depth 4 and ~ms service, refusals come back well under a
     # second even at 3x overload.
-    shed_events = run.summary["shed"]
-    assert run.admission is not None
-    assert sum(run.admission["shed"].values()) == shed_events
+    shed_events = run["shed"]
+    assert run["admission"] is not None
+    assert sum(run["admission"]["shed"].values()) == shed_events
 
 
 # ---------------------------------------------------------------------------
@@ -258,16 +257,16 @@ def test_md1_predicts_measured_queue_wait():
     loaded = run_traffic_experiment(rate=450, duration=3.0, policy="fifo",
                                     mix={"read": 1.0}, seed=5)
     # The service rate is the deterministic per-request CPU: 1 ms.
-    assert loaded.service_rate == pytest.approx(1000.0, rel=0.01)
-    assert 0.35 < loaded.server_utilization < 0.55
+    assert loaded["service_rate"] == pytest.approx(1000.0, rel=0.01)
+    assert 0.35 < loaded["server_utilization"] < 0.55
 
-    transit = baseline.queue_wait_mean  # ~network hop, no queueing
-    measured = loaded.queue_wait_mean - transit
-    lam = loaded.server_utilization * loaded.service_rate
-    md1 = md1_wait_seconds(lam, loaded.service_rate)
-    mm1 = mm1_wait_seconds(lam, loaded.service_rate)
+    transit = baseline["queue_wait_mean"]  # ~network hop, no queueing
+    measured = loaded["queue_wait_mean"] - transit
+    lam = loaded["server_utilization"] * loaded["service_rate"]
+    md1 = md1_wait_seconds(lam, loaded["service_rate"])
+    mm1 = mm1_wait_seconds(lam, loaded["service_rate"])
     assert measured == pytest.approx(md1, rel=0.25)
     assert mm1 == pytest.approx(2.0 * md1, rel=1e-9)
     assert measured < mm1
     # The runner's own prediction fields agree with the direct math.
-    assert loaded.predicted_wait_md1 == pytest.approx(md1, rel=0.05)
+    assert loaded["predicted_wait_md1"] == pytest.approx(md1, rel=0.05)
