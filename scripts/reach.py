@@ -16,7 +16,8 @@ It prints, per file and per function, the executable lines
 (``code.co_lines()``), how many the product ran, how many only the
 tests ran and how many nothing ran, plus how often the function's name
 occurs outside ``tests/`` (its definition and ``__init__`` re-exports
-not counted).  The rule applied to the list: a function the product
+not counted), and last, per function, the line ranges nothing runs
+(with ``--tests``, neither the product nor tier-1).  The rule applied to the list: a function the product
 never enters is deleted, unless it is a test seam, safety code, or a
 reference a test compares against; a later workload that needs it
 re-adds it.
@@ -208,6 +209,21 @@ def reference_counts(names):
     return counts
 
 
+def _ranges(lines, unrun):
+    """``"12-14, 20"``: the runs of ``unrun`` among the sorted executable
+    ``lines`` (a run is broken only by an executable line that ran)."""
+    spans = []
+    for line in lines:
+        if line not in unrun:
+            spans.append(None)
+        elif spans and spans[-1] is not None:
+            spans[-1][1] = line
+        else:
+            spans.append([line, line])
+    return ", ".join(f"{a}-{b}" if a != b else str(a)
+                     for a, b in filter(None, spans))
+
+
 def report(product, tests, out):
     """Write the report; returns ``(cold, unreached)``: the functions the
     product never enters, and those nothing enters other than
@@ -225,6 +241,7 @@ def report(product, tests, out):
         for qualname, first, name, body in functions:
             executable |= body
             key = (real, first, name)
+            unrun = body - by_product - by_tests
             rows.append({
                 "file": str(path.relative_to(PACKAGE)), "line": first,
                 "qualname": qualname, "name": name, "body": len(body),
@@ -232,6 +249,7 @@ def report(product, tests, out):
                 "tests": key in test_entered,
                 "body_product": len(body & by_product),
                 "body_tests_only": len(body & by_tests - by_product),
+                "unrun": _ranges(sorted(body), unrun),
             })
         files.append((str(path.relative_to(PACKAGE)), len(executable),
                       len(executable & by_product),
@@ -261,6 +279,11 @@ def report(product, tests, out):
         print(f"  {row['file']}:{row['line']} {row['qualname']:<44}"
               f"{row['body']:>4}{row['body_tests_only']:>4}  {who:<8}"
               f"{references[row['name']]:>3}", file=out)
+    print("\nlines nothing runs, per function", file=out)
+    for row in rows:
+        if row["unrun"]:
+            print(f"  {row['file']}:{row['line']} {row['qualname']:<44}"
+                  f"{row['unrun']}", file=out)
     return cold, [row for row in dead if row["name"] != "__repr__"]
 
 

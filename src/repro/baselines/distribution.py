@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 import zlib
-from typing import List
 
 # ---------------------------------------------------------------------------
 # Placements

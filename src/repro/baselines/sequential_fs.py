@@ -92,11 +92,3 @@ class SequentialSystem:
             )
 
         return self.run(body(), name="seq-copy")
-
-    def read_file(self, number: int) -> List[bytes]:
-        client = self.client()
-
-        def body():
-            return (yield from client.read_file(number))
-
-        return self.run(body(), name="seq-read")

@@ -14,7 +14,6 @@ node's link to the client — the two serialization points Bridge removes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.config import BLOCK_SIZE, DEFAULT_CONFIG, SystemConfig

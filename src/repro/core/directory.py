@@ -157,6 +157,3 @@ class BridgeDirectory:
 
     def names(self) -> List[str]:
         return sorted(self._entries)
-
-    def __len__(self) -> int:
-        return len(self._entries)

@@ -14,7 +14,6 @@ from repro.efs.layout import (
     NULL_ADDR,
     BridgeHeader,
     EFSHeader,
-    is_efs_block,
     pack_block,
     unpack_block,
     unpack_header,
@@ -38,7 +37,6 @@ __all__ = [
     "NULL_ADDR",
     "ReadResult",
     "WriteResult",
-    "is_efs_block",
     "pack_block",
     "unpack_block",
     "unpack_header",

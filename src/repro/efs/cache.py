@@ -181,24 +181,12 @@ class BlockCache:
     def evictions(self) -> int:
         return self._evictions.value
 
-    @property
-    def writebacks(self) -> int:
-        return self._writebacks.value
-
     def bind_metrics(self, registry, prefix: str = "efs.cache") -> None:
         """Adopt this cache's live counters into a MetricsRegistry."""
         registry.adopt(f"{prefix}.hit", self._hits)
         registry.adopt(f"{prefix}.miss", self._misses)
         registry.adopt(f"{prefix}.eviction", self._evictions)
         registry.adopt(f"{prefix}.writeback", self._writebacks)
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def __len__(self) -> int:
-        return len(self._entries)
 
     # ------------------------------------------------------------------
 

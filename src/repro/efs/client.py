@@ -79,22 +79,6 @@ class EFSClient:
             hint=hint,
         )
 
-    def write_blocks(self, file_number: int, writes, hint=None):
-        """Batched list-I/O write of ``(block_number, data)`` pairs.
-
-        Returns a :class:`~repro.efs.messages.BatchWriteResult`.  The
-        request is charged the full payload size on the wire.
-        """
-        writes = list(writes)
-        return self._rpc.call(
-            self.port,
-            "write_blocks",
-            size=BLOCK_SIZE * len(writes),
-            file_number=file_number,
-            writes=writes,
-            hint=hint,
-        )
-
     def append(self, file_number: int, data: bytes):
         """Returns a :class:`~repro.efs.messages.WriteResult`."""
         return self._rpc.call(
@@ -108,12 +92,6 @@ class EFSClient:
     def info(self, file_number: int):
         """Returns a :class:`~repro.efs.messages.FileInfo`."""
         return self._rpc.call(self.port, "info", file_number=file_number)
-
-    def exists(self, file_number: int):
-        return self._rpc.call(self.port, "exists", file_number=file_number)
-
-    def list_files(self):
-        return self._rpc.call(self.port, "list_files")
 
     def flush(self):
         return self._rpc.call(self.port, "flush")

@@ -145,10 +145,6 @@ class Directory:
                 return DirectoryEntry(*fields)
         raise EFSFileNotFoundError(f"EFS file {file_number} not found")
 
-    def exists(self, file_number: int):
-        slots = self._slots((yield from self._fetch(self.bucket_of(file_number))))
-        return _slot_of(slots, file_number) >= 0
-
     def insert(self, entry: DirectoryEntry):
         """Add a new entry; the file number must be free."""
         if entry.file_number < 0:
@@ -182,14 +178,6 @@ class Directory:
         if len(remaining) == len(slots):
             raise EFSFileNotFoundError(f"EFS file {file_number} not found")
         yield from self._store(bucket, remaining)
-
-    def list_files(self):
-        """All file numbers on this LFS (a full directory scan)."""
-        numbers = []
-        for bucket in range(BUCKET_COUNT):
-            slots = self._slots((yield from self._fetch(bucket)))
-            numbers.extend(fields[0] for fields in slots)
-        return sorted(numbers)
 
     # ------------------------------------------------------------------
 

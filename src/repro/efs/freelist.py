@@ -17,8 +17,7 @@ integers, not a 65 536-element set.
 from __future__ import annotations
 
 import heapq
-from itertools import chain
-from typing import Iterator, List, Set
+from typing import List, Set
 
 from repro.errors import EFSOutOfSpaceError
 
@@ -61,23 +60,12 @@ class FreeList:
 
     # ------------------------------------------------------------------
 
-    @property
-    def free_count(self) -> int:
-        return (self.capacity - self._frontier) + len(self._holes)
-
-    @property
-    def allocated_count(self) -> int:
-        return (self._frontier - self.start) - len(self._holes)
-
     def is_free(self, address: int) -> bool:
         return (
             self._frontier <= address < self.capacity
             or address in self._hole_set
         )
 
-    def iter_free(self) -> Iterator[int]:
-        """Free addresses in ascending order."""
-        return chain(sorted(self._holes), range(self._frontier, self.capacity))
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"FreeList({self.allocated_count} used / {self.capacity - self.start})"
+        used = self._frontier - self.start - len(self._holes)
+        return f"FreeList({used} used / {self.capacity - self.start})"

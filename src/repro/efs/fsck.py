@@ -22,7 +22,7 @@ tests can use it as an oracle after arbitrary workloads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Dict, List
 
 from repro.efs.directory import BUCKET_COUNT, bucket_entries
 from repro.efs.layout import NULL_ADDR, unpack_block

@@ -125,11 +125,3 @@ def unpack_block(raw: bytes) -> Tuple[EFSHeader, BridgeHeader, bytes]:
     # tuple.__new__ is what ``_make`` runs, minus its Python frame
     return (tuple.__new__(EFSHeader, fields[:4]),
             tuple.__new__(BridgeHeader, fields[5:]), raw[DATA_OFFSET:])
-
-
-def is_efs_block(raw: bytes) -> bool:
-    """Cheap validity probe used when verifying hints."""
-    if len(raw) != BLOCK_SIZE:
-        return False
-    (magic,) = struct.unpack_from("<I", raw, EFS_HEADER_SIZE - 4)
-    return magic == EFS_MAGIC

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 
 from repro.efs.layout import NULL_ADDR
 
@@ -53,10 +53,6 @@ class BatchReadResult:
     runs: int = 0
     hint_hits: int = 0
 
-    @property
-    def data(self) -> List[bytes]:
-        return [result.data for result in self.results]
-
 
 @dataclass
 class BatchWriteResult:
@@ -78,7 +74,3 @@ class FileInfo:
     global_file_id: int = 0
     width: int = 1
     column: int = 0
-
-    @property
-    def empty(self) -> bool:
-        return self.size_blocks == 0

@@ -336,14 +336,6 @@ class EFSServer(Server):
             column=entry.column,
         )
 
-    def op_exists(self, file_number):
-        yield self._request_charge
-        return (yield from self.directory.exists(file_number))
-
-    def op_list_files(self):
-        yield self._request_charge
-        return (yield from self.directory.list_files())
-
     def op_flush(self):
         """Write back all dirty cached blocks (used at quiesce points)."""
         yield from self.cache.flush()

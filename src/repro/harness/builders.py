@@ -13,7 +13,6 @@ from typing import List, Optional
 
 from repro.core import (
     BridgeServer,
-    JobController,
     LFSHandle,
     PartitionedBridge,
     PartitionedClient,
@@ -181,11 +180,6 @@ class BridgeSystem:
     def partitioned_client(self, node=None) -> PartitionedClient:
         """A client routing by name across all Bridge Server partitions."""
         return PartitionedClient(node or self.client_node, self.fabric)
-
-    def job_controller(self, node=None, name: str = "controller") -> JobController:
-        """A parallel-view controller; partition-routed on a fabric."""
-        return JobController(node or self.client_node, self.server_target(),
-                             name=name)
 
     def server_target(self):
         """What to hand anything that takes a ``server_port``: the single

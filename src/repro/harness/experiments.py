@@ -1077,6 +1077,10 @@ def run_rebalance_experiment(
         seconds / window if window > 0 else 0.0
         for seconds in fabric.busy_seconds()
     ][:servers]
+    # heat is read before the oracle, whose readback would otherwise be
+    # the hottest traffic of the window
+    final_imbalance = system.heat.imbalance(system.sim.now, active=servers)
+    heat = system.heat.snapshot(system.sim.now)
 
     oracle = fabric_safety_oracle(system, names)
     sweeps = [record.to_dict() for record in rebalancer.records]
@@ -1091,8 +1095,7 @@ def run_rebalance_experiment(
         "busy_fractions": busy_fractions,
         "utilization_spread": max(busy_fractions) - min(busy_fractions),
         # heat-map peak/mean at drain time
-        "final_imbalance": system.heat.imbalance(system.sim.now,
-                                                 active=servers),
+        "final_imbalance": final_imbalance,
         # popularity-weighted, initial and final ring
         "route_bound_static": fabric_speedup_bound(
             names, servers, requests=popularity, ring=initial_ring
@@ -1109,7 +1112,7 @@ def run_rebalance_experiment(
         "summary": summary,
         **oracle,
         "makespan": system.sim.now,
-        "heat": system.heat.snapshot(system.sim.now),
+        "heat": heat,
     }
 
 

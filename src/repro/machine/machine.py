@@ -41,9 +41,6 @@ class Machine:
             raise NoSuchNodeError(f"node {index} (machine has {len(self.nodes)})")
         return self.nodes[index]
 
-    def __len__(self) -> int:
-        return len(self.nodes)
-
     # ------------------------------------------------------------------
 
     def spawn_remote(

@@ -115,12 +115,6 @@ class EthernetNetwork:
                 if obs is not None:
                     obs.on_bus_drain(message, started, self.sim.now)
 
-    @property
-    def backlog(self) -> int:
-        """Messages waiting for the bus right now."""
-        return len(self._queue)
-
-
 #: Registered interconnects, by name: ``factory(sim, config) -> network``
 #: (the data form of a system's ``network`` field).
 NETWORK_KINDS = {

@@ -29,13 +29,8 @@ class Port:
     def __init__(self, node: "Node", mailbox: Mailbox) -> None:
         self.node = node
         self.mailbox = mailbox
-
-    def __setattr__(self, name: str, value: Any) -> None:
-        # ``deliver`` is the mailbox's, bound once — also for a mailbox
-        # re-seated after construction (tests swap in instrumented ones).
-        object.__setattr__(self, name, value)
-        if name == "mailbox":
-            object.__setattr__(self, "deliver", value.deliver)
+        #: the mailbox's, bound once: re-seat both together
+        self.deliver = mailbox.deliver
 
     @property
     def name(self) -> str:

@@ -304,12 +304,6 @@ class Server:
         if obs is not None:
             obs.set_current(None)
 
-    def utilization(self) -> float:
-        """Fraction of simulated time this server spent handling requests."""
-        now = self.node.machine.sim.now
-        return self.busy_time / now if now > 0 else 0.0
-
-
 class Client:
     """Client-side helper for sequential RPC.
 

@@ -24,7 +24,7 @@ Rules:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, List, Optional
 
 from repro.obs.spans import CATEGORIES, Observability, Span
 

@@ -146,17 +146,9 @@ class Histogram:
             estimate = self.max
         return estimate
 
-    def quantiles(self, qs: Sequence[float]) -> Dict[float, float]:
-        """Many quantiles at once: ``{q: estimate}`` for each q in ``qs``."""
-        return {q: self.quantile(q) for q in qs}
-
     @property
     def p50(self) -> float:
         return self.quantile(0.50)
-
-    @property
-    def p95(self) -> float:
-        return self.quantile(0.95)
 
     @property
     def p99(self) -> float:
@@ -165,12 +157,6 @@ class Histogram:
     @property
     def p999(self) -> float:
         return self.quantile(0.999)
-
-    def bucket_snapshot(self) -> List[Tuple[float, int]]:
-        """``(upper_bound, count)`` pairs plus the overflow bucket."""
-        snapshot = list(zip(self.bounds, self.counts))
-        snapshot.append((float("inf"), self.overflow))
-        return snapshot
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Histogram(n={self.count}, p50={self.p50:.6f})"
@@ -229,9 +215,6 @@ class MetricsRegistry:
 
     # ------------------------------------------------------------------
 
-    def get(self, name: str):
-        return self._instruments.get(name)
-
     def names(self, prefix: str = "") -> List[str]:
         return sorted(n for n in self._instruments if n.startswith(prefix))
 
@@ -253,20 +236,17 @@ class MetricsRegistry:
                     "sum": instrument.total,
                     "mean": instrument.mean,
                     "p50": instrument.p50,
-                    "p95": instrument.p95,
+                    "p95": instrument.quantile(0.95),
                     "p99": instrument.p99,
                     "p999": instrument.p999,
                     # inf is not valid strict JSON: the overflow bucket's
                     # edge is rendered as None in snapshots.
                     "buckets": [
-                        [None if bound == float("inf") else bound, count]
-                        for bound, count in instrument.bucket_snapshot()
-                    ],
+                        [bound, count] for bound, count
+                        in zip(instrument.bounds, instrument.counts)
+                    ] + [[None, instrument.overflow]],
                 }
         return out
-
-    def __len__(self) -> int:
-        return len(self._instruments)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"MetricsRegistry({len(self._instruments)} instruments)"

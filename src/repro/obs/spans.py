@@ -248,8 +248,6 @@ class Observability:
         ctx.net_span = None
         sent = ctx.sent_at if ctx.sent_at is not None else start
         span.end = end
-        if span.args is None:
-            span.args = {}
         span.args.pop("queued", None)
         span.args["wait"] = max(0.0, start - sent)
         span.args["service"] = max(0.0, end - start)
@@ -275,5 +273,5 @@ class Observability:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"Observability({len(self.spans)} spans, "
-            f"{len(self.metrics)} metrics)"
+            f"{len(self.metrics.names())} metrics)"
         )

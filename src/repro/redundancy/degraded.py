@@ -58,10 +58,6 @@ class DegradedReadStats:
     peer_reads: int = 0  # surviving-constituent reads issued for those
     errors_detected: int = 0  # DeviceFailedErrors caught in the fast path
 
-    @property
-    def degraded_fraction(self) -> float:
-        return self.degraded / self.blocks if self.blocks else 0.0
-
 
 class DegradedReader:
     """The read path of one parity file, failure-aware.

@@ -13,9 +13,6 @@ strategy and remedy — unprotected, mirrored
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import List
-
 
 class FaultInjector:
     """Fail and repair storage devices in a
@@ -37,12 +34,6 @@ class FaultInjector:
     def __init__(self, system) -> None:
         self.system = system
 
-    @property
-    def failed_slots(self) -> List[int]:
-        """The slots whose device is down right now, in slot order."""
-        return [slot for slot, disk in enumerate(self.system.disks)
-                if disk.failed]
-
     def fail_slot(self, slot: int) -> None:
         """Fail the disk behind LFS ``slot``."""
         disk = self.system.disks[slot]
@@ -55,20 +46,6 @@ class FaultInjector:
             return
         disk.repair()
         self.system.redundancy.on_repair(slot)
-
-    @contextmanager
-    def failed(self, slot: int):
-        """Context manager: fail ``slot`` on entry, repair it on exit.
-
-        Under a parity scheme leaving the block auto-starts the rebuild
-        sweep.
-        """
-        self.fail_slot(slot)
-        try:
-            yield self
-        finally:
-            self.repair_slot(slot)
-
 
 # ---------------------------------------------------------------------------
 # Survival analysis

@@ -46,7 +46,6 @@ from repro.config import DATA_BYTES_PER_BLOCK
 from repro.errors import (
     DeviceFailedError,
     EFSBlockNotFoundError,
-    EFSError,
 )
 from repro.machine import gather
 from repro.redundancy.degraded import (
@@ -140,11 +139,6 @@ class ParityGeometry:
         index = slot if slot < parity else slot - 1
         return stripe * self.data_per_stripe + index
 
-    def data_slots(self, stripe: int) -> List[int]:
-        """All data slots of a stripe, in in-stripe index order."""
-        parity = self.parity_slot(stripe)
-        return [s for s in range(self.width) if s != parity]
-
     # ------------------------------------------------------------------
     # Size arithmetic
     # ------------------------------------------------------------------
@@ -154,15 +148,6 @@ class ParityGeometry:
         if logical_blocks < 0:
             raise ValueError(f"negative block count {logical_blocks}")
         return -(-logical_blocks // self.data_per_stripe)
-
-    def physical_blocks(self, logical_blocks: int) -> int:
-        """Total blocks consumed (data + parity) across all slots."""
-        return self.stripes_for(logical_blocks) * self.width
-
-    def storage_factor(self) -> float:
-        """The p/(p-1) storage overhead of full stripes (vs 2.0 for
-        mirroring, the paper's priced remedy)."""
-        return self.width / self.data_per_stripe
 
     # ------------------------------------------------------------------
 
@@ -359,15 +344,15 @@ class ParityFile:
         """Full-stripe parity rebuild: XOR of every surviving data block
         plus the value being written to the unavailable ``skip_slot``."""
         parts: List[Optional[bytes]] = [new]
-        for peer in self.geometry.data_slots(stripe):
-            if peer == skip_slot:
+        parity_slot = self.geometry.parity_slot(stripe)
+        for peer in range(self.geometry.width):
+            if peer in (parity_slot, skip_slot):
                 continue
             try:
                 parts.append((yield from self.read_local(peer, stripe)))
                 self.parity_rmw_reads += 1
             except EFSBlockNotFoundError:
                 parts.append(None)  # unwritten tail of a partial stripe
-        parity_slot = self.geometry.parity_slot(stripe)
         yield from self.write_local(parity_slot, stripe, xor_blocks(*parts))
 
     def write_all(self, chunks):

@@ -17,9 +17,8 @@ the file size every iteration.
 Throttling: a rebuild at full speed steals the whole array from
 foreground traffic, so ``rate`` caps the sweep at a configurable number
 of stripes per simulated second (``None`` = unthrottled).
-:class:`RebuildProgress` exposes completed/total counts, the completed
-fraction, and an ETA extrapolated from the measured per-stripe pace —
-the operator-facing knobs every production rebuild needs.
+:class:`RebuildProgress` exposes completed/total stripe counts and the
+start and finish times.
 """
 
 from __future__ import annotations
@@ -42,30 +41,9 @@ class RebuildProgress:
     started_at: float = 0.0
     finished_at: Optional[float] = None
 
-    @property
-    def done(self) -> bool:
-        return self.finished_at is not None
-
-    @property
-    def fraction(self) -> float:
-        if self.total_stripes == 0:
-            return 1.0
-        return self.rebuilt_stripes / self.total_stripes
-
     def elapsed(self, now: float) -> float:
         end = self.finished_at if self.finished_at is not None else now
         return end - self.started_at
-
-    def eta(self, now: float) -> Optional[float]:
-        """Seconds of simulated time until completion, extrapolated from
-        the pace so far; ``None`` before the first stripe completes."""
-        if self.done:
-            return 0.0
-        if self.rebuilt_stripes == 0:
-            return None
-        pace = self.elapsed(now) / self.rebuilt_stripes
-        return pace * (self.total_stripes - self.rebuilt_stripes)
-
 
 @dataclass
 class RebuildStats:

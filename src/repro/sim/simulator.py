@@ -78,12 +78,6 @@ class Simulator:
             self._seq += 1
             heappush(self._heap, (time, self._seq, fn, arg))
 
-    def call_at(self, time: float, fn: Callable, arg: Any = None) -> None:
-        """Schedule ``fn(arg)`` at an absolute simulated time."""
-        if not time >= self.now:  # also refuses NaN
-            raise ValueError(f"cannot schedule in the past: {time} < {self.now}")
-        self._schedule(time - self.now, fn, arg)
-
     def call_later(self, delay: float, fn: Callable, arg: Any = None) -> None:
         """Schedule ``fn(arg)`` after ``delay`` seconds of simulated time."""
         if not delay >= 0:  # also refuses NaN
@@ -212,17 +206,13 @@ class Simulator:
         """Total number of events executed so far (monotone counter)."""
         return self._events_executed
 
-    @property
-    def pending_events(self) -> int:
-        """Number of events scheduled and not yet run."""
-        return len(self._heap) + len(self._ready)
-
     def live_processes(self) -> List[Process]:
         """All spawned processes that have not yet terminated."""
         return list(self._processes)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
+        pending = len(self._heap) + len(self._ready)
         return (
-            f"Simulator(now={self.now:.6f}, pending={self.pending_events}, "
+            f"Simulator(now={self.now:.6f}, pending={pending}, "
             f"processes={len(self._processes)})"
         )

@@ -270,13 +270,6 @@ class BlockStoreABC(abc.ABC):
         now = self.sim.now
         return self.busy_time / now if now > 0 else 0.0
 
-    def load_image(self, blocks) -> None:
-        """Install block contents directly (test/bench setup, no time cost)."""
-        for address, data in blocks.items():
-            if not 0 <= address < self.params.capacity_blocks:
-                raise BadBlockAddressError(f"image block {address} out of range")
-            self.blocks[address] = bytes(data)
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"{type(self).__name__}({self.name!r}, ops={self.total_operations}, "

@@ -42,12 +42,3 @@ class DiskGeometry:
 
     def cylinder_of(self, block: int) -> int:
         return self.locate(block)[0]
-
-    def track_id(self, block: int) -> int:
-        """A dense id for the physical track containing ``block``."""
-        return block // self.blocks_per_track
-
-    def track_blocks(self, block: int) -> range:
-        """All block addresses sharing a physical track with ``block``."""
-        start = self.track_id(block) * self.blocks_per_track
-        return range(start, start + self.blocks_per_track)

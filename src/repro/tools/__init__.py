@@ -1,6 +1,6 @@
 """Bridge tools: applications that become part of the file system."""
 
-from repro.tools.base import SCRATCH_FILE_BASE, Tool, sequential_spawn, tree_spawn
+from repro.tools.base import SCRATCH_FILE_BASE, Tool, tree_spawn
 from repro.tools.copy import CopyResult, CopyTool, WorkerReport
 from repro.tools.filters import EncryptTool, LineLexTool, TranslateTool, rot13_table
 from repro.tools.grep import GrepResult, GrepTool, Match
@@ -24,6 +24,5 @@ __all__ = [
     "WordCountTool",
     "WorkerReport",
     "rot13_table",
-    "sequential_spawn",
     "tree_spawn",
 ]

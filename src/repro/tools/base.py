@@ -11,8 +11,7 @@ LFS instances.
 
 Worker start-up and completion travel through an embedded binary tree of
 spawns, giving the O(log p) start-up/completion term in the copy tool's
-O(n/p + log p) cost (section 5.1).  :func:`sequential_spawn` is the
-naive one-by-one alternative the spawn tree is measured against.
+O(n/p + log p) cost (section 5.1).
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ from repro.config import SystemConfig
 from repro.core.info import SystemInfo
 from repro.core.partitioned import client_for
 from repro.machine import Port
-from repro.sim import join_all
 
 #: EFS file-number base reserved for tool scratch files, far above the
 #: Bridge Server's allocation range.
@@ -66,16 +64,6 @@ def _tree_node(machine, specs: List[WorkerSpec]):
     for child in children:
         child_results = yield child.join()
         results.extend(child_results)
-    return results
-
-
-def sequential_spawn(machine, specs: Sequence[WorkerSpec]):
-    """Spawn workers one by one from the caller (the naive alternative)."""
-    processes = []
-    for node, generator, name in specs:
-        process = yield machine.spawn_remote(node, generator, name=name)
-        processes.append(process)
-    results = yield join_all(processes)
     return results
 
 

@@ -25,7 +25,7 @@ block-number/LFS-instance pairs they remain valid in the new file.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.efs import EFSClient
 from repro.sim import Timeout

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from repro.config import CpuCosts
 from repro.tools.copy import CopyTool
 
 

@@ -11,7 +11,7 @@ data: the data is filtered (and presumably compressed) before it moves.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Tuple
+from typing import List
 
 from repro.efs import EFSClient
 from repro.sim import Timeout

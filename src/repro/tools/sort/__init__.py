@@ -1,9 +1,9 @@
 """The parallel merge-sort tool (paper section 5.2)."""
 
 from repro.tools.sort.analysis import SortCostModel
-from repro.tools.sort.localsort import LocalSorter, LocalSortReport, expected_merge_passes
+from repro.tools.sort.localsort import LocalSorter, LocalSortReport
 from repro.tools.sort.merge import MergeStats, PairMerge, Token
-from repro.tools.sort.records import is_sorted, key_of, make_record, payload_of
+from repro.tools.sort.records import key_of, make_record
 from repro.tools.sort.tool import PassStats, SortResult, SortTool
 
 __all__ = [
@@ -16,9 +16,6 @@ __all__ = [
     "SortResult",
     "SortTool",
     "Token",
-    "expected_merge_passes",
-    "is_sorted",
     "key_of",
     "make_record",
-    "payload_of",
 ]

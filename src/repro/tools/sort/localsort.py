@@ -39,14 +39,6 @@ class LocalSortReport:
     elapsed: float
 
 
-def expected_merge_passes(records: int, buffer_records: int) -> int:
-    """Local merge passes needed for ``records`` with an in-core buffer."""
-    if records <= buffer_records:
-        return 0
-    runs = math.ceil(records / buffer_records)
-    return math.ceil(math.log2(runs))
-
-
 class LocalSorter:
     """Sorts one constituent file on its own node, through its own LFS."""
 

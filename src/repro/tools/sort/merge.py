@@ -42,7 +42,7 @@ from repro.core.info import ConstituentInfo
 from repro.efs import EFSClient
 from repro.errors import SortProtocolError
 from repro.machine import Port
-from repro.sim import Timeout, join_all
+from repro.sim import Timeout
 from repro.tools.base import tree_spawn
 from repro.tools.sort.records import key_of
 

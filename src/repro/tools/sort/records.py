@@ -10,8 +10,6 @@ numeric comparison of the key).
 from __future__ import annotations
 
 import struct
-from typing import List
-
 from repro.config import DATA_BYTES_PER_BLOCK
 
 KEY_BYTES = 8
@@ -34,16 +32,3 @@ def make_record(key: int, payload: bytes = b"") -> bytes:
 def key_of(record: bytes) -> int:
     """Extract the sort key of a record."""
     return _KEY.unpack_from(record)[0]
-
-
-def payload_of(record: bytes) -> bytes:
-    """The record body after the key, with NUL padding stripped."""
-    return record[KEY_BYTES:].rstrip(b"\x00")
-
-
-def is_sorted(records: List[bytes]) -> bool:
-    """True if record keys are nondecreasing."""
-    return all(
-        key_of(records[i]) <= key_of(records[i + 1])
-        for i in range(len(records) - 1)
-    )

@@ -24,7 +24,7 @@ width works (the paper's measurements use powers of two).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.core.partitioned import client_for
 from repro.sim import join_all

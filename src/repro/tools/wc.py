@@ -8,7 +8,6 @@ reduction crossing the network is constant-size per node.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
 
 from repro.efs import EFSClient
 from repro.sim import Timeout

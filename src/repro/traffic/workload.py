@@ -70,10 +70,6 @@ class ZipfCatalog:
     def sample(self, rng) -> str:
         return self.names[bisect_left(self._cdf, rng.random())]
 
-    def __len__(self) -> int:
-        return len(self.names)
-
-
 class RequestMix:
     """Weighted choice over traffic classes."""
 

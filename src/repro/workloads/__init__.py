@@ -2,11 +2,8 @@
 
 from repro.workloads.acceptance import acceptance_driver
 from repro.workloads.datagen import (
-    few_distinct_keys,
     pattern_chunks,
     record_chunks,
-    reversed_keys,
-    sorted_keys,
     text_chunks,
     uniform_keys,
 )
@@ -18,7 +15,6 @@ from repro.workloads.traces import (
 from repro.workloads.files import (
     build_file,
     build_record_file,
-    build_text_file,
     read_file,
     read_to_eof,
     timed,
@@ -29,14 +25,10 @@ __all__ = [
     "acceptance_driver",
     "build_file",
     "build_record_file",
-    "build_text_file",
-    "few_distinct_keys",
     "pattern_chunks",
     "read_file",
     "read_to_eof",
     "record_chunks",
-    "reversed_keys",
-    "sorted_keys",
     "text_chunks",
     "timed",
     "uniform_keys",

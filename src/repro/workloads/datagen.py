@@ -10,7 +10,7 @@ seed-controlled contents.
 from __future__ import annotations
 
 import random
-from typing import Iterator, List, Optional
+from typing import List, Optional
 
 from repro.config import DATA_BYTES_PER_BLOCK
 from repro.tools.sort.records import make_record
@@ -30,23 +30,6 @@ def uniform_keys(count: int, seed: int = 0) -> List[int]:
     """Independent uniform keys (the sort benches' default workload)."""
     rng = random.Random(seed)
     return [rng.randrange(KEY_SPACE) for _ in range(count)]
-
-
-def sorted_keys(count: int, seed: int = 0) -> List[int]:
-    """Already sorted input (best case for merge passes)."""
-    return sorted(uniform_keys(count, seed))
-
-
-def reversed_keys(count: int, seed: int = 0) -> List[int]:
-    """Reverse-sorted input."""
-    return sorted(uniform_keys(count, seed), reverse=True)
-
-
-def few_distinct_keys(count: int, distinct: int = 8, seed: int = 0) -> List[int]:
-    """Heavily duplicated keys (exercises the merge's <= tie handling)."""
-    rng = random.Random(seed)
-    values = [rng.randrange(2**32) for _ in range(distinct)]
-    return [values[rng.randrange(distinct)] for _ in range(count)]
 
 
 def record_chunks(keys: List[int], payload_bytes: int = 16,

@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
-from repro.workloads.datagen import record_chunks, text_chunks, uniform_keys
+from repro.workloads.datagen import record_chunks
 
 
 def build_file(system, name: str, chunks: List[bytes], width=None,
@@ -30,16 +30,6 @@ def build_record_file(system, name: str, keys, payload_bytes: int = 16,
                       seed: int = 0, **create_kwargs):
     """A sortable record file, one record per key."""
     chunks = record_chunks(list(keys), payload_bytes=payload_bytes, seed=seed)
-    return build_file(system, name, chunks, **create_kwargs)
-
-
-def build_text_file(system, name: str, block_count: int, seed: int = 0,
-                    needle: Optional[bytes] = None, needle_every: int = 0,
-                    **create_kwargs):
-    """A text file of fixed-length lines, optionally with planted needles."""
-    chunks = text_chunks(
-        block_count, seed=seed, needle=needle, needle_every=needle_every
-    )
     return build_file(system, name, chunks, **create_kwargs)
 
 

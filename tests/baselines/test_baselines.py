@@ -27,7 +27,7 @@ def test_sequential_copy_preserves_contents():
     src = system.build_file(chunks)
     result = system.copy_file(src)
     assert result.blocks == 10
-    copied = system.read_file(src + 1)
+    copied = system.run(system.client().read_file(src + 1))
     for original, copy in zip(chunks, copied):
         assert copy.startswith(original)
 

@@ -8,6 +8,7 @@ from repro.errors import (
     BridgeFileNotFoundError,
 )
 from tests.core.conftest import make_system
+from tests.efs.conftest import exists
 
 
 def data_for(index):
@@ -27,7 +28,7 @@ def test_create_makes_constituents_on_every_lfs(fast_system):
         present = []
         for slot in range(fast_system.width):
             efs = fast_system.efs_client(slot, node=fast_system.client_node)
-            present.append((yield from efs.exists(file_id)))
+            present.append((yield from exists(efs, file_id)))
         return file_id, present
 
     file_id, present = fast_system.run(body())
@@ -120,7 +121,7 @@ def test_delete_removes_everything(fast_system):
         remains = []
         for slot in range(fast_system.width):
             efs = fast_system.efs_client(slot, node=fast_system.client_node)
-            remains.append((yield from efs.exists(file_id)))
+            remains.append((yield from exists(efs, file_id)))
         try:
             yield from client.open("victim")
         except BridgeFileNotFoundError:

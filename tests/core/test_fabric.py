@@ -16,7 +16,7 @@ import json
 import pytest
 
 from repro.config import DATA_BYTES_PER_BLOCK
-from repro.core import BridgeClient, ParallelWorker
+from repro.core import BridgeClient, JobController, ParallelWorker
 from repro.core.partitioned import PartitionedClient
 from repro.elastic.ring import ModuloRing
 from repro.efs.fsck import check_system
@@ -208,7 +208,7 @@ def test_parallel_view_on_fabric():
     ]
 
     def main():
-        controller = system.job_controller()
+        controller = JobController(system.client_node, system.server_target())
         job = yield from controller.open("pjob", [w.port for w in workers])
         counts = []
         for _ in range(3):

@@ -59,7 +59,7 @@ def test_files_distribute_across_partitions():
             yield from client.seq_write(name, name.encode())
 
     system.run(body())
-    counts = [len(b.directory) for b in system.bridges]
+    counts = [len(b.directory.names()) for b in system.bridges]
     assert sum(counts) == 32
     assert all(count > 0 for count in counts)  # every partition used
 

@@ -37,7 +37,7 @@ def test_directory_insert_lookup_remove():
     directory.insert(entry("a"))
     assert directory.lookup("a").name == "a"
     assert directory.exists("a")
-    assert len(directory) == 1
+    assert len(directory.names()) == 1
     removed = directory.remove("a")
     assert removed.name == "a"
     assert not directory.exists("a")

@@ -332,7 +332,7 @@ def test_a_job_pinned_to_the_source_does_not_regrow_its_memo():
     ring = system.fabric.ring
     move = plan_resize(ring, ring.with_partitions(4), set(names)).moves[-1]
     src = system.bridges[move.src]
-    controller = system.job_controller()
+    controller = JobController(system.client_node, system.server_target())
     worker = ParallelWorker(system.client_node, 0)
 
     def drain():

@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.config import DEFAULT_CONFIG
+from repro.config import BLOCK_SIZE, DEFAULT_CONFIG
 from repro.efs import EFSClient, EFSServer
+from repro.errors import EFSFileNotFoundError
 from repro.machine import Machine
 from repro.sim import Simulator
 from repro.storage import FixedLatency, make_driver
@@ -33,6 +34,27 @@ class EFSHarness:
 
     def run(self, generator):
         return self.sim.run_process(generator)
+
+
+def exists(client, file_number):
+    """Whether the LFS holds ``file_number``: an info request that may
+    miss (generator, like the client's own methods)."""
+    try:
+        yield from client.info(file_number)
+    except EFSFileNotFoundError:
+        return False
+    return True
+
+
+def write_blocks(client, file_number, writes, hint=None):
+    """One batched ``write_blocks`` request of ``(block_number, data)``
+    pairs, charged the full payload on the wire (as the Bridge Server
+    sends it)."""
+    writes = list(writes)
+    return client._rpc.call(
+        client.port, "write_blocks", size=BLOCK_SIZE * len(writes),
+        file_number=file_number, writes=writes, hint=hint,
+    )
 
 
 @pytest.fixture

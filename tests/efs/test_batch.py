@@ -3,6 +3,8 @@
 from repro.config import DATA_BYTES_PER_BLOCK
 from repro.errors import EFSBlockNotFoundError, EFSFileNotFoundError
 
+from tests.efs.conftest import write_blocks
+
 
 def chunk(index):
     return (f"blk-{index}-".encode() * 160)[:DATA_BYTES_PER_BLOCK]
@@ -35,7 +37,7 @@ def test_read_blocks_request_order_preserved(fast_efs):
 
     batch = fast_efs.run(body())
     assert [r.block_number for r in batch.results] == [5, 0, 3]
-    assert batch.data == [chunk(5), chunk(0), chunk(3)]
+    assert [r.data for r in batch.results] == [chunk(5), chunk(0), chunk(3)]
 
 
 def test_read_blocks_duplicates_served_once_returned_twice(fast_efs):
@@ -45,7 +47,7 @@ def test_read_blocks_duplicates_served_once_returned_twice(fast_efs):
         return (yield from fast_efs.client.read_blocks(1, [2, 2, 0]))
 
     batch = fast_efs.run(body())
-    assert batch.data == [chunk(2), chunk(2), chunk(0)]
+    assert [r.data for r in batch.results] == [chunk(2), chunk(2), chunk(0)]
 
 
 def test_read_blocks_is_one_request(fast_efs):
@@ -152,8 +154,8 @@ def test_write_blocks_in_place_and_append(fast_efs):
     build(fast_efs, 1, 4)
 
     def body():
-        batch = yield from fast_efs.client.write_blocks(
-            1, [(1, b"one"), (4, b"four"), (5, b"five")]
+        batch = yield from write_blocks(
+            fast_efs.client, 1, [(1, b"one"), (4, b"four"), (5, b"five")]
         )
         data = yield from fast_efs.client.read_blocks(1, [1, 4, 5])
         return batch, data
@@ -161,7 +163,7 @@ def test_write_blocks_in_place_and_append(fast_efs):
     batch, data = fast_efs.run(body())
     assert batch.appended == 2
     assert [r.block_number for r in batch.results] == [1, 4, 5]
-    assert data.data == [pad(b"one"), pad(b"four"), pad(b"five")]
+    assert [r.data for r in data.results] == [pad(b"one"), pad(b"four"), pad(b"five")]
 
 
 def test_write_blocks_is_one_request(fast_efs):
@@ -169,8 +171,8 @@ def test_write_blocks_is_one_request(fast_efs):
     before = fast_efs.server.requests_served
 
     def body():
-        yield from fast_efs.client.write_blocks(
-            1, [(block, chunk(block)) for block in range(2, 10)]
+        yield from write_blocks(
+            fast_efs.client, 1, [(block, chunk(block)) for block in range(2, 10)]
         )
 
     fast_efs.run(body())
@@ -181,12 +183,12 @@ def test_write_blocks_duplicate_last_value_wins(fast_efs):
     build(fast_efs, 1, 4)
 
     def body():
-        yield from fast_efs.client.write_blocks(
-            1, [(2, b"first"), (2, b"second")]
+        yield from write_blocks(
+            fast_efs.client, 1, [(2, b"first"), (2, b"second")]
         )
         return (yield from fast_efs.client.read_blocks(1, [2]))
 
-    assert fast_efs.run(body()).data == [pad(b"second")]
+    assert [r.data for r in fast_efs.run(body()).results] == [pad(b"second")]
 
 
 def test_write_blocks_rejects_sparse(fast_efs):
@@ -194,7 +196,7 @@ def test_write_blocks_rejects_sparse(fast_efs):
 
     def body():
         try:
-            yield from fast_efs.client.write_blocks(1, [(6, b"hole")])
+            yield from write_blocks(fast_efs.client, 1, [(6, b"hole")])
         except EFSBlockNotFoundError:
             return "caught"
 
@@ -206,8 +208,8 @@ def test_write_blocks_rejects_oversized_data(fast_efs):
 
     def body():
         try:
-            yield from fast_efs.client.write_blocks(
-                1, [(0, b"x" * (DATA_BYTES_PER_BLOCK + 1))]
+            yield from write_blocks(
+                fast_efs.client, 1, [(0, b"x" * (DATA_BYTES_PER_BLOCK + 1))]
             )
         except ValueError:
             return "caught"
@@ -219,7 +221,7 @@ def test_write_blocks_empty_list(fast_efs):
     build(fast_efs, 1, 1)
 
     def body():
-        return (yield from fast_efs.client.write_blocks(1, []))
+        return (yield from write_blocks(fast_efs.client, 1, []))
 
     batch = fast_efs.run(body())
     assert batch.results == []
@@ -233,9 +235,11 @@ def test_write_blocks_mixed_order_applies_ascending(fast_efs):
     build(fast_efs, 1, 3)
 
     def body():
-        yield from fast_efs.client.write_blocks(
-            1, [(4, b"later"), (3, b"earlier"), (0, b"update")]
+        yield from write_blocks(
+            fast_efs.client, 1, [(4, b"later"), (3, b"earlier"), (0, b"update")]
         )
         return (yield from fast_efs.client.read_blocks(1, [0, 3, 4]))
 
-    assert fast_efs.run(body()).data == [pad(b"update"), pad(b"earlier"), pad(b"later")]
+    batch = fast_efs.run(body())
+    assert [r.data for r in batch.results] == [
+        pad(b"update"), pad(b"earlier"), pad(b"later")]

@@ -18,7 +18,7 @@ def make(capacity=4, track_blocks=4, access_time=0.015, hit_cpu=0.0):
 
 def test_miss_then_hit():
     sim, disk, cache = make(track_blocks=1)
-    disk.load_image({3: b"A" * 1024})
+    disk.blocks.update({3: b"A" * 1024})
 
     def body():
         first = yield from cache.read(3)
@@ -34,7 +34,7 @@ def test_miss_then_hit():
 
 def test_track_prefetch_serves_siblings_without_io():
     sim, disk, cache = make(track_blocks=4)
-    disk.load_image({i: bytes([i]) * 1024 for i in range(8)})
+    disk.blocks.update({i: bytes([i]) * 1024 for i in range(8)})
 
     def body():
         yield from cache.read(0)  # pulls track 0-3
@@ -50,7 +50,7 @@ def test_track_prefetch_serves_siblings_without_io():
 
 def test_prefetch_skips_unwritten_siblings():
     sim, disk, cache = make(track_blocks=4)
-    disk.load_image({0: b"x" * 1024})  # 1-3 never written
+    disk.blocks.update({0: b"x" * 1024})  # 1-3 never written
 
     def body():
         yield from cache.read(0)
@@ -62,7 +62,7 @@ def test_prefetch_skips_unwritten_siblings():
 
 def test_prefetch_disabled_flag():
     sim, disk, cache = make(track_blocks=4)
-    disk.load_image({i: b"x" * 1024 for i in range(4)})
+    disk.blocks.update({i: b"x" * 1024 for i in range(4)})
 
     def body():
         yield from cache.read(0, prefetch=False)
@@ -74,7 +74,7 @@ def test_prefetch_disabled_flag():
 
 def test_lru_eviction_order():
     sim, disk, cache = make(capacity=2, track_blocks=1)
-    disk.load_image({i: bytes([i]) * 1024 for i in range(3)})
+    disk.blocks.update({i: bytes([i]) * 1024 for i in range(3)})
 
     def body():
         yield from cache.read(0)
@@ -115,7 +115,7 @@ def test_write_back_defers_device_write():
 
 def test_dirty_block_flushed_on_eviction():
     sim, disk, cache = make(capacity=2, track_blocks=1)
-    disk.load_image({0: b"0" * 1024, 1: b"1" * 1024})
+    disk.blocks.update({0: b"0" * 1024, 1: b"1" * 1024})
 
     def body():
         yield from cache.write_back(9, b"D" * 1024)
@@ -125,7 +125,7 @@ def test_dirty_block_flushed_on_eviction():
     sim.run_process(body())
     assert disk.writes == 1
     assert disk.blocks[9] == b"D" * 1024
-    assert cache.writebacks == 1
+    assert cache._writebacks.value == 1
 
 
 def test_flush_writes_all_dirty():
@@ -151,7 +151,7 @@ def test_flush_writes_all_dirty():
 
 def test_invalidate_removes_entry():
     sim, disk, cache = make(track_blocks=1)
-    disk.load_image({4: b"z" * 1024})
+    disk.blocks.update({4: b"z" * 1024})
 
     def body():
         yield from cache.read(4)
@@ -164,19 +164,19 @@ def test_invalidate_removes_entry():
 
 def test_invalidate_all():
     sim, disk, cache = make(track_blocks=1)
-    disk.load_image({1: b"m" * 1024})
+    disk.blocks.update({1: b"m" * 1024})
 
     def body():
         yield from cache.read(1)
         cache.invalidate_all()
 
     sim.run_process(body())
-    assert len(cache) == 0
+    assert not cache._entries
 
 
 def test_hit_cpu_charged():
     sim, disk, cache = make(track_blocks=1, hit_cpu=0.001)
-    disk.load_image({0: b"h" * 1024})
+    disk.blocks.update({0: b"h" * 1024})
 
     def body():
         yield from cache.read(0)
@@ -189,14 +189,14 @@ def test_hit_cpu_charged():
 
 def test_hit_rate():
     sim, disk, cache = make(track_blocks=1)
-    disk.load_image({0: b"r" * 1024})
+    disk.blocks.update({0: b"r" * 1024})
 
     def body():
         for _ in range(4):
             yield from cache.read(0)
 
     sim.run_process(body())
-    assert cache.hit_rate == pytest.approx(0.75)
+    assert (cache.hits, cache.misses) == (3, 1)
 
 
 def test_capacity_validation():
@@ -213,7 +213,7 @@ def test_prefetch_never_overwrites_dirty_entry():
     """A track prefetch must not clobber newer write-back data with the
     stale on-device image."""
     sim, disk, cache = make(capacity=8, track_blocks=4)
-    disk.load_image({i: b"old" + bytes(1021) for i in range(4)})
+    disk.blocks.update({i: b"old" + bytes(1021) for i in range(4)})
 
     def body():
         yield from cache.write_back(1, b"new" + bytes(1021))
@@ -237,12 +237,12 @@ def test_write_through_does_not_drop_pending_dirty_state():
         yield from cache.write_through(5, b"C" * 1024)
         assert disk.writes == 1  # the write_through itself
         yield from cache.flush()
-        assert disk.writes == 2 and cache.writebacks == 1  # still dirty
+        assert disk.writes == 2 and cache._writebacks.value == 1  # still dirty
         yield from cache.flush()
 
     sim.run_process(body())
     assert disk.blocks[5] == b"C" * 1024
-    assert disk.writes == 2 and cache.writebacks == 1  # clean after a flush
+    assert disk.writes == 2 and cache._writebacks.value == 1  # clean after a flush
 
 
 def test_write_back_after_write_through_stays_dirty_until_flush():
@@ -251,16 +251,16 @@ def test_write_back_after_write_through_stays_dirty_until_flush():
     def body():
         yield from cache.write_through(7, b"T" * 1024)
         yield from cache.flush()
-        assert disk.writes == 1 and cache.writebacks == 0  # it was clean
+        assert disk.writes == 1 and cache._writebacks.value == 0  # it was clean
         yield from cache.write_back(7, b"U" * 1024)
         assert disk.blocks[7] == b"T" * 1024  # device still has the old data
         yield from cache.flush()
-        assert disk.writes == 2 and cache.writebacks == 1  # it was dirty
+        assert disk.writes == 2 and cache._writebacks.value == 1  # it was dirty
         yield from cache.flush()
 
     sim.run_process(body())
     assert disk.blocks[7] == b"U" * 1024
-    assert disk.writes == 2 and cache.writebacks == 1  # clean after a flush
+    assert disk.writes == 2 and cache._writebacks.value == 1  # clean after a flush
 
 
 def test_dirty_victim_survives_a_failed_write_back():
@@ -279,12 +279,12 @@ def test_dirty_victim_survives_a_failed_write_back():
         sim.run_process(doomed())
     assert isinstance(failure.value.__cause__, DeviceFailedError)
     assert cache.peek(5) == b"D" * 1024  # still cached, still dirty
-    assert cache.evictions == 0 and cache.writebacks == 0
+    assert cache.evictions == 0 and cache._writebacks.value == 0
 
     disk.repair()
     sim.run_process(cache.flush())
     assert disk.blocks[5] == b"D" * 1024
-    assert cache.writebacks == 1
+    assert cache._writebacks.value == 1
 
 
 def test_dirty_eviction_counts_and_order_when_the_write_succeeds():
@@ -298,7 +298,7 @@ def test_dirty_eviction_counts_and_order_when_the_write_succeeds():
     assert sim.run_process(body()) == pytest.approx(0.015)  # one device write
     assert disk.blocks[5] == b"D" * 1024 and disk.writes == 1
     assert cache.peek(5) is None and cache.peek(6) == b"E" * 1024
-    assert cache.evictions == 1 and cache.writebacks == 1
+    assert cache.evictions == 1 and cache._writebacks.value == 1
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +323,7 @@ def make_on_driver(kind, tmp_path, capacity=4, track_blocks=1):
 def test_miss_then_hit_on_every_driver(kind, tmp_path):
     """A hit never touches the device, regardless of the backend."""
     sim, disk, cache = make_on_driver(kind, tmp_path)
-    disk.load_image({3: b"A" * 1024})
+    disk.blocks.update({3: b"A" * 1024})
 
     def body():
         first = yield from cache.read(3)
@@ -359,7 +359,7 @@ def test_invalidate_rereads_device_on_every_driver(kind, tmp_path):
     """After invalidate_all, a read must consult the device again and
     observe out-of-band changes to the underlying blocks."""
     sim, disk, cache = make_on_driver(kind, tmp_path)
-    disk.load_image({9: b"old" + b"\x00" * 1021})
+    disk.blocks.update({9: b"old" + b"\x00" * 1021})
 
     def warm():
         return (yield from cache.read(9))

@@ -11,6 +11,8 @@ from repro.machine import Machine
 from repro.sim import Simulator
 from repro.storage import DiskParameters, FixedLatency, SimulatedDisk
 
+from tests.efs.conftest import exists
+
 
 def make_efs(capacity_blocks=2048):
     sim = Simulator(seed=121)
@@ -65,7 +67,7 @@ def test_bucket_frees_slots_after_delete():
             yield from client.create(number)
         yield from client.delete(numbers[0])
         yield from client.create(numbers[-1])  # now fits
-        return (yield from client.exists(numbers[-1]))
+        return (yield from exists(client, numbers[-1]))
 
     assert sim.run_process(body()) is True
 
@@ -120,8 +122,9 @@ def test_many_files_across_buckets():
     def body():
         for number in range(200):
             yield from client.create(number)
-        listing = yield from client.list_files()
-        return listing
+        present = []
+        for number in range(201):
+            present.append((yield from exists(client, number)))
+        return present
 
-    listing = sim.run_process(body())
-    assert listing == list(range(200))
+    assert sim.run_process(body()) == [True] * 200 + [False]

@@ -18,7 +18,7 @@ import pytest
 from repro.config import DEFAULT_CONFIG
 from repro.errors import EFSBlockNotFoundError
 
-from tests.efs.conftest import EFSHarness, assert_memos_fresh
+from tests.efs.conftest import EFSHarness, assert_memos_fresh, write_blocks
 
 #: Recorded at commit c835e3c (the parent of the rebuild).
 PINNED = {
@@ -116,8 +116,8 @@ def _script(harness, rng):
             grow = rng.randrange(0, 3)
             writes += [(size + i, _block(rng)) for i in range(grow)]
             rng.shuffle(writes)
-            yield from client.write_blocks(
-                number, writes, hint=rng.choice((None, last.get(number))))
+            yield from write_blocks(
+                client, number, writes, hint=rng.choice((None, last.get(number))))
             sizes[number] += grow
         elif kind == "past_end":
             with pytest.raises(EFSBlockNotFoundError):
@@ -157,7 +157,7 @@ def _observe(write_behind):
         "hits": cache.hits,
         "misses": cache.misses,
         "evictions": cache.evictions,
-        "writebacks": cache.writebacks,
+        "writebacks": cache._writebacks.value,
         "reads": disk.reads,
         "writes": disk.writes,
         "digest": digest,

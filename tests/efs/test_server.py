@@ -11,27 +11,34 @@ from repro.errors import (
     EFSFileNotFoundError,
 )
 
+from tests.efs.conftest import exists
+
+
+def allocated(freelist):
+    return sum(not freelist.is_free(address)
+               for address in range(freelist.start, freelist.capacity))
+
 
 def chunk(tag, index):
     return (f"{tag}-{index}-".encode() * 40)[:DATA_BYTES_PER_BLOCK - 10]
 
 
 # ---------------------------------------------------------------------------
-# Create / exists / list
+# Create / exists
 # ---------------------------------------------------------------------------
 
 
 def test_create_and_exists(efs):
     def body():
         yield from efs.client.create(42)
-        return (yield from efs.client.exists(42))
+        return (yield from exists(efs.client, 42))
 
     assert efs.run(body()) is True
 
 
 def test_exists_false_for_unknown(efs):
     def body():
-        return (yield from efs.client.exists(999))
+        return (yield from exists(efs.client, 999))
 
     assert efs.run(body()) is False
 
@@ -47,15 +54,6 @@ def test_create_duplicate_rejected(efs):
     assert efs.run(body()) == "caught"
 
 
-def test_list_files(fast_efs):
-    def body():
-        for number in (5, 17, 3):
-            yield from fast_efs.client.create(number)
-        return (yield from fast_efs.client.list_files())
-
-    assert fast_efs.run(body()) == [3, 5, 17]
-
-
 def test_new_file_is_empty(efs):
     def body():
         yield from efs.client.create(1)
@@ -64,7 +62,6 @@ def test_new_file_is_empty(efs):
 
     info = efs.run(body())
     assert info.size_blocks == 0
-    assert info.empty
     assert info.head_addr == NULL_ADDR
 
 
@@ -241,16 +238,16 @@ def test_delete_frees_all_blocks(fast_efs):
         yield from fast_efs.client.create(12)
         for index in range(6):
             yield from fast_efs.client.append(12, b"gone")
-        before = fast_efs.server.freelist.allocated_count
+        before = allocated(fast_efs.server.freelist)
         freed = yield from fast_efs.client.delete(12)
-        after = fast_efs.server.freelist.allocated_count
-        exists = yield from fast_efs.client.exists(12)
-        return freed, before - after, exists
+        after = allocated(fast_efs.server.freelist)
+        present = yield from exists(fast_efs.client, 12)
+        return freed, before - after, present
 
-    freed, delta, exists = fast_efs.run(body())
+    freed, delta, present = fast_efs.run(body())
     assert freed == 6
     assert delta == 6
-    assert exists is False
+    assert present is False
 
 
 def test_delete_empty_file(fast_efs):

@@ -321,7 +321,7 @@ def test_parallel_job_opened_before_its_name_lands_stays_with_the_source():
     populate(system, NAMES)
     ring = system.fabric.ring
     move = plan_resize(ring, ring.with_partitions(4), set(NAMES)).moves[-1]
-    controller = system.job_controller()
+    controller = JobController(system.client_node, system.server_target())
     worker = ParallelWorker(system.client_node, 0)
 
     def worker_body():

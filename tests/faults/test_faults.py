@@ -15,6 +15,8 @@ from repro.redundancy import (
 from repro.storage import FixedLatency
 from repro.workloads import build_file, pattern_chunks
 
+from tests.helpers import failed, failed_slots
+
 
 def make_system(p=4, seed=61):
     return BridgeSystem(p, seed=seed, disk_latency=FixedLatency(0.0005))
@@ -52,7 +54,7 @@ def test_repair_restores_access():
     for efs in system.efs_servers:
         system.run(efs.cache.flush(), name="flush")
         efs.cache.invalidate_all()
-    with injector.failed(1):
+    with failed(injector, 1):
         assert system.disks[1].failed
     assert not system.disks[1].failed
     client = system.naive_client()
@@ -68,9 +70,9 @@ def test_failed_context_manager_repairs_on_error():
     system = make_system()
     injector = FaultInjector(system)
     with pytest.raises(RuntimeError):
-        with injector.failed(3):
+        with failed(injector, 3):
             raise RuntimeError("workload blew up")
-    assert injector.failed_slots == []
+    assert failed_slots(system) == []
     assert not system.disks[3].failed
 
 
@@ -87,10 +89,10 @@ def test_injector_notifies_listeners():
 
     system.run(setup())
     injector = FaultInjector(system)
-    with injector.failed(2):
-        assert injector.failed_slots == [2]
+    with failed(injector, 2):
+        assert failed_slots(system) == [2]
         assert system.redundancy.rebuilds == []
-    assert injector.failed_slots == []
+    assert failed_slots(system) == []
     assert [r.progress.slot for r in system.redundancy.rebuilds] == [2]
 
 
@@ -137,7 +139,7 @@ def test_mirrored_file_survives_one_disk_failure():
     def read():
         return (yield from mirrored.read_all())
 
-    with FaultInjector(system).failed(1):
+    with failed(FaultInjector(system), 1):
         recovered, stats = system.run(read())
     assert len(recovered) == 8
     for original, copy in zip(chunks, recovered):

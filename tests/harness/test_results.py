@@ -15,7 +15,7 @@ def test_builder_validation():
 def test_builder_layout():
     system = BridgeSystem(3)
     assert system.width == 3
-    assert len(system.machine) == 5  # 3 LFS + 1 server + 1 client
+    assert len(system.machine.nodes) == 5  # 3 LFS + 1 server + 1 client
     assert system.server_node.index == 3
     assert system.client_node.index == 4
     assert [d.name for d in system.disks] == ["disk0", "disk1", "disk2"]

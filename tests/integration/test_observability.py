@@ -96,9 +96,10 @@ def test_registry_holds_the_drivers_own_histograms():
     system = paper_system(4, obs=True)
     system.run(write_then_stream(system, "f", 128))
     disk = system.disks[0]
-    service = system.obs.metrics.get("disk0.service")
+    instruments = dict(system.obs.metrics.items("disk0."))
+    service = instruments["disk0.service"]
     assert service is disk.service_times
-    assert system.obs.metrics.get("disk0.wait") is disk.wait_times
+    assert instruments["disk0.wait"] is disk.wait_times
     assert service.count == disk.reads + disk.writes > 0
 
 

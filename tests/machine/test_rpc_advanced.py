@@ -15,7 +15,9 @@ from repro.machine import (
 )
 from repro.machine.rpc import Detached
 from repro.sim import Simulator, Timeout
-from repro.tools.base import sequential_spawn, tree_spawn
+from repro.tools.base import tree_spawn
+
+from tests.helpers import sequential_spawn
 
 
 def make_machine(nodes=4):

@@ -44,3 +44,10 @@ def test_active_arm_stays_safe_while_acting():
     assert run_on["route_bound_final"] > run_on["route_bound_static"]
     assert run_on["goodput"] > 0
     assert run_on["heat"]["recorded"] > 0
+
+
+def test_heat_is_read_before_the_safety_oracle():
+    """The heat row is the workload's: the Zipf head is among the hot
+    names, not the oracle's readback of the last catalog files."""
+    run_off = run(active=False)
+    assert "tf000" in [hot["name"] for hot in run_off["heat"]["hot_names"]]

@@ -15,6 +15,8 @@ from repro.redundancy import (
 from repro.storage import FixedLatency
 from repro.workloads import pattern_chunks
 
+from tests.helpers import failed, failed_slots
+
 
 def make_system(p=4, seed=33, **kwargs):
     return BridgeSystem(p, seed=seed, disk_latency=FixedLatency(0.0005),
@@ -90,12 +92,12 @@ def test_manager_tracks_failed_slots():
     injector on the system reads the same slots."""
     system = make_system(redundancy="parity")
     injector = FaultInjector(system)
-    assert injector.failed_slots == []
+    assert failed_slots(system) == []
     injector.fail_slot(3)
     assert system.disks[3].failed
-    assert FaultInjector(system).failed_slots == [3]
+    assert failed_slots(system) == [3]
     injector.repair_slot(3)
-    assert FaultInjector(system).failed_slots == []
+    assert failed_slots(system) == []
 
 
 def test_failing_a_failed_slot_is_one_event():
@@ -104,11 +106,11 @@ def test_failing_a_failed_slot_is_one_event():
     injector = FaultInjector(system)
     injector.fail_slot(3)
     injector.fail_slot(3)
-    assert injector.failed_slots == [3]
+    assert failed_slots(system) == [3]
     # the transition is the device's, whichever injector causes it
     FaultInjector(system).repair_slot(3)
     injector.repair_slot(3)
-    assert injector.failed_slots == []
+    assert failed_slots(system) == []
     assert len(system.redundancy.rebuilds) == 1
 
 
@@ -132,11 +134,11 @@ def test_repair_auto_starts_rebuild_under_parity():
     build(system, rfile, pattern_chunks(8))
     drop_caches(system)
     injector = FaultInjector(system)
-    with injector.failed(1):
+    with failed(injector, 1):
         pass
     assert len(system.redundancy.rebuilds) == 1
     system.sim.run()  # drain the spawned sweep
-    assert system.redundancy.rebuilds[0].progress.done
+    assert system.redundancy.rebuilds[0].progress.finished_at is not None
 
 
 def test_fsck_clean_after_fail_degraded_writes_repair_rebuild():
@@ -170,7 +172,8 @@ def test_fsck_clean_after_fail_degraded_writes_repair_rebuild():
     injector.repair_slot(2)  # auto-starts the online rebuild
     system.sim.run()
     assert system.redundancy.rebuilds
-    assert all(r.progress.done for r in system.redundancy.rebuilds)
+    assert all(r.progress.finished_at is not None
+               for r in system.redundancy.rebuilds)
 
     drop_caches(system)
     read_back, stats = read_all(system, rfile)

@@ -13,9 +13,10 @@ from repro.redundancy import (
     files_lost_fraction_parity,
     xor_blocks,
 )
-from repro.sim import Timeout
 from repro.storage import FixedLatency
 from repro.workloads import pattern_chunks
+
+from tests.helpers import failed
 
 
 def make_system(p=4, seed=20, **kwargs):
@@ -107,28 +108,12 @@ def test_locate_logical_of_round_trip():
         assert geo.logical_of(stripe, geo.parity_slot(stripe)) is None
 
 
-def test_data_slots_exclude_the_parity_slot():
-    geo = ParityGeometry(4)
-    for stripe in range(8):
-        slots = geo.data_slots(stripe)
-        assert len(slots) == 3
-        assert geo.parity_slot(stripe) not in slots
-
-
 def test_physical_blocks_count_full_stripe_capacity():
     geo = ParityGeometry(4)
     assert geo.data_per_stripe == 3
     assert geo.stripes_for(0) == 0
     assert geo.stripes_for(3) == 1
     assert geo.stripes_for(4) == 2
-    assert geo.physical_blocks(9) == 3 * 4
-    assert geo.physical_blocks(10) == 4 * 4  # partial tail stripe reserved
-
-
-def test_storage_factor_is_p_over_p_minus_one():
-    assert ParityGeometry(4).storage_factor() == pytest.approx(4 / 3)
-    assert ParityGeometry(8).storage_factor() == pytest.approx(8 / 7)
-    assert ParityGeometry(3).storage_factor() == pytest.approx(1.5)
 
 
 def test_files_lost_fraction_parity():
@@ -179,7 +164,7 @@ def test_overwrite_updates_parity_via_read_modify_write():
     # ... and the new value reconstructs correctly with its slot dead
     drop_caches(system)
     _stripe, slot = pfile.geometry.locate(2)
-    with FaultInjector(system).failed(slot):
+    with failed(FaultInjector(system), slot):
         read_back, _stats = read_all(system, pfile)
     assert read_back[2].startswith(replacement)
 
@@ -214,14 +199,13 @@ def test_degraded_read_reconstructs_exact_content():
     pfile = build_parity_file(system, "survivor", chunks)
     healthy, _stats = read_all(system, pfile)
     drop_caches(system)
-    with FaultInjector(system).failed(1):
+    with failed(FaultInjector(system), 1):
         degraded, stats = read_all(system, pfile)
     assert degraded == healthy  # byte-identical, padding included
     assert matches(degraded, chunks)
     # 8 blocks at p=4: slot 1 held logical 0 and 7
     assert stats.degraded == 2
     assert stats.peer_reads == 2 * 3
-    assert 0 < stats.degraded_fraction < 1
 
 
 def test_degraded_reconstruction_is_traced_like_every_fan_out():
@@ -231,7 +215,7 @@ def test_degraded_reconstruction_is_traced_like_every_fan_out():
     def run(obs):
         system = make_system(seed=1, obs=obs)
         pfile = build_parity_file(system, "traced", pattern_chunks(12))
-        with FaultInjector(system).failed(1):
+        with failed(FaultInjector(system), 1):
             read_all(system, pfile)
         return system
 
@@ -256,7 +240,7 @@ def test_degraded_read_detects_midstream_device_errors(monkeypatch):
     pfile = build_parity_file(system, "stale-view", chunks)
     drop_caches(system)
     monkeypatch.setattr(pfile, "slot_failed", lambda slot: False)
-    with FaultInjector(system).failed(1):
+    with failed(FaultInjector(system), 1):
         read_back, stats = read_all(system, pfile)
     assert matches(read_back, chunks)
     assert stats.errors_detected == 2
@@ -313,7 +297,7 @@ def test_degraded_append_grows_the_file():
     pfile = build_parity_file(system, "still-growing", chunks)
     drop_caches(system)
     extra = pattern_chunks(3, stamp=b"NEW")
-    with FaultInjector(system).failed(2):
+    with failed(FaultInjector(system), 2):
 
         def append():
             yield from pfile.write_all(extra)
@@ -371,8 +355,8 @@ def test_rebuild_restores_constituent_and_content():
     system.run(update())
     injector.repair_slot(2)
     stats, rebuild = run_rebuild(system, pfile, 2)
-    assert rebuild.progress.done
-    assert rebuild.progress.fraction == 1.0
+    assert rebuild.progress.finished_at is not None
+    assert rebuild.progress.rebuilt_stripes == rebuild.progress.total_stripes
     assert stats.blocks_written > 0
     # after the sweep, direct reads (no reconstruction) see fresh data
     drop_caches(system)
@@ -387,41 +371,18 @@ def test_rebuild_throttle_paces_the_sweep():
     system = make_system()
     pfile = build_parity_file(system, "gentle", pattern_chunks(12))
     drop_caches(system)
-    with FaultInjector(system).failed(1):
+    with failed(FaultInjector(system), 1):
         pass
     fast, _ = run_rebuild(system, pfile, 1)
     system2 = make_system(seed=21)
     pfile2 = build_parity_file(system2, "gentle", pattern_chunks(12))
     drop_caches(system2)
-    with FaultInjector(system2).failed(1):
+    with failed(FaultInjector(system2), 1):
         pass
     slow, _ = run_rebuild(system2, pfile2, 1, rate=10.0)
     # 12 blocks at p=4 -> 4 stripes -> >= 0.4 simulated seconds throttled
     assert slow.elapsed >= 4 * 0.1
     assert slow.elapsed > fast.elapsed
-
-
-def test_rebuild_progress_reports_eta():
-    system = make_system()
-    pfile = build_parity_file(system, "watched", pattern_chunks(12))
-    drop_caches(system)
-    rebuild = OnlineRebuild(pfile, 3, rate=100.0)
-    assert rebuild.progress.eta(0.0) is None  # nothing rebuilt yet
-    etas = []
-
-    def sample():
-        process = rebuild.start()
-        while not rebuild.progress.done:
-            eta = rebuild.progress.eta(system.sim.now)
-            if eta is not None:
-                etas.append(eta)
-            yield Timeout(0.001)
-        return (yield process.join())
-
-    system.run(sample(), name="sampler")
-    assert rebuild.progress.done
-    assert etas, "never observed a mid-flight ETA"
-    assert all(eta >= 0 for eta in etas)
 
 
 def test_rebuild_validates_slot_and_rate():
@@ -456,7 +417,7 @@ def test_degraded_read_reconstructs_on_every_driver(kind, tmp_path):
     pfile = build_parity_file(system, "survivor", chunks)
     healthy, _stats = read_all(system, pfile)
     drop_caches(system)
-    with FaultInjector(system).failed(1):
+    with failed(FaultInjector(system), 1):
         degraded, stats = read_all(system, pfile)
     assert degraded == healthy
     assert matches(degraded, chunks)
@@ -481,7 +442,7 @@ def test_degraded_write_and_rebuild_on_every_driver(kind, tmp_path):
     system.run(degraded_write(), name="degraded-write")
     injector.repair_slot(2)
     _stats, rebuild = run_rebuild(system, pfile, 2)
-    assert rebuild.progress.done
+    assert rebuild.progress.finished_at is not None
     drop_caches(system)
     read_back, stats = read_all(system, pfile)
     assert read_back[0] == new_value

@@ -3,7 +3,7 @@
 The simulator keeps events due at the running instant on a FIFO beside
 the heap of later instants.  Random schedules, made from inside running
 events with every scheduling route the kernel has (zero, positive and
-float-absorbed delays, ``call_at(now)``, spawns, process timeouts,
+float-absorbed delays, spawns, process timeouts,
 mailbox and reply-cell deliveries, parked or not), run on the real
 kernel and on a heap-only reference model; both must run the same
 events in the same order.  ``until`` and ``max_events`` stops, some in
@@ -21,10 +21,12 @@ from hypothesis import strategies as st
 from repro.errors import DeadlockError
 from repro.sim import Mailbox, ReplyCell, Simulator, Timeout
 
+from tests.helpers import pending_events
+
 #: 1e16 + 1.0 == 1e16: from that base a delay of 1.0 is absorbed.
 _BASES = (0.0, 1e16)
 _DELAYS = (0.0, 0.5, 1.0, 2.0, 3.0)
-_ROUTES = ("later", "at", "spawn", "timeout", "mailbox", "mailbox_queued",
+_ROUTES = ("later", "spawn", "timeout", "mailbox", "mailbox_queued",
            "cell", "cell_first")
 
 
@@ -46,7 +48,7 @@ def _reference(root, base, stops):
             for route, delay, child in actions:
                 if route == "later":
                     _ref_push(heap, seq, time + delay, ("node", child))
-                elif route in ("at", "spawn"):
+                elif route == "spawn":
                     _ref_push(heap, seq, time, ("node", child))
                 elif route == "timeout":  # the process's first step sleeps
                     _ref_push(heap, seq, time, ("sleep", delay, child))
@@ -85,13 +87,13 @@ def _real(root, base, stops):
         for route, delay, child in actions:
             _ROUTE_IMPLS[route](sim, delay, child, execute)
 
-    sim.call_at(base, execute, root)
+    sim.call_later(base, execute, root)
     for kind, value in stops:
         if kind == "max":
             sim.run(max_events=value)
         else:
             sim.run(until=value)
-        pending.append((sim.pending_events, sim.now))
+        pending.append((pending_events(sim), sim.now))
     sim.run(check_deadlock=True)
     return log, pending, sim.events_executed
 
@@ -146,7 +148,6 @@ def _cell(sim):
 
 _ROUTE_IMPLS = {
     "later": lambda sim, delay, child, execute: sim.call_later(delay, execute, child),
-    "at": lambda sim, delay, child, execute: sim.call_at(sim.now, execute, child),
     "spawn": _spawn_route,
     "timeout": _timeout_route,
     "mailbox": _parked(_mailbox),
@@ -193,9 +194,9 @@ def test_two_tier_event_list_runs_in_time_seq_order(tree, base, stops):
 def test_float_absorbed_delay_is_due_now_and_keeps_its_place():
     sim = Simulator()
     log = []
-    sim.call_at(1e16, lambda _: (sim.call_later(1.0, log.append, "absorbed"),
-                                 log.append("first")))
-    sim.call_at(1e16, log.append, "second")
+    sim.call_later(1e16, lambda _: (sim.call_later(1.0, log.append, "absorbed"),
+                                    log.append("first")))
+    sim.call_later(1e16, log.append, "second")
     assert 1e16 + 1.0 == 1e16
     sim.run()
     assert log == ["first", "second", "absorbed"]
@@ -207,12 +208,12 @@ def test_pending_events_counts_both_tiers():
     sim.call_later(0.0, lambda _: None)
     sim.call_later(1.0, lambda _: None)
     sim.call_later(1.0, lambda _: None)
-    assert sim.pending_events == 3
+    assert pending_events(sim) == 3
     sim.run(max_events=2)  # the due-now one, then one of the two at 1.0
-    assert sim.pending_events == 1
+    assert pending_events(sim) == 1
     assert sim.now == 1.0
     sim.run()
-    assert sim.pending_events == 0
+    assert pending_events(sim) == 0
 
 
 def test_deadlock_is_not_reported_while_ready_entries_remain():
@@ -227,6 +228,6 @@ def test_deadlock_is_not_reported_while_ready_entries_remain():
     # Only due-now entries are left after one event, none on the heap:
     # that is pending work, not a deadlock.
     sim.run(max_events=1, check_deadlock=True)
-    assert sim.pending_events == 3
+    assert pending_events(sim) == 3
     with pytest.raises(DeadlockError):
         sim.run(check_deadlock=True)

@@ -39,14 +39,20 @@ class _EchoServer(Server):
         return value * 2
 
 
+def _reseat(port, mailbox):
+    """A port binds its mailbox's ``deliver`` once: swap both."""
+    port.mailbox = mailbox
+    port.deliver = mailbox.deliver
+
+
 def _scenario(timeout, mailbox):
     sim = Simulator(seed=3)
     machine = Machine(sim, 2)
     server = _EchoServer(machine.node(0), "echo")
     server.timeout = timeout
-    server.port.mailbox = mailbox(sim, "echo")  # before its loop first runs
+    _reseat(server.port, mailbox(sim, "echo"))  # before its loop first runs
     client = Client(machine.node(1), "caller")
-    client.reply_port.mailbox = mailbox(sim, "caller.reply")
+    _reseat(client.reply_port, mailbox(sim, "caller.reply"))
     left, right = mailbox(sim, "left"), mailbox(sim, "right")
     gate = Signal(sim)
     trace = []

@@ -1,23 +1,6 @@
-"""Edge-case tests: Ethernet backlog, reprs, and spawn validation."""
+"""Edge-case tests: process and mailbox reprs."""
 
-import pytest
-
-from repro.machine import EthernetNetwork, Machine
-from repro.machine.network import ETHERNET_BANDWIDTH, ETHERNET_FRAME_OVERHEAD
 from repro.sim import Mailbox, Simulator, Timeout
-
-
-def test_ethernet_backlog_visible():
-    sim = Simulator()
-    network = EthernetNetwork(sim)
-    machine = Machine(sim, 2, network=network)
-    port = machine.node(1).port("sink")
-    for _ in range(5):
-        machine.node(0).send(port, "m", size=100)
-    # nothing transmitted yet at t=0 (transmitter hasn't run)
-    assert network.backlog >= 4
-    sim.run(until=2.5 * (ETHERNET_FRAME_OVERHEAD + 100 / ETHERNET_BANDWIDTH))
-    assert network.backlog <= 3
 
 
 def test_process_repr_states():

