@@ -57,11 +57,10 @@ def scaling_table(times: Dict[int, float], units: int) -> List[ScalingPoint]:
     return points
 
 
-def is_superlinear(times: Dict[int, float], slack: float = 1.0) -> bool:
-    """True if every doubling of p improves time by more than 2x/slack."""
+def is_superlinear(times: Dict[int, float]) -> bool:
+    """True if every step up in p improves time by more than p grew."""
     ps = sorted(times)
     for smaller, larger in zip(ps, ps[1:]):
-        factor = larger / smaller
-        if times[smaller] / times[larger] <= factor * slack:
+        if times[smaller] / times[larger] <= larger / smaller:
             return False
     return True

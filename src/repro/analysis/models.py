@@ -14,6 +14,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.config import DATA_BYTES_PER_BLOCK, DEFAULT_CONFIG
 from repro.core.ring import ModuloRing
+from repro.storage.parameters import DEFAULT_ACCESS_TIME
 
 # ---------------------------------------------------------------------------
 # Table 2: Bridge operations (milliseconds; n = file size in blocks)
@@ -98,11 +99,11 @@ PAPER_SORT_BUFFER_RECORDS = 512
 #   message per (worker, slot) pair with traffic between them.
 
 
-def touched_slots(blocks: Sequence[int], width: int, start: int = 0) -> int:
+def touched_slots(blocks: Sequence[int], width: int) -> int:
     """Distinct LFS slots a set of global blocks lands on."""
     if width < 1:
         raise ValueError("width must be >= 1")
-    return len({(block + start) % width for block in blocks})
+    return len({block % width for block in blocks})
 
 
 def naive_rpc_count(blocks: Sequence[int]) -> int:
@@ -110,13 +111,13 @@ def naive_rpc_count(blocks: Sequence[int]) -> int:
     return len(blocks)
 
 
-def listio_rpc_count(blocks: Sequence[int], width: int, start: int = 0) -> int:
+def listio_rpc_count(blocks: Sequence[int], width: int) -> int:
     """List I/O: one batched EFS request per touched LFS, at most p."""
-    return touched_slots(blocks, width, start)
+    return touched_slots(blocks, width)
 
 
 def twophase_message_counts(
-    per_worker_blocks: Sequence[Sequence[int]], width: int, start: int = 0
+    per_worker_blocks: Sequence[Sequence[int]], width: int
 ) -> Dict[str, int]:
     """Exact message counts for a two-phase collective operation.
 
@@ -132,7 +133,7 @@ def twophase_message_counts(
     pairs = set()
     for worker, blocks in enumerate(per_worker_blocks):
         for block in blocks:
-            slot = (block + start) % width
+            slot = block % width
             slots.add(slot)
             pairs.add((worker, slot))
     return {
@@ -171,8 +172,7 @@ def pipelined_hit_seconds(config=None) -> float:
     )
 
 
-def pipelined_supply_seconds_per_block(config=None,
-                                       disk_latency: float = 0.015) -> float:
+def pipelined_supply_seconds_per_block(config=None) -> float:
     """Average per-block service time of one LFS streaming sequentially
     to the prefetcher: one track-buffer disk read amortized over
     ``efs_track_buffer_blocks``, per-request EFS CPU, and the
@@ -180,7 +180,7 @@ def pipelined_supply_seconds_per_block(config=None,
     cfg = config or DEFAULT_CONFIG
     track = max(1, cfg.efs_track_buffer_blocks)
     return (
-        disk_latency / track
+        DEFAULT_ACCESS_TIME / track
         + cfg.cpu.efs_request
         + cfg.cpu.efs_cache_hit
         + 2 * cfg.messages.remote_latency
@@ -188,8 +188,8 @@ def pipelined_supply_seconds_per_block(config=None,
     )
 
 
-def pipelined_read_seconds(file_blocks: int, width: int, config=None,
-                           disk_latency: float = 0.015) -> float:
+def pipelined_read_seconds(file_blocks: int, width: int,
+                           config=None) -> float:
     """Closed-form time for an n-block pipelined sequential read: every
     block costs the slower of the client hit path and the per-LFS supply
     rate spread over p constituents (exact in the client-bound regime,
@@ -197,7 +197,7 @@ def pipelined_read_seconds(file_blocks: int, width: int, config=None,
     if file_blocks < 0:
         raise ValueError("file_blocks must be >= 0")
     hit = pipelined_hit_seconds(config)
-    supply = pipelined_supply_seconds_per_block(config, disk_latency) / width
+    supply = pipelined_supply_seconds_per_block(config) / width
     return file_blocks * max(hit, supply)
 
 
@@ -220,7 +220,6 @@ def pipelined_read_seconds(file_blocks: int, width: int, config=None,
 def naive_read_components(
     file_blocks: int,
     config=None,
-    disk_latency: float = 0.015,
     resident: bool = True,
 ) -> Dict[str, float]:
     """Predicted per-category seconds for ``file_blocks`` steady-state
@@ -242,16 +241,15 @@ def naive_read_components(
             file_blocks * (cfg.cpu.bridge_request + cfg.cpu.efs_request)
             + warm * cfg.cpu.efs_cache_hit
         ),
-        "disk": cold * disk_latency,
+        "disk": cold * DEFAULT_ACCESS_TIME,
         "queue": 0.0,
     }
 
 
-def naive_read_seconds_per_block(config=None, disk_latency: float = 0.015,
-                                 resident: bool = True) -> float:
+def naive_read_seconds_per_block(config=None, resident: bool = True) -> float:
     """Total of :func:`naive_read_components` for one block."""
     return sum(naive_read_components(
-        1, config=config, disk_latency=disk_latency, resident=resident
+        1, config=config, resident=resident
     ).values())
 
 
@@ -313,18 +311,15 @@ def fabric_speedup_bound(names: Sequence[str], servers: int,
 # these formulas exactly.
 
 
-def metadata_partition_buckets(names: Sequence[str], partitions: int,
-                               ring=None) -> Dict[int, int]:
-    """Per-partition name counts under the production routing.
-
-    ``ring`` is any S22 ring object; the default is the rigid mod-k
-    ring, which matches a freshly built fabric of ``partitions``
+def metadata_partition_buckets(names: Sequence[str],
+                               partitions: int) -> Dict[int, int]:
+    """Per-partition name counts under the production routing: the
+    rigid mod-k ring of a freshly built fabric of ``partitions``
     servers.  Only touched partitions appear as keys.
     """
     if partitions < 1:
         raise ValueError("partitions must be >= 1")
-    if ring is None:
-        ring = ModuloRing(partitions)
+    ring = ModuloRing(partitions)
     buckets: Dict[int, int] = {}
     for name in names:
         partition = ring.partition_of(name)
@@ -333,7 +328,7 @@ def metadata_partition_buckets(names: Sequence[str], partitions: int,
 
 
 def batched_rpc_count(names: Sequence[str], partitions: int,
-                      window: int = 0, ring=None) -> int:
+                      window: int = 0) -> int:
     """Exact RPC count of one batched metadata op.
 
     ``sum(ceil(k_i / window))`` over the touched partitions' name counts
@@ -342,7 +337,7 @@ def batched_rpc_count(names: Sequence[str], partitions: int,
     """
     if window < 0:
         raise ValueError("window must be >= 0")
-    buckets = metadata_partition_buckets(names, partitions, ring=ring)
+    buckets = metadata_partition_buckets(names, partitions)
     if window == 0:
         return len(buckets)
     return sum(math.ceil(count / window) for count in buckets.values())

@@ -48,8 +48,8 @@ class SequentialSystem:
 
     # ------------------------------------------------------------------
 
-    def client(self, node=None) -> EFSClient:
-        return EFSClient(node or self.client_node, self.efs.port)
+    def client(self) -> EFSClient:
+        return EFSClient(self.client_node, self.efs.port)
 
     def allocate_file_number(self) -> int:
         number = self._next_file

@@ -96,14 +96,10 @@ class BridgeClient:
         """Batched stat; returns ``[NameOutcome(value=FileStat)]``."""
         return self._call("mstat", names=list(names))
 
-    def mcreate(self, names, width=None, node_slots=None, start: int = 0,
-                disordered: bool = False):
-        """Batched create (shared shape parameters); returns
+    def mcreate(self, names, width=None):
+        """Batched create (a shared width); returns
         ``[NameOutcome(value=file_id)]``."""
-        return self._call(
-            "mcreate", names=list(names), width=width,
-            node_slots=node_slots, start=start, disordered=disordered,
-        )
+        return self._call("mcreate", names=list(names), width=width)
 
     def mdelete(self, names):
         """Batched delete; returns ``[NameOutcome(value=blocks_freed)]``."""

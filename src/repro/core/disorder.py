@@ -30,9 +30,9 @@ class ReorganizeResult:
     elapsed: float
 
 
-def reorganize(client: BridgeClient, source: str, dest: str,
-               delete_source: bool = True):
-    """Rewrite ``source`` (disordered) into a strictly interleaved ``dest``.
+def reorganize(client: BridgeClient, source: str, dest: str):
+    """Rewrite ``source`` (disordered) into a strictly interleaved
+    ``dest``, then delete ``source``.
 
     Generator; drive with ``system.run(reorganize(client, "a", "b"))``.
     This is deliberately the simple off-line procedure: read the file in
@@ -46,8 +46,7 @@ def reorganize(client: BridgeClient, source: str, dest: str,
     for block in range(opened.total_blocks):
         data = yield from client.random_read(source, block)
         yield from client.seq_write(dest, data)
-    if delete_source:
-        yield from client.delete(source)
+    yield from client.delete(source)
     return ReorganizeResult(
         source=source,
         dest=dest,

@@ -211,15 +211,15 @@ class BridgeServer(Server):
             start=start, disordered=disordered,
         )
 
-    def op_mcreate(self, names, width=None, node_slots=None, start=0,
-                   disordered=False):
-        """Batched create (shared shape): the spawns run name by name,
-        the probe and the directory-update commit are paid once.  A
-        duplicate name — in the directory or earlier in the same batch —
-        gets the same exists error the singleton op raises."""
+    def op_mcreate(self, names, width=None):
+        """Batched create (a shared width, interleaved from slot 0): the
+        spawns run name by name, the probe and the directory-update
+        commit are paid once.  A duplicate name — in the directory or
+        earlier in the same batch — gets the same exists error the
+        singleton op raises."""
         return self._run_verb(
-            self._CREATE, None, names, width=width, node_slots=node_slots,
-            start=start, disordered=disordered,
+            self._CREATE, None, names, width=width, node_slots=None,
+            start=0, disordered=False,
         )
 
     def op_delete(self, name):

@@ -480,18 +480,16 @@ class EFSServer(Server):
 
     def _store_block(
         self, addr: int, header: EFSHeader, bridge: BridgeHeader, data: bytes,
-        lazy: bool = False,
     ):
-        """The generator that writes one block: a write-back when ``lazy``,
-        else as the write-behind configuration says.  The entry it caches
-        is seeded with what the block was packed from, so a block this
-        server wrote is not unpacked while it stays cached: ``data``
-        itself when it is already the padded data area."""
+        """The generator that writes one block, as the write-behind
+        configuration says.  The entry it caches is seeded with what the
+        block was packed from, so a block this server wrote is not
+        unpacked while it stays cached: ``data`` itself when it is
+        already the padded data area."""
         raw = pack_block(header, bridge, data)
         if len(data) != DATA_BYTES_PER_BLOCK or type(data) is not bytes:
             data = raw[DATA_OFFSET:]
-        store = self.cache.write_back if lazy else self._store
-        return store(addr, raw, (header, bridge, data))
+        return self._store(addr, raw, (header, bridge, data))
 
     def _append(self, entry: DirectoryEntry, size: int, data: bytes):
         """Link a new block at the tail: two device writes in steady state

@@ -177,9 +177,9 @@ class BridgeSystem:
         name can change under a live resize)."""
         return client_for(node or self.client_node, self.server_target())
 
-    def partitioned_client(self, node=None) -> PartitionedClient:
+    def partitioned_client(self) -> PartitionedClient:
         """A client routing by name across all Bridge Server partitions."""
-        return PartitionedClient(node or self.client_node, self.fabric)
+        return PartitionedClient(self.client_node, self.fabric)
 
     def server_target(self):
         """What to hand anything that takes a ``server_port``: the single

@@ -330,8 +330,7 @@ def run_token_saturation(width: int, records: Optional[int] = None,
 # ---------------------------------------------------------------------------
 
 
-def run_create_tree_experiment(p: int, seed: int = 0,
-                               batch: int = 8) -> dict:
+def run_create_tree_experiment(p: int, seed: int = 0) -> dict:
     def create_ms(use_tree: bool, names: Optional[List[str]] = None) -> float:
         """One ``create`` — or, given ``names``, one ``mcreate`` of
         identically-shaped files, per file (the S23 arm: the batch
@@ -356,7 +355,7 @@ def run_create_tree_experiment(p: int, seed: int = 0,
         "tree_ms": create_ms(True),
         # the tree dispatch (the winner above) serves each batched create
         "batched_per_file_ms": create_ms(
-            True, [f"probe{index}" for index in range(batch)]),
+            True, [f"probe{index}" for index in range(8)]),
     }
 
 
@@ -366,12 +365,12 @@ def run_create_tree_experiment(p: int, seed: int = 0,
 
 
 def run_metadata_experiment(servers: int = 4, names: int = 256, seed: int = 0,
-                            window: int = 0, lfs_count: int = 4) -> dict:
+                            window: int = 0) -> dict:
     """One S23 ablation point: the same metadata-pure name family pushed
     through a per-name loop and through the batched surface.
 
     Both arms run on identical fresh fabrics (``servers`` partitions
-    over ``lfs_count`` LFS, ``bridge_fanout_limit = window``) and walk
+    over 4 LFS, ``bridge_fanout_limit = window``) and walk
     the same four phases — create, open, stat, delete — over ``names``
     empty width-1 files.  Wall clock and the summed Bridge-Server
     ``requests_served`` delta are recorded per phase; the RPC counts
@@ -382,7 +381,7 @@ def run_metadata_experiment(servers: int = 4, names: int = 256, seed: int = 0,
     config = DEFAULT_CONFIG.with_changes(bridge_fanout_limit=window)
 
     def run_arm(batched: bool):
-        system = paper_system(lfs_count, seed=seed,
+        system = paper_system(4, seed=seed,
                               bridge_server_count=servers, config=config)
         client = system.partitioned_client()
         ms: Dict[str, float] = {}
@@ -551,16 +550,14 @@ def run_redundancy_experiment(scheme: str, p: int = 4, blocks: Optional[int] = N
 
 def run_collective_experiment(
     p: int = 8,
-    workers: Optional[int] = None,
     blocks: Optional[int] = None,
     accesses: Optional[int] = None,
     pattern: str = "strided",
-    stride: Optional[int] = None,
     seed: int = 0,
 ) -> dict:
     """Noncontiguous-access ablation (S17): naive vs list I/O vs two-phase.
 
-    ``t`` workers (default ``p``) share ``accesses`` single-block reads
+    ``p`` workers share ``accesses`` single-block reads
     of one interleaved file, shaped by ``pattern`` (``"strided"``,
     ``"scatter"``, or ``"hotspot"``; see :mod:`repro.workloads.traces`).
     Three arms move the same bytes:
@@ -577,11 +574,10 @@ def run_collective_experiment(
     equality (``model_exact``), and ``content_ok`` records that all
     three arms returned byte-identical data.
     """
-    workers = workers if workers is not None else p
     blocks = blocks if blocks is not None else max(64, 8 * p)
     accesses = accesses if accesses is not None else max(32, 4 * p)
     if pattern == "strided":
-        stride = stride if stride is not None else max(2, blocks // accesses)
+        stride = max(2, blocks // accesses)
         count = min(accesses, max(1, (blocks - 1) // stride + 1))
         trace = strided_pattern(0, stride, count)
     elif pattern == "scatter":
@@ -590,8 +586,8 @@ def run_collective_experiment(
         trace = hotspot_pattern(blocks, accesses, seed=seed)
     else:
         raise ValueError(f"unknown pattern {pattern!r}")
-    # Round-robin split: worker w takes trace[w::t].
-    per_worker = [trace[w::workers] for w in range(workers)]
+    # Round-robin split: worker w takes trace[w::p].
+    per_worker = [trace[w::p] for w in range(p)]
     per_worker = [blocks_ for blocks_ in per_worker if blocks_]
 
     system = paper_system(p, seed=seed)
@@ -783,20 +779,16 @@ def run_traffic_experiment(
     rate: float,
     duration: float = 4.0,
     policy: str = "none",
-    p: int = 4,
-    servers: int = 1,
     seed: int = 0,
-    files: int = 24,
-    blocks: int = 12,
     mix: Optional[Dict[str, float]] = None,
     arrival_kind: str = "poisson",
-    skew: float = 1.1,
     admission_params: Optional[Dict[str, object]] = None,
-    obs: bool = False,
 ) -> dict:
     """One open-loop traffic run: build, drive, account (S21 headline).
 
-    The ``open-loop`` fabric's fast disks leave the Bridge Server's
+    One Bridge Server over the ``open-loop`` fabric's 4 LFS, a Zipf
+    (skew 1.1) catalog of 24 files of 12 blocks.  Its fast disks leave
+    the Bridge Server's
     serial per-request CPU as the bottleneck — saturation is a *server*
     phenomenon, which is what admission control protects.  The row
     carries the :class:`~repro.traffic.SLORecorder` outcome counts and
@@ -804,10 +796,8 @@ def run_traffic_experiment(
     outcome counters, ``None`` for the no-policy arm), and the measured
     queue wait beside its M/M/1 and M/D/1 predictions.
     """
-    fabric = _OpenLoopFabric(
-        files, blocks, skew, mix, policy, admission_params,
-        lfs_count=p, seed=seed, bridge_server_count=servers, obs=obs,
-    )
+    fabric = _OpenLoopFabric(24, 12, 1.1, mix, policy, admission_params,
+                             seed=seed)
     system = fabric.system
     recorder, generator = fabric.generator()
     system.run(
@@ -838,10 +828,10 @@ def run_traffic_experiment(
         wait_mean = 0.0
         wait_p99 = 0.0
 
-    # Queueing predictions at the per-server offered rate: arrivals that
-    # reached a server, spread across partitions.
+    # Queueing predictions at the offered rate: arrivals that reached
+    # the server.
     if service_rate > 0:
-        offered = min(served_rate / servers, service_rate * 0.999)
+        offered = min(served_rate, service_rate * 0.999)
         predicted_mm1 = mm1_wait_seconds(offered, service_rate)
         predicted_md1 = md1_wait_seconds(offered, service_rate)
     else:
@@ -885,34 +875,26 @@ def run_elastic_experiment(
     start_servers: int = 2,
     end_servers: int = 4,
     provisioned: Optional[int] = None,
-    p: int = 4,
     seed: int = 0,
-    files: int = 24,
-    blocks: int = 12,
-    mix: Optional[Dict[str, float]] = None,
-    skew: float = 1.1,
     moves_per_second: Optional[float] = None,
-    forward_window: Optional[float] = 0.25,
-    policy: str = "none",
-    admission_params: Optional[Dict[str, object]] = None,
-    obs: bool = False,
 ) -> dict:
     """One resize-under-load run: steady / resize-under-traffic / steady.
 
-    Three equal arrival windows drive the same catalog with independent
-    SLO recorders; the fabric resize (grow or shrink, by consistent-hash
-    ring + live migration) is spawned at the start of the middle window,
-    so its summary *is* the during-migration latency distribution
-    (``phases`` maps each window to its summary).  After the final
-    window quiesces, :func:`fabric_safety_oracle` runs and its verdict
-    joins the row.
+    The traffic run's catalog and mix (no admission policy) over the
+    ``open-loop`` fabric's 4 LFS, a consistent-hash ring and a 0.25 s
+    forwarding window.  Three equal arrival windows drive the same
+    catalog with independent SLO recorders; the fabric resize (grow or
+    shrink, by consistent-hash ring + live migration) is spawned at the
+    start of the middle window, so its summary *is* the during-migration
+    latency distribution (``phases`` maps each window to its summary).
+    After the final window quiesces, :func:`fabric_safety_oracle` runs
+    and its verdict joins the row; ``makespan`` is read before it.
     """
     if provisioned is None:
         provisioned = max(start_servers, end_servers)
     fabric = _OpenLoopFabric(
-        files, blocks, skew, mix, policy, admission_params,
-        lfs_count=p, seed=seed, bridge_server_count=start_servers,
-        ring="consistent", spare_servers=provisioned - start_servers, obs=obs,
+        24, 12, 1.1, None, seed=seed, bridge_server_count=start_servers,
+        ring="consistent", spare_servers=provisioned - start_servers,
     )
     system = fabric.system
     report_box: Dict[str, object] = {}
@@ -925,7 +907,6 @@ def run_elastic_experiment(
                 def resize():
                     report = yield from system.resize_fabric(
                         end_servers, moves_per_second=moves_per_second,
-                        forward_window=forward_window,
                     )
                     report_box["report"] = report
 
@@ -943,6 +924,7 @@ def run_elastic_experiment(
         "after": run_phase("after"),
     }
     report = report_box["report"]
+    makespan = system.sim.now  # before the oracle's readback
 
     return {
         "direction": report.direction,
@@ -961,7 +943,7 @@ def run_elastic_experiment(
             for phase, summary in phases.items()
         },
         "phases": phases,
-        "makespan": system.sim.now,
+        "makespan": makespan,
     }
 
 
@@ -1021,24 +1003,19 @@ def run_rebalance_experiment(
     rate: float = 140.0,
     duration: float = 16.0,
     servers: int = 4,
-    p: int = 4,
     seed: int = 0,
     files: int = 32,
     blocks: int = 12,
-    mix: Optional[Dict[str, float]] = None,
     skew: float = 1.6,
     active: bool = True,
-    rebalance_config: Optional[Dict[str, object]] = None,
-    obs: bool = False,
 ) -> dict:
     """One S24 arm: a Zipf-skewed S21 mix with the rebalancer on or off.
 
     Both arms install the heat map and run the control loop; with
     ``active=False`` the loop runs ``watch_only`` — it records the same
     sweep-by-sweep imbalance trajectory but never acts, so off-vs-on is
-    the policy's effect and nothing else (``rebalance_config`` overrides
-    further :class:`~repro.elastic.RebalanceConfig` fields).  ``skew``
-    is deliberately steep: the point is a fabric whose hash placement is
+    the policy's effect and nothing else.  ``skew`` is deliberately
+    steep: the point is a fabric whose hash placement is
     busy-unbalanced so the rebalancer has heat to move.  After traffic
     and the control loop drain, :func:`fabric_safety_oracle` must come
     back clean across however many sweeps acted; its verdict joins the
@@ -1049,10 +1026,8 @@ def run_rebalance_experiment(
     headline.
     """
     fabric = _OpenLoopFabric(
-        files, blocks, skew, mix,
-        lfs_count=p, seed=seed, bridge_server_count=servers,
-        ring="consistent", obs=obs,
-        rebalance={"watch_only": not active, **(rebalance_config or {})},
+        files, blocks, skew, None, seed=seed, bridge_server_count=servers,
+        ring="consistent", rebalance={"watch_only": not active},
     )
     system = fabric.system
     rebalancer = system.rebalancer
@@ -1077,10 +1052,11 @@ def run_rebalance_experiment(
         seconds / window if window > 0 else 0.0
         for seconds in fabric.busy_seconds()
     ][:servers]
-    # heat is read before the oracle, whose readback would otherwise be
-    # the hottest traffic of the window
-    final_imbalance = system.heat.imbalance(system.sim.now, active=servers)
-    heat = system.heat.snapshot(system.sim.now)
+    # heat and the makespan are read before the oracle, whose readback
+    # would otherwise be the hottest traffic of the window
+    makespan = system.sim.now
+    final_imbalance = system.heat.imbalance(makespan, active=servers)
+    heat = system.heat.snapshot(makespan)
 
     oracle = fabric_safety_oracle(system, names)
     sweeps = [record.to_dict() for record in rebalancer.records]
@@ -1111,7 +1087,7 @@ def run_rebalance_experiment(
         ],
         "summary": summary,
         **oracle,
-        "makespan": system.sim.now,
+        "makespan": makespan,
         "heat": heat,
     }
 
@@ -1123,10 +1099,8 @@ def run_rebalance_experiment(
 
 def run_storage_driver_experiment(
     p: int,
-    blocks: Optional[int] = None,
     seed: int = 0,
     storage=None,
-    heat_window: float = 240.0,
 ) -> dict:
     """E26: one storage fabric under the standard build + contended read.
 
@@ -1135,7 +1109,7 @@ def run_storage_driver_experiment(
     heterogeneous one (``["ram", "ram", "ram", "object"]``).  The
     workload is fixed across arms so only the device layer varies:
 
-    1. **build** — write a ``blocks``-block interleaved file through the
+    1. **build** — write an interleaved file through the
        naive view (serial, so it prices raw device write latency);
     2. **contended read** — a virtual-parallel job with ``2 * p``
        workers, two per constituent, so every device serves two
@@ -1146,23 +1120,16 @@ def run_storage_driver_experiment(
     installed at the device layer (``attach_storage_heat``), so the run
     reports where the fabric's busy time actually went — on the
     3-fast/1-slow arm the slow slot's share is the attribution headline.
-    ``heat_window`` must cover the whole run; shares are
-    window-independent as long as it does.
+    Its 240 s window covers the whole run, so the shares are
+    window-independent.
     """
     # The read phase must actually touch the devices: size the file past
     # the per-LFS EFS block cache (LRU + sequential scan = full miss on
     # the re-read once the per-node share exceeds the cache).
-    cache_floor = (5 * p * DEFAULT_CONFIG.efs_cache_blocks) // 4
-    blocks = blocks if blocks is not None else max(
-        cache_floor, default_blocks() // 4)
-    if blocks * 4 < cache_floor * 3:
-        raise ValueError(
-            f"blocks={blocks} fits the per-LFS cache at p={p}; the "
-            f"contended read would never reach the devices "
-            f"(need >= {(cache_floor * 3 + 3) // 4})"
-        )
+    blocks = max((5 * p * DEFAULT_CONFIG.efs_cache_blocks) // 4,
+                 default_blocks() // 4)
     system = BridgeSystem(p, seed=seed, storage=storage)
-    heat = HeatMap(p, window=heat_window, buckets=8, max_names=8)
+    heat = HeatMap(p, window=240.0, buckets=8, max_names=8)
     system.attach_storage_heat(heat)
     sim = system.sim
 

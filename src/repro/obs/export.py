@@ -154,10 +154,10 @@ def diff_trace_documents(baseline: Dict[str, object],
     return report
 
 
-def _offending_subtree(events: List[Dict[str, object]], index: int,
-                       max_lines: int = 80) -> List[str]:
+def _offending_subtree(events: List[Dict[str, object]],
+                       index: int) -> List[str]:
     """Render the root-anchored subtree containing ``events[index]``,
-    marking the offending span with ``>>``."""
+    marking the offending span with ``>>`` (the first 80 lines)."""
     if index >= len(events):
         return []
     by_id = {e["args"]["span_id"]: e for e in events}
@@ -171,7 +171,7 @@ def _offending_subtree(events: List[Dict[str, object]], index: int,
     lines: List[str] = []
 
     def render(event, depth: int) -> None:
-        if len(lines) >= max_lines:
+        if len(lines) >= 80:
             return
         marker = ">> " if event is target else "   "
         lines.append(
@@ -182,18 +182,16 @@ def _offending_subtree(events: List[Dict[str, object]], index: int,
             render(child, depth + 1)
 
     render(root, 0)
-    if len(lines) >= max_lines:
+    if len(lines) >= 80:
         lines.append("   ... (subtree truncated)")
     return lines
 
 
-def span_tree_lines(obs, root=None, max_depth: Optional[int] = None) -> List[str]:
+def span_tree_lines(obs, root=None) -> List[str]:
     """ASCII rendering of a span tree, for reports and examples."""
     children = obs.children_index()
 
     def render(span, depth: int, out: List[str]) -> None:
-        if max_depth is not None and depth > max_depth:
-            return
         marker = " (bg)" if span.background else ""
         out.append(
             f"{'  ' * depth}{span.name} [{span.category}] "

@@ -166,11 +166,9 @@ class Observability:
             span.args.update(args)
 
     def event(self, name: str, category: str, duration: float = 0.0,
-              parent: Optional[Span] = None, node: Optional[int] = None,
-              background: bool = False, **args: Any) -> Optional[Span]:
+              node: Optional[int] = None, **args: Any) -> Optional[Span]:
         """A complete span of known duration, opened and closed at once."""
-        span = self.begin(name, category, parent, node=node,
-                          background=background)
+        span = self.begin(name, category, node=node)
         if span is not None:
             self.end(span, end=span.start + duration, **args)
         return span

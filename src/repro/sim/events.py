@@ -82,7 +82,7 @@ class AllOf:
     The yielded value is a list with one entry per child, in order.  Only
     :class:`Signal`-like children (things exposing ``fired``/``value`` and
     accepting an internal watcher) are supported; in practice this is used
-    to join many processes: ``yield AllOf([p.completion for p in workers])``.
+    to join many processes: ``yield AllOf([p.join() for p in workers])``.
     """
 
     __slots__ = ("signals", "_remaining", "_process")

@@ -75,9 +75,14 @@ class Process:
         except StopIteration as stop:
             self._finish(getattr(stop, "value", None))
             return
-        except ProcessError:
-            raise
         except Exception as exc:
+            # An ended process, though not done: it leaves the live set
+            # (a caller may catch the error and run on), and whoever
+            # joins it stays parked.
+            self._resume = None
+            del sim._processes[self]
+            if isinstance(exc, ProcessError):
+                raise
             raise ProcessError(self.name, str(exc)) from exc
         # Inline dispatch by exact class: the event is the one
         # Timeout._wait / Mailbox._wait would schedule, minus two frames.
@@ -141,9 +146,6 @@ class Process:
             if self.done:
                 completion.fire(self.result)
         return completion
-
-    #: The same signal as :meth:`join`, as an attribute.
-    completion = property(join)
 
     def __repr__(self) -> str:
         state = "done" if self.done else "running"

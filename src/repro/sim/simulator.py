@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from collections import deque
 from heapq import heappop, heappush
-from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, List, Tuple
 
 from repro.errors import DeadlockError
 from repro.sim.process import Process
@@ -109,21 +109,11 @@ class Simulator:
     # Execution
     # ------------------------------------------------------------------
 
-    def run(
-        self,
-        until: Optional[float] = None,
-        check_deadlock: bool = False,
-        max_events: Optional[int] = None,
-    ) -> float:
-        """Run the simulation.
+    def run(self) -> float:
+        """Run until no event is left; returns the final clock value.
 
-        Runs until no event is left, or until the clock passes ``until``
-        (events at exactly ``until`` still execute).  Returns the final
-        clock value; an ``until`` already in the past is a no-op.
-
-        With ``check_deadlock=True`` a :class:`~repro.errors.DeadlockError`
-        is raised if no event is left while non-daemon processes remain
-        blocked.  ``max_events`` guards against runaway simulations.
+        A drained queue with a non-daemon process still parked is a
+        :class:`~repro.errors.DeadlockError`: nothing can ever wake it.
         """
         heap = self._heap
         ready = self._ready
@@ -131,70 +121,37 @@ class Simulator:
         popleft = ready.popleft
         now = self.now
         executed = 0
-        if until is None and max_events is None:
-            # Run-to-drain fast path: no horizon or budget checks inside
-            # the loop.  Before an instant's ready queue runs, so do the
-            # heap entries for that instant; while it drains, nothing new
-            # can join the heap at ``now``, so one check per instant does.
-            while True:
-                if ready:
-                    if heap and heap[0][0] == now:
-                        _now, _seq, fn, arg = pop(heap)
-                        fn(arg)
-                        executed += 1
-                        continue
-                    while ready:
-                        fn, arg = popleft()
-                        fn(arg)
-                        executed += 1
-                if not heap:
-                    break
-                now, _seq, fn, arg = pop(heap)
-                self.now = now
-                fn(arg)
-                executed += 1
-        elif until is None or until >= now:
-            # One event per turn, in the same order, for the checks.
-            while True:
-                if ready and not (heap and heap[0][0] == now):
+        # Before an instant's ready queue runs, so do the heap entries
+        # for that instant; while it drains, nothing new can join the
+        # heap at ``now``, so one check per instant does.
+        while True:
+            if ready:
+                if heap and heap[0][0] == now:
+                    _now, _seq, fn, arg = pop(heap)
+                    fn(arg)
+                    executed += 1
+                    continue
+                while ready:
                     fn, arg = popleft()
-                elif heap:
-                    if until is not None and heap[0][0] > until:
-                        self.now = until
-                        break
-                    now, _seq, fn, arg = pop(heap)
-                    self.now = now
-                else:
-                    break
-                fn(arg)
-                executed += 1
-                if max_events is not None and executed >= max_events:
-                    break
-            if until is not None and not heap and not ready and now < until:
-                # Drained before the horizon (or empty to begin with):
-                # advance the clock to ``until`` just as the non-empty
-                # path does when the next event lies beyond it.  A
-                # ``max_events`` break leaves work pending, so it keeps
-                # the clock at the last executed event.
-                self.now = until
+                    fn(arg)
+                    executed += 1
+            if not heap:
+                break
+            now, _seq, fn, arg = pop(heap)
+            self.now = now
+            fn(arg)
+            executed += 1
         self._events_executed += executed
-        if check_deadlock and not heap and not ready:
-            blocked = [p for p in self._processes if not p.daemon]
-            if blocked:
-                raise DeadlockError(blocked)
-        return self.now
+        blocked = [p for p in self._processes if not p.daemon]
+        if blocked:
+            raise DeadlockError(blocked)
+        return now
 
-    def run_process(self, generator, name: str = "main", **run_kwargs) -> Any:
-        """Spawn ``generator``, run until it completes, and return its result.
-
-        Convenience wrapper used heavily by tests and the harness.  Raises
-        :class:`~repro.errors.SimulationError` if the simulation drains
-        before the process finishes.
-        """
+    def run_process(self, generator, name: str = "main") -> Any:
+        """Spawn ``generator``, run until the queue drains, and return
+        the process's result."""
         process = self.spawn(generator, name=name)
-        self.run(**run_kwargs)
-        if not process.done:
-            raise DeadlockError([process])
+        self.run()
         return process.result
 
     # ------------------------------------------------------------------

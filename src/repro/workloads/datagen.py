@@ -32,23 +32,23 @@ def uniform_keys(count: int, seed: int = 0) -> List[int]:
     return [rng.randrange(KEY_SPACE) for _ in range(count)]
 
 
-def record_chunks(keys: List[int], payload_bytes: int = 16,
-                  seed: int = 0) -> List[bytes]:
-    """One sortable record (= one block data area) per key."""
+def record_chunks(keys: List[int], seed: int = 0) -> List[bytes]:
+    """One sortable record (= one block data area) per key, with a
+    16-byte random payload."""
     rng = random.Random(seed)
     chunks = []
     for key in keys:
-        payload = bytes(rng.randrange(33, 127) for _ in range(payload_bytes))
+        payload = bytes(rng.randrange(33, 127) for _ in range(16))
         chunks.append(make_record(key, payload))
     return chunks
 
 
 def text_chunks(block_count: int, seed: int = 0,
-                line_length: int = 80,
                 needle: Optional[bytes] = None,
                 needle_every: int = 0) -> List[bytes]:
-    """Blocks of fixed-length text lines; optionally plant ``needle``
-    in every ``needle_every``-th block (for grep tests)."""
+    """Blocks of 80-byte text lines; optionally plant ``needle`` in
+    every ``needle_every``-th block (for grep tests)."""
+    line_length = 80
     rng = random.Random(seed)
     chunks = []
     for index in range(block_count):

@@ -26,11 +26,9 @@ def build_file(system, name: str, chunks: List[bytes], width=None,
     return system.run(body(), name=f"build:{name}")
 
 
-def build_record_file(system, name: str, keys, payload_bytes: int = 16,
-                      seed: int = 0, **create_kwargs):
-    """A sortable record file, one record per key."""
-    chunks = record_chunks(list(keys), payload_bytes=payload_bytes, seed=seed)
-    return build_file(system, name, chunks, **create_kwargs)
+def build_record_file(system, name: str, keys, **create_kwargs):
+    """A sortable record file, one record per key (16-byte payloads)."""
+    return build_file(system, name, record_chunks(list(keys)), **create_kwargs)
 
 
 def read_file(system, name: str) -> List[bytes]:

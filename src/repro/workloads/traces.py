@@ -14,9 +14,8 @@ import random
 from typing import List
 
 
-def strided_pattern(start: int, stride: int, count: int,
-                    run_length: int = 1) -> List[int]:
-    """Regular strided scatter: ``run_length`` blocks every ``stride``.
+def strided_pattern(start: int, stride: int, count: int) -> List[int]:
+    """Regular strided scatter: one block every ``stride``.
 
     The canonical noncontiguous shape (a column walk over a row-major
     matrix).
@@ -25,19 +24,9 @@ def strided_pattern(start: int, stride: int, count: int,
         raise ValueError(f"stride must be >= 1, got {stride}")
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    if run_length < 1:
-        raise ValueError(f"run_length must be >= 1, got {run_length}")
     if start < 0:
         raise ValueError(f"start must be >= 0, got {start}")
-    if run_length > stride:
-        raise ValueError(
-            f"run_length {run_length} exceeds stride {stride}: runs overlap"
-        )
-    return [
-        start + i * stride + j
-        for i in range(count)
-        for j in range(run_length)
-    ]
+    return [start + i * stride for i in range(count)]
 
 
 def scatter_pattern(file_blocks: int, count: int, seed: int = 0) -> List[int]:

@@ -127,17 +127,6 @@ def test_reorganize_restores_strict_interleaving():
     assert system.bridge.directory.names() == ["tidy"]
 
 
-def test_reorganize_can_keep_source():
-    system = make_system(4)
-    client, _map = build_disordered(system, blocks=8)
-
-    def body():
-        yield from reorganize(client, "messy", "tidy", delete_source=False)
-        return sorted(system.bridge.directory.names())
-
-    assert system.run(body()) == ["messy", "tidy"]
-
-
 def test_scatter_quality_bounds():
     # perfect round robin
     perfect = [(i % 4, i // 4) for i in range(16)]

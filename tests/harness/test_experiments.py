@@ -13,6 +13,7 @@ from repro.analysis import (
     table2_read_ms,
     table2_write_ms,
 )
+from repro.harness import experiments
 from repro.harness.experiments import (
     measure_table2,
     run_copy_experiment,
@@ -179,3 +180,27 @@ def test_faults_experiment_outcomes():
     assert mirror["storage_factor"] == 2.0
     assert runs["parity"]["rebuild_seconds"] > 0
     assert runs["parity"]["fsck_clean"]
+
+
+# ---------------------------------------------------------------------------
+# Open-loop runners: the safety oracle's readback is not the workload's
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("runner", [
+    lambda: experiments.run_elastic_experiment(duration=0.5),
+    lambda: experiments.run_rebalance_experiment(
+        rate=90.0, duration=2.0, files=12, blocks=4),
+], ids=["elastic", "rebalance"])
+def test_makespan_is_read_before_the_safety_oracle(monkeypatch, runner):
+    entered = []
+    oracle = experiments.fabric_safety_oracle
+
+    def spy(system, names):
+        entered.append(system.sim.now)
+        verdict = oracle(system, names)
+        assert system.sim.now > entered[0]  # the readback takes time
+        return verdict
+
+    monkeypatch.setattr(experiments, "fabric_safety_oracle", spy)
+    assert runner()["makespan"] == entered[0]

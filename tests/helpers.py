@@ -82,9 +82,3 @@ def failed(injector, slot):
 def failed_slots(system):
     """The slots whose device is down right now, in slot order."""
     return [slot for slot, disk in enumerate(system.disks) if disk.failed]
-
-
-def pending_events(sim):
-    """Events scheduled and not yet run, over both of the kernel's tiers
-    (due now and later)."""
-    return len(sim._heap) + len(sim._ready)

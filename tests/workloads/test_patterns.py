@@ -22,10 +22,6 @@ def test_strided_pattern_single_blocks():
     assert strided_pattern(0, 4, 4) == [0, 4, 8, 12]
 
 
-def test_strided_pattern_runs():
-    assert strided_pattern(1, 5, 3, run_length=2) == [1, 2, 6, 7, 11, 12]
-
-
 @pytest.mark.parametrize(
     "kwargs",
     [
@@ -33,9 +29,7 @@ def test_strided_pattern_runs():
         dict(start=0, stride=-2, count=4),
         dict(start=0, stride=4, count=0),
         dict(start=0, stride=4, count=-1),
-        dict(start=0, stride=4, count=4, run_length=0),
         dict(start=-1, stride=4, count=4),
-        dict(start=0, stride=2, count=4, run_length=3),
     ],
 )
 def test_strided_pattern_validation(kwargs):

@@ -53,7 +53,7 @@ def test_few_distinct_keys():
 
 
 def test_record_chunks_shape():
-    chunks = record_chunks([7, 3], payload_bytes=10)
+    chunks = record_chunks([7, 3])
     assert all(len(c) == DATA_BYTES_PER_BLOCK for c in chunks)
     assert key_of(chunks[0]) == 7
     assert key_of(chunks[1]) == 3
