@@ -66,6 +66,13 @@ class FreeList:
             or address in self._hole_set
         )
 
+    def allocated(self) -> List[int]:
+        """Every allocated address, ascending: ``[start, frontier)``
+        minus the holes."""
+        holes = self._hole_set
+        return [address for address in range(self.start, self._frontier)
+                if address not in holes]
+
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         used = self._frontier - self.start - len(self._holes)
         return f"FreeList({used} used / {self.capacity - self.start})"

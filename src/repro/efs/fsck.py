@@ -52,24 +52,29 @@ class FsckReport:
         )
 
 
-def _effective_image(server) -> Dict[int, bytes]:
-    """The device contents as they would be after a full cache write-back."""
-    image = dict(server.disk.blocks)
-    for address in range(server.disk.params.capacity_blocks):
-        cached = server.cache.peek(address)
-        if cached is not None:
-            image[address] = cached
-    return image
-
-
 def check_efs(server) -> FsckReport:
     """Verify one EFS instance; returns an :class:`FsckReport`.
 
     Synchronous (host-side) — it inspects simulator state directly and
-    charges no simulated time, like an offline fsck run.
+    charges no simulated time, like an offline fsck run.  It reads only
+    the blocks it visits, each as it would be after a full cache
+    write-back, and checks only allocated blocks for orphans, so its
+    cost follows the blocks in use, not the device's capacity.
     """
+    peek, stored = server.cache.peek, server.disk.blocks.get
+
+    def read(address):
+        raw = peek(address)
+        return stored(address) if raw is None else raw
+
+    return check_image(server, read, server.freelist.allocated())
+
+
+def check_image(server, read, allocated) -> FsckReport:
+    """Verify ``server``'s directory and files on the image ``read``
+    returns (raw bytes by address, ``None`` where never written), and
+    that every address in ``allocated`` (ascending) belongs to a file."""
     report = FsckReport()
-    image = _effective_image(server)
     directory = server.directory
     first_data = directory.first_data_block
     capacity = server.disk.params.capacity_blocks
@@ -79,7 +84,7 @@ def check_efs(server) -> FsckReport:
     # Enumerate directory entries straight from the bucket blocks.
     entries = []
     for bucket in range(BUCKET_COUNT):
-        raw = image.get(bucket)
+        raw = read(bucket)
         if raw is None:
             continue
         entries.extend(bucket_entries(raw))
@@ -98,7 +103,7 @@ def check_efs(server) -> FsckReport:
         seen: List[int] = []
         headers = []
         while True:
-            raw = image.get(addr)
+            raw = read(addr)
             if raw is None:
                 report.complain(
                     f"file {entry.file_number}: block {addr} never written"
@@ -168,8 +173,8 @@ def check_efs(server) -> FsckReport:
                 )
 
     # orphan check: every allocated data block must belong to some file
-    for address in range(first_data, capacity):
-        if not server.freelist.is_free(address) and address not in owned:
+    for address in allocated:
+        if address not in owned:
             report.complain(f"block {address} allocated but unreachable")
 
     return report

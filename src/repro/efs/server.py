@@ -137,6 +137,7 @@ class EFSServer(Server):
             yield self._free_op_charge
             freelist.free(addr)
             cache.invalidate(addr)
+            disk.discard(addr)
             freed += 1
             addr = next_addr
             if addr == entry.head_addr:

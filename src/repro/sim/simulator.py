@@ -123,25 +123,28 @@ class Simulator:
         executed = 0
         # Before an instant's ready queue runs, so do the heap entries
         # for that instant; while it drains, nothing new can join the
-        # heap at ``now``, so one check per instant does.
-        while True:
-            if ready:
-                if heap and heap[0][0] == now:
-                    _now, _seq, fn, arg = pop(heap)
-                    fn(arg)
-                    executed += 1
-                    continue
-                while ready:
-                    fn, arg = popleft()
-                    fn(arg)
-                    executed += 1
-            if not heap:
-                break
-            now, _seq, fn, arg = pop(heap)
-            self.now = now
-            fn(arg)
-            executed += 1
-        self._events_executed += executed
+        # heap at ``now``, so one check per instant does.  An event is
+        # counted before it runs, so one that raises counts too.
+        try:
+            while True:
+                if ready:
+                    if heap and heap[0][0] == now:
+                        _now, _seq, fn, arg = pop(heap)
+                        executed += 1
+                        fn(arg)
+                        continue
+                    while ready:
+                        fn, arg = popleft()
+                        executed += 1
+                        fn(arg)
+                if not heap:
+                    break
+                now, _seq, fn, arg = pop(heap)
+                self.now = now
+                executed += 1
+                fn(arg)
+        finally:
+            self._events_executed += executed
         blocked = [p for p in self._processes if not p.daemon]
         if blocked:
             raise DeadlockError(blocked)

@@ -32,9 +32,13 @@ The contract a driver must keep:
   (what makes an interleaved file system lose *every* file when one
   device dies); :meth:`repair` restores service with contents intact.
 * **Raw image access** — ``store.blocks`` is a mutable mapping of
-  written block address to raw bytes.  fsck materializes it to audit
-  the on-device image, and corruption tests poke it directly; drivers
+  written block address to raw bytes.  fsck reads the blocks it
+  visits from it, and corruption tests poke it directly; drivers
   with external media (the host-fs driver) expose a write-through view.
+  :meth:`discard` is told of each block the file system frees: the
+  in-memory drivers swap its bytes for their shared zeros, so a
+  freed block costs no memory of its own, and the host-fs driver
+  keeps its file.
 * **Heat attribution** — when an experiment installs a
   :class:`~repro.elastic.heat.HeatMap` on ``store.heat`` (with
   ``store.heat_slot`` naming the owning LFS node), the driver reports
@@ -46,6 +50,8 @@ The contract a driver must keep:
 one request served at a time, pluggable latency model and scheduler —
 that the ``ram`` and ``hostfs`` drivers inherit; the object-store
 driver replaces the loop with a bounded-concurrency transfer pool.
+:class:`InMemoryBlocks` is the storage hooks the ``ram`` and object-store
+drivers share: their ``blocks`` is a plain dict.
 """
 
 from __future__ import annotations
@@ -230,6 +236,13 @@ class BlockStoreABC(abc.ABC):
     def _write_block(self, block: int, data: bytes) -> None:
         """Persist ``data`` as the new contents of ``block``."""
 
+    def discard(self, block: int) -> None:
+        """The file system has freed ``block``: its bytes are dead.  An
+        in-memory driver drops them for its shared zeros (the block
+        stays written, so a track fill still installs it); a durable
+        driver keeps them, since no free map survives a crash.  Costs
+        no simulated time and schedules nothing."""
+
     def _perform(self, request: BlockRequest) -> None:
         """Validate and execute one request against the storage hooks."""
         if not 0 <= request.block < self.params.capacity_blocks:
@@ -275,6 +288,23 @@ class BlockStoreABC(abc.ABC):
             f"{type(self).__name__}({self.name!r}, ops={self.total_operations}, "
             f"queued={len(self._pending)})"
         )
+
+
+class InMemoryBlocks:
+    """The storage hooks of a driver whose ``blocks`` is a plain dict in
+    process memory: the ``ram`` and ``object`` drivers."""
+
+    def _read_block(self, block: int) -> bytes:
+        data = self.blocks.get(block)
+        return self._zeros if data is None else data
+
+    def _write_block(self, block: int, data: bytes) -> None:
+        self.blocks[block] = data
+
+    def discard(self, block: int) -> None:
+        blocks = self.blocks
+        if block in blocks:
+            blocks[block] = self._zeros
 
 
 class SingleArmBlockStore(BlockStoreABC):

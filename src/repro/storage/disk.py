@@ -22,11 +22,11 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from repro.storage.base import SingleArmBlockStore
+from repro.storage.base import InMemoryBlocks, SingleArmBlockStore
 from repro.storage.parameters import DiskParameters
 
 
-class SimulatedDisk(SingleArmBlockStore):
+class SimulatedDisk(InMemoryBlocks, SingleArmBlockStore):
     """A single-arm RAM-backed block device with pluggable latency and
     scheduling — the ``ram`` driver."""
 
@@ -44,10 +44,3 @@ class SimulatedDisk(SingleArmBlockStore):
         super().__init__(
             sim, params, latency_model, scheduler=scheduler, name=name,
         )
-
-    def _read_block(self, block: int) -> bytes:
-        data = self.blocks.get(block)
-        return self._zeros if data is None else data
-
-    def _write_block(self, block: int, data: bytes) -> None:
-        self.blocks[block] = data

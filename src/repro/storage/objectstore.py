@@ -26,7 +26,7 @@ from typing import Dict, Optional
 
 from repro.errors import DeviceFailedError
 from repro.sim import Timeout
-from repro.storage.base import BlockStoreABC
+from repro.storage.base import BlockStoreABC, InMemoryBlocks
 from repro.storage.parameters import DiskParameters
 
 #: First-byte latency: ~30 ms, twice the paper's disk access.
@@ -43,7 +43,7 @@ def transfer_time(nbytes: int) -> float:
     return FIRST_BYTE + nbytes / BANDWIDTH
 
 
-class ObjectStoreDisk(BlockStoreABC):
+class ObjectStoreDisk(InMemoryBlocks, BlockStoreABC):
     """Bounded-concurrency put/get store behind the block interface."""
 
     kind = "object"
@@ -57,13 +57,6 @@ class ObjectStoreDisk(BlockStoreABC):
         self.inflight = 0
         self.blocks: Dict[int, bytes] = {}
         super().__init__(sim, params, name=name)
-
-    def _read_block(self, block: int) -> bytes:
-        data = self.blocks.get(block)
-        return self._zeros if data is None else data
-
-    def _write_block(self, block: int, data: bytes) -> None:
-        self.blocks[block] = data
 
     # ------------------------------------------------------------------
     # Serving: a dispatcher that keeps up to ``MAX_INFLIGHT`` transfers

@@ -6,7 +6,9 @@ import pytest
 from repro.config import BLOCK_SIZE
 from repro.efs.fsck import check_efs, check_system
 from repro.efs.layout import BridgeHeader, EFSHeader, pack_block, unpack_block
+from repro.errors import EFSBlockNotFoundError, ProcessError
 from tests.efs.conftest import EFSHarness
+from tests.helpers import reference_fsck
 
 
 def run_ops(efs, body):
@@ -346,3 +348,162 @@ def test_detects_corruption_on_every_driver(driver_efs):
 
     report = check_efs(efs.server)
     assert not report.clean
+
+
+# ---------------------------------------------------------------------------
+# fsck visits only the blocks in use: it must say what the O(capacity)
+# reference says, complaint for complaint, on every planted fault.
+# ---------------------------------------------------------------------------
+
+
+def _churned():
+    """Files 1 (6 blocks), 2 (4) and 3 (3) appended in turn, then file 2
+    deleted: its four blocks are holes below the frontier, their bytes
+    discarded.  Head back-pointers stay dirty in the cache.  Returns the
+    harness and each file's block addresses (file 2's are the holes)."""
+    efs = EFSHarness(access_time=0.0001)
+    sizes = {1: 6, 2: 4, 3: 3}
+
+    def body():
+        addrs = {}
+        for number, size in sizes.items():
+            yield from efs.client.create(number)
+            addrs[number] = []
+            for index in range(size):
+                written = yield from efs.client.append(number, b"f%d" % index)
+                addrs[number].append(written.addr)
+        yield from efs.client.delete(2)
+        return addrs
+
+    return efs, efs.run(body())
+
+
+def _orphan_between_holes(efs, addrs):
+    freelist = efs.server.freelist
+    first, orphan = freelist.allocate(), freelist.allocate()
+    freelist.free(first)
+    assert freelist.is_free(orphan - 1) and freelist.is_free(orphan + 1)
+    return f"block {orphan} allocated but unreachable"
+
+
+def _freed_holes(efs, addrs):
+    zeros = bytes(BLOCK_SIZE)
+    assert all(efs.disk.blocks[addr] == zeros for addr in addrs[2])
+    return None
+
+
+def _dirty_cached_block(efs, addrs):
+    addr = addrs[1][2]
+    header, bridge, data = unpack_block(efs.disk.blocks[addr])
+    raw = pack_block(header._replace(block_number=9), bridge, data)
+    assert efs.server.cache.write_back(addr, raw) == ()
+    assert efs.server.cache._entries[addr].dirty
+    return "numbered 9, expected 2"
+
+
+def _file_block_on_the_free_list(efs, addrs):
+    efs.server.freelist.free(addrs[1][1])
+    return f"block {addrs[1][1]} is on the free list"
+
+
+def _foreign_owner(efs, addrs):
+    addr = addrs[3][1]
+    efs.server.cache.invalidate(addr)
+    _rewrite(efs, addr, file_number=1)
+    return "owned by 1"
+
+
+PLANTED = {
+    "orphan between holes": _orphan_between_holes,
+    "freed holes": _freed_holes,
+    "dirty cached block": _dirty_cached_block,
+    "file block on the free list": _file_block_on_the_free_list,
+    "foreign owner": _foreign_owner,
+}
+
+
+def _same_as_reference(server):
+    report, reference = check_efs(server), reference_fsck(server)
+    assert report.errors == reference.errors
+    assert report.files_checked == reference.files_checked
+    assert report.blocks_checked == reference.blocks_checked
+    return report
+
+
+@pytest.mark.parametrize("fault", sorted(PLANTED))
+def test_fsck_agrees_with_the_reference_on_a_planted_fault(fault):
+    efs, addrs = _churned()
+    assert _same_as_reference(efs.server).clean
+    complaint = PLANTED[fault](efs, addrs)
+    report = _same_as_reference(efs.server)
+    if complaint is None:
+        assert report.clean, report.errors
+    else:
+        assert any(complaint in error for error in report.errors), report.errors
+
+
+def test_fsck_agrees_with_the_reference_on_every_fault_at_once():
+    efs, addrs = _churned()
+    complaints = [plant(efs, addrs) for plant in PLANTED.values()]
+    report = _same_as_reference(efs.server)
+    for complaint in filter(None, complaints):
+        assert any(complaint in error for error in report.errors), report.errors
+
+
+def test_a_stale_hint_into_a_discarded_block_reads_the_right_bytes(fast_efs):
+    """File 1 is deleted and made again, two blocks long, in the lowest
+    two of its old four blocks.  A hint at its old block 3 now names a
+    discarded block: it fails to decode, so the server walks the list,
+    where the old bytes would have passed the owner check and served a
+    block the file no longer has."""
+    efs = fast_efs
+
+    def body():
+        yield from efs.client.create(1)
+        old = []
+        for index in range(4):
+            written = yield from efs.client.append(1, b"old%d" % index)
+            old.append(written.addr)
+        yield from efs.client.delete(1)
+        yield from efs.client.create(1)
+        for index in range(2):
+            yield from efs.client.append(1, b"new%d" % index)
+        return old
+
+    old = efs.run(body())
+    stale = old[3]
+    assert efs.disk.blocks[stale] == bytes(BLOCK_SIZE)
+
+    def read(block_number):
+        return (yield from efs.client.read(1, block_number, hint=stale))
+
+    result = efs.run(read(1))
+    assert result.data.startswith(b"new1") and result.addr == old[1]
+    with pytest.raises(ProcessError) as missing:
+        efs.run(read(3))
+    assert isinstance(missing.value.__cause__, EFSBlockNotFoundError)
+
+
+def test_a_delete_drops_the_bytes_in_memory_and_keeps_the_file_on_hostfs(
+        driver_efs):
+    efs = driver_efs
+
+    def body():
+        yield from efs.client.create(1)
+        addrs = []
+        for index in range(3):
+            written = yield from efs.client.append(1, b"x%d" % index)
+            addrs.append(written.addr)
+        yield from efs.client.flush()
+        before = [efs.disk.blocks[addr] for addr in addrs]
+        yield from efs.client.delete(1)
+        return addrs, before
+
+    addrs, before = efs.run(body())
+    after = [efs.disk.blocks[addr] for addr in addrs]
+    assert set(addrs) <= set(efs.disk.blocks)  # every driver keeps the key
+    if efs.disk.kind == "hostfs":
+        assert after == before
+    else:
+        assert after == [bytes(BLOCK_SIZE)] * 3
+    assert check_efs(efs.server).clean

@@ -174,3 +174,4 @@ def test_freelist_invariants_property(ops):
             with pytest.raises(ValueError):
                 freelist.free(victim)
         assert [a for a in range(-1, capacity + 2) if freelist.is_free(a)] == sorted(free)
+        assert freelist.allocated() == sorted(allocated)

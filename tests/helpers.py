@@ -5,6 +5,7 @@ import math
 import random
 from contextlib import contextmanager
 
+from repro.efs.fsck import check_image
 from repro.sim import join_all
 from repro.tools.sort.records import KEY_BYTES, key_of
 from repro.workloads import build_file, text_chunks, uniform_keys
@@ -82,3 +83,22 @@ def failed(injector, slot):
 def failed_slots(system):
     """The slots whose device is down right now, in slot order."""
     return [slot for slot, disk in enumerate(system.disks) if disk.failed]
+
+
+def reference_fsck(server):
+    """fsck as it ran before it visited only the blocks in use, kept as
+    the reference the faster checker must agree with: the whole device
+    image with every cached block laid over it, and an orphan check
+    over every data address of the device."""
+    capacity = server.disk.params.capacity_blocks
+    image = dict(server.disk.blocks)
+    for address in range(capacity):
+        cached = server.cache.peek(address)
+        if cached is not None:
+            image[address] = cached
+    freelist = server.freelist
+    allocated = [address
+                 for address in range(server.directory.first_data_block,
+                                      capacity)
+                 if not freelist.is_free(address)]
+    return check_image(server, image.get, allocated)

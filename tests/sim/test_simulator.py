@@ -353,6 +353,28 @@ def test_a_caught_process_error_leaves_no_live_process():
     assert sim.run() == pytest.approx(2.0)
 
 
+def test_events_executed_counts_a_run_that_raises():
+    """Every event dispatched counts, the one that raises too: a run
+    cut short by a ``ProcessError`` keeps its events in the total."""
+    sim = Simulator()
+
+    def ticker():
+        for _ in range(5):
+            yield Timeout(1.0)
+
+    def bad():
+        yield Timeout(10.0)
+        raise RuntimeError("boom")
+
+    sim.spawn(ticker(), name="ticker")
+    sim.spawn(bad(), name="bad")
+    with pytest.raises(ProcessError):
+        sim.run()
+    # two starts, five ticks, and the resume that raised
+    assert sim.events_executed == 8
+    assert sim.now == pytest.approx(10.0)
+
+
 def test_plain_run_reports_a_process_parked_forever():
     """No argument turns the check on: a drain that leaves a non-daemon
     process parked raises, and one joining a failed process counts too."""
