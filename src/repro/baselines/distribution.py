@@ -28,18 +28,17 @@ import zlib
 
 
 class RoundRobinPlacement:
-    """Bridge's strategy: block n -> node (n + start) mod p."""
+    """Bridge's strategy: block n -> node n mod p."""
 
     name = "round-robin"
 
-    def __init__(self, nodes: int, start: int = 0) -> None:
+    def __init__(self, nodes: int) -> None:
         if nodes < 1:
             raise ValueError("need at least one node")
         self.nodes = nodes
-        self.start = start % nodes
 
     def node_of(self, block: int, file_size: int) -> int:
-        return (block + self.start) % self.nodes
+        return block % self.nodes
 
     def append_moves(self, old_size: int, new_size: int) -> int:
         """Blocks that must move when growing from old_size to new_size."""

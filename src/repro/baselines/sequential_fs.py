@@ -10,9 +10,9 @@ exactly one variable: parallelism.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
-from repro.config import DEFAULT_CONFIG, SystemConfig
+from repro.config import DEFAULT_CONFIG
 from repro.efs import EFSClient, EFSServer
 from repro.machine import Machine
 from repro.sim import Simulator
@@ -28,21 +28,13 @@ class SequentialCopyResult:
 class SequentialSystem:
     """A single-LFS installation with a remote client node."""
 
-    def __init__(
-        self,
-        config: Optional[SystemConfig] = None,
-        seed: int = 0,
-        disk_latency=None,
-        storage=None,
-    ) -> None:
-        self.config = config or DEFAULT_CONFIG
+    def __init__(self, seed: int = 0) -> None:
+        self.config = DEFAULT_CONFIG
         self.sim = Simulator(seed=seed)
         self.machine = Machine(self.sim, 2, config=self.config)
         self.fs_node = self.machine.node(0)
         self.client_node = self.machine.node(1)
-        self.disk = make_driver(
-            storage, self.sim, name="disk0", default_latency=disk_latency,
-        )
+        self.disk = make_driver(None, self.sim, name="disk0")
         self.efs = EFSServer(self.fs_node, self.disk, self.config)
         self._next_file = 1
 

@@ -20,7 +20,7 @@ from repro.config import BLOCK_SIZE, DEFAULT_CONFIG, SystemConfig
 from repro.errors import EFSFileExistsError, EFSFileNotFoundError
 from repro.machine import Client, Machine, Response, Server
 from repro.sim import Simulator, Timeout
-from repro.storage import BlockStoreABC, make_driver, storage_specs
+from repro.storage import BlockStoreABC, make_driver
 
 
 class _StripedFile:
@@ -116,26 +116,14 @@ class StripedServer(Server):
 class StripedSystem:
     """Client node + FS node with ``d`` striped disks."""
 
-    def __init__(
-        self,
-        disk_count: int,
-        config: Optional[SystemConfig] = None,
-        seed: int = 0,
-        disk_latency=None,
-        storage=None,
-    ) -> None:
-        self.config = config or DEFAULT_CONFIG
+    def __init__(self, disk_count: int, seed: int = 0) -> None:
+        self.config = DEFAULT_CONFIG
         self.sim = Simulator(seed=seed)
         self.machine = Machine(self.sim, 2, config=self.config)
         self.fs_node = self.machine.node(0)
         self.client_node = self.machine.node(1)
-        self.disks = [
-            make_driver(
-                spec, self.sim, name=f"stripe{i}",
-                default_latency=disk_latency,
-            )
-            for i, spec in enumerate(storage_specs(storage, disk_count))
-        ]
+        self.disks = [make_driver(None, self.sim, name=f"stripe{i}")
+                      for i in range(disk_count)]
         self.server = StripedServer(self.fs_node, self.disks, self.config)
 
     def run(self, generator, name: str = "main"):

@@ -83,10 +83,10 @@ class TwoPhaseIO:
     the redistributed data for the workers.
     """
 
-    def __init__(self, system, name: str, node=None) -> None:
+    def __init__(self, system, name: str) -> None:
         self.system = system
         self.name = name
-        self.node = node or system.client_node
+        self.node = system.client_node
         self.machine = system.machine
         self._rpc = Client(self.node, f"twophase:{name}")
         self._opened = None

@@ -193,9 +193,11 @@ class BridgeBlockCache:
 
         Unlike the data, the address outlives :meth:`invalidate_block`:
         an in-place write never moves a block, and EFS frees blocks only
-        on delete, which reaches :meth:`invalidate_file`.  EFS validates
-        every hint it is given, so an entry that is wrong anyway costs
-        one fetch, never a wrong block.
+        on delete, which reaches :meth:`invalidate_file`.  EFS serves a
+        hint only from an allocated block whose header names the file
+        and block asked for, so an entry that is wrong anyway (a freed
+        block keeps its old header on ``hostfs``) costs one fetch, never
+        a wrong block.
         """
         self._addresses.setdefault(name, {})[block] = addr
 

@@ -39,16 +39,14 @@ class SequentialDetector:
     """Per-file access-pattern tracker for the naive read path.
 
     ``observe`` records one read and returns ``True`` once the stream
-    has produced ``threshold`` consecutive block numbers (the default
-    threshold of 2 recognizes a stream on its second block).  A
-    non-consecutive access resets the run — random traffic never
-    triggers read-ahead.
+    has produced ``threshold`` consecutive block numbers (2: a stream
+    is recognized on its second block).  A non-consecutive access
+    resets the run — random traffic never triggers read-ahead.
     """
 
-    def __init__(self, threshold: int = 2) -> None:
-        if threshold < 1:
-            raise ValueError("detector threshold must be >= 1")
-        self.threshold = threshold
+    threshold = 2
+
+    def __init__(self) -> None:
         self._streams: Dict[str, Tuple[int, int]] = {}  # name -> (last, run)
         self.recognitions = 0
 
@@ -76,14 +74,13 @@ class Prefetcher:
     geometry suggests).
     """
 
-    def __init__(self, server, cache, window: int,
-                 threshold: int = 2) -> None:
+    def __init__(self, server, cache, window: int) -> None:
         if window < 1:
             raise ValueError("prefetch window must be >= 1")
         self.server = server
         self.cache = cache
         self.window = window
-        self.detector = SequentialDetector(threshold=threshold)
+        self.detector = SequentialDetector()
         self._inflight: Dict[Tuple[str, int], Signal] = {}
         # Per-(name, slot) fetch queues: each constituent's prefetches
         # run *serially* so every EFS request carries a fresh disk-address

@@ -13,8 +13,6 @@ completion are O(log p) deep.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.config import SystemConfig
 from repro.machine import Port, Server, gather
 from repro.sim import Timeout
@@ -23,9 +21,8 @@ from repro.sim import Timeout
 class RelayServer(Server):
     """Per-node broadcast relay for tree-structured file management."""
 
-    def __init__(self, node, efs_port: Port, config: SystemConfig,
-                 name: Optional[str] = None) -> None:
-        super().__init__(node, name or f"relay{node.index}")
+    def __init__(self, node, efs_port: Port, config: SystemConfig) -> None:
+        super().__init__(node, f"relay{node.index}")
         self.efs_port = efs_port
         self.config = config
 

@@ -30,9 +30,12 @@ class FreeList:
             raise ValueError(f"bad free region [{start}, {capacity})")
         self.capacity = capacity
         self.start = start
-        self._frontier = start
+        # An address in ``[start, capacity)`` is free iff it is at or
+        # above ``frontier`` or in ``hole_set``: the EFS server's hint
+        # probes test this in line.
+        self.frontier = start
         self._holes: List[int] = []  # min-heap of the free addresses below it
-        self._hole_set: Set[int] = set()
+        self.hole_set: Set[int] = set()
 
     # ------------------------------------------------------------------
 
@@ -40,39 +43,39 @@ class FreeList:
         """Claim and return the lowest free address."""
         if self._holes:
             address = heapq.heappop(self._holes)
-            self._hole_set.remove(address)
+            self.hole_set.remove(address)
             return address
-        if self._frontier >= self.capacity:
+        if self.frontier >= self.capacity:
             raise EFSOutOfSpaceError(
                 f"no free blocks (capacity {self.capacity}, start {self.start})"
             )
-        self._frontier += 1
-        return self._frontier - 1
+        self.frontier += 1
+        return self.frontier - 1
 
     def free(self, address: int) -> None:
         """Return a block to the pool; double frees are programming errors."""
         if not self.start <= address < self.capacity:
             raise ValueError(f"address {address} outside free region")
-        if address >= self._frontier or address in self._hole_set:  # is_free
+        if address >= self.frontier or address in self.hole_set:  # is_free
             raise ValueError(f"double free of block {address}")
         heapq.heappush(self._holes, address)
-        self._hole_set.add(address)
+        self.hole_set.add(address)
 
     # ------------------------------------------------------------------
 
     def is_free(self, address: int) -> bool:
         return (
-            self._frontier <= address < self.capacity
-            or address in self._hole_set
+            self.frontier <= address < self.capacity
+            or address in self.hole_set
         )
 
     def allocated(self) -> List[int]:
         """Every allocated address, ascending: ``[start, frontier)``
         minus the holes."""
-        holes = self._hole_set
-        return [address for address in range(self.start, self._frontier)
+        holes = self.hole_set
+        return [address for address in range(self.start, self.frontier)
                 if address not in holes]
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        used = self._frontier - self.start - len(self._holes)
+        used = self.frontier - self.start - len(self._holes)
         return f"FreeList({used} used / {self.capacity - self.start})"

@@ -23,7 +23,7 @@ per LFS at roughly 20 ms per block.
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Optional, Tuple
+from typing import Tuple
 
 from repro.config import DATA_BYTES_PER_BLOCK, SystemConfig
 from repro.efs.cache import BlockCache
@@ -60,14 +60,8 @@ _DISTANCE = itemgetter(0)
 class EFSServer(Server):
     """One local file system instance bound to a node and its disk."""
 
-    def __init__(
-        self,
-        node,
-        disk,
-        config: SystemConfig,
-        name: Optional[str] = None,
-    ) -> None:
-        super().__init__(node, name or f"efs{node.index}")
+    def __init__(self, node, disk, config: SystemConfig) -> None:
+        super().__init__(node, f"efs{node.index}")
         self.disk = disk
         self.config = config
         self.cache = BlockCache(
@@ -152,7 +146,8 @@ class EFSServer(Server):
         if (hint is not None
                 and self._first_data_block <= hint < self._capacity_blocks):
             # _try_hint spelled out as in _locate: a hint into the data
-            # region is fetched, decoded and memoised in line
+            # region is fetched, decoded and memoised in line, and served
+            # only if it names the block and the free list does not hold it
             cache = self.cache
             cached = cache.lookup(hint)
             if cached is None:
@@ -167,7 +162,10 @@ class EFSServer(Server):
                     pass
             if decoded is not None:
                 header = decoded[0]
-                if header[2] == file_number and header[3] == block_number:
+                freelist = self.freelist
+                if (header[2] == file_number and header[3] == block_number
+                        and hint < freelist.frontier
+                        and hint not in freelist.hole_set):
                     located = (hint, header, decoded[1], decoded[2])
         if located is None:
             entry = yield from self.directory.lookup(file_number)
@@ -384,6 +382,9 @@ class EFSServer(Server):
             return None  # hint points outside the file: ignore it
         if header.block_number != block_number:
             return None  # right file, wrong block: the walk can still use it
+        freelist = self.freelist
+        if hint >= freelist.frontier or hint in freelist.hole_set:
+            return None  # a freed block keeps its old header on hostfs
         return hint, header, bridge, data
 
     def _file_size(self, entry: DirectoryEntry):
@@ -477,7 +478,11 @@ class EFSServer(Server):
             _next, _prev, owner, number = self._header(hint, entry)
         except EFSCorruptionError:
             return None
-        return number if owner == file_number else None
+        freelist = self.freelist
+        if (owner != file_number or hint >= freelist.frontier
+                or hint in freelist.hole_set):
+            return None  # another file's block, or a freed one
+        return number
 
     def _store_block(
         self, addr: int, header: EFSHeader, bridge: BridgeHeader, data: bytes,

@@ -27,6 +27,7 @@ pure routing tables: deterministic, stateless, safe to rebuild from
 
 from __future__ import annotations
 
+from _blake2 import blake2b
 from bisect import bisect_right
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
@@ -34,13 +35,12 @@ from repro.core.ring import ModuloRing
 
 
 def hash64(key: str) -> int:
-    """Stable 64-bit hash of a string (blake2b, seed-independent)."""
-    # Imported here: hashlib pulls OpenSSL into every process that
-    # imports ``repro``, and only a consistent-hash ring ever hashes.
-    import hashlib
+    """Stable 64-bit hash of a string (blake2b, seed-independent).
 
-    digest = hashlib.blake2b(key.encode(), digest_size=8).digest()
-    return int.from_bytes(digest, "big")
+    ``blake2b`` comes from ``_blake2``, the builtin module that
+    ``hashlib.blake2b`` re-exports: ``import hashlib`` would also load
+    ``_hashlib`` (OpenSSL, 3.6 MiB of RSS), which the ring never uses."""
+    return int.from_bytes(blake2b(key.encode(), digest_size=8).digest(), "big")
 
 
 class ConsistentHashRing:

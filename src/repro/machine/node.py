@@ -47,10 +47,10 @@ class Port:
 class Node:
     """One processor (with optional attached disk) of the machine."""
 
-    def __init__(self, machine, index: int, name: Optional[str] = None) -> None:
+    def __init__(self, machine, index: int) -> None:
         self.machine = machine
         self.index = index
-        self.name = name or f"node{index}"
+        self.name = f"node{index}"
         #: Set by the storage layer if a disk is attached to this node.
         self.disk = None
         #: Set by the EFS layer if an LFS instance runs on this node.

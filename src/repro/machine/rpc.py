@@ -65,7 +65,7 @@ class Response:
     __slots__ = ("value", "error", "size", "trace_ctx")
 
     def __init__(self, value: Any = None, error: Optional[Exception] = None,
-                 size: int = 0, trace_ctx: Optional[Any] = None) -> None:
+                 size: int = 0) -> None:
         self.value = value
         self.error = error
         self.size = size  # payload bytes carried with the response
@@ -74,7 +74,7 @@ class Response:
         # Lets shared-medium networks report the response frame's exact
         # drain time, so reply transit splits into net vs. queue like
         # requests do.
-        self.trace_ctx = trace_ctx
+        self.trace_ctx: Optional[Any] = None
 
 
 class Detached:

@@ -94,16 +94,17 @@ class Observability:
     every instrumented layer guards with ``if sim.obs is not None`` so a
     detached run costs one branch per touch point and records nothing.
 
-    ``capacity`` bounds the span list (a ring is pointless for causal
-    trees, so overflow simply stops recording new spans and counts them
-    in ``spans_dropped`` — the bound is a memory guard for very long
-    simulations, not a sampling strategy).
+    ``capacity`` (``None``: unbounded; set the attribute) bounds the
+    span list (a ring is pointless for causal trees, so overflow simply
+    stops recording new spans and counts them in ``spans_dropped`` — the
+    bound is a memory guard for very long simulations, not a sampling
+    strategy).
     """
 
-    def __init__(self, capacity: Optional[int] = None) -> None:
+    def __init__(self) -> None:
         self.spans: List[Span] = []
         self.spans_dropped = 0
-        self.capacity = capacity
+        self.capacity: Optional[int] = None
         self.metrics = MetricsRegistry()
         #: The span context of the currently-stepping process (None when
         #: no span is active).  Maintained by Process._step and by the

@@ -180,11 +180,11 @@ class ParityFile:
     sweep never interleave mid-stripe (the classic RAID-5 write hole).
     """
 
-    def __init__(self, system, name: str, node=None) -> None:
+    def __init__(self, system, name: str) -> None:
         self.system = system
         self.name = name
         self.geometry = ParityGeometry(system.width)
-        self.node = node or system.client_node
+        self.node = system.client_node
         self.file_id: Optional[int] = None
         self._logical = 0
         self._hints: Dict[int, Optional[int]] = {}

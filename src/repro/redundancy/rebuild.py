@@ -14,11 +14,9 @@ under the file's stripe lock, so writes interleave *between* stripes, and
 writes that race ahead of the sweep are caught because the sweep re-reads
 the file size every iteration.
 
-Throttling: a rebuild at full speed steals the whole array from
-foreground traffic, so ``rate`` caps the sweep at a configurable number
-of stripes per simulated second (``None`` = unthrottled).
-:class:`RebuildProgress` exposes completed/total stripe counts and the
-start and finish times.
+The sweep runs at full speed; foreground requests interleave between
+its stripes.  :class:`RebuildProgress` exposes completed/total stripe
+counts and the start and finish times.
 """
 
 from __future__ import annotations
@@ -27,7 +25,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.redundancy.degraded import DegradedReader, DegradedReadStats
-from repro.sim import Timeout
 
 
 @dataclass
@@ -53,7 +50,6 @@ class RebuildStats:
     stripes: int
     blocks_written: int
     elapsed: float
-    rate: Optional[float] = None
     progress: RebuildProgress = field(repr=False, default=None)
 
 
@@ -63,22 +59,19 @@ class OnlineRebuild:
     Usage (auto-wired by :class:`repro.redundancy.manager.RedundancyManager`
     when the fault injector reports a repair)::
 
-        rebuild = OnlineRebuild(parity_file, slot, rate=200.0)
+        rebuild = OnlineRebuild(parity_file, slot)
         process = rebuild.start()          # spawns the DES process
         ...                                # foreground traffic continues
         stats = yield process.join()       # or let system.run() drain it
     """
 
-    def __init__(self, parity_file, slot: int, rate: Optional[float] = None) -> None:
+    def __init__(self, parity_file, slot: int) -> None:
         if not 0 <= slot < parity_file.geometry.width:
             raise ValueError(
                 f"slot {slot} outside [0, {parity_file.geometry.width})"
             )
-        if rate is not None and rate <= 0:
-            raise ValueError(f"rebuild rate must be positive, got {rate}")
         self.file = parity_file
         self.slot = slot
-        self.rate = rate
         self.progress = RebuildProgress(slot=slot)
 
     # ------------------------------------------------------------------
@@ -91,7 +84,6 @@ class OnlineRebuild:
         progress = self.progress
         progress.started_at = sim.now
         progress.total_stripes = file.stripes
-        throttle = (1.0 / self.rate) if self.rate else 0.0
         while progress.rebuilt_stripes < file.stripes:
             progress.total_stripes = file.stripes  # foreground may append
             stripe = progress.rebuilt_stripes
@@ -111,15 +103,12 @@ class OnlineRebuild:
             finally:
                 file._lock.release()
             progress.rebuilt_stripes += 1
-            if throttle:
-                yield Timeout(throttle)
         progress.finished_at = sim.now
         return RebuildStats(
             slot=self.slot,
             stripes=progress.rebuilt_stripes,
             blocks_written=progress.blocks_written,
             elapsed=progress.elapsed(sim.now),
-            rate=self.rate,
             progress=progress,
         )
 

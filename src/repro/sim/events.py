@@ -23,17 +23,16 @@ class Timeout:
     scheduling round (useful for fairness).
     """
 
-    __slots__ = ("delay", "value")
+    __slots__ = ("delay",)
 
-    def __init__(self, delay: float, value: Any = None) -> None:
+    def __init__(self, delay: float) -> None:
         if not delay >= 0:  # also refuses NaN
             raise ValueError(f"negative timeout: {delay!r}")
         self.delay = delay
-        self.value = value
 
     def _wait(self, process) -> None:
         # Process._step runs this body inline for exact Timeout instances.
-        process.sim._schedule(self.delay, process._resume, self.value)
+        process.sim._schedule(self.delay, process._resume, None)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Timeout({self.delay!r})"

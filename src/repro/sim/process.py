@@ -91,11 +91,10 @@ class Process:
             now = sim.now
             time = now + target.delay
             if time == now:
-                sim._ready.append((self._resume, target.value))
+                sim._ready.append((self._resume, None))
             else:
                 sim._seq += 1
-                heappush(sim._heap, (time, sim._seq, self._resume,
-                                     target.value))
+                heappush(sim._heap, (time, sim._seq, self._resume, None))
             return
         if kind is Mailbox:
             queue = target._queue

@@ -59,16 +59,16 @@ _COMMON_FIELDS = frozenset({"kind", "capacity_blocks"})
 _LATENCY_FIELDS = frozenset({"access_time", "latency", "scheduler"})
 
 
-def _resolve_latency(spec: dict, default_latency):
+def _resolve_latency(spec: dict):
     """The latency model for a single-arm driver: an explicit model
-    beats an ``access_time`` field, which beats the caller's default
-    (``None`` falls through to ``DiskParameters.default_latency``)."""
+    beats an ``access_time`` field; with neither, ``None`` falls through
+    to ``DiskParameters.default_latency``."""
     model = spec.get("latency")
     if model is not None:
         return model
     if "access_time" in spec:
         return FixedLatency(spec["access_time"])
-    return default_latency
+    return None
 
 
 def _resolve_scheduler(spec: dict):
@@ -78,17 +78,17 @@ def _resolve_scheduler(spec: dict):
     return make_scheduler(scheduler)
 
 
-def _build_ram(sim, spec, name, capacity_blocks, default_latency):
+def _build_ram(sim, spec, name, capacity_blocks):
     params = DiskParameters(
         name=name, capacity_blocks=spec.get("capacity_blocks", capacity_blocks)
     )
     return SimulatedDisk(
-        sim, params, _resolve_latency(spec, default_latency),
+        sim, params, _resolve_latency(spec),
         scheduler=_resolve_scheduler(spec), name=name,
     )
 
 
-def _build_hostfs(sim, spec, name, capacity_blocks, default_latency):
+def _build_hostfs(sim, spec, name, capacity_blocks):
     root = spec.get("root")
     if not root:
         raise ValueError(
@@ -104,12 +104,12 @@ def _build_hostfs(sim, spec, name, capacity_blocks, default_latency):
     )
     return HostFSDisk(
         sim, params, os.path.join(os.fspath(root), name),
-        latency_model=_resolve_latency(spec, default_latency),
+        latency_model=_resolve_latency(spec),
         scheduler=_resolve_scheduler(spec), name=name, fsync=fsync,
     )
 
 
-def _build_object(sim, spec, name, capacity_blocks, default_latency):
+def _build_object(sim, spec, name, capacity_blocks):
     params = DiskParameters(
         name=name, capacity_blocks=spec.get("capacity_blocks", capacity_blocks)
     )
@@ -183,14 +183,12 @@ def make_driver(
     *,
     name: str,
     capacity_blocks: int = DEFAULT_CAPACITY_BLOCKS,
-    default_latency=None,
 ) -> BlockStoreABC:
     """Build one block-store driver from a spec.
 
-    ``name`` is the device name (``disk0``...); ``capacity_blocks`` and
-    ``default_latency`` are the *caller's* defaults — the spec's own
-    fields override them, and a ``default_latency`` of ``None`` falls
-    through to the paper's 15 ms
+    ``name`` is the device name (``disk0``...); ``capacity_blocks`` is
+    the *caller's* default, which the spec's own field overrides.  A
+    spec that names no latency gets the paper's 15 ms
     (:meth:`~repro.storage.parameters.DiskParameters.default_latency`).
     """
     if callable(spec) and not isinstance(spec, (str, dict)):
@@ -203,4 +201,4 @@ def make_driver(
         return driver
     spec = normalize_driver_spec(spec)
     factory = DRIVER_KINDS[spec["kind"]][0]
-    return factory(sim, spec, name, capacity_blocks, default_latency)
+    return factory(sim, spec, name, capacity_blocks)

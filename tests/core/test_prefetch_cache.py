@@ -202,7 +202,7 @@ def test_cache_only_configuration_serves_repeat_reads():
 
 
 def test_detector_recognizes_runs_and_resets():
-    det = SequentialDetector(threshold=2)
+    det = SequentialDetector()
     assert not det.observe("f", 0)
     assert det.observe("f", 1)
     assert det.observe("f", 2)
@@ -212,16 +212,11 @@ def test_detector_recognizes_runs_and_resets():
 
 
 def test_detector_ignores_random_traffic():
-    det = SequentialDetector(threshold=2)
+    det = SequentialDetector()
     for block in (5, 3, 8, 1, 12, 7):
         assert not det.observe("f", block)
     det.forget("f")
     assert not det.observe("f", 8)  # 7 -> 8 run was forgotten
-
-
-def test_detector_rejects_bad_threshold():
-    with pytest.raises(ValueError):
-        SequentialDetector(threshold=0)
 
 
 # ---------------------------------------------------------------------------

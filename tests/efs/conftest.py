@@ -7,7 +7,7 @@ from repro.efs import EFSClient, EFSServer
 from repro.errors import EFSFileNotFoundError
 from repro.machine import Machine
 from repro.sim import Simulator
-from repro.storage import FixedLatency, make_driver
+from repro.storage import DRIVER_KINDS, make_driver, normalize_driver_spec
 
 
 class EFSHarness:
@@ -24,10 +24,11 @@ class EFSHarness:
         self.sim = Simulator(seed=13)
         self.machine = Machine(self.sim, 1, config=self.config)
         self.node = self.machine.node(0)
+        spec = normalize_driver_spec(storage)
+        if "access_time" in DRIVER_KINDS[spec["kind"]][1]:
+            spec = {"access_time": access_time, **spec}
         self.disk = make_driver(
-            storage, self.sim, name="lfs-disk",
-            capacity_blocks=capacity_blocks,
-            default_latency=FixedLatency(access_time),
+            spec, self.sim, name="lfs-disk", capacity_blocks=capacity_blocks,
         )
         self.server = EFSServer(self.node, self.disk, self.config)
         self.client = EFSClient(self.node, self.server.port)

@@ -484,6 +484,59 @@ def test_a_stale_hint_into_a_discarded_block_reads_the_right_bytes(fast_efs):
     assert isinstance(missing.value.__cause__, EFSBlockNotFoundError)
 
 
+def _remade_two_blocks_long(efs):
+    """File 1 appended four blocks, deleted, and made again two blocks
+    long; returns its old block 3's address, now on the free list (on
+    ``hostfs`` its old bytes, header and all, are still there)."""
+    def body():
+        yield from efs.client.create(1)
+        old = []
+        for index in range(4):
+            written = yield from efs.client.append(1, b"old%d" % index)
+            old.append(written.addr)
+        yield from efs.client.delete(1)
+        yield from efs.client.create(1)
+        for index in range(2):
+            yield from efs.client.append(1, b"new%d" % index)
+        return old[3]
+
+    stale = efs.run(body())
+    assert efs.server.freelist.is_free(stale)
+    return stale
+
+
+def test_a_stale_hint_into_a_freed_block_reads_nothing(driver_efs):
+    efs = driver_efs
+    stale = _remade_two_blocks_long(efs)
+
+    def read():
+        return (yield from efs.client.read(1, 3, hint=stale))
+
+    with pytest.raises(ProcessError) as missing:
+        efs.run(read())
+    assert isinstance(missing.value.__cause__, EFSBlockNotFoundError)
+
+
+def test_a_stale_hint_into_a_freed_block_writes_nothing(driver_efs):
+    efs = driver_efs
+    stale = _remade_two_blocks_long(efs)
+
+    def write():
+        return (yield from efs.client.write(1, 3, b"XXXX", hint=stale))
+
+    with pytest.raises(ProcessError) as refused:
+        efs.run(write())
+    assert isinstance(refused.value.__cause__, EFSBlockNotFoundError)
+    assert "past end" in str(refused.value.__cause__)
+
+    def info():
+        return (yield from efs.client.info(1))
+
+    assert efs.run(info()).size_blocks == 2
+    assert efs.server.freelist.is_free(stale)
+    assert check_efs(efs.server).clean
+
+
 def test_a_delete_drops_the_bytes_in_memory_and_keeps_the_file_on_hostfs(
         driver_efs):
     efs = driver_efs

@@ -8,6 +8,7 @@ table is a pure function of ``(kind, partitions, seed, vnodes)`` so
 every client in every run routes identically.
 """
 
+import hashlib
 import zlib
 
 import pytest
@@ -138,6 +139,24 @@ def test_hash64_is_stable():
     # Frozen values: a silent hash change would remap every elastic
     # namespace on disk-format-equivalent grounds.
     assert hash64("name/file-00000") == 0x379147CB33B99303
+
+
+def test_hash64_is_hashlib_blake2b():
+    """The reference: an 8-byte ``hashlib.blake2b`` digest, big-endian.
+    A "faster hash" would move every elastic number; this names it."""
+    def reference(key):
+        digest = hashlib.blake2b(key.encode(), digest_size=8).digest()
+        return int.from_bytes(digest, "big")
+
+    ring = ConsistentHashRing(4, seed=7)
+    arcs = {p: [f"7/vnode/{p}/{v}" for v in range(ring.vnodes)]
+            for p in range(4)}
+    assert ring.arc_points() == {
+        p: frozenset(map(reference, labels)) for p, labels in arcs.items()
+    }
+    names = [f"name/{name}" for name in NAMES[:8] + ["tf000", ""]]
+    for key in [label for labels in arcs.values() for label in labels] + names:
+        assert hash64(key) == reference(key), key
 
 
 def test_plan_is_deterministic_and_sorted():

@@ -330,8 +330,8 @@ def test_degraded_write_with_parity_slot_down_is_double_failure():
 # ---------------------------------------------------------------------------
 
 
-def run_rebuild(system, pfile, slot, rate=None):
-    rebuild = OnlineRebuild(pfile, slot, rate=rate)
+def run_rebuild(system, pfile, slot):
+    rebuild = OnlineRebuild(pfile, slot)
 
     def body():
         return (yield from rebuild.run())
@@ -367,31 +367,11 @@ def test_rebuild_restores_constituent_and_content():
         assert got.startswith(want)
 
 
-def test_rebuild_throttle_paces_the_sweep():
-    system = make_system()
-    pfile = build_parity_file(system, "gentle", pattern_chunks(12))
-    drop_caches(system)
-    with failed(FaultInjector(system), 1):
-        pass
-    fast, _ = run_rebuild(system, pfile, 1)
-    system2 = make_system(seed=21)
-    pfile2 = build_parity_file(system2, "gentle", pattern_chunks(12))
-    drop_caches(system2)
-    with failed(FaultInjector(system2), 1):
-        pass
-    slow, _ = run_rebuild(system2, pfile2, 1, rate=10.0)
-    # 12 blocks at p=4 -> 4 stripes -> >= 0.4 simulated seconds throttled
-    assert slow.elapsed >= 4 * 0.1
-    assert slow.elapsed > fast.elapsed
-
-
 def test_rebuild_validates_slot_and_rate():
     system = make_system()
     pfile = build_parity_file(system, "checked", pattern_chunks(4))
     with pytest.raises(ValueError):
         OnlineRebuild(pfile, 9)
-    with pytest.raises(ValueError):
-        OnlineRebuild(pfile, 0, rate=0.0)
 
 
 # ---------------------------------------------------------------------------

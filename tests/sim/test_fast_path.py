@@ -62,7 +62,7 @@ def _scenario(timeout, mailbox):
 
     def ticker():
         for i in range(5):
-            note("ticker", (yield timeout(0.0005 * (i + 1), i)))
+            note("ticker", (yield timeout(0.0005 * (i + 1))))
         gate.fire("open")
         note("ticker", (yield timeout(0.0)))
         return "ticked"

@@ -14,6 +14,8 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 REPO = pathlib.Path(__file__).resolve().parents[1]
 SRC = REPO / "src" / "repro"
 
@@ -50,9 +52,6 @@ DRIVERS = {
 
 #: Function-level imports that stay, each with its reason.
 LAZY_IMPORTS = {
-    # hashlib pulls OpenSSL (3.7 MiB) into every process; only a
-    # consistent-hash ring hashes (test_the_paper_system_never_loads_hashlib).
-    ("elastic/ring.py", "hashlib"),
     # True cycle: core.partitioned -> core.client -> core.parallel.
     ("core/parallel.py", "repro.core.partitioned"),
 }
@@ -141,11 +140,11 @@ def test_nothing_probes_for_a_fabric_by_attribute():
     assert not probes, "\n".join(probes)
 
 
-def test_the_paper_system_never_loads_hashlib():
-    """Only the consistent-hash ring hashes; the paper's machine (one
-    server, modulo routing) must not pay OpenSSL's 3.7 MiB for it."""
-    script = (
-        "import sys\n"
+#: One fresh interpreter per product configuration: the paper's machine
+#: (one server, modulo routing), an elastic fabric (consistent ring) that
+#: runs a live resize, and the rebalancer acting on a skewed mix.
+PRODUCT_CONFIGURATIONS = {
+    "paper": (
         "from repro.harness import BridgeSystem, SystemSpec\n"
         "system = BridgeSystem(SystemSpec.preset('paper', lfs_count=4))\n"
         "client = system.naive_client()\n"
@@ -154,7 +153,41 @@ def test_the_paper_system_never_loads_hashlib():
         "    yield from client.write_all('f', [b'x' * 64] * 12)\n"
         "    return (yield from client.read_all('f'))\n"
         "assert len(system.run(stream())) == 12\n"
-        "assert 'hashlib' not in sys.modules\n"
+    ),
+    "elastic": (
+        "from repro.harness import BridgeSystem\n"
+        "system = BridgeSystem(4, bridge_server_count=2, elastic=4)\n"
+        "client = system.naive_client()\n"
+        "names = [f'f{i}' for i in range(8)]\n"
+        "def resize():\n"
+        "    for name in names:\n"
+        "        yield from client.create(name)\n"
+        "        yield from client.write_all(name, [name.encode()] * 2)\n"
+        "    report = yield from system.resize_fabric(4)\n"
+        "    for name in names:\n"
+        "        yield from client.read_all(name)\n"
+        "    return report\n"
+        "assert system.run(resize()).moved > 0\n"
+    ),
+    "rebalance": (
+        "from repro.harness.experiments import run_rebalance_experiment\n"
+        "row = run_rebalance_experiment(rate=90.0, duration=6.0, servers=4,\n"
+        "                               files=24, blocks=6, skew=1.2)\n"
+        "assert row['moves'] > 0 and row['fsck_clean']\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("configuration", sorted(PRODUCT_CONFIGURATIONS))
+def test_no_product_configuration_loads_openssl(configuration):
+    """``hashlib`` loads ``_hashlib``, i.e. OpenSSL (3.6 MiB of RSS per
+    process); the ring's blake2b comes from the builtin ``_blake2``, so
+    no product process, routing by consistent hash or not, pays for it."""
+    script = (
+        PRODUCT_CONFIGURATIONS[configuration]
+        + "import sys\n"
+        "loaded = {'hashlib', '_hashlib'} & set(sys.modules)\n"
+        "assert not loaded, sorted(loaded)\n"
     )
     done = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True,
